@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-Element = object
-
 MAX_REJECTS = 10_000
 RATIONAL_NUMERATOR_BOUND = 12
 DENOMINATOR_BOUND = 8
@@ -293,8 +291,7 @@ class Product(Carrier):
         return [tuple(t) for t in itertools.product(*(p.elements() for p in self.parts))]
 
     def draw(self, rng):
-        return tuple(p.draw(rng) if not p.finite else p.elements()[rng.randrange(len(p.elements()))]
-                     for p in self.parts)
+        return tuple(p.draw(rng) for p in self.parts)
 
     def describe(self):
         return " x ".join(p.describe() for p in self.parts)
@@ -309,11 +306,16 @@ def Vector(base: Carrier, dim: int) -> Product:
 
 @dataclass(frozen=True)
 class Restricted(Carrier):
-    """A base carrier filtered by a membership predicate."""
+    """A base carrier filtered by a membership predicate.
+
+    Draws rejection-sample the base unless `sampler` (rng -> element) draws
+    members directly; its values are still checked for membership.
+    """
 
     base: Carrier
-    member: Callable[[Element], bool]
+    member: Callable[[object], bool]
     label: str = ""
+    sampler: Callable[[random.Random], object] | None = None
 
     def contains(self, x):
         return self.base.contains(x) and bool(self.member(x))
@@ -329,6 +331,11 @@ class Restricted(Carrier):
         return [x for x in self.base.elements() if self.member(x)]
 
     def draw(self, rng):
+        if self.sampler is not None:
+            x = self.sampler(rng)
+            if not self.contains(x):
+                raise ValueError(f"sampler for {self.describe()} drew non-member {x!r}")
+            return x
         for _ in range(MAX_REJECTS):
             x = self.base.draw(rng)
             if self.member(x):
@@ -348,14 +355,9 @@ def eq(carrier: Carrier, x, y) -> bool:
 
 
 def sample(carrier: Carrier, seed: int, n: int) -> list:
-    """n deterministic elements; finite carriers cycle their enumeration."""
+    """n elements drawn from an RNG seeded with `seed`, finite carriers too."""
     if n < 0:
         raise ValueError("sample size must be >= 0")
-    if carrier.finite:
-        elems = carrier.elements()
-        if not elems:
-            raise SamplingExhausted(f"{carrier.describe()} is empty")
-        return [elems[i % len(elems)] for i in range(n)]
     rng = random.Random(seed)
     return [carrier.draw(rng) for _ in range(n)]
 

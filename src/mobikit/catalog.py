@@ -13,8 +13,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import MobiAlgebra
-from .carriers import (Float64, GaussianRational, ModularInt, Product, QI,
-                       Rational, Restricted, Vector)
+from .carriers import (DENOMINATOR_BOUND, RATIONAL_NUMERATOR_BOUND, Float64,
+                       GaussianRational, ModularInt, Product, QI, Rational,
+                       Restricted, Vector)
 from .ringmod import RModule, RingWithHalf
 from .space import MobiSpace, transport_space
 
@@ -64,8 +65,26 @@ def _canonical_p(a, b, c):
     return a + b * (c - a)
 
 
+# Direct samplers for the restricted carriers below.  Each draws n/d with
+# |n| <= RATIONAL_NUMERATOR_BOUND and 1 <= d <= DENOMINATOR_BOUND, the support
+# of a Rational draw, so it reaches exactly the values rejection sampling
+# would accept.
+
+def _draw_between(rng, lo, hi) -> Fraction:
+    """n/d in [lo, hi]; needs lo <= 0 <= hi so that n = 0 always fits."""
+    d = rng.randint(1, DENOMINATOR_BOUND)
+    n_lo = max(math.ceil(lo * d), -RATIONAL_NUMERATOR_BOUND)
+    n_hi = min(math.floor(hi * d), RATIONAL_NUMERATOR_BOUND)
+    return F(rng.randint(n_lo, n_hi), d)
+
+
+def _draw_unit(rng) -> Fraction:
+    return _draw_between(rng, 0, 1)
+
+
 def _unit_interval():
-    return Restricted(Rational(), lambda x: 0 <= x <= 1, label="0 <= t <= 1")
+    return Restricted(Rational(), lambda x: 0 <= x <= 1, label="0 <= t <= 1",
+                      sampler=_draw_unit)
 
 
 def canonical_interval_algebra() -> MobiAlgebra:
@@ -110,8 +129,14 @@ def lozenge_algebra(sqrt_k: Fraction = F(1)) -> MobiAlgebra:
     def member(a):
         return sqrt_k * abs(a[1]) <= a[0] <= 1 - sqrt_k * abs(a[1])
 
+    def draw(rng):
+        a1 = _draw_unit(rng)
+        r = min(a1, 1 - a1) / sqrt_k
+        return (a1, _draw_between(rng, -r, r))
+
     carrier = Restricted(Vector(Rational(), 2), member,
-                         label=f"{sqrt_k}|a2| <= a1 <= 1 - {sqrt_k}|a2|")
+                         label=f"{sqrt_k}|a2| <= a1 <= 1 - {sqrt_k}|a2|",
+                         sampler=draw)
     return MobiAlgebra(carrier, _pair_p(k), (F(0), F(0)), (F(1, 2), F(0)),
                        (F(1), F(0)), name=f"lozenge-algebra({sqrt_k})")
 
@@ -218,7 +243,13 @@ def transported_space(lam="1", K="0,0,1", alpha: float = 1.0) -> MobiSpace:
 
 
 def halfplane_space(n: int = 1) -> MobiSpace:
-    points = Restricted(Vector(Rational(), n + 1), lambda p: p[n] > 0, label="s > 0")
+    def draw(rng):
+        head = tuple(Rational().draw(rng) for _ in range(n))
+        return head + (F(rng.randint(1, RATIONAL_NUMERATOR_BOUND),
+                         rng.randint(1, DENOMINATOR_BOUND)),)
+
+    points = Restricted(Vector(Rational(), n + 1), lambda p: p[n] > 0, label="s > 0",
+                        sampler=draw)
 
     def q(x, a, y):
         s, t = x[n], y[n]

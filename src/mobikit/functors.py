@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from .algebra import (algebra_from_ring, check_algebra_morphism,
                       ring_from_algebra, _resolve_two)
-from .carriers import Product, sample, try_subtract
-from .report import (CheckReport, Exhaustive, Sampled, Witness, check_equation,
-                     _strategy_info, law_seed)
+from .carriers import try_subtract
+from .report import (CheckReport, Sampled, Witness, assignments_for,
+                     check_equation, _strategy_info)
 from .ringmod import RModule, check_module
 from .space import MobiSpace, PointedMobiSpace, check_space_morphism
 
@@ -57,16 +57,6 @@ def space_to_module(pointed: PointedMobiSpace, two=None, name: str = "") -> RMod
     )
 
 
-def _paired_assignments(law, scalars, points, strategy):
-    """(a, x, y) triples for round-trip comparisons."""
-    if isinstance(strategy, Exhaustive):
-        import itertools
-
-        return itertools.product(scalars.elements(), points.elements(), points.elements())
-    prod = Product((scalars, points, points))
-    return sample(prod, law_seed(strategy.seed, law), strategy.samples)
-
-
 def roundtrip_module(module: RModule, strategy=Sampled()) -> CheckReport:
     """space_to_module(module_to_space(M)) has the same + and phi as M."""
     law = "roundtrip(module)"
@@ -75,7 +65,7 @@ def roundtrip_module(module: RModule, strategy=Sampled()) -> CheckReport:
     pts, sc = module.points, module.ring.carrier
     pe = pts.eq
     info = _strategy_info(strategy, 3)
-    for a, x, y in _paired_assignments(law, sc, pts, strategy):
+    for a, x, y in assignments_for(law, (sc, pts, pts), strategy):
         lhs, rhs = module.add(x, y), back.add(x, y)
         if not pe(lhs, rhs):
             w = Witness({"op": "add", "x": x, "y": y}, lhs, rhs, try_subtract(lhs, rhs))
@@ -95,7 +85,7 @@ def roundtrip_space(pointed: PointedMobiSpace, two=None, strategy=Sampled()) -> 
     pts, sc = S.points, S.algebra.carrier
     pe = pts.eq
     info = _strategy_info(strategy, 3)
-    for a, x, y in _paired_assignments(law, sc, pts, strategy):
+    for a, x, y in assignments_for(law, (sc, pts, pts), strategy):
         lhs, rhs = S.q(x, a, y), back.space.q(x, a, y)
         if not pe(lhs, rhs):
             w = Witness({"x": x, "a": a, "y": y}, lhs, rhs, try_subtract(lhs, rhs))

@@ -34,9 +34,6 @@ class Sampled:
     seed: int = 0
 
 
-Strategy = object  # Exhaustive | Sampled
-
-
 @dataclass(frozen=True)
 class StrategyInfo:
     kind: str  # "exhaustive" | "sampled"

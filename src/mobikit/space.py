@@ -21,11 +21,8 @@ from typing import Callable
 
 from .algebra import MobiAlgebra, circ, complement, oplus, product
 from .carriers import Carrier, CarrierError, MembershipError, sample
-from .report import (CheckReport, Sampled, Witness, check_equation,
+from .report import (CheckReport, Sampled, check_equation,
                      check_implication, check_predicate, law_seed)
-
-# the affine check's witness type: inputs, both evaluated sides, difference
-AffineWitness = Witness
 
 
 @dataclass(frozen=True)

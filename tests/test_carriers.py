@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mobikit import (Float64, GaussianRational, ModularInt, NotEnumerableError,
-                     Product, QI, Rational, Restricted, SamplingExhausted,
-                     Vector, enumerate_elements, eq, sample, tolerance,
+from mobikit import (Exhaustive, Float64, GaussianRational, MobiAlgebra,
+                     ModularInt, NotEnumerableError, Product, QI, Rational,
+                     Restricted, Sampled, SamplingExhausted, Vector,
+                     check_algebra, enumerate_elements, eq, sample, tolerance,
                      try_subtract)
+from mobikit.report import assignments_for
 
 rationals = st.fractions(max_denominator=50)
 
@@ -98,6 +100,16 @@ def test_restricted_can_exhaust():
         sample(c, seed=0, n=1)
 
 
+def test_restricted_sampler_draws_directly_and_is_checked():
+    unit = Restricted(Rational(), lambda x: 0 <= x <= 1, label="unit",
+                      sampler=lambda rng: Fraction(rng.randint(0, 4), 4))
+    assert all(unit.contains(x) for x in sample(unit, seed=0, n=50))
+    bad = Restricted(Rational(), lambda x: 0 <= x <= 1, label="unit",
+                     sampler=lambda rng: Fraction(2))
+    with pytest.raises(ValueError, match="non-member"):
+        sample(bad, seed=0, n=1)
+
+
 def test_infinite_carriers_refuse_enumeration():
     with pytest.raises(NotEnumerableError):
         list(enumerate_elements(Rational()))
@@ -111,9 +123,32 @@ def test_sample_is_deterministic():
     assert sample(c, seed=7, n=20) != sample(c, seed=8, n=20)
 
 
-def test_sample_finite_cycles_enumeration():
-    c = ModularInt(3)
-    assert sample(c, seed=0, n=7) == [0, 1, 2, 0, 1, 2, 0]
+def test_sample_finite_depends_on_seed():
+    c = ModularInt(7)
+    assert sample(c, seed=0, n=30) == sample(c, seed=0, n=30)
+    assert sample(c, seed=0, n=30) != sample(c, seed=1, n=30)
+
+
+def test_sampled_finite_law_reaches_every_residue_in_every_slot():
+    slots = (ModularInt(7),) * 5
+    assignments = list(assignments_for("A8", slots, Sampled(500)))
+    assert len(assignments) == 500
+    for i in range(5):
+        assert {a[i] for a in assignments} == set(range(7))
+
+
+def test_sampled_catches_a_perturbation_off_the_lexicographic_prefix():
+    # Z/7 with p(3, 2, c) off by one for c != 3; the unit laws still hold.
+    # A sampled check that only walks a prefix of the enumeration (a1 = 0,
+    # b in {0, 1}) never evaluates p(3, 2, c) inside A8.
+    def p(a, b, c):
+        v = (a + b * c - b * a) % 7
+        return (v + 1) % 7 if (a % 7, b % 7) == (3, 2) and c % 7 != 3 else v
+
+    alg = MobiAlgebra(ModularInt(7), p, 0, 4, 1, two=2)
+    for strategy in (Exhaustive(), Sampled(500)):
+        failing = {r.law for r in check_algebra(alg, strategy) if not r.passed}
+        assert "A8" in failing
 
 
 def test_sample_members():

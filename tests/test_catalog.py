@@ -2,12 +2,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mobikit import (Exhaustive, MobiAlgebra, MobiSpace, RModule, Sampled,
                      all_passed, build, check_affine, check_algebra,
                      check_module, check_properties, check_ring, check_space,
                      check_y_properties, coerce_params, default_origin,
-                     get_entry, list_catalog, solve_two)
+                     get_entry, list_catalog, sample, solve_two)
+from mobikit.carriers import DENOMINATOR_BOUND, RATIONAL_NUMERATOR_BOUND
 
 SAMPLED = Sampled(samples=120, seed=0)
 
@@ -185,3 +187,38 @@ def test_damped_module_and_space_agree_through_the_correspondence():
     got, want = module.add(x, y), catalog_module.add(x, y)
     assert math.isclose(got[0], want[0], rel_tol=1e-12)
     assert math.isclose(got[1], want[1], rel_tol=1e-12)
+
+
+# direct samplers of the restricted catalog carriers
+
+def _restricted_carriers(sqrt_k=F(1)):
+    return {"unit interval": build("canonical-interval-algebra").carrier,
+            "lozenge": build("lozenge-algebra", sqrt_k=sqrt_k).carrier,
+            "half-plane": build("halfplane-space").points}
+
+
+def _rational_parts(x):
+    return x if isinstance(x, tuple) else (x,)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 64),
+       sqrt_k=st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8))
+def test_direct_samplers_draw_members_within_the_rational_bounds(seed, sqrt_k):
+    for name, carrier in _restricted_carriers(sqrt_k).items():
+        assert carrier.sampler is not None, name
+        for x in sample(carrier, seed, 40):
+            assert carrier.member(x), (name, x)
+            for v in _rational_parts(x):
+                assert isinstance(v, F), (name, x)
+                assert abs(v.numerator) <= RATIONAL_NUMERATOR_BOUND, (name, x)
+                assert 1 <= v.denominator <= DENOMINATOR_BOUND, (name, x)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 64))
+def test_direct_samplers_reach_the_region_boundary(seed):
+    carriers = _restricted_carriers()
+    assert {F(0), F(1)} <= set(sample(carriers["unit interval"], seed, 200))
+    corners = {(F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2))}
+    assert corners <= set(sample(carriers["lozenge"], seed, 3000))

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import mobikit
 from mobikit.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
@@ -203,3 +209,23 @@ def test_usage_errors_exit_two(capsys):
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "check", "/no/such/file.mobi")
     assert code == 2 and "error:" in err
+
+
+def test_sampled_check_of_a_large_finite_carrier_fits_in_512_mb():
+    # Z/101 has 101^5 five-variable assignments; sampling must not build them.
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2 ** 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(mobikit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from mobikit.cli import main; main()",
+         "catalog", "check", "zmod-algebra", "--param", "m=101"],
+        env=env, preexec_fn=limit_memory, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "all passed" in proc.stdout.splitlines()[-1]

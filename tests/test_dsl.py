@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from mobikit import (QI, DslError, MobiAlgebra, MobiSpace, Sampled,
-                     all_passed, build, check_algebra, check_space, load,
-                     parse, parse_value, print_definitions, sample)
+                     SamplingExhausted, all_passed, build, check_algebra,
+                     check_space, load, parse, parse_value, print_definitions,
+                     sample)
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
 
@@ -139,3 +140,20 @@ def test_integer_division_stays_exact():
         "  p(a, b, c) = a + (2/2)*b*(c - a)\n"
         "}\n")
     assert defs["thirds"].p(F(0), F(1, 3), F(1)) == F(1, 3)
+
+
+def test_where_carriers_keep_rejection_sampling():
+    defs = load(
+        "space cone over canonical_interval_algebra {\n"
+        "  carrier: Q^2 where v1 >= v2\n"
+        "  q(x, a, y) = x\n"
+        "}\n"
+        "space empty over canonical_interval_algebra {\n"
+        "  carrier: Q^2 where v1 > v1\n"
+        "  q(x, a, y) = x\n"
+        "}\n")
+    cone, empty = defs["cone"].points, defs["empty"].points
+    assert cone.sampler is None and empty.sampler is None
+    assert all(cone.contains(x) for x in sample(cone, seed=3, n=50))
+    with pytest.raises(SamplingExhausted):
+        sample(empty, seed=0, n=1)
