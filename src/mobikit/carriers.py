@@ -40,10 +40,11 @@ class MembershipError(CarrierError):
     """An operation was applied to a value outside its carrier."""
 
 
-def _as_fraction(x) -> Fraction:
+def _rational(x):
+    """x itself when it is an int or a Fraction (not a bool), else ShapeError."""
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise ShapeError(f"expected a rational, got {x!r}")
-    return Fraction(x)
+    return x
 
 
 class QI:
@@ -52,8 +53,8 @@ class QI:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QI values are immutable")
@@ -178,7 +179,7 @@ class Rational(Carrier):
         return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
     def eq(self, x, y):
-        return _as_fraction(x) == _as_fraction(y)
+        return _rational(x) == _rational(y)
 
     def draw(self, rng):
         return _draw_fraction(rng)

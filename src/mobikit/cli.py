@@ -11,7 +11,8 @@
     mobi trace NAME --from EXPR --to EXPR --steps N --out PATH [--param k=v]...
 
 Exit codes: 0 all checks passed, 1 a check found a counterexample,
-2 usage, parse, or configuration errors (diagnostics go to stderr).
+2 usage, parse, or configuration errors, or an arithmetic error such as
+an overflow or a division by zero (diagnostics go to stderr).
 """
 
 from __future__ import annotations
@@ -367,6 +368,9 @@ def run_cli(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # overflow or division by zero in an operation
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

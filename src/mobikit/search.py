@@ -1,11 +1,28 @@
 """Exhaustive search for finite models of the algebra laws.
 
 A model of size n is a table t over {0..n-1} together with placements of the
-three constants.  The unit laws pin down large parts of the table up front;
-the rest is filled by backtracking with the cancellation law used as an
-injectivity prune on the half rows and both distributivity-style laws checked
-as soon as their instances become determinable.  Results are deduplicated up
-to relabeling and reported in a canonical labeling, the one minimizing
+three constants.  For each placement the unit laws pin down large parts of
+the table up front; the rest is filled by backtracking over the free cells in
+a fixed order, trying the values 0..n-1, and every assignment is propagated:
+
+* Half rows must be injective (the cancellation law): a repeated value is a
+  conflict, and a half row with one hole left has that hole forced.
+* Each instance of A7 and of A8 is evaluated as far as the filled cells
+  allow and then parked on the first unset cell it reads.  That cell is
+  either static, like (b1, b2, b3) in A7, or addressed by values already
+  read, like (a, inner, c) or (x, b2, y).  Assigning a cell re-evaluates
+  only the instances parked on it.  An instance whose two sides are known
+  and differ is a conflict; one whose only unknown is the cell of one side
+  forces that cell to the other side's value, and one whose two side cells
+  are both unset is parked on both.  Instances that the unit laws make true
+  whatever the other cells hold are never parked.
+* Every assignment and every move of an instance goes on a trail, which
+  backtracking unwinds.
+
+Propagation only cuts branches that no model passes through, so models are
+found in the same order as by plain backtracking, and every complete table
+is still verified against all the laws.  Results are deduplicated up to
+relabeling and reported in a canonical labeling, the one minimizing
 (zero, one, half, flattened table).
 """
 
@@ -16,6 +33,8 @@ from itertools import permutations, product
 
 from .algebra import MobiAlgebra
 from .carriers import ModularInt
+
+MAX_SIZE = 7
 
 
 @dataclass(frozen=True)
@@ -37,91 +56,240 @@ class FiniteModel:
                            name=f"finite-model({n})")
 
 
-def _forced_table(n, z, h, o):
-    """Cells pinned by the unit laws, or None on an immediate conflict."""
-    table = [[[None] * n for _ in range(n)] for _ in range(n)]
+class _Instances:
+    """The A7 and A8 instances of size n that the unit laws leave open.
 
-    def put(a, b, c, v):
-        cur = table[a][b][c]
-        if cur is not None and cur != v:
+    Instance i < n**5 is A7 at the i-th quintuple (a, b1, b2, b3, c) of
+    product(range(n), repeat=5), and instance n**5 + i is A8 at the i-th
+    quintuple (a1, b, c1, a2, c2).  static[i] holds flat cell indices and
+    their fixed parts: for A7, the cells (b1, b2, b3), (a, b1, c) and
+    (a, b3, c), then (a, 0, c) and b2*n, from which (a, inner, c) and
+    (x, b2, y) are computed; for A8, the cells (a1, b, c1) and (a2, b, c2),
+    then (a1, 0, a2) and (c1, 0, c2), to which half*n is added, and b*n.
+
+    A7 holds by the unit laws when a = c, b1 = b3, or b2 is zero or one,
+    and A8 when b is zero or one, or a1 = c1 and a2 = c2; those are left
+    out.  The rest are grouped by the first cell they read, (b1, b2, b3) or
+    (a1, b, c1): id 2 * n**5 + k is the A7 group of cell k, and
+    2 * n**5 + n**3 + k the A8 group, so that a group whose cell is unset
+    is parked whole.
+    """
+
+    def __init__(self, n):
+        quint = list(product(range(n), repeat=5))
+        n3, n5, nn = n ** 3, n ** 5, n * n
+        rng = range(n)
+        self.n5 = n5
+        self.static = (
+            [((q * n + r) * n + s, p * nn + q * n + t, p * nn + s * n + t,
+              p * nn + t, r * n) for p, q, r, s, t in quint]
+            + [((p * n + q) * n + r, (s * n + q) * n + t, p * nn + s,
+                r * nn + t, q * n) for p, q, r, s, t in quint])
+        # quint index of (p, q, r, s, t) is (((p*n + q)*n + r)*n + s)*n + t
+        outer = [p * n ** 4 + t for p in rng for t in rng if p != t]
+        self.groups = (
+            [[((q * n + r) * n + s) * n + pt for pt in outer] if q != s
+             else [] for q in rng for r in rng for s in rng]
+            + [[n5 + (((p * n + q) * n + r) * n + s) * n + t
+                for s in rng for t in rng if p != r or s != t]
+               for p in rng for q in rng for r in rng])
+        # group ids by the middle index of their cell
+        first = 2 * n5
+        self.by_b = [[first + g for g in range(2 * n3)
+                      if self.groups[g] and g // n % n == b] for b in rng]
+
+    def open(self, z, o) -> list:
+        """The groups a placement with this zero and one must check."""
+        return [g for b, ids in enumerate(self.by_b) if b != z and b != o
+                for g in ids]
+
+
+class _Placement:
+    """The table of one placement of the constants, with its propagation.
+
+    Cells are flat indices (a*n + b)*n + c.  watch[k] holds the instances
+    parked on cell k.  The trail holds ~k for each assignment of cell k and
+    j >= 0 for each instance appended to watch[j]; undo() unwinds it.  A
+    watch list is never cleared: while its cell is set nothing parks there,
+    and the instances that moved on are popped from their new lists first.
+    """
+
+    def __init__(self, n, z, h, o, instances: _Instances):
+        self.n, self.h = n, h
+        self.instances = instances
+        self.cells = [None] * n ** 3
+        self.watch = [[] for _ in range(n ** 3)]
+        self.trail = []
+        self.pending = []
+        self.row_of = [k // (n * n) if k // n % n == h else -1
+                       for k in range(n ** 3)]
+        self.row_used = [0] * n  # bit v set when half row a holds v
+        self.row_filled = [0] * n
+        self.ok = self._unit_laws(z, h, o)
+        if self.ok:
+            self.pending.clear()  # nothing is parked yet
+            self.ok = self._visit(instances.open(z, o)) and self.propagate()
+
+    def _unit_laws(self, z, h, o) -> bool:
+        n, put = self.n, self.assign
+        for a in range(n):
+            for b in range(n):
+                if not (put((a * n + z) * n + b, a)        # p(a, 0, b) = a
+                        and put((a * n + b) * n + a, a)    # p(a, b, a) = a
+                        and put((b * n + o) * n + a, a)):  # p(b, 1, a) = a
+                    return False
+            if not put((z * n + a) * n + o, a):  # p(0, a, 1) = a
+                return False
+        return put((o * n + h) * n + z, h)  # p(1, half, 0) = half
+
+    def assign(self, k, v) -> bool:
+        """Set cell k to v, or report a conflict; forces a half row's last hole."""
+        cells = self.cells
+        cur = cells[k]
+        if cur is not None:
+            return cur == v
+        row = self.row_of[k]
+        if row < 0:
+            cells[k] = v
+            self.trail.append(~k)
+            self.pending.append(k)
+            return True
+        used = self.row_used[row]
+        bit = 1 << v
+        if used & bit:
             return False
-        table[a][b][c] = v
+        cells[k] = v
+        self.trail.append(~k)
+        self.pending.append(k)
+        self.row_used[row] = used | bit
+        self.row_filled[row] += 1
+        n = self.n
+        if self.row_filled[row] != n - 1:
+            return True
+        start = (row * n + self.h) * n
+        hole = next(j for j in range(start, start + n) if cells[j] is None)
+        missing = (((1 << n) - 1) ^ used ^ bit).bit_length() - 1
+        return self.assign(hole, missing)
+
+    def _visit(self, instances) -> bool:
+        """Evaluate instances; park, force or report a conflict for each."""
+        cells, watch, trail, assign = self.cells, self.watch, self.trail, self.assign
+        static, groups, n5 = (self.instances.static, self.instances.groups,
+                              self.instances.n5)
+        n = self.n
+        nn = n * n
+        hn = self.h * n
+        n3 = nn * n
+        first_group = 2 * n5
+        for i in instances:
+            if i >= first_group:
+                g = i - first_group
+                j = g % n3
+                if cells[j] is None:
+                    watch[j].append(i)
+                    trail.append(j)
+                elif not self._visit(groups[g]):
+                    return False
+                continue
+            if i < n5:
+                j, jx, jy, base, b2n = static[i]
+                inner = cells[j]
+                if inner is not None:
+                    x = cells[jx]
+                    if x is None:
+                        j = jx
+                    else:
+                        y = cells[jy]
+                        if y is None:
+                            j = jy
+                        else:
+                            left = base + inner * n
+                            right = x * nn + b2n + y
+                            j = -1
+            else:
+                j, jv, jx, jy, bn = static[i]
+                u = cells[j]
+                if u is not None:
+                    v = cells[jv]
+                    if v is None:
+                        j = jv
+                    else:
+                        x = cells[jx + hn]
+                        if x is None:
+                            j = jx + hn
+                        else:
+                            y = cells[jy + hn]
+                            if y is None:
+                                j = jy + hn
+                            else:
+                                left = u * nn + hn + v
+                                right = x * nn + bn + y
+                                j = -1
+            if j >= 0:  # an input cell is unset
+                watch[j].append(i)
+                trail.append(j)
+                continue
+            lhs = cells[left]
+            rhs = cells[right]
+            if lhs is None:
+                if rhs is None:
+                    if left != right:  # the side set first forces the other
+                        watch[left].append(i)
+                        watch[right].append(i)
+                        trail.append(left)
+                        trail.append(right)
+                elif not assign(left, rhs):
+                    return False
+            elif rhs is None:
+                if not assign(right, lhs):
+                    return False
+            elif lhs != rhs:
+                return False
         return True
 
-    for a in range(n):
-        for b in range(n):
-            if not put(a, z, b, a):  # p(a, 0, b) = a
-                return None
-            if not put(a, b, a, a):  # p(a, b, a) = a
-                return None
-            if not put(b, o, a, a):  # p(b, 1, a) = a
-                return None
-        if not put(z, a, o, a):  # p(0, a, 1) = a
-            return None
-    if not put(o, h, z, h):  # p(1, half, 0) = half
-        return None
-    return table
+    def propagate(self) -> bool:
+        pending, watch = self.pending, self.watch
+        while pending:
+            if not self._visit(watch[pending.pop()]):
+                return False
+        return True
 
+    def undo(self, mark):
+        cells, watch, trail = self.cells, self.watch, self.trail
+        self.pending.clear()
+        for e in reversed(trail[mark:]):
+            if e >= 0:
+                watch[e].pop()
+                continue
+            k = ~e
+            row = self.row_of[k]
+            if row >= 0:
+                self.row_used[row] ^= 1 << cells[k]
+                self.row_filled[row] -= 1
+            cells[k] = None
+        del trail[mark:]
 
-def _half_rows_ok(table, n, h):
-    """Half rows must be injective; force a lone missing cell when possible.
+    def fill(self, free, idx, leaf) -> bool:
+        """Branch on the unset cells of free[idx:] in order, trying 0..n-1,
+        and call leaf(table) on each complete table; True from leaf stops."""
+        cells = self.cells
+        while idx < len(free) and cells[free[idx]] is not None:
+            idx += 1  # propagated earlier
+        if idx == len(free):
+            return leaf(self.nested())
+        k = free[idx]
+        mark = len(self.trail)
+        for v in range(self.n):
+            if (self.assign(k, v) and self.propagate()
+                    and self.fill(free, idx + 1, leaf)):
+                return True
+            self.undo(mark)
+        return False
 
-    Returns (ok, forced) where forced lists (a, c, value) assignments made.
-    """
-    forced = []
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            row = table[a][h]
-            seen = set()
-            hole = None
-            holes = 0
-            for c in range(n):
-                v = row[c]
-                if v is None:
-                    hole = c
-                    holes += 1
-                elif v in seen:
-                    return False, forced
-                else:
-                    seen.add(v)
-            if holes == 1 and len(seen) == n - 1:
-                missing = next(iter(set(range(n)) - seen))
-                row[hole] = missing
-                forced.append((a, h, hole))
-                changed = True
-    return True, forced
-
-
-def _instances_ok(table, h, quintuples):
-    """Check both five-variable laws on all currently determinable instances."""
-    for a, b1, b2, b3, c in quintuples:
-        inner = table[b1][b2][b3]
-        if inner is None:
-            continue
-        lhs = table[a][inner][c]
-        x = table[a][b1][c]
-        y = table[a][b3][c]
-        if lhs is None or x is None or y is None:
-            continue
-        rhs = table[x][b2][y]
-        if rhs is not None and lhs != rhs:
-            return False
-    for a1, b, c1, a2, c2 in quintuples:
-        u = table[a1][b][c1]
-        v = table[a2][b][c2]
-        if u is None or v is None:
-            continue
-        lhs = table[u][h][v]
-        x = table[a1][h][a2]
-        y = table[c1][h][c2]
-        if lhs is None or x is None or y is None:
-            continue
-        rhs = table[x][b][y]
-        if rhs is not None and lhs != rhs:
-            return False
-    return True
+    def nested(self) -> list:
+        n, cells = self.n, self.cells
+        return [[cells[(a * n + b) * n:(a * n + b + 1) * n] for b in range(n)]
+                for a in range(n)]
 
 
 def _full_check(table, n, z, h, o):
@@ -149,8 +317,22 @@ def _full_check(table, n, z, h, o):
 
 
 def _canonical_key(n, z, h, o, table):
+    """The least (zero, one, half, flattened table) over all relabelings.
+
+    The least key sends zero, one and half to the smallest labels in that
+    order, so only the labelings of the other elements are tried.
+    """
+    fixed = {}
+    for x in (z, o, h):
+        fixed.setdefault(x, len(fixed))
+    rest = [x for x in range(n) if x not in fixed]
     best = None
-    for perm in permutations(range(n)):
+    for labels in permutations(range(len(fixed), n)):
+        perm = [0] * n
+        for x, label in fixed.items():
+            perm[x] = label
+        for x, label in zip(rest, labels):
+            perm[x] = label
         inv = [0] * n
         for src, dst in enumerate(perm):
             inv[dst] = src
@@ -177,11 +359,12 @@ def search_finite(n: int, require_distinct_constants: bool = False,
     emit, when given, is called with each model as it is found; limit stops
     the search after that many models.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 4:
-        raise ValueError(f"size must be an integer between 1 and 4, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_SIZE:
+        raise ValueError(
+            f"size must be an integer between 1 and {MAX_SIZE}, got {n!r}")
     if limit is not None and limit <= 0:
         return []
-    quintuples = list(product(range(n), repeat=5))
+    instances = _Instances(n)
     found = []
     seen = set()
 
@@ -199,36 +382,18 @@ def search_finite(n: int, require_distinct_constants: bool = False,
     for z, h, o in product(range(n), repeat=3):
         if require_distinct_constants and len({z, h, o}) < 3:
             continue
-        table = _forced_table(n, z, h, o)
-        if table is None:
+        state = _Placement(n, z, h, o, instances)
+        if not state.ok:
             continue
-        ok, _ = _half_rows_ok(table, n, h)
-        if not ok or not _instances_ok(table, h, quintuples):
-            continue
-        free = [(a, b, c)
-                for b in sorted(range(n), key=lambda b: b != h)
-                for a in range(n) for c in range(n)
-                if table[a][b][c] is None]
+        cells = state.cells
+        free = [k for b in sorted(range(n), key=lambda b: b != h)
+                for a in range(n)
+                for k in range((a * n + b) * n, (a * n + b + 1) * n)
+                if cells[k] is None]
 
-        def fill(idx):
-            if idx == len(free):
-                if _full_check(table, n, z, h, o):
-                    return record(z, h, o, table)
-                return False
-            a, b, c = free[idx]
-            if table[a][b][c] is not None:  # propagated earlier
-                return fill(idx + 1)
-            for v in range(n):
-                table[a][b][c] = v
-                ok, forced = _half_rows_ok(table, n, h)
-                if ok and _instances_ok(table, h, quintuples):
-                    if fill(idx + 1):
-                        return True
-                for fa, fb, fc in forced:
-                    table[fa][fb][fc] = None
-                table[a][b][c] = None
-            return False
+        def leaf(table):
+            return _full_check(table, n, z, h, o) and record(z, h, o, table)
 
-        if fill(0):
+        if state.fill(free, 0, leaf):
             break
     return found

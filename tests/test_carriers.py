@@ -8,6 +8,7 @@ from mobikit import (Exhaustive, Float64, GaussianRational, MobiAlgebra,
                      Restricted, Sampled, SamplingExhausted, Vector,
                      check_algebra, enumerate_elements, eq, sample, tolerance,
                      try_subtract)
+from mobikit.carriers import ShapeError
 from mobikit.report import assignments_for
 
 rationals = st.fractions(max_denominator=50)
@@ -60,6 +61,23 @@ def test_rational_accepts_ints_and_fractions():
     c = Rational()
     assert c.contains(Fraction(2, 3)) and c.contains(5)
     assert not c.contains(0.5)
+
+
+def test_rational_eq_compares_exactly_and_rejects_non_rationals():
+    c = Rational()
+    assert c.eq(2, Fraction(4, 2)) and c.eq(Fraction(1, 3), Fraction(2, 6))
+    assert not c.eq(Fraction(1, 3), 0)
+    for bad in (True, 0.5, "1", None, QI(1)):
+        with pytest.raises(ShapeError):
+            c.eq(bad, 1)
+        with pytest.raises(ShapeError):
+            c.eq(Fraction(1), bad)
+
+
+def test_qi_components_are_fractions():
+    z = QI(3, Fraction(1, 2))
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (3, Fraction(1, 2))
 
 
 def test_modular_eq_is_mod_m():

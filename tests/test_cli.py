@@ -211,6 +211,15 @@ def test_missing_file_exits_two(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (("damped-space", "--param", "alpha=1000"), "OverflowError"),
+    (("transported-space", "--param", "lam=0,1"), "ZeroDivisionError")])
+def test_arithmetic_error_in_an_operation_exits_two(capsys, argv, kind):
+    code, out, err = run(capsys, "catalog", "check", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1
+
+
 def test_sampled_check_of_a_large_finite_carrier_fits_in_512_mb():
     # Z/101 has 101^5 five-variable assignments; sampling must not build them.
     resource = pytest.importorskip("resource")
