@@ -79,18 +79,13 @@ def roundtrip_module(module: RModule, strategy=Sampled()) -> CheckReport:
 
 def roundtrip_space(pointed: PointedMobiSpace, two=None, strategy=Sampled()) -> CheckReport:
     """module_to_space(space_to_module(S)) has the same q as S."""
-    law = "roundtrip(space)"
     S = pointed.space
-    back = module_to_space(space_to_module(pointed, two=two))
-    pts, sc = S.points, S.algebra.carrier
-    pe = pts.eq
-    info = _strategy_info(strategy, 3)
-    for a, x, y in assignments_for(law, (sc, pts, pts), strategy):
-        lhs, rhs = S.q(x, a, y), back.space.q(x, a, y)
-        if not pe(lhs, rhs):
-            w = Witness({"x": x, "a": a, "y": y}, lhs, rhs, try_subtract(lhs, rhs))
-            return CheckReport(law, info, "fail", w)
-    return CheckReport(law, info, "pass")
+    back = module_to_space(space_to_module(pointed, two=two)).space
+    pts = S.points
+    return check_equation("roundtrip(space)", ("a", "x", "y"),
+                          (S.algebra.carrier, pts, pts), pts.eq,
+                          lambda a, x, y: S.q(x, a, y),
+                          lambda a, x, y: back.q(x, a, y), strategy)
 
 
 def transport_morphism(direction: str, pair: tuple, source, target,

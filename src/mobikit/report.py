@@ -1,8 +1,10 @@
 """Law-checking engine: strategies, witnesses, and CheckReport.
 
-Every law check walks assignments either exhaustively (finite carriers only)
+Every law check (equation, predicate or implication) runs through one loop,
+`_check`, which walks assignments either exhaustively (finite carriers only)
 or over seeded samples, and returns a CheckReport whose witness, when present,
-re-evaluates to unequal sides.
+re-evaluates to unequal sides.  A ZeroDivisionError or EvalError raised while
+evaluating a law becomes an `<error: ...>` witness.
 """
 
 from __future__ import annotations
@@ -92,13 +94,22 @@ def _error_witness(names, assignment, exc) -> Witness:
                    lhs=f"<error: {exc}>", rhs=None, difference=None)
 
 
-def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
-                   lhs: Callable, rhs: Callable, strategy,
-                   probes: tuple = ()) -> CheckReport:
-    """Check lhs(...) == rhs(...) over assignments; probes run first."""
+def _check(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
+           rhs: Callable, strategy, premise: Callable | None = None,
+           construct: Callable | None = None, probes: tuple = ()) -> CheckReport:
+    """The one assignment loop: probes, then the strategy's assignments, then
+    (sampled only) their constructed copies.  Assignments whose premise fails
+    are skipped; the first one whose sides differ, or whose evaluation raises,
+    is the witness."""
     info = _strategy_info(strategy, len(slots))
-    for assignment in chain(probes, assignments_for(law, slots, strategy)):
+    assignments = assignments_for(law, slots, strategy)
+    if construct is not None and not isinstance(strategy, Exhaustive):
+        assignments = list(assignments)
+        assignments += [construct(a) for a in assignments]
+    for assignment in chain(probes, assignments):
         try:
+            if premise is not None and not premise(*assignment):
+                continue
             left = lhs(*assignment)
             right = rhs(*assignment)
         except (ZeroDivisionError, EvalError) as exc:
@@ -109,19 +120,18 @@ def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
     return CheckReport(law, info, "pass")
 
 
+def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
+                   lhs: Callable, rhs: Callable, strategy,
+                   probes: tuple = ()) -> CheckReport:
+    """Check lhs(...) == rhs(...) over assignments; probes run first."""
+    return _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes)
+
+
 def check_predicate(law: str, names: tuple, slots: tuple, value: Callable,
                     holds: Callable, strategy) -> CheckReport:
     """Check holds(value(...)) over assignments (closure-style laws)."""
-    info = _strategy_info(strategy, len(slots))
-    for assignment in assignments_for(law, slots, strategy):
-        try:
-            v = value(*assignment)
-        except (ZeroDivisionError, EvalError) as exc:
-            return CheckReport(law, info, "fail", _error_witness(names, assignment, exc))
-        if not holds(v):
-            w = Witness(dict(zip(names, assignment)), v, None, None)
-            return CheckReport(law, info, "fail", w)
-    return CheckReport(law, info, "pass")
+    return _check(law, names, slots, lambda v, _: holds(v), value,
+                  lambda *_: None, strategy)
 
 
 def check_implication(law: str, names: tuple, slots: tuple, premise: Callable,
@@ -133,23 +143,8 @@ def check_implication(law: str, names: tuple, slots: tuple, premise: Callable,
     assignment to one that satisfies the premise) is applied to a second pass
     of the same assignments to keep the check non-vacuous.
     """
-    info = _strategy_info(strategy, len(slots))
-    base = list(assignments_for(law, slots, strategy))
-    extra = []
-    if construct is not None and not isinstance(strategy, Exhaustive):
-        extra = [construct(a) for a in base]
-    for assignment in chain(base, extra):
-        try:
-            if not premise(*assignment):
-                continue
-            left = lhs(*assignment)
-            right = rhs(*assignment)
-        except (ZeroDivisionError, EvalError) as exc:
-            return CheckReport(law, info, "fail", _error_witness(names, assignment, exc))
-        if not eq(left, right):
-            w = Witness(dict(zip(names, assignment)), left, right, try_subtract(left, right))
-            return CheckReport(law, info, "fail", w)
-    return CheckReport(law, info, "pass")
+    return _check(law, names, slots, eq, lhs, rhs, strategy, premise=premise,
+                  construct=construct)
 
 
 def all_passed(reports: Iterable[CheckReport]) -> bool:

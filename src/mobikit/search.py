@@ -20,19 +20,23 @@ a fixed order, trying the values 0..n-1, and every assignment is propagated:
   backtracking unwinds.
 
 Propagation only cuts branches that no model passes through, so models are
-found in the same order as by plain backtracking, and every complete table
-is still verified against all the laws.  Results are deduplicated up to
-relabeling and reported in a canonical labeling, the one minimizing
-(zero, one, half, flattened table).
+found in the same order as by plain backtracking.  Results are deduplicated
+up to relabeling and reported in a canonical labeling, the one minimizing
+(zero, one, half, flattened table).  Each complete table's canonical key is
+computed first; each new canonical model is verified by `check_algebra`
+under `Exhaustive`, the law suite users run, and a key already seen is
+skipped, since isomorphic tables pass or fail the laws together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
 
-from .algebra import MobiAlgebra
+from .algebra import MobiAlgebra, check_algebra
 from .carriers import ModularInt
+from .report import Exhaustive, all_passed
 
 MAX_SIZE = 7
 
@@ -292,30 +296,6 @@ class _Placement:
                 for a in range(n)]
 
 
-def _full_check(table, n, z, h, o):
-    rng = range(n)
-    if table[o][h][z] != h:
-        return False
-    for a in rng:
-        if table[z][a][o] != a:
-            return False
-        for b in rng:
-            if table[a][z][b] != a or table[a][b][a] != a or table[b][o][a] != a:
-                return False
-        if len({table[a][h][c] for c in rng}) != n:
-            return False
-    for a, b1, b2, b3, c in product(rng, repeat=5):
-        inner = table[b1][b2][b3]
-        if table[a][inner][c] != table[table[a][b1][c]][b2][table[a][b3][c]]:
-            return False
-    for a1, b, c1, a2, c2 in product(rng, repeat=5):
-        lhs = table[table[a1][b][c1]][h][table[a2][b][c2]]
-        rhs = table[table[a1][h][a2]][b][table[c1][h][c2]]
-        if lhs != rhs:
-            return False
-    return True
-
-
 def _canonical_key(n, z, h, o, table):
     """The least (zero, one, half, flattened table) over all relabelings.
 
@@ -368,12 +348,14 @@ def search_finite(n: int, require_distinct_constants: bool = False,
     found = []
     seen = set()
 
-    def record(z, h, o, table):
+    def leaf(z, h, o, table):
         key = _canonical_key(n, z, h, o, table)
         if key in seen:
             return False
         seen.add(key)
         model = _model_from_key(n, key)
+        if not all_passed(check_algebra(model.to_algebra(), Exhaustive())):
+            return False
         found.append(model)
         if emit is not None:
             emit(model)
@@ -390,10 +372,6 @@ def search_finite(n: int, require_distinct_constants: bool = False,
                 for a in range(n)
                 for k in range((a * n + b) * n, (a * n + b + 1) * n)
                 if cells[k] is None]
-
-        def leaf(table):
-            return _full_check(table, n, z, h, o) and record(z, h, o, table)
-
-        if state.fill(free, 0, leaf):
+        if state.fill(free, 0, partial(leaf, z, h, o)):
             break
     return found

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mobikit
+from mobikit.catalog import list_catalog
 from mobikit.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
@@ -218,6 +222,24 @@ def test_arithmetic_error_in_an_operation_exits_two(capsys, argv, kind):
     code, out, err = run(capsys, "catalog", "check", *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from([e.name for e in list_catalog()]),
+       samples=st.integers(1, 20), seed=st.integers(),
+       flags=st.sets(st.sampled_from(("--properties", "--affine"))))
+def test_catalog_check_keeps_the_exit_code_contract(name, samples, seed, flags):
+    argv = ["catalog", "check", name, "--samples", str(samples),
+            "--seed", str(seed), *sorted(flags)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert any(line.startswith("FAIL ") for line in out.getvalue().splitlines()), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
 
 
 def test_sampled_check_of_a_large_finite_carrier_fits_in_512_mb():

@@ -1,0 +1,74 @@
+"""Edge cases of the law loop behind check_equation, check_predicate and
+check_implication."""
+
+import operator
+from fractions import Fraction as F
+
+import pytest
+
+from mobikit import (EvalError, Exhaustive, ModularInt, Rational, Sampled,
+                     check_equation, check_implication, check_predicate)
+from mobikit.report import assignments_for
+
+Z5 = ModularInt(5)
+
+
+def raising_at(bad, exc):
+    """An operation of (a, b) that raises exc when a == bad, else returns a."""
+    def op(a, b):
+        if a == bad:
+            raise exc("no value at a = 3")
+        return a
+    return op
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError, EvalError])
+def test_an_error_in_any_law_kind_is_a_failing_witness(exc):
+    names, slots, strategy = ("a", "b"), (Z5, Z5), Exhaustive()
+    op = raising_at(3, exc)
+    reports = [
+        check_equation("side", names, slots, Z5.eq, op,
+                       lambda a, b: a, strategy),
+        check_predicate("value", names, slots, op, Z5.contains, strategy),
+        check_implication("premise", names, slots, op, Z5.eq,
+                          lambda a, b: a, lambda a, b: a, strategy),
+    ]
+    for report in reports:
+        assert report.verdict == "fail", report.law
+        w = report.witness
+        assert w.inputs == {"a": 3, "b": 0}, report.law
+        assert w.lhs == "<error: no value at a = 3>", report.law
+        assert w.rhs is None and w.difference is None, report.law
+
+
+def test_a_failing_predicate_reports_its_value_alone():
+    report = check_predicate("small", ("a",), (Z5,), lambda a: a + 5,
+                             lambda v: v < 5, Exhaustive())
+    assert report.verdict == "fail"
+    w = report.witness
+    assert (w.inputs, w.lhs, w.rhs, w.difference) == ({"a": 0}, 5, None, None)
+
+
+def test_a_failing_probe_comes_before_a_failing_sample():
+    # x = x + 1 fails on every assignment; 1000 is outside the draw support
+    report = check_equation("off-by-one", ("x",), (Rational(),), operator.eq,
+                            lambda x: x, lambda x: x + 1, Sampled(20, 0),
+                            probes=((F(1000),),))
+    assert report.verdict == "fail"
+    assert report.witness.inputs == {"x": F(1000)}
+    assert report.witness.difference == -1
+
+
+def test_a_premise_met_only_by_constructed_copies_still_fails():
+    # draws stay within |x| <= 12, so x = y + 1000 never holds by chance
+    slots, strategy = (Rational(), Rational()), Sampled(30, 4)
+    drawn = list(assignments_for("shifted", slots, strategy))
+    assert not any(x == y + 1000 for x, y in drawn)
+    report = check_implication("shifted", ("x", "y"), slots,
+                               lambda x, y: x == y + 1000, operator.eq,
+                               lambda x, y: x, lambda x, y: y, strategy,
+                               construct=lambda t: (t[1] + 1000, t[1]))
+    assert report.verdict == "fail"
+    y = drawn[0][1]
+    assert report.witness.inputs == {"x": y + 1000, "y": y}
+    assert report.witness.difference == 1000

@@ -90,6 +90,17 @@ def test_missing_neg_scans_finite_points():
     assert all_passed(check_module(scanned, Exhaustive()))
 
 
+def test_missing_neg_scan_reports_a_point_without_inverse():
+    ring = build("zmod-module", m=3, dim=1).ring
+    # under max, only zero has an inverse
+    module = RModule(ring, ModularInt(3), max, 0, lambda a, x: x, neg=None)
+    reports = {r.law: r for r in check_module(module, Exhaustive())}
+    report = reports["add-neg"]
+    assert report.verdict == "fail"
+    w = report.witness
+    assert (w.inputs, w.lhs, w.rhs, w.difference) == ({"x": 1}, None, 0, None)
+
+
 def test_missing_neg_on_infinite_points_is_an_error():
     m = build("canonical-module")
     scanned = RModule(m.ring, m.points, m.add, m.zero, m.phi, neg=None)

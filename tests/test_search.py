@@ -3,9 +3,11 @@ from itertools import permutations, product
 
 import pytest
 
-from mobikit import (Exhaustive, FiniteModel, all_passed, build,
+from mobikit import (CheckReport, Exhaustive, FiniteModel, all_passed, build,
                      check_algebra, check_ring, ring_from_algebra, run_cli,
                      search_finite)
+from mobikit import search
+from mobikit.report import StrategyInfo
 from mobikit.search import (MAX_SIZE, _canonical_key, _Instances,
                             _model_from_key, _Placement)
 
@@ -63,6 +65,25 @@ def test_found_models_pass_the_full_law_suite():
         assert all_passed(check_algebra(algebra, Exhaustive())), model
         ring = ring_from_algebra(algebra)
         assert all_passed(check_ring(ring, Exhaustive())), model
+
+
+def test_each_new_canonical_model_is_verified_once(monkeypatch):
+    # six labeled tables of size 3 reach a leaf; all share one canonical key
+    calls = []
+
+    def verifier(algebra, strategy):
+        calls.append(strategy)
+        return check_algebra(algebra, strategy)
+
+    monkeypatch.setattr(search, "check_algebra", verifier)
+    assert len(search_finite(3)) == 1
+    assert calls == [Exhaustive()]
+
+
+def test_a_model_the_verifier_rejects_is_not_reported(monkeypatch):
+    failed = CheckReport("A7", StrategyInfo("exhaustive"), "fail")
+    monkeypatch.setattr(search, "check_algebra", lambda algebra, strategy: [failed])
+    assert search_finite(3) == []
 
 
 def test_emit_streams_models_and_limit_stops_early():
