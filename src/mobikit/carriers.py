@@ -4,12 +4,22 @@ A carrier bundles membership, equality (with a tolerance policy for floats),
 deterministic sampling, and enumeration when the set is finite.  Elements are
 plain Python values: Fraction, QI (Gaussian rational), int (mod-m residues),
 float, and tuples of those.
+
+Rational draws and the catalog's constants are Fractions of the private
+subclass `_Fraction`, whose arithmetic, comparisons and equality take a fast
+path when the other operand is an int or a Fraction: the same gcd steps as
+`Fraction` (Knuth, TAOCP vol. 2, 4.5.1) without its generic dispatch, and a
+`_Fraction` result.  Any other operand, and division by zero, goes to
+`Fraction`'s own method.  A `_Fraction` prints, hashes and compares as the
+`Fraction` of the same value.  Draws pick from a table of the values n/d with
+|n| <= 12 and 1 <= d <= 8, consuming the RNG exactly as `rng.randint` would.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,9 +52,202 @@ class MembershipError(CarrierError):
 
 def _rational(x):
     """x itself when it is an int or a Fraction (not a bool), else ShapeError."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise ShapeError(f"expected a rational, got {x!r}")
+    # the type test first: isinstance(x, Fraction) is an ABC check for a subclass
+    if type(x) is _Fraction or (not isinstance(x, bool) and isinstance(x, (int, Fraction))):
+        return x
+    raise ShapeError(f"expected a rational, got {x!r}")
+
+
+# The exact-rational kernel.  Each helper takes reduced operands na/da and
+# nb/db (da, db > 0) and returns the reduced result as a _Fraction built
+# without Fraction.__new__, or None where Fraction's own method must answer.
+# The three hot helpers fill in their result themselves, not through _make,
+# which saves a call per operation.
+
+_new = object.__new__
+_gcd = math.gcd
+
+
+def _make(n: int, d: int) -> "_Fraction":
+    x = _new(_Fraction)
+    x._numerator = n
+    x._denominator = d
     return x
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db with the gcd steps of Fraction._add."""
+    x = _new(_Fraction)
+    g = _gcd(da, db)
+    if g == 1:
+        x._numerator, x._denominator = na * db + da * nb, da * db
+        return x
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        x._numerator, x._denominator = t, s * db
+    else:
+        x._numerator, x._denominator = t // g2, s * (db // g2)
+    return x
+
+
+def _difference(na, da, nb, db):
+    return _sum(na, da, -nb, db)
+
+
+def _product(na, da, nb, db):
+    """na/da * nb/db with the gcd steps of Fraction._mul."""
+    g1 = _gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = _gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    x = _new(_Fraction)
+    x._numerator, x._denominator = na * nb, db * da
+    return x
+
+
+def _quotient(na, da, nb, db):
+    """na/da / nb/db with the gcd steps of Fraction._div; None when nb == 0."""
+    if nb == 0:
+        return None
+    g1 = _gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = _gcd(db, da)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    x = _new(_Fraction)
+    if nb < 0:
+        x._numerator, x._denominator = -na * db, -nb * da
+    else:
+        x._numerator, x._denominator = na * db, nb * da
+    return x
+
+
+def _fast_paths(kernel, fallback, reflected_fallback):
+    """a op b and b op a for kernel(na, da, nb, db); other operands go to Fraction."""
+
+    def forward(a, b):
+        t = type(b)
+        if t is _Fraction or t is Fraction:
+            x = kernel(a._numerator, a._denominator, b._numerator, b._denominator)
+        elif t is int:
+            x = kernel(a._numerator, a._denominator, b, 1)
+        else:
+            return fallback(a, b)
+        return fallback(a, b) if x is None else x
+
+    def reverse(a, b):
+        t = type(b)
+        if t is _Fraction or t is Fraction:
+            x = kernel(b._numerator, b._denominator, a._numerator, a._denominator)
+        elif t is int:
+            x = kernel(b, 1, a._numerator, a._denominator)
+        else:
+            return reflected_fallback(a, b)
+        return reflected_fallback(a, b) if x is None else x
+
+    return forward, reverse
+
+
+def _comparison(op, fallback):
+    """a op b by cross-multiplication, as Fraction._richcmp does."""
+
+    def compare(a, b):
+        t = type(b)
+        if t is _Fraction or t is Fraction:
+            return op(a._numerator * b._denominator, a._denominator * b._numerator)
+        if t is int:
+            return op(a._numerator, a._denominator * b)
+        return fallback(a, b)
+
+    return compare
+
+
+class _Fraction(Fraction):
+    """A Fraction whose operations with int and Fraction operands skip
+    Fraction's generic dispatch; results with such operands are _Fraction."""
+
+    __slots__ = ()
+
+    __add__, __radd__ = _fast_paths(_sum, Fraction.__add__, Fraction.__radd__)
+    __sub__, __rsub__ = _fast_paths(_difference, Fraction.__sub__, Fraction.__rsub__)
+    __mul__, __rmul__ = _fast_paths(_product, Fraction.__mul__, Fraction.__rmul__)
+    __truediv__, __rtruediv__ = _fast_paths(_quotient, Fraction.__truediv__,
+                                            Fraction.__rtruediv__)
+    __lt__ = _comparison(operator.lt, Fraction.__lt__)
+    __le__ = _comparison(operator.le, Fraction.__le__)
+    __gt__ = _comparison(operator.gt, Fraction.__gt__)
+    __ge__ = _comparison(operator.ge, Fraction.__ge__)
+
+    def __eq__(a, b):
+        t = type(b)
+        if t is _Fraction or t is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if t is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    __hash__ = Fraction.__hash__  # defining __eq__ would otherwise unset it
+
+    def __neg__(a):
+        return _make(-a._numerator, a._denominator)
+
+    def __abs__(a):
+        return _make(abs(a._numerator), a._denominator)
+
+    def __pow__(a, b):
+        if type(b) is int:
+            na, da = a._numerator, a._denominator
+            if b >= 0:
+                return _make(na ** b, da ** b)
+            if na > 0:
+                return _make(da ** -b, na ** -b)
+            if na < 0:
+                return _make((-da) ** -b, (-na) ** -b)
+        return Fraction.__pow__(a, b)
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
+# _DRAWS[d - 1][n + RATIONAL_NUMERATOR_BOUND] is n/d: every value a Rational
+# draw can take, built once at import (by the kernel's own division, which is
+# cheaper than Fraction(n, d)) and shared, since values are immutable.
+_DRAWS = tuple(tuple(_quotient(n, 1, d, 1) for n in range(-RATIONAL_NUMERATOR_BOUND,
+                                                           RATIONAL_NUMERATOR_BOUND + 1))
+               for d in range(1, DENOMINATOR_BOUND + 1))
+
+
+def _fraction(n: int, d: int) -> _Fraction:
+    """n/d for 1 <= d <= DENOMINATOR_BOUND, from the table when |n| fits."""
+    if -RATIONAL_NUMERATOR_BOUND <= n <= RATIONAL_NUMERATOR_BOUND:
+        return _DRAWS[d - 1][n + RATIONAL_NUMERATOR_BOUND]
+    return _Fraction(n, d)
+
+
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi): the same value and the same RNG state afterwards.
+
+    This is random.Random's getrandbits rejection loop (_randbelow) without
+    the randint -> randrange -> _randbelow calls and argument checks.
+    """
+    width = hi - lo + 1
+    if width < 1:
+        return rng.randint(lo, hi)  # raises randint's own ValueError
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return lo + r
 
 
 class QI:
@@ -53,8 +256,12 @@ class QI:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        # ints become plain Fractions; any Fraction, _Fraction included, is
+        # kept (the type test skips the ABC check that isinstance makes)
+        object.__setattr__(self, "re", re if type(re) is _Fraction or isinstance(re, Fraction)
+                           else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is _Fraction or isinstance(im, Fraction)
+                           else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QI values are immutable")
@@ -150,6 +357,10 @@ class Carrier:
     def eq(self, x, y) -> bool:
         raise NotImplementedError
 
+    def tolerance(self) -> tuple:
+        """(atol, rtol) governing this carrier's equality."""
+        return (self.atol, self.rtol)
+
     @property
     def finite(self) -> bool:
         return False
@@ -168,7 +379,8 @@ class Carrier:
 
 
 def _draw_fraction(rng: random.Random, bound: int = RATIONAL_NUMERATOR_BOUND) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, DENOMINATOR_BOUND))
+    """Fraction(rng.randint(-bound, bound), rng.randint(1, DENOMINATOR_BOUND))."""
+    return _fraction(_randint(rng, -bound, bound), _randint(rng, 1, DENOMINATOR_BOUND))
 
 
 @dataclass(frozen=True)
@@ -284,6 +496,10 @@ class Product(Carrier):
         self._check_shape(y)
         return all(p.eq(a, b) for p, a, b in zip(self.parts, x, y))
 
+    def tolerance(self):
+        pairs = [p.tolerance() for p in self.parts]
+        return (max(a for a, _ in pairs), max(r for _, r in pairs))
+
     @property
     def finite(self):
         return all(p.finite for p in self.parts)
@@ -323,6 +539,9 @@ class Restricted(Carrier):
 
     def eq(self, x, y):
         return self.base.eq(x, y)
+
+    def tolerance(self):
+        return self.base.tolerance()
 
     @property
     def finite(self):
@@ -372,12 +591,7 @@ def enumerate_elements(carrier: Carrier) -> list:
 
 def tolerance(carrier: Carrier) -> tuple:
     """(atol, rtol) governing this carrier's equality."""
-    if isinstance(carrier, Product):
-        pairs = [tolerance(p) for p in carrier.parts]
-        return (max(a for a, _ in pairs), max(r for _, r in pairs))
-    if isinstance(carrier, Restricted):
-        return tolerance(carrier.base)
-    return (carrier.atol, carrier.rtol)
+    return carrier.tolerance()
 
 
 def try_subtract(x, y):

@@ -15,11 +15,12 @@ from typing import Callable
 from .algebra import MobiAlgebra
 from .carriers import (DENOMINATOR_BOUND, RATIONAL_NUMERATOR_BOUND, Float64,
                        GaussianRational, ModularInt, Product, QI, Rational,
-                       Restricted, Vector)
+                       Restricted, Vector, _draw_fraction, _Fraction, _fraction,
+                       _randint)
 from .ringmod import RModule, RingWithHalf
 from .space import MobiSpace, transport_space
 
-F = Fraction
+F = _Fraction  # rational constants and parameters take the kernel's fast paths
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,17 @@ def _coerce(spec: ParamSpec, value):
     if spec.kind == "int":
         return int(value)
     if spec.kind == "fraction":
-        return Fraction(value)
+        return F(value)
     if spec.kind == "float":
         return float(Fraction(value)) if isinstance(value, str) else float(value)
     if spec.kind == "str":
         return str(value)
     if spec.kind == "fractions":
         if isinstance(value, str):
-            return tuple(Fraction(part.strip()) for part in value.split(","))
+            return tuple(F(part.strip()) for part in value.split(","))
         if isinstance(value, (list, tuple)):
-            return tuple(Fraction(v) for v in value)
-        return (Fraction(value),)
+            return tuple(F(v) for v in value)
+        return (F(value),)
     raise ValueError(f"unknown param kind {spec.kind!r}")
 
 
@@ -68,14 +69,14 @@ def _canonical_p(a, b, c):
 # Direct samplers for the restricted carriers below.  Each draws n/d with
 # |n| <= RATIONAL_NUMERATOR_BOUND and 1 <= d <= DENOMINATOR_BOUND, the support
 # of a Rational draw, so it reaches exactly the values rejection sampling
-# would accept.
+# would accept.  _randint(rng, lo, hi) draws what rng.randint(lo, hi) would.
 
 def _draw_between(rng, lo, hi) -> Fraction:
     """n/d in [lo, hi]; needs lo <= 0 <= hi so that n = 0 always fits."""
-    d = rng.randint(1, DENOMINATOR_BOUND)
+    d = _randint(rng, 1, DENOMINATOR_BOUND)
     n_lo = max(math.ceil(lo * d), -RATIONAL_NUMERATOR_BOUND)
     n_hi = min(math.floor(hi * d), RATIONAL_NUMERATOR_BOUND)
-    return F(rng.randint(n_lo, n_hi), d)
+    return _fraction(_randint(rng, n_lo, n_hi), d)
 
 
 def _draw_unit(rng) -> Fraction:
@@ -244,9 +245,9 @@ def transported_space(lam="1", K="0,0,1", alpha: float = 1.0) -> MobiSpace:
 
 def halfplane_space(n: int = 1) -> MobiSpace:
     def draw(rng):
-        head = tuple(Rational().draw(rng) for _ in range(n))
-        return head + (F(rng.randint(1, RATIONAL_NUMERATOR_BOUND),
-                         rng.randint(1, DENOMINATOR_BOUND)),)
+        head = tuple(_draw_fraction(rng) for _ in range(n))
+        return head + (_fraction(_randint(rng, 1, RATIONAL_NUMERATOR_BOUND),
+                                 _randint(rng, 1, DENOMINATOR_BOUND)),)
 
     points = Restricted(Vector(Rational(), n + 1), lambda p: p[n] > 0, label="s > 0",
                         sampler=draw)

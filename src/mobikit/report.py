@@ -35,6 +35,11 @@ class Sampled:
     samples: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        # zero samples would pass every law without evaluating it
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
+
 
 @dataclass(frozen=True)
 class StrategyInfo:

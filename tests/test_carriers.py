@@ -1,14 +1,21 @@
+import copy
+import math
+import operator
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mobikit import (Exhaustive, Float64, GaussianRational, MobiAlgebra,
                      ModularInt, NotEnumerableError, Product, QI, Rational,
-                     Restricted, Sampled, SamplingExhausted, Vector,
+                     Restricted, Sampled, SamplingExhausted, Vector, build,
                      check_algebra, enumerate_elements, eq, sample, tolerance,
                      try_subtract)
-from mobikit.carriers import ShapeError
+from mobikit.carriers import (DENOMINATOR_BOUND, ShapeError, _draw_fraction,
+                              _Fraction)
+from mobikit.catalog import _draw_unit
 from mobikit.report import assignments_for
 
 rationals = st.fractions(max_denominator=50)
@@ -183,6 +190,14 @@ def test_tolerance_zero_for_exact_carriers():
     assert tolerance(Product((Rational(), Float64())))[0] > 0
 
 
+def test_tolerance_is_a_carrier_method():
+    loose = Float64(atol=1e-3, rtol=1e-6)
+    assert loose.tolerance() == (1e-3, 1e-6)
+    assert Restricted(loose, lambda x: x > 0).tolerance() == (1e-3, 1e-6)
+    assert Product((Float64(atol=1e-5, rtol=1e-2), loose)).tolerance() == (1e-3, 1e-2)
+    assert Vector(Rational(), 3).tolerance() == (0.0, 0.0)
+
+
 # difference rendering support
 
 def test_try_subtract():
@@ -192,3 +207,139 @@ def test_try_subtract():
     assert try_subtract((1, 2), (1,)) is None
     assert try_subtract(2, 1) == 1
     assert try_subtract("a", "b") is None
+
+
+# the exact-rational kernel: a Fraction subclass with fast paths, checked
+# against Fraction on the same values
+
+def _plain(x):
+    return Fraction(x) if type(x) is _Fraction else x
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # the exception itself is part of the outcome
+        return None, (type(exc), str(exc))
+
+
+def _assert_same(got, want):
+    (value, error), (ref, ref_error) = got, want
+    assert error == ref_error
+    if ref_error is not None:
+        return
+    assert type(ref) in (bool, float, Fraction), ref
+    if type(ref) is Fraction:
+        assert isinstance(value, Fraction)
+        assert value.denominator > 0
+        assert math.gcd(value.numerator, value.denominator) == 1
+    else:
+        assert type(value) is type(ref)
+    assert value == ref
+    assert str(value) == str(ref)
+    assert hash(value) == hash(ref)
+
+
+kernels = st.fractions(max_denominator=10 ** 6).map(_Fraction)
+operands = st.one_of(
+    kernels, st.fractions(max_denominator=10 ** 6),
+    st.integers(-10 ** 12, 10 ** 12), st.just(0), st.just(_Fraction(0)),
+    st.just(Fraction(0)), st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
+              max_value=1e300))
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv,
+          operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
+          operator.ge)
+
+
+@settings(max_examples=400, deadline=None)
+@given(k=kernels, other=operands)
+def test_kernel_binary_operations_match_fraction(k, other):
+    for op in BINARY:
+        _assert_same(_outcome(op, k, other), _outcome(op, _plain(k), _plain(other)))
+        _assert_same(_outcome(op, other, k), _outcome(op, _plain(other), _plain(k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.one_of(kernels, st.just(_Fraction(0))),
+       exponent=st.one_of(st.integers(-6, 6), st.booleans()))
+def test_kernel_unary_operations_and_powers_match_fraction(k, exponent):
+    for op in (operator.neg, abs):
+        _assert_same(_outcome(op, k), _outcome(op, _plain(k)))
+    _assert_same(_outcome(operator.pow, k, exponent),
+                 _outcome(operator.pow, _plain(k), exponent))
+
+
+def test_kernel_division_by_zero_raises_what_fraction_raises():
+    for k in (_Fraction(3, 4), _Fraction(-5, 2), _Fraction(0)):
+        for zero in (0, Fraction(0), _Fraction(0)):
+            _assert_same(_outcome(operator.truediv, k, zero),
+                         _outcome(operator.truediv, _plain(k), _plain(zero)))
+        for power in (-1, -3):
+            _assert_same(_outcome(operator.pow, _Fraction(0), power),
+                         _outcome(operator.pow, Fraction(0), power))
+    _, error = _outcome(operator.truediv, _Fraction(3, 4), 0)
+    assert error[0] is ZeroDivisionError
+
+
+def test_kernel_results_stay_on_the_kernel():
+    k = _Fraction(3, 4)
+    for value in (k + 1, 1 + k, k - Fraction(1, 3), Fraction(1, 3) - k, k * 2,
+                  Fraction(2) * k, k / 3, 3 / k, -k, abs(-k), k ** -2):
+        assert type(value) is _Fraction
+    assert type(k + 0.5) is float and type(k + True) is Fraction
+    assert type(QI(k, 1).re) is _Fraction and type(QI(k, 1).im) is Fraction
+
+
+@given(k=kernels)
+def test_kernel_repr_copy_and_pickle_round_trip(k):
+    assert repr(k) == repr(Fraction(k))
+    assert eval(repr(k)) == k
+    for clone in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+        assert type(clone) is _Fraction
+        assert clone == k and hash(clone) == hash(k) and str(clone) == str(k)
+
+
+# draws: the values and RNG states of the rng.randint formulas they replace
+
+def _between(rng, lo, hi):
+    d = rng.randint(1, DENOMINATOR_BOUND)
+    return Fraction(rng.randint(max(math.ceil(lo * d), -12), min(math.floor(hi * d), 12)), d)
+
+
+def _lozenge(rng):
+    a1 = _between(rng, 0, 1)
+    return (a1, _between(rng, -min(a1, 1 - a1), min(a1, 1 - a1)))
+
+
+def _halfplane(rng):
+    head = (Fraction(rng.randint(-12, 12), rng.randint(1, 8)),)
+    return head + (Fraction(rng.randint(1, 12), rng.randint(1, 8)),)
+
+
+DRAW_PAIRS = {
+    "bound 12": (lambda rng: _draw_fraction(rng, 12),
+                 lambda rng: Fraction(rng.randint(-12, 12), rng.randint(1, 8))),
+    "bound 8": (lambda rng: _draw_fraction(rng, 8),
+                lambda rng: Fraction(rng.randint(-8, 8), rng.randint(1, 8))),
+    "bound 2": (lambda rng: _draw_fraction(rng, 2),
+                lambda rng: Fraction(rng.randint(-2, 2), rng.randint(1, 8))),
+    "bound 20": (lambda rng: _draw_fraction(rng, 20),  # partly outside the table
+                 lambda rng: Fraction(rng.randint(-20, 20), rng.randint(1, 8))),
+    "unit": (_draw_unit, lambda rng: _between(rng, 0, 1)),
+    "lozenge": (build("lozenge-algebra").carrier.sampler, _lozenge),
+    "half-plane": (build("halfplane-space").points.sampler, _halfplane),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_PAIRS))
+def test_draws_reproduce_the_randint_stream(name):
+    draw, reference = DRAW_PAIRS[name]
+    for seed in range(200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            got, want = draw(rng), reference(ref_rng)
+            assert got == want, (name, seed)
+            for v in got if isinstance(got, tuple) else (got,):
+                assert type(v) is _Fraction
+        assert rng.random() == ref_rng.random(), (name, seed)

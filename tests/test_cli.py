@@ -215,6 +215,18 @@ def test_missing_file_exits_two(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ("catalog", "check", "rational-line-algebra"),
+    ("check", str(GOLDEN)),
+    ("roundtrip", "canonical-space")])
+def test_fewer_than_one_sample_exits_two(capsys, command, samples):
+    # zero samples would evaluate nothing and print PASS for every sampled law
+    code, out, err = run(capsys, *command, "--samples", samples)
+    assert code == 2 and out == ""
+    assert err == "error: samples must be >= 1\n"
+
+
 @pytest.mark.parametrize("argv, kind", [
     (("damped-space", "--param", "alpha=1000"), "OverflowError"),
     (("transported-space", "--param", "lam=0,1"), "ZeroDivisionError")])
@@ -226,7 +238,7 @@ def test_arithmetic_error_in_an_operation_exits_two(capsys, argv, kind):
 
 @settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from([e.name for e in list_catalog()]),
-       samples=st.integers(1, 20), seed=st.integers(),
+       samples=st.integers(-3, 20), seed=st.integers(),
        flags=st.sets(st.sampled_from(("--properties", "--affine"))))
 def test_catalog_check_keeps_the_exit_code_contract(name, samples, seed, flags):
     argv = ["catalog", "check", name, "--samples", str(samples),
@@ -235,6 +247,8 @@ def test_catalog_check_keeps_the_exit_code_contract(name, samples, seed, flags):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(argv)
     assert code in (0, 1, 2), argv
+    if samples < 1:
+        assert code == 2, argv
     if code == 1:
         assert any(line.startswith("FAIL ") for line in out.getvalue().splitlines()), argv
     if code == 2:
