@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Callable
 
 MAX_REJECTS = 10_000
+SCALAR = "scalar"  # the shape of a non-product element
 RATIONAL_NUMERATOR_BOUND = 12
 DENOMINATOR_BOUND = 8
 
@@ -361,6 +362,18 @@ class Carrier:
         """(atol, rtol) governing this carrier's equality."""
         return (self.atol, self.rtol)
 
+    def shape(self):
+        """SCALAR, or for a product the tuple of its parts' shapes."""
+        return SCALAR
+
+    def atom_names(self) -> frozenset:
+        """The definition-language atoms (Q, QI, R64, Zmod) it is built from."""
+        return frozenset()
+
+    def coerce(self, value):
+        """Best-effort coercion of a parsed literal into this element type."""
+        return value
+
     @property
     def finite(self) -> bool:
         return False
@@ -399,6 +412,9 @@ class Rational(Carrier):
     def describe(self):
         return "Q"
 
+    def atom_names(self):
+        return frozenset({"Q"})
+
 
 @dataclass(frozen=True)
 class GaussianRational(Carrier):
@@ -415,6 +431,12 @@ class GaussianRational(Carrier):
 
     def describe(self):
         return "Q[i]"
+
+    def atom_names(self):
+        return frozenset({"QI"})
+
+    def coerce(self, value):
+        return QI(value) if isinstance(value, (int, Fraction)) else value
 
 
 @dataclass(frozen=True)
@@ -448,6 +470,9 @@ class ModularInt(Carrier):
     def describe(self):
         return f"Z/{self.modulus}"
 
+    def atom_names(self):
+        return frozenset({"Zmod"})
+
 
 @dataclass(frozen=True)
 class Float64(Carrier):
@@ -476,6 +501,12 @@ class Float64(Carrier):
     def describe(self):
         return "R64"
 
+    def atom_names(self):
+        return frozenset({"R64"})
+
+    def coerce(self, value):
+        return float(value) if isinstance(value, (int, Fraction)) else value
+
 
 @dataclass(frozen=True)
 class Product(Carrier):
@@ -499,6 +530,17 @@ class Product(Carrier):
     def tolerance(self):
         pairs = [p.tolerance() for p in self.parts]
         return (max(a for a, _ in pairs), max(r for _, r in pairs))
+
+    def shape(self):
+        return tuple(p.shape() for p in self.parts)
+
+    def atom_names(self):
+        return frozenset().union(*(p.atom_names() for p in self.parts))
+
+    def coerce(self, value):
+        if isinstance(value, tuple) and len(value) == len(self.parts):
+            return tuple(p.coerce(v) for p, v in zip(self.parts, value))
+        return value
 
     @property
     def finite(self):
@@ -542,6 +584,15 @@ class Restricted(Carrier):
 
     def tolerance(self):
         return self.base.tolerance()
+
+    def shape(self):
+        return self.base.shape()
+
+    def atom_names(self):
+        return self.base.atom_names()
+
+    def coerce(self, value):
+        return self.base.coerce(value)
 
     @property
     def finite(self):

@@ -27,8 +27,7 @@ from pathlib import Path
 from . import catalog as _catalog
 from .algebra import (AmbiguousTwoError, MobiAlgebra, NoHalfError,
                       check_algebra, check_properties)
-from .carriers import (CarrierError, Float64, GaussianRational,
-                       NotEnumerableError, Product, QI, Restricted,
+from .carriers import (CarrierError, NotEnumerableError, QI,
                        SamplingExhausted)
 from .dsl import DslError, elaborate, parse, parse_value
 from .functors import roundtrip_module, roundtrip_space, space_to_module, \
@@ -103,21 +102,6 @@ def _params(args) -> dict:
     return out
 
 
-def _coerce_into(carrier, value):
-    """Best-effort coercion of a parsed literal into a carrier's element type."""
-    if isinstance(carrier, Restricted):
-        return _coerce_into(carrier.base, value)
-    if isinstance(carrier, Product):
-        if isinstance(value, tuple) and len(value) == len(carrier.parts):
-            return tuple(_coerce_into(p, v) for p, v in zip(carrier.parts, value))
-        return value
-    if isinstance(carrier, Float64) and isinstance(value, (int, Fraction)):
-        return float(value)
-    if isinstance(carrier, GaussianRational) and isinstance(value, (int, Fraction)):
-        return QI(value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -169,7 +153,7 @@ def _cmd_convert(args) -> int:
             raise ValueError(f"{args.name} is a {entry.kind}, not a space")
         space = _catalog.build(args.name, params)
         if args.origin is not None:
-            origin = _coerce_into(space.points, parse_value(args.origin))
+            origin = space.points.coerce(parse_value(args.origin))
         else:
             origin = _catalog.default_origin(args.name, params)
         if not space.points.contains(origin):
@@ -245,8 +229,8 @@ def _cmd_trace(args) -> int:
         raise ValueError(f"{args.name} is a {entry.kind}, not a space")
     params = _params(args)
     space = _catalog.build(args.name, params)
-    start = _coerce_into(space.points, parse_value(args.src))
-    end = _coerce_into(space.points, parse_value(args.dst))
+    start = space.points.coerce(parse_value(args.src))
+    end = space.points.coerce(parse_value(args.dst))
     for label, point in (("--from", start), ("--to", end)):
         if not space.points.contains(point):
             raise ValueError(f"{label} value is not a point of {args.name}")

@@ -23,6 +23,11 @@ the components (named v for a single scalar, v1..vk otherwise).  The names
 an R64 atom.  A space's `over` names an algebra defined earlier in the file
 or a catalog algebra.
 
+Elaboration checks each expression and compiles it in the same walk, once,
+into nested closures over the operation's arguments; evaluating p, q or a
+where clause runs those closures, not the syntax tree.  parse_value checks
+and compiles a literal the same way, with every atom's names allowed.
+
 Errors are reported as DslError(kind, line, col, msg) with kind one of
 lexical, syntax, unbound-identifier, shape-mismatch, exp-i-misuse.
 """
@@ -30,13 +35,14 @@ lexical, syntax, unbound-identifier, shape-mismatch, exp-i-misuse.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import MobiAlgebra
-from .carriers import (Float64, GaussianRational, ModularInt, Product, QI,
-                       Rational, Restricted)
+from .carriers import (SCALAR, Float64, GaussianRational, ModularInt,
+                       Product, QI, Rational, Restricted)
 from .report import EvalError
 from .space import MobiSpace
 
@@ -605,7 +611,8 @@ def parse_value(text: str):
     if tok.kind != "eof":
         raise DslError("syntax", tok.line, tok.col,
                        f"unexpected {tok.text!r} after the expression")
-    return _eval(expr, {})
+    _, value = _compile(expr, {}, _BASES)
+    return value(())
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +697,14 @@ def print_definitions(items) -> str:
 
 # ---------------------------------------------------------------------------
 # elaboration: definitions to runtime structures
+#
+# One walk checks an expression and compiles it: _compile returns its shape
+# (SCALAR, or the tuple of its items' shapes) and a function of one argument,
+# the tuple (a, b, c) of p, the tuple (x, a, y) of q, or the element that a
+# where clause tests.  Each name in env maps to (shape, getter of its value).
 
-_SCALAR = "scalar"
+_RELATIONS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
 
 
 def _atom_carrier(atom: CarrierAtom):
@@ -708,69 +721,37 @@ def _atom_carrier(atom: CarrierAtom):
     return Product((base,) * atom.power)
 
 
-def _atom_shape(atom: CarrierAtom):
-    if atom.power == 1:
-        return _SCALAR
-    return ("tuple", (_SCALAR,) * atom.power)
+def _constant(value):
+    return lambda args: value
 
 
-def _carrier_shape(ct: CarrierType):
-    if len(ct.atoms) == 1:
-        return _atom_shape(ct.atoms[0])
-    return ("tuple", tuple(_atom_shape(a) for a in ct.atoms))
+def _identity(args):
+    return args
 
 
-def _component_names(ct: CarrierType) -> dict:
-    """Names a where-clause may use, mapped to their shapes."""
-    if len(ct.atoms) == 1:
-        atom = ct.atoms[0]
-        if atom.power == 1:
-            return {"v": _SCALAR}
-        return {f"v{i + 1}": _SCALAR for i in range(atom.power)}
-    return {f"v{i + 1}": _atom_shape(a) for i, a in enumerate(ct.atoms)}
+def _path(indices: tuple):
+    """The getter of args[i][j]... along the index path (i, j, ...)."""
+    if len(indices) == 1:
+        return operator.itemgetter(indices[0])
+
+    def get(args):
+        for i in indices:
+            args = args[i]
+        return args
+
+    return get
 
 
-def _bases(ct: CarrierType) -> set:
-    return {a.base for a in ct.atoms}
-
-
-def _runtime_bases(carrier) -> set:
-    if isinstance(carrier, Restricted):
-        return _runtime_bases(carrier.base)
-    if isinstance(carrier, Product):
-        out = set()
-        for part in carrier.parts:
-            out |= _runtime_bases(part)
-        return out
-    if isinstance(carrier, Rational):
-        return {"Q"}
-    if isinstance(carrier, GaussianRational):
-        return {"QI"}
-    if isinstance(carrier, Float64):
-        return {"R64"}
-    if isinstance(carrier, ModularInt):
-        return {"Zmod"}
-    return set()
-
-
-def _runtime_shape(carrier):
-    if isinstance(carrier, Restricted):
-        return _runtime_shape(carrier.base)
-    if isinstance(carrier, Product):
-        return ("tuple", tuple(_runtime_shape(p) for p in carrier.parts))
-    return _SCALAR
-
-
-def _check_expr(e, env: dict, bases: set):
-    """Infer the shape of e, raising DslError on static problems."""
+def _compile(e, env: dict, bases):
+    """(shape, fn) of e, raising DslError on static problems."""
     if isinstance(e, Num):
-        return _SCALAR
+        return SCALAR, _constant(e.value)
     if isinstance(e, Name):
         if e.text == "i":
             if "QI" not in bases:
                 raise DslError("exp-i-misuse", e.line, e.col,
                                "'i' requires a QI carrier")
-            return _SCALAR
+            return SCALAR, _constant(QI(0, 1))
         if e.text == "exp":
             raise DslError("exp-i-misuse", e.line, e.col,
                            "'exp' is a function; write exp(...)")
@@ -785,107 +766,85 @@ def _check_expr(e, env: dict, bases: set):
         if "R64" not in bases:
             raise DslError("exp-i-misuse", e.line, e.col,
                            "'exp' requires an R64 carrier")
-        if _check_expr(e.arg, env, bases) != _SCALAR:
-            raise DslError("shape-mismatch", e.line, e.col,
-                           "exp needs a scalar argument")
-        return _SCALAR
+        arg = _expect(e.arg, env, bases, SCALAR, e, "exp needs a scalar argument")
+
+        def exp(args):
+            value = arg(args)
+            try:
+                return math.exp(float(value))
+            except OverflowError:
+                raise EvalError(f"exp overflow at {value!r}")
+
+        return SCALAR, exp
     if isinstance(e, Unary):
-        if _check_expr(e.operand, env, bases) != _SCALAR:
-            raise DslError("shape-mismatch", e.line, e.col,
-                           "unary '-' needs a scalar operand")
-        return _SCALAR
+        operand = _expect(e.operand, env, bases, SCALAR, e,
+                          "unary '-' needs a scalar operand")
+        return SCALAR, lambda args: -operand(args)
     if isinstance(e, Bin):
-        if _check_expr(e.left, env, bases) != _SCALAR:
-            raise DslError("shape-mismatch", e.line, e.col,
-                           f"operator {e.op!r} needs scalar operands")
-        if _check_expr(e.right, env, bases) != _SCALAR:
-            raise DslError("shape-mismatch", e.line, e.col,
-                           f"operator {e.op!r} needs scalar operands")
-        return _SCALAR
-    if isinstance(e, Tup):
-        return ("tuple", tuple(_check_expr(x, env, bases) for x in e.items))
-    if isinstance(e, Compare):
-        for item in e.items:
-            if _check_expr(item, env, bases) != _SCALAR:
-                raise DslError("shape-mismatch", item.line, item.col,
-                               "comparisons need scalar operands")
-        return _SCALAR
-    if isinstance(e, And):
-        for part in e.parts:
-            _check_expr(part, env, bases)
-        return _SCALAR
-    raise TypeError(f"cannot check {e!r}")
-
-
-def _require_shape(e, env: dict, bases: set, want, what: str):
-    got = _check_expr(e, env, bases)
-    if got != want:
-        raise DslError("shape-mismatch", e.line, e.col,
-                       f"{what} does not match the carrier shape")
-
-
-def _eval(e, env: dict):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Name):
-        if e.text == "i":
-            return QI(0, 1)
-        return env[e.text]
-    if isinstance(e, Call):
-        value = _eval(e.arg, env)
-        try:
-            return math.exp(float(value))
-        except OverflowError:
-            raise EvalError(f"exp overflow at {value!r}")
-    if isinstance(e, Unary):
-        return -_eval(e.operand, env)
-    if isinstance(e, Bin):
-        left = _eval(e.left, env)
-        if e.op == "^":
-            return left ** e.right.value
-        right = _eval(e.right, env)
+        msg = f"operator {e.op!r} needs scalar operands"
+        left = _expect(e.left, env, bases, SCALAR, e, msg)
+        right = _expect(e.right, env, bases, SCALAR, e, msg)
         if e.op == "+":
-            return left + right
+            return SCALAR, lambda args: left(args) + right(args)
         if e.op == "-":
-            return left - right
+            return SCALAR, lambda args: left(args) - right(args)
         if e.op == "*":
-            return left * right
-        if isinstance(left, int) and isinstance(right, int):
-            return Fraction(left, right)
-        return left / right
+            return SCALAR, lambda args: left(args) * right(args)
+        if e.op == "^":
+            power = e.right.value
+            return SCALAR, lambda args: left(args) ** power
+
+        def divide(args):
+            a, b = left(args), right(args)
+            if isinstance(a, int) and isinstance(b, int):
+                return Fraction(a, b)
+            return a / b
+
+        return SCALAR, divide
     if isinstance(e, Tup):
-        return tuple(_eval(x, env) for x in e.items)
+        shapes, fns = zip(*(_compile(x, env, bases) for x in e.items))
+        return shapes, lambda args: tuple([fn(args) for fn in fns])
     if isinstance(e, Compare):
-        for op, lhs, rhs in zip(e.ops, e.items, e.items[1:]):
-            a, b = _eval(lhs, env), _eval(rhs, env)
-            ok = {"<=": a <= b, "<": a < b, "=": a == b,
-                  ">=": a >= b, ">": a > b}[op]
-            if not ok:
-                return False
-        return True
+        first, *rest = [_expect(item, env, bases, SCALAR, item,
+                                "comparisons need scalar operands")
+                        for item in e.items]
+        links = tuple(zip([_RELATIONS[op] for op in e.ops], rest))
+
+        def compare(args):
+            lhs = first(args)
+            for holds, item in links:
+                rhs = item(args)
+                if not holds(lhs, rhs):
+                    return False
+                lhs = rhs
+            return True
+
+        return SCALAR, compare
     if isinstance(e, And):
-        return all(_eval(p, env) for p in e.parts)
-    raise TypeError(f"cannot evaluate {e!r}")
+        fns = [_compile(part, env, bases)[1] for part in e.parts]
+        return SCALAR, lambda args: all(fn(args) for fn in fns)
+    raise TypeError(f"cannot compile {e!r}")
 
 
-def _bind(pattern, value, env: dict):
+def _expect(e, env: dict, bases, want, at, msg: str):
+    """The compiled fn of e, whose shape must be want, else a shape-mismatch at `at`."""
+    shape, fn = _compile(e, env, bases)
+    if shape != want:
+        raise DslError("shape-mismatch", at.line, at.col, msg)
+    return fn
+
+
+def _bind_pattern(pattern, shape, path: tuple, env: dict, op: OpDef):
+    """Bind pattern names to their shapes and index paths; the pattern must
+    match the shape."""
     if isinstance(pattern, str):
-        env[pattern] = value
-    else:
-        for sub, val in zip(pattern, value):
-            _bind(sub, val, env)
-
-
-def _pattern_env(pattern, shape, env: dict, where):
-    """Assign shapes to pattern names; the pattern must match the shape."""
-    if isinstance(pattern, str):
-        env[pattern] = shape
+        env[pattern] = (shape, _path(path))
         return
-    if shape == _SCALAR or len(shape[1]) != len(pattern):
-        raise DslError("shape-mismatch", where.line, where.col,
+    if shape == SCALAR or len(shape) != len(pattern):
+        raise DslError("shape-mismatch", op.line, op.col,
                        "pattern does not match the carrier shape")
-    for sub, subshape in zip(pattern, shape[1]):
-        _pattern_env(sub, subshape, env, where)
+    for k, (sub, subshape) in enumerate(zip(pattern, shape)):
+        _bind_pattern(sub, subshape, path + (k,), env, op)
 
 
 def _elab_carrier(ct: CarrierType):
@@ -893,19 +852,14 @@ def _elab_carrier(ct: CarrierType):
     carrier = atoms[0] if len(atoms) == 1 else Product(tuple(atoms))
     if ct.where is None:
         return carrier
-    names = _component_names(ct)
-    _check_expr(ct.where, dict(names), _bases(ct))
-    ordered = list(names)
-
-    def member(value):
-        env = {}
-        if len(ordered) == 1:
-            env[ordered[0]] = value
-        else:
-            for name, comp in zip(ordered, value):
-                env[name] = comp
-        return bool(_eval(ct.where, env))
-
+    # the components: v for a single scalar, else v1..vk
+    shape = carrier.shape()
+    if shape == SCALAR:
+        env = {"v": (SCALAR, _identity)}
+    else:
+        env = {f"v{k + 1}": (sub, operator.itemgetter(k))
+               for k, sub in enumerate(shape)}
+    _, member = _compile(ct.where, env, carrier.atom_names())
     return Restricted(carrier, member, label=_fmt(ct.where))
 
 
@@ -923,20 +877,19 @@ def _param_value(par: ParamDef):
 
 def _elab_algebra(d: AlgebraDef) -> MobiAlgebra:
     carrier = _elab_carrier(d.carrier)
-    shape = _carrier_shape(d.carrier)
-    bases = _bases(d.carrier)
-    for expr, what in ((d.zero, "zero"), (d.half, "half"), (d.one, "one")):
-        _require_shape(expr, {}, bases, shape, what)
-    env = {name: shape for name in d.op.patterns}
-    _require_shape(d.op.body, env, bases, shape, "the body of p")
-    names = d.op.patterns
-    body = d.op.body
-
-    def p(a, b, c):
-        return _eval(body, {names[0]: a, names[1]: b, names[2]: c})
-
-    return MobiAlgebra(carrier, p, _eval(d.zero, {}), _eval(d.half, {}),
-                       _eval(d.one, {}), name=d.name)
+    shape = carrier.shape()
+    bases = carrier.atom_names()
+    constants = [_expect(expr, {}, bases, shape, expr,
+                         f"{what} does not match the carrier shape")
+                 for expr, what in ((d.zero, "zero"), (d.half, "half"),
+                                    (d.one, "one"))]
+    env = {name: (shape, operator.itemgetter(k))
+           for k, name in enumerate(d.op.patterns)}
+    body = _expect(d.op.body, env, bases, shape, d.op.body,
+                   "the body of p does not match the carrier shape")
+    zero, half, one = (fn(()) for fn in constants)
+    return MobiAlgebra(carrier, lambda a, b, c: body((a, b, c)),
+                       zero, half, one, name=d.name)
 
 
 def _elab_space(d: SpaceDef, algebras: dict) -> MobiSpace:
@@ -953,33 +906,22 @@ def _elab_space(d: SpaceDef, algebras: dict) -> MobiSpace:
                            f"{d.over!r} names a catalog {entry.kind}, not an algebra")
         algebra = catalog.build(entry.name)
     points = _elab_carrier(d.carrier)
-    shape = _carrier_shape(d.carrier)
-    bases = _bases(d.carrier) | _runtime_bases(algebra.carrier)
-    scalar_shape = _runtime_shape(algebra.carrier)
-
+    shape = points.shape()
+    bases = points.atom_names() | algebra.carrier.atom_names()
     env = {}
     left, mid, right = d.op.patterns
-    _pattern_env(left, shape, env, d.op)
-    _pattern_env(right, shape, env, d.op)
-    env[mid] = scalar_shape
-    param_values = {}
+    _bind_pattern(left, shape, (0,), env, d.op)
+    _bind_pattern(right, shape, (2,), env, d.op)
+    env[mid] = (algebra.carrier.shape(), operator.itemgetter(1))
     for par in d.params:
         if par.name in env:
             raise DslError("syntax", par.line, par.col,
                            f"param {par.name!r} collides with a pattern name")
-        env[par.name] = _SCALAR
-        param_values[par.name] = _param_value(par)
-    _require_shape(d.op.body, env, bases, shape, "the body of q")
-    body = d.op.body
-
-    def q(x, a, y):
-        local = dict(param_values)
-        _bind(left, x, local)
-        local[mid] = a
-        _bind(right, y, local)
-        return _eval(body, local)
-
-    return MobiSpace(algebra, points, q, name=d.name)
+        env[par.name] = (SCALAR, _constant(_param_value(par)))
+    body = _expect(d.op.body, env, bases, shape, d.op.body,
+                   "the body of q does not match the carrier shape")
+    return MobiSpace(algebra, points, lambda x, a, y: body((x, a, y)),
+                     name=d.name)
 
 
 def elaborate(items) -> dict:

@@ -13,8 +13,8 @@ from mobikit import (Exhaustive, Float64, GaussianRational, MobiAlgebra,
                      Restricted, Sampled, SamplingExhausted, Vector, build,
                      check_algebra, enumerate_elements, eq, sample, tolerance,
                      try_subtract)
-from mobikit.carriers import (DENOMINATOR_BOUND, ShapeError, _draw_fraction,
-                              _Fraction)
+from mobikit.carriers import (DENOMINATOR_BOUND, SCALAR, ShapeError,
+                              _draw_fraction, _Fraction)
 from mobikit.catalog import _draw_unit
 from mobikit.report import assignments_for
 
@@ -343,3 +343,18 @@ def test_draws_reproduce_the_randint_stream(name):
             for v in got if isinstance(got, tuple) else (got,):
                 assert type(v) is _Fraction
         assert rng.random() == ref_rng.random(), (name, seed)
+
+
+def test_dsl_questions_are_carrier_methods():
+    mixed = Product((Float64(), GaussianRational()))
+    coerced = mixed.coerce((1, Fraction(1, 2)))
+    assert coerced == (1.0, QI(Fraction(1, 2)))
+    assert type(coerced[0]) is float and type(coerced[1]) is QI
+    assert Restricted(mixed, lambda v: True).coerce((Fraction(3, 2), 2)) == (1.5, QI(2))
+    assert mixed.coerce((1, 2, 3)) == (1, 2, 3)  # a wrong length is left alone
+    assert Rational().coerce(1) == 1 and ModularInt(5).coerce(7) == 7
+    nested = Product((Vector(Rational(), 2), ModularInt(3)))
+    assert nested.shape() == ((SCALAR, SCALAR), SCALAR)
+    assert Restricted(Rational(), lambda v: True).shape() == SCALAR
+    assert mixed.atom_names() == {"R64", "QI"}
+    assert Restricted(nested, lambda v: True).atom_names() == {"Q", "Zmod"}

@@ -204,6 +204,20 @@ def test_trace_splits_complex_components(tmp_path, capsys):
     assert header == "t,c1,c2,c3"
 
 
+@pytest.mark.parametrize("value, error", [
+    ("x", "error: unbound-identifier: unbound identifier 'x'\n"),
+    ("(1, 2) + 3", "error: shape-mismatch: operator '+' needs scalar operands\n")])
+@pytest.mark.parametrize("command", ["trace", "convert"])
+def test_a_malformed_point_expression_exits_two(tmp_path, capsys, command, value, error):
+    if command == "trace":
+        argv = ("trace", "canonical-space", "--from", value, "--to", "(1, 1)",
+                "--steps", "2", "--out", str(tmp_path / "x.csv"))
+    else:
+        argv = ("convert", "space-to-module", "canonical-space", "--origin", value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", error)
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "check")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2

@@ -1,12 +1,18 @@
+import itertools
+import operator
 from fractions import Fraction as F
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mobikit import (QI, DslError, MobiAlgebra, MobiSpace, Sampled,
                      SamplingExhausted, all_passed, build, check_algebra,
                      check_space, load, parse, parse_value, print_definitions,
-                     sample)
+                     run_cli, sample)
+from mobikit.carriers import SCALAR, _Fraction
+from mobikit.dsl import And, Bin, Compare, Name, Num, Tup, Unary, _compile
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
 
@@ -95,6 +101,7 @@ def test_parse_value_handles_rationals_and_tuples():
     assert parse_value("3/4") == F(3, 4)
     assert parse_value("(1, -1/2)") == (F(1), F(-1, 2))
     assert parse_value("1/2 + 2*i") == QI(F(1, 2), F(2))
+    assert parse_value("exp(0) + 1") == 2.0  # every atom's names are allowed
 
 
 @pytest.mark.parametrize("text,kind,line,col", [
@@ -157,3 +164,161 @@ def test_where_carriers_keep_rejection_sampling():
     assert all(cone.contains(x) for x in sample(cone, seed=3, n=50))
     with pytest.raises(SamplingExhausted):
         sample(empty, seed=0, n=1)
+
+
+def test_where_equality_on_gaussian_rationals(tmp_path):
+    # only the written relation is evaluated: QI has no order
+    text = ("algebra gauss {\n"
+            "  carrier: QI where v = v\n"
+            "  zero: 0\n"
+            "  half: 1/2\n"
+            "  one: 1\n"
+            "  p(a, b, c) = a + b*(c - a)\n"
+            "}\n")
+    carrier = load(text)["gauss"].carrier
+    assert carrier.contains(QI(1, 2)) and carrier.contains(F(1, 2))
+    assert not carrier.contains(1.5)
+    path = tmp_path / "gauss.mobi"
+    path.write_text(text)
+    assert run_cli(["check", str(path), "--samples", "50"]) == 0
+    pairs = load("space pairs over gauss {\n"
+                 "  carrier: QI x QI where v1 = v2\n"
+                 "  q(x, a, y) = x\n"
+                 "}\n" + text)["pairs"].points
+    assert pairs.contains((QI(1, 2), QI(1, 2)))
+    assert not pairs.contains((QI(1, 2), QI(1, -2)))
+
+
+@pytest.mark.parametrize("text,kind,msg", [
+    ("x", "unbound-identifier", "unbound identifier 'x'"),
+    ("(1, 2) + 3", "shape-mismatch", "operator '+' needs scalar operands"),
+    ("-(1, i)", "shape-mismatch", "unary '-' needs a scalar operand"),
+])
+def test_parse_value_is_checked(text, kind, msg):
+    with pytest.raises(DslError) as exc:
+        parse_value(text)
+    assert (exc.value.kind, exc.value.msg) == (kind, msg)
+
+
+# The compiler against a reference evaluator that walks the tree directly.
+
+_NAMES = ("a", "b", "c")
+_RELATIONS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+class _Mismatch(Exception):
+    """The reference's shape error, at the node it names."""
+
+
+def _children(e):
+    if isinstance(e, Unary):
+        return (e.operand,)
+    if isinstance(e, Bin):
+        return (e.left, e.right)
+    if isinstance(e, (Tup, Compare)):
+        return e.items
+    if isinstance(e, And):
+        return e.parts
+    return ()
+
+
+def _reference_shape(e):
+    if isinstance(e, (Num, Name)):
+        return SCALAR
+    if isinstance(e, Tup):
+        return tuple(_reference_shape(x) for x in e.items)
+    for x in _children(e):
+        if _reference_shape(x) != SCALAR and not isinstance(e, And):
+            raise _Mismatch(x if isinstance(e, Compare) else e)
+    return SCALAR
+
+
+def _reference_value(e, env):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Name):
+        return env[e.text]
+    if isinstance(e, Unary):
+        return -_reference_value(e.operand, env)
+    if isinstance(e, Tup):
+        return tuple(_reference_value(x, env) for x in e.items)
+    if isinstance(e, And):
+        return all(_reference_value(p, env) for p in e.parts)
+    if isinstance(e, Compare):
+        return all(_RELATIONS[op](_reference_value(lhs, env), _reference_value(rhs, env))
+                   for op, lhs, rhs in zip(e.ops, e.items, e.items[1:]))
+    left = _reference_value(e.left, env)
+    if e.op == "^":
+        return left ** e.right.value
+    right = _reference_value(e.right, env)
+    if e.op == "/" and isinstance(left, int) and isinstance(right, int):
+        return F(left, right)
+    return _ARITH[e.op](left, right)
+
+
+def _outcome(thunk):
+    """(type, value) of the result, recursively for tuples, or the exception type."""
+    try:
+        value = thunk()
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+    def typed(v):
+        return tuple(map(typed, v)) if isinstance(v, tuple) else (type(v), v)
+
+    return typed(value)
+
+
+def _trees():
+    leaves = st.one_of(st.integers(0, 3).map(Num), st.sampled_from(_NAMES).map(Name))
+
+    def extend(sub):
+        items = st.lists(sub, min_size=2, max_size=3).map(tuple)
+        relations = st.lists(st.sampled_from(sorted(_RELATIONS)), min_size=3, max_size=3)
+        return st.one_of(
+            sub.map(Unary),
+            st.builds(Bin, st.sampled_from(sorted(_ARITH)), sub, sub),
+            st.builds(lambda x, n: Bin("^", x, Num(n)), sub, st.integers(0, 2)),
+            items.map(Tup),
+            st.builds(lambda xs, ops: Compare(xs, tuple(ops[:len(xs) - 1])), items, relations),
+            items.map(And))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+_values = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=8),
+                    st.builds(_Fraction, st.integers(-12, 12), st.integers(1, 8)))
+
+
+_ZERO_DIVISOR = Bin("/", Name("a"), Num(0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_trees(), args=st.tuples(_values, _values, _values))
+@example(tree=And((Num(0), _ZERO_DIVISOR)), args=(1, 1, 1))  # and short-circuits
+@example(tree=Compare((Num(1), Num(0), _ZERO_DIVISOR), ("<", "<")), args=(1, 1, 1))
+def test_compiled_expressions_match_the_reference(tree, args):
+    lines = itertools.count(1)
+
+    def number(e):  # distinct positions, to tell where a mismatch is reported
+        e.line = next(lines)
+        for child in _children(e):
+            number(child)
+
+    number(tree)
+    env = {name: (SCALAR, itemgetter(k)) for k, name in enumerate(_NAMES)}
+    try:
+        want = _reference_shape(tree)
+    except _Mismatch as exc:
+        with pytest.raises(DslError) as err:
+            _compile(tree, env, {"Q"})
+        assert (err.value.kind, err.value.line) == ("shape-mismatch", exc.args[0].line)
+        return
+    shape, fn = _compile(tree, env, {"Q"})
+    assert shape == want
+    assert _outcome(lambda: fn(args)) == \
+        _outcome(lambda: _reference_value(tree, dict(zip(_NAMES, args))))
