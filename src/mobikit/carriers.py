@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Callable
 
 MAX_REJECTS = 10_000
-SCALAR = "scalar"  # the shape of a non-product element
+SCALAR = "scalar"  # the shape of a non-product element with an order
+COMPLEX = "complex"  # the shape of a Gaussian rational, which has none
 RATIONAL_NUMERATOR_BOUND = 12
 DENOMINATOR_BOUND = 8
 
@@ -363,7 +364,8 @@ class Carrier:
         return (self.atol, self.rtol)
 
     def shape(self):
-        """SCALAR, or for a product the tuple of its parts' shapes."""
+        """SCALAR, COMPLEX for Q[i], or for a product the tuple of its
+        parts' shapes."""
         return SCALAR
 
     def atom_names(self) -> frozenset:
@@ -431,6 +433,9 @@ class GaussianRational(Carrier):
 
     def describe(self):
         return "Q[i]"
+
+    def shape(self):
+        return COMPLEX
 
     def atom_names(self):
         return frozenset({"QI"})

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -32,16 +33,18 @@ from .carriers import (CarrierError, NotEnumerableError, QI,
 from .dsl import DslError, elaborate, parse, parse_value
 from .functors import roundtrip_module, roundtrip_space, space_to_module, \
     module_to_space
-from .report import Exhaustive, Sampled, all_passed, report_to_text, \
-    reports_to_json
+from .report import EvalError, Exhaustive, Sampled, all_passed, \
+    report_to_text, reports_to_json
 from .ringmod import RModule, check_module, check_ring
 from .search import search_finite
 from .space import (InverseError, MobiSpace, PointedMobiSpace, check_affine,
                     check_space, check_y_properties, trace_geodesic)
 
+# EvalError escapes a command only from building its input, such as an
+# --origin or --from value; law checks turn it into a witness
 _CONFIG_ERRORS = (CarrierError, NotEnumerableError, SamplingExhausted,
                   AmbiguousTwoError, NoHalfError, InverseError, ValueError,
-                  KeyError, OSError)
+                  KeyError, OSError, EvalError)
 
 
 def _strategy(args):
@@ -281,7 +284,9 @@ def _add_params_flag(sp):
                     help="set a catalog parameter (repeatable)")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The `mobi` parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="mobi",
         description="check algebras, spaces, and modules against their laws")

@@ -20,8 +20,9 @@ Carriers are products of Q, QI, R64, and Zmod(m) atoms, each optionally
 raised to a power, joined with `x`, with an optional `where` constraint over
 the components (named v for a single scalar, v1..vk otherwise).  The names
 `i` and `exp` are reserved: `i` needs a QI atom in the carrier, `exp(...)`
-an R64 atom.  A space's `over` names an algebra defined earlier in the file
-or a catalog algebra.
+an R64 atom and a real argument.  A QI value has no order, so it may only be
+compared with `=`.  A space's `over` names an algebra defined earlier in the
+file or a catalog algebra.
 
 Elaboration checks each expression and compiles it in the same walk, once,
 into nested closures over the operation's arguments; evaluating p, q or a
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import MobiAlgebra
-from .carriers import (SCALAR, Float64, GaussianRational, ModularInt,
-                       Product, QI, Rational, Restricted)
+from .carriers import (COMPLEX, SCALAR, Float64, GaussianRational,
+                       ModularInt, Product, QI, Rational, Restricted)
 from .report import EvalError
 from .space import MobiSpace
 
@@ -699,9 +700,11 @@ def print_definitions(items) -> str:
 # elaboration: definitions to runtime structures
 #
 # One walk checks an expression and compiles it: _compile returns its shape
-# (SCALAR, or the tuple of its items' shapes) and a function of one argument,
-# the tuple (a, b, c) of p, the tuple (x, a, y) of q, or the element that a
-# where clause tests.  Each name in env maps to (shape, getter of its value).
+# (SCALAR; COMPLEX when it may be a Gaussian rational, so that neither exp
+# nor an order comparison accepts it; or the tuple of its items' shapes) and
+# a function of one argument, the tuple (a, b, c) of p, the tuple (x, a, y)
+# of q, or the element that a where clause tests.  Each name in env maps to
+# (shape, getter of its value).
 
 _RELATIONS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
               ">=": operator.ge, ">": operator.gt}
@@ -751,7 +754,7 @@ def _compile(e, env: dict, bases):
             if "QI" not in bases:
                 raise DslError("exp-i-misuse", e.line, e.col,
                                "'i' requires a QI carrier")
-            return SCALAR, _constant(QI(0, 1))
+            return COMPLEX, _constant(QI(0, 1))
         if e.text == "exp":
             raise DslError("exp-i-misuse", e.line, e.col,
                            "'exp' is a function; write exp(...)")
@@ -766,7 +769,10 @@ def _compile(e, env: dict, bases):
         if "R64" not in bases:
             raise DslError("exp-i-misuse", e.line, e.col,
                            "'exp' requires an R64 carrier")
-        arg = _expect(e.arg, env, bases, SCALAR, e, "exp needs a scalar argument")
+        shape, arg = _scalar(e.arg, env, bases, e, "exp needs a scalar argument")
+        if shape == COMPLEX:
+            raise DslError("exp-i-misuse", e.line, e.col,
+                           "exp needs a real argument")
 
         def exp(args):
             value = arg(args)
@@ -777,22 +783,24 @@ def _compile(e, env: dict, bases):
 
         return SCALAR, exp
     if isinstance(e, Unary):
-        operand = _expect(e.operand, env, bases, SCALAR, e,
-                          "unary '-' needs a scalar operand")
-        return SCALAR, lambda args: -operand(args)
+        shape, operand = _scalar(e.operand, env, bases, e,
+                                 "unary '-' needs a scalar operand")
+        return shape, lambda args: -operand(args)
     if isinstance(e, Bin):
         msg = f"operator {e.op!r} needs scalar operands"
-        left = _expect(e.left, env, bases, SCALAR, e, msg)
-        right = _expect(e.right, env, bases, SCALAR, e, msg)
+        shape, left = _scalar(e.left, env, bases, e, msg)
+        right_shape, right = _scalar(e.right, env, bases, e, msg)
+        if right_shape == COMPLEX:
+            shape = COMPLEX
         if e.op == "+":
-            return SCALAR, lambda args: left(args) + right(args)
+            return shape, lambda args: left(args) + right(args)
         if e.op == "-":
-            return SCALAR, lambda args: left(args) - right(args)
+            return shape, lambda args: left(args) - right(args)
         if e.op == "*":
-            return SCALAR, lambda args: left(args) * right(args)
+            return shape, lambda args: left(args) * right(args)
         if e.op == "^":
             power = e.right.value
-            return SCALAR, lambda args: left(args) ** power
+            return shape, lambda args: left(args) ** power
 
         def divide(args):
             a, b = left(args), right(args)
@@ -800,14 +808,20 @@ def _compile(e, env: dict, bases):
                 return Fraction(a, b)
             return a / b
 
-        return SCALAR, divide
+        return shape, divide
     if isinstance(e, Tup):
         shapes, fns = zip(*(_compile(x, env, bases) for x in e.items))
         return shapes, lambda args: tuple([fn(args) for fn in fns])
     if isinstance(e, Compare):
-        first, *rest = [_expect(item, env, bases, SCALAR, item,
-                                "comparisons need scalar operands")
-                        for item in e.items]
+        shapes, fns = zip(*(_scalar(item, env, bases, item,
+                                    "comparisons need scalar operands")
+                            for item in e.items))
+        for k, op in enumerate(e.ops):
+            if op != "=" and COMPLEX in shapes[k:k + 2]:
+                at = e.items[k if shapes[k] == COMPLEX else k + 1]
+                raise DslError("shape-mismatch", at.line, at.col,
+                               f"{op!r} needs real operands; Q[i] has no order")
+        first, *rest = fns
         links = tuple(zip([_RELATIONS[op] for op in e.ops], rest))
 
         def compare(args):
@@ -826,12 +840,29 @@ def _compile(e, env: dict, bases):
     raise TypeError(f"cannot compile {e!r}")
 
 
+def _fits(shape, want) -> bool:
+    """Whether a value of this shape may stand where want is expected: a
+    real scalar may stand for a Gaussian rational."""
+    if isinstance(want, tuple):
+        return (isinstance(shape, tuple) and len(shape) == len(want)
+                and all(map(_fits, shape, want)))
+    return shape == want or (shape == SCALAR and want == COMPLEX)
+
+
 def _expect(e, env: dict, bases, want, at, msg: str):
-    """The compiled fn of e, whose shape must be want, else a shape-mismatch at `at`."""
+    """The compiled fn of e, whose shape must fit want, else a shape-mismatch at `at`."""
     shape, fn = _compile(e, env, bases)
-    if shape != want:
+    if not _fits(shape, want):
         raise DslError("shape-mismatch", at.line, at.col, msg)
     return fn
+
+
+def _scalar(e, env: dict, bases, at, msg: str):
+    """(shape, fn) of e, which must be a scalar, else a shape-mismatch at `at`."""
+    shape, fn = _compile(e, env, bases)
+    if isinstance(shape, tuple):
+        raise DslError("shape-mismatch", at.line, at.col, msg)
+    return shape, fn
 
 
 def _bind_pattern(pattern, shape, path: tuple, env: dict, op: OpDef):
@@ -840,7 +871,7 @@ def _bind_pattern(pattern, shape, path: tuple, env: dict, op: OpDef):
     if isinstance(pattern, str):
         env[pattern] = (shape, _path(path))
         return
-    if shape == SCALAR or len(shape) != len(pattern):
+    if not isinstance(shape, tuple) or len(shape) != len(pattern):
         raise DslError("shape-mismatch", op.line, op.col,
                        "pattern does not match the carrier shape")
     for k, (sub, subshape) in enumerate(zip(pattern, shape)):
@@ -854,8 +885,8 @@ def _elab_carrier(ct: CarrierType):
         return carrier
     # the components: v for a single scalar, else v1..vk
     shape = carrier.shape()
-    if shape == SCALAR:
-        env = {"v": (SCALAR, _identity)}
+    if not isinstance(shape, tuple):
+        env = {"v": (shape, _identity)}
     else:
         env = {f"v{k + 1}": (sub, operator.itemgetter(k))
                for k, sub in enumerate(shape)}

@@ -1,9 +1,12 @@
 """Exhaustive search for finite models of the algebra laws.
 
 A model of size n is a table t over {0..n-1} together with placements of the
-three constants.  For each placement the unit laws pin down large parts of
-the table up front; the rest is filled by backtracking over the free cells in
-a fixed order, trying the values 0..n-1, and every assignment is propagated:
+three constants.  Every placement relabels onto one whose constants take the
+smallest labels in the order zero, one, half first appear, so only those (at
+most five: all equal, one of three pairs equal, all distinct) are searched.
+For each placement the unit laws pin down large parts of the table up front;
+the rest is filled by backtracking over the free cells in a fixed order, and
+every assignment is propagated:
 
 * Half rows must be injective (the cancellation law): a repeated value is a
   conflict, and a half row with one hole left has that hole forced.
@@ -19,13 +22,26 @@ a fixed order, trying the values 0..n-1, and every assignment is propagated:
 * Every assignment and every move of an instance goes on a trail, which
   backtracking unwinds.
 
-Propagation only cuts branches that no model passes through, so models are
-found in the same order as by plain backtracking.  Results are deduplicated
-up to relabeling and reported in a canonical labeling, the one minimizing
-(zero, one, half, flattened table).  Each complete table's canonical key is
-computed first; each new canonical model is verified by `check_algebra`
-under `Exhaustive`, the law suite users run, and a key already seen is
-skipped, since isomorphic tables pass or fail the laws together.
+A branch on cell (a, b, c) tries only the least-number candidates (SEM,
+Zhang and Zhang 1995; Mace4, McCune 2003): the constants' labels, the labels
+that the branches above it mention as a cell index or a value, a, b and c,
+and the least label that is none of these.  This loses no model.  The state
+after set-up, the unit-law pins and their propagation closure, is the same
+under every permutation of the labels that fixes the constants, and so is
+the closure of it with the branch assignments above, since those mention
+only used labels.  So the transposition of an unused label v with the least
+unused one maps every table below the branch v onto a table below the
+earlier branch on the least unused label, with the same path above: the
+first table of each isomorphism class is still reached, and models are
+found in the same order as by trying every value.
+
+Propagation only cuts branches that no model passes through.  Results are
+deduplicated up to relabeling and reported in a canonical labeling, the one
+minimizing (zero, one, half, flattened table).  Each complete table's
+canonical key is computed first; each new canonical model is verified by
+`check_algebra` under `Exhaustive`, the law suite users run, and a key
+already seen is skipped, since isomorphic tables pass or fail the laws
+together.
 """
 
 from __future__ import annotations
@@ -38,7 +54,7 @@ from .algebra import MobiAlgebra, check_algebra
 from .carriers import ModularInt
 from .report import Exhaustive, all_passed
 
-MAX_SIZE = 7
+MAX_SIZE = 11
 
 
 @dataclass(frozen=True)
@@ -273,19 +289,24 @@ class _Placement:
             cells[k] = None
         del trail[mark:]
 
-    def fill(self, free, idx, leaf) -> bool:
-        """Branch on the unset cells of free[idx:] in order, trying 0..n-1,
-        and call leaf(table) on each complete table; True from leaf stops."""
+    def fill(self, free, idx, leaf, used) -> bool:
+        """Branch on the unset cells of free[idx:] in order and call
+        leaf(table) on each complete table; True from leaf stops.  used is
+        the bit set of the constants' labels and of the labels that the
+        branches above mention; a branch tries the values _candidates gives.
+        """
         cells = self.cells
         while idx < len(free) and cells[free[idx]] is not None:
             idx += 1  # propagated earlier
         if idx == len(free):
             return leaf(self.nested())
         k = free[idx]
+        n = self.n
+        used |= 1 << k // (n * n) | 1 << k // n % n | 1 << k % n
         mark = len(self.trail)
-        for v in range(self.n):
+        for v in _candidates(n, used):
             if (self.assign(k, v) and self.propagate()
-                    and self.fill(free, idx + 1, leaf)):
+                    and self.fill(free, idx + 1, leaf, used | 1 << v)):
                 return True
             self.undo(mark)
         return False
@@ -296,32 +317,55 @@ class _Placement:
                 for a in range(n)]
 
 
+def _candidates(n, used) -> list:
+    """The labels in the bit set used, and the least label that is not."""
+    used |= ~used & (used + 1)
+    return [v for v in range(n) if used >> v & 1]
+
+
+def _constant_labels(z, h, o) -> dict:
+    """The label of each distinct constant: 0, 1, 2 in the order zero, one,
+    half first appear."""
+    labels = {}
+    for x in (z, o, h):
+        labels.setdefault(x, len(labels))
+    return labels
+
+
 def _canonical_key(n, z, h, o, table):
     """The least (zero, one, half, flattened table) over all relabelings.
 
     The least key sends zero, one and half to the smallest labels in that
-    order, so only the labelings of the other elements are tried.
+    order, so only the labelings of the other elements are tried, and each
+    is compared with the least so far only until the first entry that
+    differs.
     """
-    fixed = {}
-    for x in (z, o, h):
-        fixed.setdefault(x, len(fixed))
+    fixed = _constant_labels(z, h, o)
     rest = [x for x in range(n) if x not in fixed]
+    flat = [v for plane in table for row in plane for v in row]
+    perm = [0] * n
+    inv = [0] * n
+    for x, label in fixed.items():
+        perm[x] = label
+        inv[label] = x
     best = None
     for labels in permutations(range(len(fixed), n)):
-        perm = [0] * n
-        for x, label in fixed.items():
-            perm[x] = label
         for x, label in zip(rest, labels):
             perm[x] = label
-        inv = [0] * n
-        for src, dst in enumerate(perm):
-            inv[dst] = src
-        flat = tuple(perm[table[inv[a]][inv[b]][inv[c]]]
-                     for a in range(n) for b in range(n) for c in range(n))
-        key = (perm[z], perm[o], perm[h], flat)
-        if best is None or key < best:
-            best = key
-    return best
+            inv[label] = x
+        planes = [x * n * n for x in inv]
+        rows = [x * n for x in inv]
+        entries = (perm[flat[a + b + c]]
+                   for a in planes for b in rows for c in inv)
+        if best is None:
+            best = tuple(entries)
+            continue
+        for i, (v, w) in enumerate(zip(entries, best)):
+            if v != w:
+                if v < w:
+                    best = best[:i] + (v,) + tuple(entries)
+                break
+    return fixed[z], fixed[o], fixed[h], best
 
 
 def _model_from_key(n, key) -> FiniteModel:
@@ -330,6 +374,15 @@ def _model_from_key(n, key) -> FiniteModel:
                         for b in range(n))
                   for a in range(n))
     return FiniteModel(n, zero, half, one, table)
+
+
+def _placements(n) -> list:
+    """The placements (zero, half, one) whose constants take the smallest
+    labels, in the order zero, one, half first appear, as the canonical key
+    does; every placement relabels onto one of these."""
+    return [(z, h, o) for z, h, o in product(range(min(n, 3)), repeat=3)
+            if all(x == label
+                   for x, label in _constant_labels(z, h, o).items())]
 
 
 def search_finite(n: int, require_distinct_constants: bool = False,
@@ -361,7 +414,7 @@ def search_finite(n: int, require_distinct_constants: bool = False,
             emit(model)
         return limit is not None and len(found) >= limit
 
-    for z, h, o in product(range(n), repeat=3):
+    for z, h, o in _placements(n):
         if require_distinct_constants and len({z, h, o}) < 3:
             continue
         state = _Placement(n, z, h, o, instances)
@@ -372,6 +425,7 @@ def search_finite(n: int, require_distinct_constants: bool = False,
                 for a in range(n)
                 for k in range((a * n + b) * n, (a * n + b + 1) * n)
                 if cells[k] is None]
-        if state.fill(free, 0, partial(leaf, z, h, o)):
+        if state.fill(free, 0, partial(leaf, z, h, o),
+                      1 << z | 1 << h | 1 << o):
             break
     return found

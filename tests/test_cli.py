@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mobikit
+from mobikit import catalog, cli
 from mobikit.catalog import list_catalog
 from mobikit.cli import run_cli
+from mobikit.search import MAX_SIZE
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
 
@@ -168,7 +170,7 @@ def test_search_distinct_constants_empty(capsys):
 
 
 def test_search_size_out_of_range(capsys):
-    code, _, err = run(capsys, "search", "--size", "9")
+    code, _, err = run(capsys, "search", "--size", str(MAX_SIZE + 1))
     assert code == 2 and "error:" in err
 
 
@@ -206,7 +208,9 @@ def test_trace_splits_complex_components(tmp_path, capsys):
 
 @pytest.mark.parametrize("value, error", [
     ("x", "error: unbound-identifier: unbound identifier 'x'\n"),
-    ("(1, 2) + 3", "error: shape-mismatch: operator '+' needs scalar operands\n")])
+    ("(1, 2) + 3", "error: shape-mismatch: operator '+' needs scalar operands\n"),
+    ("exp(1000)", "error: exp overflow at 1000\n"),
+    ("exp(i)", "error: exp-i-misuse: exp needs a real argument\n")])
 @pytest.mark.parametrize("command", ["trace", "convert"])
 def test_a_malformed_point_expression_exits_two(tmp_path, capsys, command, value, error):
     if command == "trace":
@@ -216,6 +220,33 @@ def test_a_malformed_point_expression_exits_two(tmp_path, capsys, command, value
         argv = ("convert", "space-to-module", "canonical-space", "--origin", value)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", error)
+
+
+def test_the_parser_is_built_on_first_use_and_then_reused():
+    probe = ("import mobikit.cli as cli; "
+             "print(cli._build_parser.cache_info().currsize)")
+    src = str(Path(mobikit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "0\n"  # importing the CLI builds no parser
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_second_command_does_not_inherit_the_first_ones_arguments(
+        monkeypatch, capsys):
+    built = []
+
+    def build(name, params=None):
+        built.append(dict(params or {}))
+        return real_build(name, params)
+
+    real_build = catalog.build
+    monkeypatch.setattr(catalog, "build", build)
+    assert run(capsys, "catalog", "check", "zmod-algebra", "--param", "m=5",
+               "--exhaustive")[0] == 0
+    assert run(capsys, "catalog", "check", "zmod-algebra", "--exhaustive")[0] == 0
+    assert built == [{"m": "5"}, {}]
 
 
 def test_usage_errors_exit_two(capsys):

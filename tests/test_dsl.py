@@ -122,6 +122,32 @@ def test_diagnostics_carry_kind_line_and_column(text, kind, line, col):
     assert err.format("f.mobi").startswith(f"f.mobi:{line}:{col}: {kind}:")
 
 
+@pytest.mark.parametrize("where, col", [
+    ("v < 2", 21), ("2 >= v", 26), ("v = v <= 1", 25), ("i < 1", 21)])
+def test_order_comparisons_on_gaussian_rationals_are_rejected(
+        tmp_path, capsys, where, col):
+    text = (f"algebra gauss {{\n  carrier: QI where {where}\n  zero: 0\n"
+            "  half: 1/2\n  one: 1\n  p(a, b, c) = a + b*(c - a)\n}\n")
+    with pytest.raises(DslError) as exc:
+        load(text)
+    err = exc.value
+    assert (err.kind, err.line, err.col) == ("shape-mismatch", 2, col)
+    path = tmp_path / "gauss.mobi"
+    path.write_text(text)
+    assert run_cli(["check", str(path), "--samples", "5"]) == 2
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr.count("\n") == 1
+    assert stderr.startswith(f"{path}:2:{col}: shape-mismatch:")
+
+
+def test_a_real_component_next_to_a_gaussian_one_keeps_its_order():
+    pairs = load("space pairs over rational_line_algebra {\n"
+                 "  carrier: QI x Q where v2 < 1 and v1 = v1\n"
+                 "  q(x, a, y) = x\n}\n")["pairs"].points
+    assert pairs.contains((QI(1, 2), F(1, 2)))
+    assert not pairs.contains((QI(1, 2), F(3, 2)))
+
+
 def test_duplicate_definitions_are_rejected():
     text = GOLDEN.read_text()
     with pytest.raises(DslError) as exc:
@@ -193,6 +219,8 @@ def test_where_equality_on_gaussian_rationals(tmp_path):
     ("x", "unbound-identifier", "unbound identifier 'x'"),
     ("(1, 2) + 3", "shape-mismatch", "operator '+' needs scalar operands"),
     ("-(1, i)", "shape-mismatch", "unary '-' needs a scalar operand"),
+    ("exp(i)", "exp-i-misuse", "exp needs a real argument"),
+    ("exp(1 + 2*i - i)", "exp-i-misuse", "exp needs a real argument"),
 ])
 def test_parse_value_is_checked(text, kind, msg):
     with pytest.raises(DslError) as exc:

@@ -50,6 +50,55 @@ def test_size_six_has_no_model():
     assert search_finite(6) == []
 
 
+def _invariants(model):
+    """(additive order of one, square roots of zero, idempotents) of the
+    model's ring."""
+    ring = ring_from_algebra(model.to_algebra())
+    x, order = ring.one, 1
+    while x != ring.zero:
+        x, order = ring.add(x, ring.one), order + 1
+    squares = [ring.mul(x, x) for x in range(model.size)]
+    return (order, squares.count(ring.zero),
+            sum(sq == x for x, sq in enumerate(squares)))
+
+
+def test_size_nine_finds_the_four_rings_of_order_nine():
+    models = search_finite(9)
+    for model in models:
+        algebra = model.to_algebra()
+        assert all_passed(check_algebra(algebra, Exhaustive())), model
+        assert all_passed(check_ring(ring_from_algebra(algebra), Exhaustive()))
+    # Z/3[x]/(x^2), Z/3 x Z/3, GF(9), Z/9, in the order the search finds them
+    assert [_invariants(m) for m in models] == [
+        (3, 3, 2), (3, 1, 4), (3, 1, 2), (9, 3, 2)]
+
+
+def test_size_ten_has_no_model():
+    # a ring of order 10 has Z/2 as a factor, where 2 is not a unit
+    assert search_finite(10) == []
+
+
+def test_the_least_number_heuristic_keeps_every_model_in_order(monkeypatch):
+    fast = [search_finite(n, distinct)
+            for n in range(1, 8) for distinct in (False, True)]
+    monkeypatch.setattr(search, "_candidates", lambda n, used: range(n))
+    assert fast == [search_finite(n, distinct)
+                    for n in range(1, 8) for distinct in (False, True)]
+
+
+def test_only_the_canonical_placements_are_searched():
+    assert search._placements(1) == [(0, 0, 0)]
+    assert search._placements(7) == [(0, 0, 0), (0, 0, 1), (0, 1, 0),
+                                     (0, 1, 1), (0, 2, 1)]
+    for n in range(1, 6):
+        for z, h, o in product(range(n), repeat=3):
+            labels = {}
+            for x in (z, o, h):
+                labels.setdefault(x, len(labels))
+            assert ((labels[z], labels[h], labels[o])
+                    in search._placements(n))
+
+
 def test_size_seven_finds_the_modular_model_first():
     models = search_finite(7, limit=1)
     want = build("zmod-algebra", m=7)
@@ -68,15 +117,21 @@ def test_found_models_pass_the_full_law_suite():
 
 
 def test_each_new_canonical_model_is_verified_once(monkeypatch):
-    # six labeled tables of size 3 reach a leaf; all share one canonical key
-    calls = []
+    # several labeled tables of size 7 reach a leaf; all share one canonical key
+    calls, keys = [], []
 
     def verifier(algebra, strategy):
         calls.append(strategy)
         return check_algebra(algebra, strategy)
 
+    def key(*args):
+        keys.append(args)
+        return _canonical_key(*args)
+
     monkeypatch.setattr(search, "check_algebra", verifier)
-    assert len(search_finite(3)) == 1
+    monkeypatch.setattr(search, "_canonical_key", key)
+    assert len(search_finite(7)) == 1
+    assert len(keys) > 1
     assert calls == [Exhaustive()]
 
 
