@@ -14,7 +14,6 @@ from .carriers import (Carrier, CarrierError, Float64, GaussianRational,
                        tolerance, try_subtract)
 from .catalog import (CatalogEntry, ParamSpec, build, coerce_params,
                       default_origin, get_entry, list_catalog)
-from .cli import main, run_cli
 from .dsl import (DslError, elaborate, load, parse, parse_value,
                   print_definitions)
 from .functors import (module_to_space, origin_scan, roundtrip_module,
@@ -31,6 +30,15 @@ from .space import (InverseError, MobiSpace, PointedMobiSpace, check_affine,
                     eval_q, trace_geodesic, transport_space)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the CLI loads on first use, so that `python -m mobikit.cli` does not
+    # find its own module already imported by the package
+    if name in ("main", "run_cli"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AmbiguousTwoError", "Carrier", "CarrierError", "CatalogEntry",

@@ -1,0 +1,3 @@
+from .cli import main
+if __name__ == "__main__":
+    main()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .carriers import Carrier, CarrierError, MembershipError, sample
-from .report import (CheckReport, Sampled, check_equation,
+from .report import (CheckReport, Sampled, Witness, check_equation,
                      check_implication, check_predicate, law_seed)
 from .ringmod import RingWithHalf
 
@@ -292,7 +292,6 @@ def check_algebra_morphism(f: Callable, source: MobiAlgebra, target: MobiAlgebra
         verdict = "pass" if ends == halves else "fail"
         witness = None
         if verdict == "fail":
-            from .report import Witness
             witness = Witness({"f(0) and f(1)": ends, "f(half)": halves},
                               ends, halves, None)
         reports.append(CheckReport("half-iff-ends", by_law["f(p)"].strategy,

@@ -26,10 +26,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog as _catalog
-from .algebra import (AmbiguousTwoError, MobiAlgebra, NoHalfError,
-                      check_algebra, check_properties)
-from .carriers import (CarrierError, NotEnumerableError, QI,
-                       SamplingExhausted)
+from .algebra import MobiAlgebra, check_algebra, check_properties
+from .carriers import CarrierError, QI
 from .dsl import DslError, elaborate, parse, parse_value
 from .functors import roundtrip_module, roundtrip_space, space_to_module, \
     module_to_space
@@ -37,14 +35,12 @@ from .report import EvalError, Exhaustive, Sampled, all_passed, \
     report_to_text, reports_to_json
 from .ringmod import RModule, check_module, check_ring
 from .search import search_finite
-from .space import (InverseError, MobiSpace, PointedMobiSpace, check_affine,
-                    check_space, check_y_properties, trace_geodesic)
+from .space import (PointedMobiSpace, check_affine, check_space,
+                    check_y_properties, trace_geodesic)
 
 # EvalError escapes a command only from building its input, such as an
 # --origin or --from value; law checks turn it into a witness
-_CONFIG_ERRORS = (CarrierError, NotEnumerableError, SamplingExhausted,
-                  AmbiguousTwoError, NoHalfError, InverseError, ValueError,
-                  KeyError, OSError, EvalError)
+_CONFIG_ERRORS = (CarrierError, ValueError, KeyError, OSError, EvalError)
 
 
 def _strategy(args):
@@ -71,28 +67,24 @@ def _prefixed(name: str, reports) -> list:
     return [replace(r, law=f"{name}.{r.law}") for r in reports]
 
 
-def _space_reports(space: MobiSpace, args) -> list:
+def _suite(structure, args) -> list:
+    """The law reports for a module, an algebra or a space."""
     strategy = _strategy(args)
-    reports = list(check_space(space, strategy))
+    if isinstance(structure, RModule):
+        return (_prefixed("ring", check_ring(structure.ring, strategy))
+                + _prefixed("module", check_module(structure, strategy)))
+    properties = getattr(args, "properties", False)
+    if isinstance(structure, MobiAlgebra):
+        reports = check_algebra(structure, strategy)
+        if properties:
+            reports += check_properties(structure, strategy)
+        return reports
+    reports = check_space(structure, strategy)
     if getattr(args, "affine", False):
-        reports.append(check_affine(space, strategy))
-    if getattr(args, "properties", False):
-        reports.extend(check_y_properties(space, strategy))
+        reports.append(check_affine(structure, strategy))
+    if properties:
+        reports += check_y_properties(structure, strategy)
     return reports
-
-
-def _algebra_reports(algebra: MobiAlgebra, args) -> list:
-    strategy = _strategy(args)
-    reports = list(check_algebra(algebra, strategy))
-    if getattr(args, "properties", False):
-        reports.extend(check_properties(algebra, strategy))
-    return reports
-
-
-def _module_reports(module: RModule, args) -> list:
-    strategy = _strategy(args)
-    return (_prefixed("ring", check_ring(module.ring, strategy))
-            + _prefixed("module", check_module(module, strategy)))
 
 
 def _params(args) -> dict:
@@ -122,10 +114,7 @@ def _cmd_check(args) -> int:
         return 2
     reports = []
     for name, structure in structures.items():
-        if isinstance(structure, MobiAlgebra):
-            reports.extend(_prefixed(name, _algebra_reports(structure, args)))
-        else:
-            reports.extend(_prefixed(name, _space_reports(structure, args)))
+        reports.extend(_prefixed(name, _suite(structure, args)))
     return _emit(reports, args.report)
 
 
@@ -137,15 +126,8 @@ def _cmd_catalog(args) -> int:
             print(f"{head}  {params}".rstrip())
             print(f"    {entry.note}")
         return 0
-    entry = _catalog.get_entry(args.name)
     built = _catalog.build(args.name, _params(args))
-    if entry.kind == "algebra":
-        reports = _algebra_reports(built, args)
-    elif entry.kind == "space":
-        reports = _space_reports(built, args)
-    else:
-        reports = _module_reports(built, args)
-    return _emit(reports, args.report)
+    return _emit(_suite(built, args), args.report)
 
 
 def _cmd_convert(args) -> int:
@@ -159,17 +141,12 @@ def _cmd_convert(args) -> int:
             origin = space.points.coerce(parse_value(args.origin))
         else:
             origin = _catalog.default_origin(args.name, params)
-        if not space.points.contains(origin):
-            raise ValueError(f"origin {args.origin!r} is not a point of {args.name}")
-        module = space_to_module(PointedMobiSpace(space, origin))
-        reports = _module_reports(module, args)
+        built = space_to_module(PointedMobiSpace(space, origin))
     else:
         if entry.kind != "module":
             raise ValueError(f"{args.name} is a {entry.kind}, not a module")
-        module = _catalog.build(args.name, params)
-        pointed = module_to_space(module)
-        reports = _space_reports(pointed.space, args)
-    return _emit(reports, args.report)
+        built = module_to_space(_catalog.build(args.name, params)).space
+    return _emit(_suite(built, args), args.report)
 
 
 def _cmd_roundtrip(args) -> int:
@@ -234,9 +211,6 @@ def _cmd_trace(args) -> int:
     space = _catalog.build(args.name, params)
     start = space.points.coerce(parse_value(args.src))
     end = space.points.coerce(parse_value(args.dst))
-    for label, point in (("--from", start), ("--to", end)):
-        if not space.points.contains(point):
-            raise ValueError(f"{label} value is not a point of {args.name}")
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     scalars = space.algebra.carrier

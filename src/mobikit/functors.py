@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from .algebra import (algebra_from_ring, check_algebra_morphism,
                       ring_from_algebra, _resolve_two)
-from .carriers import try_subtract
-from .report import (CheckReport, Sampled, Witness, assignments_for,
-                     check_equation, _strategy_info)
+from .report import CheckReport, Sampled, check_equation
 from .ringmod import RModule, check_module
 from .space import MobiSpace, PointedMobiSpace, check_space_morphism
 
@@ -58,23 +56,18 @@ def space_to_module(pointed: PointedMobiSpace, two=None, name: str = "") -> RMod
 
 
 def roundtrip_module(module: RModule, strategy=Sampled()) -> CheckReport:
-    """space_to_module(module_to_space(M)) has the same + and phi as M."""
-    law = "roundtrip(module)"
-    two = module.ring.two
-    back = space_to_module(module_to_space(module), two=two)
-    pts, sc = module.points, module.ring.carrier
+    """space_to_module(module_to_space(M)) has the same + and phi as M.
+
+    Each side is the pair (x + y, phi(a, x)), compared component-wise."""
+    back = space_to_module(module_to_space(module), two=module.ring.two)
+    pts = module.points
     pe = pts.eq
-    info = _strategy_info(strategy, 3)
-    for a, x, y in assignments_for(law, (sc, pts, pts), strategy):
-        lhs, rhs = module.add(x, y), back.add(x, y)
-        if not pe(lhs, rhs):
-            w = Witness({"op": "add", "x": x, "y": y}, lhs, rhs, try_subtract(lhs, rhs))
-            return CheckReport(law, info, "fail", w)
-        lhs, rhs = module.phi(a, x), back.phi(a, x)
-        if not pe(lhs, rhs):
-            w = Witness({"op": "phi", "a": a, "x": x}, lhs, rhs, try_subtract(lhs, rhs))
-            return CheckReport(law, info, "fail", w)
-    return CheckReport(law, info, "pass")
+    return check_equation("roundtrip(module)", ("a", "x", "y"),
+                          (module.ring.carrier, pts, pts),
+                          lambda u, v: pe(u[0], v[0]) and pe(u[1], v[1]),
+                          lambda a, x, y: (module.add(x, y), module.phi(a, x)),
+                          lambda a, x, y: (back.add(x, y), back.phi(a, x)),
+                          strategy)
 
 
 def roundtrip_space(pointed: PointedMobiSpace, two=None, strategy=Sampled()) -> CheckReport:

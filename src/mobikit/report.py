@@ -13,10 +13,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Iterable
 
-from .carriers import Product, QI, sample, try_subtract
+from .carriers import Product, sample, try_subtract
 
 
 class EvalError(Exception):
@@ -85,9 +85,7 @@ def assignments_for(law: str, slots: tuple, strategy) -> Iterable[tuple]:
     if not slots:
         return [()]
     if isinstance(strategy, Exhaustive):
-        import itertools
-
-        return itertools.product(*(c.elements() for c in slots))
+        return product(*(c.elements() for c in slots))
     if isinstance(strategy, Sampled):
         prod = Product(tuple(slots))
         return sample(prod, law_seed(strategy.seed, law), strategy.samples)
@@ -171,8 +169,6 @@ def render_value(v) -> object:
         return str(Fraction(v))
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, QI):
-        return str(v)
     return str(v)
 
 

@@ -395,8 +395,9 @@ def search_finite(n: int, require_distinct_constants: bool = False,
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_SIZE:
         raise ValueError(
             f"size must be an integer between 1 and {MAX_SIZE}, got {n!r}")
-    if limit is not None and limit <= 0:
-        return []
+    # a limit below 1 would report no model without searching
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     instances = _Instances(n)
     found = []
     seen = set()

@@ -34,6 +34,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def one_error_line(code, out, err) -> str:
+    """The message of a configuration error: exit 2, no stdout, one line."""
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
 def test_check_passes_the_golden_file(capsys):
     code, out, _ = run(capsys, "check", str(GOLDEN), "--samples", "60")
     assert code == 0
@@ -127,9 +135,9 @@ def test_convert_space_to_module_with_origin(capsys):
 
 
 def test_convert_rejects_foreign_origin(capsys):
-    code, _, err = run(capsys, "convert", "space-to-module",
-                       "halfplane-space", "--origin", "(0, 0)")
-    assert code == 2 and "error:" in err
+    result = run(capsys, "convert", "space-to-module",
+                 "halfplane-space", "--origin", "(0, 0)")
+    assert one_error_line(*result).startswith("error: origin (0, 0) is not in ")
 
 
 def test_convert_module_to_space(capsys):
@@ -148,8 +156,7 @@ def test_roundtrip_module_and_space(capsys):
 
 
 def test_roundtrip_rejects_algebras(capsys):
-    code, _, err = run(capsys, "roundtrip", "zmod-algebra")
-    assert code == 2 and "error:" in err
+    one_error_line(*run(capsys, "roundtrip", "zmod-algebra"))
 
 
 def test_search_prints_models(capsys):
@@ -167,6 +174,13 @@ def test_search_distinct_constants_empty(capsys):
     assert code == 0
     assert out.splitlines()[0] == (
         "found 0 model(s) of size 2 with distinct constants")
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_search_limit_below_one_exits_two(capsys, limit):
+    # a limit below 1 would print "found 0 model(s)" although Z/3 exists
+    result = run(capsys, "search", "--size", "3", "--limit", limit)
+    assert one_error_line(*result) == "error: limit must be >= 1"
 
 
 def test_search_size_out_of_range(capsys):
@@ -190,10 +204,13 @@ def test_trace_writes_the_projectile_arc(tmp_path, capsys):
 
 
 def test_trace_rejects_endpoints_outside_the_space(tmp_path, capsys):
-    code, _, err = run(capsys, "trace", "halfplane-space",
-                       "--from", "(0, 0)", "--to", "(1, 1)",
-                       "--steps", "2", "--out", str(tmp_path / "x.csv"))
-    assert code == 2 and "error:" in err
+    for src, dst, message in [
+            ("(0, 0)", "(1, 1)", "error: start (0, 0) is not in "),
+            ("(0, 1)", "(1, -1)", "error: end (1, -1) is not in ")]:
+        result = run(capsys, "trace", "halfplane-space", "--from", src,
+                     "--to", dst, "--steps", "2", "--out", str(tmp_path / "x.csv"))
+        assert one_error_line(*result).startswith(message)
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_trace_splits_complex_components(tmp_path, capsys):
@@ -301,6 +318,31 @@ def test_catalog_check_keeps_the_exit_code_contract(name, samples, seed, flags):
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
 
 
+def _env_with_src() -> dict:
+    src = str(Path(mobikit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+@pytest.mark.parametrize("module", ["mobikit", "mobikit.cli"])
+def test_python_dash_m_runs_without_warnings(module):
+    # the package must not import mobikit.cli before runpy executes it
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", module, "search", "--size", "1"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0] == "found 1 model(s) of size 1"
+
+
+def test_the_package_loads_the_cli_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mobikit; "
+         "print('mobikit.cli' in sys.modules, mobikit.run_cli.__module__, "
+         "mobikit.main.__module__)"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False mobikit.cli mobikit.cli\n", proc.stderr
+
+
 def test_sampled_check_of_a_large_finite_carrier_fits_in_512_mb():
     # Z/101 has 101^5 five-variable assignments; sampling must not build them.
     resource = pytest.importorskip("resource")
@@ -309,13 +351,10 @@ def test_sampled_check_of_a_large_finite_carrier_fits_in_512_mb():
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    src = str(Path(mobikit.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-c", "from mobikit.cli import main; main()",
          "catalog", "check", "zmod-algebra", "--param", "m=101"],
-        env=env, preexec_fn=limit_memory, capture_output=True, text=True,
+        env=_env_with_src(), preexec_fn=limit_memory, capture_output=True, text=True,
         timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "all passed" in proc.stdout.splitlines()[-1]

@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from mobikit import (Exhaustive, PointedMobiSpace, QI, Sampled, all_passed,
-                     build, check_module, check_space, default_origin,
-                     module_to_space, origin_scan, roundtrip_module,
-                     roundtrip_space, space_to_module, transport_morphism)
+from mobikit import (Exhaustive, PointedMobiSpace, QI, RModule, Sampled,
+                     all_passed, build, check_module, check_space,
+                     default_origin, module_to_space, origin_scan,
+                     report_to_text, roundtrip_module, roundtrip_space,
+                     space_to_module, transport_morphism)
 
 
 def pointed(name, **params):
@@ -85,13 +86,32 @@ def test_roundtrip_space_on_catalog_spaces():
 
 
 def test_roundtrip_failure_reports_the_operation():
+    # phi(a, x) = ax + c(a) with c zero at -1, 1/2 and 2: the round trip
+    # keeps + but its phi(a, x) = phi(1 - a, 0) + phi(a, x) gains c(1 - a)
     m = build("canonical-module", n=1)
-    from mobikit import RModule
     skewed = RModule(m.ring, m.points, m.add, m.zero,
-                     phi=lambda a, x: (a * x[0] + a * a,), neg=m.neg)
+                     phi=lambda a, x: (a * x[0] + (a + 1) * (2 * a - 1) * (a - 2),),
+                     neg=m.neg)
     report = roundtrip_module(skewed, Sampled(samples=60, seed=0))
     assert not report.passed
-    assert report.witness.inputs["op"] in ("add", "phi")
+    w = report.witness
+    assert list(w.inputs) == ["a", "x", "y"]
+    a, x, _ = w.inputs.values()
+    (add, phi), (back_add, back_phi) = w.lhs, w.rhs
+    assert add == back_add
+    assert phi == skewed.phi(a, x) and back_phi != phi
+
+
+def test_roundtrip_division_by_zero_is_a_witness():
+    # phi divides by x, and the round trip's + calls phi(-1, 0)
+    m = build("canonical-module", n=1)
+    dividing = RModule(m.ring, m.points, m.add, m.zero,
+                       phi=lambda a, x: (a * x[0] * x[0] / x[0],), neg=m.neg)
+    report = roundtrip_module(dividing, Sampled(samples=20, seed=0))
+    assert list(report.witness.inputs) == ["a", "x", "y"]
+    text = report_to_text(report)
+    assert text.startswith("FAIL roundtrip(module) [sampled(n=20, seed=0)]")
+    assert "<error: " in text
 
 
 # morphism transport

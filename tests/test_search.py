@@ -148,7 +148,9 @@ def test_emit_streams_models_and_limit_stops_early():
         assert seen == found
         assert all(isinstance(m, FiniteModel) for m in seen)
         assert search_finite(n, limit=1) == found[:1]
-    assert search_finite(3, limit=0) == []
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            search_finite(3, limit=limit)
 
 
 def test_table_lookup_wraps_like_the_carrier():
