@@ -13,10 +13,27 @@ path when the other operand is an int or a Fraction: the same gcd steps as
 `Fraction`'s own method.  A `_Fraction` prints, hashes and compares as the
 `Fraction` of the same value.  Draws pick from a table of the values n/d with
 |n| <= 12 and 1 <= d <= 8, consuming the RNG exactly as `rng.randint` would.
+
+Each carrier has one draw function, rng -> element, built on the first
+draw and kept; `draw(rng)` calls it and `sample` fetches it once
+(`drawer()`) and loops over it.  The functions of Rational, Q[i], R64 and
+Z/m inline `random.Random`'s getrandbits rejection loop: the same calls in
+the same order as `rng.randint` (or `rng.randrange`), and the same values.
+A product's function is one tuple display over its parts' functions.  A
+restricted carrier's function is its `draw` method, which checks each
+sampled value for membership and bounds rejection by MAX_REJECTS.
+
+QI arithmetic and equality skip `QI.coerce` when the other operand is a
+QI, and results are built without `QI.__init__`'s type tests, since sums,
+products and quotients of Fractions are Fractions.  `Rational.eq` and
+`GaussianRational.eq` compare `_Fraction` and `QI` components directly, and
+`Product.eq` tests an exact tuple's length before falling back to the
+general shape check, with the same `ShapeError` as before.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -95,7 +112,20 @@ def _sum(na, da, nb, db):
 
 
 def _difference(na, da, nb, db):
-    return _sum(na, da, -nb, db)
+    """na/da - nb/db with the gcd steps of Fraction._sub."""
+    x = _new(_Fraction)
+    g = _gcd(da, db)
+    if g == 1:
+        x._numerator, x._denominator = na * db - da * nb, da * db
+        return x
+    s = da // g
+    t = na * (db // g) - nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        x._numerator, x._denominator = t, s * db
+    else:
+        x._numerator, x._denominator = t // g2, s * (db // g2)
+    return x
 
 
 def _product(na, da, nb, db):
@@ -252,6 +282,30 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
     return lo + r
 
 
+def _draw_fraction(rng: random.Random, bound: int = RATIONAL_NUMERATOR_BOUND) -> Fraction:
+    """_fraction(rng.randint(-bound, bound), rng.randint(1, DENOMINATOR_BOUND))."""
+    return _fraction(_randint(rng, -bound, bound), _randint(rng, 1, DENOMINATOR_BOUND))
+
+
+_NUMERATOR_WIDTH = 2 * RATIONAL_NUMERATOR_BOUND + 1
+_NUMERATOR_BITS = _NUMERATOR_WIDTH.bit_length()
+_DENOMINATOR_BITS = DENOMINATOR_BOUND.bit_length()
+
+
+def _draw_rational(rng: random.Random) -> _Fraction:
+    """Rational's draw function: _draw_fraction(rng) with both _randint loops
+    inlined (the same getrandbits calls in the same order) and the value read
+    from _DRAWS, whose rows and columns are the two loops' results."""
+    getrandbits = rng.getrandbits
+    n = getrandbits(_NUMERATOR_BITS)
+    while n >= _NUMERATOR_WIDTH:
+        n = getrandbits(_NUMERATOR_BITS)
+    d = getrandbits(_DENOMINATOR_BITS)
+    while d >= DENOMINATOR_BOUND:
+        d = getrandbits(_DENOMINATOR_BITS)
+    return _DRAWS[d][n]
+
+
 class QI:
     """Gaussian rational re + im*i with exact Fraction components."""
 
@@ -270,6 +324,11 @@ class QI:
 
     @staticmethod
     def coerce(x) -> "QI":
+        t = type(x)
+        if t is QI:
+            return x
+        if t is _Fraction:
+            return _qi(x, _ZERO)
         if isinstance(x, QI):
             return x
         if isinstance(x, bool):
@@ -278,38 +337,38 @@ class QI:
             return QI(x, 0)
         raise ShapeError(f"expected a Gaussian rational, got {x!r}")
 
+    # A QI operand skips coerce; _qi builds the results (see the module notes)
+
     def __add__(self, other):
-        o = QI.coerce(other)
-        return QI(self.re + o.re, self.im + o.im)
+        o = other if type(other) is QI else QI.coerce(other)
+        return _qi(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = QI.coerce(other)
-        return QI(self.re - o.re, self.im - o.im)
+        o = other if type(other) is QI else QI.coerce(other)
+        return _qi(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        return QI.coerce(other) - self
+        o = QI.coerce(other)
+        return _qi(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        o = QI.coerce(other)
-        return QI(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        o = other if type(other) is QI else QI.coerce(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return _qi(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = QI.coerce(other)
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QI((self.re * o.re + self.im * o.im) / norm,
-                  (self.im * o.re - self.re * o.im) / norm)
+        o = other if type(other) is QI else QI.coerce(other)
+        return _qi_quotient(self, o)
 
     def __rtruediv__(self, other):
-        return QI.coerce(other) / self
+        return _qi_quotient(QI.coerce(other), self)
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _qi(-self.re, -self.im)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -320,9 +379,11 @@ class QI:
         return out
 
     def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
+        return _qi(self.re, -self.im)
 
     def __eq__(self, other):
+        if type(other) is QI:
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (QI, int, Fraction)) and not isinstance(other, bool):
             o = QI.coerce(other)
             return self.re == o.re and self.im == o.im
@@ -345,6 +406,28 @@ class QI:
             return im
         sign = "+" if self.im > 0 else ""
         return f"{self.re}{sign}{im}"
+
+
+_set_re = QI.re.__set__
+_set_im = QI.im.__set__
+_ZERO = _make(0, 1)
+
+
+def _qi(re, im) -> QI:
+    """QI(re, im) for Fraction components, without __init__'s type tests."""
+    z = _new(QI)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
+
+def _qi_quotient(z: QI, w: QI) -> QI:
+    """z / w, or ZeroDivisionError when w is zero."""
+    a, b, c, d = z.re, z.im, w.re, w.im
+    norm = c * c + d * d
+    if norm == 0:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return _qi((a * c + b * d) / norm, (b * c - a * d) / norm)
 
 
 class Carrier:
@@ -386,6 +469,11 @@ class Carrier:
     def draw(self, rng: random.Random):
         raise NotImplementedError
 
+    def drawer(self) -> Callable[[random.Random], object]:
+        """The function rng -> element behind draw(rng), for callers that
+        draw many times: fetch it once, then call it."""
+        return self.draw
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -393,23 +481,54 @@ class Carrier:
         return self.describe()
 
 
-def _draw_fraction(rng: random.Random, bound: int = RATIONAL_NUMERATOR_BOUND) -> Fraction:
-    """Fraction(rng.randint(-bound, bound), rng.randint(1, DENOMINATOR_BOUND))."""
-    return _fraction(_randint(rng, -bound, bound), _randint(rng, 1, DENOMINATOR_BOUND))
+class _BuiltDraw(Carrier):
+    """A carrier whose draw function is built by _build_draw on first use and
+    kept; draw(rng) and drawer() both use that one function.  Carriers that
+    are never drawn from, such as those of an exhaustive check, never build
+    it."""
+
+    @functools.cached_property
+    def _draw(self) -> Callable[[random.Random], object]:
+        return self._build_draw()
+
+    def _build_draw(self) -> Callable[[random.Random], object]:
+        raise NotImplementedError
+
+    def draw(self, rng):
+        return self._draw(rng)
+
+    def drawer(self):
+        return self._draw
+
+    def __getstate__(self):
+        # copies and pickles build their own draw function on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_draw"}
+
+
+def _draw_gaussian(rng: random.Random) -> QI:
+    """GaussianRational's draw function: QI(_draw_fraction(rng),
+    _draw_fraction(rng)), the real part drawn first."""
+    z = _new(QI)
+    _set_re(z, _draw_rational(rng))
+    _set_im(z, _draw_rational(rng))
+    return z
 
 
 @dataclass(frozen=True)
-class Rational(Carrier):
+class Rational(_BuiltDraw):
     """All of Q; values are Fraction (ints accepted and compared exactly)."""
 
     def contains(self, x):
-        return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+        return type(x) is _Fraction or (isinstance(x, (int, Fraction))
+                                        and not isinstance(x, bool))
 
     def eq(self, x, y):
+        if type(x) is _Fraction and type(y) is _Fraction:
+            return x._numerator == y._numerator and x._denominator == y._denominator
         return _rational(x) == _rational(y)
 
-    def draw(self, rng):
-        return _draw_fraction(rng)
+    def _build_draw(self):
+        return _draw_rational
 
     def describe(self):
         return "Q"
@@ -419,17 +538,19 @@ class Rational(Carrier):
 
 
 @dataclass(frozen=True)
-class GaussianRational(Carrier):
+class GaussianRational(_BuiltDraw):
     """Q[i]; values are QI (plain rationals accepted as real values)."""
 
     def contains(self, x):
         return isinstance(x, QI) or (isinstance(x, (int, Fraction)) and not isinstance(x, bool))
 
     def eq(self, x, y):
+        if type(x) is QI and type(y) is QI:
+            return x.re == y.re and x.im == y.im
         return QI.coerce(x) == QI.coerce(y)
 
-    def draw(self, rng):
-        return QI(_draw_fraction(rng), _draw_fraction(rng))
+    def _build_draw(self):
+        return _draw_gaussian
 
     def describe(self):
         return "Q[i]"
@@ -445,7 +566,7 @@ class GaussianRational(Carrier):
 
 
 @dataclass(frozen=True)
-class ModularInt(Carrier):
+class ModularInt(_BuiltDraw):
     """Residues mod m; any int is a member, equality is mod-m."""
 
     modulus: int
@@ -469,8 +590,19 @@ class ModularInt(Carrier):
     def elements(self):
         return list(range(self.modulus))
 
-    def draw(self, rng):
-        return rng.randrange(self.modulus)
+    def _build_draw(self):
+        m = self.modulus
+        k = m.bit_length()
+
+        def draw(rng):
+            # rng.randrange(m): random.Random's getrandbits loop, inlined
+            getrandbits = rng.getrandbits
+            r = getrandbits(k)
+            while r >= m:
+                r = getrandbits(k)
+            return r
+
+        return draw
 
     def describe(self):
         return f"Z/{self.modulus}"
@@ -480,7 +612,7 @@ class ModularInt(Carrier):
 
 
 @dataclass(frozen=True)
-class Float64(Carrier):
+class Float64(_BuiltDraw):
     """Finite doubles compared with |x-y| <= atol + rtol*max(|x|,|y|)."""
 
     atol: float = 1e-9
@@ -500,8 +632,26 @@ class Float64(Carrier):
             return True
         return abs(fx - fy) <= self.atol + self.rtol * max(abs(fx), abs(fy))
 
-    def draw(self, rng):
-        return float(_draw_fraction(rng, bound=self.span))
+    def _build_draw(self):
+        span = self.span
+        width = 2 * span + 1
+        if width < 1:
+            raise ValueError("span must be >= 0")
+        k = width.bit_length()
+
+        def draw(rng):
+            # float(_draw_fraction(rng, span)): n / d is correctly rounded,
+            # as Fraction.__float__ is, so reducing n/d first changes nothing
+            getrandbits = rng.getrandbits
+            n = getrandbits(k)
+            while n >= width:
+                n = getrandbits(k)
+            d = getrandbits(_DENOMINATOR_BITS)
+            while d >= DENOMINATOR_BOUND:
+                d = getrandbits(_DENOMINATOR_BITS)
+            return (n - span) / (d + 1)
+
+        return draw
 
     def describe(self):
         return "R64"
@@ -513,24 +663,47 @@ class Float64(Carrier):
         return float(value) if isinstance(value, (int, Fraction)) else value
 
 
+@functools.lru_cache(maxsize=None)
+def _tuple_builder(k: int):
+    """(f0, ..., f(k-1)) -> (rng -> (f0(rng), ..., f(k-1)(rng))).
+
+    The inner function is one tuple display, which calls the parts left to
+    right with no loop or generator.  It is generated once per arity, as
+    collections.namedtuple generates its methods.
+    """
+    names = [f"f{i}" for i in range(k)]
+    calls = "".join(f"{f}(rng), " for f in names)
+    return eval(f"lambda {', '.join(names)}: lambda rng: ({calls})")
+
+
 @dataclass(frozen=True)
-class Product(Carrier):
+class Product(_BuiltDraw):
     """Tuples whose i-th slot lives in parts[i]."""
 
     parts: tuple
 
     def contains(self, x):
-        return (isinstance(x, tuple) and len(x) == len(self.parts)
-                and all(p.contains(v) for p, v in zip(self.parts, x)))
+        if not isinstance(x, tuple) or len(x) != len(self.parts):
+            return False
+        for p, v in zip(self.parts, x):
+            if not p.contains(v):
+                return False
+        return True
 
     def _check_shape(self, x):
         if not isinstance(x, tuple) or len(x) != len(self.parts):
             raise ShapeError(f"expected a {len(self.parts)}-tuple for {self.describe()}, got {x!r}")
 
     def eq(self, x, y):
-        self._check_shape(x)
-        self._check_shape(y)
-        return all(p.eq(a, b) for p, a, b in zip(self.parts, x, y))
+        n = len(self.parts)
+        if type(x) is not tuple or len(x) != n:
+            self._check_shape(x)
+        if type(y) is not tuple or len(y) != n:
+            self._check_shape(y)
+        for p, a, b in zip(self.parts, x, y):
+            if not p.eq(a, b):
+                return False
+        return True
 
     def tolerance(self):
         pairs = [p.tolerance() for p in self.parts]
@@ -554,8 +727,8 @@ class Product(Carrier):
     def elements(self):
         return [tuple(t) for t in itertools.product(*(p.elements() for p in self.parts))]
 
-    def draw(self, rng):
-        return tuple(p.draw(rng) for p in self.parts)
+    def _build_draw(self):
+        return _tuple_builder(len(self.parts))(*(p.drawer() for p in self.parts))
 
     def describe(self):
         return " x ".join(p.describe() for p in self.parts)
@@ -573,7 +746,8 @@ class Restricted(Carrier):
     """A base carrier filtered by a membership predicate.
 
     Draws rejection-sample the base unless `sampler` (rng -> element) draws
-    members directly; its values are still checked for membership.
+    members directly; its values are still checked for membership.  Its draw
+    function is draw itself, which calls base.draw for each candidate.
     """
 
     base: Carrier
@@ -635,7 +809,8 @@ def sample(carrier: Carrier, seed: int, n: int) -> list:
     if n < 0:
         raise ValueError("sample size must be >= 0")
     rng = random.Random(seed)
-    return [carrier.draw(rng) for _ in range(n)]
+    draw = carrier.drawer()
+    return [draw(rng) for _ in range(n)]
 
 
 def enumerate_elements(carrier: Carrier) -> list:

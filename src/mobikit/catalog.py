@@ -307,7 +307,7 @@ def nonaffine_complex_space(n: int = 1) -> MobiSpace:
         points = Product((Vector(GaussianRational(), n), Rational()))
 
     def factor(a, s, t):
-        return QI((2 - a) * s + a * t, 1) / QI(s + t, 1) * a
+        return QI((2 - a) * s + a * t, F(1)) / QI(s + t, F(1)) * a
 
     def q(x, a, y):
         s, t = x[1], y[1]

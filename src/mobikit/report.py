@@ -92,9 +92,9 @@ def assignments_for(law: str, slots: tuple, strategy) -> Iterable[tuple]:
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
-def _error_witness(names, assignment, exc) -> Witness:
-    return Witness(inputs=dict(zip(names, assignment)),
-                   lhs=f"<error: {exc}>", rhs=None, difference=None)
+def _failure(law, info, names, assignment, left, right, difference=None) -> CheckReport:
+    return CheckReport(law, info, "fail",
+                       Witness(dict(zip(names, assignment)), left, right, difference))
 
 
 def _check(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
@@ -103,7 +103,8 @@ def _check(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
     """The one assignment loop: probes, then the strategy's assignments, then
     (sampled only) their constructed copies.  Assignments whose premise fails
     are skipped; the first one whose sides differ, or whose evaluation raises,
-    is the witness."""
+    is the witness.  A raise shows on the side that raised: the premise's and
+    lhs's on the left, rhs's on the right beside the left side's value."""
     info = _strategy_info(strategy, len(slots))
     assignments = assignments_for(law, slots, strategy)
     if construct is not None and not isinstance(strategy, Exhaustive):
@@ -114,12 +115,15 @@ def _check(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
             if premise is not None and not premise(*assignment):
                 continue
             left = lhs(*assignment)
+        except (ZeroDivisionError, EvalError) as exc:
+            return _failure(law, info, names, assignment, f"<error: {exc}>", None)
+        try:
             right = rhs(*assignment)
         except (ZeroDivisionError, EvalError) as exc:
-            return CheckReport(law, info, "fail", _error_witness(names, assignment, exc))
+            return _failure(law, info, names, assignment, left, f"<error: {exc}>")
         if not eq(left, right):
-            w = Witness(dict(zip(names, assignment)), left, right, try_subtract(left, right))
-            return CheckReport(law, info, "fail", w)
+            return _failure(law, info, names, assignment, left, right,
+                            try_subtract(left, right))
     return CheckReport(law, info, "pass")
 
 

@@ -1,3 +1,4 @@
+import collections
 import copy
 import math
 import operator
@@ -317,6 +318,22 @@ def _halfplane(rng):
     return head + (Fraction(rng.randint(1, 12), rng.randint(1, 8)),)
 
 
+def _randint_fraction(rng, bound=12):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, DENOMINATOR_BOUND))
+
+
+def _qi_parts(z):
+    assert type(z) is QI
+    return (z.re, z.im)
+
+
+def _flatten(v):
+    return sum((_flatten(c) for c in v), ()) if isinstance(v, tuple) else (v,)
+
+
+NESTED = Product((Rational(), Product((Vector(Rational(), 2), Rational()))))
+
+
 DRAW_PAIRS = {
     "bound 12": (lambda rng: _draw_fraction(rng, 12),
                  lambda rng: Fraction(rng.randint(-12, 12), rng.randint(1, 8))),
@@ -329,6 +346,11 @@ DRAW_PAIRS = {
     "unit": (_draw_unit, lambda rng: _between(rng, 0, 1)),
     "lozenge": (build("lozenge-algebra").carrier.sampler, _lozenge),
     "half-plane": (build("halfplane-space").points.sampler, _halfplane),
+    "Rational": (Rational().draw, _randint_fraction),
+    "GaussianRational": (lambda rng: _qi_parts(GaussianRational().draw(rng)),
+                         lambda rng: (_randint_fraction(rng), _randint_fraction(rng))),
+    "nested Product": (lambda rng: _flatten(NESTED.draw(rng)),
+                       lambda rng: tuple(_randint_fraction(rng) for _ in range(4))),
 }
 
 
@@ -343,6 +365,178 @@ def test_draws_reproduce_the_randint_stream(name):
             for v in got if isinstance(got, tuple) else (got,):
                 assert type(v) is _Fraction
         assert rng.random() == ref_rng.random(), (name, seed)
+
+
+def _positive_by_rejection(rng):
+    while True:
+        x = _randint_fraction(rng)
+        if x > 0:
+            return x
+
+
+# five slots: a draw function of each kind, a sampler, and rejection sampling
+MIXED = Product((Rational(), GaussianRational(), Float64(span=2),
+                 Restricted(Rational(), lambda x: 0 <= x <= 1, sampler=_draw_unit),
+                 Product((Restricted(Rational(), lambda x: x > 0), ModularInt(7)))))
+
+
+def _mixed(rng):
+    return (_randint_fraction(rng), QI(_randint_fraction(rng), _randint_fraction(rng)),
+            float(_randint_fraction(rng, 2)), _between(rng, 0, 1),
+            (_positive_by_rejection(rng), rng.randrange(7)))
+
+
+def _assert_kernel_types(v):
+    """Rationals are _Fraction, also inside QI; floats and residues keep their type."""
+    if isinstance(v, tuple):
+        for c in v:
+            _assert_kernel_types(c)
+    elif isinstance(v, QI):
+        assert type(v.re) is _Fraction and type(v.im) is _Fraction
+    else:
+        assert type(v) in (_Fraction, float, int), v
+
+
+MIXED_DRAW_PAIRS = {
+    "Float64 span 2": (Float64(span=2).draw, lambda rng: float(_randint_fraction(rng, 2))),
+    "Float64 span 20": (Float64(span=20).draw, lambda rng: float(_randint_fraction(rng, 20))),
+    "5-slot Product": (MIXED.draw, _mixed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_DRAW_PAIRS))
+def test_mixed_draws_reproduce_the_randint_stream(name):
+    draw, reference = MIXED_DRAW_PAIRS[name]
+    for seed in range(200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            got, want = draw(rng), reference(ref_rng)
+            assert got == want and type(got) is type(want), (name, seed)
+            _assert_kernel_types(got)
+        assert rng.random() == ref_rng.random(), (name, seed)
+
+
+def test_sample_draws_the_same_stream_as_draw():
+    for seed in range(50):
+        ref_rng = random.Random(seed)
+        assert sample(MIXED, seed, 8) == [_mixed(ref_rng) for _ in range(8)]
+        rng = random.Random(seed)
+        assert sample(MIXED, seed, 8) == [MIXED.draw(rng) for _ in range(8)]
+
+
+def test_each_carrier_has_one_draw_function():
+    for c in (Rational(), GaussianRational(), Float64(), ModularInt(5), MIXED, NESTED):
+        assert c.drawer() is c.drawer()
+    restricted = MIXED.parts[3]
+    assert restricted.drawer() == restricted.draw  # its draw method, which checks members
+
+
+def test_copies_and_pickles_of_carriers_draw_the_same_stream():
+    for c in (Rational(), Float64(span=2), ModularInt(7), NESTED):
+        for clone in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert clone == c
+            assert sample(clone, 3, 20) == sample(c, 3, 20)
+
+
+def test_a_sampler_in_a_product_is_still_checked():
+    bad = Product((Rational(), Restricted(Rational(), lambda x: x > 0,
+                                          sampler=lambda rng: Fraction(-1))))
+    with pytest.raises(ValueError, match="drew non-member"):
+        sample(bad, 0, 1)
+    never = Product((Restricted(Rational(), lambda x: False),))
+    with pytest.raises(SamplingExhausted):
+        never.draw(random.Random(0))
+
+
+# exact-type fast paths: the same answers and exceptions as the general paths
+
+def test_product_eq_and_contains_check_shapes_as_before():
+    c = Product((Rational(), Vector(Rational(), 2)))
+    good = (Fraction(1), (Fraction(1), Fraction(2)))
+    for bad in ([Fraction(1), (Fraction(1), Fraction(2))],  # a list
+                (Fraction(1),), good + (Fraction(3),),      # wrong lengths
+                (Fraction(1), [Fraction(1), Fraction(2)]),  # a nested list
+                (Fraction(1), Fraction(1))):                # a nested scalar
+        assert c.contains(bad) is False
+        for x, y in ((bad, good), (good, bad)):
+            with pytest.raises(ShapeError):
+                c.eq(x, y)
+    # the outer shapes are checked before any part; a nested one only when reached
+    with pytest.raises(ShapeError, match=r"got \[1\]"):
+        c.eq((Fraction(2), (Fraction(1), Fraction(2))), [1])
+    assert c.eq((Fraction(2), [1]), good) is False
+    assert c.eq(good, good) is True and c.contains(good) is True
+    Point = collections.namedtuple("Point", "x y")
+    v = Vector(Rational(), 2)
+    assert v.eq(Point(1, 2), (1, 2)) and v.contains(Point(1, 2))
+
+
+def test_rational_and_gaussian_fast_paths_agree_with_the_general_ones():
+    r, g = Rational(), GaussianRational()
+    half, k = Fraction(1, 2), _Fraction(1, 2)
+    assert r.eq(k, _Fraction(2, 4)) and r.eq(k, half) and r.eq(half, k)
+    assert not r.eq(k, _Fraction(1, 3)) and r.eq(_Fraction(2), 2)
+    assert r.contains(k) and not r.contains(True)
+    assert g.eq(QI(k, 1), QI(half, 1)) and not g.eq(QI(k, 1), QI(k, -1))
+    assert g.eq(QI(2), 2) and g.eq(k, QI(half)) and not g.eq(QI(k, 1), k)
+    with pytest.raises(ShapeError):
+        g.eq(QI(1), True)
+
+
+def _ref_pair(v):
+    """A QI, int or Fraction as a pair of plain Fractions."""
+    return (Fraction(v.re), Fraction(v.im)) if isinstance(v, QI) else (Fraction(v), Fraction(0))
+
+
+def _ref_div(a, b, c, d):
+    norm = c * c + d * d
+    return ((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+
+QI_REFERENCE = {
+    operator.add: lambda a, b, c, d: (a + c, b + d),
+    operator.sub: lambda a, b, c, d: (a - c, b - d),
+    operator.mul: lambda a, b, c, d: (a * c - b * d, a * d + b * c),
+    operator.truediv: _ref_div,
+}
+small = st.fractions(max_denominator=30, min_value=-30, max_value=30)
+gaussians = st.one_of(st.builds(QI, small, small),
+                      st.builds(QI, small.map(_Fraction), small.map(_Fraction)),
+                      st.builds(QI, st.integers(-3, 3), st.integers(-3, 3)))
+qi_operands = st.one_of(gaussians, st.integers(-30, 30), small, small.map(_Fraction))
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=gaussians, w=qi_operands)
+def test_qi_arithmetic_matches_fraction_pairs(z, w):
+    for op, ref in QI_REFERENCE.items():
+        for x, y in ((z, w), (w, z)):
+            c, d = _ref_pair(y)
+            if op is operator.truediv and c == d == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            got = op(x, y)
+            assert type(got) is QI
+            assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
+            assert (got.re, got.im) == ref(*_ref_pair(x), c, d)
+    same = _ref_pair(z) == _ref_pair(w)
+    assert (z == w) is same and (w == z) is same and (z != w) is not same
+
+
+def test_qi_rejects_bools_and_zero_divisors():
+    z = QI(1, 2)
+    for op in QI_REFERENCE:
+        for x, y in ((z, True), (False, z)):
+            with pytest.raises(ShapeError):
+                op(x, y)
+    for zero in (QI(0), QI(_Fraction(0), _Fraction(0)), 0, Fraction(0), _Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            z / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / QI(0, 0)
+    assert type(QI.coerce(_Fraction(1, 2)).re) is _Fraction
+    assert QI.coerce(_Fraction(1, 2)) == QI(Fraction(1, 2))
 
 
 def test_dsl_questions_are_carrier_methods():

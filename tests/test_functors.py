@@ -108,10 +108,15 @@ def test_roundtrip_division_by_zero_is_a_witness():
     dividing = RModule(m.ring, m.points, m.add, m.zero,
                        phi=lambda a, x: (a * x[0] * x[0] / x[0],), neg=m.neg)
     report = roundtrip_module(dividing, Sampled(samples=20, seed=0))
-    assert list(report.witness.inputs) == ["a", "x", "y"]
+    w = report.witness
+    assert list(w.inputs) == ["a", "x", "y"]
+    # M's own side evaluates; the round-tripped side is the one that raised
+    a, x, y = w.inputs.values()
+    assert w.lhs == (dividing.add(x, y), dividing.phi(a, x))
+    assert w.rhs.startswith("<error: ") and w.difference is None
     text = report_to_text(report)
     assert text.startswith("FAIL roundtrip(module) [sampled(n=20, seed=0)]")
-    assert "<error: " in text
+    assert " rhs=<error: " in text
 
 
 # morphism transport

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from mobikit import (EvalError, Exhaustive, ModularInt, Rational, Sampled,
-                     check_equation, check_implication, check_predicate)
+                     check_equation, check_implication, check_predicate,
+                     report_to_text)
 from mobikit.report import assignments_for
 
 Z5 = ModularInt(5)
@@ -39,6 +40,25 @@ def test_an_error_in_any_law_kind_is_a_failing_witness(exc):
         assert w.inputs == {"a": 3, "b": 0}, report.law
         assert w.lhs == "<error: no value at a = 3>", report.law
         assert w.rhs is None and w.difference is None, report.law
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError, EvalError])
+def test_an_error_on_the_right_side_is_shown_on_the_right(exc):
+    names, slots, strategy = ("a", "b"), (Z5, Z5), Exhaustive()
+    op = raising_at(3, exc)
+    reports = [
+        check_equation("side", names, slots, Z5.eq, lambda a, b: a, op, strategy),
+        check_implication("conclusion", names, slots, lambda a, b: True, Z5.eq,
+                          lambda a, b: a, op, strategy),
+    ]
+    for report in reports:
+        assert report.verdict == "fail", report.law
+        w = report.witness
+        assert w.inputs == {"a": 3, "b": 0}, report.law
+        assert w.lhs == 3 and w.rhs == "<error: no value at a = 3>", report.law
+        assert w.difference is None, report.law
+        assert report_to_text(report).endswith(
+            "witness: a=3, b=0 | lhs=3 rhs=<error: no value at a = 3>")
 
 
 def test_a_failing_predicate_reports_its_value_alone():
