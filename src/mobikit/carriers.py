@@ -9,10 +9,12 @@ Rational draws and the catalog's constants are Fractions of the private
 subclass `_Fraction`, whose arithmetic, comparisons and equality take a fast
 path when the other operand is an int or a Fraction: the same gcd steps as
 `Fraction` (Knuth, TAOCP vol. 2, 4.5.1) without its generic dispatch, and a
-`_Fraction` result.  Any other operand, and division by zero, goes to
-`Fraction`'s own method.  A `_Fraction` prints, hashes and compares as the
-`Fraction` of the same value.  Draws pick from a table of the values n/d with
-|n| <= 12 and 1 <= d <= 8, consuming the RNG exactly as `rng.randint` would.
+`_Fraction` result, all in one Python frame per operation.  Any other
+operand, and division by zero, goes to `Fraction`'s own method.  A
+`_Fraction` prints, hashes and compares as the `Fraction` of the same value,
+and type errors name it `Fraction`.  Draws pick from a table of the values
+n/d with |n| <= 12 and 1 <= d <= 8, consuming the RNG exactly as
+`rng.randint` would.
 
 Each carrier has one draw function, rng -> element, built on the first
 draw and kept; `draw(rng)` calls it and `sample` fetches it once
@@ -36,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,11 +78,14 @@ def _rational(x):
     raise ShapeError(f"expected a rational, got {x!r}")
 
 
-# The exact-rational kernel.  Each helper takes reduced operands na/da and
-# nb/db (da, db > 0) and returns the reduced result as a _Fraction built
-# without Fraction.__new__, or None where Fraction's own method must answer.
-# The three hot helpers fill in their result themselves, not through _make,
-# which saves a call per operation.
+# The exact-rational kernel.  Each binary dunder of _Fraction below is
+# generated from one template per kernel, as collections.namedtuple generates
+# its methods.  It reads reduced operands na/da and nb/db (da, db > 0; an int
+# is n/1), runs the gcd steps of CPython's Fraction._add/_sub/_mul/_div and
+# fills in its _Fraction result itself: one Python frame per operation.  The
+# reflected form is the same code with na/da read from the other operand and
+# nb/db from self.  Any other operand (a bool too), and division by zero, goes
+# to Fraction's own method.
 
 _new = object.__new__
 _gcd = math.gcd
@@ -94,42 +98,35 @@ def _make(n: int, d: int) -> "_Fraction":
     return x
 
 
-def _sum(na, da, nb, db):
-    """na/da + nb/db with the gcd steps of Fraction._add."""
+_OPERANDS = """
+def {f}(a, b):
+    {a} = a._numerator, a._denominator
+    t = type(b)
+    if t is _Fraction or t is Fraction:
+        {b} = b._numerator, b._denominator
+    elif t is int:
+        {b} = b, 1
+    else:
+        return Fraction.{f}(a, b)
+"""
+
+_SUM = """
     x = _new(_Fraction)
     g = _gcd(da, db)
     if g == 1:
-        x._numerator, x._denominator = na * db + da * nb, da * db
+        x._numerator, x._denominator = na * db {op} da * nb, da * db
         return x
     s = da // g
-    t = na * (db // g) + nb * s
+    t = na * (db // g) {op} nb * s
     g2 = _gcd(t, g)
     if g2 == 1:
         x._numerator, x._denominator = t, s * db
     else:
         x._numerator, x._denominator = t // g2, s * (db // g2)
     return x
+"""
 
-
-def _difference(na, da, nb, db):
-    """na/da - nb/db with the gcd steps of Fraction._sub."""
-    x = _new(_Fraction)
-    g = _gcd(da, db)
-    if g == 1:
-        x._numerator, x._denominator = na * db - da * nb, da * db
-        return x
-    s = da // g
-    t = na * (db // g) - nb * s
-    g2 = _gcd(t, g)
-    if g2 == 1:
-        x._numerator, x._denominator = t, s * db
-    else:
-        x._numerator, x._denominator = t // g2, s * (db // g2)
-    return x
-
-
-def _product(na, da, nb, db):
-    """na/da * nb/db with the gcd steps of Fraction._mul."""
+_PRODUCT = """
     g1 = _gcd(na, db)
     if g1 > 1:
         na //= g1
@@ -141,12 +138,11 @@ def _product(na, da, nb, db):
     x = _new(_Fraction)
     x._numerator, x._denominator = na * nb, db * da
     return x
+"""
 
-
-def _quotient(na, da, nb, db):
-    """na/da / nb/db with the gcd steps of Fraction._div; None when nb == 0."""
+_QUOTIENT = """
     if nb == 0:
-        return None
+        return Fraction.{f}(a, b)
     g1 = _gcd(na, nb)
     if g1 > 1:
         na //= g1
@@ -161,46 +157,30 @@ def _quotient(na, da, nb, db):
     else:
         x._numerator, x._denominator = na * db, nb * da
     return x
+"""
+
+_COMPARISON = """
+def {f}(a, b):
+    t = type(b)
+    if t is _Fraction or t is Fraction:
+        return a._numerator * b._denominator {op} a._denominator * b._numerator
+    if t is int:
+        return a._numerator {op} a._denominator * b
+    return Fraction.{f}(a, b)
+"""
 
 
-def _fast_paths(kernel, fallback, reflected_fallback):
-    """a op b and b op a for kernel(na, da, nb, db); other operands go to Fraction."""
-
-    def forward(a, b):
-        t = type(b)
-        if t is _Fraction or t is Fraction:
-            x = kernel(a._numerator, a._denominator, b._numerator, b._denominator)
-        elif t is int:
-            x = kernel(a._numerator, a._denominator, b, 1)
-        else:
-            return fallback(a, b)
-        return fallback(a, b) if x is None else x
-
-    def reverse(a, b):
-        t = type(b)
-        if t is _Fraction or t is Fraction:
-            x = kernel(b._numerator, b._denominator, a._numerator, a._denominator)
-        elif t is int:
-            x = kernel(b, 1, a._numerator, a._denominator)
-        else:
-            return reflected_fallback(a, b)
-        return reflected_fallback(a, b) if x is None else x
-
-    return forward, reverse
+def _define(f, template, **fields):
+    """The function `f` of a template, with the module's globals."""
+    namespace = {}
+    exec(template.format(f=f, **fields), globals(), namespace)
+    return namespace[f]
 
 
-def _comparison(op, fallback):
-    """a op b by cross-multiplication, as Fraction._richcmp does."""
-
-    def compare(a, b):
-        t = type(b)
-        if t is _Fraction or t is Fraction:
-            return op(a._numerator * b._denominator, a._denominator * b._numerator)
-        if t is int:
-            return op(a._numerator, a._denominator * b)
-        return fallback(a, b)
-
-    return compare
+def _dunders(name, kernel, op=""):
+    """__name__ and __rname__: a op b and b op a with the kernel na/da op nb/db."""
+    return (_define(f"__{name}__", _OPERANDS + kernel, a="na, da", b="nb, db", op=op),
+            _define(f"__r{name}__", _OPERANDS + kernel, a="nb, db", b="na, da", op=op))
 
 
 class _Fraction(Fraction):
@@ -209,15 +189,14 @@ class _Fraction(Fraction):
 
     __slots__ = ()
 
-    __add__, __radd__ = _fast_paths(_sum, Fraction.__add__, Fraction.__radd__)
-    __sub__, __rsub__ = _fast_paths(_difference, Fraction.__sub__, Fraction.__rsub__)
-    __mul__, __rmul__ = _fast_paths(_product, Fraction.__mul__, Fraction.__rmul__)
-    __truediv__, __rtruediv__ = _fast_paths(_quotient, Fraction.__truediv__,
-                                            Fraction.__rtruediv__)
-    __lt__ = _comparison(operator.lt, Fraction.__lt__)
-    __le__ = _comparison(operator.le, Fraction.__le__)
-    __gt__ = _comparison(operator.gt, Fraction.__gt__)
-    __ge__ = _comparison(operator.ge, Fraction.__ge__)
+    __add__, __radd__ = _dunders("add", _SUM, "+")
+    __sub__, __rsub__ = _dunders("sub", _SUM, "-")
+    __mul__, __rmul__ = _dunders("mul", _PRODUCT)
+    __truediv__, __rtruediv__ = _dunders("truediv", _QUOTIENT)
+    __lt__ = _define("__lt__", _COMPARISON, op="<")
+    __le__ = _define("__le__", _COMPARISON, op="<=")
+    __gt__ = _define("__gt__", _COMPARISON, op=">")
+    __ge__ = _define("__ge__", _COMPARISON, op=">=")
 
     def __eq__(a, b):
         t = type(b)
@@ -250,11 +229,16 @@ class _Fraction(Fraction):
         return f"Fraction({self._numerator}, {self._denominator})"
 
 
+# TypeErrors name the type as they name Fraction; pickles still find the
+# class by its __qualname__
+_Fraction.__name__ = "Fraction"
+
+
 # _DRAWS[d - 1][n + RATIONAL_NUMERATOR_BOUND] is n/d: every value a Rational
-# draw can take, built once at import (by the kernel's own division, which is
-# cheaper than Fraction(n, d)) and shared, since values are immutable.
-_DRAWS = tuple(tuple(_quotient(n, 1, d, 1) for n in range(-RATIONAL_NUMERATOR_BOUND,
-                                                           RATIONAL_NUMERATOR_BOUND + 1))
+# draw can take, built once at import (without Fraction(n, d)'s parsing) and
+# shared, since values are immutable.
+_DRAWS = tuple(tuple(_make(n // _gcd(n, d), d // _gcd(n, d))
+                     for n in range(-RATIONAL_NUMERATOR_BOUND, RATIONAL_NUMERATOR_BOUND + 1))
                for d in range(1, DENOMINATOR_BOUND + 1))
 
 

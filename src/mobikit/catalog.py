@@ -13,10 +13,10 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import MobiAlgebra
-from .carriers import (DENOMINATOR_BOUND, RATIONAL_NUMERATOR_BOUND, Float64,
-                       GaussianRational, ModularInt, Product, QI, Rational,
-                       Restricted, Vector, _draw_fraction, _Fraction, _fraction,
-                       _randint)
+from .carriers import (_DENOMINATOR_BITS, _DRAWS, DENOMINATOR_BOUND,
+                       RATIONAL_NUMERATOR_BOUND, Float64, GaussianRational,
+                       ModularInt, Product, QI, Rational, Restricted, Vector,
+                       _draw_rational, _Fraction, _tuple_builder)
 from .ringmod import RModule, RingWithHalf
 from .space import MobiSpace, transport_space
 
@@ -69,18 +69,62 @@ def _canonical_p(a, b, c):
 # Direct samplers for the restricted carriers below.  Each draws n/d with
 # |n| <= RATIONAL_NUMERATOR_BOUND and 1 <= d <= DENOMINATOR_BOUND, the support
 # of a Rational draw, so it reaches exactly the values rejection sampling
-# would accept.  _randint(rng, lo, hi) draws what rng.randint(lo, hi) would.
+# would accept.  Like carriers._draw_rational, each inlines random.Random's
+# getrandbits loop for every rng.randint it stands for (the same calls in the
+# same order) and reads n/d from _DRAWS[d - 1][n + RATIONAL_NUMERATOR_BOUND].
 
-def _draw_between(rng, lo, hi) -> Fraction:
-    """n/d in [lo, hi]; needs lo <= 0 <= hi so that n = 0 always fits."""
-    d = _randint(rng, 1, DENOMINATOR_BOUND)
-    n_lo = max(math.ceil(lo * d), -RATIONAL_NUMERATOR_BOUND)
-    n_hi = min(math.floor(hi * d), RATIONAL_NUMERATOR_BOUND)
-    return _fraction(_randint(rng, n_lo, n_hi), d)
+def _numerators(lo: int, hi: int) -> tuple:
+    """(column of lo in a _DRAWS row, width, bits) of rng.randint(lo, hi)."""
+    width = hi - lo + 1
+    return (lo + RATIONAL_NUMERATOR_BOUND, width, width.bit_length())
+
+
+# _UNIT[d - 1]: the numerators n with 0 <= n/d <= 1
+_UNIT = tuple(_numerators(0, min(d, RATIONAL_NUMERATOR_BOUND))
+              for d in range(1, DENOMINATOR_BOUND + 1))
+_POSITIVE = _numerators(1, RATIONAL_NUMERATOR_BOUND)
 
 
 def _draw_unit(rng) -> Fraction:
-    return _draw_between(rng, 0, 1)
+    """n/d in [0, 1]: d = rng.randint(1, 8), then n = rng.randint(0, d)."""
+    getrandbits = rng.getrandbits
+    d = getrandbits(_DENOMINATOR_BITS)
+    while d >= DENOMINATOR_BOUND:
+        d = getrandbits(_DENOMINATOR_BITS)
+    column, width, bits = _UNIT[d]
+    n = getrandbits(bits)
+    while n >= width:
+        n = getrandbits(bits)
+    return _DRAWS[d][column + n]
+
+
+def _draw_symmetric(rng, num: int, den: int) -> Fraction:
+    """n/d with |n/d| <= num/den (num >= 0, den > 0): d = rng.randint(1, 8),
+    then n = rng.randint(-h, h) with h = min(floor(num * d / den), 12)."""
+    getrandbits = rng.getrandbits
+    d = getrandbits(_DENOMINATOR_BITS)
+    while d >= DENOMINATOR_BOUND:
+        d = getrandbits(_DENOMINATOR_BITS)
+    h = min(num * (d + 1) // den, RATIONAL_NUMERATOR_BOUND)
+    width = 2 * h + 1
+    bits = width.bit_length()
+    n = getrandbits(bits)
+    while n >= width:
+        n = getrandbits(bits)
+    return _DRAWS[d][RATIONAL_NUMERATOR_BOUND - h + n]
+
+
+def _draw_positive(rng) -> Fraction:
+    """n/d > 0: n = rng.randint(1, 12), then d = rng.randint(1, 8)."""
+    getrandbits = rng.getrandbits
+    column, width, bits = _POSITIVE
+    n = getrandbits(bits)
+    while n >= width:
+        n = getrandbits(bits)
+    d = getrandbits(_DENOMINATOR_BITS)
+    while d >= DENOMINATOR_BOUND:
+        d = getrandbits(_DENOMINATOR_BITS)
+    return _DRAWS[d][column + n]
 
 
 def _unit_interval():
@@ -126,14 +170,16 @@ def lozenge_algebra(sqrt_k: Fraction = F(1)) -> MobiAlgebra:
     if sqrt_k <= 0:
         raise ValueError("sqrt_k must be positive")
     k = sqrt_k * sqrt_k
+    kn, kd = sqrt_k.as_integer_ratio()
 
     def member(a):
         return sqrt_k * abs(a[1]) <= a[0] <= 1 - sqrt_k * abs(a[1])
 
     def draw(rng):
         a1 = _draw_unit(rng)
-        r = min(a1, 1 - a1) / sqrt_k
-        return (a1, _draw_between(rng, -r, r))
+        n, d = a1._numerator, a1._denominator
+        # |a2| <= min(a1, 1 - a1) / sqrt_k = min(n, d - n) * kd / (d * kn)
+        return (a1, _draw_symmetric(rng, min(n, d - n) * kd, d * kn))
 
     carrier = Restricted(Vector(Rational(), 2), member,
                          label=f"{sqrt_k}|a2| <= a1 <= 1 - {sqrt_k}|a2|",
@@ -244,11 +290,8 @@ def transported_space(lam="1", K="0,0,1", alpha: float = 1.0) -> MobiSpace:
 
 
 def halfplane_space(n: int = 1) -> MobiSpace:
-    def draw(rng):
-        head = tuple(_draw_fraction(rng) for _ in range(n))
-        return head + (_fraction(_randint(rng, 1, RATIONAL_NUMERATOR_BOUND),
-                                 _randint(rng, 1, DENOMINATOR_BOUND)),)
-
+    # one tuple display: n Rational draws, then the positive last coordinate
+    draw = _tuple_builder(n + 1)(*[_draw_rational] * n, _draw_positive)
     points = Restricted(Vector(Rational(), n + 1), lambda p: p[n] > 0, label="s > 0",
                         sampler=draw)
 

@@ -35,7 +35,7 @@ from .report import EvalError, Exhaustive, Sampled, all_passed, \
     report_to_text, reports_to_json
 from .ringmod import RModule, check_module, check_ring
 from .search import search_finite
-from .space import (PointedMobiSpace, check_affine, check_space,
+from .space import (MobiSpace, PointedMobiSpace, check_affine, check_space,
                     check_y_properties, trace_geodesic)
 
 # EvalError escapes a command only from building its input, such as an
@@ -87,6 +87,21 @@ def _suite(structure, args) -> list:
     return reports
 
 
+# each structure type as an error message names it
+_STRUCTURES = {MobiAlgebra: "an algebra", MobiSpace: "a space", RModule: "a module"}
+
+
+def _build(args, *types):
+    """The catalog entry args.name built with its --param values; ValueError
+    unless the built object is an instance of one of `types`."""
+    built = _catalog.build(args.name, _params(args))
+    if not isinstance(built, types):
+        kind = next(text for t, text in _STRUCTURES.items() if isinstance(built, t))
+        wanted = " or ".join(_STRUCTURES[t] for t in types)
+        raise ValueError(f"{args.name} is {kind}, not {wanted}")
+    return built
+
+
 def _params(args) -> dict:
     out = {}
     for item in getattr(args, "param", None) or []:
@@ -131,38 +146,27 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    entry = _catalog.get_entry(args.name)
-    params = _params(args)
     if args.direction == "space-to-module":
-        if entry.kind != "space":
-            raise ValueError(f"{args.name} is a {entry.kind}, not a space")
-        space = _catalog.build(args.name, params)
+        space = _build(args, MobiSpace)
         if args.origin is not None:
             origin = space.points.coerce(parse_value(args.origin))
         else:
-            origin = _catalog.default_origin(args.name, params)
+            origin = _catalog.default_origin(args.name, _params(args))
         built = space_to_module(PointedMobiSpace(space, origin))
     else:
-        if entry.kind != "module":
-            raise ValueError(f"{args.name} is a {entry.kind}, not a module")
-        built = module_to_space(_catalog.build(args.name, params)).space
+        built = module_to_space(_build(args, RModule)).space
     return _emit(_suite(built, args), args.report)
 
 
 def _cmd_roundtrip(args) -> int:
-    entry = _catalog.get_entry(args.name)
-    params = _params(args)
-    built = _catalog.build(args.name, params)
+    built = _build(args, MobiSpace, RModule)
     strategy = _strategy(args)
-    if entry.kind == "module":
+    if isinstance(built, RModule):
         report = roundtrip_module(built, strategy)
-    elif entry.kind == "space":
-        origin = _catalog.default_origin(args.name, params)
+    else:
+        origin = _catalog.default_origin(args.name, _params(args))
         report = roundtrip_space(PointedMobiSpace(built, origin),
                                  strategy=strategy)
-    else:
-        raise ValueError(f"{args.name} is an algebra; round-trips apply to "
-                         "spaces and modules")
     return _emit([report], args.report)
 
 
@@ -204,11 +208,7 @@ def _flatten_point(value) -> list:
 
 
 def _cmd_trace(args) -> int:
-    entry = _catalog.get_entry(args.name)
-    if entry.kind != "space":
-        raise ValueError(f"{args.name} is a {entry.kind}, not a space")
-    params = _params(args)
-    space = _catalog.build(args.name, params)
+    space = _build(args, MobiSpace)
     start = space.points.coerce(parse_value(args.src))
     end = space.points.coerce(parse_value(args.dst))
     if args.steps < 1:

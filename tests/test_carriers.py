@@ -1,5 +1,6 @@
 import collections
 import copy
+import decimal
 import math
 import operator
 import pickle
@@ -229,7 +230,7 @@ def _assert_same(got, want):
     assert error == ref_error
     if ref_error is not None:
         return
-    assert type(ref) in (bool, float, Fraction), ref
+    assert type(ref) in (bool, float, complex, Fraction), ref
     if type(ref) is Fraction:
         assert isinstance(value, Fraction)
         assert value.denominator > 0
@@ -244,10 +245,13 @@ def _assert_same(got, want):
 kernels = st.fractions(max_denominator=10 ** 6).map(_Fraction)
 operands = st.one_of(
     kernels, st.fractions(max_denominator=10 ** 6),
-    st.integers(-10 ** 12, 10 ** 12), st.just(0), st.just(_Fraction(0)),
+    st.integers(-10 ** 12, 10 ** 12), st.integers(-2 ** 200, 2 ** 200),
+    st.just(2 ** 64), st.just(-2 ** 64 - 1), st.just(0), st.just(_Fraction(0)),
     st.just(Fraction(0)), st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
-              max_value=1e300))
+              max_value=1e300),
+    st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e300),
+    st.decimals(-10 ** 12, 10 ** 12, allow_nan=False, allow_infinity=False))
 BINARY = (operator.add, operator.sub, operator.mul, operator.truediv,
           operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
           operator.ge)
@@ -283,6 +287,45 @@ def test_kernel_division_by_zero_raises_what_fraction_raises():
     assert error[0] is ZeroDivisionError
 
 
+def test_kernel_reflected_division_by_zero_raises_what_fraction_raises():
+    for other in (3, -1, 0, 2 ** 70, Fraction(3, 4), Fraction(0), True, 0.5, 1j):
+        _assert_same(_outcome(operator.truediv, other, _Fraction(0)),
+                     _outcome(operator.truediv, other, Fraction(0)))
+
+
+class _Reflected:
+    """An unknown type whose reflected operations report their name."""
+
+    def __radd__(self, other):
+        return ("radd", other)
+
+    def __rsub__(self, other):
+        return ("rsub", other)
+
+    def __rmul__(self, other):
+        return ("rmul", other)
+
+    def __rtruediv__(self, other):
+        return ("rtruediv", other)
+
+
+def test_kernel_defers_other_types_as_fraction_does():
+    probe = _Reflected()
+    cases = (lambda h: h + QI(1, 1), lambda h: QI(1, 1) - h, lambda h: h * QI(0, 2),
+             lambda h: QI(1, 1) / h, lambda h: h + object(), lambda h: object() - h,
+             lambda h: h < object(), lambda h: h / decimal.Decimal(2),
+             lambda h: 1j - h, lambda h: h >= 1j, lambda h: h + probe,
+             lambda h: h - probe, lambda h: h * probe, lambda h: h / probe,
+             lambda h: probe - h)
+    for case in cases:
+        (got, error), (want, ref_error) = (_outcome(case, _Fraction(1, 2)),
+                                           _outcome(case, Fraction(1, 2)))
+        assert error == ref_error
+        assert type(got) is type(want) and got == want and repr(got) == repr(want)
+    assert str(_outcome(lambda: _Fraction(1, 2) + object())[1][1]) == (
+        "unsupported operand type(s) for +: 'Fraction' and 'object'")
+
+
 def test_kernel_results_stay_on_the_kernel():
     k = _Fraction(3, 4)
     for value in (k + 1, 1 + k, k - Fraction(1, 3), Fraction(1, 3) - k, k * 2,
@@ -308,13 +351,14 @@ def _between(rng, lo, hi):
     return Fraction(rng.randint(max(math.ceil(lo * d), -12), min(math.floor(hi * d), 12)), d)
 
 
-def _lozenge(rng):
+def _lozenge(rng, sqrt_k=1):
     a1 = _between(rng, 0, 1)
-    return (a1, _between(rng, -min(a1, 1 - a1), min(a1, 1 - a1)))
+    r = min(a1, 1 - a1) / sqrt_k
+    return (a1, _between(rng, -r, r))
 
 
-def _halfplane(rng):
-    head = (Fraction(rng.randint(-12, 12), rng.randint(1, 8)),)
+def _halfplane(rng, n=1):
+    head = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 8)) for _ in range(n))
     return head + (Fraction(rng.randint(1, 12), rng.randint(1, 8)),)
 
 
@@ -365,6 +409,32 @@ def test_draws_reproduce_the_randint_stream(name):
             for v in got if isinstance(got, tuple) else (got,):
                 assert type(v) is _Fraction
         assert rng.random() == ref_rng.random(), (name, seed)
+
+
+CATALOG_SAMPLERS = {
+    **{f"lozenge sqrt_k={k}": (lambda k=k: build("lozenge-algebra", {"sqrt_k": k}).carrier,
+                               lambda rng, k=k: _lozenge(rng, Fraction(k)))
+       for k in ("1", "1/3", "1/2", "3/4", "2", "5/7", "9")},
+    **{f"half-plane n={n}": (lambda n=n: build("halfplane-space", n=n).points,
+                             lambda rng, n=n: _halfplane(rng, n))
+       for n in (1, 2, 3)},
+    "unit interval": (lambda: build("canonical-interval-algebra").carrier,
+                      lambda rng: _between(rng, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SAMPLERS))
+def test_catalog_samplers_reproduce_the_randint_stream(name):
+    """Each sampler, through its carrier, gives the values of its rng.randint
+    formula and leaves the RNG in the same state."""
+    carrier, reference = CATALOG_SAMPLERS[name]
+    draw = carrier().drawer()
+    for seed in range(100):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            got, want = draw(rng), reference(ref_rng)
+            assert got == want and all(type(v) is _Fraction for v in _flatten(got)), (name, seed)
+            assert rng.getstate() == ref_rng.getstate(), (name, seed)
 
 
 def _positive_by_rejection(rng):

@@ -159,6 +159,27 @@ def test_roundtrip_rejects_algebras(capsys):
     one_error_line(*run(capsys, "roundtrip", "zmod-algebra"))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("convert", "space-to-module", "rational-line-algebra"),
+     "error: rational-line-algebra is an algebra, not a space"),
+    (("convert", "space-to-module", "canonical-module"),
+     "error: canonical-module is a module, not a space"),
+    (("convert", "module-to-space", "canonical-space"),
+     "error: canonical-space is a space, not a module"),
+    (("roundtrip", "lozenge-algebra"),
+     "error: lozenge-algebra is an algebra, not a space or a module"),
+    (("trace", "canonical-module", "--from", "(1, 2)", "--to", "(2, 1)", "--steps", "2"),
+     "error: canonical-module is a module, not a space"),
+    (("trace", "zmod-algebra", "--from", "1", "--to", "2", "--steps", "2"),
+     "error: zmod-algebra is an algebra, not a space"),
+])
+def test_a_wrong_catalog_kind_exits_two(tmp_path, capsys, argv, message):
+    if argv[0] == "trace":
+        argv += ("--out", str(tmp_path / "x.csv"))
+    assert one_error_line(*run(capsys, *argv)) == message
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_search_prints_models(capsys):
     code, out, _ = run(capsys, "search", "--size", "3")
     assert code == 0
