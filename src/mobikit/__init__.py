@@ -18,10 +18,10 @@ from .dsl import (DslError, elaborate, load, parse, parse_value,
                   print_definitions)
 from .functors import (module_to_space, origin_scan, roundtrip_module,
                        roundtrip_space, space_to_module, transport_morphism)
-from .report import (CheckReport, EvalError, Exhaustive, Sampled,
-                     StrategyInfo, Witness, all_passed, check_equation,
-                     check_implication, check_predicate, law_seed,
-                     report_to_dict, report_to_text, reports_to_json)
+from .report import (CheckReport, EvalError, Exhaustive, Sampled, Witness,
+                     all_passed, check_equation, check_implication,
+                     check_predicate, law_seed, report_to_dict,
+                     report_to_text, reports_to_json)
 from .ringmod import (RingWithHalf, RModule, check_module, check_ring,
                       check_ring_commutativity)
 from .search import FiniteModel, search_finite
@@ -47,7 +47,7 @@ __all__ = [
     "MobiAlgebra", "MobiSpace", "ModularInt", "NoHalfError",
     "NotEnumerableError", "ParamSpec", "PointedMobiSpace", "Product", "QI",
     "RModule", "Rational", "Restricted", "RingWithHalf", "Sampled",
-    "SamplingExhausted", "ShapeError", "StrategyInfo", "TwoResult", "Vector",
+    "SamplingExhausted", "ShapeError", "TwoResult", "Vector",
     "Witness", "algebra_from_ring", "all_passed", "build", "check_affine",
     "check_algebra", "check_algebra_morphism", "check_commutativity_condition",
     "check_equation", "check_implication", "check_module", "check_predicate",

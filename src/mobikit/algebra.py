@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .carriers import Carrier, CarrierError, MembershipError, sample
-from .report import (CheckReport, Sampled, Witness, check_equation,
-                     check_implication, check_predicate, law_seed)
+from .carriers import Carrier, CarrierError, MembershipError
+from .report import (CheckReport, Sampled, Witness, assignments_for,
+                     check_equation, check_implication, check_predicate)
 from .ringmod import RingWithHalf
 
 
@@ -185,7 +185,8 @@ def solve_two(algebra: MobiAlgebra, strategy=Sampled()) -> TwoResult:
 
     Finite carriers are scanned exhaustively, so absence is proven and
     multiple solutions raise AmbiguousTwoError.  Infinite carriers honor a
-    declared value, else report absent-after-search.
+    declared value, else search the strategy's assignments of one slot and
+    report absent-after-search; Exhaustive raises NotEnumerableError there.
     """
     A = algebra
     c = A.carrier
@@ -204,9 +205,7 @@ def solve_two(algebra: MobiAlgebra, strategy=Sampled()) -> TwoResult:
         if hits:
             return TwoResult(hits[0], "found")
         return TwoResult(None, "proven-absent")
-    n = strategy.samples if isinstance(strategy, Sampled) else 500
-    seed = strategy.seed if isinstance(strategy, Sampled) else 0
-    for x in sample(c, law_seed(seed, "solve-two"), n):
+    for (x,) in assignments_for("solve-two", (c,), strategy):
         if is_two(x):
             return TwoResult(x, "found")
     return TwoResult(None, "absent-after-search")

@@ -242,44 +242,16 @@ _DRAWS = tuple(tuple(_make(n // _gcd(n, d), d // _gcd(n, d))
                for d in range(1, DENOMINATOR_BOUND + 1))
 
 
-def _fraction(n: int, d: int) -> _Fraction:
-    """n/d for 1 <= d <= DENOMINATOR_BOUND, from the table when |n| fits."""
-    if -RATIONAL_NUMERATOR_BOUND <= n <= RATIONAL_NUMERATOR_BOUND:
-        return _DRAWS[d - 1][n + RATIONAL_NUMERATOR_BOUND]
-    return _Fraction(n, d)
-
-
-def _randint(rng: random.Random, lo: int, hi: int) -> int:
-    """rng.randint(lo, hi): the same value and the same RNG state afterwards.
-
-    This is random.Random's getrandbits rejection loop (_randbelow) without
-    the randint -> randrange -> _randbelow calls and argument checks.
-    """
-    width = hi - lo + 1
-    if width < 1:
-        return rng.randint(lo, hi)  # raises randint's own ValueError
-    k = width.bit_length()
-    getrandbits = rng.getrandbits
-    r = getrandbits(k)
-    while r >= width:
-        r = getrandbits(k)
-    return lo + r
-
-
-def _draw_fraction(rng: random.Random, bound: int = RATIONAL_NUMERATOR_BOUND) -> Fraction:
-    """_fraction(rng.randint(-bound, bound), rng.randint(1, DENOMINATOR_BOUND))."""
-    return _fraction(_randint(rng, -bound, bound), _randint(rng, 1, DENOMINATOR_BOUND))
-
-
 _NUMERATOR_WIDTH = 2 * RATIONAL_NUMERATOR_BOUND + 1
 _NUMERATOR_BITS = _NUMERATOR_WIDTH.bit_length()
 _DENOMINATOR_BITS = DENOMINATOR_BOUND.bit_length()
 
 
 def _draw_rational(rng: random.Random) -> _Fraction:
-    """Rational's draw function: _draw_fraction(rng) with both _randint loops
-    inlined (the same getrandbits calls in the same order) and the value read
-    from _DRAWS, whose rows and columns are the two loops' results."""
+    """Rational's draw function: Fraction(rng.randint(-B, B), rng.randint(1,
+    D)) for B = RATIONAL_NUMERATOR_BOUND and D = DENOMINATOR_BOUND, with both
+    randint loops inlined (the same getrandbits calls in the same order) and
+    the value read from _DRAWS, whose rows and columns are the loops' results."""
     getrandbits = rng.getrandbits
     n = getrandbits(_NUMERATOR_BITS)
     while n >= _NUMERATOR_WIDTH:
@@ -361,9 +333,6 @@ class QI:
         for _ in range(n):
             out = out * self
         return out
-
-    def conjugate(self) -> "QI":
-        return _qi(self.re, -self.im)
 
     def __eq__(self, other):
         if type(other) is QI:
@@ -490,8 +459,9 @@ class _BuiltDraw(Carrier):
 
 
 def _draw_gaussian(rng: random.Random) -> QI:
-    """GaussianRational's draw function: QI(_draw_fraction(rng),
-    _draw_fraction(rng)), the real part drawn first."""
+    """GaussianRational's draw function: QI(re, im), each part drawn as a
+    Rational's Fraction(rng.randint(-B, B), rng.randint(1, D)) (see
+    _draw_rational), the real part first."""
     z = _new(QI)
     _set_re(z, _draw_rational(rng))
     _set_im(z, _draw_rational(rng))
@@ -624,8 +594,10 @@ class Float64(_BuiltDraw):
         k = width.bit_length()
 
         def draw(rng):
-            # float(_draw_fraction(rng, span)): n / d is correctly rounded,
-            # as Fraction.__float__ is, so reducing n/d first changes nothing
+            # float(Fraction(rng.randint(-span, span),
+            #                rng.randint(1, DENOMINATOR_BOUND))):
+            # n / d is correctly rounded, as Fraction.__float__ is, so
+            # reducing n/d first changes nothing
             getrandbits = rng.getrandbits
             n = getrandbits(k)
             while n >= width:

@@ -495,7 +495,7 @@ def tri_module() -> RModule:
 # the catalog itself
 
 def _zeros(params):
-    return (F(0),) * (params.get("n", 1) + 1)
+    return (F(0),) * (params["n"] + 1)
 
 
 _ENTRIES = [
@@ -522,7 +522,7 @@ _ENTRIES = [
     CatalogEntry("canonical-space", "space", canonical_space,
                  (ParamSpec("n", "int", 1, "dimension"),),
                  note="Q^n with straight-line interpolation x + a(y-x)",
-                 origin=lambda ps: (F(0),) * ps.get("n", 1)),
+                 origin=lambda ps: (F(0),) * ps["n"]),
     CatalogEntry("projectile-space", "space", projectile_space,
                  (ParamSpec("n", "int", 1, "spatial dimension"),
                   ParamSpec("k", "fractions", (F(1),), "quadratic coefficient(s)")),
@@ -534,20 +534,20 @@ _ENTRIES = [
                   ParamSpec("alpha", "float", 1.0, "damping rate")),
                  note="float pairs (x, s) with exponential damping factors; the one "
                       "Float64 instance, tolerance 1e-9",
-                 origin=lambda ps: (0.0,) * (ps.get("n", 1) + 1)),
+                 origin=lambda ps: (0.0,) * (ps["n"] + 1)),
     CatalogEntry("transported-space", "space", transported_space,
                  (ParamSpec("lam", "str", "1", "poly coefficients, or 'exp'"),
                   ParamSpec("K", "str", "0,0,1", "poly coefficients"),
                   ParamSpec("alpha", "float", 1.0, "rate when lam='exp'")),
                  note="canonical pairs pushed through F(x,s) = (lam(s)x - K(s), s); "
                       "defaults reproduce the projectile space with k=1",
-                 origin=lambda ps: ((0.0, 0.0) if ps.get("lam") == "exp"
+                 origin=lambda ps: ((0.0, 0.0) if ps["lam"] == "exp"
                                     else (F(0), F(0)))),
     CatalogEntry("halfplane-space", "space", halfplane_space,
                  (ParamSpec("n", "int", 1, "spatial dimension"),),
                  note="pairs (x, s) with s > 0, scalars in [0,1]; interpolation "
                       "weighted by at/(s + a(t-s))",
-                 origin=lambda ps: (F(0),) * ps.get("n", 1) + (F(1),)),
+                 origin=lambda ps: (F(0),) * ps["n"] + (F(1),)),
     CatalogEntry("lozenge-space", "space", lozenge_space,
                  (ParamSpec("sqrt_k", "fraction", F(1), "positive square root of k"),
                   ParamSpec("sign", "str", "plus", "'plus' or 'minus' branch")),
@@ -566,8 +566,8 @@ _ENTRIES = [
                  (ParamSpec("n", "int", 1, "complex dimension"),),
                  note="Gaussian-rational pairs (z, s); satisfies the space laws but "
                       "fails the affine condition (known witness built in)",
-                 origin=lambda ps: ((QI(0), F(0)) if ps.get("n", 1) == 1
-                                    else ((QI(0),) * ps.get("n", 1), F(0)))),
+                 origin=lambda ps: ((QI(0), F(0)) if ps["n"] == 1
+                                    else ((QI(0),) * ps["n"], F(0)))),
     CatalogEntry("nonaffine-poly-space", "space", nonaffine_poly_space,
                  (ParamSpec("n", "int", 1, "spatial dimension"),),
                  note="rational pairs with a cubic-rational interpolation weight; "

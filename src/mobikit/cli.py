@@ -44,7 +44,7 @@ _CONFIG_ERRORS = (CarrierError, ValueError, KeyError, OSError, EvalError)
 
 
 def _strategy(args):
-    if getattr(args, "exhaustive", False):
+    if args.exhaustive:
         return Exhaustive()
     return Sampled(samples=args.samples, seed=args.seed)
 
@@ -73,16 +73,15 @@ def _suite(structure, args) -> list:
     if isinstance(structure, RModule):
         return (_prefixed("ring", check_ring(structure.ring, strategy))
                 + _prefixed("module", check_module(structure, strategy)))
-    properties = getattr(args, "properties", False)
     if isinstance(structure, MobiAlgebra):
         reports = check_algebra(structure, strategy)
-        if properties:
+        if args.properties:
             reports += check_properties(structure, strategy)
         return reports
     reports = check_space(structure, strategy)
-    if getattr(args, "affine", False):
+    if args.affine:
         reports.append(check_affine(structure, strategy))
-    if properties:
+    if args.properties:
         reports += check_y_properties(structure, strategy)
     return reports
 
@@ -104,7 +103,7 @@ def _build(args, *types):
 
 def _params(args) -> dict:
     out = {}
-    for item in getattr(args, "param", None) or []:
+    for item in args.param or []:
         if "=" not in item:
             raise ValueError(f"--param wants NAME=VALUE, got {item!r}")
         key, _, value = item.partition("=")

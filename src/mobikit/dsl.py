@@ -21,8 +21,8 @@ raised to a power, joined with `x`, with an optional `where` constraint over
 the components (named v for a single scalar, v1..vk otherwise).  The names
 `i` and `exp` are reserved: `i` needs a QI atom in the carrier, `exp(...)`
 an R64 atom and a real argument.  A QI value has no order, so it may only be
-compared with `=`.  A space's `over` names an algebra defined earlier in the
-file or a catalog algebra.
+compared with `=`.  A space's `over` names an algebra defined anywhere in
+the file, before or after the space, or a catalog algebra.
 
 Elaboration checks each expression and compiles it in the same walk, once,
 into nested closures over the operation's arguments; evaluating p, q or a
@@ -243,8 +243,9 @@ class _Parser:
         self.toks = toks
         self.idx = 0
 
-    def peek(self, ahead=0) -> Token:
-        return self.toks[min(self.idx + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        # next() never steps past the final eof token
+        return self.toks[self.idx]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -1,10 +1,14 @@
 """Law-checking engine: strategies, witnesses, and CheckReport.
 
 Every law check (equation, predicate or implication) runs through one loop,
-`_check`, which walks assignments either exhaustively (finite carriers only)
-or over seeded samples, and returns a CheckReport whose witness, when present,
-re-evaluates to unequal sides.  A ZeroDivisionError or EvalError raised while
-evaluating a law becomes an `<error: ...>` witness.
+`_check`, which walks the assignments its strategy gives and returns a
+CheckReport whose witness, when present, re-evaluates to unequal sides.  A
+ZeroDivisionError or EvalError raised while evaluating a law becomes an
+`<error: ...>` witness.
+
+A strategy answers for itself: `assignments(law, slots, construct)` gives
+the assignments it walks, `label()` is its text in a report line and
+`to_dict()` its JSON form.
 """
 
 from __future__ import annotations
@@ -27,10 +31,21 @@ class EvalError(Exception):
 class Exhaustive:
     """Walk every assignment; requires finite carriers."""
 
+    def assignments(self, law: str, slots: tuple, construct=None) -> Iterable[tuple]:
+        # the walk already holds every constructed copy
+        return product(*(c.elements() for c in slots))
+
+    def label(self) -> str:
+        return "exhaustive"
+
+    def to_dict(self) -> dict:
+        return {"kind": "exhaustive", "samples": None, "seed": None}
+
 
 @dataclass(frozen=True)
 class Sampled:
-    """Walk `samples` seeded assignments per law."""
+    """Walk `samples` seeded assignments per law, and for an implication
+    their constructed copies after them."""
 
     samples: int = 500
     seed: int = 0
@@ -40,12 +55,17 @@ class Sampled:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 
+    def assignments(self, law: str, slots: tuple, construct=None) -> list:
+        drawn = sample(Product(tuple(slots)), law_seed(self.seed, law), self.samples)
+        if construct is not None:
+            drawn += [construct(a) for a in drawn]
+        return drawn
 
-@dataclass(frozen=True)
-class StrategyInfo:
-    kind: str  # "exhaustive" | "sampled"
-    samples: int | None = None
-    seed: int | None = None
+    def label(self) -> str:
+        return f"sampled(n={self.samples}, seed={self.seed})"
+
+    def to_dict(self) -> dict:
+        return {"kind": "sampled", "samples": self.samples, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -59,7 +79,7 @@ class Witness:
 @dataclass(frozen=True)
 class CheckReport:
     law: str
-    strategy: StrategyInfo
+    strategy: object  # the strategy that ran; Exhaustive() for a law with no variables
     verdict: str  # "pass" | "fail"
     witness: Witness | None = None
 
@@ -74,57 +94,43 @@ def law_seed(seed: int, law: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _strategy_info(strategy, n_slots: int) -> StrategyInfo:
-    if n_slots == 0 or isinstance(strategy, Exhaustive):
-        return StrategyInfo("exhaustive")
-    return StrategyInfo("sampled", strategy.samples, strategy.seed)
+def assignments_for(law: str, slots: tuple, strategy,
+                    construct: Callable | None = None) -> Iterable[tuple]:
+    """Assignment tuples for a law quantified over the given carriers, with
+    the constructed copies, if any, that the strategy walks."""
+    return strategy.assignments(law, slots, construct)
 
 
-def assignments_for(law: str, slots: tuple, strategy) -> Iterable[tuple]:
-    """Assignment tuples for a law quantified over the given carriers."""
-    if not slots:
-        return [()]
-    if isinstance(strategy, Exhaustive):
-        return product(*(c.elements() for c in slots))
-    if isinstance(strategy, Sampled):
-        prod = Product(tuple(slots))
-        return sample(prod, law_seed(strategy.seed, law), strategy.samples)
-    raise TypeError(f"unknown strategy {strategy!r}")
-
-
-def _failure(law, info, names, assignment, left, right, difference=None) -> CheckReport:
-    return CheckReport(law, info, "fail",
+def _failure(law, strategy, names, assignment, left, right, difference=None) -> CheckReport:
+    return CheckReport(law, strategy, "fail",
                        Witness(dict(zip(names, assignment)), left, right, difference))
 
 
 def _check(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
            rhs: Callable, strategy, premise: Callable | None = None,
            construct: Callable | None = None, probes: tuple = ()) -> CheckReport:
-    """The one assignment loop: probes, then the strategy's assignments, then
-    (sampled only) their constructed copies.  Assignments whose premise fails
-    are skipped; the first one whose sides differ, or whose evaluation raises,
-    is the witness.  A raise shows on the side that raised: the premise's and
-    lhs's on the left, rhs's on the right beside the left side's value."""
-    info = _strategy_info(strategy, len(slots))
-    assignments = assignments_for(law, slots, strategy)
-    if construct is not None and not isinstance(strategy, Exhaustive):
-        assignments = list(assignments)
-        assignments += [construct(a) for a in assignments]
-    for assignment in chain(probes, assignments):
+    """The one assignment loop: probes, then the strategy's assignments.
+    Assignments whose premise fails are skipped; the first one whose sides
+    differ, or whose evaluation raises, is the witness.  A raise shows on the
+    side that raised: the premise's and lhs's on the left, rhs's on the right
+    beside the left side's value."""
+    if not slots:
+        strategy = Exhaustive()  # one assignment, the empty one
+    for assignment in chain(probes, assignments_for(law, slots, strategy, construct)):
         try:
             if premise is not None and not premise(*assignment):
                 continue
             left = lhs(*assignment)
         except (ZeroDivisionError, EvalError) as exc:
-            return _failure(law, info, names, assignment, f"<error: {exc}>", None)
+            return _failure(law, strategy, names, assignment, f"<error: {exc}>", None)
         try:
             right = rhs(*assignment)
         except (ZeroDivisionError, EvalError) as exc:
-            return _failure(law, info, names, assignment, left, f"<error: {exc}>")
+            return _failure(law, strategy, names, assignment, left, f"<error: {exc}>")
         if not eq(left, right):
-            return _failure(law, info, names, assignment, left, right,
+            return _failure(law, strategy, names, assignment, left, right,
                             try_subtract(left, right))
-    return CheckReport(law, info, "pass")
+    return CheckReport(law, strategy, "pass")
 
 
 def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
@@ -147,8 +153,8 @@ def check_implication(law: str, names: tuple, slots: tuple, premise: Callable,
     """Check premise(...) => lhs(...) == rhs(...).
 
     Sampled runs rarely hit the premise by chance, so `construct` (mapping an
-    assignment to one that satisfies the premise) is applied to a second pass
-    of the same assignments to keep the check non-vacuous.
+    assignment to one that satisfies the premise) lets Sampled walk a second
+    pass, the constructed copies of its draws, to keep the check non-vacuous.
     """
     return _check(law, names, slots, eq, lhs, rhs, strategy, premise=premise,
                   construct=construct)
@@ -185,9 +191,6 @@ def render_inline(v) -> str:
 
 
 def report_to_dict(report: CheckReport) -> dict:
-    strategy = {"kind": report.strategy.kind,
-                "samples": report.strategy.samples,
-                "seed": report.strategy.seed}
     witness = None
     if report.witness is not None:
         witness = {"inputs": {k: render_value(v) for k, v in report.witness.inputs.items()},
@@ -195,7 +198,7 @@ def report_to_dict(report: CheckReport) -> dict:
                    "rhs": render_value(report.witness.rhs)}
         if report.witness.difference is not None:
             witness["difference"] = render_value(report.witness.difference)
-    return {"law": report.law, "strategy": strategy,
+    return {"law": report.law, "strategy": report.strategy.to_dict(),
             "verdict": report.verdict, "witness": witness}
 
 
@@ -204,9 +207,7 @@ def reports_to_json(reports: Iterable[CheckReport]) -> str:
 
 
 def report_to_text(report: CheckReport) -> str:
-    s = report.strategy
-    strat = "exhaustive" if s.kind == "exhaustive" else f"sampled(n={s.samples}, seed={s.seed})"
-    line = f"{'PASS' if report.passed else 'FAIL'} {report.law} [{strat}]"
+    line = f"{'PASS' if report.passed else 'FAIL'} {report.law} [{report.strategy.label()}]"
     if report.witness is not None:
         w = report.witness
         inputs = ", ".join(f"{k}={render_inline(v)}" for k, v in w.inputs.items())

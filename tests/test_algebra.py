@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,8 +9,10 @@ from mobikit import (AmbiguousTwoError, Exhaustive, MobiAlgebra, ModularInt,
                      algebra_from_ring, all_passed, build, check_algebra,
                      check_algebra_morphism, check_commutativity_condition,
                      check_properties, circ, complement, eval_derived, eval_p,
-                     oplus, product, ring_from_algebra, solve_two)
-from mobikit.carriers import MembershipError
+                     oplus, product, ring_from_algebra, sample, solve_two)
+from mobikit import algebra as algebra_module
+from mobikit.carriers import MembershipError, NotEnumerableError
+from mobikit.report import assignments_for, law_seed
 
 rationals = st.fractions(max_denominator=30)
 
@@ -112,6 +115,47 @@ def test_solve_two_absent_on_the_interval():
     result = solve_two(build("canonical-interval-algebra"))
     assert not result.exists
     assert result.status == "absent-after-search"
+
+
+def _sampled_two(alg, samples, seed):
+    """The first doubler among `samples` draws of the carrier itself at the
+    per-law seed of "solve-two", as (value, status)."""
+    for x in sample(alg.carrier, law_seed(seed, "solve-two"), samples):
+        if alg.carrier.eq(alg.p(alg.zero, alg.half, x), alg.one):
+            return x, "found"
+    return None, "absent-after-search"
+
+
+@pytest.mark.parametrize("name", ["rational-line-algebra",
+                                  "canonical-interval-algebra"])
+def test_solve_two_draws_the_sampled_stream_through_assignments_for(name, monkeypatch):
+    alg = replace(build(name), two=None)
+    calls = []
+
+    def recording(law, slots, strategy, construct=None):
+        calls.append((law, slots, strategy))
+        return assignments_for(law, slots, strategy, construct)
+
+    monkeypatch.setattr(algebra_module, "assignments_for", recording)
+    runs = [(1, 0), (1, 5), (5, 3), (40, 7), (500, 0), (500, 11)]
+    statuses = set()
+    for samples, seed in runs:
+        result = solve_two(alg, Sampled(samples, seed))
+        assert (result.value, result.status) == _sampled_two(alg, samples, seed)
+        statuses.add(result.status)
+    assert calls == [("solve-two", (alg.carrier,), Sampled(n, s)) for n, s in runs]
+    # the line's doubler is 2: the small runs miss it and the large ones find it
+    want = ({"found", "absent-after-search"} if name == "rational-line-algebra"
+            else {"absent-after-search"})
+    assert statuses == want
+
+
+def test_solve_two_exhaustive_on_an_infinite_carrier_is_not_enumerable():
+    undeclared = replace(line(), two=None)
+    with pytest.raises(NotEnumerableError):
+        solve_two(undeclared, Exhaustive())
+    # a declared doubler needs no search
+    assert solve_two(line(), Exhaustive()).status == "declared"
 
 
 def test_solve_two_rejects_bad_declaration():

@@ -15,8 +15,7 @@ from mobikit import (Exhaustive, Float64, GaussianRational, MobiAlgebra,
                      Restricted, Sampled, SamplingExhausted, Vector, build,
                      check_algebra, enumerate_elements, eq, sample, tolerance,
                      try_subtract)
-from mobikit.carriers import (DENOMINATOR_BOUND, SCALAR, ShapeError,
-                              _draw_fraction, _Fraction)
+from mobikit.carriers import DENOMINATOR_BOUND, SCALAR, ShapeError, _Fraction
 from mobikit.catalog import _draw_unit
 from mobikit.report import assignments_for
 
@@ -379,14 +378,6 @@ NESTED = Product((Rational(), Product((Vector(Rational(), 2), Rational()))))
 
 
 DRAW_PAIRS = {
-    "bound 12": (lambda rng: _draw_fraction(rng, 12),
-                 lambda rng: Fraction(rng.randint(-12, 12), rng.randint(1, 8))),
-    "bound 8": (lambda rng: _draw_fraction(rng, 8),
-                lambda rng: Fraction(rng.randint(-8, 8), rng.randint(1, 8))),
-    "bound 2": (lambda rng: _draw_fraction(rng, 2),
-                lambda rng: Fraction(rng.randint(-2, 2), rng.randint(1, 8))),
-    "bound 20": (lambda rng: _draw_fraction(rng, 20),  # partly outside the table
-                 lambda rng: Fraction(rng.randint(-20, 20), rng.randint(1, 8))),
     "unit": (_draw_unit, lambda rng: _between(rng, 0, 1)),
     "lozenge": (build("lozenge-algebra").carrier.sampler, _lozenge),
     "half-plane": (build("halfplane-space").points.sampler, _halfplane),
@@ -469,6 +460,7 @@ def _assert_kernel_types(v):
 
 MIXED_DRAW_PAIRS = {
     "Float64 span 2": (Float64(span=2).draw, lambda rng: float(_randint_fraction(rng, 2))),
+    "Float64 span 8": (Float64(span=8).draw, lambda rng: float(_randint_fraction(rng, 8))),
     "Float64 span 20": (Float64(span=20).draw, lambda rng: float(_randint_fraction(rng, 20))),
     "5-slot Product": (MIXED.draw, _mixed),
 }

@@ -69,11 +69,18 @@ def test_affine_split_matches_the_design():
 
 
 def test_space_entries_have_member_origins():
+    # defaults, and the parameters that change an origin's shape: the origin
+    # reads them after coerce_params fills in the defaults
     for entry in list_catalog():
         if entry.kind != "space":
             continue
-        origin = default_origin(entry.name)
-        assert build(entry.name).points.contains(origin), entry.name
+        names = {spec.name for spec in entry.params}
+        variants = [{}] + [{"n": n} for n in (2, 3) if "n" in names]
+        if entry.name == "transported-space":
+            variants.append({"lam": "exp"})
+        for params in variants:
+            origin = default_origin(entry.name, params)
+            assert build(entry.name, params).points.contains(origin), (entry.name, params)
 
 
 def test_unknown_name_lists_alternatives():

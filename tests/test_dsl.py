@@ -85,6 +85,23 @@ def test_vector_where_clause_names_components():
     assert points.contains((F(2), F(1))) and not points.contains((F(1), F(2)))
 
 
+def test_a_space_may_name_an_algebra_defined_after_it():
+    defs = load(
+        "space slide over line {\n"
+        "  carrier: Q\n"
+        "  q(x, a, y) = x + a*(y - x)\n"
+        "}\n"
+        "algebra line {\n"
+        "  carrier: Q\n"
+        "  zero: 0\n"
+        "  half: 1/2\n"
+        "  one: 1\n"
+        "  p(a, b, c) = a + b*(c - a)\n"
+        "}\n")
+    assert list(defs) == ["slide", "line"]
+    assert defs["slide"].algebra is defs["line"]
+
+
 def test_reserved_names_require_their_carriers():
     defs = load(
         "algebra gauss {\n"

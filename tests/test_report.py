@@ -1,6 +1,7 @@
 """Edge cases of the law loop behind check_equation, check_predicate and
 check_implication."""
 
+import json
 import operator
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ import pytest
 
 from mobikit import (EvalError, Exhaustive, ModularInt, Rational, Sampled,
                      check_equation, check_implication, check_predicate,
-                     report_to_text)
+                     report_to_text, reports_to_json)
 from mobikit.report import assignments_for
 
 Z5 = ModularInt(5)
@@ -92,3 +93,58 @@ def test_a_premise_met_only_by_constructed_copies_still_fails():
     y = drawn[0][1]
     assert report.witness.inputs == {"x": y + 1000, "y": y}
     assert report.witness.difference == 1000
+
+
+class Listed:
+    """A strategy known only to this test: a fixed list of assignments,
+    then the constructed copies of those that the premise could use."""
+
+    def __init__(self, assignments):
+        self.given = list(assignments)
+
+    def assignments(self, law, slots, construct=None):
+        if construct is None:
+            return list(self.given)
+        return self.given + [construct(a) for a in self.given]
+
+    def label(self):
+        return f"listed(n={len(self.given)})"
+
+    def to_dict(self):
+        return {"kind": "listed", "samples": len(self.given), "seed": None}
+
+
+def test_a_strategy_defined_outside_the_library_runs_the_law_loop():
+    names, slots = ("a", "b"), (Rational(), Rational())
+    strategy = Listed([(F(1), F(2)), (F(3), F(3)), (F(5), F(1))])
+    # a + b == a * b fails first at (1, 2); (3, 3) is never reached
+    equation = check_equation("sum-is-product", names, slots, operator.eq,
+                              lambda a, b: a + b, lambda a, b: a * b, strategy)
+    assert equation.strategy is strategy
+    assert equation.witness.inputs == {"a": 1, "b": 2}
+    # the premise a == b + 10 holds only on the constructed copies
+    implication = check_implication("shifted", names, slots,
+                                    lambda a, b: a == b + 10, operator.eq,
+                                    lambda a, b: a, lambda a, b: b, strategy,
+                                    construct=lambda t: (t[1] + 10, t[1]))
+    assert implication.witness.inputs == {"a": 12, "b": 2}
+    passing = check_equation("commutes", names, slots, operator.eq,
+                             lambda a, b: a + b, lambda a, b: b + a, strategy)
+    assert passing.passed and passing.strategy is strategy
+    assert report_to_text(passing) == "PASS commutes [listed(n=3)]"
+    assert report_to_text(equation).startswith(
+        "FAIL sum-is-product [listed(n=3)] witness: a=1, b=2 | lhs=3 rhs=2")
+    rendered = json.loads(reports_to_json([equation, implication, passing]))
+    assert [r["strategy"] for r in rendered] == [
+        {"kind": "listed", "samples": 3, "seed": None}] * 3
+    assert [r["verdict"] for r in rendered] == ["fail", "fail", "pass"]
+
+
+def test_a_law_with_no_variables_reports_exhaustive_under_any_strategy():
+    for strategy in (Sampled(20, 3), Listed([]), Exhaustive()):
+        report = check_equation("constant", (), (), operator.eq,
+                                lambda: 1, lambda: 1, strategy)
+        assert report.passed and report.strategy == Exhaustive()
+        assert report_to_text(report) == "PASS constant [exhaustive]"
+        assert json.loads(reports_to_json([report]))[0]["strategy"] == {
+            "kind": "exhaustive", "samples": None, "seed": None}

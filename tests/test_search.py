@@ -7,7 +7,6 @@ from mobikit import (CheckReport, Exhaustive, FiniteModel, all_passed, build,
                      check_algebra, check_ring, ring_from_algebra, run_cli,
                      search_finite)
 from mobikit import search
-from mobikit.report import StrategyInfo
 from mobikit.search import (MAX_SIZE, _canonical_key, _Instances,
                             _model_from_key, _Placement)
 
@@ -136,7 +135,7 @@ def test_each_new_canonical_model_is_verified_once(monkeypatch):
 
 
 def test_a_model_the_verifier_rejects_is_not_reported(monkeypatch):
-    failed = CheckReport("A7", StrategyInfo("exhaustive"), "fail")
+    failed = CheckReport("A7", Exhaustive(), "fail")
     monkeypatch.setattr(search, "check_algebra", lambda algebra, strategy: [failed])
     assert search_finite(3) == []
 
