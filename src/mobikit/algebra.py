@@ -211,20 +211,18 @@ def solve_two(algebra: MobiAlgebra, strategy=Sampled()) -> TwoResult:
     return TwoResult(None, "absent-after-search")
 
 
-def _resolve_two(algebra: MobiAlgebra, two):
-    if two is not None:
-        return two
+def _resolve_two(algebra: MobiAlgebra):
     result = solve_two(algebra)
     if result.value is None:
         raise CarrierError(
             f"algebra {algebra.name or algebra.carrier.describe()} has no doubler "
-            f"({result.status}); pass one explicitly")
+            f"({result.status}); declare one with dataclasses.replace(algebra, two=...)")
     return result.value
 
 
 def ring_from_algebra(algebra: MobiAlgebra, two=None) -> RingWithHalf:
     """The ring with a + b = p(0, 2, p(a,1/2,b)) and a * b = p(0, a, b)."""
-    t = _resolve_two(algebra, two)
+    t = _resolve_two(algebra) if two is None else two
     p = algebra.p
     zero, half = algebra.zero, algebra.half
     return RingWithHalf(

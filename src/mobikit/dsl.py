@@ -40,6 +40,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import MobiAlgebra
 from .carriers import (COMPLEX, SCALAR, Float64, GaussianRational,
@@ -51,7 +52,12 @@ _KEYWORDS = {"algebra", "space", "over", "carrier", "zero", "half", "one",
              "param", "where", "and"}
 _BASES = {"Q", "QI", "R64", "Zmod"}
 _RESERVED = {"i", "exp"}
-_RELOPS = ("<=", ">=", "<", ">", "=")
+_RELATIONS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
+# Binding strength, shared by the parser and the printer: ^ binds tightest,
+# then unary -, then * /, then + -.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_UNARY = 3
 
 
 class DslError(Exception):
@@ -69,48 +75,34 @@ class DslError(Exception):
 # ---------------------------------------------------------------------------
 # tokens
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "int" | "punct" | "eof"
     text: str
     line: int
     col: int
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|<=|>=|[{}(),:=^+\-*/<>]")
-_SPACE_RE = re.compile(r"[ \t\r\n]+")
+# The matching group names the token kind; "space" is skipped.
+_TOKEN_RE = re.compile(r"(?P<space>[ \t\r\n]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                       r"|(?P<int>\d+)|(?P<punct><=|>=|[{}(),:=^+\-*/<>])")
 
 
 def _lex(text: str) -> list:
     toks = []
-    pos, line, col = 0, 1, 1
+    pos, line, line_start = 0, 1, 0
     while pos < len(text):
-        m = _SPACE_RE.match(text, pos)
-        if m:
-            chunk = m.group()
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                col = len(chunk) - chunk.rfind("\n")
-            else:
-                col += len(chunk)
-            pos = m.end()
-            continue
         m = _TOKEN_RE.match(text, pos)
-        if not m:
+        col = pos - line_start + 1
+        if m is None:
             raise DslError("lexical", line, col,
                            f"unexpected character {text[pos]!r}")
-        word = m.group()
-        if word[0].isalpha() or word[0] == "_":
-            kind = "name"
-        elif word[0].isdigit():
-            kind = "int"
+        if m.lastgroup == "space":
+            line += m.group().count("\n")
+            line_start = max(line_start, text.rfind("\n", pos, m.end()) + 1)
         else:
-            kind = "punct"
-        toks.append(Token(kind, word, line, col))
-        col += len(word)
+            toks.append(Token(m.lastgroup, m.group(), line, col))
         pos = m.end()
-    toks.append(Token("eof", "", line, col))
+    toks.append(Token("eof", "", line, pos - line_start + 1))
     return toks
 
 
@@ -118,72 +110,62 @@ def _lex(text: str) -> list:
 # syntax trees
 
 @dataclass
-class Num:
+class _Node:
+    """A node that remembers where its source begins; positions do not take
+    part in equality, so a reparsed tree equals the original."""
+    line: int = field(default=0, kw_only=True, compare=False)
+    col: int = field(default=0, kw_only=True, compare=False)
+
+
+@dataclass
+class Num(_Node):
     value: int
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class Name:
+class Name(_Node):
     text: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class Unary:
+class Unary(_Node):
     operand: object
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class Bin:
+class Bin(_Node):
     op: str
     left: object
     right: object
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class Call:
+class Call(_Node):
     fn: str
     arg: object
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class Tup:
+class Tup(_Node):
     items: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class Compare:
+class Compare(_Node):
     items: tuple  # n expressions
     ops: tuple  # n-1 relational operators
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class And:
+class And(_Node):
     parts: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class CarrierAtom:
+class CarrierAtom(_Node):
     base: str  # "Q" | "QI" | "R64" | "Zmod"
     modulus: int | None
     power: int
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -193,37 +175,31 @@ class CarrierType:
 
 
 @dataclass
-class ParamDef:
+class ParamDef(_Node):
     name: str
     atom: CarrierAtom
     value: Fraction
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class OpDef:
+class OpDef(_Node):
     name: str
     patterns: tuple  # nested tuples of str
     body: object
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class AlgebraDef:
+class AlgebraDef(_Node):
     name: str
     carrier: CarrierType
     zero: object
     half: object
     one: object
     op: OpDef
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
 
 
 @dataclass
-class SpaceDef:
+class SpaceDef(_Node):
     name: str
     over: str
     carrier: CarrierType
@@ -231,12 +207,18 @@ class SpaceDef:
     op: OpDef
     over_line: int = field(default=0, compare=False)
     over_col: int = field(default=0, compare=False)
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+
+
+def _error(kind: str, at, msg: str) -> DslError:
+    """A DslError at the position of a token or a node."""
+    return DslError(kind, at.line, at.col, msg)
 
 
 # ---------------------------------------------------------------------------
 # parser
+#
+# A token is matched by its text alone: the eof token's text is empty, and no
+# name or integer is spelled like an operator.
 
 class _Parser:
     def __init__(self, toks):
@@ -244,36 +226,40 @@ class _Parser:
         self.idx = 0
 
     def peek(self) -> Token:
-        # next() never steps past the final eof token
         return self.toks[self.idx]
 
     def next(self) -> Token:
         tok = self.peek()
-        if tok.kind != "eof":
+        if tok.kind != "eof":  # never step past the final eof token
             self.idx += 1
         return tok
 
     def fail(self, tok: Token, msg: str):
         got = f"{tok.text!r}" if tok.kind != "eof" else "end of input"
-        raise DslError("syntax", tok.line, tok.col, f"{msg}, got {got}")
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            self.fail(tok, f"expected {text!r}")
-        return self.next()
+        raise _error("syntax", tok, f"{msg}, got {got}")
 
     def accept(self, text: str) -> bool:
-        if self.peek().text == text and self.peek().kind != "eof":
-            self.next()
+        if self.peek().text == text:
+            self.idx += 1
             return True
         return False
 
-    def expect_name(self, what="a name") -> Token:
-        tok = self.peek()
+    def expect(self, text: str):
+        tok = self.next()
+        if tok.text != text:
+            self.fail(tok, f"expected {text!r}")
+
+    def expect_name(self, what: str) -> Token:
+        tok = self.next()
         if tok.kind != "name":
             self.fail(tok, f"expected {what}")
-        return self.next()
+        return tok
+
+    def integer(self, what: str) -> Num:
+        tok = self.next()
+        if tok.kind != "int":
+            self.fail(tok, f"expected {what}")
+        return Num(int(tok.text), line=tok.line, col=tok.col)
 
     def ident(self) -> Token:
         tok = self.expect_name("an identifier")
@@ -283,155 +269,119 @@ class _Parser:
             self.fail(tok, f"{tok.text!r} is reserved and cannot be defined")
         return tok
 
+    def separated(self, item, sep: str = ",") -> list:
+        """One or more of item(), joined by sep."""
+        items = [item()]
+        while self.accept(sep):
+            items.append(item())
+        return items
+
     # -- items
 
     def file(self) -> list:
         items = []
         while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.text == "algebra":
-                items.append(self.algebra())
-            elif tok.text == "space":
-                items.append(self.space())
+            kw = self.next()
+            if kw.text == "algebra":
+                items.append(self.algebra(kw))
+            elif kw.text == "space":
+                items.append(self.space(kw))
             else:
-                self.fail(tok, "expected 'algebra' or 'space'")
+                self.fail(kw, "expected 'algebra' or 'space'")
         return items
 
-    def algebra(self) -> AlgebraDef:
-        kw = self.expect("algebra")
+    def algebra(self, kw: Token) -> AlgebraDef:
         name = self.ident()
-        self.expect("{")
-        fields = {}
-        op = None
-        while not self.accept("}"):
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.fail(tok, "expected '}'")
-            if tok.text == "carrier":
-                self.next()
-                self.expect(":")
-                self._set(fields, "carrier", self.carrier_type(), tok)
-            elif tok.text in ("zero", "half", "one"):
-                self.next()
-                self.expect(":")
-                self._set(fields, tok.text, self.expr(), tok)
-            elif tok.text == "param":
-                self.fail(tok, "algebras take no parameters")
-            elif tok.kind == "name":
-                if op is not None:
-                    self.fail(tok, "duplicate operation definition")
-                op = self.algebra_op()
-            else:
-                self.fail(tok, "expected a field")
-        self._require(fields, ("carrier", "zero", "half", "one"), kw)
-        if op is None:
-            self.fail(kw, "algebra needs an operation p(a, b, c) = ...")
-        return AlgebraDef(name.text, fields["carrier"], fields["zero"],
-                          fields["half"], fields["one"], op,
+        readers = {"carrier": self.carrier_type, "zero": self.expr,
+                   "half": self.expr, "one": self.expr}
+        fields, _, op = self.body(kw, readers,
+                                  {"param": "algebras take no parameters"},
+                                  self.algebra_op, "p(a, b, c)")
+        return AlgebraDef(name.text, *(fields[key] for key in readers), op,
                           line=kw.line, col=kw.col)
 
-    def space(self) -> SpaceDef:
-        kw = self.expect("space")
+    def space(self, kw: Token) -> SpaceDef:
         name = self.ident()
         self.expect("over")
         over = self.expect_name("an algebra name")
-        self.expect("{")
-        fields = {}
-        params = []
-        seen_params = set()
-        op = None
-        while not self.accept("}"):
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.fail(tok, "expected '}'")
-            if tok.text == "carrier":
-                self.next()
-                self.expect(":")
-                self._set(fields, "carrier", self.carrier_type(), tok)
-            elif tok.text == "param":
-                self.next()
-                pname = self.ident()
-                if pname.text in seen_params:
-                    self.fail(pname, f"duplicate param {pname.text!r}")
-                seen_params.add(pname.text)
-                self.expect(":")
-                atom = self.carrier_atom()
-                if atom.power != 1:
-                    raise DslError("syntax", atom.line, atom.col,
-                                   "params must have a scalar carrier")
-                self.expect("=")
-                value = self.signed_rational()
-                params.append(ParamDef(pname.text, atom, value,
-                                       line=pname.line, col=pname.col))
-            elif tok.text in ("zero", "half", "one"):
-                self.fail(tok, "spaces take no constants")
-            elif tok.kind == "name":
-                if op is not None:
-                    self.fail(tok, "duplicate operation definition")
-                op = self.space_op()
-            else:
-                self.fail(tok, "expected a field")
-        self._require(fields, ("carrier",), kw)
-        if op is None:
-            self.fail(kw, "space needs an operation q(x, a, y) = ...")
+        refused = dict.fromkeys(("zero", "half", "one"), "spaces take no constants")
+        fields, params, op = self.body(kw, {"carrier": self.carrier_type}, refused,
+                                       self.space_op, "q(x, a, y)")
         return SpaceDef(name.text, over.text, fields["carrier"], tuple(params),
                         op, over_line=over.line, over_col=over.col,
                         line=kw.line, col=kw.col)
 
-    def _set(self, fields, key, value, tok):
-        if key in fields:
-            self.fail(tok, f"duplicate field {key!r}")
-        fields[key] = value
+    def body(self, kw: Token, readers: dict, refused: dict, operation, signature):
+        """The { ... } of a definition: (fields, params, operation).
 
-    def _require(self, fields, keys, tok):
-        for key in keys:
+        Each key of readers is a `key: value` field, read by its reader and
+        required once; a word in refused fails with its message; `param`
+        lines accumulate; any other name begins the one operation.
+        """
+        self.expect("{")
+        fields, params, op = {}, [], None
+        while not self.accept("}"):
+            tok = self.next()
+            if tok.kind == "eof":
+                self.fail(tok, "expected '}'")
+            if tok.text in refused:
+                self.fail(tok, refused[tok.text])
+            if tok.kind != "name":
+                self.fail(tok, "expected a field")
+            if tok.text in readers:
+                self.expect(":")
+                value = readers[tok.text]()
+                if tok.text in fields:
+                    self.fail(tok, f"duplicate field {tok.text!r}")
+                fields[tok.text] = value
+            elif tok.text == "param":
+                params.append(self.param(params))
+            elif op is not None:
+                self.fail(tok, "duplicate operation definition")
+            else:
+                op = operation(tok)
+        for key in readers:
             if key not in fields:
-                self.fail(tok, f"missing field {key!r}")
+                self.fail(kw, f"missing field {key!r}")
+        if op is None:
+            self.fail(kw, f"{kw.text} needs an operation {signature} = ...")
+        return fields, params, op
+
+    def param(self, params: list) -> ParamDef:
+        name = self.ident()
+        if any(par.name == name.text for par in params):
+            self.fail(name, f"duplicate param {name.text!r}")
+        self.expect(":")
+        atom = self.carrier_atom()
+        if atom.power != 1:
+            raise _error("syntax", atom, "params must have a scalar carrier")
+        self.expect("=")
+        return ParamDef(name.text, atom, self.signed_rational(),
+                        line=name.line, col=name.col)
 
     # -- carriers
 
     def carrier_type(self) -> CarrierType:
-        atoms = [self.carrier_atom()]
-        while self.peek().text == "x" and self.peek().kind == "name":
-            self.next()
-            atoms.append(self.carrier_atom())
-        where = None
-        if self.accept("where"):
-            where = self.constraint()
+        atoms = self.separated(self.carrier_atom, "x")
+        where = self.constraint() if self.accept("where") else None
         return CarrierType(tuple(atoms), where)
 
     def carrier_atom(self) -> CarrierAtom:
-        tok = self.expect_name("a carrier (Q, QI, R64, or Zmod(m))")
+        tok = self.next()
         if tok.text not in _BASES:
             self.fail(tok, "expected a carrier (Q, QI, R64, or Zmod(m))")
         modulus = None
         if tok.text == "Zmod":
             self.expect("(")
-            mtok = self.peek()
-            if mtok.kind != "int":
-                self.fail(mtok, "expected a modulus")
-            self.next()
-            modulus = int(mtok.text)
-            if modulus < 2:
-                raise DslError("syntax", mtok.line, mtok.col,
-                               f"modulus must be >= 2, got {modulus}")
+            modulus = _at_least(self.integer("a modulus"), 2, "modulus")
             self.expect(")")
         power = 1
         if self.accept("^"):
-            ptok = self.peek()
-            if ptok.kind != "int":
-                self.fail(ptok, "expected an integer power")
-            self.next()
-            power = int(ptok.text)
-            if power < 1:
-                raise DslError("syntax", ptok.line, ptok.col,
-                               f"power must be >= 1, got {power}")
+            power = _at_least(self.integer("an integer power"), 1, "power")
         return CarrierAtom(tok.text, modulus, power, line=tok.line, col=tok.col)
 
     def constraint(self):
-        parts = [self.comparison()]
-        while self.accept("and"):
-            parts.append(self.comparison())
+        parts = self.separated(self.comparison, "and")
         if len(parts) == 1:
             return parts[0]
         return And(tuple(parts), line=parts[0].line, col=parts[0].col)
@@ -439,10 +389,9 @@ class _Parser:
     def comparison(self) -> Compare:
         items = [self.expr()]
         ops = []
-        tok = self.peek()
-        if tok.text not in _RELOPS:
-            self.fail(tok, "expected a comparison operator")
-        while self.peek().text in _RELOPS and self.peek().kind == "punct":
+        if self.peek().text not in _RELATIONS:
+            self.fail(self.peek(), "expected a comparison operator")
+        while self.peek().text in _RELATIONS:
             ops.append(self.next().text)
             items.append(self.expr())
         return Compare(tuple(items), tuple(ops),
@@ -450,154 +399,117 @@ class _Parser:
 
     # -- operations
 
-    def algebra_op(self) -> OpDef:
-        name = self.expect_name()
+    def algebra_op(self, name: Token) -> OpDef:
         if name.text != "p":
             self.fail(name, "expected the operation 'p'")
         self.expect("(")
-        args = [self.ident()]
-        while self.accept(","):
-            args.append(self.ident())
+        args = self.separated(self.ident)
         self.expect(")")
         if len(args) != 3:
             self.fail(name, f"p takes exactly 3 arguments, got {len(args)}")
-        seen = set()
-        for arg in args:
-            if arg.text in seen:
+        for k, arg in enumerate(args):
+            if any(arg.text == other.text for other in args[:k]):
                 self.fail(arg, f"duplicate argument {arg.text!r}")
-            seen.add(arg.text)
         self.expect("=")
-        body = self.expr()
-        return OpDef("p", tuple(a.text for a in args), body,
+        return OpDef("p", tuple(a.text for a in args), self.expr(),
                      line=name.line, col=name.col)
 
-    def space_op(self) -> OpDef:
-        name = self.expect_name()
+    def space_op(self, name: Token) -> OpDef:
         if name.text != "q":
             self.fail(name, "expected the operation 'q'")
         self.expect("(")
         left = self.pattern()
         self.expect(",")
-        mid = self.ident()
+        mid = self.ident().text
         self.expect(",")
         right = self.pattern()
         self.expect(")")
-        self._check_pattern_names(left, mid.text, right, name)
+        seen = set()
+        for word in _pattern_names((left, mid, right)):
+            if word in seen:
+                self.fail(name, f"duplicate pattern name {word!r}")
+            seen.add(word)
         self.expect("=")
-        body = self.expr()
-        return OpDef("q", (left, mid.text, right), body,
+        return OpDef("q", (left, mid, right), self.expr(),
                      line=name.line, col=name.col)
 
     def pattern(self):
-        if self.accept("("):
-            parts = [self.pattern()]
-            while self.accept(","):
-                parts.append(self.pattern())
-            self.expect(")")
-            if len(parts) == 1:
-                return parts[0]
-            return tuple(parts)
-        return self.ident().text
-
-    def _check_pattern_names(self, left, mid, right, tok):
-        seen = set()
-
-        def walk(pat):
-            if isinstance(pat, str):
-                if pat in seen:
-                    self.fail(tok, f"duplicate pattern name {pat!r}")
-                seen.add(pat)
-            else:
-                for part in pat:
-                    walk(part)
-
-        walk(left)
-        walk(mid)
-        walk(right)
+        if not self.accept("("):
+            return self.ident().text
+        parts = self.separated(self.pattern)
+        self.expect(")")
+        return parts[0] if len(parts) == 1 else tuple(parts)
 
     def signed_rational(self) -> Fraction:
         negative = self.accept("-")
-        tok = self.peek()
-        if tok.kind != "int":
-            self.fail(tok, "expected a rational literal")
-        self.next()
-        num = int(tok.text)
-        den = 1
+        value = Fraction(self.integer("a rational literal").value)
         if self.accept("/"):
-            dtok = self.peek()
-            if dtok.kind != "int":
-                self.fail(dtok, "expected a denominator")
-            self.next()
-            den = int(dtok.text)
-            if den == 0:
-                raise DslError("syntax", dtok.line, dtok.col,
-                               "denominator cannot be zero")
-        value = Fraction(num, den)
+            den = self.integer("a denominator")
+            if den.value == 0:
+                raise _error("syntax", den, "denominator cannot be zero")
+            value /= den.value
         return -value if negative else value
 
-    # -- expressions; precedence ^ above unary - above * / above + -
+    # -- expressions, by _LEVEL
 
-    def expr(self):
-        node = self.term()
-        while self.peek().text in ("+", "-") and self.peek().kind == "punct":
+    def expr(self, level: int = 1):
+        """An expression whose binary operators bind at least at level; each
+        level below _UNARY is one left-associative loop."""
+        if level == _UNARY:
+            return self.unary()
+        node = self.expr(level + 1)
+        while _LEVEL.get(self.peek().text) == level:
             op = self.next()
-            right = self.term()
-            node = Bin(op.text, node, right, line=op.line, col=op.col)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek().text in ("*", "/") and self.peek().kind == "punct":
-            op = self.next()
-            right = self.unary()
-            node = Bin(op.text, node, right, line=op.line, col=op.col)
+            node = Bin(op.text, node, self.expr(level + 1),
+                       line=op.line, col=op.col)
         return node
 
     def unary(self):
         tok = self.peek()
-        if tok.text == "-" and tok.kind == "punct":
-            self.next()
+        if self.accept("-"):
             return Unary(self.unary(), line=tok.line, col=tok.col)
         return self.power()
 
     def power(self):
         node = self.atom()
-        if self.peek().text == "^" and self.peek().kind == "punct":
-            op = self.next()
-            etok = self.peek()
-            if etok.kind != "int":
-                self.fail(etok, "expected a nonnegative integer exponent")
-            self.next()
-            node = Bin("^", node, Num(int(etok.text), line=etok.line,
-                                      col=etok.col),
-                       line=op.line, col=op.col)
+        op = self.peek()
+        if self.accept("^"):
+            exponent = self.integer("a nonnegative integer exponent")
+            node = Bin("^", node, exponent, line=op.line, col=op.col)
         return node
 
     def atom(self):
-        tok = self.peek()
+        tok = self.next()
         if tok.kind == "int":
-            self.next()
             return Num(int(tok.text), line=tok.line, col=tok.col)
-        if tok.kind == "name":
-            if tok.text in _KEYWORDS:
-                self.fail(tok, "expected an expression")
-            self.next()
-            if tok.text == "exp":
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Call("exp", arg, line=tok.line, col=tok.col)
-            return Name(tok.text, line=tok.line, col=tok.col)
+        if tok.kind == "name" and tok.text not in _KEYWORDS:
+            if tok.text != "exp":
+                return Name(tok.text, line=tok.line, col=tok.col)
+            self.expect("(")
+            arg = self.expr()
+            self.expect(")")
+            return Call("exp", arg, line=tok.line, col=tok.col)
         if tok.text == "(":
-            self.next()
-            items = [self.expr()]
-            while self.accept(","):
-                items.append(self.expr())
+            items = self.separated(self.expr)
             self.expect(")")
             if len(items) == 1:
                 return items[0]
             return Tup(tuple(items), line=tok.line, col=tok.col)
         self.fail(tok, "expected an expression")
+
+
+def _at_least(num: Num, least: int, what: str) -> int:
+    if num.value < least:
+        raise _error("syntax", num, f"{what} must be >= {least}, got {num.value}")
+    return num.value
+
+
+def _pattern_names(pattern):
+    if isinstance(pattern, str):
+        yield pattern
+    else:
+        for part in pattern:
+            yield from _pattern_names(part)
 
 
 def parse(text: str) -> list:
@@ -611,17 +523,13 @@ def parse_value(text: str):
     expr = parser.expr()
     tok = parser.peek()
     if tok.kind != "eof":
-        raise DslError("syntax", tok.line, tok.col,
-                       f"unexpected {tok.text!r} after the expression")
+        raise _error("syntax", tok, f"unexpected {tok.text!r} after the expression")
     _, value = _compile(expr, {}, _BASES)
     return value(())
 
 
 # ---------------------------------------------------------------------------
 # printing
-
-_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
 
 def _fmt(e, level=0) -> str:
     if isinstance(e, Num):
@@ -631,14 +539,13 @@ def _fmt(e, level=0) -> str:
     if isinstance(e, Call):
         return f"{e.fn}({_fmt(e.arg)})"
     if isinstance(e, Unary):
-        inner = _fmt(e.operand, 3)
-        text = f"-{inner}"
-        return f"({text})" if level > 3 else text
+        text = f"-{_fmt(e.operand, _UNARY)}"
+        return f"({text})" if level > _UNARY else text
     if isinstance(e, Bin):
         mine = _LEVEL[e.op]
         left = _fmt(e.left, mine)
         right = _fmt(e.right, mine + 1)
-        glue = e.op if e.op in ("*", "/", "^") else f" {e.op} "
+        glue = f" {e.op} " if mine == 1 else e.op
         text = f"{left}{glue}{right}"
         return f"({text})" if mine < level else text
     if isinstance(e, Tup):
@@ -707,22 +614,15 @@ def print_definitions(items) -> str:
 # of q, or the element that a where clause tests.  Each name in env maps to
 # (shape, getter of its value).
 
-_RELATIONS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
-              ">=": operator.ge, ">": operator.gt}
+_FIELDS = {"Q": Rational, "QI": GaussianRational, "R64": Float64}
 
 
 def _atom_carrier(atom: CarrierAtom):
-    if atom.base == "Q":
-        base = Rational()
-    elif atom.base == "QI":
-        base = GaussianRational()
-    elif atom.base == "R64":
-        base = Float64()
-    else:
+    if atom.base == "Zmod":
         base = ModularInt(atom.modulus)
-    if atom.power == 1:
-        return base
-    return Product((base,) * atom.power)
+    else:
+        base = _FIELDS[atom.base]()
+    return base if atom.power == 1 else Product((base,) * atom.power)
 
 
 def _constant(value):
@@ -753,27 +653,17 @@ def _compile(e, env: dict, bases):
     if isinstance(e, Name):
         if e.text == "i":
             if "QI" not in bases:
-                raise DslError("exp-i-misuse", e.line, e.col,
-                               "'i' requires a QI carrier")
+                raise _error("exp-i-misuse", e, "'i' requires a QI carrier")
             return COMPLEX, _constant(QI(0, 1))
-        if e.text == "exp":
-            raise DslError("exp-i-misuse", e.line, e.col,
-                           "'exp' is a function; write exp(...)")
         if e.text not in env:
-            raise DslError("unbound-identifier", e.line, e.col,
-                           f"unbound identifier {e.text!r}")
+            raise _error("unbound-identifier", e, f"unbound identifier {e.text!r}")
         return env[e.text]
-    if isinstance(e, Call):
-        if e.fn != "exp":
-            raise DslError("unbound-identifier", e.line, e.col,
-                           f"unknown function {e.fn!r}")
+    if isinstance(e, Call):  # the parser makes a Call of exp(...) only
         if "R64" not in bases:
-            raise DslError("exp-i-misuse", e.line, e.col,
-                           "'exp' requires an R64 carrier")
+            raise _error("exp-i-misuse", e, "'exp' requires an R64 carrier")
         shape, arg = _scalar(e.arg, env, bases, e, "exp needs a scalar argument")
         if shape == COMPLEX:
-            raise DslError("exp-i-misuse", e.line, e.col,
-                           "exp needs a real argument")
+            raise _error("exp-i-misuse", e, "exp needs a real argument")
 
         def exp(args):
             value = arg(args)
@@ -820,8 +710,8 @@ def _compile(e, env: dict, bases):
         for k, op in enumerate(e.ops):
             if op != "=" and COMPLEX in shapes[k:k + 2]:
                 at = e.items[k if shapes[k] == COMPLEX else k + 1]
-                raise DslError("shape-mismatch", at.line, at.col,
-                               f"{op!r} needs real operands; Q[i] has no order")
+                raise _error("shape-mismatch", at,
+                             f"{op!r} needs real operands; Q[i] has no order")
         first, *rest = fns
         links = tuple(zip([_RELATIONS[op] for op in e.ops], rest))
 
@@ -854,7 +744,7 @@ def _expect(e, env: dict, bases, want, at, msg: str):
     """The compiled fn of e, whose shape must fit want, else a shape-mismatch at `at`."""
     shape, fn = _compile(e, env, bases)
     if not _fits(shape, want):
-        raise DslError("shape-mismatch", at.line, at.col, msg)
+        raise _error("shape-mismatch", at, msg)
     return fn
 
 
@@ -862,7 +752,7 @@ def _scalar(e, env: dict, bases, at, msg: str):
     """(shape, fn) of e, which must be a scalar, else a shape-mismatch at `at`."""
     shape, fn = _compile(e, env, bases)
     if isinstance(shape, tuple):
-        raise DslError("shape-mismatch", at.line, at.col, msg)
+        raise _error("shape-mismatch", at, msg)
     return shape, fn
 
 
@@ -873,8 +763,7 @@ def _bind_pattern(pattern, shape, path: tuple, env: dict, op: OpDef):
         env[pattern] = (shape, _path(path))
         return
     if not isinstance(shape, tuple) or len(shape) != len(pattern):
-        raise DslError("shape-mismatch", op.line, op.col,
-                       "pattern does not match the carrier shape")
+        raise _error("shape-mismatch", op, "pattern does not match the carrier shape")
     for k, (sub, subshape) in enumerate(zip(pattern, shape)):
         _bind_pattern(sub, subshape, path + (k,), env, op)
 
@@ -902,8 +791,7 @@ def _param_value(par: ParamDef):
     if base == "R64":
         return float(par.value)
     if par.value.denominator != 1:
-        raise DslError("syntax", par.line, par.col,
-                       f"param {par.name!r} needs an integer value")
+        raise _error("syntax", par, f"param {par.name!r} needs an integer value")
     return int(par.value)
 
 
@@ -947,8 +835,8 @@ def _elab_space(d: SpaceDef, algebras: dict) -> MobiSpace:
     env[mid] = (algebra.carrier.shape(), operator.itemgetter(1))
     for par in d.params:
         if par.name in env:
-            raise DslError("syntax", par.line, par.col,
-                           f"param {par.name!r} collides with a pattern name")
+            raise _error("syntax", par,
+                         f"param {par.name!r} collides with a pattern name")
         env[par.name] = (SCALAR, _constant(_param_value(par)))
     body = _expect(d.op.body, env, bases, shape, d.op.body,
                    "the body of q does not match the carrier shape")
@@ -965,8 +853,7 @@ def elaborate(items) -> dict:
     seen = set()
     for item in items:
         if item.name in seen:
-            raise DslError("syntax", item.line, item.col,
-                           f"duplicate definition {item.name!r}")
+            raise _error("syntax", item, f"duplicate definition {item.name!r}")
         seen.add(item.name)
     algebras = {item.name: _elab_algebra(item)
                 for item in items if isinstance(item, AlgebraDef)}

@@ -35,12 +35,12 @@ def module_to_space(module: RModule, name: str = "") -> PointedMobiSpace:
     return PointedMobiSpace(space, module.zero)
 
 
-def space_to_module(pointed: PointedMobiSpace, two=None, name: str = "") -> RModule:
+def space_to_module(pointed: PointedMobiSpace, name: str = "") -> RModule:
     """The module carried by a pointed space whose algebra has a doubler."""
     S = pointed.space
     e = pointed.origin
     A = S.algebra
-    t = _resolve_two(A, two)
+    t = _resolve_two(A)
     ring = ring_from_algebra(A, t)
     q = S.q
     half = A.half
@@ -59,7 +59,7 @@ def roundtrip_module(module: RModule, strategy=Sampled()) -> CheckReport:
     """space_to_module(module_to_space(M)) has the same + and phi as M.
 
     Each side is the pair (x + y, phi(a, x)), compared component-wise."""
-    back = space_to_module(module_to_space(module), two=module.ring.two)
+    back = space_to_module(module_to_space(module))
     pts = module.points
     pe = pts.eq
     return check_equation("roundtrip(module)", ("a", "x", "y"),
@@ -70,10 +70,10 @@ def roundtrip_module(module: RModule, strategy=Sampled()) -> CheckReport:
                           strategy)
 
 
-def roundtrip_space(pointed: PointedMobiSpace, two=None, strategy=Sampled()) -> CheckReport:
+def roundtrip_space(pointed: PointedMobiSpace, strategy=Sampled()) -> CheckReport:
     """module_to_space(space_to_module(S)) has the same q as S."""
     S = pointed.space
-    back = module_to_space(space_to_module(pointed, two=two)).space
+    back = module_to_space(space_to_module(pointed)).space
     pts = S.points
     return check_equation("roundtrip(space)", ("a", "x", "y"),
                           (S.algebra.carrier, pts, pts), pts.eq,
@@ -134,7 +134,7 @@ def transport_morphism(direction: str, pair: tuple, source, target,
     raise ValueError(f"direction must be 'modules->spaces' or 'spaces->modules', got {direction!r}")
 
 
-def origin_scan(space: MobiSpace, two, origins, strategy=Sampled()) -> list:
+def origin_scan(space: MobiSpace, origins, strategy=Sampled()) -> list:
     """Experiment: try several basepoints and report the module verdicts.
 
     Returns [(origin, [CheckReport])], one entry per origin.  Useful on
@@ -143,6 +143,6 @@ def origin_scan(space: MobiSpace, two, origins, strategy=Sampled()) -> list:
     """
     out = []
     for e in origins:
-        module = space_to_module(PointedMobiSpace(space, e), two=two)
+        module = space_to_module(PointedMobiSpace(space, e))
         out.append((e, check_module(module, strategy)))
     return out

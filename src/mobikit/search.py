@@ -386,11 +386,10 @@ def _placements(n) -> list:
 
 
 def search_finite(n: int, require_distinct_constants: bool = False,
-                  emit=None, limit: int | None = None) -> list:
+                  limit: int | None = None) -> list:
     """All models of size n up to relabeling, in canonical form.
 
-    emit, when given, is called with each model as it is found; limit stops
-    the search after that many models.
+    limit stops the search after that many models.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_SIZE:
         raise ValueError(
@@ -411,8 +410,6 @@ def search_finite(n: int, require_distinct_constants: bool = False,
         if not all_passed(check_algebra(model.to_algebra(), Exhaustive())):
             return False
         found.append(model)
-        if emit is not None:
-            emit(model)
         return limit is not None and len(found) >= limit
 
     for z, h, o in _placements(n):

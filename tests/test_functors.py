@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from mobikit import (Exhaustive, PointedMobiSpace, QI, RModule, Sampled,
-                     all_passed, build, check_module, check_space,
+from mobikit import (CarrierError, Exhaustive, PointedMobiSpace, QI, RModule,
+                     Sampled, all_passed, build, check_module, check_space,
                      default_origin, module_to_space, origin_scan,
                      report_to_text, roundtrip_module, roundtrip_space,
                      space_to_module, transport_morphism)
@@ -53,14 +54,16 @@ def test_space_to_module_on_damped_matches_closed_forms():
 
 
 def test_space_to_module_needs_a_doubler():
-    from mobikit import CarrierError
     with pytest.raises(CarrierError):
         space_to_module(pointed("halfplane-space"))
 
 
-def test_space_to_module_accepts_an_explicit_two():
-    module = space_to_module(pointed("canonical-space", n=1), two=F(2))
-    assert module.add((F(1),), (F(2),)) == (F(3),)
+def test_space_to_module_checks_the_declared_two():
+    sp = pointed("canonical-space", n=1)
+    assert space_to_module(sp).add((F(1),), (F(2),)) == (F(3),)
+    wrong = replace(sp.space, algebra=replace(sp.space.algebra, two=F(3)))
+    with pytest.raises(CarrierError, match="does not satisfy"):
+        space_to_module(PointedMobiSpace(wrong, sp.origin))
 
 
 # round-trips
@@ -165,7 +168,7 @@ def test_transport_rejects_unknown_direction():
 def test_origin_scan_finds_no_module_on_the_nonaffine_space():
     sp = build("nonaffine-complex-space")
     origins = [(QI(0), F(0)), (QI(1), F(1)), (QI(0, 1), F(2))]
-    rows = origin_scan(sp, F(2), origins, Sampled(samples=200, seed=0))
+    rows = origin_scan(sp, origins, Sampled(samples=200, seed=0))
     assert len(rows) == 3
     for origin, reports in rows:
         assert not all_passed(reports), origin
@@ -173,7 +176,6 @@ def test_origin_scan_finds_no_module_on_the_nonaffine_space():
 
 def test_origin_scan_passes_everywhere_on_an_affine_space():
     sp = build("canonical-space", n=1)
-    rows = origin_scan(sp, F(2), [(F(0),), (F(5),)],
-                       Sampled(samples=100, seed=0))
+    rows = origin_scan(sp, [(F(0),), (F(5),)], Sampled(samples=100, seed=0))
     for origin, reports in rows:
         assert all_passed(reports), origin

@@ -140,12 +140,10 @@ def test_a_model_the_verifier_rejects_is_not_reported(monkeypatch):
     assert search_finite(3) == []
 
 
-def test_emit_streams_models_and_limit_stops_early():
+def test_limit_stops_at_the_first_models_and_must_be_positive():
     for n in range(1, 6):
-        seen = []
-        found = search_finite(n, emit=seen.append)
-        assert seen == found
-        assert all(isinstance(m, FiniteModel) for m in seen)
+        found = search_finite(n)
+        assert all(isinstance(m, FiniteModel) for m in found)
         assert search_finite(n, limit=1) == found[:1]
     for limit in (0, -1):
         with pytest.raises(ValueError, match="limit must be >= 1"):
