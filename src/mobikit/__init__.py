@@ -5,13 +5,13 @@ worked instances, and a finite-model searcher."""
 from .algebra import (AmbiguousTwoError, MobiAlgebra, NoHalfError, TwoResult,
                       algebra_from_ring, check_algebra,
                       check_algebra_morphism, check_commutativity_condition,
-                      check_properties, circ, complement, eval_derived,
-                      eval_p, oplus, product, ring_from_algebra, solve_two)
+                      check_properties, circ, complement, oplus, product,
+                      ring_from_algebra, solve_two)
 from .carriers import (Carrier, CarrierError, Float64, GaussianRational,
                        MembershipError, ModularInt, NotEnumerableError,
                        Product, QI, Rational, Restricted, SamplingExhausted,
-                       ShapeError, Vector, enumerate_elements, eq, sample,
-                       tolerance, try_subtract)
+                       ShapeError, Vector, enumerate_elements, sample,
+                       try_subtract)
 from .catalog import (CatalogEntry, ParamSpec, build, coerce_params,
                       default_origin, get_entry, list_catalog)
 from .dsl import (DslError, elaborate, load, parse, parse_value,
@@ -27,7 +27,7 @@ from .ringmod import (RingWithHalf, RModule, check_module, check_ring,
 from .search import FiniteModel, search_finite
 from .space import (InverseError, MobiSpace, PointedMobiSpace, check_affine,
                     check_space, check_space_morphism, check_y_properties,
-                    eval_q, trace_geodesic, transport_space)
+                    trace_geodesic, transport_space)
 
 __version__ = "0.1.0"
 
@@ -54,12 +54,11 @@ __all__ = [
     "check_properties", "check_ring", "check_ring_commutativity",
     "check_space", "check_space_morphism", "check_y_properties", "circ",
     "coerce_params", "complement", "default_origin", "elaborate",
-    "enumerate_elements", "eq", "eval_derived", "eval_p", "eval_q",
-    "get_entry", "law_seed", "list_catalog", "load", "main",
-    "module_to_space", "oplus", "origin_scan", "parse", "parse_value",
+    "enumerate_elements", "get_entry", "law_seed", "list_catalog", "load",
+    "main", "module_to_space", "oplus", "origin_scan", "parse", "parse_value",
     "print_definitions", "product", "report_to_dict", "report_to_text",
     "reports_to_json", "ring_from_algebra", "roundtrip_module",
     "roundtrip_space", "run_cli", "sample", "search_finite", "solve_two",
-    "space_to_module", "tolerance", "trace_geodesic", "transport_morphism",
+    "space_to_module", "trace_geodesic", "transport_morphism",
     "transport_space", "try_subtract",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .carriers import Carrier, CarrierError, MembershipError
+from .carriers import Carrier, CarrierError
 from .report import (CheckReport, Sampled, Witness, assignments_for,
                      check_equation, check_implication, check_predicate)
 from .ringmod import RingWithHalf
@@ -46,15 +46,6 @@ class NoHalfError(CarrierError):
     """The ring has no element h with h + h = 1."""
 
 
-def eval_p(algebra: MobiAlgebra, a, b, c):
-    """Apply p after validating membership of all three arguments."""
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not algebra.carrier.contains(v):
-            raise MembershipError(
-                f"{name}={v!r} is not in {algebra.carrier.describe()}")
-    return algebra.p(a, b, c)
-
-
 def complement(algebra: MobiAlgebra, a):
     return algebra.p(algebra.one, a, algebra.zero)
 
@@ -69,23 +60,6 @@ def oplus(algebra: MobiAlgebra, a, b):
 
 def circ(algebra: MobiAlgebra, a, b):
     return algebra.p(a, b, algebra.one)
-
-
-_DERIVED = {"complement": (complement, 1), "product": (product, 2),
-            "oplus": (oplus, 2), "circ": (circ, 2)}
-
-
-def eval_derived(algebra: MobiAlgebra, op: str, *args):
-    """Evaluate a named derived operation with membership validation."""
-    if op not in _DERIVED:
-        raise ValueError(f"unknown derived op {op!r} (choose from {sorted(_DERIVED)})")
-    fn, arity = _DERIVED[op]
-    if len(args) != arity:
-        raise ValueError(f"{op} takes {arity} argument(s), got {len(args)}")
-    for v in args:
-        if not algebra.carrier.contains(v):
-            raise MembershipError(f"{v!r} is not in {algebra.carrier.describe()}")
-    return fn(algebra, *args)
 
 
 def check_algebra(algebra: MobiAlgebra, strategy=Sampled()) -> list[CheckReport]:
@@ -174,10 +148,6 @@ class TwoResult:
 
     value: object | None
     status: str  # "declared" | "found" | "proven-absent" | "absent-after-search"
-
-    @property
-    def exists(self) -> bool:
-        return self.value is not None
 
 
 def solve_two(algebra: MobiAlgebra, strategy=Sampled()) -> TwoResult:

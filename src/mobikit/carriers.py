@@ -1,9 +1,9 @@
 """Value carriers: the sets that algebras and spaces live on.
 
-A carrier bundles membership, equality (with a tolerance policy for floats),
-deterministic sampling, and enumeration when the set is finite.  Elements are
-plain Python values: Fraction, QI (Gaussian rational), int (mod-m residues),
-float, and tuples of those.
+A carrier bundles membership, equality (within FLOAT_ATOL and FLOAT_RTOL for
+floats), deterministic sampling, and enumeration when the set is finite.
+Elements are plain Python values: Fraction, QI (Gaussian rational), int
+(mod-m residues), float, and tuples of those.
 
 Rational draws and the catalog's constants are Fractions of the private
 subclass `_Fraction`, whose arithmetic, comparisons and equality take a fast
@@ -48,6 +48,8 @@ SCALAR = "scalar"  # the shape of a non-product element with an order
 COMPLEX = "complex"  # the shape of a Gaussian rational, which has none
 RATIONAL_NUMERATOR_BOUND = 12
 DENOMINATOR_BOUND = 8
+FLOAT_ATOL = 1e-9  # absolute and relative tolerance of Float64 equality
+FLOAT_RTOL = 1e-9
 
 
 class CarrierError(Exception):
@@ -386,18 +388,11 @@ def _qi_quotient(z: QI, w: QI) -> QI:
 class Carrier:
     """Interface shared by all carrier kinds."""
 
-    atol: float = 0.0
-    rtol: float = 0.0
-
     def contains(self, x) -> bool:
         raise NotImplementedError
 
     def eq(self, x, y) -> bool:
         raise NotImplementedError
-
-    def tolerance(self) -> tuple:
-        """(atol, rtol) governing this carrier's equality."""
-        return (self.atol, self.rtol)
 
     def shape(self):
         """SCALAR, COMPLEX for Q[i], or for a product the tuple of its
@@ -567,10 +562,8 @@ class ModularInt(_BuiltDraw):
 
 @dataclass(frozen=True)
 class Float64(_BuiltDraw):
-    """Finite doubles compared with |x-y| <= atol + rtol*max(|x|,|y|)."""
+    """Finite doubles, equal within FLOAT_ATOL + FLOAT_RTOL*max(|x|,|y|)."""
 
-    atol: float = 1e-9
-    rtol: float = 1e-9
     span: int = 8  # sampling draws float(Fraction(n, d)) with |n| <= span
 
     def contains(self, x):
@@ -584,7 +577,7 @@ class Float64(_BuiltDraw):
         fx, fy = float(x), float(y)
         if fx == fy:
             return True
-        return abs(fx - fy) <= self.atol + self.rtol * max(abs(fx), abs(fy))
+        return abs(fx - fy) <= FLOAT_ATOL + FLOAT_RTOL * max(abs(fx), abs(fy))
 
     def _build_draw(self):
         span = self.span
@@ -661,10 +654,6 @@ class Product(_BuiltDraw):
                 return False
         return True
 
-    def tolerance(self):
-        pairs = [p.tolerance() for p in self.parts]
-        return (max(a for a, _ in pairs), max(r for _, r in pairs))
-
     def shape(self):
         return tuple(p.shape() for p in self.parts)
 
@@ -674,6 +663,9 @@ class Product(_BuiltDraw):
     def coerce(self, value):
         if isinstance(value, tuple) and len(value) == len(self.parts):
             return tuple(p.coerce(v) for p, v in zip(self.parts, value))
+        if len(self.parts) == 1 and not isinstance(value, tuple):
+            # the language has no 1-tuple literal: a scalar is the one part
+            return (self.parts[0].coerce(value),)
         return value
 
     @property
@@ -717,9 +709,6 @@ class Restricted(Carrier):
     def eq(self, x, y):
         return self.base.eq(x, y)
 
-    def tolerance(self):
-        return self.base.tolerance()
-
     def shape(self):
         return self.base.shape()
 
@@ -755,11 +744,6 @@ class Restricted(Carrier):
         return f"{{{self.base.describe()} : restricted}}"
 
 
-def eq(carrier: Carrier, x, y) -> bool:
-    """Carrier equality with its tolerance policy."""
-    return carrier.eq(x, y)
-
-
 def sample(carrier: Carrier, seed: int, n: int) -> list:
     """n elements drawn from an RNG seeded with `seed`, finite carriers too."""
     if n < 0:
@@ -774,11 +758,6 @@ def enumerate_elements(carrier: Carrier) -> list:
     if not carrier.finite:
         raise NotEnumerableError(f"{carrier.describe()} is not enumerable")
     return carrier.elements()
-
-
-def tolerance(carrier: Carrier) -> tuple:
-    """(atol, rtol) governing this carrier's equality."""
-    return carrier.tolerance()
 
 
 def try_subtract(x, y):

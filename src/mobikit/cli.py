@@ -328,7 +328,8 @@ def run_cli(argv=None) -> int:
         print(f"error: {exc.kind}: {exc.msg}", file=sys.stderr)
         return 2
     except _CONFIG_ERRORS as exc:
-        msg = exc.args[0] if exc.args else str(exc)
+        # str() of a KeyError quotes its message; an OSError's args[0] is errno
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # overflow or division by zero in an operation

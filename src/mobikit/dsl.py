@@ -29,8 +29,12 @@ into nested closures over the operation's arguments; evaluating p, q or a
 where clause runs those closures, not the syntax tree.  parse_value checks
 and compiles a literal the same way, with every atom's names allowed.
 
+`/` is refused on a carrier of Zmod atoms alone.  Parentheses and syntax
+trees nest at most _MAX_DEPTH levels, far inside the recursion limit.
+
 Errors are reported as DslError(kind, line, col, msg) with kind one of
-lexical, syntax, unbound-identifier, shape-mismatch, exp-i-misuse.
+lexical, syntax, unbound-identifier, shape-mismatch, exp-i-misuse, and
+arithmetic (a constant whose evaluation fails, such as 1/0).
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ _RELATIONS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
 # then unary -, then * /, then + -.
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _UNARY = 3
+_MAX_DEPTH = 64
+_TOO_DEEP = f"expression nests deeper than {_MAX_DEPTH} levels"
 
 
 class DslError(Exception):
@@ -90,6 +96,7 @@ _TOKEN_RE = re.compile(r"(?P<space>[ \t\r\n]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
 def _lex(text: str) -> list:
     toks = []
     pos, line, line_start = 0, 1, 0
+    depth = 0  # of open parentheses; a stray ')' fails in the parser first
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         col = pos - line_start + 1
@@ -100,7 +107,11 @@ def _lex(text: str) -> list:
             line += m.group().count("\n")
             line_start = max(line_start, text.rfind("\n", pos, m.end()) + 1)
         else:
-            toks.append(Token(m.lastgroup, m.group(), line, col))
+            tok = Token(m.lastgroup, m.group(), line, col)
+            depth += (tok.text == "(") - (tok.text == ")")
+            if depth > _MAX_DEPTH:
+                raise _error("syntax", tok, _TOO_DEEP)
+            toks.append(tok)
         pos = m.end()
     toks.append(Token("eof", "", line, pos - line_start + 1))
     return toks
@@ -259,7 +270,15 @@ class _Parser:
         tok = self.next()
         if tok.kind != "int":
             self.fail(tok, f"expected {what}")
-        return Num(int(tok.text), line=tok.line, col=tok.col)
+        return self.number(tok)
+
+    def number(self, tok: Token) -> Num:
+        try:
+            value = int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise _error("syntax", tok, f"integer literal of {len(tok.text)} "
+                                        "digits is too long") from None
+        return Num(value, line=tok.line, col=tok.col)
 
     def ident(self) -> Token:
         tok = self.expect_name("an identifier")
@@ -465,10 +484,13 @@ class _Parser:
         return node
 
     def unary(self):
-        tok = self.peek()
-        if self.accept("-"):
-            return Unary(self.unary(), line=tok.line, col=tok.col)
-        return self.power()
+        signs = []
+        while self.peek().text == "-":
+            signs.append(self.next())
+        node = self.power()
+        for tok in reversed(signs):
+            node = Unary(node, line=tok.line, col=tok.col)
+        return node
 
     def power(self):
         node = self.atom()
@@ -481,7 +503,7 @@ class _Parser:
     def atom(self):
         tok = self.next()
         if tok.kind == "int":
-            return Num(int(tok.text), line=tok.line, col=tok.col)
+            return self.number(tok)
         if tok.kind == "name" and tok.text not in _KEYWORDS:
             if tok.text != "exp":
                 return Name(tok.text, line=tok.line, col=tok.col)
@@ -646,8 +668,10 @@ def _path(indices: tuple):
     return get
 
 
-def _compile(e, env: dict, bases):
-    """(shape, fn) of e, raising DslError on static problems."""
+def _compile(e, env: dict, bases, depth: int = 1):
+    """(shape, fn) of e at depth in its tree, raising DslError on static problems."""
+    if depth > _MAX_DEPTH:
+        raise _error("syntax", e, _TOO_DEEP)
     if isinstance(e, Num):
         return SCALAR, _constant(e.value)
     if isinstance(e, Name):
@@ -661,7 +685,8 @@ def _compile(e, env: dict, bases):
     if isinstance(e, Call):  # the parser makes a Call of exp(...) only
         if "R64" not in bases:
             raise _error("exp-i-misuse", e, "'exp' requires an R64 carrier")
-        shape, arg = _scalar(e.arg, env, bases, e, "exp needs a scalar argument")
+        shape, arg = _scalar(e.arg, env, bases, e, "exp needs a scalar argument",
+                             depth)
         if shape == COMPLEX:
             raise _error("exp-i-misuse", e, "exp needs a real argument")
 
@@ -675,12 +700,12 @@ def _compile(e, env: dict, bases):
         return SCALAR, exp
     if isinstance(e, Unary):
         shape, operand = _scalar(e.operand, env, bases, e,
-                                 "unary '-' needs a scalar operand")
+                                 "unary '-' needs a scalar operand", depth)
         return shape, lambda args: -operand(args)
     if isinstance(e, Bin):
         msg = f"operator {e.op!r} needs scalar operands"
-        shape, left = _scalar(e.left, env, bases, e, msg)
-        right_shape, right = _scalar(e.right, env, bases, e, msg)
+        shape, left = _scalar(e.left, env, bases, e, msg, depth)
+        right_shape, right = _scalar(e.right, env, bases, e, msg, depth)
         if right_shape == COMPLEX:
             shape = COMPLEX
         if e.op == "+":
@@ -692,6 +717,9 @@ def _compile(e, env: dict, bases):
         if e.op == "^":
             power = e.right.value
             return shape, lambda args: left(args) ** power
+        if bases == {"Zmod"}:
+            raise _error("shape-mismatch", e,
+                         "'/' is not defined on Zmod carriers; multiply by an inverse")
 
         def divide(args):
             a, b = left(args), right(args)
@@ -701,11 +729,11 @@ def _compile(e, env: dict, bases):
 
         return shape, divide
     if isinstance(e, Tup):
-        shapes, fns = zip(*(_compile(x, env, bases) for x in e.items))
+        shapes, fns = zip(*(_compile(x, env, bases, depth + 1) for x in e.items))
         return shapes, lambda args: tuple([fn(args) for fn in fns])
     if isinstance(e, Compare):
         shapes, fns = zip(*(_scalar(item, env, bases, item,
-                                    "comparisons need scalar operands")
+                                    "comparisons need scalar operands", depth)
                             for item in e.items))
         for k, op in enumerate(e.ops):
             if op != "=" and COMPLEX in shapes[k:k + 2]:
@@ -726,7 +754,7 @@ def _compile(e, env: dict, bases):
 
         return SCALAR, compare
     if isinstance(e, And):
-        fns = [_compile(part, env, bases)[1] for part in e.parts]
+        fns = [_compile(part, env, bases, depth + 1)[1] for part in e.parts]
         return SCALAR, lambda args: all(fn(args) for fn in fns)
     raise TypeError(f"cannot compile {e!r}")
 
@@ -748,9 +776,10 @@ def _expect(e, env: dict, bases, want, at, msg: str):
     return fn
 
 
-def _scalar(e, env: dict, bases, at, msg: str):
-    """(shape, fn) of e, which must be a scalar, else a shape-mismatch at `at`."""
-    shape, fn = _compile(e, env, bases)
+def _scalar(e, env: dict, bases, at, msg: str, depth: int):
+    """(shape, fn) of e, the child of a node at depth, which must be a scalar,
+    else a shape-mismatch at `at`."""
+    shape, fn = _compile(e, env, bases, depth + 1)
     if isinstance(shape, tuple):
         raise _error("shape-mismatch", at, msg)
     return shape, fn
@@ -795,19 +824,31 @@ def _param_value(par: ParamDef):
     return int(par.value)
 
 
+def _evaluate(fn, expr, what: str):
+    """The value of a compiled constant; a failing operation is an arithmetic
+    DslError at the constant's expression."""
+    try:
+        return fn(())
+    except ZeroDivisionError:
+        raise _error("arithmetic", expr, f"{what} divides by zero") from None
+    except (ArithmeticError, EvalError) as exc:
+        raise _error("arithmetic", expr, f"{what}: {exc}") from None
+
+
 def _elab_algebra(d: AlgebraDef) -> MobiAlgebra:
     carrier = _elab_carrier(d.carrier)
     shape = carrier.shape()
     bases = carrier.atom_names()
+    fields = ((d.zero, "zero"), (d.half, "half"), (d.one, "one"))
     constants = [_expect(expr, {}, bases, shape, expr,
                          f"{what} does not match the carrier shape")
-                 for expr, what in ((d.zero, "zero"), (d.half, "half"),
-                                    (d.one, "one"))]
+                 for expr, what in fields]
     env = {name: (shape, operator.itemgetter(k))
            for k, name in enumerate(d.op.patterns)}
     body = _expect(d.op.body, env, bases, shape, d.op.body,
                    "the body of p does not match the carrier shape")
-    zero, half, one = (fn(()) for fn in constants)
+    zero, half, one = (_evaluate(fn, expr, what)
+                       for fn, (expr, what) in zip(constants, fields))
     return MobiAlgebra(carrier, lambda a, b, c: body((a, b, c)),
                        zero, half, one, name=d.name)
 

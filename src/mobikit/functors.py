@@ -19,7 +19,7 @@ from .ringmod import RModule, check_module
 from .space import MobiSpace, PointedMobiSpace, check_space_morphism
 
 
-def module_to_space(module: RModule, name: str = "") -> PointedMobiSpace:
+def module_to_space(module: RModule) -> PointedMobiSpace:
     """The pointed space carried by a module."""
     ring = module.ring
     algebra = algebra_from_ring(ring)
@@ -31,11 +31,11 @@ def module_to_space(module: RModule, name: str = "") -> PointedMobiSpace:
         return module.add(module.phi(one_minus(a), x), module.phi(a, y))
 
     space = MobiSpace(algebra=algebra, points=module.points, q=q,
-                      name=name or (f"space({module.name})" if module.name else "space"))
+                      name=f"space({module.name})" if module.name else "space")
     return PointedMobiSpace(space, module.zero)
 
 
-def space_to_module(pointed: PointedMobiSpace, name: str = "") -> RModule:
+def space_to_module(pointed: PointedMobiSpace) -> RModule:
     """The module carried by a pointed space whose algebra has a doubler."""
     S = pointed.space
     e = pointed.origin
@@ -51,7 +51,7 @@ def space_to_module(pointed: PointedMobiSpace, name: str = "") -> RModule:
         zero=e,
         phi=lambda a, x: q(e, a, x),
         neg=lambda x: q(x, t, e),
-        name=name or (f"module({S.name})" if S.name else "module"),
+        name=f"module({S.name})" if S.name else "module",
     )
 
 

@@ -9,9 +9,8 @@ Space laws (law ids):
   X4  q(x, 1/2, y) = q(x, 1/2, y')  =>  y = y'
   X5  q(q(x,a,y), b, q(x,c,y)) = q(x, p(a,b,c), y)
 
-The affine condition (mode "half") is
+The affine condition, law id affine(half), is
   q(q(x1,a,y1), 1/2, q(x2,a,y2)) = q(q(x1,1/2,x2), a, q(y1,1/2,y2))
-and mode "general" replaces the middle 1/2 by a second sampled scalar.
 """
 
 from __future__ import annotations
@@ -46,17 +45,6 @@ class PointedMobiSpace:
                 f"origin {self.origin!r} is not in {self.space.points.describe()}")
 
 
-def eval_q(space: MobiSpace, x, a, y):
-    """Apply q after validating membership of points and scalar."""
-    if not space.points.contains(x):
-        raise MembershipError(f"x={x!r} is not in {space.points.describe()}")
-    if not space.algebra.carrier.contains(a):
-        raise MembershipError(f"a={a!r} is not in {space.algebra.carrier.describe()}")
-    if not space.points.contains(y):
-        raise MembershipError(f"y={y!r} is not in {space.points.describe()}")
-    return space.q(x, a, y)
-
-
 def check_space(space: MobiSpace, strategy=Sampled()) -> list[CheckReport]:
     """Closure plus X1..X5."""
     S = space
@@ -83,28 +71,17 @@ def check_space(space: MobiSpace, strategy=Sampled()) -> list[CheckReport]:
     ]
 
 
-def check_affine(space: MobiSpace, strategy=Sampled(), mode: str = "half") -> CheckReport:
+def check_affine(space: MobiSpace, strategy=Sampled()) -> CheckReport:
     """The affine condition; known counterexample probes run first."""
-    S = space
-    pts, sc = S.points, S.algebra.carrier
-    q = S.q
-    half = S.algebra.half
-    if mode == "half":
-        return check_equation(
-            "affine(half)", ("x1", "y1", "x2", "y2", "a"),
-            (pts, pts, pts, pts, sc), pts.eq,
-            lambda x1, y1, x2, y2, a: q(q(x1, a, y1), half, q(x2, a, y2)),
-            lambda x1, y1, x2, y2, a: q(q(x1, half, x2), a, q(y1, half, y2)),
-            strategy, probes=tuple(S.affine_probes))
-    if mode == "general":
-        probes = tuple(t + (half,) for t in S.affine_probes)
-        return check_equation(
-            "affine(general)", ("x1", "y1", "x2", "y2", "a", "b"),
-            (pts, pts, pts, pts, sc, sc), pts.eq,
-            lambda x1, y1, x2, y2, a, b: q(q(x1, a, y1), b, q(x2, a, y2)),
-            lambda x1, y1, x2, y2, a, b: q(q(x1, b, x2), a, q(y1, b, y2)),
-            strategy, probes=probes)
-    raise ValueError(f"mode must be 'half' or 'general', got {mode!r}")
+    q = space.q
+    pts, sc = space.points, space.algebra.carrier
+    half = space.algebra.half
+    return check_equation(
+        "affine(half)", ("x1", "y1", "x2", "y2", "a"),
+        (pts, pts, pts, pts, sc), pts.eq,
+        lambda x1, y1, x2, y2, a: q(q(x1, a, y1), half, q(x2, a, y2)),
+        lambda x1, y1, x2, y2, a: q(q(x1, half, x2), a, q(y1, half, y2)),
+        strategy, probes=tuple(space.affine_probes))
 
 
 def check_y_properties(space: MobiSpace, strategy=Sampled()) -> list[CheckReport]:

@@ -8,10 +8,10 @@ from mobikit import (AmbiguousTwoError, Exhaustive, MobiAlgebra, ModularInt,
                      NoHalfError, Rational, Restricted, RingWithHalf, Sampled,
                      algebra_from_ring, all_passed, build, check_algebra,
                      check_algebra_morphism, check_commutativity_condition,
-                     check_properties, circ, complement, eval_derived, eval_p,
-                     oplus, product, ring_from_algebra, sample, solve_two)
+                     check_properties, circ, complement, oplus, product,
+                     ring_from_algebra, sample, solve_two)
 from mobikit import algebra as algebra_module
-from mobikit.carriers import MembershipError, NotEnumerableError
+from mobikit.carriers import NotEnumerableError
 from mobikit.report import assignments_for, law_seed
 
 rationals = st.fractions(max_denominator=30)
@@ -25,7 +25,7 @@ def line():
 
 @given(rationals, rationals, rationals)
 def test_line_p_is_a_plus_b_times_c_minus_a(a, b, c):
-    assert eval_p(line(), a, b, c) == a + b * (c - a)
+    assert line().p(a, b, c) == a + b * (c - a)
 
 
 @given(rationals, rationals, rationals, rationals, rationals)
@@ -39,11 +39,6 @@ def test_line_satisfies_the_five_variable_laws(a, b1, b2, b3, c):
             == p(p(a1, h, a2), a, p(c1, h, c2)))
 
 
-def test_eval_p_validates_membership():
-    with pytest.raises(MembershipError):
-        eval_p(build("canonical-interval-algebra"), F(2), F(0), F(0))
-
-
 # derived operations
 
 def test_derived_operations_on_the_line():
@@ -52,16 +47,6 @@ def test_derived_operations_on_the_line():
     assert product(alg, F(1, 2), F(1, 3)) == F(1, 6)
     assert oplus(alg, F(1), F(0)) == F(1, 2)
     assert circ(alg, F(1, 2), F(1, 2)) == F(3, 4)
-
-
-def test_eval_derived_dispatch():
-    alg = line()
-    assert eval_derived(alg, "complement", F(0)) == F(1)
-    assert eval_derived(alg, "oplus", F(1), F(0)) == F(1, 2)
-    with pytest.raises(ValueError):
-        eval_derived(alg, "nope", F(0))
-    with pytest.raises(ValueError):
-        eval_derived(alg, "oplus", F(0))
 
 
 def test_complement_mod_five():
@@ -113,7 +98,7 @@ def test_solve_two_declared_and_found():
 
 def test_solve_two_absent_on_the_interval():
     result = solve_two(build("canonical-interval-algebra"))
-    assert not result.exists
+    assert result.value is None
     assert result.status == "absent-after-search"
 
 

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mobikit
 from mobikit import catalog, cli
@@ -248,7 +248,12 @@ def test_trace_splits_complex_components(tmp_path, capsys):
     ("x", "error: unbound-identifier: unbound identifier 'x'\n"),
     ("(1, 2) + 3", "error: shape-mismatch: operator '+' needs scalar operands\n"),
     ("exp(1000)", "error: exp overflow at 1000\n"),
-    ("exp(i)", "error: exp-i-misuse: exp needs a real argument\n")])
+    ("exp(i)", "error: exp-i-misuse: exp needs a real argument\n"),
+    *(pytest.param(value, "error: syntax: expression nests deeper than 64 levels\n",
+                   id=f"deep {kind}")
+      for kind, value in (("parentheses", "(" * 160 + "0" + ")" * 160),
+                          ("chain", "0" + " + 1" * 600),
+                          ("signs", "1 + " + "-" * 600 + "0")))])
 @pytest.mark.parametrize("command", ["trace", "convert"])
 def test_a_malformed_point_expression_exits_two(tmp_path, capsys, command, value, error):
     if command == "trace":
@@ -337,6 +342,109 @@ def test_catalog_check_keeps_the_exit_code_contract(name, samples, seed, flags):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
+# one digit more than the interpreter converts (3.10.7 and later limit it)
+_LONG = "9" * (sys.get_int_max_str_digits() + 1
+               if hasattr(sys, "get_int_max_str_digits") else 5000)
+
+
+def _algebra(carrier: str, half: str, body: str) -> str:
+    return (f"algebra g {{\n  carrier: {carrier}\n  zero: 0\n  half: {half}\n"
+            f"  one: 1\n  p(a, b, c) = {body}\n}}\n")
+
+
+def _sizes(small: int, large: int):
+    return st.one_of(st.integers(0, small), st.integers(0, large))
+
+
+@st.composite
+def _mobi_files(draw):
+    """A one-algebra file: a chain of terms, under signs and parentheses,
+    over Q or Z/5.  Sizes fall on both sides of the nesting limit, and reach
+    depths that overflow the interpreter's stack even with the 2000 frames
+    that Hypothesis adds to its recursion limit."""
+    zmod = draw(st.booleans())
+    terms = draw(st.lists(st.sampled_from(("a", "b", "c", "0", "1", "2")),
+                          min_size=1, max_size=6)) * (1 + draw(_sizes(12, 400)))
+    if draw(st.integers(0, 9)) == 0:
+        terms[draw(st.integers(0, len(terms) - 1))] = _LONG
+    ops = draw(st.lists(st.sampled_from("+-*/"), min_size=len(terms) - 1,
+                        max_size=len(terms) - 1))
+    body = terms[0] + "".join(f" {op} {t}" for op, t in zip(ops, terms[1:]))
+    depth = draw(_sizes(70, 400))
+    body = "-" * draw(_sizes(70, 2500)) + "(" * depth + body + ")" * depth
+    half = draw(st.sampled_from(("3", "1/0") if zmod else ("1/2", "1/3", "1/0")))
+    return _algebra("Zmod(5)" if zmod else "Q", half, body)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_mobi_files(), seed=st.integers(0, 3))
+@example(text=_algebra("Q", "1/2", "a + b*(c - a)"), seed=0)  # all laws pass
+@example(text=_algebra("Q", "1/0", "a - (b)/(c - c)"), seed=0)
+def test_check_of_a_generated_file_keeps_the_exit_code_contract(
+        tmp_path_factory, text, seed):
+    path = tmp_path_factory.mktemp("gen") / "g.mobi"
+    path.write_text(text)
+    argv = ["check", str(path), "--samples", "3", "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2), text
+    if code == 1:
+        assert any(line.startswith("FAIL ") for line in out.getvalue().splitlines()), text
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (text, lines)
+        assert lines[0].startswith((f"{path}:", "error:")), (text, lines)
+
+
+@pytest.mark.parametrize("text, where", [
+    (_algebra("Q", "1/0", "a"), "4:10: arithmetic: half divides by zero"),
+    pytest.param(_algebra("Q", "1/2", "a + " + _LONG), "6:20: syntax: integer literal of ",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no digit limit")),
+    (_algebra("Zmod(5)", "3", "a + b*(c - a) + 1/2"),
+     "6:33: shape-mismatch: '/' is not defined on Zmod carriers"),
+    (_algebra("Q", "1/2", "(" * 160 + "a" + ")" * 160),
+     "6:80: syntax: expression nests deeper than 64 levels"),
+    (_algebra("Q", "1/2", "a" + " + b" * 600),  # the 536th '+' is 65 levels deep
+     "6:2158: syntax: expression nests deeper than 64 levels"),
+], ids=["zero-divisor", "long-literal", "division-mod-m", "parentheses", "chain"])
+def test_check_reports_what_used_to_crash_at_its_position(tmp_path, capsys, text, where):
+    path = tmp_path / "f.mobi"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith(f"{path}:") and where in err
+
+
+def test_an_unwritable_out_path_prints_the_os_message(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    line = one_error_line(*run(capsys, "trace", "projectile-space",
+                               "--from", "(0,0)", "--to", "(1,1)", "--steps", "2",
+                               "--out", str(target)))
+    assert "No such file or directory" in line and str(target) in line
+    assert not target.parent.exists()
+
+
+def test_a_one_part_point_is_written_as_a_scalar(tmp_path, capsys):
+    code, out, _ = run(capsys, "convert", "space-to-module", "canonical-space",
+                       "--origin", "0", "--samples", "30")
+    assert code == 0 and "all passed" in out.splitlines()[-1]
+    out_path = tmp_path / "line.csv"
+    code, _, _ = run(capsys, "trace", "canonical-space", "--from", "0",
+                     "--to", "1", "--steps", "2", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == "t,c1\n0,0\n0.5,0.5\n1,1\n"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from mobikit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(mobikit.__all__)
+    assert all(namespace[name] is getattr(mobikit, name) for name in mobikit.__all__)
 
 
 def _env_with_src() -> dict:

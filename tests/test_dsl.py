@@ -1,5 +1,6 @@
 import itertools
 import operator
+import sys
 from fractions import Fraction as F
 from operator import itemgetter
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mobikit import (QI, DslError, MobiAlgebra, MobiSpace, Sampled,
                      SamplingExhausted, all_passed, build, check_algebra,
-                     check_space, load, parse, parse_value, print_definitions,
+                     check_space, elaborate, load, parse, parse_value, print_definitions,
                      run_cli, sample)
 from mobikit.carriers import SCALAR, _Fraction
 from mobikit.dsl import And, Bin, Compare, Name, Num, Tup, Unary, _compile
@@ -121,6 +122,17 @@ def test_parse_value_handles_rationals_and_tuples():
     assert parse_value("exp(0) + 1") == 2.0  # every atom's names are allowed
 
 
+def _algebra(carrier="Q", half="1/2", body="a + b*(c - a)") -> str:
+    return (f"algebra a {{\n  carrier: {carrier}\n  zero: 0\n  half: {half}\n"
+            f"  one: 1\n  p(a, b, c) = {body}\n}}\n")
+
+
+# one digit more than the interpreter converts (3.10.7 and later limit it)
+_LONG = "9" * (sys.get_int_max_str_digits() + 1
+               if hasattr(sys, "get_int_max_str_digits") else 0)
+_TOO_DEEP = "expression nests deeper than 64 levels"
+
+
 @pytest.mark.parametrize("text,kind,line,col", [
     ("algebra a {\n  carrier: Q\n  zero: 0 @\n}\n", "lexical", 3, 11),
     ("algebra a {\n  carrier: Q\n  zero 0\n}\n", "syntax", 3, 8),
@@ -130,6 +142,19 @@ def test_parse_value_handles_rationals_and_tuples():
      "  one: (1, 0)\n  p(a, b, c) = a + b\n}\n", "shape-mismatch", 6, 18),
     ("algebra a {\n  carrier: Q\n  zero: 0\n  half: 1/2\n  one: 1\n"
      "  p(a, b, c) = a + b*(c - a) + i\n}\n", "exp-i-misuse", 6, 32),
+    pytest.param(_algebra(half="1/0"), "arithmetic", 4, 10, id="zero divisor"),
+    pytest.param(_algebra(carrier="R64", half="exp(1000)"), "arithmetic", 4, 9,
+                 id="exp overflow"),
+    pytest.param(_algebra(carrier="Zmod(5)", half="3", body="a + b*(c - a) + 1/2"),
+                 "shape-mismatch", 6, 33, id="division mod m"),
+    pytest.param(_algebra(body="(" * 65 + "a" + ")" * 65), "syntax", 6, 80,
+                 id="parentheses"),
+    pytest.param(_algebra(carrier="R64", body="exp(" * 65 + "a" + ")" * 65),
+                 "syntax", 6, 16 + 4 * 64 + 3, id="calls"),
+    pytest.param(_algebra(body="a" + " + a" * 64), "syntax", 6, 16, id="chain"),
+    pytest.param(_algebra(body="-" * 64 + "a"), "syntax", 6, 80, id="signs"),
+    pytest.param(_algebra(body="a + " + _LONG), "syntax", 6, 20, id="long literal",
+                 marks=pytest.mark.skipif(not _LONG, reason="no digit limit")),
 ])
 def test_diagnostics_carry_kind_line_and_column(text, kind, line, col):
     with pytest.raises(DslError) as exc:
@@ -137,6 +162,29 @@ def test_diagnostics_carry_kind_line_and_column(text, kind, line, col):
     err = exc.value
     assert (err.kind, err.line, err.col) == (kind, line, col)
     assert err.format("f.mobi").startswith(f"f.mobi:{line}:{col}: {kind}:")
+
+
+def test_an_expression_at_the_depth_limit_loads_and_runs():
+    # 64 parentheses, and a tree 64 levels deep: a chain of 31 additions
+    # under 32 signs, which evaluates to a
+    body = "(" * 64 + "-" * 32 + "a" + " + 0" * 31 + ")" * 64
+    items = parse(_algebra(body=body))
+    assert parse(print_definitions(items)) == items
+    assert elaborate(items)["a"].p(F(3), F(1), F(5)) == F(3)
+    with pytest.raises(DslError, match=_TOO_DEEP):
+        load(_algebra(body="-" + body))
+
+
+def test_a_space_over_a_modular_algebra_may_not_divide():
+    text = ("algebra z {\n  carrier: Zmod(5)\n  zero: 0\n  half: 3\n  one: 1\n"
+            "  p(a, b, c) = a + b*(c - a)\n}\n"
+            "space s over z {\n  carrier: Zmod(5)\n"
+            "  q(x, a, y) = x + a*(y - x)/1\n}\n")
+    with pytest.raises(DslError) as exc:
+        load(text)
+    assert (exc.value.kind, exc.value.line, exc.value.col) == ("shape-mismatch", 10, 29)
+    # a field next to the residues keeps its division
+    assert load(text.replace("carrier: Zmod(5)\n  q", "carrier: Q\n  q"))
 
 
 @pytest.mark.parametrize("where, col", [

@@ -64,8 +64,6 @@ def _outcome(text: str):
         elaborate(items)
     except DslError as e:
         return [e.kind, e.line, e.col, e.msg]
-    except ArithmeticError as e:  # evaluating a constant, such as 1/0
-        return [type(e).__name__, str(e)]
     return print_definitions(items)
 
 

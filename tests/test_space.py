@@ -3,11 +3,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from mobikit import (Exhaustive, InverseError, MobiSpace, PointedMobiSpace,
-                     QI, Rational, Sampled, Vector, all_passed, build,
-                     check_affine, check_space, check_space_morphism,
-                     check_y_properties, eval_q, trace_geodesic,
-                     transport_space)
+from mobikit import (InverseError, MobiSpace, PointedMobiSpace, QI, Rational,
+                     Sampled, Vector, all_passed, build, check_affine,
+                     check_space, check_space_morphism, check_y_properties,
+                     trace_geodesic, transport_space)
 from mobikit.carriers import MembershipError
 
 rationals = st.fractions(max_denominator=30)
@@ -23,14 +22,6 @@ def canonical(n=1):
 def test_canonical_q_interpolates(x, a, y):
     sp = canonical(1)
     assert sp.q((x,), a, (y,)) == (x + a * (y - x),)
-
-
-def test_eval_q_validates_membership():
-    sp = canonical(2)
-    with pytest.raises(MembershipError):
-        eval_q(sp, (F(0),), F(0), (F(0), F(0)))
-    with pytest.raises(MembershipError):
-        eval_q(sp, (F(0), F(0)), 0.5, (F(0), F(0)))
 
 
 def test_projectile_midpoint_peaks():
@@ -68,15 +59,6 @@ def test_affine_spaces_pass():
                  "tri-space", "halfplane-space", "lozenge-space"):
         report = check_affine(build(name), strat)
         assert report.passed, name
-
-
-def test_affine_general_mode_samples_the_middle_scalar():
-    report = check_affine(build("canonical-space"),
-                          Sampled(samples=80, seed=0), mode="general")
-    assert report.passed
-    assert report.law == "affine(general)"
-    with pytest.raises(ValueError):
-        check_affine(build("canonical-space"), Exhaustive(), mode="sideways")
 
 
 def test_nonaffine_complex_fails_at_the_built_in_probe():
