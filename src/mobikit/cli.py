@@ -101,6 +101,15 @@ def _build(args, *types):
     return built
 
 
+def _point(space, option: str, text: str):
+    """The point of `space` that the expression given to `option` names; a
+    DslError in the expression is a ValueError placed at the option."""
+    try:
+        return space.points.coerce(parse_value(text))
+    except DslError as exc:
+        raise ValueError(exc.format(option)) from None
+
+
 def _params(args) -> dict:
     out = {}
     for item in args.param or []:
@@ -148,7 +157,7 @@ def _cmd_convert(args) -> int:
     if args.direction == "space-to-module":
         space = _build(args, MobiSpace)
         if args.origin is not None:
-            origin = space.points.coerce(parse_value(args.origin))
+            origin = _point(space, "--origin", args.origin)
         else:
             origin = _catalog.default_origin(args.name, _params(args))
         built = space_to_module(PointedMobiSpace(space, origin))
@@ -208,8 +217,8 @@ def _flatten_point(value) -> list:
 
 def _cmd_trace(args) -> int:
     space = _build(args, MobiSpace)
-    start = space.points.coerce(parse_value(args.src))
-    end = space.points.coerce(parse_value(args.dst))
+    start = _point(space, "--from", args.src)
+    end = _point(space, "--to", args.dst)
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     scalars = space.algebra.carrier
@@ -324,9 +333,6 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DslError as exc:
-        print(f"error: {exc.kind}: {exc.msg}", file=sys.stderr)
-        return 2
     except _CONFIG_ERRORS as exc:
         # str() of a KeyError quotes its message; an OSError's args[0] is errno
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)

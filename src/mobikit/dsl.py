@@ -25,12 +25,14 @@ compared with `=`.  A space's `over` names an algebra defined anywhere in
 the file, before or after the space, or a catalog algebra.
 
 Elaboration checks each expression and compiles it in the same walk, once,
-into nested closures over the operation's arguments; evaluating p, q or a
-where clause runs those closures, not the syntax tree.  parse_value checks
-and compiles a literal the same way, with every atom's names allowed.
+into Python source; p, q, each constant and each where clause is one
+generated function of its arguments, built by exec, so evaluating it runs
+no code of this module but the `/` and exp helpers.  parse_value checks and
+compiles a literal the same way, with every atom's names allowed.
 
-`/` is refused on a carrier of Zmod atoms alone.  Parentheses and syntax
-trees nest at most _MAX_DEPTH levels, far inside the recursion limit.
+`/` is refused on a carrier of Zmod atoms alone and on a value computed
+from Zmod residues.  Parentheses and syntax trees nest at most _MAX_DEPTH
+levels, far inside the recursion limit and CPython's parser limit.
 
 Errors are reported as DslError(kind, line, col, msg) with kind one of
 lexical, syntax, unbound-identifier, shape-mismatch, exp-i-misuse, and
@@ -40,7 +42,6 @@ arithmetic (a constant whose evaluation fails, such as 1/0).
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,8 +57,8 @@ _KEYWORDS = {"algebra", "space", "over", "carrier", "zero", "half", "one",
              "param", "where", "and"}
 _BASES = {"Q", "QI", "R64", "Zmod"}
 _RESERVED = {"i", "exp"}
-_RELATIONS = {"<=": operator.le, "<": operator.lt, "=": operator.eq,
-              ">=": operator.ge, ">": operator.gt}
+# each relation and its Python operator
+_RELATIONS = {"<=": "<=", "<": "<", "=": "==", ">=": ">=", ">": ">"}
 # Binding strength, shared by the parser and the printer: ^ binds tightest,
 # then unary -, then * /, then + -.
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -546,8 +547,9 @@ def parse_value(text: str):
     tok = parser.peek()
     if tok.kind != "eof":
         raise _error("syntax", tok, f"unexpected {tok.text!r} after the expression")
-    _, value = _compile(expr, {}, _BASES)
-    return value(())
+    ns = _namespace()
+    _, source = _compile(expr, {}, _BASES, ns)
+    return _define("value", "", source, ns)()
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +632,32 @@ def print_definitions(items) -> str:
 # elaboration: definitions to runtime structures
 #
 # One walk checks an expression and compiles it: _compile returns its shape
-# (SCALAR; COMPLEX when it may be a Gaussian rational, so that neither exp
-# nor an order comparison accepts it; or the tuple of its items' shapes) and
-# a function of one argument, the tuple (a, b, c) of p, the tuple (x, a, y)
-# of q, or the element that a where clause tests.  Each name in env maps to
-# (shape, getter of its value).
+# and the Python source of its value.  A shape is the tuple of its items'
+# shapes, COMPLEX when the value may be a Gaussian rational (so that neither
+# exp nor an order comparison accepts it), or a real scalar kind: _LITERAL
+# when it is built from integer literals alone, _MODULAR from Zmod residues
+# and integer literals, SCALAR from anything else.  '/' is refused on a
+# _MODULAR value, whose result would be a Fraction, not a residue.  Each name
+# in env maps to (shape, source of its value).
+#
+# The source holds generated names only: the arguments _x0, _x1, _x2, the
+# helpers _div and _exp, and _k0, _k1, ... for each literal, `i` and param
+# value, bound in a namespace dict with no builtins.  No identifier or number
+# of the file is written into it.  Each operation, constant, where clause
+# and parse_value literal becomes one function, `def NAME(ARGS): return
+# SOURCE`, built by exec over its namespace; an operation reads a pattern's
+# components by index from its argument.  Every operand is a name, a call or
+# parenthesised, so Python evaluates the operands left to right and each
+# once, and a chained comparison is a Python chain, which stops at its first
+# false link.  The source nests about as deep as the tree, so _MAX_DEPTH
+# keeps it far inside CPython's parser limit.
 
 _FIELDS = {"Q": Rational, "QI": GaussianRational, "R64": Float64}
+_LITERAL = "literal"
+_MODULAR = "modular"
+# the kind of an arithmetic result is the highest-ranked kind of its operands
+_RANK = {_LITERAL: 0, _MODULAR: 1, SCALAR: 2, COMPLEX: 3}
+_ARITHMETIC = {"+": "+", "-": "-", "*": "*", "^": "**"}
 
 
 def _atom_carrier(atom: CarrierAtom):
@@ -647,154 +668,141 @@ def _atom_carrier(atom: CarrierAtom):
     return base if atom.power == 1 else Product((base,) * atom.power)
 
 
-def _constant(value):
-    return lambda args: value
+def _kinds(carrier):
+    """carrier.shape(), with _MODULAR for each component of Zmod residues."""
+    while isinstance(carrier, Restricted):
+        carrier = carrier.base
+    if isinstance(carrier, Product):
+        return tuple(_kinds(part) for part in carrier.parts)
+    return _MODULAR if isinstance(carrier, ModularInt) else carrier.shape()
 
 
-def _identity(args):
-    return args
+def _div(a, b):
+    """a / b; int / int is an exact Fraction."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
 
 
-def _path(indices: tuple):
-    """The getter of args[i][j]... along the index path (i, j, ...)."""
-    if len(indices) == 1:
-        return operator.itemgetter(indices[0])
-
-    def get(args):
-        for i in indices:
-            args = args[i]
-        return args
-
-    return get
+def _exp(value):
+    try:
+        return math.exp(float(value))
+    except OverflowError:
+        raise EvalError(f"exp overflow at {value!r}")
 
 
-def _compile(e, env: dict, bases, depth: int = 1):
-    """(shape, fn) of e at depth in its tree, raising DslError on static problems."""
+def _namespace() -> dict:
+    """The globals of generated functions: the helpers, and no builtins."""
+    return {"__builtins__": {}, "_div": _div, "_exp": _exp}
+
+
+def _bind(ns: dict, value) -> str:
+    """A fresh name for value in the namespace ns."""
+    name = f"_k{len(ns)}"
+    ns[name] = value
+    return name
+
+
+def _define(name: str, args: str, source: str, ns: dict):
+    """The function `def name(args): return source` over the namespace ns."""
+    exec(compile(f"def {name}({args}):\n    return {source}\n", "<mobi>", "exec"), ns)
+    return ns[name]
+
+
+def _compile(e, env: dict, bases, ns: dict, depth: int = 1):
+    """(shape, source) of e at depth in its tree, raising DslError on static
+    problems; its literals are bound in ns."""
     if depth > _MAX_DEPTH:
         raise _error("syntax", e, _TOO_DEEP)
     if isinstance(e, Num):
-        return SCALAR, _constant(e.value)
+        return _LITERAL, _bind(ns, e.value)
     if isinstance(e, Name):
         if e.text == "i":
             if "QI" not in bases:
                 raise _error("exp-i-misuse", e, "'i' requires a QI carrier")
-            return COMPLEX, _constant(QI(0, 1))
+            return COMPLEX, _bind(ns, QI(0, 1))
         if e.text not in env:
             raise _error("unbound-identifier", e, f"unbound identifier {e.text!r}")
         return env[e.text]
     if isinstance(e, Call):  # the parser makes a Call of exp(...) only
         if "R64" not in bases:
             raise _error("exp-i-misuse", e, "'exp' requires an R64 carrier")
-        shape, arg = _scalar(e.arg, env, bases, e, "exp needs a scalar argument",
+        shape, arg = _scalar(e.arg, env, bases, ns, e, "exp needs a scalar argument",
                              depth)
         if shape == COMPLEX:
             raise _error("exp-i-misuse", e, "exp needs a real argument")
-
-        def exp(args):
-            value = arg(args)
-            try:
-                return math.exp(float(value))
-            except OverflowError:
-                raise EvalError(f"exp overflow at {value!r}")
-
-        return SCALAR, exp
+        return SCALAR, f"_exp({arg})"
     if isinstance(e, Unary):
-        shape, operand = _scalar(e.operand, env, bases, e,
+        shape, operand = _scalar(e.operand, env, bases, ns, e,
                                  "unary '-' needs a scalar operand", depth)
-        return shape, lambda args: -operand(args)
+        return shape, f"(-{operand})"
     if isinstance(e, Bin):
         msg = f"operator {e.op!r} needs scalar operands"
-        shape, left = _scalar(e.left, env, bases, e, msg, depth)
-        right_shape, right = _scalar(e.right, env, bases, e, msg, depth)
-        if right_shape == COMPLEX:
-            shape = COMPLEX
-        if e.op == "+":
-            return shape, lambda args: left(args) + right(args)
-        if e.op == "-":
-            return shape, lambda args: left(args) - right(args)
-        if e.op == "*":
-            return shape, lambda args: left(args) * right(args)
-        if e.op == "^":
-            power = e.right.value
-            return shape, lambda args: left(args) ** power
-        if bases == {"Zmod"}:
+        shape, left = _scalar(e.left, env, bases, ns, e, msg, depth)
+        right_shape, right = _scalar(e.right, env, bases, ns, e, msg, depth)
+        shape = max(shape, right_shape, key=_RANK.get)
+        if e.op != "/":
+            return shape, f"({left} {_ARITHMETIC[e.op]} {right})"
+        if bases == {"Zmod"} or shape == _MODULAR:
             raise _error("shape-mismatch", e,
                          "'/' is not defined on Zmod carriers; multiply by an inverse")
-
-        def divide(args):
-            a, b = left(args), right(args)
-            if isinstance(a, int) and isinstance(b, int):
-                return Fraction(a, b)
-            return a / b
-
-        return shape, divide
+        return (COMPLEX if shape == COMPLEX else SCALAR), f"_div({left}, {right})"
     if isinstance(e, Tup):
-        shapes, fns = zip(*(_compile(x, env, bases, depth + 1) for x in e.items))
-        return shapes, lambda args: tuple([fn(args) for fn in fns])
+        shapes, items = zip(*(_compile(x, env, bases, ns, depth + 1) for x in e.items))
+        return shapes, f"({', '.join(items)})"
     if isinstance(e, Compare):
-        shapes, fns = zip(*(_scalar(item, env, bases, item,
-                                    "comparisons need scalar operands", depth)
-                            for item in e.items))
+        shapes, items = zip(*(_scalar(item, env, bases, ns, item,
+                                      "comparisons need scalar operands", depth)
+                              for item in e.items))
         for k, op in enumerate(e.ops):
             if op != "=" and COMPLEX in shapes[k:k + 2]:
                 at = e.items[k if shapes[k] == COMPLEX else k + 1]
                 raise _error("shape-mismatch", at,
                              f"{op!r} needs real operands; Q[i] has no order")
-        first, *rest = fns
-        links = tuple(zip([_RELATIONS[op] for op in e.ops], rest))
-
-        def compare(args):
-            lhs = first(args)
-            for holds, item in links:
-                rhs = item(args)
-                if not holds(lhs, rhs):
-                    return False
-                lhs = rhs
-            return True
-
-        return SCALAR, compare
+        links = "".join(f" {_RELATIONS[op]} {item}" for op, item in zip(e.ops, items[1:]))
+        return SCALAR, f"({items[0]}{links})"
     if isinstance(e, And):
-        fns = [_compile(part, env, bases, depth + 1)[1] for part in e.parts]
-        return SCALAR, lambda args: all(fn(args) for fn in fns)
+        parts = [_compile(part, env, bases, ns, depth + 1)[1] for part in e.parts]
+        return SCALAR, f"(True if {' and '.join(parts)} else False)"
     raise TypeError(f"cannot compile {e!r}")
 
 
 def _fits(shape, want) -> bool:
-    """Whether a value of this shape may stand where want is expected: a
-    real scalar may stand for a Gaussian rational."""
+    """Whether a value of this shape may stand where want is expected: any
+    real scalar may stand for another or for a Gaussian rational."""
     if isinstance(want, tuple):
         return (isinstance(shape, tuple) and len(shape) == len(want)
                 and all(map(_fits, shape, want)))
-    return shape == want or (shape == SCALAR and want == COMPLEX)
+    return not isinstance(shape, tuple) and (shape != COMPLEX or want == COMPLEX)
 
 
-def _expect(e, env: dict, bases, want, at, msg: str):
-    """The compiled fn of e, whose shape must fit want, else a shape-mismatch at `at`."""
-    shape, fn = _compile(e, env, bases)
+def _expect(e, env: dict, bases, ns: dict, want, at, msg: str) -> str:
+    """The source of e, whose shape must fit want, else a shape-mismatch at `at`."""
+    shape, source = _compile(e, env, bases, ns)
     if not _fits(shape, want):
         raise _error("shape-mismatch", at, msg)
-    return fn
+    return source
 
 
-def _scalar(e, env: dict, bases, at, msg: str, depth: int):
-    """(shape, fn) of e, the child of a node at depth, which must be a scalar,
-    else a shape-mismatch at `at`."""
-    shape, fn = _compile(e, env, bases, depth + 1)
+def _scalar(e, env: dict, bases, ns: dict, at, msg: str, depth: int):
+    """(shape, source) of e, the child of a node at depth, which must be a
+    scalar, else a shape-mismatch at `at`."""
+    shape, source = _compile(e, env, bases, ns, depth + 1)
     if isinstance(shape, tuple):
         raise _error("shape-mismatch", at, msg)
-    return shape, fn
+    return shape, source
 
 
-def _bind_pattern(pattern, shape, path: tuple, env: dict, op: OpDef):
-    """Bind pattern names to their shapes and index paths; the pattern must
-    match the shape."""
+def _bind_pattern(pattern, shape, source: str, env: dict, op: OpDef):
+    """Bind pattern names to their shapes and the sources that index their
+    components out of `source`; the pattern must match the shape."""
     if isinstance(pattern, str):
-        env[pattern] = (shape, _path(path))
+        env[pattern] = (shape, source)
         return
     if not isinstance(shape, tuple) or len(shape) != len(pattern):
         raise _error("shape-mismatch", op, "pattern does not match the carrier shape")
     for k, (sub, subshape) in enumerate(zip(pattern, shape)):
-        _bind_pattern(sub, subshape, path + (k,), env, op)
+        _bind_pattern(sub, subshape, f"{source}[{k}]", env, op)
 
 
 def _elab_carrier(ct: CarrierType):
@@ -803,14 +811,15 @@ def _elab_carrier(ct: CarrierType):
     if ct.where is None:
         return carrier
     # the components: v for a single scalar, else v1..vk
-    shape = carrier.shape()
+    shape = _kinds(carrier)
     if not isinstance(shape, tuple):
-        env = {"v": (shape, _identity)}
+        env = {"v": (shape, "_x0")}
     else:
-        env = {f"v{k + 1}": (sub, operator.itemgetter(k))
-               for k, sub in enumerate(shape)}
-    _, member = _compile(ct.where, env, carrier.atom_names())
-    return Restricted(carrier, member, label=_fmt(ct.where))
+        env = {f"v{k + 1}": (sub, f"_x0[{k}]") for k, sub in enumerate(shape)}
+    ns = _namespace()
+    _, source = _compile(ct.where, env, carrier.atom_names(), ns)
+    return Restricted(carrier, _define("member", "_x0", source, ns),
+                      label=_fmt(ct.where))
 
 
 def _param_value(par: ParamDef):
@@ -828,7 +837,7 @@ def _evaluate(fn, expr, what: str):
     """The value of a compiled constant; a failing operation is an arithmetic
     DslError at the constant's expression."""
     try:
-        return fn(())
+        return fn()
     except ZeroDivisionError:
         raise _error("arithmetic", expr, f"{what} divides by zero") from None
     except (ArithmeticError, EvalError) as exc:
@@ -837,19 +846,19 @@ def _evaluate(fn, expr, what: str):
 
 def _elab_algebra(d: AlgebraDef) -> MobiAlgebra:
     carrier = _elab_carrier(d.carrier)
-    shape = carrier.shape()
+    shape = _kinds(carrier)
     bases = carrier.atom_names()
+    ns = _namespace()
     fields = ((d.zero, "zero"), (d.half, "half"), (d.one, "one"))
-    constants = [_expect(expr, {}, bases, shape, expr,
+    constants = [_expect(expr, {}, bases, ns, shape, expr,
                          f"{what} does not match the carrier shape")
                  for expr, what in fields]
-    env = {name: (shape, operator.itemgetter(k))
-           for k, name in enumerate(d.op.patterns)}
-    body = _expect(d.op.body, env, bases, shape, d.op.body,
+    env = {name: (shape, f"_x{k}") for k, name in enumerate(d.op.patterns)}
+    body = _expect(d.op.body, env, bases, ns, shape, d.op.body,
                    "the body of p does not match the carrier shape")
-    zero, half, one = (_evaluate(fn, expr, what)
-                       for fn, (expr, what) in zip(constants, fields))
-    return MobiAlgebra(carrier, lambda a, b, c: body((a, b, c)),
+    zero, half, one = (_evaluate(_define(what, "", source, ns), expr, what)
+                       for source, (expr, what) in zip(constants, fields))
+    return MobiAlgebra(carrier, _define("p", "_x0, _x1, _x2", body, ns),
                        zero, half, one, name=d.name)
 
 
@@ -867,21 +876,23 @@ def _elab_space(d: SpaceDef, algebras: dict) -> MobiSpace:
                            f"{d.over!r} names a catalog {entry.kind}, not an algebra")
         algebra = catalog.build(entry.name)
     points = _elab_carrier(d.carrier)
-    shape = points.shape()
+    shape = _kinds(points)
     bases = points.atom_names() | algebra.carrier.atom_names()
     env = {}
     left, mid, right = d.op.patterns
-    _bind_pattern(left, shape, (0,), env, d.op)
-    _bind_pattern(right, shape, (2,), env, d.op)
-    env[mid] = (algebra.carrier.shape(), operator.itemgetter(1))
+    _bind_pattern(left, shape, "_x0", env, d.op)
+    _bind_pattern(right, shape, "_x2", env, d.op)
+    env[mid] = (_kinds(algebra.carrier), "_x1")
+    ns = _namespace()
     for par in d.params:
         if par.name in env:
             raise _error("syntax", par,
                          f"param {par.name!r} collides with a pattern name")
-        env[par.name] = (SCALAR, _constant(_param_value(par)))
-    body = _expect(d.op.body, env, bases, shape, d.op.body,
+        kind = _MODULAR if par.atom.base == "Zmod" else SCALAR
+        env[par.name] = (kind, _bind(ns, _param_value(par)))
+    body = _expect(d.op.body, env, bases, ns, shape, d.op.body,
                    "the body of q does not match the carrier shape")
-    return MobiSpace(algebra, points, lambda x, a, y: body((x, a, y)),
+    return MobiSpace(algebra, points, _define("q", "_x0, _x1, _x2", body, ns),
                      name=d.name)
 
 

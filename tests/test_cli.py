@@ -244,6 +244,14 @@ def test_trace_splits_complex_components(tmp_path, capsys):
     assert header == "t,c1,c2,c3"
 
 
+_DEEP = {"parentheses": "(" * 160 + "0" + ")" * 160, "chain": "0" + " + 1" * 600,
+         "signs": "1 + " + "-" * 600 + "0"}
+# the column of each DslError below; the 536th '+' of the chain is the
+# first node deeper than 64 levels
+_COLUMNS = {"x": 1, "(1, 2) + 3": 8, "exp(i)": 1, _DEEP["parentheses"]: 65,
+            _DEEP["chain"]: 4 * 536 - 1, _DEEP["signs"]: 68}
+
+
 @pytest.mark.parametrize("value, error", [
     ("x", "error: unbound-identifier: unbound identifier 'x'\n"),
     ("(1, 2) + 3", "error: shape-mismatch: operator '+' needs scalar operands\n"),
@@ -251,16 +259,18 @@ def test_trace_splits_complex_components(tmp_path, capsys):
     ("exp(i)", "error: exp-i-misuse: exp needs a real argument\n"),
     *(pytest.param(value, "error: syntax: expression nests deeper than 64 levels\n",
                    id=f"deep {kind}")
-      for kind, value in (("parentheses", "(" * 160 + "0" + ")" * 160),
-                          ("chain", "0" + " + 1" * 600),
-                          ("signs", "1 + " + "-" * 600 + "0")))])
+      for kind, value in _DEEP.items())])
 @pytest.mark.parametrize("command", ["trace", "convert"])
 def test_a_malformed_point_expression_exits_two(tmp_path, capsys, command, value, error):
     if command == "trace":
         argv = ("trace", "canonical-space", "--from", value, "--to", "(1, 1)",
                 "--steps", "2", "--out", str(tmp_path / "x.csv"))
+        option = "--from"
     else:
         argv = ("convert", "space-to-module", "canonical-space", "--origin", value)
+        option = "--origin"
+    if value in _COLUMNS:  # a DslError names the option and the column
+        error = error.replace("error: ", f"error: {option}:1:{_COLUMNS[value]}: ")
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", error)
 
@@ -417,6 +427,17 @@ def test_check_reports_what_used_to_crash_at_its_position(tmp_path, capsys, text
     code, out, err = run(capsys, "check", str(path))
     assert (code, out, err.count("\n")) == (2, "", 1)
     assert err.startswith(f"{path}:") and where in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_a_witness_past_the_digit_limit_is_rendered(tmp_path, capsys):
+    path = tmp_path / "g.mobi"
+    path.write_text(_algebra("Q", "1/2", "a + b*(c - a) + 10^5000"))
+    code, out, err = run(capsys, "check", str(path), "--samples", "3")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (1, "", 10)
+    assert lines[0].startswith("PASS g.A0") and lines[-1] == "checked 9 law(s): 6 failed"
+    assert "difference=10000000000000000000...(5001 digits)" in lines[1]
 
 
 def test_an_unwritable_out_path_prints_the_os_message(tmp_path, capsys):

@@ -2,7 +2,6 @@ import itertools
 import operator
 import sys
 from fractions import Fraction as F
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,8 @@ from mobikit import (QI, DslError, MobiAlgebra, MobiSpace, Sampled,
                      check_space, elaborate, load, parse, parse_value, print_definitions,
                      run_cli, sample)
 from mobikit.carriers import SCALAR, _Fraction
-from mobikit.dsl import And, Bin, Compare, Name, Num, Tup, Unary, _compile
+from mobikit.dsl import (_LITERAL, And, Bin, Compare, Name, Num, Tup, Unary,
+                         _compile, _define, _namespace)
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
 
@@ -238,6 +238,9 @@ def test_integer_division_stays_exact():
         "  p(a, b, c) = a + (2/2)*b*(c - a)\n"
         "}\n")
     assert defs["thirds"].p(F(0), F(1, 3), F(1)) == F(1, 3)
+    # int / int is a Fraction, on int arguments too
+    assert defs["thirds"].p(0, 3, 1) == 3 and type(defs["thirds"].p(0, 3, 1)) is F
+    assert parse_value("4/2") == 2 and type(parse_value("4/2")) is F
 
 
 def test_where_carriers_keep_rejection_sampling():
@@ -316,6 +319,13 @@ def _children(e):
     if isinstance(e, And):
         return e.parts
     return ()
+
+
+def _real(shape):
+    """The shape with the kind of integer literals written SCALAR."""
+    if isinstance(shape, tuple):
+        return tuple(map(_real, shape))
+    return SCALAR if shape == _LITERAL else shape
 
 
 def _reference_shape(e):
@@ -403,15 +413,154 @@ def test_compiled_expressions_match_the_reference(tree, args):
             number(child)
 
     number(tree)
-    env = {name: (SCALAR, itemgetter(k)) for k, name in enumerate(_NAMES)}
+    # the arguments under names of the test's choosing
+    env = {name: (SCALAR, f"_t{k}") for k, name in enumerate(_NAMES)}
+    ns = _namespace()
     try:
         want = _reference_shape(tree)
     except _Mismatch as exc:
         with pytest.raises(DslError) as err:
-            _compile(tree, env, {"Q"})
+            _compile(tree, env, {"Q"}, ns)
         assert (err.value.kind, err.value.line) == ("shape-mismatch", exc.args[0].line)
         return
-    shape, fn = _compile(tree, env, {"Q"})
-    assert shape == want
-    assert _outcome(lambda: fn(args)) == \
+    shape, source = _compile(tree, env, {"Q"}, ns)
+    assert _real(shape) == want
+    fn = _define("f", "_t0, _t1, _t2", source, ns)
+    assert _outcome(lambda: fn(*args)) == \
         _outcome(lambda: _reference_value(tree, dict(zip(_NAMES, args))))
+
+
+# Generated functions: each operation, constant and where clause is one
+# Python function built from generated source.
+
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def _workloads():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return workloads
+
+
+_WORKLOADS = _workloads()
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOADS.TWINS))
+def test_each_benchmark_transcription_agrees_with_its_catalog_twin(name):
+    # the faithful transcription of the dsl workload, and the catalog
+    # structures its catalog twins check, on 200 seeded draws each
+    text = _WORKLOADS._render(name, _WORKLOADS._defaults(name), GOLDEN.read_text())
+    defs = load(text)
+    for (entry, extra), seed in zip(_WORKLOADS.TWINS[name], itertools.count(1)):
+        params = dict(arg.format(m=_WORKLOADS.MODULUS).split("=")
+                      for arg in extra[1::2])
+        twin = build(entry, params)
+        ours = next(d for d in defs.values() if type(d) is type(twin))
+        if isinstance(twin, MobiAlgebra):
+            carrier, run, theirs = twin.carrier, ours.p, twin.p
+            slots = [sample(carrier, seed + k, 200) for k in range(3)]
+        else:
+            carrier, run, theirs = twin.points, ours.q, twin.q
+            slots = [sample(carrier, seed, 200), sample(twin.algebra.carrier, seed + 1, 200),
+                     sample(carrier, seed + 2, 200)]
+        for args in zip(*slots):
+            assert carrier.eq(run(*args), theirs(*args)), (name, args)
+
+
+def test_an_exp_overflow_is_a_witness(tmp_path, capsys):
+    path = tmp_path / "overflow.mobi"
+    path.write_text(_algebra(carrier="R64", body="a + b*(c - a) + 0*exp(1000 + b)"))
+    assert run_cli(["check", str(path), "--samples", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL a.A0 [sampled(n=3, seed=0)] witness: a=" in out[0]
+    assert all("<error: exp overflow at " in line for line in out[:-1])
+    assert out[-1] == "checked 9 law(s): 9 failed"
+
+
+class _Counted(F):
+    """A Fraction that counts its subtractions."""
+    subtractions = 0
+
+    def __sub__(self, other):
+        _Counted.subtractions += 1
+        return F(self) - other
+
+
+def test_a_chain_evaluates_each_item_once_and_stops_at_a_false_link():
+    carrier = load(_algebra(carrier="Q where 0 < v - 1 < 1/(v - 1)"))["a"].carrier
+    assert carrier.contains(F(3, 2)) and not carrier.contains(F(3))
+    # v - 1 is 0 at v = 1: the chain stops before 1/(v - 1)
+    assert carrier.member(F(1)) is False
+    member = load(_algebra(carrier="Q where 0 < v - 1 < 2"))["a"].carrier.member
+    _Counted.subtractions = 0
+    assert member(_Counted(2)) is True
+    assert _Counted.subtractions == 1  # the middle item, once
+
+
+def test_and_stops_early_and_gives_a_bool():
+    member = load(_algebra(carrier="Q where v > 0 and 1/v < 2 and v = v"))["a"].carrier.member
+    assert member(F(0)) is False  # 1/v is not evaluated
+    assert member(F(1)) is True and member(F(1, 4)) is False
+    assert member(F(-1)) is False
+
+
+@pytest.mark.parametrize("carrier, body, p", [
+    ("Q", "-" * 63 + "a", F(-3)),
+    ("Q", "a" + " + 0" * 63, F(3)),
+    ("R64", "exp(-" * 31 + "a" + ")" * 31 + " + a", None),
+    ("Q", "(" * 64 + "a" + " - 0" * 63 + ")" * 64, F(3)),
+])
+def test_a_body_64_levels_deep_loads_and_runs(carrier, body, p):
+    value = load(_algebra(carrier=carrier, body=body))["a"].p(F(3), F(1), F(5))
+    assert value == p if p is not None else 3 < value < 4
+
+
+def test_a_literal_64_levels_deep_is_a_value():
+    value = parse_value("(" * 63 + "0" + ", 1)" * 63)
+    for _ in range(63):
+        value, last = value
+        assert last == 1
+    assert value == 0
+
+
+def test_names_that_generated_source_uses_are_ordinary_names():
+    text = ("algebra line {\n  carrier: Q\n  zero: 0\n  half: 1/2\n  one: 1\n"
+            "  p(_x1, _div, _x0) = _x1 + _div*(_x0 - _x1)\n}\n"
+            "space s over line {\n  carrier: Q^2 where v1 = v1\n"
+            "  param __import__: Q = 2\n  param _k0: Q = 3\n"
+            "  q((math, args), _x2, (_exp, __builtins__)) = "
+            "(math + _x2*(_exp - math)*__import__/2, args + _x2*(__builtins__ - args)*_k0/3)\n"
+            "}\n")
+    defs = load(text)
+    assert defs["line"].p(F(1), F(1, 2), F(3)) == 2
+    catalog = build("projectile-space")
+    strategy = Sampled(samples=60, seed=1)
+    assert all_passed(check_algebra(defs["line"], strategy))
+    assert all_passed(check_space(defs["s"], strategy))
+    points = sample(catalog.points, seed=2, n=50)
+    for x, a, y in zip(points, sample(catalog.algebra.carrier, seed=3, n=50), points[::-1]):
+        assert defs["s"].q(x, a, y) == tuple(u + a * (v - u) for u, v in zip(x, y))
+
+
+_MIXED = ("space s over zmod_algebra {\n  carrier: Q x Zmod(3)\n"
+          "  q((x, s), a, (y, t)) = (x + a*(y - x), s + a*(t - s)/1)\n}\n")
+
+
+def test_division_of_a_residue_in_a_mixed_carrier_is_refused(tmp_path, capsys):
+    with pytest.raises(DslError) as exc:
+        load(_MIXED)
+    err = exc.value
+    assert (err.kind, err.line, err.col) == ("shape-mismatch", 3, 55)
+    path = tmp_path / "mixed.mobi"
+    path.write_text(_MIXED)
+    assert run_cli(["check", str(path), "--samples", "5"]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:3:55: shape-mismatch: '/' is not defined on Zmod carriers; "
+        "multiply by an inverse\n")
+    # the rational component divides, with or without a residue in it
+    space = load(_MIXED.replace("(t - s)/1", "(t - s)")
+                 .replace("a*(y - x)", "a*(y - x)/2 + (y - x)/a/2"))["s"]
+    assert space.q((F(0), 1), 1, (F(4), 2)) == (F(4), 2)

@@ -3,6 +3,7 @@ check_implication."""
 
 import json
 import operator
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from mobikit import (EvalError, Exhaustive, ModularInt, Rational, Sampled,
                      check_equation, check_implication, check_predicate,
                      report_to_text, reports_to_json)
-from mobikit.report import assignments_for
+from mobikit.report import assignments_for, render_value
 
 Z5 = ModularInt(5)
 
@@ -148,3 +149,13 @@ def test_a_law_with_no_variables_reports_exhaustive_under_any_strategy():
         assert report_to_text(report) == "PASS constant [exhaustive]"
         assert json.loads(reports_to_json([report]))[0]["strategy"] == {
             "kind": "exhaustive", "samples": None, "seed": None}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_a_number_past_the_digit_limit_renders_its_head_and_digit_count():
+    big = 10 ** 5000 + 7
+    assert render_value(big) == "10000000000000000000...(5001 digits)"
+    assert render_value(-big) == "-10000000000000000000...(5001 digits)"
+    assert render_value(F(2 * big, 3)) == "20000000000000000000...(5001 digits)/3"
+    assert render_value(F(3, 10 ** 4999)) == "3/10000000000000000000...(5000 digits)"
+    assert render_value(F(-5, 7)) == "-5/7" and render_value(12) == "12"
