@@ -46,6 +46,7 @@ from typing import Callable
 MAX_REJECTS = 10_000
 SCALAR = "scalar"  # the shape of a non-product element with an order
 COMPLEX = "complex"  # the shape of a Gaussian rational, which has none
+MODULAR = "modular"  # the shape of a residue mod m, which has no division
 RATIONAL_NUMERATOR_BOUND = 12
 DENOMINATOR_BOUND = 8
 FLOAT_ATOL = 1e-9  # absolute and relative tolerance of Float64 equality
@@ -264,6 +265,30 @@ def _draw_rational(rng: random.Random) -> _Fraction:
     return _DRAWS[d][n]
 
 
+_HEAD_DIGITS = 20
+
+
+def _render_int(n: int) -> str:
+    """n in decimal; past the interpreter's digit limit for str(), its
+    leading digits and its digit count, as in 123...(5001 digits)."""
+    try:
+        return str(n)
+    except ValueError:
+        m = abs(n)
+        # m has `digits` digits: 10**(digits - 1) <= m < 10**digits
+        digits = int(m.bit_length() * math.log10(2))
+        digits += m >= 10 ** digits
+        head = m // 10 ** (digits - _HEAD_DIGITS)
+        return f"{'-' if n < 0 else ''}{head}...({digits} digits)"
+
+
+def render_rational(v) -> str:
+    """str() of an int or Fraction, with _render_int's form for a numerator
+    or denominator past the digit limit."""
+    text = _render_int(v.numerator)
+    return text if v.denominator == 1 else f"{text}/{_render_int(v.denominator)}"
+
+
 class QI:
     """Gaussian rational re + im*i with exact Fraction components."""
 
@@ -354,13 +379,13 @@ class QI:
         return f"QI({self.re}, {self.im})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im = f"{self.im}i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
+        re, im = render_rational(self.re), self.im
+        if im == 0:
+            return re
+        text = "i" if im == 1 else "-i" if im == -1 else f"{render_rational(im)}i"
         if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im}"
+            return text
+        return f"{re}{'+' if im > 0 else ''}{text}"
 
 
 _set_re = QI.re.__set__
@@ -395,8 +420,8 @@ class Carrier:
         raise NotImplementedError
 
     def shape(self):
-        """SCALAR, COMPLEX for Q[i], or for a product the tuple of its
-        parts' shapes."""
+        """SCALAR, COMPLEX for Q[i], MODULAR for Z/m, or for a product the
+        tuple of its parts' shapes."""
         return SCALAR
 
     def atom_names(self) -> frozenset:
@@ -555,6 +580,9 @@ class ModularInt(_BuiltDraw):
 
     def describe(self):
         return f"Z/{self.modulus}"
+
+    def shape(self):
+        return MODULAR
 
     def atom_names(self):
         return frozenset({"Zmod"})

@@ -1,12 +1,15 @@
 """Catalog of ready-made algebras, spaces, and modules.
 
-Every entry can be built by name with keyword or string-valued parameters
-(the CLI passes strings).  Spaces carry a default basepoint so conversions
-and round-trips work out of the box.
+Each entry is a builder registered with `@_entry`: its name, with hyphens
+for underscores, names the entry and ends in its kind, and its keyword
+defaults are the parameters, which may be given as strings (the CLI passes
+strings).  Spaces carry a default basepoint so conversions and round-trips
+work out of the box.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,37 +29,64 @@ F = _Fraction  # rational constants and parameters take the kernel's fast paths
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
-    kind: str  # "int" | "fraction" | "float" | "str" | "fractions"
     default: object
-    doc: str = ""
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
-    kind: str  # "algebra" | "space" | "module"
     builder: Callable
-    params: tuple = ()
     note: str = ""
     origin: Callable | None = None  # params -> default basepoint, spaces only
 
+    @property
+    def name(self) -> str:
+        return self.builder.__name__.replace("_", "-")
 
-def _coerce(spec: ParamSpec, value):
-    if spec.kind == "int":
-        return int(value)
-    if spec.kind == "fraction":
-        return F(value)
-    if spec.kind == "float":
-        return float(Fraction(value)) if isinstance(value, str) else float(value)
-    if spec.kind == "str":
-        return str(value)
-    if spec.kind == "fractions":
-        if isinstance(value, str):
-            return tuple(F(part.strip()) for part in value.split(","))
-        if isinstance(value, (list, tuple)):
-            return tuple(F(v) for v in value)
-        return (F(value),)
-    raise ValueError(f"unknown param kind {spec.kind!r}")
+    @property
+    def kind(self) -> str:
+        """The last word of the name: algebra, space or module."""
+        return self.name.rpartition("-")[2]
+
+    @property
+    def params(self) -> tuple:
+        """The builder's keyword parameters and their defaults."""
+        return tuple(ParamSpec(p.name, p.default)
+                     for p in inspect.signature(self.builder).parameters.values())
+
+
+_BY_NAME = {}  # name -> CatalogEntry, in file order
+
+
+def _entry(note: str, origin: Callable | None = None):
+    """Register the decorated builder as a catalog entry."""
+    def register(builder):
+        entry = CatalogEntry(builder, note, origin)
+        _BY_NAME[entry.name] = entry
+        return builder
+    return register
+
+
+def _fractions(value) -> tuple:
+    """Fractions from "a,b,..." text, a sequence, or one number."""
+    if isinstance(value, str):
+        return tuple(F(part.strip()) for part in value.split(","))
+    if isinstance(value, (list, tuple)):
+        return tuple(F(v) for v in value)
+    return (F(value),)
+
+
+def _coerce(default, value):
+    """value, possibly CLI text, as the type of the parameter's default: an
+    int, a Fraction, a float, a str, or a tuple of Fractions."""
+    if isinstance(default, tuple):
+        return _fractions(value)
+    if isinstance(default, float) and isinstance(value, str):
+        return float(Fraction(value))
+    return type(default)(value)
+
+
+def _zeros(params):
+    return (F(0),) * (params["n"] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +162,19 @@ def _unit_interval():
                       sampler=_draw_unit)
 
 
+@_entry("unit-interval rationals with p(a,b,c) = a + b(c-a); no doubler")
 def canonical_interval_algebra() -> MobiAlgebra:
     return MobiAlgebra(_unit_interval(), _canonical_p, F(0), F(1, 2), F(1),
                        name="canonical-interval-algebra")
 
 
+@_entry("all of Q with p(a,b,c) = a + b(c-a); doubler 2")
 def rational_line_algebra() -> MobiAlgebra:
     return MobiAlgebra(Rational(), _canonical_p, F(0), F(1, 2), F(1), two=F(2),
                        name="rational-line-algebra")
 
 
+@_entry("float line with p(a,b,c) = a + b(c-a); scalar sampling in [-2,2]")
 def float_line_algebra() -> MobiAlgebra:
     # scalar sampler stays in [-2, 2] so nested exp-based spaces cannot overflow
     return MobiAlgebra(Float64(span=2), _canonical_p, 0.0, 0.5, 1.0, two=2.0,
@@ -153,7 +186,9 @@ def _require_odd_modulus(m: int):
         raise ValueError(f"modulus must be odd and >= 3, got {m}")
 
 
+@_entry("integers mod m with p(a,b,c) = a + bc - ba; half = (m+1)/2")
 def zmod_algebra(m: int = 3) -> MobiAlgebra:
+    # m is an odd modulus >= 3, so that 2 has an inverse
     _require_odd_modulus(m)
     return MobiAlgebra(ModularInt(m), lambda a, b, c: (a + b * c - b * a) % m,
                        0, (m + 1) // 2, 1, two=2 % m, name=f"zmod-algebra({m})")
@@ -166,6 +201,8 @@ def _pair_p(k):
     return p
 
 
+@_entry("pairs in the lozenge sqrt_k|a2| <= a1 <= 1 - sqrt_k|a2| with the "
+        "two-component p; constants on the real axis")
 def lozenge_algebra(sqrt_k: Fraction = F(1)) -> MobiAlgebra:
     if sqrt_k <= 0:
         raise ValueError("sqrt_k must be positive")
@@ -188,12 +225,16 @@ def lozenge_algebra(sqrt_k: Fraction = F(1)) -> MobiAlgebra:
                        (F(1), F(0)), name=f"lozenge-algebra({sqrt_k})")
 
 
+@_entry("all rational pairs with the two-component p; product is "
+        "(a1b1 + k a2b2, a1b2 + a2b1)")
 def plane_algebra(k: Fraction = F(-1)) -> MobiAlgebra:
     return MobiAlgebra(Vector(Rational(), 2), _pair_p(k), (F(0), F(0)),
                        (F(1, 2), F(0)), (F(1), F(0)), two=(F(2), F(0)),
                        name=f"plane-algebra({k})")
 
 
+@_entry("rational triples with componentwise-coupled p; induced product "
+        "is noncommutative")
 def tri_algebra() -> MobiAlgebra:
     def p(a, b, c):
         return (a[0] + b[0] * (c[0] - a[0]),
@@ -212,12 +253,17 @@ def _interp(x, a, y):
     return tuple(xi + a * (yi - xi) for xi, yi in zip(x, y))
 
 
+@_entry("Q^n with straight-line interpolation x + a(y-x)",
+        origin=lambda ps: (F(0),) * ps["n"])
 def canonical_space(n: int = 1) -> MobiSpace:
     return MobiSpace(rational_line_algebra(), Vector(Rational(), n), _interp,
                      name=f"canonical-space({n})")
 
 
 def _broadcast(k: tuple, n: int) -> tuple:
+    """The quadratic coefficients k, one for all n spatial components or one each."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if len(k) == n:
         return k
     if len(k) == 1:
@@ -225,8 +271,10 @@ def _broadcast(k: tuple, n: int) -> tuple:
     raise ValueError(f"k must have 1 or {n} component(s), got {len(k)}")
 
 
-def projectile_space(n: int = 1, k=F(1)) -> MobiSpace:
-    kk = _broadcast(_coerce(ParamSpec("k", "fractions", None), k), n)
+@_entry("pairs (x, s) interpolated with a quadratic correction "
+        "a(1-a)(t-s)^2 k in the first component", origin=_zeros)
+def projectile_space(n: int = 1, k=(F(1),)) -> MobiSpace:
+    kk = _broadcast(k, n)
 
     def q(x, a, y):
         s, t = x[n], y[n]
@@ -238,6 +286,9 @@ def projectile_space(n: int = 1, k=F(1)) -> MobiSpace:
                      name=f"projectile-space({n},{kk if n > 1 else kk[0]})")
 
 
+@_entry("float pairs (x, s) with exponential damping factors; the one "
+        "Float64 instance, tolerance 1e-9",
+        origin=lambda ps: (0.0,) * (ps["n"] + 1))
 def damped_space(n: int = 1, alpha: float = 1.0) -> MobiSpace:
     def q(x, a, y):
         s, t = x[n], y[n]
@@ -257,6 +308,9 @@ def _polyval(coeffs: tuple, s):
     return out
 
 
+@_entry("canonical pairs pushed through F(x,s) = (lam(s)x - K(s), s); "
+        "defaults reproduce the projectile space with k=1",
+        origin=lambda ps: (0.0, 0.0) if ps["lam"] == "exp" else (F(0), F(0)))
 def transported_space(lam="1", K="0,0,1", alpha: float = 1.0) -> MobiSpace:
     """Canonical interpolation on pairs pushed through F(x,s) = (lam(s)x - K(s), s).
 
@@ -270,8 +324,7 @@ def transported_space(lam="1", K="0,0,1", alpha: float = 1.0) -> MobiSpace:
         fwd = lambda p: (p[0] * math.exp(alpha * p[1]), p[1])
         bwd = lambda p: (p[0] * math.exp(-alpha * p[1]), p[1])
         return transport_space(base, fwd, bwd, name=f"transported-space(exp,{alpha})")
-    lam_c = _coerce(ParamSpec("lam", "fractions", None), lam)
-    k_c = _coerce(ParamSpec("K", "fractions", None), K)
+    lam_c, k_c = _fractions(lam), _fractions(K)
     base = canonical_space(2)
 
     def fwd(p):
@@ -289,11 +342,14 @@ def transported_space(lam="1", K="0,0,1", alpha: float = 1.0) -> MobiSpace:
                            name=f"transported-space({list(lam_c)},{list(k_c)})")
 
 
+@_entry("pairs (x, s) with s > 0, scalars in [0,1]; interpolation "
+        "weighted by at/(s + a(t-s))",
+        origin=lambda ps: (F(0),) * ps["n"] + (F(1),))
 def halfplane_space(n: int = 1) -> MobiSpace:
+    pairs = Vector(Rational(), n + 1)  # rejects n < 0 before the draw is built
     # one tuple display: n Rational draws, then the positive last coordinate
     draw = _tuple_builder(n + 1)(*[_draw_rational] * n, _draw_positive)
-    points = Restricted(Vector(Rational(), n + 1), lambda p: p[n] > 0, label="s > 0",
-                        sampler=draw)
+    points = Restricted(pairs, lambda p: p[n] > 0, label="s > 0", sampler=draw)
 
     def q(x, a, y):
         s, t = x[n], y[n]
@@ -305,7 +361,11 @@ def halfplane_space(n: int = 1) -> MobiSpace:
                      name=f"halfplane-space({n})")
 
 
+@_entry("unit interval acted on by the lozenge algebra through "
+        "x + (a1 +/- sqrt_k a2)(y-x); both sign branches are spaces",
+        origin=lambda ps: F(0))
 def lozenge_space(sqrt_k: Fraction = F(1), sign: str = "plus") -> MobiSpace:
+    # sign picks the branch: 'plus' or 'minus' before sqrt_k a2
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     algebra = lozenge_algebra(sqrt_k)
@@ -324,6 +384,8 @@ def _h_mul(k):
     return mul
 
 
+@_entry("rational pairs as numbers x1 + h x2 with h^2 = k, interpolated "
+        "by x + (a1 + h a2)(y-x)", origin=lambda ps: (F(0), F(0)))
 def plane_space(k: Fraction = F(-1)) -> MobiSpace:
     mul = _h_mul(k)
 
@@ -335,6 +397,8 @@ def plane_space(k: Fraction = F(-1)) -> MobiSpace:
                      name=f"plane-space({k})")
 
 
+@_entry("rational pairs acted on by the triple algebra",
+        origin=lambda ps: (F(0), F(0)))
 def tri_space() -> MobiSpace:
     def q(x, a, y):
         return (x[0] + a[0] * (y[0] - x[0]) + a[1] * (y[1] - x[1]),
@@ -343,6 +407,10 @@ def tri_space() -> MobiSpace:
     return MobiSpace(tri_algebra(), Vector(Rational(), 2), q, name="tri-space")
 
 
+@_entry("Gaussian-rational pairs (z, s); satisfies the space laws but "
+        "fails the affine condition (known witness built in)",
+        origin=lambda ps: ((QI(0), F(0)) if ps["n"] == 1
+                           else ((QI(0),) * ps["n"], F(0))))
 def nonaffine_complex_space(n: int = 1) -> MobiSpace:
     if n == 1:
         points = Product((GaussianRational(), Rational()))
@@ -371,6 +439,8 @@ def nonaffine_complex_space(n: int = 1) -> MobiSpace:
                      name=f"nonaffine-complex-space({n})", affine_probes=probes)
 
 
+@_entry("rational pairs with a cubic-rational interpolation weight; "
+        "fails the affine condition", origin=_zeros)
 def nonaffine_poly_space(n: int = 1) -> MobiSpace:
     def q(x, a, y):
         s, t = x[n], y[n]
@@ -403,6 +473,7 @@ def _zmod_ring(m: int) -> RingWithHalf:
                         0, 1, (m + 1) // 2, name=f"Z/{m}")
 
 
+@_entry("Q^n as a module over Q")
 def canonical_module(n: int = 1) -> RModule:
     return RModule(_rational_ring(), Vector(Rational(), n),
                    add=lambda x, y: tuple(a + b for a, b in zip(x, y)),
@@ -412,7 +483,9 @@ def canonical_module(n: int = 1) -> RModule:
                    name=f"canonical-module({n})")
 
 
+@_entry("(Z/m)^dim as a module over Z/m")
 def zmod_module(m: int = 3, dim: int = 2) -> RModule:
+    # m is an odd modulus >= 3, as for zmod-algebra; dim is the rank
     ring = _zmod_ring(m)
     return RModule(ring, Vector(ModularInt(m), dim),
                    add=lambda x, y: tuple((a + b) % m for a, b in zip(x, y)),
@@ -422,8 +495,10 @@ def zmod_module(m: int = 3, dim: int = 2) -> RModule:
                    name=f"zmod-module({m},{dim})")
 
 
-def projectile_module(n: int = 1, k=F(1)) -> RModule:
-    kk = _broadcast(_coerce(ParamSpec("k", "fractions", None), k), n)
+@_entry("pairs (x, s) with (x,s)+(y,t) = (x+y-2stk, s+t) and "
+        "phi_a(x,s) = (ax + a(1-a)s^2 k, as)")
+def projectile_module(n: int = 1, k=(F(1),)) -> RModule:
+    kk = _broadcast(k, n)
 
     def add(x, y):
         s, t = x[n], y[n]
@@ -442,6 +517,8 @@ def projectile_module(n: int = 1, k=F(1)) -> RModule:
                    name=f"projectile-module({n},{kk if n > 1 else kk[0]})")
 
 
+@_entry("float pairs with (x,s)+(y,t) = (x e^(alpha t) + y e^(alpha s), s+t) "
+        "and phi_a(x,s) = (a x e^(-alpha(1-a)s), as)")
 def damped_module(n: int = 1, alpha: float = 1.0) -> RModule:
     def add(x, y):
         s, t = x[n], y[n]
@@ -461,6 +538,7 @@ def damped_module(n: int = 1, alpha: float = 1.0) -> RModule:
                    (0.0,) * (n + 1), phi, neg, name=f"damped-module({n},{alpha})")
 
 
+@_entry("rational pairs as a module over the h-number ring")
 def plane_module(k: Fraction = F(-1)) -> RModule:
     mul = _h_mul(k)
     ring = RingWithHalf(Vector(Rational(), 2),
@@ -475,6 +553,8 @@ def plane_module(k: Fraction = F(-1)) -> RModule:
                    name=f"plane-module({k})")
 
 
+@_entry("rational pairs over the noncommutative triple ring with "
+        "phi_a(x) = (a1 x1 + a2 x2, a3 x2)")
 def tri_module() -> RModule:
     ring = RingWithHalf(
         Vector(Rational(), 3),
@@ -494,116 +574,9 @@ def tri_module() -> RModule:
 # ---------------------------------------------------------------------------
 # the catalog itself
 
-def _zeros(params):
-    return (F(0),) * (params["n"] + 1)
-
-
-_ENTRIES = [
-    CatalogEntry("canonical-interval-algebra", "algebra", canonical_interval_algebra,
-                 note="unit-interval rationals with p(a,b,c) = a + b(c-a); no doubler"),
-    CatalogEntry("rational-line-algebra", "algebra", rational_line_algebra,
-                 note="all of Q with p(a,b,c) = a + b(c-a); doubler 2"),
-    CatalogEntry("float-line-algebra", "algebra", float_line_algebra,
-                 note="float line with p(a,b,c) = a + b(c-a); scalar sampling in [-2,2]"),
-    CatalogEntry("zmod-algebra", "algebra", zmod_algebra,
-                 (ParamSpec("m", "int", 3, "odd modulus >= 3"),),
-                 note="integers mod m with p(a,b,c) = a + bc - ba; half = (m+1)/2"),
-    CatalogEntry("lozenge-algebra", "algebra", lozenge_algebra,
-                 (ParamSpec("sqrt_k", "fraction", F(1), "positive square root of k"),),
-                 note="pairs in the lozenge sqrt_k|a2| <= a1 <= 1 - sqrt_k|a2| with the "
-                      "two-component p; constants on the real axis"),
-    CatalogEntry("plane-algebra", "algebra", plane_algebra,
-                 (ParamSpec("k", "fraction", F(-1), "h^2 = k"),),
-                 note="all rational pairs with the two-component p; product is "
-                      "(a1b1 + k a2b2, a1b2 + a2b1)"),
-    CatalogEntry("tri-algebra", "algebra", tri_algebra,
-                 note="rational triples with componentwise-coupled p; induced product "
-                      "is noncommutative"),
-    CatalogEntry("canonical-space", "space", canonical_space,
-                 (ParamSpec("n", "int", 1, "dimension"),),
-                 note="Q^n with straight-line interpolation x + a(y-x)",
-                 origin=lambda ps: (F(0),) * ps["n"]),
-    CatalogEntry("projectile-space", "space", projectile_space,
-                 (ParamSpec("n", "int", 1, "spatial dimension"),
-                  ParamSpec("k", "fractions", (F(1),), "quadratic coefficient(s)")),
-                 note="pairs (x, s) interpolated with a quadratic correction "
-                      "a(1-a)(t-s)^2 k in the first component",
-                 origin=_zeros),
-    CatalogEntry("damped-space", "space", damped_space,
-                 (ParamSpec("n", "int", 1, "spatial dimension"),
-                  ParamSpec("alpha", "float", 1.0, "damping rate")),
-                 note="float pairs (x, s) with exponential damping factors; the one "
-                      "Float64 instance, tolerance 1e-9",
-                 origin=lambda ps: (0.0,) * (ps["n"] + 1)),
-    CatalogEntry("transported-space", "space", transported_space,
-                 (ParamSpec("lam", "str", "1", "poly coefficients, or 'exp'"),
-                  ParamSpec("K", "str", "0,0,1", "poly coefficients"),
-                  ParamSpec("alpha", "float", 1.0, "rate when lam='exp'")),
-                 note="canonical pairs pushed through F(x,s) = (lam(s)x - K(s), s); "
-                      "defaults reproduce the projectile space with k=1",
-                 origin=lambda ps: ((0.0, 0.0) if ps["lam"] == "exp"
-                                    else (F(0), F(0)))),
-    CatalogEntry("halfplane-space", "space", halfplane_space,
-                 (ParamSpec("n", "int", 1, "spatial dimension"),),
-                 note="pairs (x, s) with s > 0, scalars in [0,1]; interpolation "
-                      "weighted by at/(s + a(t-s))",
-                 origin=lambda ps: (F(0),) * ps["n"] + (F(1),)),
-    CatalogEntry("lozenge-space", "space", lozenge_space,
-                 (ParamSpec("sqrt_k", "fraction", F(1), "positive square root of k"),
-                  ParamSpec("sign", "str", "plus", "'plus' or 'minus' branch")),
-                 note="unit interval acted on by the lozenge algebra through "
-                      "x + (a1 +/- sqrt_k a2)(y-x); both sign branches are spaces",
-                 origin=lambda ps: F(0)),
-    CatalogEntry("plane-space", "space", plane_space,
-                 (ParamSpec("k", "fraction", F(-1), "h^2 = k"),),
-                 note="rational pairs as numbers x1 + h x2 with h^2 = k, interpolated "
-                      "by x + (a1 + h a2)(y-x)",
-                 origin=lambda ps: (F(0), F(0))),
-    CatalogEntry("tri-space", "space", tri_space,
-                 note="rational pairs acted on by the triple algebra",
-                 origin=lambda ps: (F(0), F(0))),
-    CatalogEntry("nonaffine-complex-space", "space", nonaffine_complex_space,
-                 (ParamSpec("n", "int", 1, "complex dimension"),),
-                 note="Gaussian-rational pairs (z, s); satisfies the space laws but "
-                      "fails the affine condition (known witness built in)",
-                 origin=lambda ps: ((QI(0), F(0)) if ps["n"] == 1
-                                    else ((QI(0),) * ps["n"], F(0)))),
-    CatalogEntry("nonaffine-poly-space", "space", nonaffine_poly_space,
-                 (ParamSpec("n", "int", 1, "spatial dimension"),),
-                 note="rational pairs with a cubic-rational interpolation weight; "
-                      "fails the affine condition",
-                 origin=_zeros),
-    CatalogEntry("canonical-module", "module", canonical_module,
-                 (ParamSpec("n", "int", 1, "dimension"),),
-                 note="Q^n as a module over Q"),
-    CatalogEntry("zmod-module", "module", zmod_module,
-                 (ParamSpec("m", "int", 3, "odd modulus >= 3"),
-                  ParamSpec("dim", "int", 2, "rank")),
-                 note="(Z/m)^dim as a module over Z/m"),
-    CatalogEntry("projectile-module", "module", projectile_module,
-                 (ParamSpec("n", "int", 1, "spatial dimension"),
-                  ParamSpec("k", "fractions", (F(1),), "quadratic coefficient(s)")),
-                 note="pairs (x, s) with (x,s)+(y,t) = (x+y-2stk, s+t) and "
-                      "phi_a(x,s) = (ax + a(1-a)s^2 k, as)"),
-    CatalogEntry("damped-module", "module", damped_module,
-                 (ParamSpec("n", "int", 1, "spatial dimension"),
-                  ParamSpec("alpha", "float", 1.0, "damping rate")),
-                 note="float pairs with (x,s)+(y,t) = (x e^(alpha t) + y e^(alpha s), s+t) "
-                      "and phi_a(x,s) = (a x e^(-alpha(1-a)s), as)"),
-    CatalogEntry("plane-module", "module", plane_module,
-                 (ParamSpec("k", "fraction", F(-1), "h^2 = k"),),
-                 note="rational pairs as a module over the h-number ring"),
-    CatalogEntry("tri-module", "module", tri_module,
-                 note="rational pairs over the noncommutative triple ring with "
-                      "phi_a(x) = (a1 x1 + a2 x2, a3 x2)"),
-]
-
-_BY_NAME = {entry.name: entry for entry in _ENTRIES}
-
-
 def list_catalog() -> list:
     """All entries, in a stable order."""
-    return list(_ENTRIES)
+    return list(_BY_NAME.values())
 
 
 def get_entry(name: str) -> CatalogEntry:
@@ -618,8 +591,7 @@ def coerce_params(entry: CatalogEntry, params: dict | None) -> dict:
     given = dict(params or {})
     out = {}
     for spec in entry.params:
-        raw = given.pop(spec.name, spec.default)
-        out[spec.name] = _coerce(spec, raw)
+        out[spec.name] = _coerce(spec.default, given.pop(spec.name, spec.default))
     if given:
         raise ValueError(f"unknown parameter(s) for {entry.name}: {sorted(given)}")
     return out
@@ -628,9 +600,7 @@ def coerce_params(entry: CatalogEntry, params: dict | None) -> dict:
 def build(name: str, params: dict | None = None, **kw):
     """Build a catalog structure by name; params may be CLI strings."""
     entry = get_entry(name)
-    merged = dict(params or {})
-    merged.update(kw)
-    return entry.builder(**coerce_params(entry, merged))
+    return entry.builder(**coerce_params(entry, {**(params or {}), **kw}))
 
 
 def default_origin(name: str, params: dict | None = None, **kw):
@@ -638,6 +608,4 @@ def default_origin(name: str, params: dict | None = None, **kw):
     entry = get_entry(name)
     if entry.origin is None:
         raise ValueError(f"{name} has no default basepoint")
-    merged = dict(params or {})
-    merged.update(kw)
-    return entry.origin(coerce_params(entry, merged))
+    return entry.origin(coerce_params(entry, {**(params or {}), **kw}))

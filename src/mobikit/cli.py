@@ -141,10 +141,15 @@ def _cmd_check(args) -> int:
     return _emit(reports, args.report)
 
 
+def _param_text(default) -> str:
+    """A parameter default as --param takes it back: a tuple comma-joined."""
+    return ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+
+
 def _cmd_catalog(args) -> int:
     if args.catalog_command == "list":
         for entry in _catalog.list_catalog():
-            params = " ".join(f"{p.name}={p.default}" for p in entry.params)
+            params = " ".join(f"{p.name}={_param_text(p.default)}" for p in entry.params)
             head = f"{entry.name}  ({entry.kind})"
             print(f"{head}  {params}".rstrip())
             print(f"    {entry.note}")

@@ -48,8 +48,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import MobiAlgebra
-from .carriers import (COMPLEX, SCALAR, Float64, GaussianRational,
-                       ModularInt, Product, QI, Rational, Restricted)
+from .carriers import (COMPLEX, MODULAR, SCALAR, Float64, GaussianRational,
+                       ModularInt, Product, QI, Rational, Restricted,
+                       render_rational)
 from .report import EvalError
 from .space import MobiSpace
 
@@ -635,9 +636,9 @@ def print_definitions(items) -> str:
 # and the Python source of its value.  A shape is the tuple of its items'
 # shapes, COMPLEX when the value may be a Gaussian rational (so that neither
 # exp nor an order comparison accepts it), or a real scalar kind: _LITERAL
-# when it is built from integer literals alone, _MODULAR from Zmod residues
+# when it is built from integer literals alone, MODULAR from Zmod residues
 # and integer literals, SCALAR from anything else.  '/' is refused on a
-# _MODULAR value, whose result would be a Fraction, not a residue.  Each name
+# MODULAR value, whose result would be a Fraction, not a residue.  Each name
 # in env maps to (shape, source of its value).
 #
 # The source holds generated names only: the arguments _x0, _x1, _x2, the
@@ -654,9 +655,8 @@ def print_definitions(items) -> str:
 
 _FIELDS = {"Q": Rational, "QI": GaussianRational, "R64": Float64}
 _LITERAL = "literal"
-_MODULAR = "modular"
 # the kind of an arithmetic result is the highest-ranked kind of its operands
-_RANK = {_LITERAL: 0, _MODULAR: 1, SCALAR: 2, COMPLEX: 3}
+_RANK = {_LITERAL: 0, MODULAR: 1, SCALAR: 2, COMPLEX: 3}
 _ARITHMETIC = {"+": "+", "-": "-", "*": "*", "^": "**"}
 
 
@@ -666,15 +666,6 @@ def _atom_carrier(atom: CarrierAtom):
     else:
         base = _FIELDS[atom.base]()
     return base if atom.power == 1 else Product((base,) * atom.power)
-
-
-def _kinds(carrier):
-    """carrier.shape(), with _MODULAR for each component of Zmod residues."""
-    while isinstance(carrier, Restricted):
-        carrier = carrier.base
-    if isinstance(carrier, Product):
-        return tuple(_kinds(part) for part in carrier.parts)
-    return _MODULAR if isinstance(carrier, ModularInt) else carrier.shape()
 
 
 def _div(a, b):
@@ -688,7 +679,11 @@ def _exp(value):
     try:
         return math.exp(float(value))
     except OverflowError:
-        raise EvalError(f"exp overflow at {value!r}")
+        try:
+            at = repr(value)
+        except ValueError:  # an int part past the digit limit
+            at = render_rational(value)
+        raise EvalError(f"exp overflow at {at}")
 
 
 def _namespace() -> dict:
@@ -743,7 +738,7 @@ def _compile(e, env: dict, bases, ns: dict, depth: int = 1):
         shape = max(shape, right_shape, key=_RANK.get)
         if e.op != "/":
             return shape, f"({left} {_ARITHMETIC[e.op]} {right})"
-        if bases == {"Zmod"} or shape == _MODULAR:
+        if bases == {"Zmod"} or shape == MODULAR:
             raise _error("shape-mismatch", e,
                          "'/' is not defined on Zmod carriers; multiply by an inverse")
         return (COMPLEX if shape == COMPLEX else SCALAR), f"_div({left}, {right})"
@@ -811,7 +806,7 @@ def _elab_carrier(ct: CarrierType):
     if ct.where is None:
         return carrier
     # the components: v for a single scalar, else v1..vk
-    shape = _kinds(carrier)
+    shape = carrier.shape()
     if not isinstance(shape, tuple):
         env = {"v": (shape, "_x0")}
     else:
@@ -846,7 +841,7 @@ def _evaluate(fn, expr, what: str):
 
 def _elab_algebra(d: AlgebraDef) -> MobiAlgebra:
     carrier = _elab_carrier(d.carrier)
-    shape = _kinds(carrier)
+    shape = carrier.shape()
     bases = carrier.atom_names()
     ns = _namespace()
     fields = ((d.zero, "zero"), (d.half, "half"), (d.one, "one"))
@@ -876,19 +871,19 @@ def _elab_space(d: SpaceDef, algebras: dict) -> MobiSpace:
                            f"{d.over!r} names a catalog {entry.kind}, not an algebra")
         algebra = catalog.build(entry.name)
     points = _elab_carrier(d.carrier)
-    shape = _kinds(points)
+    shape = points.shape()
     bases = points.atom_names() | algebra.carrier.atom_names()
     env = {}
     left, mid, right = d.op.patterns
     _bind_pattern(left, shape, "_x0", env, d.op)
     _bind_pattern(right, shape, "_x2", env, d.op)
-    env[mid] = (_kinds(algebra.carrier), "_x1")
+    env[mid] = (algebra.carrier.shape(), "_x1")
     ns = _namespace()
     for par in d.params:
         if par.name in env:
             raise _error("syntax", par,
                          f"param {par.name!r} collides with a pattern name")
-        kind = _MODULAR if par.atom.base == "Zmod" else SCALAR
+        kind = MODULAR if par.atom.base == "Zmod" else SCALAR
         env[par.name] = (kind, _bind(ns, _param_value(par)))
     body = _expect(d.op.body, env, bases, ns, shape, d.op.body,
                    "the body of q does not match the carrier shape")

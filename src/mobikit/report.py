@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable
 
-from .carriers import Product, sample, try_subtract
+from .carriers import Product, render_rational, sample, try_subtract
 
 
 class EvalError(Exception):
@@ -168,23 +167,6 @@ def all_passed(reports: Iterable[CheckReport]) -> bool:
 # ---------------------------------------------------------------------------
 # rendering
 
-_HEAD_DIGITS = 20
-
-
-def _render_int(n: int) -> str:
-    """n in decimal; past the interpreter's digit limit for str(), its
-    leading digits and its digit count, as in 123...(5001 digits)."""
-    try:
-        return str(n)
-    except ValueError:
-        m = abs(n)
-        # m has `digits` digits: 10**(digits - 1) <= m < 10**digits
-        digits = int(m.bit_length() * math.log10(2))
-        digits += m >= 10 ** digits
-        head = m // 10 ** (digits - _HEAD_DIGITS)
-        return f"{'-' if n < 0 else ''}{head}...({digits} digits)"
-
-
 def render_value(v) -> object:
     """JSON-friendly form: numbers as exact strings, tuples as arrays."""
     if v is None:
@@ -194,9 +176,7 @@ def render_value(v) -> object:
     if isinstance(v, bool):
         return str(v)
     if isinstance(v, (int, Fraction)):
-        v = Fraction(v)
-        text = _render_int(v.numerator)
-        return text if v.denominator == 1 else f"{text}/{_render_int(v.denominator)}"
+        return render_rational(v)
     if isinstance(v, float):
         return repr(v)
     return str(v)

@@ -14,7 +14,7 @@ from mobikit import (Exhaustive, Float64, GaussianRational, MobiAlgebra,
                      ModularInt, NotEnumerableError, Product, QI, Rational,
                      Restricted, Sampled, SamplingExhausted, Vector, build,
                      check_algebra, enumerate_elements, sample, try_subtract)
-from mobikit.carriers import DENOMINATOR_BOUND, SCALAR, ShapeError, _Fraction
+from mobikit.carriers import DENOMINATOR_BOUND, MODULAR, SCALAR, ShapeError, _Fraction
 from mobikit.catalog import _draw_unit
 from mobikit.report import assignments_for
 
@@ -596,7 +596,7 @@ def test_dsl_questions_are_carrier_methods():
     assert Vector(Float64(), 1).coerce(1) == (1.0,) and mixed.coerce(1) == 1
     assert Rational().coerce(1) == 1 and ModularInt(5).coerce(7) == 7
     nested = Product((Vector(Rational(), 2), ModularInt(3)))
-    assert nested.shape() == ((SCALAR, SCALAR), SCALAR)
+    assert nested.shape() == ((SCALAR, SCALAR), MODULAR)
     assert Restricted(Rational(), lambda v: True).shape() == SCALAR
     assert mixed.atom_names() == {"R64", "QI"}
     assert Restricted(nested, lambda v: True).atom_names() == {"Q", "Zmod"}

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 from fractions import Fraction as F
 
@@ -10,6 +12,8 @@ from mobikit import (Exhaustive, MobiAlgebra, MobiSpace, RModule, Sampled,
                      check_y_properties, coerce_params, default_origin,
                      get_entry, list_catalog, sample, solve_two)
 from mobikit.carriers import DENOMINATOR_BOUND, RATIONAL_NUMERATOR_BOUND
+from mobikit.catalog import CatalogEntry, ParamSpec
+from mobikit.cli import run_cli
 
 SAMPLED = Sampled(samples=120, seed=0)
 
@@ -81,6 +85,35 @@ def test_space_entries_have_member_origins():
         for params in variants:
             origin = default_origin(entry.name, params)
             assert build(entry.name, params).points.contains(origin), (entry.name, params)
+
+
+def test_each_entry_is_declared_once_by_its_builder():
+    assert [field.name for field in dataclasses.fields(CatalogEntry)] == [
+        "builder", "note", "origin"]
+    assert [field.name for field in dataclasses.fields(ParamSpec)] == ["name", "default"]
+    for entry in list_catalog():
+        assert entry.name == entry.builder.__name__.replace("_", "-")
+        assert entry.kind == entry.name.split("-")[-1]
+        signature = inspect.signature(entry.builder).parameters
+        assert entry.params == tuple(ParamSpec(name, p.default)
+                                     for name, p in signature.items()), entry.name
+        # a builder called with its own defaults gives what build gives
+        built, direct = build(entry.name), entry.builder()
+        assert type(built) is type(direct) and built.name == direct.name, entry.name
+
+
+def test_listed_defaults_are_accepted_back_as_params(capsys):
+    assert run_cli(["catalog", "list"]) == 0
+    heads = [line.split() for line in capsys.readouterr().out.splitlines()
+             if not line.startswith(" ")]
+    assert [head[0] for head in heads] == [e.name for e in list_catalog()]
+    for name, _kind, *fields in heads:
+        entry = get_entry(name)
+        assert [field.partition("=")[0] for field in fields] == [
+            spec.name for spec in entry.params], name
+        for field in fields:
+            key, _, text = field.partition("=")
+            assert coerce_params(entry, {key: text}) == coerce_params(entry, {}), field
 
 
 def test_unknown_name_lists_alternatives():

@@ -334,6 +334,68 @@ def test_arithmetic_error_in_an_operation_exits_two(capsys, argv, kind):
     assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1
 
 
+def _catalog_commands(name: str, *tail) -> list:
+    """Every command that takes the catalog entry `name`, with `tail`."""
+    kind = catalog.get_entry(name).kind
+    commands = [["catalog", "check", name, *tail]]
+    if kind != "algebra":
+        direction = "space-to-module" if kind == "space" else "module-to-space"
+        commands += [["convert", direction, name, *tail], ["roundtrip", name, *tail]]
+    return commands
+
+
+@pytest.mark.parametrize("name, param, message", [
+    ("projectile-space", "n=0", "error: n must be >= 1, got 0"),
+    ("projectile-module", "n=0", "error: n must be >= 1, got 0"),
+    ("halfplane-space", "n=-1", "error: dim must be >= 1")])
+def test_a_dimension_below_one_exits_two(capsys, name, param, message):
+    for argv in _catalog_commands(name, "--param", param, "--samples", "5"):
+        assert one_error_line(*run(capsys, *argv)) == message, argv
+
+
+@pytest.mark.parametrize("name", ["damped-space", "halfplane-space"])
+def test_a_space_of_dimension_zero_still_checks(capsys, name):
+    code, out, err = run(capsys, "catalog", "check", name, "--param", "n=0")
+    assert (code, err) == (0, "") and out.endswith("all passed\n")
+
+
+# --param values: text that each default type takes, and text that none
+# takes or that no builder accepts; an int parameter, which may be a
+# dimension, draws no 1000, so that no dimension exceeds 4
+_PARAM_TEXT = tuple(str(n) for n in range(-1, 5)) + (
+    "1/2", "-3/4", "1000", "1e400", "nan", "", "exp", "minus", "1,2", "x")
+
+
+@st.composite
+def _catalog_commands_with_a_param(draw):
+    entry = draw(st.sampled_from([e for e in list_catalog() if e.params]))
+    spec = draw(st.sampled_from(entry.params))
+    pool = _PARAM_TEXT
+    if isinstance(spec.default, int):
+        pool = tuple(text for text in pool if text != "1000")
+    param = f"{spec.name}={draw(st.sampled_from(pool))}"
+    samples = str(draw(st.integers(1, 20)))
+    return draw(st.sampled_from(_catalog_commands(
+        entry.name, "--param", param, "--samples", samples)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_catalog_commands_with_a_param())
+@example(argv=["catalog", "check", "projectile-space", "--param", "n=0"])
+@example(argv=["roundtrip", "halfplane-space", "--param", "n=-1"])
+@example(argv=["convert", "module-to-space", "projectile-module", "--param", "n=0"])
+def test_a_catalog_param_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert any(line.startswith("FAIL ") for line in out.getvalue().splitlines()), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
 @settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from([e.name for e in list_catalog()]),
        samples=st.integers(-3, 20), seed=st.integers(),
@@ -438,6 +500,29 @@ def test_a_witness_past_the_digit_limit_is_rendered(tmp_path, capsys):
     assert (code, err, len(lines)) == (1, "", 10)
     assert lines[0].startswith("PASS g.A0") and lines[-1] == "checked 9 law(s): 6 failed"
     assert "difference=10000000000000000000...(5001 digits)" in lines[1]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_a_gaussian_witness_past_the_digit_limit_is_rendered(tmp_path, capsys):
+    path = tmp_path / "g.mobi"
+    path.write_text(_algebra("QI", "1/2", "a + b*(c - a) + 10^5000*i"))
+    code, out, err = run(capsys, "check", str(path), "--samples", "3")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (1, "", 10)
+    assert lines[0].startswith("PASS g.A0") and lines[-1] == "checked 9 law(s): 6 failed"
+    assert "difference=10000000000000000000...(5001 digits)i" in lines[1]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_an_exp_overflow_past_the_digit_limit_is_a_witness(tmp_path, capsys):
+    path = tmp_path / "g.mobi"
+    path.write_text(_algebra("R64", "1/2", "a + b*(c - a) + 0*exp(10^5000)"))
+    code, out, err = run(capsys, "check", str(path), "--samples", "3")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (1, "", 10)
+    assert lines[-1] == "checked 9 law(s): 9 failed"
+    assert all("lhs=<error: exp overflow at 10000000000000000000...(5001 digits)>" in line
+               for line in lines[:-1])
 
 
 def test_an_unwritable_out_path_prints_the_os_message(tmp_path, capsys):
