@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .carriers import Carrier, CarrierError
-from .report import (CheckReport, Sampled, Witness, assignments_for,
-                     check_equation, check_implication, check_predicate)
+from .report import CheckReport, Laws, Sampled, Witness, assignments_for
 from .ringmod import RingWithHalf
 
 
@@ -64,81 +63,55 @@ def circ(algebra: MobiAlgebra, a, b):
 
 def check_algebra(algebra: MobiAlgebra, strategy=Sampled()) -> list[CheckReport]:
     """Closure plus A1..A8."""
-    c = algebra.carrier
-    e = c.eq
-    p = algebra.p
+    C, p = algebra.carrier, algebra.p
+    e = C.eq
+    law = Laws(strategy, e, C)
     zero, half, one = algebra.zero, algebra.half, algebra.one
     return [
-        check_predicate("A0", ("a", "b", "c"), (c, c, c),
-                        lambda a, b, cc: p(a, b, cc), c.contains, strategy),
-        check_equation("A1", (), (), e,
-                       lambda: p(one, half, zero), lambda: half, strategy),
-        check_equation("A2", ("a",), (c,), e,
-                       lambda a: p(zero, a, one), lambda a: a, strategy),
-        check_equation("A3", ("a", "b"), (c, c), e,
-                       lambda a, b: p(a, b, a), lambda a, b: a, strategy),
-        check_equation("A4", ("a", "b"), (c, c), e,
-                       lambda a, b: p(a, zero, b), lambda a, b: a, strategy),
-        check_equation("A5", ("a", "b"), (c, c), e,
-                       lambda a, b: p(b, one, a), lambda a, b: a, strategy),
-        check_implication("A6", ("a", "b", "c"), (c, c, c),
-                          lambda a, b, cc: e(p(a, half, b), p(a, half, cc)),
-                          e, lambda a, b, cc: b, lambda a, b, cc: cc, strategy,
-                          construct=lambda t: (t[0], t[1], t[1])),
-        check_equation("A7", ("a", "b1", "b2", "b3", "c"), (c, c, c, c, c), e,
-                       lambda a, b1, b2, b3, cc: p(a, p(b1, b2, b3), cc),
-                       lambda a, b1, b2, b3, cc: p(p(a, b1, cc), b2, p(a, b3, cc)),
-                       strategy),
-        check_equation("A8", ("a1", "b", "c1", "a2", "c2"), (c, c, c, c, c), e,
-                       lambda a1, b, c1, a2, c2: p(p(a1, b, c1), half, p(a2, b, c2)),
-                       lambda a1, b, c1, a2, c2: p(p(a1, half, a2), b, p(c1, half, c2)),
-                       strategy),
+        law.predicate("A0", lambda a, b, c: p(a, b, c), C.contains),
+        law("A1", lambda: p(one, half, zero), lambda: half),
+        law("A2", lambda a: p(zero, a, one), lambda a: a),
+        law("A3", lambda a, b: p(a, b, a), lambda a, b: a),
+        law("A4", lambda a, b: p(a, zero, b), lambda a, b: a),
+        law("A5", lambda a, b: p(b, one, a), lambda a, b: a),
+        law.implication("A6", lambda a, b, c: e(p(a, half, b), p(a, half, c)),
+                        lambda a, b, c: b, lambda a, b, c: c,
+                        lambda t: (t[0], t[1], t[1])),
+        law("A7", lambda a, b1, b2, b3, c: p(a, p(b1, b2, b3), c),
+            lambda a, b1, b2, b3, c: p(p(a, b1, c), b2, p(a, b3, c))),
+        law("A8", lambda a1, b, c1, a2, c2: p(p(a1, b, c1), half, p(a2, b, c2)),
+            lambda a1, b, c1, a2, c2: p(p(a1, half, a2), b, p(c1, half, c2))),
     ]
 
 
 def check_properties(algebra: MobiAlgebra, strategy=Sampled()) -> list[CheckReport]:
     """Consequences eq(6)..eq(14) of the axioms, checked directly."""
     A = algebra
-    c = A.carrier
-    e = c.eq
-    p = A.p
+    C, p = A.carrier, A.p
+    e = C.eq
+    law = Laws(strategy, e, C)
+    # both product orders against 0 (+) a, sides shown as pairs
+    pairs = Laws(strategy, lambda x, y: e(x[0], y[0]) and e(x[1], y[1]), C)
     zero, half = A.zero, A.half
-
-    def pair_eq(x, y):
-        return e(x[0], y[0]) and e(x[1], y[1])
-
     return [
-        check_equation("eq(6)", (), (), e,
-                       lambda: complement(A, half), lambda: half, strategy),
-        # both product orders against 0 (+) a, sides shown as pairs
-        check_equation("eq(7)", ("a",), (c,), pair_eq,
-                       lambda a: (product(A, a, half), product(A, half, a)),
-                       lambda a: (oplus(A, zero, a), oplus(A, zero, a)), strategy),
-        check_implication("eq(8)", ("a", "b"), (c, c),
-                          lambda a, b: e(product(A, a, half), product(A, b, half)),
-                          e, lambda a, b: a, lambda a, b: b, strategy,
-                          construct=lambda t: (t[0], t[0])),
-        check_equation("eq(9)", ("a",), (c,), e,
-                       lambda a: p(complement(A, a), half, a), lambda a: half, strategy),
-        check_implication("eq(10)", ("a",), (c,),
-                          lambda a: e(complement(A, a), a),
-                          e, lambda a: a, lambda a: half, strategy,
-                          construct=lambda t: (half,)),
-        check_equation("eq(11)", ("a", "b", "c"), (c, c, c), e,
-                       lambda a, b, cc: complement(A, p(a, b, cc)),
-                       lambda a, b, cc: p(complement(A, a), b, complement(A, cc)),
-                       strategy),
-        check_equation("eq(12)", ("a", "b", "c"), (c, c, c), e,
-                       lambda a, b, cc: p(cc, b, a),
-                       lambda a, b, cc: p(a, complement(A, b), cc), strategy),
-        check_equation("eq(13)", ("a", "b"), (c, c), e,
-                       lambda a, b: complement(A, circ(A, a, b)),
-                       lambda a, b: product(A, complement(A, b), complement(A, a)),
-                       strategy),
-        check_equation("eq(14)", ("a", "b", "c"), (c, c, c), e,
-                       lambda a, b, cc: product(A, half, p(a, b, cc)),
-                       lambda a, b, cc: oplus(A, product(A, complement(A, b), a),
-                                              product(A, b, cc)), strategy),
+        law("eq(6)", lambda: complement(A, half), lambda: half),
+        pairs("eq(7)", lambda a: (product(A, a, half), product(A, half, a)),
+              lambda a: (oplus(A, zero, a), oplus(A, zero, a))),
+        law.implication("eq(8)",
+                        lambda a, b: e(product(A, a, half), product(A, b, half)),
+                        lambda a, b: a, lambda a, b: b, lambda t: (t[0], t[0])),
+        law("eq(9)", lambda a: p(complement(A, a), half, a), lambda a: half),
+        law.implication("eq(10)", lambda a: e(complement(A, a), a),
+                        lambda a: a, lambda a: half, lambda t: (half,)),
+        law("eq(11)", lambda a, b, c: complement(A, p(a, b, c)),
+            lambda a, b, c: p(complement(A, a), b, complement(A, c))),
+        law("eq(12)", lambda a, b, c: p(c, b, a),
+            lambda a, b, c: p(a, complement(A, b), c)),
+        law("eq(13)", lambda a, b: complement(A, circ(A, a, b)),
+            lambda a, b: product(A, complement(A, b), complement(A, a))),
+        law("eq(14)", lambda a, b, c: product(A, half, p(a, b, c)),
+            lambda a, b, c: oplus(A, product(A, complement(A, b), a),
+                                  product(A, b, c))),
     ]
 
 
@@ -225,10 +198,9 @@ def algebra_from_ring(ring: RingWithHalf) -> MobiAlgebra:
 
 def check_commutativity_condition(algebra: MobiAlgebra, strategy=Sampled()) -> CheckReport:
     """p(0,a,b) = p(0,b,a): exactly when the induced multiplication commutes."""
-    c = algebra.carrier
-    return check_equation("commutativity", ("a", "b"), (c, c), c.eq,
-                          lambda a, b: product(algebra, a, b),
-                          lambda a, b: product(algebra, b, a), strategy)
+    law = Laws(strategy, algebra.carrier.eq, algebra.carrier)
+    return law("commutativity", lambda a, b: product(algebra, a, b),
+               lambda a, b: product(algebra, b, a))
 
 
 def check_algebra_morphism(f: Callable, source: MobiAlgebra, target: MobiAlgebra,
@@ -239,18 +211,13 @@ def check_algebra_morphism(f: Callable, source: MobiAlgebra, target: MobiAlgebra
     preserving {0, 1} and preserving 1/2 have the same verdict (they are
     equivalent for p-preserving maps).
     """
-    sc, tc = source.carrier, target.carrier
-    e = tc.eq
+    law = Laws(strategy, target.carrier.eq, source.carrier)
     reports = [
-        check_equation("f(0)", (), (), e, lambda: f(source.zero),
-                       lambda: target.zero, strategy),
-        check_equation("f(half)", (), (), e, lambda: f(source.half),
-                       lambda: target.half, strategy),
-        check_equation("f(1)", (), (), e, lambda: f(source.one),
-                       lambda: target.one, strategy),
-        check_equation("f(p)", ("a", "b", "c"), (sc, sc, sc), e,
-                       lambda a, b, c: f(source.p(a, b, c)),
-                       lambda a, b, c: target.p(f(a), f(b), f(c)), strategy),
+        law("f(0)", lambda: f(source.zero), lambda: target.zero),
+        law("f(half)", lambda: f(source.half), lambda: target.half),
+        law("f(1)", lambda: f(source.one), lambda: target.one),
+        law("f(p)", lambda a, b, c: f(source.p(a, b, c)),
+            lambda a, b, c: target.p(f(a), f(b), f(c))),
     ]
     by_law = {r.law: r for r in reports}
     if by_law["f(p)"].passed:

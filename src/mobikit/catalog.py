@@ -310,36 +310,28 @@ def _polyval(coeffs: tuple, s):
 
 @_entry("canonical pairs pushed through F(x,s) = (lam(s)x - K(s), s); "
         "defaults reproduce the projectile space with k=1",
-        origin=lambda ps: (0.0, 0.0) if ps["lam"] == "exp" else (F(0), F(0)))
-def transported_space(lam="1", K="0,0,1", alpha: float = 1.0) -> MobiSpace:
+        origin=lambda ps: (F(0), F(0)))
+def transported_space(lam=(F(1),), K=(F(0), F(0), F(1))) -> MobiSpace:
     """Canonical interpolation on pairs pushed through F(x,s) = (lam(s)x - K(s), s).
 
     lam and K are polynomial coefficient lists (constant term first); lam must
-    not vanish on sampled s.  lam="exp" selects the float variant
-    F(x,s) = (x e^(alpha s), s) with K = 0.
+    not vanish on sampled s.
     """
-    if lam == "exp":
-        base = MobiSpace(float_line_algebra(), Vector(Float64(), 2), _interp,
-                         name="float-canonical(2)")
-        fwd = lambda p: (p[0] * math.exp(alpha * p[1]), p[1])
-        bwd = lambda p: (p[0] * math.exp(-alpha * p[1]), p[1])
-        return transport_space(base, fwd, bwd, name=f"transported-space(exp,{alpha})")
-    lam_c, k_c = _fractions(lam), _fractions(K)
     base = canonical_space(2)
 
     def fwd(p):
         x, s = p
-        return (_polyval(lam_c, s) * x - _polyval(k_c, s), s)
+        return (_polyval(lam, s) * x - _polyval(K, s), s)
 
     def bwd(p):
         u, s = p
-        lam_s = _polyval(lam_c, s)
+        lam_s = _polyval(lam, s)
         if lam_s == 0:
             raise ZeroDivisionError(f"lam({s}) = 0; choose lam without rational roots")
-        return ((u + _polyval(k_c, s)) / lam_s, s)
+        return ((u + _polyval(K, s)) / lam_s, s)
 
     return transport_space(base, fwd, bwd,
-                           name=f"transported-space({list(lam_c)},{list(k_c)})")
+                           name=f"transported-space({list(lam)},{list(K)})")
 
 
 @_entry("pairs (x, s) with s > 0, scalars in [0,1]; interpolation "

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import (algebra_from_ring, check_algebra_morphism,
                       ring_from_algebra, _resolve_two)
-from .report import CheckReport, Sampled, check_equation
+from .report import CheckReport, Laws, Sampled
 from .ringmod import RModule, check_module
 from .space import MobiSpace, PointedMobiSpace, check_space_morphism
 
@@ -60,25 +60,21 @@ def roundtrip_module(module: RModule, strategy=Sampled()) -> CheckReport:
 
     Each side is the pair (x + y, phi(a, x)), compared component-wise."""
     back = space_to_module(module_to_space(module))
-    pts = module.points
-    pe = pts.eq
-    return check_equation("roundtrip(module)", ("a", "x", "y"),
-                          (module.ring.carrier, pts, pts),
-                          lambda u, v: pe(u[0], v[0]) and pe(u[1], v[1]),
-                          lambda a, x, y: (module.add(x, y), module.phi(a, x)),
-                          lambda a, x, y: (back.add(x, y), back.phi(a, x)),
-                          strategy)
+    pe = module.points.eq
+    pairs = Laws(strategy, lambda u, v: pe(u[0], v[0]) and pe(u[1], v[1]),
+                 module.ring.carrier, module.points)
+    return pairs("roundtrip(module)",
+                 lambda a, x, y: (module.add(x, y), module.phi(a, x)),
+                 lambda a, x, y: (back.add(x, y), back.phi(a, x)))
 
 
 def roundtrip_space(pointed: PointedMobiSpace, strategy=Sampled()) -> CheckReport:
     """module_to_space(space_to_module(S)) has the same q as S."""
     S = pointed.space
     back = module_to_space(space_to_module(pointed)).space
-    pts = S.points
-    return check_equation("roundtrip(space)", ("a", "x", "y"),
-                          (S.algebra.carrier, pts, pts), pts.eq,
-                          lambda a, x, y: S.q(x, a, y),
-                          lambda a, x, y: back.q(x, a, y), strategy)
+    law = Laws(strategy, S.points.eq, S.algebra.carrier, S.points)
+    return law("roundtrip(space)", lambda a, x, y: S.q(x, a, y),
+               lambda a, x, y: back.q(x, a, y))
 
 
 def transport_morphism(direction: str, pair: tuple, source, target,
@@ -101,35 +97,27 @@ def transport_morphism(direction: str, pair: tuple, source, target,
         ps, pt = module_to_space(source), module_to_space(target)
         reports = check_algebra_morphism(f, ps.space.algebra, pt.space.algebra, strategy)
         reports += check_space_morphism(f, g, ps.space, pt.space, strategy)
-        reports.append(check_equation("g(e)", (), (), pt.space.points.eq,
-                                      lambda: g(ps.origin), lambda: pt.origin, strategy))
+        law = Laws(strategy, pt.space.points.eq, ps.space.algebra.carrier)
+        reports.append(law("g(e)", lambda: g(ps.origin), lambda: pt.origin))
         return reports
     if direction == "spaces->modules":
         if not isinstance(source, PointedMobiSpace) or not isinstance(target, PointedMobiSpace):
             raise TypeError("spaces->modules expects PointedMobiSpace source and target")
         ms, mt = space_to_module(source), space_to_module(target)
-        pe = mt.points.eq
-        se = mt.ring.carrier.eq
-        pts, sc = ms.points, ms.ring.carrier
+        law = Laws(strategy, mt.points.eq, ms.ring.carrier, ms.points)
+        scalar = Laws(strategy, mt.ring.carrier.eq, ms.ring.carrier)
         return [
-            check_equation("g(e)", (), (), pe, lambda: g(ms.zero),
-                           lambda: mt.zero, strategy),
-            check_equation("g(add)", ("x", "y"), (pts, pts), pe,
-                           lambda x, y: g(ms.add(x, y)),
-                           lambda x, y: mt.add(g(x), g(y)), strategy),
-            check_equation("g(phi)", ("a", "x"), (sc, pts), pe,
-                           lambda a, x: g(ms.phi(a, x)),
-                           lambda a, x: mt.phi(f(a), g(x)), strategy),
-            check_equation("f(add)", ("a", "b"), (sc, sc), se,
-                           lambda a, b: f(ms.ring.add(a, b)),
-                           lambda a, b: mt.ring.add(f(a), f(b)), strategy),
-            check_equation("f(mul)", ("a", "b"), (sc, sc), se,
-                           lambda a, b: f(ms.ring.mul(a, b)),
-                           lambda a, b: mt.ring.mul(f(a), f(b)), strategy),
-            check_equation("f(1)", (), (), se, lambda: f(ms.ring.one),
-                           lambda: mt.ring.one, strategy),
-            check_equation("f(2)", (), (), se, lambda: f(ms.ring.two),
-                           lambda: mt.ring.two, strategy),
+            law("g(e)", lambda: g(ms.zero), lambda: mt.zero),
+            law("g(add)", lambda x, y: g(ms.add(x, y)),
+                lambda x, y: mt.add(g(x), g(y))),
+            law("g(phi)", lambda a, x: g(ms.phi(a, x)),
+                lambda a, x: mt.phi(f(a), g(x))),
+            scalar("f(add)", lambda a, b: f(ms.ring.add(a, b)),
+                   lambda a, b: mt.ring.add(f(a), f(b))),
+            scalar("f(mul)", lambda a, b: f(ms.ring.mul(a, b)),
+                   lambda a, b: mt.ring.mul(f(a), f(b))),
+            scalar("f(1)", lambda: f(ms.ring.one), lambda: mt.ring.one),
+            scalar("f(2)", lambda: f(ms.ring.two), lambda: mt.ring.two),
         ]
     raise ValueError(f"direction must be 'modules->spaces' or 'spaces->modules', got {direction!r}")
 

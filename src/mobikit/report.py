@@ -3,8 +3,8 @@
 Every law check (equation, predicate or implication) runs through one loop,
 `_check`, which walks the assignments its strategy gives and returns a
 CheckReport whose witness, when present, re-evaluates to unequal sides.  A
-ZeroDivisionError or EvalError raised while evaluating a law becomes an
-`<error: ...>` witness.
+ZeroDivisionError, EvalError, ShapeError or MembershipError raised while
+evaluating a law becomes an `<error: ...>` witness.
 
 A strategy answers for itself: `assignments(law, slots, construct)` gives
 the assignments it walks, `label()` is its text in a report line and
@@ -20,11 +20,17 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable
 
-from .carriers import Product, render_rational, sample, try_subtract
+from .carriers import (MembershipError, Product, ShapeError, render_rational,
+                       sample, try_subtract)
 
 
 class EvalError(Exception):
     """An operation failed at evaluation time (e.g. division by zero)."""
+
+
+# raised by a law's premise, side or equality: each fails the law with an
+# `<error: ...>` witness
+_LAW_ERRORS = (ZeroDivisionError, EvalError, ShapeError, MembershipError)
 
 
 @dataclass(frozen=True)
@@ -111,9 +117,9 @@ def _check(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
            construct: Callable | None = None, probes: tuple = ()) -> CheckReport:
     """The one assignment loop: probes, then the strategy's assignments.
     Assignments whose premise fails are skipped; the first one whose sides
-    differ, or whose evaluation raises, is the witness.  A raise shows on the
-    side that raised: the premise's and lhs's on the left, rhs's on the right
-    beside the left side's value."""
+    differ, or whose evaluation raises, is the witness.  A raise shows where
+    it happened: the premise's and lhs's on the left, rhs's on the right
+    beside the left side's value, eq's as the difference of both sides."""
     if not slots:
         strategy = Exhaustive()  # one assignment, the empty one
     for assignment in chain(probes, assignments_for(law, slots, strategy, construct)):
@@ -121,15 +127,20 @@ def _check(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
             if premise is not None and not premise(*assignment):
                 continue
             left = lhs(*assignment)
-        except (ZeroDivisionError, EvalError) as exc:
+        except _LAW_ERRORS as exc:
             return _failure(law, strategy, names, assignment, f"<error: {exc}>", None)
         try:
             right = rhs(*assignment)
-        except (ZeroDivisionError, EvalError) as exc:
+        except _LAW_ERRORS as exc:
             return _failure(law, strategy, names, assignment, left, f"<error: {exc}>")
-        if not eq(left, right):
+        try:
+            if eq(left, right):
+                continue
+        except _LAW_ERRORS as exc:
             return _failure(law, strategy, names, assignment, left, right,
-                            try_subtract(left, right))
+                            f"<error: {exc}>")
+        return _failure(law, strategy, names, assignment, left, right,
+                        try_subtract(left, right))
     return CheckReport(law, strategy, "pass")
 
 
@@ -158,6 +169,41 @@ def check_implication(law: str, names: tuple, slots: tuple, premise: Callable,
     """
     return _check(law, names, slots, eq, lhs, rhs, strategy, premise=premise,
                   construct=construct)
+
+
+class Laws:
+    """The laws of one suite: one strategy, one equality, and its carriers.
+
+    A law's variables are the parameters of its first function, in order.
+    As in the paper's notation, a name that starts with x, y or z ranges
+    over `points` and every other one (a, b, c, t, b1, ...) over `scalars`.
+    """
+
+    def __init__(self, strategy, eq: Callable, scalars, points=None):
+        self.strategy, self.eq = strategy, eq
+        self.scalars, self.points = scalars, points
+
+    def _variables(self, fn: Callable) -> tuple:
+        code = fn.__code__  # inspect.signature is slow
+        names = code.co_varnames[:code.co_argcount]
+        return names, tuple(self.points if n[0] in "xyz" else self.scalars
+                            for n in names)
+
+    def __call__(self, law: str, lhs: Callable, rhs: Callable,
+                 probes: tuple = ()) -> CheckReport:
+        names, slots = self._variables(lhs)
+        return check_equation(law, names, slots, self.eq, lhs, rhs,
+                              self.strategy, probes)
+
+    def predicate(self, law: str, value: Callable, holds: Callable) -> CheckReport:
+        names, slots = self._variables(value)
+        return check_predicate(law, names, slots, value, holds, self.strategy)
+
+    def implication(self, law: str, premise: Callable, lhs: Callable,
+                    rhs: Callable, construct: Callable) -> CheckReport:
+        names, slots = self._variables(premise)
+        return check_implication(law, names, slots, premise, self.eq, lhs, rhs,
+                                 self.strategy, construct)
 
 
 def all_passed(reports: Iterable[CheckReport]) -> bool:

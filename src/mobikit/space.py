@@ -20,8 +20,7 @@ from typing import Callable
 
 from .algebra import MobiAlgebra, circ, complement, oplus, product
 from .carriers import Carrier, CarrierError, MembershipError, sample
-from .report import (CheckReport, Sampled, check_equation,
-                     check_implication, check_predicate, law_seed)
+from .report import CheckReport, Laws, Sampled, law_seed
 
 
 @dataclass(frozen=True)
@@ -45,99 +44,76 @@ class PointedMobiSpace:
                 f"origin {self.origin!r} is not in {self.space.points.describe()}")
 
 
+def _laws(space: MobiSpace, strategy) -> Laws:
+    return Laws(strategy, space.points.eq, space.algebra.carrier, space.points)
+
+
 def check_space(space: MobiSpace, strategy=Sampled()) -> list[CheckReport]:
     """Closure plus X1..X5."""
-    S = space
-    pts, sc = S.points, S.algebra.carrier
-    pe = pts.eq
-    q, p = S.q, S.algebra.p
-    A = S.algebra
+    A, pe = space.algebra, space.points.eq
+    law = _laws(space, strategy)
+    q, p = space.q, A.p
     return [
-        check_predicate("X0", ("x", "a", "y"), (pts, sc, pts),
-                        lambda x, a, y: q(x, a, y), pts.contains, strategy),
-        check_equation("X1", ("x", "y"), (pts, pts), pe,
-                       lambda x, y: q(x, A.zero, y), lambda x, y: x, strategy),
-        check_equation("X2", ("x", "y"), (pts, pts), pe,
-                       lambda x, y: q(y, A.one, x), lambda x, y: x, strategy),
-        check_equation("X3", ("x", "a"), (pts, sc), pe,
-                       lambda x, a: q(x, a, x), lambda x, a: x, strategy),
-        check_implication("X4", ("x", "y", "y2"), (pts, pts, pts),
-                          lambda x, y, y2: pe(q(x, A.half, y), q(x, A.half, y2)),
-                          pe, lambda x, y, y2: y, lambda x, y, y2: y2, strategy,
-                          construct=lambda t: (t[0], t[1], t[1])),
-        check_equation("X5", ("x", "y", "a", "b", "c"), (pts, pts, sc, sc, sc), pe,
-                       lambda x, y, a, b, c: q(q(x, a, y), b, q(x, c, y)),
-                       lambda x, y, a, b, c: q(x, p(a, b, c), y), strategy),
+        law.predicate("X0", lambda x, a, y: q(x, a, y), space.points.contains),
+        law("X1", lambda x, y: q(x, A.zero, y), lambda x, y: x),
+        law("X2", lambda x, y: q(y, A.one, x), lambda x, y: x),
+        law("X3", lambda x, a: q(x, a, x), lambda x, a: x),
+        law.implication("X4", lambda x, y, y2: pe(q(x, A.half, y), q(x, A.half, y2)),
+                        lambda x, y, y2: y, lambda x, y, y2: y2,
+                        lambda t: (t[0], t[1], t[1])),
+        law("X5", lambda x, y, a, b, c: q(q(x, a, y), b, q(x, c, y)),
+            lambda x, y, a, b, c: q(x, p(a, b, c), y)),
     ]
 
 
 def check_affine(space: MobiSpace, strategy=Sampled()) -> CheckReport:
     """The affine condition; known counterexample probes run first."""
-    q = space.q
-    pts, sc = space.points, space.algebra.carrier
-    half = space.algebra.half
-    return check_equation(
-        "affine(half)", ("x1", "y1", "x2", "y2", "a"),
-        (pts, pts, pts, pts, sc), pts.eq,
+    q, half = space.q, space.algebra.half
+    return _laws(space, strategy)(
+        "affine(half)",
         lambda x1, y1, x2, y2, a: q(q(x1, a, y1), half, q(x2, a, y2)),
         lambda x1, y1, x2, y2, a: q(q(x1, half, x2), a, q(y1, half, y2)),
-        strategy, probes=tuple(space.affine_probes))
+        probes=tuple(space.affine_probes))
 
 
 def check_y_properties(space: MobiSpace, strategy=Sampled()) -> list[CheckReport]:
     """Derived point laws Y1..Y10 (Y9, Y10 are implications)."""
-    S = space
-    A = S.algebra
-    pts, sc = S.points, A.carrier
-    pe = pts.eq
-    q, p = S.q, A.p
-    half = A.half
+    A, pe = space.algebra, space.points.eq
+    law = _laws(space, strategy)
+    q, p, half = space.q, A.p, A.half
     return [
-        check_equation("Y1", ("x", "y", "a"), (pts, pts, sc), pe,
-                       lambda x, y, a: q(y, a, x),
-                       lambda x, y, a: q(x, complement(A, a), y), strategy),
-        check_equation("Y2", ("x", "y"), (pts, pts), pe,
-                       lambda x, y: q(y, half, x), lambda x, y: q(x, half, y), strategy),
-        check_equation("Y3", ("x", "y", "a", "b"), (pts, pts, sc, sc), pe,
-                       lambda x, y, a, b: q(x, a, q(x, b, y)),
-                       lambda x, y, a, b: q(x, product(A, a, b), y), strategy),
-        check_equation("Y4", ("x", "y", "a", "b"), (pts, pts, sc, sc), pe,
-                       lambda x, y, a, b: q(q(x, a, y), b, y),
-                       lambda x, y, a, b: q(x, circ(A, a, b), y), strategy),
-        check_equation("Y5", ("x", "y", "a", "b"), (pts, pts, sc, sc), pe,
-                       lambda x, y, a, b: q(q(x, a, y), half, q(x, b, y)),
-                       lambda x, y, a, b: q(x, oplus(A, a, b), y), strategy),
-        check_equation("Y6", ("x", "y", "a"), (pts, pts, sc), pe,
-                       lambda x, y, a: q(x, half, q(x, a, y)),
-                       lambda x, y, a: q(x, a, q(x, half, y)), strategy),
-        check_equation("Y7", ("x", "y", "a"), (pts, pts, sc), pe,
-                       lambda x, y, a: q(q(x, a, y), half, q(y, a, x)),
-                       lambda x, y, a: q(x, half, y), strategy),
-        check_equation("Y8", ("x", "y", "a", "b", "c"), (pts, pts, sc, sc, sc), pe,
-                       lambda x, y, a, b, c:
-                           q(q(q(x, a, y), b, x), half, q(x, b, q(x, c, y))),
-                       lambda x, y, a, b, c:
-                           q(x, half, q(x, p(a, b, c), y)), strategy),
-        check_implication("Y9", ("x", "y", "a"), (pts, pts, sc),
-                          lambda x, y, a: pe(q(x, a, y), q(y, a, x)),
-                          pe, lambda x, y, a: q(x, a, y),
-                          lambda x, y, a: q(x, half, y), strategy,
-                          construct=lambda t: (t[0], t[0], t[2])),
-        check_implication("Y10", ("x", "y", "a", "b", "t"), (pts, pts, sc, sc, sc),
-                          lambda x, y, a, b, t: pe(q(x, a, y), q(x, b, y)),
-                          pe, lambda x, y, a, b, t: q(x, p(a, t, b), y),
-                          lambda x, y, a, b, t: q(x, a, y), strategy,
-                          construct=lambda t: (t[0], t[1], t[2], t[2], t[4])),
+        law("Y1", lambda x, y, a: q(y, a, x),
+            lambda x, y, a: q(x, complement(A, a), y)),
+        law("Y2", lambda x, y: q(y, half, x), lambda x, y: q(x, half, y)),
+        law("Y3", lambda x, y, a, b: q(x, a, q(x, b, y)),
+            lambda x, y, a, b: q(x, product(A, a, b), y)),
+        law("Y4", lambda x, y, a, b: q(q(x, a, y), b, y),
+            lambda x, y, a, b: q(x, circ(A, a, b), y)),
+        law("Y5", lambda x, y, a, b: q(q(x, a, y), half, q(x, b, y)),
+            lambda x, y, a, b: q(x, oplus(A, a, b), y)),
+        law("Y6", lambda x, y, a: q(x, half, q(x, a, y)),
+            lambda x, y, a: q(x, a, q(x, half, y))),
+        law("Y7", lambda x, y, a: q(q(x, a, y), half, q(y, a, x)),
+            lambda x, y, a: q(x, half, y)),
+        law("Y8", lambda x, y, a, b, c:
+                q(q(q(x, a, y), b, x), half, q(x, b, q(x, c, y))),
+            lambda x, y, a, b, c: q(x, half, q(x, p(a, b, c), y))),
+        law.implication("Y9", lambda x, y, a: pe(q(x, a, y), q(y, a, x)),
+                        lambda x, y, a: q(x, a, y), lambda x, y, a: q(x, half, y),
+                        lambda t: (t[0], t[0], t[2])),
+        law.implication("Y10", lambda x, y, a, b, t: pe(q(x, a, y), q(x, b, y)),
+                        lambda x, y, a, b, t: q(x, p(a, t, b), y),
+                        lambda x, y, a, b, t: q(x, a, y),
+                        lambda t: (t[0], t[1], t[2], t[2], t[4])),
     ]
 
 
 def check_space_morphism(f: Callable, g: Callable, source: MobiSpace,
                          target: MobiSpace, strategy=Sampled()) -> list[CheckReport]:
     """g(q(x,a,y)) = q'(g(x), f(a), g(y)) with f an algebra map on scalars."""
-    pts, sc = source.points, source.algebra.carrier
-    return [check_equation("g(q)", ("x", "a", "y"), (pts, sc, pts), target.points.eq,
-                           lambda x, a, y: g(source.q(x, a, y)),
-                           lambda x, a, y: target.q(g(x), f(a), g(y)), strategy)]
+    law = Laws(strategy, target.points.eq, source.algebra.carrier, source.points)
+    return [law("g(q)", lambda x, a, y: g(source.q(x, a, y)),
+                lambda x, a, y: target.q(g(x), f(a), g(y)))]
 
 
 class InverseError(CarrierError):

@@ -80,8 +80,6 @@ def test_space_entries_have_member_origins():
             continue
         names = {spec.name for spec in entry.params}
         variants = [{}] + [{"n": n} for n in (2, 3) if "n" in names]
-        if entry.name == "transported-space":
-            variants.append({"lam": "exp"})
         for params in variants:
             origin = default_origin(entry.name, params)
             assert build(entry.name, params).points.contains(origin), (entry.name, params)
@@ -194,15 +192,6 @@ def test_transported_space_defaults_reproduce_the_projectile():
     for x, a, y in (((F(0), F(0)), F(1, 2), (F(0), F(1))),
                     ((F(1), F(2)), F(-2, 3), (F(4), F(-1)))):
         assert trans.q(x, a, y) == proj.q(x, a, y)
-
-
-def test_transported_space_exp_matches_damped():
-    trans = build("transported-space", lam="exp", alpha="1")
-    damped = build("damped-space", alpha="1")
-    x, a, y = (1.0, 0.5), 0.25, (-2.0, 1.5)
-    got, want = trans.q(x, a, y), damped.q(x, a, y)
-    assert math.isclose(got[0], want[0], rel_tol=1e-12)
-    assert math.isclose(got[1], want[1], rel_tol=1e-12)
 
 
 def test_transported_space_rejects_vanishing_lam():

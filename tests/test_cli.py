@@ -450,14 +450,40 @@ def _mobi_files(draw):
     return _algebra("Zmod(5)" if zmod else "Q", half, body)
 
 
-@settings(max_examples=60, deadline=None)
-@given(text=_mobi_files(), seed=st.integers(0, 3))
-@example(text=_algebra("Q", "1/2", "a + b*(c - a)"), seed=0)  # all laws pass
-@example(text=_algebra("Q", "1/0", "a - (b)/(c - c)"), seed=0)
-def test_check_of_a_generated_file_keeps_the_exit_code_contract(
-        tmp_path_factory, text, seed):
-    path = tmp_path_factory.mktemp("gen") / "g.mobi"
-    path.write_text(text)
+def _space(over: str, carrier: str, body: str) -> str:
+    args = "(x, s), a, (y, t)" if carrier == "Q^2" else "x, a, y"
+    return f"space s over {over} {{\n  carrier: {carrier}\n  q({args}) = {body}\n}}\n"
+
+
+def _terms(draw, names, max_size):
+    terms = draw(st.lists(st.sampled_from(names), min_size=1, max_size=max_size))
+    ops = draw(st.lists(st.sampled_from("+-*/"), min_size=len(terms) - 1,
+                        max_size=len(terms) - 1))
+    return terms[0] + "".join(f" {op} ({t})" for op, t in zip(ops, terms[1:]))
+
+
+@st.composite
+def _mobi_space_files(draw):
+    """A space with a short q body on a point carrier of one or two parts,
+    over a small generated algebra or over a catalog algebra."""
+    over = draw(st.sampled_from(("g", "rational_line_algebra",
+                                 "float_line_algebra", "zmod_algebra")))
+    text = ""
+    if over == "g":
+        zmod = draw(st.booleans())
+        body = _terms(draw, ("a + b*(c - a)", "a", "b", "c", "0", "1"), 3)
+        text = _algebra("Zmod(5)" if zmod else "Q", "3" if zmod else "1/2", body)
+    carrier = draw(st.sampled_from(("Q", "QI", "R64", "Zmod(5)", "Q^2")))
+    names = ("x + a*(y - x)", "x", "y", "a", "0", "1", "1/2")
+    if carrier == "Q^2":
+        names += ("s", "t")
+        body = f"({_terms(draw, names, 3)}, {_terms(draw, names, 3)})"
+    else:
+        body = _terms(draw, names, 4)
+    return text + _space(over, carrier, body)
+
+
+def _check_keeps_the_exit_code_contract(path, text, seed):
     argv = ["check", str(path), "--samples", "3", "--seed", str(seed)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -469,6 +495,45 @@ def test_check_of_a_generated_file_keeps_the_exit_code_contract(
         lines = err.getvalue().splitlines()
         assert len(lines) == 1, (text, lines)
         assert lines[0].startswith((f"{path}:", "error:")), (text, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_mobi_files(), seed=st.integers(0, 3))
+@example(text=_algebra("Q", "1/2", "a + b*(c - a)"), seed=0)  # all laws pass
+@example(text=_algebra("Q", "1/0", "a - (b)/(c - c)"), seed=0)
+def test_check_of_a_generated_file_keeps_the_exit_code_contract(
+        tmp_path_factory, text, seed):
+    path = tmp_path_factory.mktemp("gen") / "g.mobi"
+    path.write_text(text)
+    _check_keeps_the_exit_code_contract(path, text, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_mobi_space_files(), seed=st.integers(0, 3))
+@example(text=_space("rational_line_algebra", "Q^2",
+                     "(x + a*(y - x), s + a*(t - s))"), seed=0)  # all laws pass
+def test_check_of_a_generated_space_keeps_the_exit_code_contract(
+        tmp_path_factory, text, seed):
+    path = tmp_path_factory.mktemp("gen") / "s.mobi"
+    path.write_text(text)
+    _check_keeps_the_exit_code_contract(path, text, seed)
+
+
+@pytest.mark.parametrize("over, carrier, error", [
+    ("float_line_algebra", "Q", "expected a rational, got 0.125"),
+    ("rational_line_algebra", "Zmod(5)", "expected ints mod 5, got Fraction(3, 1), 3")])
+def test_a_point_outside_the_carrier_fails_the_law(tmp_path, capsys, over, carrier, error):
+    # the point carrier's equality rejects what q returns: each law fails
+    # with an <error: ...> witness, and every verdict is printed
+    path = tmp_path / "s.mobi"
+    path.write_text(_space(over, carrier, "x + a*(y - x)"))
+    code, out, err = run(capsys, "check", str(path), "--samples", "20")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (1, "", 7)
+    assert [line.split()[:2] for line in lines[:6]] == [
+        ["FAIL", f"s.X{i}"] for i in range(6)]
+    assert f"difference=<error: {error}>" in lines[1]
+    assert lines[-1] == "checked 6 law(s): 6 failed"
 
 
 @pytest.mark.parametrize("text, where", [

@@ -8,9 +8,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from mobikit import (EvalError, Exhaustive, ModularInt, Rational, Sampled,
-                     check_equation, check_implication, check_predicate,
-                     report_to_text, reports_to_json)
+from mobikit import (EvalError, Exhaustive, MembershipError, ModularInt,
+                     Rational, Sampled, ShapeError, Witness, check_equation,
+                     check_implication, check_predicate, report_to_text,
+                     reports_to_json)
 from mobikit.report import assignments_for, render_value
 
 Z5 = ModularInt(5)
@@ -25,7 +26,7 @@ def raising_at(bad, exc):
     return op
 
 
-@pytest.mark.parametrize("exc", [ZeroDivisionError, EvalError])
+@pytest.mark.parametrize("exc", [ZeroDivisionError, EvalError, ShapeError, MembershipError])
 def test_an_error_in_any_law_kind_is_a_failing_witness(exc):
     names, slots, strategy = ("a", "b"), (Z5, Z5), Exhaustive()
     op = raising_at(3, exc)
@@ -44,7 +45,7 @@ def test_an_error_in_any_law_kind_is_a_failing_witness(exc):
         assert w.rhs is None and w.difference is None, report.law
 
 
-@pytest.mark.parametrize("exc", [ZeroDivisionError, EvalError])
+@pytest.mark.parametrize("exc", [ZeroDivisionError, EvalError, ShapeError, MembershipError])
 def test_an_error_on_the_right_side_is_shown_on_the_right(exc):
     names, slots, strategy = ("a", "b"), (Z5, Z5), Exhaustive()
     op = raising_at(3, exc)
@@ -61,6 +62,20 @@ def test_an_error_on_the_right_side_is_shown_on_the_right(exc):
         assert w.difference is None, report.law
         assert report_to_text(report).endswith(
             "witness: a=3, b=0 | lhs=3 rhs=<error: no value at a = 3>")
+
+
+def test_an_error_in_the_equality_shows_both_sides():
+    def eq(u, v):  # rejects a side outside the carrier, as Rational.eq does
+        if u == 3:
+            raise ShapeError("expected a member, got 3")
+        return u == v
+
+    report = check_equation("side", ("a", "b"), (Z5, Z5), eq, lambda a, b: a,
+                            lambda a, b: a, Exhaustive())
+    assert report.witness == Witness({"a": 3, "b": 0}, 3, 3,
+                                     "<error: expected a member, got 3>")
+    assert report_to_text(report).endswith(
+        "| lhs=3 rhs=3 difference=<error: expected a member, got 3>")
 
 
 def test_a_failing_predicate_reports_its_value_alone():
