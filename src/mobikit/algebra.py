@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .carriers import Carrier, CarrierError
+from .carriers import Carrier, CarrierError, memoise
 from .report import CheckReport, Laws, Sampled, Witness, assignments_for
 from .ringmod import RingWithHalf
 
@@ -164,13 +164,14 @@ def _resolve_two(algebra: MobiAlgebra):
 
 
 def ring_from_algebra(algebra: MobiAlgebra, two=None) -> RingWithHalf:
-    """The ring with a + b = p(0, 2, p(a,1/2,b)) and a * b = p(0, a, b)."""
+    """The ring with a + b = p(0, 2, p(a,1/2,b)) and a * b = p(0, a, b);
+    + is memoised on a small finite carrier (carriers.memoise)."""
     t = _resolve_two(algebra) if two is None else two
-    p = algebra.p
+    C, p = algebra.carrier, algebra.p
     zero, half = algebra.zero, algebra.half
     return RingWithHalf(
-        carrier=algebra.carrier,
-        add=lambda a, b: p(zero, t, p(a, half, b)),
+        carrier=C,
+        add=memoise(lambda a, b: p(zero, t, p(a, half, b)), C, C),
         mul=lambda a, b: p(zero, a, b),
         neg=lambda a: p(a, t, zero),
         zero=zero,
@@ -181,13 +182,15 @@ def ring_from_algebra(algebra: MobiAlgebra, two=None) -> RingWithHalf:
 
 
 def algebra_from_ring(ring: RingWithHalf) -> MobiAlgebra:
-    """The algebra with p(a, b, c) = a + b*c - b*a; requires half+half = one."""
-    if not ring.carrier.eq(ring.add(ring.half, ring.half), ring.one):
+    """The algebra with p(a, b, c) = a + b*c - b*a; requires half+half = one.
+    p is memoised on a small finite carrier (carriers.memoise)."""
+    C = ring.carrier
+    if not C.eq(ring.add(ring.half, ring.half), ring.one):
         raise NoHalfError(f"{ring.name or 'ring'}: half + half != one")
     add, mul, neg = ring.add, ring.mul, ring.neg
     return MobiAlgebra(
-        carrier=ring.carrier,
-        p=lambda a, b, c: add(a, add(mul(b, c), neg(mul(b, a)))),
+        carrier=C,
+        p=memoise(lambda a, b, c: add(a, add(mul(b, c), neg(mul(b, a)))), C, C, C),
         zero=ring.zero,
         half=ring.half,
         one=ring.one,

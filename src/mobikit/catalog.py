@@ -579,11 +579,20 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def coerce_params(entry: CatalogEntry, params: dict | None) -> dict:
-    """Merge user params over defaults, coercing CLI strings to values."""
+    """Merge user params over defaults, coercing CLI strings to values.  A
+    value its parameter's type rejects raises ValueError naming the entry
+    and the parameter."""
     given = dict(params or {})
     out = {}
     for spec in entry.params:
-        out[spec.name] = _coerce(spec.default, given.pop(spec.name, spec.default))
+        value = given.pop(spec.name, spec.default)
+        try:
+            out[spec.name] = _coerce(spec.default, value)
+        except (ValueError, ArithmeticError) as exc:
+            # int("x") and Fraction("x") raise ValueError, Fraction("1/0")
+            # ZeroDivisionError and float(Fraction("1e400")) OverflowError
+            detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+            raise ValueError(f"{entry.name}: --param {spec.name}={value}: {detail}") from None
     if given:
         raise ValueError(f"unknown parameter(s) for {entry.name}: {sorted(given)}")
     return out

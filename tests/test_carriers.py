@@ -93,6 +93,37 @@ def test_modular_eq_is_mod_m():
     assert list(enumerate_elements(c)) == [0, 1, 2, 3, 4]
 
 
+def test_modular_eq_fast_path_keeps_residues_and_shape_errors():
+    c = ModularInt(3)
+    assert c.eq(1, 4) and c.eq(-1, 2) and not c.eq(0, 4)
+    for x, y in ((True, 1), (1, True), (1.0, 1), (1, Fraction(1)), ((1,), 1)):
+        with pytest.raises(ShapeError):
+            c.eq(x, y)
+
+
+def _no_enumeration(*_):
+    raise AssertionError("size() enumerated the carrier")
+
+
+def test_size_is_read_from_the_parameters(monkeypatch):
+    for cls in (ModularInt, Product, Restricted):
+        monkeypatch.setattr(cls, "elements", _no_enumeration)
+    big = ModularInt(10**18)
+    assert big.size() == 10**18
+    assert Vector(big, 3).size() == 10**54
+    assert Product((ModularInt(2), ModularInt(3), ModularInt(5))).size() == 30
+    assert Product(()).size() == 1
+    # the base's size bounds the members' count; member is never asked
+    assert Restricted(Vector(ModularInt(4), 2), _no_enumeration).size() == 16
+
+
+def test_infinite_carriers_have_no_size():
+    for c in (Rational(), Float64(), GaussianRational(),
+              Product((ModularInt(3), Rational())),
+              Restricted(Rational(), lambda x: 0 <= x <= 1)):
+        assert c.size() is None, c
+
+
 def test_float64_tolerance_eq():
     c = Float64()
     assert c.eq(1.0, 1.0 + 1e-12)

@@ -353,6 +353,21 @@ def test_a_dimension_below_one_exits_two(capsys, name, param, message):
         assert one_error_line(*run(capsys, *argv)) == message, argv
 
 
+@pytest.mark.parametrize("name, param, message", [
+    ("projectile-space", "k=x",
+     "error: projectile-space: --param k=x: Invalid literal for Fraction: 'x'"),
+    ("projectile-space", "n=x", "error: projectile-space: --param n=x: "
+     "invalid literal for int() with base 10: 'x'"),
+    ("transported-space", "lam=exp",
+     "error: transported-space: --param lam=exp: Invalid literal for Fraction: 'exp'"),
+    ("projectile-space", "k=1/0",
+     "error: projectile-space: --param k=1/0: ZeroDivisionError: Fraction(1, 0)")])
+def test_a_param_of_the_wrong_type_names_the_entry_and_the_param(capsys, name, param,
+                                                                 message):
+    for argv in _catalog_commands(name, "--param", param, "--samples", "5"):
+        assert one_error_line(*run(capsys, *argv)) == message, argv
+
+
 @pytest.mark.parametrize("name", ["damped-space", "halfplane-space"])
 def test_a_space_of_dimension_zero_still_checks(capsys, name):
     code, out, err = run(capsys, "catalog", "check", name, "--param", "n=0")

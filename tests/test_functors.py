@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction as F
@@ -5,10 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from mobikit import (CarrierError, Exhaustive, PointedMobiSpace, QI, RModule,
-                     Sampled, all_passed, build, check_module, check_space,
+                     Sampled, all_passed, build, check_algebra, check_module,
+                     check_space, check_y_properties,
                      default_origin, module_to_space, origin_scan,
                      report_to_text, roundtrip_module, roundtrip_space,
-                     space_to_module, transport_morphism)
+                     space_to_module, transport_morphism, transport_space)
+from mobikit.algebra import algebra_from_ring, ring_from_algebra
+from mobikit.carriers import MEMO_MAX_ENTRIES, ModularInt, Rational, memoise
+from mobikit.space import MobiSpace
 
 
 def pointed(name, **params):
@@ -120,6 +125,127 @@ def test_roundtrip_division_by_zero_is_a_witness():
     text = report_to_text(report)
     assert text.startswith("FAIL roundtrip(module) [sampled(n=20, seed=0)]")
     assert " rhs=<error: " in text
+
+
+# memoised composite operations on finite carriers
+
+def _tuples(*carriers):
+    return itertools.product(*(c.elements() for c in carriers))
+
+
+@pytest.mark.parametrize("m, dim", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_memoised_operations_equal_their_compositions(m, dim):
+    M = build("zmod-module", m=m, dim=dim)
+    R, X = M.ring, M.points
+    S = module_to_space(M)
+    q = S.space.q
+    for x, a, y in _tuples(X, R.carrier, X):
+        assert q(x, a, y) == M.add(M.phi(R.add(R.one, R.neg(a)), x), M.phi(a, y))
+    A = algebra_from_ring(R)
+    for a, b, c in _tuples(R.carrier, R.carrier, R.carrier):
+        assert A.p(a, b, c) == R.add(a, R.add(R.mul(b, c), R.neg(R.mul(b, a))))
+    ring = ring_from_algebra(A)
+    for a, b in _tuples(R.carrier, R.carrier):
+        assert ring.add(a, b) == A.p(A.zero, A.two, A.p(a, A.half, b))
+    back = space_to_module(S)
+    for x, y in _tuples(X, X):
+        assert back.add(x, y) == q(S.origin, A.two, q(x, A.half, y))
+    shifted = transport_space(S.space, lambda x: tuple((c + 1) % m for c in x),
+                              lambda x: tuple((c - 1) % m for c in x))
+    for x, a, y in _tuples(X, R.carrier, X):
+        want = tuple((c + 1) % m for c in
+                     q(tuple((c - 1) % m for c in x), a, tuple((c - 1) % m for c in y)))
+        assert shifted.q(x, a, y) == want
+    for op in (q, A.p, ring.add, back.add, shifted.q):
+        assert op.cache_info().currsize > 0
+
+
+def _unreduced_module(m):
+    """Z/m as a module whose + does not reduce: its sums leave {0..m-1}."""
+    M = build("zmod-module", m=m, dim=1)
+    return RModule(M.ring, ModularInt(m), add=lambda x, y: x + y, zero=0,
+                   phi=lambda a, x: (a * x) % m, neg=lambda x: (-x) % m)
+
+
+def test_a_memoised_operation_that_raises_raises_on_every_call():
+    M = _unreduced_module(3)
+
+    def phi(a, x):
+        if x == 2:
+            raise ZeroDivisionError("phi at 2")
+        return M.phi(a, x)
+
+    failing = replace(M, phi=phi)
+    q = module_to_space(failing).space.q
+    for _ in range(3):
+        with pytest.raises(ZeroDivisionError):
+            q(2, 1, 0)
+    assert q.cache_info().currsize == 0
+    # the exhaustive reports, witnesses included, are those of the
+    # undecorated operation
+    space = module_to_space(failing).space
+    direct = replace(space, q=space.q.__wrapped__)
+    assert check_space(space, Exhaustive()) == check_space(direct, Exhaustive())
+    assert not all_passed(check_space(space, Exhaustive()))
+
+
+def test_the_cache_never_outgrows_the_argument_domain():
+    space = module_to_space(_unreduced_module(3)).space
+    # every int is a residue mod 3, so the laws hold mod 3, but nested q
+    # calls take unreduced sums outside 0..2
+    reports = check_space(space, Exhaustive()) + check_y_properties(space, Exhaustive())
+    assert all_passed(reports)
+    info = space.q.cache_info()
+    assert info.maxsize == 3 * 3 * 3 and 0 < info.currsize <= info.maxsize
+    assert info.misses > info.maxsize
+    # closed operations fill the domain exactly
+    space = module_to_space(build("zmod-module", m=5, dim=2)).space
+    assert all_passed(check_space(space, Exhaustive()))
+    info = space.q.cache_info()
+    assert info.maxsize == info.currsize == 25 * 5 * 25
+    algebra = algebra_from_ring(ring_from_algebra(build("zmod-algebra", m=5)))
+    assert all_passed(check_algebra(algebra, Exhaustive()))
+    info = algebra.p.cache_info()
+    assert info.maxsize == info.currsize == 5 ** 3
+
+
+def test_true_and_one_are_separate_keys():
+    algebra = build("zmod-algebra", m=3)
+    seen = []
+
+    def q(x, a, y):
+        seen.append(type(x))
+        return (x + a * (y - x)) % 3
+
+    space = MobiSpace(algebra, ModularInt(3), q)
+    add = space_to_module(PointedMobiSpace(space, 0)).add
+    assert add(1, 0) == add(True, 0) == 1
+    assert add.cache_info().currsize == 2
+    assert bool in seen
+
+
+def test_an_infinite_carrier_gets_the_undecorated_operation():
+    def op(x, a, y):
+        return x
+
+    assert memoise(op, Rational(), ModularInt(3), Rational()) is op
+    assert memoise(op, ModularInt(3), ModularInt(3), ModularInt(3)) is not op
+    S = module_to_space(build("canonical-module", n=1))
+    assert not hasattr(S.space.q, "cache_info")
+    assert not hasattr(space_to_module(S).add, "cache_info")
+    assert not hasattr(S.space.algebra.p, "cache_info")
+
+
+def test_a_large_finite_domain_gets_the_undecorated_operation():
+    # 11**4 * 11 argument tuples of q is over MEMO_MAX_ENTRIES; p's 11**3 is not
+    S = module_to_space(build("zmod-module", m=11, dim=2))
+    assert 11 ** 5 > MEMO_MAX_ENTRIES >= 11 ** 3
+    assert not hasattr(S.space.q, "cache_info")
+    assert S.space.algebra.p.cache_info().maxsize == 11 ** 3
+    # sized from the modulus, not by enumerating a million residues
+    S = module_to_space(build("zmod-module", m=1000003, dim=2))
+    assert not hasattr(S.space.q, "cache_info")
+    assert not hasattr(S.space.algebra.p, "cache_info")
 
 
 # morphism transport
