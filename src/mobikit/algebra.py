@@ -34,7 +34,6 @@ class MobiAlgebra:
     half: object
     one: object
     two: object | None = None  # declared doubler, if the carrier has one
-    name: str = ""
 
 
 class AmbiguousTwoError(CarrierError):
@@ -141,7 +140,7 @@ def solve_two(algebra: MobiAlgebra, strategy=Sampled()) -> TwoResult:
         if not is_two(A.two):
             raise CarrierError(f"declared two={A.two!r} does not satisfy p(0,1/2,x)=1")
         return TwoResult(A.two, "declared")
-    if c.finite:
+    if c.size() is not None:
         hits = [x for x in c.elements() if is_two(x)]
         if len(hits) > 1:
             raise AmbiguousTwoError(f"multiple doublers found: {hits!r}")
@@ -158,7 +157,7 @@ def _resolve_two(algebra: MobiAlgebra):
     result = solve_two(algebra)
     if result.value is None:
         raise CarrierError(
-            f"algebra {algebra.name or algebra.carrier.describe()} has no doubler "
+            f"the algebra on {algebra.carrier.describe()} has no doubler "
             f"({result.status}); declare one with dataclasses.replace(algebra, two=...)")
     return result.value
 
@@ -177,7 +176,6 @@ def ring_from_algebra(algebra: MobiAlgebra, two=None) -> RingWithHalf:
         zero=zero,
         one=algebra.one,
         half=half,
-        name=f"ring({algebra.name})" if algebra.name else "ring",
     )
 
 
@@ -186,7 +184,7 @@ def algebra_from_ring(ring: RingWithHalf) -> MobiAlgebra:
     p is memoised on a small finite carrier (carriers.memoise)."""
     C = ring.carrier
     if not C.eq(ring.add(ring.half, ring.half), ring.one):
-        raise NoHalfError(f"{ring.name or 'ring'}: half + half != one")
+        raise NoHalfError(f"the ring on {C.describe()}: half + half != one")
     add, mul, neg = ring.add, ring.mul, ring.neg
     return MobiAlgebra(
         carrier=C,
@@ -195,7 +193,6 @@ def algebra_from_ring(ring: RingWithHalf) -> MobiAlgebra:
         half=ring.half,
         one=ring.one,
         two=ring.two,
-        name=f"algebra({ring.name})" if ring.name else "algebra",
     )
 
 

@@ -445,10 +445,6 @@ class Carrier:
         """Best-effort coercion of a parsed literal into this element type."""
         return value
 
-    @property
-    def finite(self) -> bool:
-        return False
-
     def elements(self) -> list:
         raise NotEnumerableError(f"{self.describe()} is not enumerable")
 
@@ -576,10 +572,6 @@ class ModularInt(_BuiltDraw):
         if not (self.contains(x) and self.contains(y)):
             raise ShapeError(f"expected ints mod {self.modulus}, got {x!r}, {y!r}")
         return (x - y) % self.modulus == 0
-
-    @property
-    def finite(self):
-        return True
 
     def elements(self):
         return list(range(self.modulus))
@@ -719,10 +711,6 @@ class Product(_BuiltDraw):
             return (self.parts[0].coerce(value),)
         return value
 
-    @property
-    def finite(self):
-        return all(p.finite for p in self.parts)
-
     def elements(self):
         return [tuple(t) for t in itertools.product(*(p.elements() for p in self.parts))]
 
@@ -771,10 +759,6 @@ class Restricted(Carrier):
 
     def coerce(self, value):
         return self.base.coerce(value)
-
-    @property
-    def finite(self):
-        return self.base.finite
 
     def elements(self):
         return [x for x in self.base.elements() if self.member(x)]
@@ -843,7 +827,7 @@ def sample(carrier: Carrier, seed: int, n: int) -> list:
 
 def enumerate_elements(carrier: Carrier) -> list:
     """All elements of a finite carrier in a stable order."""
-    if not carrier.finite:
+    if carrier.size() is None:
         raise NotEnumerableError(f"{carrier.describe()} is not enumerable")
     return carrier.elements()
 

@@ -164,21 +164,18 @@ def _unit_interval():
 
 @_entry("unit-interval rationals with p(a,b,c) = a + b(c-a); no doubler")
 def canonical_interval_algebra() -> MobiAlgebra:
-    return MobiAlgebra(_unit_interval(), _canonical_p, F(0), F(1, 2), F(1),
-                       name="canonical-interval-algebra")
+    return MobiAlgebra(_unit_interval(), _canonical_p, F(0), F(1, 2), F(1))
 
 
 @_entry("all of Q with p(a,b,c) = a + b(c-a); doubler 2")
 def rational_line_algebra() -> MobiAlgebra:
-    return MobiAlgebra(Rational(), _canonical_p, F(0), F(1, 2), F(1), two=F(2),
-                       name="rational-line-algebra")
+    return MobiAlgebra(Rational(), _canonical_p, F(0), F(1, 2), F(1), two=F(2))
 
 
 @_entry("float line with p(a,b,c) = a + b(c-a); scalar sampling in [-2,2]")
 def float_line_algebra() -> MobiAlgebra:
     # scalar sampler stays in [-2, 2] so nested exp-based spaces cannot overflow
-    return MobiAlgebra(Float64(span=2), _canonical_p, 0.0, 0.5, 1.0, two=2.0,
-                       name="float-line-algebra")
+    return MobiAlgebra(Float64(span=2), _canonical_p, 0.0, 0.5, 1.0, two=2.0)
 
 
 def _require_odd_modulus(m: int):
@@ -191,7 +188,7 @@ def zmod_algebra(m: int = 3) -> MobiAlgebra:
     # m is an odd modulus >= 3, so that 2 has an inverse
     _require_odd_modulus(m)
     return MobiAlgebra(ModularInt(m), lambda a, b, c: (a + b * c - b * a) % m,
-                       0, (m + 1) // 2, 1, two=2 % m, name=f"zmod-algebra({m})")
+                       0, (m + 1) // 2, 1, two=2 % m)
 
 
 def _pair_p(k):
@@ -222,15 +219,14 @@ def lozenge_algebra(sqrt_k: Fraction = F(1)) -> MobiAlgebra:
                          label=f"{sqrt_k}|a2| <= a1 <= 1 - {sqrt_k}|a2|",
                          sampler=draw)
     return MobiAlgebra(carrier, _pair_p(k), (F(0), F(0)), (F(1, 2), F(0)),
-                       (F(1), F(0)), name=f"lozenge-algebra({sqrt_k})")
+                       (F(1), F(0)))
 
 
 @_entry("all rational pairs with the two-component p; product is "
         "(a1b1 + k a2b2, a1b2 + a2b1)")
 def plane_algebra(k: Fraction = F(-1)) -> MobiAlgebra:
     return MobiAlgebra(Vector(Rational(), 2), _pair_p(k), (F(0), F(0)),
-                       (F(1, 2), F(0)), (F(1), F(0)), two=(F(2), F(0)),
-                       name=f"plane-algebra({k})")
+                       (F(1, 2), F(0)), (F(1), F(0)), two=(F(2), F(0)))
 
 
 @_entry("rational triples with componentwise-coupled p; induced product "
@@ -243,7 +239,7 @@ def tri_algebra() -> MobiAlgebra:
 
     return MobiAlgebra(Vector(Rational(), 3), p, (F(0), F(0), F(0)),
                        (F(1, 2), F(0), F(1, 2)), (F(1), F(0), F(1)),
-                       two=(F(2), F(0), F(2)), name="tri-algebra")
+                       two=(F(2), F(0), F(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +252,7 @@ def _interp(x, a, y):
 @_entry("Q^n with straight-line interpolation x + a(y-x)",
         origin=lambda ps: (F(0),) * ps["n"])
 def canonical_space(n: int = 1) -> MobiSpace:
-    return MobiSpace(rational_line_algebra(), Vector(Rational(), n), _interp,
-                     name=f"canonical-space({n})")
+    return MobiSpace(rational_line_algebra(), Vector(Rational(), n), _interp)
 
 
 def _broadcast(k: tuple, n: int) -> tuple:
@@ -282,8 +277,7 @@ def projectile_space(n: int = 1, k=(F(1),)) -> MobiSpace:
                      for i in range(n))
         return head + (s + a * (t - s),)
 
-    return MobiSpace(rational_line_algebra(), Vector(Rational(), n + 1), q,
-                     name=f"projectile-space({n},{kk if n > 1 else kk[0]})")
+    return MobiSpace(rational_line_algebra(), Vector(Rational(), n + 1), q)
 
 
 @_entry("float pairs (x, s) with exponential damping factors; the one "
@@ -297,8 +291,7 @@ def damped_space(n: int = 1, alpha: float = 1.0) -> MobiSpace:
                      for i in range(n))
         return head + (s + a * (t - s),)
 
-    return MobiSpace(float_line_algebra(), Vector(Float64(), n + 1), q,
-                     name=f"damped-space({n},{alpha})")
+    return MobiSpace(float_line_algebra(), Vector(Float64(), n + 1), q)
 
 
 def _polyval(coeffs: tuple, s):
@@ -330,8 +323,7 @@ def transported_space(lam=(F(1),), K=(F(0), F(0), F(1))) -> MobiSpace:
             raise ZeroDivisionError(f"lam({s}) = 0; choose lam without rational roots")
         return ((u + _polyval(K, s)) / lam_s, s)
 
-    return transport_space(base, fwd, bwd,
-                           name=f"transported-space({list(lam)},{list(K)})")
+    return transport_space(base, fwd, bwd)
 
 
 @_entry("pairs (x, s) with s > 0, scalars in [0,1]; interpolation "
@@ -349,8 +341,7 @@ def halfplane_space(n: int = 1) -> MobiSpace:
         head = tuple(x[i] + (y[i] - x[i]) * a * t / d for i in range(n))
         return head + (d,)
 
-    return MobiSpace(canonical_interval_algebra(), points, q,
-                     name=f"halfplane-space({n})")
+    return MobiSpace(canonical_interval_algebra(), points, q)
 
 
 @_entry("unit interval acted on by the lozenge algebra through "
@@ -366,8 +357,7 @@ def lozenge_space(sqrt_k: Fraction = F(1), sign: str = "plus") -> MobiSpace:
     def q(x, a, y):
         return x + (a[0] + mult * sqrt_k * a[1]) * (y - x)
 
-    return MobiSpace(algebra, _unit_interval(), q,
-                     name=f"lozenge-space({sqrt_k},{sign})")
+    return MobiSpace(algebra, _unit_interval(), q)
 
 
 def _h_mul(k):
@@ -385,8 +375,7 @@ def plane_space(k: Fraction = F(-1)) -> MobiSpace:
         d = mul(a, (y[0] - x[0], y[1] - x[1]))
         return (x[0] + d[0], x[1] + d[1])
 
-    return MobiSpace(plane_algebra(k), Vector(Rational(), 2), q,
-                     name=f"plane-space({k})")
+    return MobiSpace(plane_algebra(k), Vector(Rational(), 2), q)
 
 
 @_entry("rational pairs acted on by the triple algebra",
@@ -396,7 +385,7 @@ def tri_space() -> MobiSpace:
         return (x[0] + a[0] * (y[0] - x[0]) + a[1] * (y[1] - x[1]),
                 x[1] + a[2] * (y[1] - x[1]))
 
-    return MobiSpace(tri_algebra(), Vector(Rational(), 2), q, name="tri-space")
+    return MobiSpace(tri_algebra(), Vector(Rational(), 2), q)
 
 
 @_entry("Gaussian-rational pairs (z, s); satisfies the space laws but "
@@ -427,8 +416,7 @@ def nonaffine_complex_space(n: int = 1) -> MobiSpace:
     if n == 1:
         probes = (((QI(0), F(0)), (QI(0), F(1)), (QI(1), F(0)), (QI(0), F(0)),
                    F(-1, 2)),)
-    return MobiSpace(rational_line_algebra(), points, q,
-                     name=f"nonaffine-complex-space({n})", affine_probes=probes)
+    return MobiSpace(rational_line_algebra(), points, q, affine_probes=probes)
 
 
 @_entry("rational pairs with a cubic-rational interpolation weight; "
@@ -441,8 +429,7 @@ def nonaffine_poly_space(n: int = 1) -> MobiSpace:
         head = tuple(x[i] + a * (y[i] - x[i]) * num / den for i in range(n))
         return head + (s + a * (t - s),)
 
-    return MobiSpace(rational_line_algebra(), Vector(Rational(), n + 1), q,
-                     name=f"nonaffine-poly-space({n})")
+    return MobiSpace(rational_line_algebra(), Vector(Rational(), n + 1), q)
 
 
 # ---------------------------------------------------------------------------
@@ -450,19 +437,19 @@ def nonaffine_poly_space(n: int = 1) -> MobiSpace:
 
 def _rational_ring() -> RingWithHalf:
     return RingWithHalf(Rational(), lambda a, b: a + b, lambda a, b: a * b,
-                        lambda a: -a, F(0), F(1), F(1, 2), name="Q")
+                        lambda a: -a, F(0), F(1), F(1, 2))
 
 
 def _float_ring() -> RingWithHalf:
     return RingWithHalf(Float64(span=2), lambda a, b: a + b, lambda a, b: a * b,
-                        lambda a: -a, 0.0, 1.0, 0.5, name="R64")
+                        lambda a: -a, 0.0, 1.0, 0.5)
 
 
 def _zmod_ring(m: int) -> RingWithHalf:
     _require_odd_modulus(m)
     return RingWithHalf(ModularInt(m), lambda a, b: (a + b) % m,
                         lambda a, b: (a * b) % m, lambda a: (-a) % m,
-                        0, 1, (m + 1) // 2, name=f"Z/{m}")
+                        0, 1, (m + 1) // 2)
 
 
 @_entry("Q^n as a module over Q")
@@ -471,8 +458,7 @@ def canonical_module(n: int = 1) -> RModule:
                    add=lambda x, y: tuple(a + b for a, b in zip(x, y)),
                    zero=(F(0),) * n,
                    phi=lambda a, x: tuple(a * c for c in x),
-                   neg=lambda x: tuple(-c for c in x),
-                   name=f"canonical-module({n})")
+                   neg=lambda x: tuple(-c for c in x))
 
 
 @_entry("(Z/m)^dim as a module over Z/m")
@@ -483,8 +469,7 @@ def zmod_module(m: int = 3, dim: int = 2) -> RModule:
                    add=lambda x, y: tuple((a + b) % m for a, b in zip(x, y)),
                    zero=(0,) * dim,
                    phi=lambda a, x: tuple((a * c) % m for c in x),
-                   neg=lambda x: tuple((-c) % m for c in x),
-                   name=f"zmod-module({m},{dim})")
+                   neg=lambda x: tuple((-c) % m for c in x))
 
 
 @_entry("pairs (x, s) with (x,s)+(y,t) = (x+y-2stk, s+t) and "
@@ -505,8 +490,7 @@ def projectile_module(n: int = 1, k=(F(1),)) -> RModule:
         return tuple(-x[i] - 2 * kk[i] * s * s for i in range(n)) + (-s,)
 
     return RModule(_rational_ring(), Vector(Rational(), n + 1), add,
-                   (F(0),) * (n + 1), phi, neg,
-                   name=f"projectile-module({n},{kk if n > 1 else kk[0]})")
+                   (F(0),) * (n + 1), phi, neg)
 
 
 @_entry("float pairs with (x,s)+(y,t) = (x e^(alpha t) + y e^(alpha s), s+t) "
@@ -527,7 +511,7 @@ def damped_module(n: int = 1, alpha: float = 1.0) -> RModule:
         return tuple(-x[i] * math.exp(-2 * alpha * s) for i in range(n)) + (-s,)
 
     return RModule(_float_ring(), Vector(Float64(), n + 1), add,
-                   (0.0,) * (n + 1), phi, neg, name=f"damped-module({n},{alpha})")
+                   (0.0,) * (n + 1), phi, neg)
 
 
 @_entry("rational pairs as a module over the h-number ring")
@@ -536,13 +520,12 @@ def plane_module(k: Fraction = F(-1)) -> RModule:
     ring = RingWithHalf(Vector(Rational(), 2),
                         lambda a, b: (a[0] + b[0], a[1] + b[1]), mul,
                         lambda a: (-a[0], -a[1]), (F(0), F(0)), (F(1), F(0)),
-                        (F(1, 2), F(0)), name=f"plane-ring({k})")
+                        (F(1, 2), F(0)))
     return RModule(ring, Vector(Rational(), 2),
                    add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
                    zero=(F(0), F(0)),
                    phi=mul,
-                   neg=lambda x: (-x[0], -x[1]),
-                   name=f"plane-module({k})")
+                   neg=lambda x: (-x[0], -x[1]))
 
 
 @_entry("rational pairs over the noncommutative triple ring with "
@@ -553,14 +536,12 @@ def tri_module() -> RModule:
         lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
         lambda a, b: (a[0] * b[0], a[0] * b[1] + a[1] * b[2], a[2] * b[2]),
         lambda a: (-a[0], -a[1], -a[2]),
-        (F(0), F(0), F(0)), (F(1), F(0), F(1)), (F(1, 2), F(0), F(1, 2)),
-        name="tri-ring")
+        (F(0), F(0), F(0)), (F(1), F(0), F(1)), (F(1, 2), F(0), F(1, 2)))
     return RModule(ring, Vector(Rational(), 2),
                    add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
                    zero=(F(0), F(0)),
                    phi=lambda a, x: (a[0] * x[0] + a[1] * x[1], a[2] * x[1]),
-                   neg=lambda x: (-x[0], -x[1]),
-                   name="tri-module")
+                   neg=lambda x: (-x[0], -x[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def _cmd_check(args) -> int:
     path = args.file
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -226,14 +226,8 @@ def _cmd_trace(args) -> int:
     end = _point(space, "--to", args.dst)
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
-    scalars = space.algebra.carrier
-    grid = []
-    for k in range(args.steps + 1):
-        t = Fraction(k, args.steps)
-        if scalars.contains(t):
-            grid.append(t)
-        elif scalars.contains(k / args.steps):
-            grid.append(k / args.steps)
+    grid = [t for t in (Fraction(k, args.steps) for k in range(args.steps + 1))
+            if space.algebra.carrier.contains(t)]
     rows = trace_geodesic(space, start, end, grid)
     if not rows:
         raise ValueError("the scalar grid is empty; nothing to trace")

@@ -36,7 +36,8 @@ levels, far inside the recursion limit and CPython's parser limit.
 
 Errors are reported as DslError(kind, line, col, msg) with kind one of
 lexical, syntax, unbound-identifier, shape-mismatch, exp-i-misuse, and
-arithmetic (a constant whose evaluation fails, such as 1/0).
+arithmetic (a constant or a parse_value expression whose evaluation
+fails, such as 1/0).
 """
 
 from __future__ import annotations
@@ -550,7 +551,7 @@ def parse_value(text: str):
         raise _error("syntax", tok, f"unexpected {tok.text!r} after the expression")
     ns = _namespace()
     _, source = _compile(expr, {}, _BASES, ns)
-    return _define("value", "", source, ns)()
+    return _evaluate(_define("value", "", source, ns), expr, "the value")
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +855,7 @@ def _elab_algebra(d: AlgebraDef) -> MobiAlgebra:
     zero, half, one = (_evaluate(_define(what, "", source, ns), expr, what)
                        for source, (expr, what) in zip(constants, fields))
     return MobiAlgebra(carrier, _define("p", "_x0, _x1, _x2", body, ns),
-                       zero, half, one, name=d.name)
+                       zero, half, one)
 
 
 def _elab_space(d: SpaceDef, algebras: dict) -> MobiSpace:
@@ -887,8 +888,7 @@ def _elab_space(d: SpaceDef, algebras: dict) -> MobiSpace:
         env[par.name] = (kind, _bind(ns, _param_value(par)))
     body = _expect(d.op.body, env, bases, ns, shape, d.op.body,
                    "the body of q does not match the carrier shape")
-    return MobiSpace(algebra, points, _define("q", "_x0, _x1, _x2", body, ns),
-                     name=d.name)
+    return MobiSpace(algebra, points, _define("q", "_x0, _x1, _x2", body, ns))
 
 
 def elaborate(items) -> dict:

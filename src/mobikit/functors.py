@@ -36,8 +36,7 @@ def module_to_space(module: RModule) -> PointedMobiSpace:
         return module.add(module.phi(one_minus(a), x), module.phi(a, y))
 
     space = MobiSpace(algebra=algebra, points=module.points,
-                      q=memoise(q, module.points, ring.carrier, module.points),
-                      name=f"space({module.name})" if module.name else "space")
+                      q=memoise(q, module.points, ring.carrier, module.points))
     return PointedMobiSpace(space, module.zero)
 
 
@@ -57,7 +56,6 @@ def space_to_module(pointed: PointedMobiSpace) -> RModule:
         zero=e,
         phi=lambda a, x: q(e, a, x),
         neg=lambda x: q(x, t, e),
-        name=f"module({S.name})" if S.name else "module",
     )
 
 
@@ -83,49 +81,45 @@ def roundtrip_space(pointed: PointedMobiSpace, strategy=Sampled()) -> CheckRepor
                lambda a, x, y: back.q(x, a, y))
 
 
-def transport_morphism(direction: str, pair: tuple, source, target,
+def transport_morphism(pair: tuple, source, target,
                        strategy=Sampled()) -> list[CheckReport]:
     """Carry a morphism across the correspondence and verify the other side.
 
-    direction "modules->spaces": source/target are RModule, pair (f, g) is a
-    module morphism (f on scalars, g on points); the induced spaces must
-    satisfy the algebra-morphism laws for f, g(q(x,a,y)) = q'(gx, fa, gy),
-    and g(e) = e'.
+    Between two RModules, pair (f, g) is a module morphism (f on scalars, g
+    on points); the induced spaces must satisfy the algebra-morphism laws
+    for f, g(q(x,a,y)) = q'(gx, fa, gy), and g(e) = e'.
 
-    direction "spaces->modules": source/target are PointedMobiSpace; the
-    induced modules must satisfy g(e) = e', additivity, phi-equivariance,
-    and f preserving +, *, 1, and the doubler.
+    Between two PointedMobiSpaces, the induced modules must satisfy
+    g(e) = e', additivity, phi-equivariance, and f preserving +, *, 1, and
+    the doubler.
     """
     f, g = pair
-    if direction == "modules->spaces":
-        if not isinstance(source, RModule) or not isinstance(target, RModule):
-            raise TypeError("modules->spaces expects RModule source and target")
+    if isinstance(source, RModule) and isinstance(target, RModule):
         ps, pt = module_to_space(source), module_to_space(target)
         reports = check_algebra_morphism(f, ps.space.algebra, pt.space.algebra, strategy)
         reports += check_space_morphism(f, g, ps.space, pt.space, strategy)
         law = Laws(strategy, pt.space.points.eq, ps.space.algebra.carrier)
         reports.append(law("g(e)", lambda: g(ps.origin), lambda: pt.origin))
         return reports
-    if direction == "spaces->modules":
-        if not isinstance(source, PointedMobiSpace) or not isinstance(target, PointedMobiSpace):
-            raise TypeError("spaces->modules expects PointedMobiSpace source and target")
-        ms, mt = space_to_module(source), space_to_module(target)
-        law = Laws(strategy, mt.points.eq, ms.ring.carrier, ms.points)
-        scalar = Laws(strategy, mt.ring.carrier.eq, ms.ring.carrier)
-        return [
-            law("g(e)", lambda: g(ms.zero), lambda: mt.zero),
-            law("g(add)", lambda x, y: g(ms.add(x, y)),
-                lambda x, y: mt.add(g(x), g(y))),
-            law("g(phi)", lambda a, x: g(ms.phi(a, x)),
-                lambda a, x: mt.phi(f(a), g(x))),
-            scalar("f(add)", lambda a, b: f(ms.ring.add(a, b)),
-                   lambda a, b: mt.ring.add(f(a), f(b))),
-            scalar("f(mul)", lambda a, b: f(ms.ring.mul(a, b)),
-                   lambda a, b: mt.ring.mul(f(a), f(b))),
-            scalar("f(1)", lambda: f(ms.ring.one), lambda: mt.ring.one),
-            scalar("f(2)", lambda: f(ms.ring.two), lambda: mt.ring.two),
-        ]
-    raise ValueError(f"direction must be 'modules->spaces' or 'spaces->modules', got {direction!r}")
+    if not (isinstance(source, PointedMobiSpace) and isinstance(target, PointedMobiSpace)):
+        raise TypeError("transport_morphism expects two RModules or two PointedMobiSpaces, "
+                        f"got {type(source).__name__} and {type(target).__name__}")
+    ms, mt = space_to_module(source), space_to_module(target)
+    law = Laws(strategy, mt.points.eq, ms.ring.carrier, ms.points)
+    scalar = Laws(strategy, mt.ring.carrier.eq, ms.ring.carrier)
+    return [
+        law("g(e)", lambda: g(ms.zero), lambda: mt.zero),
+        law("g(add)", lambda x, y: g(ms.add(x, y)),
+            lambda x, y: mt.add(g(x), g(y))),
+        law("g(phi)", lambda a, x: g(ms.phi(a, x)),
+            lambda a, x: mt.phi(f(a), g(x))),
+        scalar("f(add)", lambda a, b: f(ms.ring.add(a, b)),
+               lambda a, b: mt.ring.add(f(a), f(b))),
+        scalar("f(mul)", lambda a, b: f(ms.ring.mul(a, b)),
+               lambda a, b: mt.ring.mul(f(a), f(b))),
+        scalar("f(1)", lambda: f(ms.ring.one), lambda: mt.ring.one),
+        scalar("f(2)", lambda: f(ms.ring.two), lambda: mt.ring.two),
+    ]
 
 
 def origin_scan(space: MobiSpace, origins, strategy=Sampled()) -> list:

@@ -20,7 +20,6 @@ class RingWithHalf:
     zero: object
     one: object
     half: object
-    name: str = ""
 
     @property
     def two(self):
@@ -37,7 +36,6 @@ class RModule:
     zero: object
     phi: Callable  # scalar action phi(a, x)
     neg: Callable
-    name: str = ""
 
 
 def check_ring(ring: RingWithHalf, strategy=Sampled()) -> list[CheckReport]:

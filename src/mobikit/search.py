@@ -72,8 +72,7 @@ class FiniteModel:
         n, t = self.size, self.table
         return MobiAlgebra(ModularInt(n),
                            lambda a, b, c: t[a % n][b % n][c % n],
-                           self.zero, self.half, self.one,
-                           name=f"finite-model({n})")
+                           self.zero, self.half, self.one)
 
 
 class _Instances:

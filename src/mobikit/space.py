@@ -28,7 +28,6 @@ class MobiSpace:
     algebra: MobiAlgebra
     points: Carrier
     q: Callable  # q(x, a, y)
-    name: str = ""
     # known affine-condition counterexamples (x1, y1, x2, y2, a), probed first
     affine_probes: tuple = ()
 
@@ -120,8 +119,7 @@ class InverseError(CarrierError):
     """transport_space was given maps that are not mutually inverse."""
 
 
-def transport_space(space: MobiSpace, forward: Callable, backward: Callable,
-                    name: str = "") -> MobiSpace:
+def transport_space(space: MobiSpace, forward: Callable, backward: Callable) -> MobiSpace:
     """Push q through a bijection: q'(u,a,v) = forward(q(backward(u), a, backward(v))).
 
     The two maps are spot-checked to be mutually inverse on 50 seeded draws
@@ -146,7 +144,6 @@ def transport_space(space: MobiSpace, forward: Callable, backward: Callable,
         points=points,
         q=memoise(lambda u, a, v: forward(space.q(backward(u), a, backward(v))),
                   points, space.algebra.carrier, points),
-        name=name or (f"transport({space.name})" if space.name else "transport"),
     )
 
 

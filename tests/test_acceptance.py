@@ -160,7 +160,7 @@ def test_criterion_08_morphism_suite_and_transport(capsys):
     target = MobiAlgebra(
         Restricted(Rational(), lambda x: -1 <= x <= 5, label="-1 <= t <= 5"),
         lambda a, b, c: (c + 5 * a) / 6 + b * (c - a) / 6,
-        F(-1), F(2), F(5), name="six-t-minus-one-image")
+        F(-1), F(2), F(5))
     reports = check_algebra_morphism(lambda t: 6 * t - 1,
                                      build("canonical-interval-algebra"),
                                      target, Sampled(samples=200, seed=0))
@@ -168,13 +168,11 @@ def test_criterion_08_morphism_suite_and_transport(capsys):
     ok = ok and "half-iff-ends" in {r.law for r in reports}
     module = build("zmod-module", m=3, dim=2)
     ok = ok and all_passed(transport_morphism(
-        "modules->spaces", (lambda a: a, lambda x: x), module, module,
-        Exhaustive()))
+        (lambda a: a, lambda x: x), module, module, Exhaustive()))
     pointed = PointedMobiSpace(build("canonical-space", n=2),
                                default_origin("canonical-space", {"n": 2}))
     ok = ok and all_passed(transport_morphism(
-        "spaces->modules", (lambda a: a, lambda x: x), pointed, pointed,
-        FULL))
+        (lambda a: a, lambda x: x), pointed, pointed, FULL))
     _verdict(capsys, 8, ok,
              "t maps to 6t-1 passes the morphism suite with the half-iff-ends "
              "equivalence, and identity morphisms transport both ways")

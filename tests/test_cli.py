@@ -73,6 +73,20 @@ def test_check_exhaustive_needs_finite_carriers(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_check_exhaustive_enumerates_a_restricted_carrier(tmp_path, capsys):
+    path = tmp_path / "flat.mobi"
+    path.write_text("space flat over zmod_algebra {\n"
+                    "  carrier: Zmod(3)^2 where v1 = 0\n"
+                    "  q((x, s), a, (y, t)) = (0, s + a*(t - s))\n"
+                    "}\n")
+    code, out, err = run(capsys, "check", str(path), "--exhaustive", "--affine",
+                         "--properties")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 18)
+    assert all(line.endswith("[exhaustive]") for line in lines[:-1])
+    assert lines[-1] == "checked 17 law(s): all passed"
+
+
 def test_check_json_is_deterministic(capsys):
     code, first, _ = run(capsys, "check", str(GOLDEN), "--report", "json",
                          "--samples", "40", "--seed", "3")
@@ -224,6 +238,37 @@ def test_trace_writes_the_projectile_arc(tmp_path, capsys):
         "1,0,1\n")
 
 
+def test_trace_writes_float_coordinates_as_python_prints_them(tmp_path, capsys):
+    out_path = tmp_path / "damped.csv"
+    code, _, _ = run(capsys, "trace", "damped-space", "--from", "(0, 0)",
+                     "--to", "(1, 1)", "--steps", "2", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == (
+        "t,c1,c2\n"
+        "0,0.0,0.0\n"
+        "0.5,0.3032653298563167,0.5\n"
+        "1,1.0,1.0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("catalog", "check", "zmod-algebra", "--param", "m"),
+     "error: --param wants NAME=VALUE, got 'm'"),
+    (("trace", "canonical-space", "--from", "0", "--to", "1", "--steps", "0"),
+     "error: --steps must be >= 1, got 0"),
+    # the lozenge algebra's scalars are pairs, so no grid value t = k/steps is one
+    (("trace", "lozenge-space", "--from", "0", "--to", "1", "--steps", "2"),
+     "error: the scalar grid is empty; nothing to trace"),
+    (("convert", "space-to-module", "halfplane-space", "--samples", "5"),
+     "error: the algebra on {Q : 0 <= t <= 1} has no doubler (absent-after-search); "
+     "declare one with dataclasses.replace(algebra, two=...)"),
+])
+def test_a_command_that_cannot_run_exits_two(tmp_path, capsys, argv, message):
+    if argv[0] == "trace":
+        argv += ("--out", str(tmp_path / "x.csv"))
+    assert one_error_line(*run(capsys, *argv)) == message
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_trace_rejects_endpoints_outside_the_space(tmp_path, capsys):
     for src, dst, message in [
             ("(0, 0)", "(1, 1)", "error: start (0, 0) is not in "),
@@ -248,14 +293,15 @@ _DEEP = {"parentheses": "(" * 160 + "0" + ")" * 160, "chain": "0" + " + 1" * 600
          "signs": "1 + " + "-" * 600 + "0"}
 # the column of each DslError below; the 536th '+' of the chain is the
 # first node deeper than 64 levels
-_COLUMNS = {"x": 1, "(1, 2) + 3": 8, "exp(i)": 1, _DEEP["parentheses"]: 65,
-            _DEEP["chain"]: 4 * 536 - 1, _DEEP["signs"]: 68}
+_COLUMNS = {"x": 1, "(1, 2) + 3": 8, "exp(1000)": 1, "1/0": 2, "exp(i)": 1,
+            _DEEP["parentheses"]: 65, _DEEP["chain"]: 4 * 536 - 1, _DEEP["signs"]: 68}
 
 
 @pytest.mark.parametrize("value, error", [
     ("x", "error: unbound-identifier: unbound identifier 'x'\n"),
     ("(1, 2) + 3", "error: shape-mismatch: operator '+' needs scalar operands\n"),
-    ("exp(1000)", "error: exp overflow at 1000\n"),
+    ("exp(1000)", "error: arithmetic: the value: exp overflow at 1000\n"),
+    ("1/0", "error: arithmetic: the value divides by zero\n"),
     ("exp(i)", "error: exp-i-misuse: exp needs a real argument\n"),
     *(pytest.param(value, "error: syntax: expression nests deeper than 64 levels\n",
                    id=f"deep {kind}")
@@ -311,6 +357,14 @@ def test_usage_errors_exit_two(capsys):
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "check", "/no/such/file.mobi")
     assert code == 2 and "error:" in err
+
+
+def test_a_file_that_is_not_utf8_is_unreadable(tmp_path, capsys):
+    path = tmp_path / "f.mobi"
+    path.write_bytes(b"\xff")
+    assert one_error_line(*run(capsys, "check", str(path))) == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -52,7 +52,8 @@ def test_space_can_resolve_over_from_the_catalog():
         "  q(x, a, y) = x + a*(y - x)\n"
         "}\n")
     space = defs["slide"]
-    assert space.algebra.name == "canonical-interval-algebra"
+    assert space.algebra.carrier.describe() == "{Q : 0 <= t <= 1}"
+    assert space.algebra.two is None
     assert space.q(F(0), F(1, 2), F(1)) == F(1, 2)
 
 
@@ -67,6 +68,13 @@ def test_param_default_and_where_clause():
         "}\n")
     carrier = defs["window"].carrier
     assert carrier.contains(F(3, 4)) and not carrier.contains(F(-1, 4))
+    defs = load(
+        "space s over rational_line_algebra {\n"
+        "  carrier: Q\n"
+        "  param k: Q = -1/2\n"
+        "  q(x, a, y) = x + a*(y - x)*k\n"
+        "}\n")
+    assert defs["s"].q(F(0), F(1), F(1)) == F(-1, 2)
 
 
 def test_vector_where_clause_names_components():
@@ -155,6 +163,14 @@ _TOO_DEEP = "expression nests deeper than 64 levels"
     pytest.param(_algebra(body="-" * 64 + "a"), "syntax", 6, 80, id="signs"),
     pytest.param(_algebra(body="a + " + _LONG), "syntax", 6, 20, id="long literal",
                  marks=pytest.mark.skipif(not _LONG, reason="no digit limit")),
+    pytest.param(_algebra(body="a + b*(c - a)*exp(0)"), "exp-i-misuse", 6, 30,
+                 id="exp without R64"),
+    pytest.param("space s over canonical_space {\n  carrier: Q\n"
+                 "  q(x, a, y) = x + a*(y - x)\n}\n", "unbound-identifier", 1, 14,
+                 id="over a catalog space"),
+    pytest.param("space s over rational_line_algebra {\n  carrier: Q\n"
+                 "  param k: Zmod(5) = 1/2\n  q(x, a, y) = x + a*(y - x)\n}\n",
+                 "syntax", 3, 9, id="fractional Zmod param"),
 ])
 def test_diagnostics_carry_kind_line_and_column(text, kind, line, col):
     with pytest.raises(DslError) as exc:

@@ -252,41 +252,38 @@ def test_a_large_finite_domain_gets_the_undecorated_operation():
 
 def test_identity_transports_between_zmod_structures():
     m = build("zmod-module", m=3, dim=2)
-    reports = transport_morphism("modules->spaces", (lambda a: a, lambda x: x),
-                                 m, m, Exhaustive())
+    reports = transport_morphism((lambda a: a, lambda x: x), m, m, Exhaustive())
     assert all_passed(reports)
 
 
 def test_identity_transports_between_canonical_spaces():
     sp = pointed("canonical-space", n=2)
-    reports = transport_morphism("spaces->modules", (lambda a: a, lambda x: x),
-                                 sp, sp, Sampled(samples=150, seed=0))
+    reports = transport_morphism((lambda a: a, lambda x: x), sp, sp,
+                                 Sampled(samples=150, seed=0))
     assert all_passed(reports)
 
 
 def test_scaling_transports_as_a_module_morphism():
     # g doubles points; paired with the identity on scalars it is linear
     sp = pointed("canonical-space", n=1)
-    reports = transport_morphism(
-        "spaces->modules", (lambda a: a, lambda x: (2 * x[0],)), sp, sp,
-        Sampled(samples=100, seed=0))
+    reports = transport_morphism((lambda a: a, lambda x: (2 * x[0],)), sp, sp,
+                                 Sampled(samples=100, seed=0))
     assert all_passed(reports)
 
 
 def test_translation_is_not_a_module_morphism():
     sp = pointed("canonical-space", n=1)
-    reports = transport_morphism(
-        "spaces->modules", (lambda a: a, lambda x: (x[0] + 1,)), sp, sp,
-        Sampled(samples=100, seed=0))
+    reports = transport_morphism((lambda a: a, lambda x: (x[0] + 1,)), sp, sp,
+                                 Sampled(samples=100, seed=0))
     failed = {r.law for r in reports if not r.passed}
     assert "g(e)" in failed
 
 
-def test_transport_rejects_unknown_direction():
+def test_transport_rejects_a_module_paired_with_a_pointed_space():
     m = build("zmod-module")
-    with pytest.raises(ValueError):
-        transport_morphism("sideways", (lambda a: a, lambda x: x), m, m,
-                           Exhaustive())
+    sp = pointed("canonical-space", n=2)
+    with pytest.raises(TypeError, match="got RModule and PointedMobiSpace"):
+        transport_morphism((lambda a: a, lambda x: x), m, sp, Exhaustive())
 
 
 # basepoint scanning on a nonaffine space

@@ -61,9 +61,9 @@ def _suites():
         ("roundtrip_module(canonical-2)", lambda: [roundtrip_module(module, s)]),
         ("roundtrip_space(projectile)", lambda: [roundtrip_space(pointed, s)]),
         ("transport_morphism(modules->spaces, canonical-2)",
-         lambda: transport_morphism("modules->spaces", pair, module, module, s)),
+         lambda: transport_morphism(pair, module, module, s)),
         ("transport_morphism(spaces->modules, projectile)",
-         lambda: transport_morphism("spaces->modules", pair, pointed, pointed, s)),
+         lambda: transport_morphism(pair, pointed, pointed, s)),
     ]
 
 

@@ -7,7 +7,7 @@ from mobikit import (Exhaustive, ModularInt, RModule, Rational, RingWithHalf,
 
 def rational_ring():
     return RingWithHalf(Rational(), lambda a, b: a + b, lambda a, b: a * b,
-                        lambda a: -a, F(0), F(1), F(1, 2), name="Q")
+                        lambda a: -a, F(0), F(1), F(1, 2))
 
 
 def test_ring_two_is_one_plus_one():

@@ -45,7 +45,7 @@ def test_law_ids_in_display_order():
 
 def test_broken_space_fails_with_witness():
     sp = MobiSpace(build("rational-line-algebra"), Vector(Rational(), 1),
-                   lambda x, a, y: y, name="snap-to-end")
+                   lambda x, a, y: y)
     reports = {r.law: r for r in check_space(sp, Sampled(samples=60, seed=0))}
     assert not reports["X1"].passed
     assert reports["X1"].witness is not None
@@ -123,7 +123,7 @@ def test_translation_is_a_space_morphism():
 def test_transport_space_conjugates_q():
     base = canonical(1)
     shifted = transport_space(base, lambda x: (x[0] + 5,),
-                              lambda x: (x[0] - 5,), name="shifted")
+                              lambda x: (x[0] - 5,))
     assert shifted.q((F(5),), F(1, 2), (F(7),)) == (F(6),)
     assert all_passed(check_space(shifted, Sampled(samples=60, seed=0)))
 
