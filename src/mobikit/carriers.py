@@ -38,6 +38,12 @@ a restricted one), read from its parameters without enumerating it, and
 None for an infinite one.  `memoise(op, *carriers)` puts an LRU cache of one
 entry per argument tuple in front of an operation whose argument carriers
 are all finite and have at most MEMO_MAX_ENTRIES tuples.
+
+`symbol(fresh)` is a symbolic element standing for every element, for a
+law to be decided once over Q instead of drawn (see symbolic): a fresh
+variable for Rational, the tuple of its parts' symbols for a product, its
+base's symbol for a restricted carrier with a direct sampler, and None for
+every other carrier (Q[i], R64, Z/m, rejection-sampled restrictions).
 """
 
 from __future__ import annotations
@@ -453,6 +459,12 @@ class Carrier:
         never found by enumerating."""
         return None
 
+    def symbol(self, fresh: Callable[[], object]):
+        """A symbolic element that stands for every element, made of fresh()
+        variables (see symbolic), or None when the carrier has none: its
+        values are not rationals, or its equality is not exact."""
+        return None
+
     def draw(self, rng: random.Random):
         raise NotImplementedError
 
@@ -517,6 +529,9 @@ class Rational(_BuiltDraw):
 
     def _build_draw(self):
         return _draw_rational
+
+    def symbol(self, fresh):
+        return fresh()
 
     def describe(self):
         return "Q"
@@ -717,6 +732,10 @@ class Product(_BuiltDraw):
     def size(self):
         return _size_of(self.parts)
 
+    def symbol(self, fresh):
+        parts = tuple(p.symbol(fresh) for p in self.parts)
+        return None if any(s is None for s in parts) else parts
+
     def _build_draw(self):
         return _tuple_builder(len(self.parts))(*(p.drawer() for p in self.parts))
 
@@ -766,6 +785,11 @@ class Restricted(Carrier):
     def size(self):
         # the base's size bounds the members' count without testing them
         return self.base.size()
+
+    def symbol(self, fresh):
+        # an identity on the base holds on its members; without a sampler,
+        # the draws that rejection would make (and could exhaust) must run
+        return None if self.sampler is None else self.base.symbol(fresh)
 
     def draw(self, rng):
         if self.sampler is not None:

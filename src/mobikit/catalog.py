@@ -571,8 +571,14 @@ def coerce_params(entry: CatalogEntry, params: dict | None) -> dict:
             out[spec.name] = _coerce(spec.default, value)
         except (ValueError, ArithmeticError) as exc:
             # int("x") and Fraction("x") raise ValueError, Fraction("1/0")
-            # ZeroDivisionError and float(Fraction("1e400")) OverflowError
-            detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+            # ZeroDivisionError, worded as --origin words it, and
+            # float(Fraction("1e400")) OverflowError
+            if isinstance(exc, ValueError):
+                detail = exc
+            elif isinstance(exc, ZeroDivisionError):
+                detail = "the value divides by zero"
+            else:
+                detail = f"{type(exc).__name__}: {exc}"
             raise ValueError(f"{entry.name}: --param {spec.name}={value}: {detail}") from None
     if given:
         raise ValueError(f"unknown parameter(s) for {entry.name}: {sorted(given)}")

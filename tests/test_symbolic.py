@@ -1,0 +1,256 @@
+"""Laws decided once over Q: symbols, Undecided, and reports that do not
+change when a law's draws are skipped."""
+
+import math
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from mobikit import (CheckReport, Float64, GaussianRational, MobiAlgebra,
+                     ModularInt, QI, Rational, Restricted, SamplingExhausted,
+                     Sampled, Vector, carriers, check_algebra, check_equation,
+                     check_implication, check_predicate, list_catalog,
+                     reports_to_json)
+from mobikit.carriers import CarrierError, Product, sample
+from mobikit.cli import run_cli
+from mobikit.report import EvalError, law_seed
+from mobikit.symbolic import MAX_TERMS, Poly, Undecided, identical, variables
+
+GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
+
+
+def without_symbols(monkeypatch):
+    """Every carrier answers None to symbol(), as one without symbols does."""
+    for cls in vars(carriers).values():
+        if isinstance(cls, type) and "symbol" in vars(cls):
+            monkeypatch.setattr(cls, "symbol", lambda self, fresh: None)
+
+
+def outputs(capsys, commands) -> list:
+    out = []
+    for argv in commands:
+        code = run_cli(list(argv))
+        captured = capsys.readouterr()
+        out.append((argv, code, captured.out, captured.err))
+    return out
+
+
+def catalog_commands(seed: int) -> list:
+    """The commands of a pass of the benchmark's catalog workload, at 60
+    samples: every entry checked, every space and module converted and
+    round-tripped, and two entries at parameters whose checks stop with an
+    error."""
+    s = ("--samples", "60", "--seed", str(seed), "--report", "json")
+    commands = []
+    for entry in list_catalog():
+        extra = ("--properties", "--affine") if entry.kind != "module" else ()
+        commands.append(("catalog", "check", entry.name) + extra + s)
+    for entry in list_catalog():
+        if entry.kind != "algebra":
+            direction = "space-to-module" if entry.kind == "space" else "module-to-space"
+            commands.append(("convert", direction, entry.name) + s)
+            commands.append(("roundtrip", entry.name) + s)
+    for name, param in (("damped-space", "alpha=1000"), ("transported-space", "lam=0,1")):
+        commands.append(("catalog", "check", name, "--param", param,
+                         "--properties", "--affine") + s)
+    return commands
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+def test_the_catalog_prints_the_same_with_and_without_symbols(capsys, monkeypatch, seed):
+    commands = catalog_commands(seed)
+    assert len(commands) == 57 and len(list_catalog()) == 23
+    decided = outputs(capsys, commands)
+    without_symbols(monkeypatch)
+    assert outputs(capsys, commands) == decided
+    # the non-affine spaces fail a law; the last two commands stop with an error
+    codes = [code for _, code, _, _ in decided]
+    assert 1 in codes and codes[-2:] == [2, 2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+def test_definition_files_print_the_same_with_and_without_symbols(
+        tmp_path, capsys, monkeypatch, seed):
+    perturbed = tmp_path / "perturbed.mobi"
+    # s + a*a*(t - s) breaks X5 and the affine condition
+    perturbed.write_text(GOLDEN.read_text().replace("s + a*(t - s)", "s + a*a*(t - s)"))
+    s = ("--properties", "--affine", "--samples", "60", "--seed", str(seed),
+         "--report", "json")
+    commands = [("check", str(GOLDEN)) + s, ("check", str(perturbed)) + s]
+    decided = outputs(capsys, commands)
+    assert [code for _, code, _, _ in decided] == [0, 1]
+    without_symbols(monkeypatch)
+    assert outputs(capsys, commands) == decided
+
+
+# -- symbols of carriers
+
+def test_only_carriers_of_exact_rationals_have_symbols():
+    fresh = variables()
+    never = Restricted(Rational(), lambda x: x > 100)
+    for carrier in (Float64(), GaussianRational(), ModularInt(5), never,
+                    Product((Rational(), Float64()))):
+        assert carrier.symbol(fresh) is None, carrier
+    assert type(Rational().symbol(fresh)) is Poly
+    pair = Vector(Rational(), 2).symbol(fresh)
+    assert type(pair) is tuple and len(pair) == 2
+    assert not identical(pair[0], pair[1])  # each slot a fresh variable
+
+
+def test_a_restricted_carrier_with_a_sampler_has_its_bases_symbol():
+    unit = Restricted(Vector(Rational(), 2), lambda x: True,
+                      sampler=lambda rng: (F(0), F(1)))
+    assert identical(unit.symbol(variables()), Vector(Rational(), 2).symbol(variables()))
+
+
+def test_a_rejection_sampled_carrier_still_exhausts_its_draws():
+    never = Restricted(Rational(), lambda x: x > 100)
+    with pytest.raises(SamplingExhausted):
+        check_equation("id", ("a",), (never,), never.eq, lambda a: a, lambda a: a,
+                       Sampled(5))
+
+
+# -- what leaves the polynomials
+
+fresh = variables()
+x, y = fresh(), fresh()
+
+
+def past_the_term_cap():
+    fresh = variables()
+    return math.prod(1 + fresh() for _ in range(11))  # 2**11 terms
+
+
+REFUSED = {
+    "x / y": lambda: x / y,
+    "1 / x": lambda: 1 / x,
+    "x / 0": lambda: x / 0,
+    "x / Fraction(0)": lambda: x / F(0),
+    "x / (x - x)": lambda: x / (x - x),
+    "x < 1": lambda: x < 1,
+    "x <= 1": lambda: x <= 1,
+    "x > 1": lambda: x > 1,
+    "x >= 1": lambda: x >= 1,
+    "x == x": lambda: x == x,
+    "x != 1": lambda: x != 1,
+    "Fraction(1) < x": lambda: F(1) < x,
+    "Fraction(1) == x": lambda: F(1) == x,
+    "1 == x": lambda: 1 == x,
+    "bool(x)": lambda: bool(x),
+    "if x": lambda: 1 if x else 0,
+    "float(x)": lambda: float(x),
+    "exp(x)": lambda: math.exp(x),
+    "int(x)": lambda: int(x),
+    "hash(x)": lambda: hash(x),
+    "{x}": lambda: {x},
+    "abs(x)": lambda: abs(x),
+    "x % 2": lambda: x % 2,
+    "2 % x": lambda: 2 % x,
+    "x // 2": lambda: x // 2,
+    "x ** -1": lambda: x ** -1,
+    "x ** Fraction(2)": lambda: x ** F(2),
+    "x ** 0.5": lambda: x ** 0.5,
+    "x ** True": lambda: x ** True,
+    "2 ** x": lambda: 2 ** x,
+    "x ** 10**6": lambda: x ** 10 ** 6,
+    "x + 0.5": lambda: x + 0.5,
+    "0.5 * x": lambda: 0.5 * x,
+    "x * QI(1, 1)": lambda: x * QI(1, 1),
+    "x + None": lambda: x + None,
+    "x + True": lambda: x + True,
+    "True * x": lambda: True * x,
+    "a leaf that is a float": lambda: identical((x, 1.0), (x, 1.0)),
+    "a leaf that is None": lambda: identical(None, None),
+    "past the term cap": past_the_term_cap,
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_an_operation_off_the_polynomials_is_undecided(name):
+    with pytest.raises(Undecided):
+        REFUSED[name]()
+
+
+def test_no_handler_for_a_numeric_or_carrier_error_catches_undecided():
+    for base in (ArithmeticError, EvalError, CarrierError):
+        assert not issubclass(Undecided, base)
+    assert 2 ** 11 > MAX_TERMS  # the terms of past_the_term_cap
+
+
+def test_ring_operations_stay_polynomials():
+    a = (x + y) ** 2 - 2 * x * y
+    assert identical(a, x * x + y ** 2)
+    assert identical(x / 2 + F(1, 2) * x, x)
+    assert identical(((x - 1) * (x + 1), F(3)), (x * x - 1, 3))
+    assert not identical((x, y), (x, y, 0))
+    assert not identical((x,), x)
+    assert not identical(x * y, x + y)
+
+
+# -- which laws are decided, and what a decided law still evaluates
+
+def counting(fn, calls):
+    """fn, recording each call whose arguments are numbers, not symbols."""
+    def counted(*args):
+        if not any(type(a) is Poly for a in args):
+            calls.append(args)
+        return fn(*args)
+    return counted
+
+
+def test_a_proved_law_evaluates_its_probes_and_one_draw():
+    Q = Rational()
+    lhs_calls, rhs_calls = [], []
+    probes = ((F(1), F(2)), (F(3), F(4)))
+    strategy = Sampled(500, 7)
+    report = check_equation("comm", ("a", "b"), (Q, Q), Q.eq,
+                            counting(lambda a, b: a * b + a, lhs_calls),
+                            counting(lambda a, b: b * a + a, rhs_calls),
+                            strategy, probes)
+    assert report == CheckReport("comm", strategy, "pass")
+    first = sample(Product((Q, Q)), law_seed(7, "comm"), 1)
+    assert lhs_calls == rhs_calls == list(probes) + first
+
+
+def test_a_predicate_and_an_implication_evaluate_every_draw():
+    Q = Rational()
+    values, premises = [], []
+    check_predicate("closed", ("a",), (Q,), counting(lambda a: a * a, values),
+                    Q.contains, Sampled(50))
+    check_implication("cancel", ("a", "b"), (Q, Q),
+                      counting(lambda a, b: True, premises), Q.eq,
+                      lambda a, b: a + b, lambda a, b: b + a, Sampled(50),
+                      construct=lambda t: (t[0], t[0]))
+    assert len(values) == 50 and len(premises) == 100
+
+
+def test_a_proved_law_whose_equality_rejects_its_sides_still_fails(monkeypatch):
+    # both sides are the same polynomials, but a triple is not a point of Q^2
+    Q2 = Vector(Rational(), 2)
+
+    def check():
+        return check_equation("shape", ("x",), (Q2,), Q2.eq, lambda x: x + (0,),
+                              lambda x: x + (0,), Sampled())
+
+    decided = check()
+    assert decided.verdict == "fail"
+    assert decided.witness.difference.startswith("<error: expected a 2-tuple")
+    without_symbols(monkeypatch)
+    assert check() == decided
+
+
+def test_a_planted_non_identity_fails_with_the_same_witness(monkeypatch):
+    def p(a, b, c):
+        return a + b * (c - a) + (b - b * b) * (c - a) * a
+
+    fresh = variables()
+    a, b1, b2, b3, c = (fresh() for _ in range(5))
+    assert not identical(p(a, p(b1, b2, b3), c), p(p(a, b1, c), b2, p(a, b3, c)))
+    algebra = MobiAlgebra(Rational(), p, F(0), F(1, 2), F(1), two=F(2))
+    decided = check_algebra(algebra)
+    without_symbols(monkeypatch)
+    sampled = check_algebra(algebra)
+    assert reports_to_json(decided) == reports_to_json(sampled)
+    a7 = next(r for r in decided if r.law == "A7")
+    assert a7.verdict == "fail" and a7.witness is not None
