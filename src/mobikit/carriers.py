@@ -40,10 +40,15 @@ entry per argument tuple in front of an operation whose argument carriers
 are all finite and have at most MEMO_MAX_ENTRIES tuples.
 
 `symbol(fresh)` is a symbolic element standing for every element, for a
-law to be decided once over Q instead of drawn (see symbolic): a fresh
-variable for Rational, the tuple of its parts' symbols for a product, its
-base's symbol for a restricted carrier with a direct sampler, and None for
-every other carrier (Q[i], R64, Z/m, rejection-sampled restrictions).
+law to be decided once instead of drawn or walked (see symbolic): a fresh
+rational variable for Rational, a fresh int variable for Z/m, the tuple of
+its parts' symbols for a product, its base's symbol for a restricted
+carrier with a direct sampler, and None for every other carrier (Q[i],
+R64, rejection-sampled restrictions).  `Rational.eq` and `ModularInt.eq`
+given a symbolic side answer True only for sides equal, or congruent
+modulo m, at every assignment, and raise symbolic.Undecided otherwise.
+An operation behind `memoise` hashes its arguments, which a symbol
+refuses, so a law through it is walked.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+
+from .symbolic import Poly, congruent, equal
 
 MAX_REJECTS = 10_000
 SCALAR = "scalar"  # the shape of a non-product element with an order
@@ -459,10 +466,11 @@ class Carrier:
         never found by enumerating."""
         return None
 
-    def symbol(self, fresh: Callable[[], object]):
+    def symbol(self, fresh: Callable[..., object]):
         """A symbolic element that stands for every element, made of fresh()
         variables (see symbolic), or None when the carrier has none: its
-        values are not rationals, or its equality is not exact."""
+        values are neither rationals nor ints mod m, or its equality is
+        not exact."""
         return None
 
     def draw(self, rng: random.Random):
@@ -525,6 +533,8 @@ class Rational(_BuiltDraw):
     def eq(self, x, y):
         if type(x) is _Fraction and type(y) is _Fraction:
             return x._numerator == y._numerator and x._denominator == y._denominator
+        if type(x) is Poly or type(y) is Poly:
+            return equal(x, y)
         return _rational(x) == _rational(y)
 
     def _build_draw(self):
@@ -584,6 +594,8 @@ class ModularInt(_BuiltDraw):
     def eq(self, x, y):
         if type(x) is int and type(y) is int:
             return (x - y) % self.modulus == 0
+        if type(x) is Poly or type(y) is Poly:
+            return congruent(x, y, self.modulus)
         if not (self.contains(x) and self.contains(y)):
             raise ShapeError(f"expected ints mod {self.modulus}, got {x!r}, {y!r}")
         return (x - y) % self.modulus == 0
@@ -593,6 +605,9 @@ class ModularInt(_BuiltDraw):
 
     def size(self):
         return self.modulus
+
+    def symbol(self, fresh):
+        return fresh(integer=True)
 
     def _build_draw(self):
         m = self.modulus

@@ -220,22 +220,43 @@ def _flatten_point(value) -> list:
     return [value]
 
 
+def _between(zero, one, t):
+    """zero + t(one - zero), component by component, in exact arithmetic: a
+    float is taken as the Fraction of its value, so that on a float line
+    the scalar at t is the Fraction t itself."""
+    if isinstance(zero, tuple):
+        return tuple(_between(z, o, t) for z, o in zip(zero, one))
+    zero, one = (Fraction(v) if isinstance(v, float) else v for v in (zero, one))
+    return zero + t * (one - zero)
+
+
+def _grid(algebra: MobiAlgebra, steps: int) -> dict:
+    """{t: the scalar zero + t(one - zero)} for t = k/steps, k = 0..steps,
+    where the algebra's carrier contains that scalar."""
+    grid = {}
+    for k in range(steps + 1):
+        t = Fraction(k, steps)
+        scalar = _between(algebra.zero, algebra.one, t)
+        if algebra.carrier.contains(scalar):
+            grid[t] = scalar
+    return grid
+
+
 def _cmd_trace(args) -> int:
     space = _build(args, MobiSpace)
     start = _point(space, "--from", args.src)
     end = _point(space, "--to", args.dst)
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
-    grid = [t for t in (Fraction(k, args.steps) for k in range(args.steps + 1))
-            if space.algebra.carrier.contains(t)]
-    rows = trace_geodesic(space, start, end, grid)
+    grid = _grid(space.algebra, args.steps)
+    rows = trace_geodesic(space, start, end, list(grid.values()))
     if not rows:
         raise ValueError("the scalar grid is empty; nothing to trace")
     width = len(_flatten_point(rows[0][1]))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t"] + [f"c{i + 1}" for i in range(width)])
-        for t, point in rows:
+        for t, (_, point) in zip(grid, rows):
             writer.writerow([_render_cell(t)]
                             + [_render_cell(v) for v in _flatten_point(point)])
     print(f"wrote {len(rows)} points to {args.out}")

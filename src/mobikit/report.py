@@ -8,14 +8,18 @@ evaluating a law becomes an `<error: ...>` witness.
 
 A strategy answers for itself: `assignments(law, slots, construct)` gives
 the assignments it walks, `label()` is its text in a report line and
-`to_dict()` its JSON form.
+`to_dict()` its JSON form.  A strategy may also give `first(law, slots)`,
+its first assignment alone, when that is cheaper than taking the first of
+`assignments`, as Sampled's first draw is.
 
-An equation under Sampled whose slots all have symbols (Carrier.symbol) is
-first evaluated once on them.  If both sides give the same polynomials over
-Q (see symbolic), only its probes and its first draw run through the loop,
-and if they pass the report is the pass that the full run would give, with
-the caller's strategy.  Otherwise, and for every predicate and implication,
-the loop runs as it would without symbols.
+An equation whose slots all have symbols (Carrier.symbol) is first
+evaluated once on them, under either strategy.  If the law's own equality
+answers True on the two symbolic sides (see symbolic), only its probes and
+its first assignment (the first seeded draw, or the first tuple of the
+exhaustive walk) run through the loop, and if they pass the report is the
+pass that the full walk would give, with the caller's strategy.  Otherwise,
+and for every predicate and implication, the loop runs as it would without
+symbols.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, islice, product
 from typing import Callable, Iterable
 
 from . import symbolic
@@ -75,6 +79,10 @@ class Sampled:
             drawn += [construct(a) for a in drawn]
         return drawn
 
+    def first(self, law: str, slots: tuple) -> list:
+        """The first draw, the same as the first of `samples` draws."""
+        return sample(Product(tuple(slots)), law_seed(self.seed, law), 1)
+
     def label(self) -> str:
         return f"sampled(n={self.samples}, seed={self.seed})"
 
@@ -122,15 +130,19 @@ def _failure(law, strategy, names, assignment, left, right, difference=None) -> 
 
 def _check(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
            rhs: Callable, strategy, premise: Callable | None = None,
-           construct: Callable | None = None, probes: tuple = ()) -> CheckReport:
-    """The one assignment loop: probes, then the strategy's assignments.
-    Assignments whose premise fails are skipped; the first one whose sides
-    differ, or whose evaluation raises, is the witness.  A raise shows where
-    it happened: the premise's and lhs's on the left, rhs's on the right
-    beside the left side's value, eq's as the difference of both sides."""
+           construct: Callable | None = None, probes: tuple = (),
+           walk: Iterable[tuple] | None = None) -> CheckReport:
+    """The one assignment loop: probes, then `walk`, by default the
+    strategy's assignments.  Assignments whose premise fails are skipped;
+    the first one whose sides differ, or whose evaluation raises, is the
+    witness.  A raise shows where it happened: the premise's and lhs's on
+    the left, rhs's on the right beside the left side's value, eq's as the
+    difference of both sides."""
     if not slots:
         strategy = Exhaustive()  # one assignment, the empty one
-    for assignment in chain(probes, assignments_for(law, slots, strategy, construct)):
+    if walk is None:
+        walk = assignments_for(law, slots, strategy, construct)
+    for assignment in chain(probes, walk):
         try:
             if premise is not None and not premise(*assignment):
                 continue
@@ -152,16 +164,16 @@ def _check(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
     return CheckReport(law, strategy, "pass")
 
 
-def _identity(slots: tuple, lhs: Callable, rhs: Callable) -> bool:
-    """Whether lhs and rhs, evaluated once on a symbol for each slot, give
-    the same polynomials over Q (see symbolic)."""
+def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable) -> bool:
+    """Whether eq answers True on lhs and rhs evaluated once on a symbol for
+    each slot, so that it holds at every assignment (see symbolic)."""
     fresh = symbolic.variables()
     assignment = tuple(c.symbol(fresh) for c in slots)
     if any(s is None for s in assignment):
         return False
     try:
-        return symbolic.identical(lhs(*assignment), rhs(*assignment))
-    except Exception:  # Undecided, or any error a symbol meets: the draws decide
+        return eq(lhs(*assignment), rhs(*assignment)) is True
+    except Exception:  # Undecided, or any error a symbol meets: the walk decides
         return False
 
 
@@ -170,14 +182,17 @@ def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
                    probes: tuple = ()) -> CheckReport:
     """Check lhs(...) == rhs(...) over assignments; probes run first.
 
-    Under Sampled, an equation whose sides are the same polynomial on
-    symbols holds at every draw: only the probes and the first draw run,
-    and the report is the one all the draws would give."""
-    if isinstance(strategy, Sampled) and slots and _identity(slots, lhs, rhs):
-        first = _check(law, names, slots, eq, lhs, rhs,
-                       Sampled(1, strategy.seed), probes=probes)
-        if first.passed:
-            return CheckReport(law, strategy, "pass")
+    An equation that eq decides on symbols holds at every assignment: only
+    the probes and the strategy's first assignment run, and the report is
+    the one the whole walk would give."""
+    if slots and _decided(slots, eq, lhs, rhs):
+        first = getattr(strategy, "first", None)
+        walk = (first(law, slots) if first is not None
+                else islice(assignments_for(law, slots, strategy), 1))
+        report = _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes,
+                        walk=walk)
+        if report.passed:
+            return report
     return _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes)
 
 

@@ -1,19 +1,39 @@
-"""Commutative polynomials over Q, for deciding a law once instead of drawing.
+"""Commutative polynomials over Q and Z, for deciding a law once instead of
+walking its assignments.
 
-A carrier built from Q gives a symbol for its elements (`Carrier.symbol`): a
-fresh variable for Q, a tuple of its parts' symbols for a product.  A law's
-two sides, evaluated once on symbols, give polynomials; `identical` tells
-whether they are the same.  If they are, the sides agree at every rational
-assignment, so every draw of a sampled check passes.
+A carrier gives a symbol for its elements (`Carrier.symbol`): a fresh
+variable whose values are rationals for Q, one whose values are ints for
+Z/m, a tuple of its parts' symbols for a product.  A law's two sides,
+evaluated once on symbols, give polynomials, and the law's own equality,
+asked about them, answers True only when they agree at every assignment
+(`Rational.eq` through `equal`, `ModularInt.eq` through `congruent`);
+otherwise it raises Undecided.  A law whose equality answers True holds at
+every draw of a sampled check and at every tuple of an exhaustive one.
 
-Anything that is not a ring operation with a rational operand raises
-`Undecided`: division by a non-constant or by zero, any comparison, bool(),
-float(), hash(), %, //, abs(), a power that is not a nonnegative int, an
-operand that is a float, a QI, None or a bool, and a result (or a partial
-product) with more than MAX_TERMS terms.  An undecided law is sampled as if
+A Poly records what kind of value it stands for:
+
+- a rational: anything computed with a Q variable or a Fraction;
+- an int: Z/m variables and int coefficients only (`modulus` 0);
+- an int known only modulo g (`modulus` g), after a `%`.
+
+Ring operations combine the kinds: a rational with anything exact is a
+rational, and an int known modulo g1 with one known modulo g2 is known
+modulo gcd(g1, g2).  `P % k`, for an int P and a nonzero int k, reduces
+P's coefficients modulo k and is known modulo gcd(g, k), since P % k is
+congruent to P modulo k.  `/` is a Fraction only when an operand is a
+rational and the divisor a nonzero constant, as in Python, where int / int
+is a float.
+
+Anything that is not such an operation raises `Undecided`: `/` of two
+ints, by a non-constant or by zero, any comparison, bool(), float(),
+hash(), int() and __index__ (so a table lookup), `%` of a rational or by
+anything but a nonzero int, k % P, //, abs(), a power that is not a
+nonnegative int, an operand that is a float, a QI, None or a bool, a
+rational mixed with an int known only modulo g, and a result (or a partial
+product) with more than MAX_TERMS terms.  An undecided law is walked as if
 it had no symbols.
 
-Trust base.  A pass without draws is sound when:
+Trust base.  A pass without a walk is sound when:
 
 - every code path that a symbol reaches computes, on numbers, the same
   polynomial.  A path that branches on a value raises Undecided at the
@@ -21,22 +41,29 @@ Trust base.  A pass without draws is sound when:
   today only `carriers._Fraction`'s dunders do, and for a Poly operand they
   fall through to Fraction's own methods, which return NotImplemented, so
   Python calls Poly's reflected method, the same ring operation; and
-  `dsl._div`, whose int / int is the same quotient as the `/` a Poly takes;
-- a restricted carrier with a direct sampler draws only members, on which
-  an identity over its base holds too;
+  `dsl._div`, whose int / int is a Fraction, where a Poly takes no int /
+  int at all;
+- a Z/m variable stands for every int, and the elements and draws of Z/m
+  are ints; a restricted carrier with a direct sampler draws, and
+  enumerates, only members, on which an identity over its base holds too;
 - Undecided subclasses none of ArithmeticError, report.EvalError or
   carriers.CarrierError, so no handler in mobikit can swallow it and put
   another value in place of the operation;
-- the law's equality holds between equal values: equal rationals, and
-  tuples of the same length whose parts are equal.  The first seeded draw
-  still runs through the sampling loop, so a side that raises, or an
-  equality that rejects the sides' shape, fails the law as before.
+- the law's equality, given two symbolic sides, answers True only when it
+  would answer True on every pair of values they stand for.  The carriers'
+  equalities do (Rational.eq, ModularInt.eq, and Product.eq and
+  Restricted.eq through them), and so does a law's equality built from
+  them without branching on a value's type.  A law's own equality that
+  rejects a value, such as one that raises at u == 3, meets a comparison
+  on a symbol and leaves the law undecided.  The first assignment still
+  runs through the loop, so a side that raises fails the law as before.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import gcd
 from typing import Callable
 
 # past this many terms a polynomial is undecided rather than slow; the
@@ -45,32 +72,35 @@ MAX_TERMS = 1_000
 
 
 class Undecided(Exception):
-    """A symbolic evaluation left the polynomials over Q; the draws decide."""
+    """A symbolic evaluation left the polynomials; the walk decides."""
 
 
 class Poly:
     """A polynomial: {monomial: nonzero int or Fraction coefficient}, where a
-    monomial is the sorted tuple of its variables' indices, one per degree."""
+    monomial is the sorted tuple of its variables' indices, one per degree;
+    `rational` tells whether its value is a rational or an int, and an int
+    is known modulo `modulus` (exactly when it is 0)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "rational", "modulus")
 
-    def __init__(self, terms: dict):
+    def __init__(self, terms: dict, rational: bool = True, modulus: int = 0):
         if len(terms) > MAX_TERMS:
             raise Undecided(f"a polynomial of more than {MAX_TERMS} terms")
-        self.terms = terms
+        self.terms, self.rational, self.modulus = terms, rational, modulus
 
     def __add__(self, other):
+        terms, rational, modulus = _operand(other)
         out = dict(self.terms)
-        for m, c in _terms(other).items():
+        for m, c in terms.items():
             s = out.pop(m, 0) + c
             if s:
                 out[m] = s
-        return Poly(out)
+        return Poly(out, *_kind(self, rational, modulus))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly({m: -c for m, c in self.terms.items()}, self.rational, self.modulus)
 
     def __sub__(self, other):
         return self + -_poly(other)
@@ -79,7 +109,9 @@ class Poly:
         return _poly(other) + -self
 
     def __mul__(self, other):
-        out, right = {}, _terms(other).items()
+        terms, rational, modulus = _operand(other)
+        kind = _kind(self, rational, modulus)
+        out, right = {}, terms.items()
         for m1, c1 in self.terms.items():
             for m2, c2 in right:
                 m = tuple(sorted(m1 + m2))
@@ -88,22 +120,35 @@ class Poly:
                     out[m] = s
             if len(out) > MAX_TERMS:  # a partial product past the cap is undecided
                 break
-        return Poly(out)
+        return Poly(out, *kind)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * (Fraction(1) / _constant(other))
+        return _quotient(self, other)
 
     def __rtruediv__(self, other):
-        return _poly(other) * (Fraction(1) / _constant(self))
+        return _quotient(other, self)
+
+    def __mod__(self, k):
+        if type(k) is not int or not k:
+            raise Undecided(f"a remainder modulo {k!r}")
+        if self.rational:
+            raise Undecided("a remainder of a rational")
+        out = {}
+        for m, c in self.terms.items():
+            r = c % k
+            if r:
+                out[m] = r
+        return Poly(out, False, gcd(self.modulus, k))
 
     def __pow__(self, n):
         if type(n) is not int or n < 0:
             raise Undecided(f"a power {n!r}")
         if n > MAX_TERMS and self.terms.keys() - {()}:
             raise Undecided(f"a power {n} past the degree cap")
-        out, base = Poly({(): 1}), self
+        # x ** 0 is exactly 1, an int or a Fraction as x is
+        out, base = Poly({(): 1}, self.rational), self
         while n:
             if n & 1:
                 out = out * base
@@ -119,40 +164,78 @@ def _refuse(name: str):
     return refuse
 
 
-# a branch, a hash key or a float would leave the polynomials
+# a branch, a hash key, an index or a float would leave the polynomials
 for _name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
               "__bool__", "__hash__", "__float__", "__int__", "__index__",
               "__complex__", "__abs__", "__round__", "__trunc__", "__floor__",
-              "__ceil__", "__mod__", "__rmod__", "__floordiv__",
-              "__rfloordiv__", "__divmod__", "__rdivmod__", "__rpow__"):
+              "__ceil__", "__rmod__", "__floordiv__", "__rfloordiv__",
+              "__divmod__", "__rdivmod__", "__rpow__"):
     setattr(Poly, _name, _refuse(_name))
 
 
-def _terms(x) -> dict:
-    """The terms of a Poly, an int or a Fraction; Undecided for anything else."""
+def _operand(x) -> tuple:
+    """(terms, rational, modulus) of a Poly, an int or a Fraction;
+    Undecided for anything else."""
     if type(x) is Poly:
-        return x.terms
-    if type(x) is int or isinstance(x, Fraction):
-        return {(): x} if x else {}
+        return x.terms, x.rational, x.modulus
+    if type(x) is int:
+        return ({(): x} if x else {}), False, 0
+    if isinstance(x, Fraction):
+        return ({(): x} if x else {}), True, 0
     raise Undecided(f"a {type(x).__name__} operand")
 
 
+def _kind(p: Poly, rational: bool, modulus: int) -> tuple:
+    """(rational, modulus) of a ring operation on p and an operand of the
+    given kind; Undecided for a rational with an int known modulo g."""
+    rational, modulus = p.rational or rational, gcd(p.modulus, modulus)
+    if rational and modulus:
+        raise Undecided(f"a rational with an int known modulo {modulus}")
+    return rational, modulus
+
+
 def _poly(x) -> Poly:
-    return x if type(x) is Poly else Poly(_terms(x))
+    return x if type(x) is Poly else Poly(*_operand(x))
 
 
-def _constant(x):
-    """x's value as a nonzero rational; Undecided unless it is one."""
-    terms = _terms(x)
-    if not terms or terms.keys() != {()}:
-        raise Undecided("a division by zero or by a non-constant")
-    return terms[()]
+def _quotient(a, b) -> Poly:
+    """a / b for an exact nonzero constant b when a or b is a rational;
+    Undecided otherwise."""
+    a = _poly(a)
+    terms, rational, modulus = _operand(b)
+    if not (a.rational or rational):
+        raise Undecided("an int / int, which is a float")
+    if modulus or not terms or terms.keys() != {()}:
+        raise Undecided("a division by zero, by a non-constant or by an inexact int")
+    return a * (Fraction(1) / terms[()])
 
 
-def variables() -> Callable[[], Poly]:
-    """A function that returns a new variable each time it is called."""
+def variables() -> Callable[..., Poly]:
+    """A function fresh(integer=False) that returns a new variable each time
+    it is called, one whose values are ints when integer is true and
+    rationals otherwise."""
     indices = count()
-    return lambda: Poly({(next(indices),): 1})
+    return lambda integer=False: Poly({(next(indices),): 1}, not integer)
+
+
+def equal(x, y) -> bool:
+    """True when x and y are the same rational or int at every assignment:
+    their difference is 0 and neither is known only modulo some g;
+    Undecided otherwise."""
+    d = _poly(x) - y
+    if d.terms or d.modulus:
+        raise Undecided("sides that are not the same polynomial")
+    return True
+
+
+def congruent(x, y, n: int) -> bool:
+    """True when x and y are ints congruent modulo n at every assignment:
+    n divides the modulus they are known to and every coefficient of their
+    difference; Undecided otherwise."""
+    d = _poly(x) - y
+    if d.rational or d.modulus % n or any(c % n for c in d.terms.values()):
+        raise Undecided(f"sides that are not the same polynomial modulo {n}")
+    return True
 
 
 def identical(lhs, rhs) -> bool:
@@ -162,4 +245,4 @@ def identical(lhs, rhs) -> bool:
     if type(lhs) is tuple or type(rhs) is tuple:
         return (type(lhs) is tuple and type(rhs) is tuple and len(lhs) == len(rhs)
                 and all(map(identical, lhs, rhs)))
-    return _terms(lhs) == _terms(rhs)
+    return _operand(lhs)[0] == _operand(rhs)[0]

@@ -250,14 +250,29 @@ def test_trace_writes_float_coordinates_as_python_prints_them(tmp_path, capsys):
         "1,1.0,1.0\n")
 
 
+@pytest.mark.parametrize("name, start, end, text", [
+    ("plane-space", "(0, 0)", "(1, 1)", "t,c1,c2\n0,0,0\n0.5,0.5,0.5\n1,1,1\n"),
+    ("tri-space", "(0, 0)", "(1, 1)", "t,c1,c2\n0,0,0\n0.5,0.5,0.5\n1,1,1\n"),
+    ("lozenge-space", "0", "1", "t,c1\n0,0\n0.5,0.5\n1,1\n"),
+], ids=["plane-space", "tri-space", "lozenge-space"])
+def test_trace_walks_scalars_that_are_pairs_or_triples(tmp_path, capsys, name, start,
+                                                       end, text):
+    # the scalar at t is zero + t(one - zero): (t, 0) for the plane and the
+    # lozenge, (t, 0, t) for the triples, each of which moves x toward y by t
+    out_path = tmp_path / "t.csv"
+    code, out, _ = run(capsys, "trace", name, "--from", start, "--to", end,
+                       "--steps", "2", "--out", str(out_path))
+    assert (code, out) == (0, f"wrote 3 points to {out_path}\n")
+    assert out_path.read_text() == text
+
+
 @pytest.mark.parametrize("argv, message", [
     (("catalog", "check", "zmod-algebra", "--param", "m"),
      "error: --param wants NAME=VALUE, got 'm'"),
     (("trace", "canonical-space", "--from", "0", "--to", "1", "--steps", "0"),
      "error: --steps must be >= 1, got 0"),
-    # the lozenge algebra's scalars are pairs, so no grid value t = k/steps is one
-    (("trace", "lozenge-space", "--from", "0", "--to", "1", "--steps", "2"),
-     "error: the scalar grid is empty; nothing to trace"),
+    (("trace", "lozenge-space", "--from", "0", "--to", "2", "--steps", "2"),
+     "error: end 2 is not in {Q : 0 <= t <= 1}"),
     (("convert", "space-to-module", "halfplane-space", "--samples", "5"),
      "error: the algebra on {Q : 0 <= t <= 1} has no doubler (absent-after-search); "
      "declare one with dataclasses.replace(algebra, two=...)"),

@@ -6,15 +6,19 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from mobikit import (CheckReport, Float64, GaussianRational, MobiAlgebra,
-                     ModularInt, QI, Rational, Restricted, SamplingExhausted,
-                     Sampled, Vector, carriers, check_algebra, check_equation,
-                     check_implication, check_predicate, list_catalog,
-                     reports_to_json)
-from mobikit.carriers import CarrierError, Product, sample
+from mobikit import (CheckReport, Exhaustive, Float64, GaussianRational,
+                     MobiAlgebra, ModularInt, QI, Rational, Restricted,
+                     SamplingExhausted, Sampled, Vector, carriers, check_algebra,
+                     check_equation, check_implication, check_predicate,
+                     list_catalog, report, reports_to_json)
+from mobikit.algebra import check_properties
+from mobikit.carriers import CarrierError, Product, ShapeError, sample
+from mobikit.catalog import zmod_algebra, zmod_module
 from mobikit.cli import run_cli
-from mobikit.report import EvalError, law_seed
+from mobikit.report import EvalError, law_seed, report_to_text
+from mobikit.ringmod import check_module
 from mobikit.symbolic import MAX_TERMS, Poly, Undecided, identical, variables
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
@@ -84,15 +88,72 @@ def test_definition_files_print_the_same_with_and_without_symbols(
     assert outputs(capsys, commands) == decided
 
 
+def finite_commands(seed: int) -> list:
+    """The in-process commands of a pass of the benchmark's finite workload
+    other than search: exhaustive checks of zmod-algebra and zmod-module,
+    the exhaustive conversion of zmod-module and two sampled checks."""
+    s = ("--seed", str(seed))
+    commands = [("catalog", "check", "zmod-algebra", "--param", f"m={m}",
+                 "--exhaustive", "--properties") + s for m in (3, 5, 7, 9, 11)]
+    commands += [("catalog", "check", "zmod-module", "--param", f"m={m}",
+                  "--param", f"dim={dim}", "--exhaustive") + s
+                 for m, dim in ((3, 2), (5, 2), (3, 3))]
+    commands.append(("convert", "module-to-space", "zmod-module", "--exhaustive",
+                     "--affine", "--properties") + s)
+    commands += [("catalog", "check", "zmod-algebra", "--param", f"m={m}") + s
+                 for m in (15, 21)]
+    return commands
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_finite_checks_print_the_same_with_and_without_symbols(capsys, monkeypatch, seed):
+    commands = finite_commands(seed)
+    decided = outputs(capsys, commands)
+    assert [code for _, code, _, _ in decided] == [0] * len(commands)
+    without_symbols(monkeypatch)
+    assert outputs(capsys, commands) == decided
+
+
+ZMOD = """\
+algebra zmod {
+  carrier: Zmod(7)
+  zero: 0
+  half: 4
+  one: 1
+  p(a, b, c) = a + b*c - b*a
+}
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_zmod_definition_file_prints_the_same_with_and_without_symbols(
+        tmp_path, capsys, monkeypatch, seed):
+    # the definition-file workload's Z/7 transcription, and a copy whose
+    # 2*a breaks A2 to A8
+    faithful, perturbed = tmp_path / "zmod.mobi", tmp_path / "perturbed.mobi"
+    faithful.write_text(ZMOD)
+    perturbed.write_text(ZMOD.replace("= a + b*c", "= 2*a + b*c"))
+    s = ("--properties", "--samples", "100", "--seed", str(seed))
+    commands = [("check", str(path)) + s + extra
+                for extra in ((), ("--exhaustive",)) for path in (faithful, perturbed)]
+    decided = outputs(capsys, commands)
+    assert [code for _, code, _, _ in decided] == [0, 1, 0, 1]
+    without_symbols(monkeypatch)
+    assert outputs(capsys, commands) == decided
+
+
 # -- symbols of carriers
 
 def test_only_carriers_of_exact_rationals_have_symbols():
+    # ... and Z/m, whose symbol is a variable whose values are ints
     fresh = variables()
     never = Restricted(Rational(), lambda x: x > 100)
-    for carrier in (Float64(), GaussianRational(), ModularInt(5), never,
+    for carrier in (Float64(), GaussianRational(), never,
                     Product((Rational(), Float64()))):
         assert carrier.symbol(fresh) is None, carrier
-    assert type(Rational().symbol(fresh)) is Poly
+    q, n = Rational().symbol(fresh), ModularInt(5).symbol(fresh)
+    assert type(q) is Poly and q.rational
+    assert type(n) is Poly and not n.rational and n.modulus == 0
     pair = Vector(Rational(), 2).symbol(fresh)
     assert type(pair) is tuple and len(pair) == 2
     assert not identical(pair[0], pair[1])  # each slot a fresh variable
@@ -114,7 +175,7 @@ def test_a_rejection_sampled_carrier_still_exhausts_its_draws():
 # -- what leaves the polynomials
 
 fresh = variables()
-x, y = fresh(), fresh()
+x, y, n = fresh(), fresh(), fresh(integer=True)
 
 
 def past_the_term_cap():
@@ -163,6 +224,21 @@ REFUSED = {
     "a leaf that is a float": lambda: identical((x, 1.0), (x, 1.0)),
     "a leaf that is None": lambda: identical(None, None),
     "past the term cap": past_the_term_cap,
+    "a Q symbol % 3": lambda: x % 3,
+    "an int / 2": lambda: n / 2,
+    "2 / an int": lambda: 2 / (n * 0 + 3),
+    "an int % 0": lambda: n % 0,
+    "an int % an int": lambda: n % n,
+    "an int % True": lambda: n % True,
+    "a rational with an int known modulo 3": lambda: n % 3 + x,
+    "a Fraction with an int known modulo 3": lambda: n % 3 * F(1, 2),
+    "a division by an int known modulo 3": lambda: x / ((n * 0 + 1) % 3),
+    "ModularInt(9).eq of ints known modulo 3":
+        lambda: ModularInt(9).eq(n % 3, (n + 3) % 3),
+    "ModularInt(5).eq of sides that differ": lambda: ModularInt(5).eq(n, 1),
+    "ModularInt(5).eq of a rational": lambda: ModularInt(5).eq(x, x),
+    "Rational.eq of an int known modulo 3": lambda: Rational().eq(n % 3, n % 3),
+    "Rational.eq of sides that differ": lambda: Rational().eq(x, y),
 }
 
 
@@ -176,6 +252,65 @@ def test_no_handler_for_a_numeric_or_carrier_error_catches_undecided():
     for base in (ArithmeticError, EvalError, CarrierError):
         assert not issubclass(Undecided, base)
     assert 2 ** 11 > MAX_TERMS  # the terms of past_the_term_cap
+
+
+def test_ints_known_modulo_g():
+    fresh = variables()
+    n, k = fresh(integer=True), fresh(integer=True)
+    r = (n * k + 7 * n - 2) % 3  # coefficients reduced, known modulo 3
+    assert (r.terms, r.rational, r.modulus) == ({(0, 1): 1, (0,): 1, (): 1}, False, 3)
+    assert ((n % 6) + (k % 9)).modulus == 3  # gcd(6, 9)
+    assert (2 * (n % 6) - 1).modulus == 6 and (n * k - 1).modulus == 0
+    assert ((n % 6) ** 0).modulus == 0 and ((n % 6) ** 2).modulus == 6
+    assert (n + F(1, 2)).rational and (n / F(2)).rational
+    assert ModularInt(3).eq((n * n + 3 * n) % 9, n * n)
+    assert ModularInt(5).eq(n * 10 + k, k % 5) and Rational().eq(n * n, n ** 2)
+
+
+# int expressions over three variables: ("v", i), ("k", c), (op, e1, e2)
+# for op in + - *, and ("%", e, k)
+INT_EXPRESSIONS = st.recursive(
+    st.tuples(st.just("v"), st.integers(0, 2))
+    | st.tuples(st.just("k"), st.integers(-20, 20)),
+    lambda sub: (st.tuples(st.sampled_from("+-*"), sub, sub)
+                 | st.tuples(st.just("%"), sub, st.integers(-12, 12).filter(bool))),
+    max_leaves=8)
+
+
+def evaluate(e, env):
+    if e[0] == "v":
+        return env[e[1]]
+    if e[0] == "k":
+        return e[1]
+    if e[0] == "%":
+        return evaluate(e[1], env) % e[2]
+    a, b = evaluate(e[1], env), evaluate(e[2], env)
+    return a + b if e[0] == "+" else a - b if e[0] == "-" else a * b
+
+
+def as_poly(v) -> Poly:
+    return v if type(v) is Poly else Poly({(): v} if v else {}, False)
+
+
+@given(INT_EXPRESSIONS, INT_EXPRESSIONS, st.integers(1, 12),
+       st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+def test_an_int_polynomial_is_its_value_modulo_what_it_is_known_to(e, shift, n, values):
+    fresh = variables()
+    env = [fresh(integer=True) for _ in range(3)]
+    p = as_poly(evaluate(e, env))
+    at = sum(c * math.prod(values[i] for i in m) for m, c in p.terms.items())
+    difference = evaluate(e, values) - at
+    assert not p.rational
+    assert difference % p.modulus == 0 if p.modulus else difference == 0
+    # e and e + n * shift are congruent modulo n at every assignment:
+    # ModularInt(n).eq answers True when n divides the modulus their
+    # difference is known to, and is undecided otherwise
+    q = as_poly(evaluate(e, env) + n * evaluate(shift, env))
+    if (p - q).modulus % n == 0:
+        assert ModularInt(n).eq(p, q) is True
+    else:
+        with pytest.raises(Undecided):
+            ModularInt(n).eq(p, q)
 
 
 def test_ring_operations_stay_polynomials():
@@ -238,6 +373,50 @@ def test_a_proved_law_whose_equality_rejects_its_sides_still_fails(monkeypatch):
     assert decided.witness.difference.startswith("<error: expected a 2-tuple")
     without_symbols(monkeypatch)
     assert check() == decided
+
+
+@pytest.mark.parametrize("carrier, strategy, text", [
+    (Rational(), Sampled(500, 0), "a=3, b=7/5"),
+    (ModularInt(5), Exhaustive(), "a=3, b=0"),
+], ids=["Q-sampled", "Z5-exhaustive"])
+def test_a_law_whose_equality_rejects_a_value_is_not_decided(monkeypatch, carrier,
+                                                             strategy, text):
+    # both sides are the same polynomial, but the equality rejects u == 3,
+    # which neither the probes nor the first assignment reach
+    def eq(u, v):
+        if u == 3:
+            raise ShapeError("expected a member, got 3")
+        return carrier.eq(u, v)
+
+    def check():
+        return check_equation("side", ("a", "b"), (carrier, carrier), eq,
+                              lambda a, b: a, lambda a, b: a, strategy)
+
+    decided = check()
+    assert report_to_text(decided).startswith(
+        f"FAIL side [{strategy.label()}] witness: {text} | lhs=3 rhs=3 "
+        "difference=<error: expected a member, got 3>")
+    without_symbols(monkeypatch)
+    assert check() == decided
+
+
+def test_every_zmod_equation_with_variables_is_decided(monkeypatch):
+    walked = []
+
+    def spy(law, *args, walk=None, **kwargs):
+        if walk is None:
+            walked.append(law)
+        return check(law, *args, walk=walk, **kwargs)
+
+    check = report._check
+    monkeypatch.setattr(report, "_check", spy)
+    algebra, module = zmod_algebra(7), zmod_module(5, 2)
+    reports = (check_algebra(algebra, Exhaustive())
+               + check_properties(algebra, Exhaustive())
+               + check_module(module, Exhaustive()))
+    assert all(r.passed for r in reports)
+    # the predicate, the implications and the laws without variables
+    assert walked == ["A0", "A1", "A6", "eq(6)", "eq(8)", "eq(10)"]
 
 
 def test_a_planted_non_identity_fails_with_the_same_witness(monkeypatch):
