@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .carriers import Carrier, CarrierError, memoise
+from .carriers import Carrier, CarrierError
 from .report import CheckReport, Laws, Sampled, Witness, assignments_for
 from .ringmod import RingWithHalf
 
@@ -163,14 +163,13 @@ def _resolve_two(algebra: MobiAlgebra):
 
 
 def ring_from_algebra(algebra: MobiAlgebra, two=None) -> RingWithHalf:
-    """The ring with a + b = p(0, 2, p(a,1/2,b)) and a * b = p(0, a, b);
-    + is memoised on a small finite carrier (carriers.memoise)."""
+    """The ring with a + b = p(0, 2, p(a,1/2,b)) and a * b = p(0, a, b)."""
     t = _resolve_two(algebra) if two is None else two
     C, p = algebra.carrier, algebra.p
     zero, half = algebra.zero, algebra.half
     return RingWithHalf(
         carrier=C,
-        add=memoise(lambda a, b: p(zero, t, p(a, half, b)), C, C),
+        add=lambda a, b: p(zero, t, p(a, half, b)),
         mul=lambda a, b: p(zero, a, b),
         neg=lambda a: p(a, t, zero),
         zero=zero,
@@ -180,15 +179,14 @@ def ring_from_algebra(algebra: MobiAlgebra, two=None) -> RingWithHalf:
 
 
 def algebra_from_ring(ring: RingWithHalf) -> MobiAlgebra:
-    """The algebra with p(a, b, c) = a + b*c - b*a; requires half+half = one.
-    p is memoised on a small finite carrier (carriers.memoise)."""
+    """The algebra with p(a, b, c) = a + b*c - b*a; requires half+half = one."""
     C = ring.carrier
     if not C.eq(ring.add(ring.half, ring.half), ring.one):
         raise NoHalfError(f"the ring on {C.describe()}: half + half != one")
     add, mul, neg = ring.add, ring.mul, ring.neg
     return MobiAlgebra(
         carrier=C,
-        p=memoise(lambda a, b, c: add(a, add(mul(b, c), neg(mul(b, a)))), C, C, C),
+        p=lambda a, b, c: add(a, add(mul(b, c), neg(mul(b, a)))),
         zero=ring.zero,
         half=ring.half,
         one=ring.one,

@@ -35,9 +35,7 @@ reduces two exact ints without its membership tests.
 
 `size()` is the number of elements of a finite carrier (an upper bound for
 a restricted one), read from its parameters without enumerating it, and
-None for an infinite one.  `memoise(op, *carriers)` puts an LRU cache of one
-entry per argument tuple in front of an operation whose argument carriers
-are all finite and have at most MEMO_MAX_ENTRIES tuples.
+None for an infinite one.
 
 `symbol(fresh)` is a symbolic element standing for every element, for a
 law to be decided once instead of drawn or walked (see symbolic): a fresh
@@ -47,8 +45,6 @@ carrier with a direct sampler, and None for every other carrier (Q[i],
 R64, rejection-sampled restrictions).  `Rational.eq` and `ModularInt.eq`
 given a symbolic side answer True only for sides equal, or congruent
 modulo m, at every assignment, and raise symbolic.Undecided otherwise.
-An operation behind `memoise` hashes its arguments, which a symbol
-refuses, so a law through it is walked.
 """
 
 from __future__ import annotations
@@ -71,12 +67,6 @@ RATIONAL_NUMERATOR_BOUND = 12
 DENOMINATOR_BOUND = 8
 FLOAT_ATOL = 1e-9  # absolute and relative tolerance of Float64 equality
 FLOAT_RTOL = 1e-9
-# the largest argument domain memoise caches: q on 25 points over Z/5 has
-# 3,125 argument tuples and p on Z/25 15,625.  Over a larger carrier a law's
-# calls spread thinly, sampled draws rarely repeat, and a cache would only
-# cost time and memory (a sampled check over Z/1000003 ran 10-20 % slower
-# and took 14 MB more with a cache of 2**14 recent calls).
-MEMO_MAX_ENTRIES = 1 << 14
 
 
 class CarrierError(Exception):
@@ -742,10 +732,16 @@ class Product(_BuiltDraw):
         return value
 
     def elements(self):
-        return [tuple(t) for t in itertools.product(*(p.elements() for p in self.parts))]
+        return list(itertools.product(*(p.elements() for p in self.parts)))
 
     def size(self):
-        return _size_of(self.parts)
+        total = 1
+        for p in self.parts:
+            n = p.size()
+            if n is None:
+                return None
+            total *= n
+        return total
 
     def symbol(self, fresh):
         parts = tuple(p.symbol(fresh) for p in self.parts)
@@ -823,36 +819,6 @@ class Restricted(Carrier):
         if self.label:
             return f"{{{self.base.describe()} : {self.label}}}"
         return f"{{{self.base.describe()} : restricted}}"
-
-
-def _size_of(carriers) -> int | None:
-    """The number of tuples over the carriers, or None if one is infinite."""
-    total = 1
-    for c in carriers:
-        n = c.size()
-        if n is None:
-            return None
-        total *= n
-    return total
-
-
-def memoise(op: Callable, *carriers: Carrier) -> Callable:
-    """op behind an LRU cache with one entry per tuple over the argument
-    carriers, or op itself when one of them is infinite or there are more
-    than MEMO_MAX_ENTRIES tuples.
-
-    The cache belongs to the caller's structure.  Arguments are keyed by
-    value and by type, so True and 1 are separate keys, but only at the top
-    level: inside a tuple, (True,) and (1,) share an entry.  An argument
-    outside its carrier takes an entry like any other, without growing the
-    cache past the tuple count.  A call that raises stores nothing, so it
-    raises again on the same arguments.  Arguments must be hashable, as
-    the elements of every finite carrier are.
-    """
-    n = _size_of(carriers)
-    if n is None or n > MEMO_MAX_ENTRIES:
-        return op
-    return functools.lru_cache(maxsize=n, typed=True)(op)
 
 
 def sample(carrier: Carrier, seed: int, n: int) -> list:

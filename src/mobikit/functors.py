@@ -8,17 +8,12 @@ space_to_module:  phi(a, x) = q(e, a, x),  x + y = q(e, 2, q(x, 1/2, y)),
 
 Round-tripping either way is the identity; roundtrip_module/roundtrip_space
 check that pointwise.
-
-The composite operations, q of module_to_space and + of space_to_module,
-are memoised (carriers.memoise) when their argument carriers are small and
-finite.
 """
 
 from __future__ import annotations
 
 from .algebra import (algebra_from_ring, check_algebra_morphism,
                       ring_from_algebra, _resolve_two)
-from .carriers import memoise
 from .report import CheckReport, Laws, Sampled
 from .ringmod import RModule, check_module
 from .space import MobiSpace, PointedMobiSpace, check_space_morphism
@@ -35,8 +30,7 @@ def module_to_space(module: RModule) -> PointedMobiSpace:
     def q(x, a, y):
         return module.add(module.phi(one_minus(a), x), module.phi(a, y))
 
-    space = MobiSpace(algebra=algebra, points=module.points,
-                      q=memoise(q, module.points, ring.carrier, module.points))
+    space = MobiSpace(algebra=algebra, points=module.points, q=q)
     return PointedMobiSpace(space, module.zero)
 
 
@@ -52,7 +46,7 @@ def space_to_module(pointed: PointedMobiSpace) -> RModule:
     return RModule(
         ring=ring,
         points=S.points,
-        add=memoise(lambda x, y: q(e, t, q(x, half, y)), S.points, S.points),
+        add=lambda x, y: q(e, t, q(x, half, y)),
         zero=e,
         phi=lambda a, x: q(e, a, x),
         neg=lambda x: q(x, t, e),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import MobiAlgebra, circ, complement, oplus, product
-from .carriers import Carrier, CarrierError, MembershipError, memoise, sample
+from .carriers import Carrier, CarrierError, MembershipError, sample
 from .report import CheckReport, Laws, Sampled, law_seed
 
 
@@ -124,7 +124,7 @@ def transport_space(space: MobiSpace, forward: Callable, backward: Callable) -> 
 
     The two maps are spot-checked to be mutually inverse on 50 seeded draws
     of the points each way; a mismatch raises InverseError with the
-    offending point.  q' is memoised on small finite carriers (carriers.memoise).
+    offending point.
     """
     points, eq = space.points, space.points.eq
     for x in sample(points, law_seed(0, "transport-fwd"), 50):
@@ -142,8 +142,7 @@ def transport_space(space: MobiSpace, forward: Callable, backward: Callable) -> 
     return MobiSpace(
         algebra=space.algebra,
         points=points,
-        q=memoise(lambda u, a, v: forward(space.q(backward(u), a, backward(v))),
-                  points, space.algebra.carrier, points),
+        q=lambda u, a, v: forward(space.q(backward(u), a, backward(v))),
     )
 
 

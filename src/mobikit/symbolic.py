@@ -236,13 +236,3 @@ def congruent(x, y, n: int) -> bool:
     if d.rational or d.modulus % n or any(c % n for c in d.terms.values()):
         raise Undecided(f"sides that are not the same polynomial modulo {n}")
     return True
-
-
-def identical(lhs, rhs) -> bool:
-    """Whether two values are tuples of the same shape whose leaves are the
-    same polynomials, or are the same polynomial; Undecided for a leaf that
-    is neither a Poly nor an int or a Fraction."""
-    if type(lhs) is tuple or type(rhs) is tuple:
-        return (type(lhs) is tuple and type(rhs) is tuple and len(lhs) == len(rhs)
-                and all(map(identical, lhs, rhs)))
-    return _operand(lhs)[0] == _operand(rhs)[0]

@@ -337,8 +337,9 @@ def test_a_malformed_point_expression_exits_two(tmp_path, capsys, command, value
 
 
 def test_the_parser_is_built_on_first_use_and_then_reused():
-    probe = ("import mobikit.cli as cli; "
-             "print(cli._build_parser.cache_info().currsize)")
+    probe = ("import argparse; built = []; "
+             "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(a); "
+             "import mobikit.cli; print(len(built))")
     src = str(Path(mobikit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,

@@ -6,14 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from mobikit import (CarrierError, Exhaustive, PointedMobiSpace, QI, RModule,
-                     Sampled, all_passed, build, check_algebra, check_module,
+                     Sampled, all_passed, build, check_module,
                      check_space, check_y_properties,
                      default_origin, module_to_space, origin_scan,
                      report_to_text, roundtrip_module, roundtrip_space,
                      space_to_module, transport_morphism, transport_space)
 from mobikit.algebra import algebra_from_ring, ring_from_algebra
-from mobikit.carriers import MEMO_MAX_ENTRIES, ModularInt, Rational, memoise
-from mobikit.space import MobiSpace
+from mobikit.carriers import ModularInt
+from mobikit.space import check_affine
 
 
 def pointed(name, **params):
@@ -127,14 +127,14 @@ def test_roundtrip_division_by_zero_is_a_witness():
     assert " rhs=<error: " in text
 
 
-# memoised composite operations on finite carriers
+# composite operations on finite carriers
 
 def _tuples(*carriers):
     return itertools.product(*(c.elements() for c in carriers))
 
 
 @pytest.mark.parametrize("m, dim", [(3, 1), (3, 2), (5, 1), (5, 2)])
-def test_memoised_operations_equal_their_compositions(m, dim):
+def test_composite_operations_equal_their_formulas(m, dim):
     M = build("zmod-module", m=m, dim=dim)
     R, X = M.ring, M.points
     S = module_to_space(M)
@@ -156,8 +156,6 @@ def test_memoised_operations_equal_their_compositions(m, dim):
         want = tuple((c + 1) % m for c in
                      q(tuple((c - 1) % m for c in x), a, tuple((c - 1) % m for c in y)))
         assert shifted.q(x, a, y) == want
-    for op in (q, A.p, ring.add, back.add, shifted.q):
-        assert op.cache_info().currsize > 0
 
 
 def _unreduced_module(m):
@@ -167,7 +165,7 @@ def _unreduced_module(m):
                    phi=lambda a, x: (a * x) % m, neg=lambda x: (-x) % m)
 
 
-def test_a_memoised_operation_that_raises_raises_on_every_call():
+def test_a_raising_phi_fails_every_exhaustive_space_law():
     M = _unreduced_module(3)
 
     def phi(a, x):
@@ -175,77 +173,38 @@ def test_a_memoised_operation_that_raises_raises_on_every_call():
             raise ZeroDivisionError("phi at 2")
         return M.phi(a, x)
 
-    failing = replace(M, phi=phi)
-    q = module_to_space(failing).space.q
-    for _ in range(3):
-        with pytest.raises(ZeroDivisionError):
-            q(2, 1, 0)
-    assert q.cache_info().currsize == 0
-    # the exhaustive reports, witnesses included, are those of the
-    # undecorated operation
-    space = module_to_space(failing).space
-    direct = replace(space, q=space.q.__wrapped__)
-    assert check_space(space, Exhaustive()) == check_space(direct, Exhaustive())
-    assert not all_passed(check_space(space, Exhaustive()))
+    reports = check_space(module_to_space(replace(M, phi=phi)).space, Exhaustive())
+    assert [r.verdict for r in reports] == ["fail"] * 6
+    # the first tuple of the walk that reaches phi(_, 2)
+    assert report_to_text(reports[0]) == (
+        "FAIL X0 [exhaustive] witness: x=0, a=0, y=2 | lhs=<error: phi at 2> rhs=null")
 
 
-def test_the_cache_never_outgrows_the_argument_domain():
+def test_the_unreduced_module_passes_exhaustively():
     space = module_to_space(_unreduced_module(3)).space
     # every int is a residue mod 3, so the laws hold mod 3, but nested q
     # calls take unreduced sums outside 0..2
     reports = check_space(space, Exhaustive()) + check_y_properties(space, Exhaustive())
     assert all_passed(reports)
-    info = space.q.cache_info()
-    assert info.maxsize == 3 * 3 * 3 and 0 < info.currsize <= info.maxsize
-    assert info.misses > info.maxsize
-    # closed operations fill the domain exactly
-    space = module_to_space(build("zmod-module", m=5, dim=2)).space
-    assert all_passed(check_space(space, Exhaustive()))
-    info = space.q.cache_info()
-    assert info.maxsize == info.currsize == 25 * 5 * 25
-    algebra = algebra_from_ring(ring_from_algebra(build("zmod-algebra", m=5)))
-    assert all_passed(check_algebra(algebra, Exhaustive()))
-    info = algebra.p.cache_info()
-    assert info.maxsize == info.currsize == 5 ** 3
 
 
-def test_true_and_one_are_separate_keys():
-    algebra = build("zmod-algebra", m=3)
-    seen = []
+def test_exhaustive_zmod_checks_decide_the_functor_operations():
+    # each check evaluates its probes, the first tuple and the symbolic
+    # pass, not the 25 * 5 * 25 argument tuples of q
+    M = build("zmod-module", m=5, dim=2)
+    calls = 0
 
-    def q(x, a, y):
-        seen.append(type(x))
-        return (x + a * (y - x)) % 3
+    def phi(a, x):
+        nonlocal calls
+        calls += 1
+        return M.phi(a, x)
 
-    space = MobiSpace(algebra, ModularInt(3), q)
-    add = space_to_module(PointedMobiSpace(space, 0)).add
-    assert add(1, 0) == add(True, 0) == 1
-    assert add.cache_info().currsize == 2
-    assert bool in seen
-
-
-def test_an_infinite_carrier_gets_the_undecorated_operation():
-    def op(x, a, y):
-        return x
-
-    assert memoise(op, Rational(), ModularInt(3), Rational()) is op
-    assert memoise(op, ModularInt(3), ModularInt(3), ModularInt(3)) is not op
-    S = module_to_space(build("canonical-module", n=1))
-    assert not hasattr(S.space.q, "cache_info")
-    assert not hasattr(space_to_module(S).add, "cache_info")
-    assert not hasattr(S.space.algebra.p, "cache_info")
-
-
-def test_a_large_finite_domain_gets_the_undecorated_operation():
-    # 11**4 * 11 argument tuples of q is over MEMO_MAX_ENTRIES; p's 11**3 is not
-    S = module_to_space(build("zmod-module", m=11, dim=2))
-    assert 11 ** 5 > MEMO_MAX_ENTRIES >= 11 ** 3
-    assert not hasattr(S.space.q, "cache_info")
-    assert S.space.algebra.p.cache_info().maxsize == 11 ** 3
-    # sized from the modulus, not by enumerating a million residues
-    S = module_to_space(build("zmod-module", m=1000003, dim=2))
-    assert not hasattr(S.space.q, "cache_info")
-    assert not hasattr(S.space.algebra.p, "cache_info")
+    counted = replace(M, phi=phi)
+    assert check_affine(module_to_space(counted).space, Exhaustive()).passed
+    assert 0 < calls < 50
+    calls = 0
+    assert roundtrip_module(counted, Exhaustive()).passed
+    assert 0 < calls < 50
 
 
 # morphism transport
