@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .carriers import Carrier, CarrierError
-from .report import CheckReport, Laws, Sampled, Witness, assignments_for
+from .carriers import Carrier, CarrierError, MembershipError
+from .report import (CheckReport, Laws, Sampled, Witness, assignments_for,
+                     render_inline)
 from .ringmod import RingWithHalf
 
 
@@ -61,8 +62,14 @@ def circ(algebra: MobiAlgebra, a, b):
 
 
 def check_algebra(algebra: MobiAlgebra, strategy=Sampled()) -> list[CheckReport]:
-    """Closure plus A1..A8."""
+    """Closure plus A1..A8.  A constant outside the carrier raises
+    MembershipError, as a PointedMobiSpace's origin does."""
     C, p = algebra.carrier, algebra.p
+    for name in ("zero", "half", "one"):
+        value = getattr(algebra, name)
+        if not C.contains(value):
+            raise MembershipError(
+                f"{name} = {render_inline(value)} is not in {C.describe()}")
     e = C.eq
     law = Laws(strategy, e, C)
     zero, half, one = algebra.zero, algebra.half, algebra.one

@@ -11,8 +11,9 @@
     mobi trace NAME --from EXPR --to EXPR --steps N --out PATH [--param k=v]...
 
 Exit codes: 0 all checks passed, 1 a check found a counterexample,
-2 usage, parse, or configuration errors, or an arithmetic error such as
-an overflow or a division by zero (diagnostics go to stderr).
+2 usage, parse, or configuration errors, an arithmetic error such as an
+overflow or a division by zero, or running out of memory (diagnostics go
+to stderr).
 """
 
 from __future__ import annotations
@@ -360,6 +361,9 @@ def run_cli(argv=None) -> int:
         return 2
     except ArithmeticError as exc:  # overflow or division by zero in an operation
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

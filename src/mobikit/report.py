@@ -8,18 +8,19 @@ evaluating a law becomes an `<error: ...>` witness.
 
 A strategy answers for itself: `assignments(law, slots, construct)` gives
 the assignments it walks, `label()` is its text in a report line and
-`to_dict()` its JSON form.  A strategy may also give `first(law, slots)`,
-its first assignment alone, when that is cheaper than taking the first of
-`assignments`, as Sampled's first draw is.
+`to_dict()` its JSON form.  Exhaustive refuses a slot that is infinite or
+empty, naming its carrier.
 
 An equation whose slots all have symbols (Carrier.symbol) is first
-evaluated once on them, under either strategy.  If the law's own equality
+evaluated once on them, under any strategy.  If the law's own equality
 answers True on the two symbolic sides (see symbolic), only its probes and
-its first assignment (the first seeded draw, or the first tuple of the
-exhaustive walk) run through the loop, and if they pass the report is the
-pass that the full walk would give, with the caller's strategy.  Otherwise,
-and for every predicate and implication, the loop runs as it would without
-symbols.
+one seeded draw, `Sampled(1).assignments(law, slots)`, run through the
+loop; every carrier with a symbol can draw.  If they pass, the report is a
+pass with the caller's strategy, the one the full walk gives; nothing is
+enumerated, so under Exhaustive a decided equation passes over an infinite
+carrier too.  Otherwise the caller's strategy walks the law, so a failing
+law has the witness it has without symbols; every predicate and
+implication is walked that way.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, product
 from typing import Callable, Iterable
 
 from . import symbolic
-from .carriers import (MembershipError, Product, ShapeError, render_rational,
-                       sample, try_subtract)
+from .carriers import (CarrierError, MembershipError, Product, ShapeError,
+                       enumerate_elements, render_rational, sample, try_subtract)
 
 
 class EvalError(Exception):
@@ -47,11 +48,16 @@ _LAW_ERRORS = (ZeroDivisionError, EvalError, ShapeError, MembershipError)
 
 @dataclass(frozen=True)
 class Exhaustive:
-    """Walk every assignment; requires finite carriers."""
+    """Walk every assignment; requires finite, nonempty carriers."""
 
     def assignments(self, law: str, slots: tuple, construct=None) -> Iterable[tuple]:
-        # the walk already holds every constructed copy
-        return product(*(c.elements() for c in slots))
+        # the walk already holds every constructed copy; an empty slot would
+        # pass every law without evaluating it
+        pools = [enumerate_elements(c) for c in slots]
+        for c, pool in zip(slots, pools):
+            if not pool:
+                raise CarrierError(f"{c.describe()} is empty")
+        return product(*pools)
 
     def label(self) -> str:
         return "exhaustive"
@@ -78,10 +84,6 @@ class Sampled:
         if construct is not None:
             drawn += [construct(a) for a in drawn]
         return drawn
-
-    def first(self, law: str, slots: tuple) -> list:
-        """The first draw, the same as the first of `samples` draws."""
-        return sample(Product(tuple(slots)), law_seed(self.seed, law), 1)
 
     def label(self) -> str:
         return f"sampled(n={self.samples}, seed={self.seed})"
@@ -183,14 +185,12 @@ def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
     """Check lhs(...) == rhs(...) over assignments; probes run first.
 
     An equation that eq decides on symbols holds at every assignment: only
-    the probes and the strategy's first assignment run, and the report is
-    the one the whole walk would give."""
+    the probes and one seeded draw run, and a pass is reported with the
+    caller's strategy.  If they fail, the strategy's own walk gives the
+    report."""
     if slots and _decided(slots, eq, lhs, rhs):
-        first = getattr(strategy, "first", None)
-        walk = (first(law, slots) if first is not None
-                else islice(assignments_for(law, slots, strategy), 1))
         report = _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes,
-                        walk=walk)
+                        walk=Sampled(1).assignments(law, slots))
         if report.passed:
             return report
     return _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes)

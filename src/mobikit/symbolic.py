@@ -55,8 +55,9 @@ Trust base.  A pass without a walk is sound when:
   Restricted.eq through them), and so does a law's equality built from
   them without branching on a value's type.  A law's own equality that
   rejects a value, such as one that raises at u == 3, meets a comparison
-  on a symbol and leaves the law undecided.  The first assignment still
-  runs through the loop, so a side that raises fails the law as before.
+  on a symbol and leaves the law undecided.  One seeded draw still runs
+  through the loop under every strategy, so a side that raises on numbers
+  fails the law, and the caller's own walk then gives the witness.
 """
 
 from __future__ import annotations

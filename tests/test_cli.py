@@ -87,6 +87,38 @@ def test_check_exhaustive_enumerates_a_restricted_carrier(tmp_path, capsys):
     assert lines[-1] == "checked 17 law(s): all passed"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("space s over zmod_algebra { carrier: Zmod(3) where v = 5  q(x, a, y) = x + a*y }",
+     "error: {Z/3 : v = 5} is empty"),
+    ("algebra h { carrier: Q where v >= 0 and v <= 1/2  zero: 0  half: 1/4  one: 1/2"
+     "  p(a, b, c) = a + b*(c - a) }",
+     "error: {Q : v >= 0 and v <= 1/2} is not enumerable"),
+], ids=["empty", "infinite"])
+def test_an_exhaustive_check_names_the_carrier_it_cannot_walk(tmp_path, capsys, text,
+                                                              message):
+    # an empty carrier would pass every law without evaluating one
+    path = tmp_path / "f.mobi"
+    path.write_text(text)
+    result = run(capsys, "check", str(path), "--exhaustive", "--affine", "--properties")
+    assert one_error_line(*result) == message
+
+
+def test_a_constant_outside_the_carrier_exits_two(tmp_path, capsys):
+    path = tmp_path / "f.mobi"
+    path.write_text("algebra half_interval { carrier: Q where v >= 0 and v <= 1/2"
+                    "  zero: 0  half: 1/2  one: 1  p(a, b, c) = a + b*(c - a) }")
+    result = run(capsys, "check", str(path), "--properties")
+    assert one_error_line(*result) == "error: one = 1 is not in {Q : v >= 0 and v <= 1/2}"
+
+
+def test_running_out_of_memory_exits_two(monkeypatch, capsys):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "search_finite", exhaust)
+    assert one_error_line(*run(capsys, "search", "--size", "2")) == "error: out of memory"
+
+
 def test_check_json_is_deterministic(capsys):
     code, first, _ = run(capsys, "check", str(GOLDEN), "--report", "json",
                          "--samples", "40", "--seed", "3")

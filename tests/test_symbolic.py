@@ -346,7 +346,7 @@ def test_a_proved_law_evaluates_its_probes_and_one_draw():
                             counting(lambda a, b: b * a + a, rhs_calls),
                             strategy, probes)
     assert report == CheckReport("comm", strategy, "pass")
-    first = sample(Product((Q, Q)), law_seed(7, "comm"), 1)
+    first = sample(Product((Q, Q)), law_seed(0, "comm"), 1)
     assert lhs_calls == rhs_calls == list(probes) + first
 
 
@@ -400,6 +400,50 @@ def test_a_law_whose_equality_rejects_a_value_is_not_decided(monkeypatch, carrie
         "difference=<error: expected a member, got 3>")
     without_symbols(monkeypatch)
     assert check() == decided
+
+
+def raises_on_numbers(a, b):
+    if not isinstance(a, Poly):
+        raise EvalError(f"no numbers, got {a}")
+    return a + b
+
+
+@pytest.mark.parametrize("strategy", [Sampled(50, 3), Exhaustive()],
+                         ids=["sampled", "exhaustive"])
+@pytest.mark.parametrize("probes, lhs", [
+    (((F(1, 2), 1),), lambda a, b: a + b),  # a probe that is no int mod 5
+    ((), raises_on_numbers),
+], ids=["probe", "side"])
+def test_a_decided_law_whose_one_draw_fails_reports_the_walk(monkeypatch, strategy,
+                                                             probes, lhs):
+    Z5 = ModularInt(5)
+
+    def check():
+        return check_equation("comm", ("a", "b"), (Z5, Z5), Z5.eq, lhs,
+                              lambda a, b: b + a, strategy, probes)
+
+    assert report._decided((Z5, Z5), Z5.eq, lhs, lambda a, b: b + a)
+    decided = check()
+    assert decided.verdict == "fail" and decided.strategy == strategy
+    without_symbols(monkeypatch)
+    assert check() == decided
+
+
+def test_a_decided_exhaustive_check_lists_no_product(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"listed the elements of {self.describe()}")
+
+    monkeypatch.setattr(Product, "elements", refuse)
+    assert all(r.passed for r in check_module(zmod_module(61, 3), Exhaustive()))
+
+
+def test_only_a_walked_law_needs_an_enumerable_carrier():
+    Q = Rational()
+    decided = check_equation("comm", ("a", "b"), (Q, Q), Q.eq, lambda a, b: a + b,
+                             lambda a, b: b + a, Exhaustive())
+    assert decided == CheckReport("comm", Exhaustive(), "pass")
+    with pytest.raises(CarrierError, match="^Q is not enumerable$"):
+        check_predicate("closed", ("a",), (Q,), lambda a: a, Q.contains, Exhaustive())
 
 
 def test_every_zmod_equation_with_variables_is_decided(monkeypatch):
