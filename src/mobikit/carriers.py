@@ -39,10 +39,13 @@ None for an infinite one.
 
 `symbol(fresh)` is a symbolic element standing for every element, for a
 law to be decided once instead of drawn or walked (see symbolic): a fresh
-rational variable for Rational, a fresh int variable for Z/m, the tuple of
-its parts' symbols for a product, its base's symbol for a restricted
-carrier with a direct sampler, and None for every other carrier (Q[i],
-R64, rejection-sampled restrictions).  `Rational.eq` and `ModularInt.eq`
+rational variable for Rational, a fresh int variable for Z/m, a QI of two
+fresh rational variables for Q[i], the tuple of its parts' symbols for a
+product, its base's symbol for a restricted carrier with a direct sampler,
+and None for every other carrier (R64, rejection-sampled restrictions).  A
+QI keeps symbolic parts, and divides by a symbolic QI only through
+symbolic.inverse_norm, which refuses a norm that may be zero.
+`Rational.eq`, `GaussianRational.eq` (part by part) and `ModularInt.eq`
 given a symbolic side answer True only for sides equal, or congruent
 modulo m, at every assignment, and raise symbolic.Undecided otherwise.
 """
@@ -57,9 +60,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .symbolic import Poly, congruent, equal
+from .symbolic import (Poly, Quotient, Undecided, congruent, equal, inverse_norm,
+                       reflected)
 
 MAX_REJECTS = 10_000
+_SYMBOLS = (Poly, Quotient)  # the types of a symbolic rational or int
 SCALAR = "scalar"  # the shape of a non-product element with an order
 COMPLEX = "complex"  # the shape of a Gaussian rational, which has none
 MODULAR = "modular"  # the shape of a residue mod m, which has no division
@@ -305,18 +310,26 @@ def render_rational(v) -> str:
     return text if v.denominator == 1 else f"{text}/{_render_int(v.denominator)}"
 
 
+def _part(x):
+    """A component of a QI: x itself when it is a Fraction (_Fraction
+    included; the type test skips the ABC check that isinstance makes) or
+    symbolic, else Fraction(x)."""
+    if type(x) is _Fraction or isinstance(x, Fraction) or type(x) in _SYMBOLS:
+        return x
+    return Fraction(x)
+
+
+@reflected  # a Poly operand hands a QI to QI's reflected method
 class QI:
-    """Gaussian rational re + im*i with exact Fraction components."""
+    """Gaussian rational re + im*i with exact Fraction components, or
+    symbolic ones (see symbolic)."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        # ints become plain Fractions; any Fraction, _Fraction included, is
-        # kept (the type test skips the ABC check that isinstance makes)
-        object.__setattr__(self, "re", re if type(re) is _Fraction or isinstance(re, Fraction)
-                           else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is _Fraction or isinstance(im, Fraction)
-                           else Fraction(im))
+        # ints become plain Fractions; Fractions and symbols are kept
+        object.__setattr__(self, "re", _part(re))
+        object.__setattr__(self, "im", _part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QI values are immutable")
@@ -326,7 +339,7 @@ class QI:
         t = type(x)
         if t is QI:
             return x
-        if t is _Fraction:
+        if t is _Fraction or t in _SYMBOLS:
             return _qi(x, _ZERO)
         if isinstance(x, QI):
             return x
@@ -418,9 +431,13 @@ def _qi(re, im) -> QI:
 
 
 def _qi_quotient(z: QI, w: QI) -> QI:
-    """z / w, or ZeroDivisionError when w is zero."""
+    """z / w, or ZeroDivisionError when w is zero; a symbolic w is a
+    divisor only when its norm is nowhere zero (symbolic.inverse_norm)."""
     a, b, c, d = z.re, z.im, w.re, w.im
     norm = c * c + d * d
+    if type(norm) in _SYMBOLS:
+        inverse = inverse_norm(c, d)
+        return _qi((a * c + b * d) * inverse, (b * c - a * d) * inverse)
     if norm == 0:
         raise ZeroDivisionError("division by zero Gaussian rational")
     return _qi((a * c + b * d) / norm, (b * c - a * d) / norm)
@@ -523,7 +540,7 @@ class Rational(_BuiltDraw):
     def eq(self, x, y):
         if type(x) is _Fraction and type(y) is _Fraction:
             return x._numerator == y._numerator and x._denominator == y._denominator
-        if type(x) is Poly or type(y) is Poly:
+        if type(x) in _SYMBOLS or type(y) in _SYMBOLS:
             return equal(x, y)
         return _rational(x) == _rational(y)
 
@@ -548,12 +565,18 @@ class GaussianRational(_BuiltDraw):
         return isinstance(x, QI) or (isinstance(x, (int, Fraction)) and not isinstance(x, bool))
 
     def eq(self, x, y):
-        if type(x) is QI and type(y) is QI:
+        if type(x) is not QI or type(y) is not QI:
+            x, y = QI.coerce(x), QI.coerce(y)
+        try:
             return x.re == y.re and x.im == y.im
-        return QI.coerce(x) == QI.coerce(y)
+        except Undecided:  # a symbolic part, which refuses ==
+            return equal(x.re, y.re) and equal(x.im, y.im)
 
     def _build_draw(self):
         return _draw_gaussian
+
+    def symbol(self, fresh):
+        return _qi(fresh(), fresh())
 
     def describe(self):
         return "Q[i]"

@@ -13,7 +13,8 @@
 Exit codes: 0 all checks passed, 1 a check found a counterexample,
 2 usage, parse, or configuration errors, an arithmetic error such as an
 overflow or a division by zero, or running out of memory (diagnostics go
-to stderr).
+to stderr).  A reader that closes stdout early, as `| head` does, is not an
+error: the rest of the output is dropped and the exit code is unchanged.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -44,6 +46,22 @@ from .space import (MobiSpace, PointedMobiSpace, check_affine, check_space,
 _CONFIG_ERRORS = (CarrierError, ValueError, KeyError, OSError, EvalError)
 
 
+def _out(line: str) -> None:
+    """print(line) to stdout; once its reader has gone, drop the rest."""
+    try:
+        print(line)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull, so that later writes and the flush at
+    exit succeed after its reader has closed the pipe."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+
+
 def _strategy(args):
     if args.exhaustive:
         return Exhaustive()
@@ -52,15 +70,15 @@ def _strategy(args):
 
 def _emit(reports, fmt: str) -> int:
     if fmt == "json":
-        print(reports_to_json(reports))
+        _out(reports_to_json(reports))
     else:
         for rep in reports:
-            print(report_to_text(rep))
+            _out(report_to_text(rep))
         failed = sum(1 for r in reports if not r.passed)
         if failed:
-            print(f"checked {len(reports)} law(s): {failed} failed")
+            _out(f"checked {len(reports)} law(s): {failed} failed")
         else:
-            print(f"checked {len(reports)} law(s): all passed")
+            _out(f"checked {len(reports)} law(s): all passed")
     return 0 if all_passed(reports) else 1
 
 
@@ -152,8 +170,8 @@ def _cmd_catalog(args) -> int:
         for entry in _catalog.list_catalog():
             params = " ".join(f"{p.name}={_param_text(p.default)}" for p in entry.params)
             head = f"{entry.name}  ({entry.kind})"
-            print(f"{head}  {params}".rstrip())
-            print(f"    {entry.note}")
+            _out(f"{head}  {params}".rstrip())
+            _out(f"    {entry.note}")
         return 0
     built = _catalog.build(args.name, _params(args))
     return _emit(_suite(built, args), args.report)
@@ -189,13 +207,13 @@ def _cmd_search(args) -> int:
                            require_distinct_constants=args.distinct_constants,
                            limit=args.limit)
     suffix = " with distinct constants" if args.distinct_constants else ""
-    print(f"found {len(models)} model(s) of size {args.size}{suffix}")
+    _out(f"found {len(models)} model(s) of size {args.size}{suffix}")
     for idx, model in enumerate(models, 1):
-        print(f"model {idx}: zero={model.zero} half={model.half} one={model.one}")
+        _out(f"model {idx}: zero={model.zero} half={model.half} one={model.one}")
         for a in range(model.size):
             rows = "  ".join(" ".join(str(v) for v in model.table[a][b])
                              for b in range(model.size))
-            print(f"  a={a}: {rows}")
+            _out(f"  a={a}: {rows}")
     return 0
 
 
@@ -260,7 +278,7 @@ def _cmd_trace(args) -> int:
         for t, (_, point) in zip(grid, rows):
             writer.writerow([_render_cell(t)]
                             + [_render_cell(v) for v in _flatten_point(point)])
-    print(f"wrote {len(rows)} points to {args.out}")
+    _out(f"wrote {len(rows)} points to {args.out}")
     return 0
 
 
@@ -354,6 +372,8 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:  # --out names a pipe whose reader has gone
+        return 0
     except _CONFIG_ERRORS as exc:
         # str() of a KeyError quotes its message; an OSError's args[0] is errno
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
@@ -368,7 +388,12 @@ def run_cli(argv=None) -> int:
 
 
 def main():
-    sys.exit(run_cli())
+    code = run_cli()
+    try:
+        sys.stdout.flush()  # here rather than at exit, which would print a traceback
+    except BrokenPipeError:
+        _drop_stdout()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,16 +11,22 @@ the assignments it walks, `label()` is its text in a report line and
 `to_dict()` its JSON form.  Exhaustive refuses a slot that is infinite or
 empty, naming its carrier.
 
-An equation whose slots all have symbols (Carrier.symbol) is first
-evaluated once on them, under any strategy.  If the law's own equality
-answers True on the two symbolic sides (see symbolic), only its probes and
-one seeded draw, `Sampled(1).assignments(law, slots)`, run through the
-loop; every carrier with a symbol can draw.  If they pass, the report is a
-pass with the caller's strategy, the one the full walk gives; nothing is
-enumerated, so under Exhaustive a decided equation passes over an infinite
-carrier too.  Otherwise the caller's strategy walks the law, so a failing
-law has the witness it has without symbols; every predicate and
-implication is walked that way.
+An equation whose slots all have symbols (Carrier.symbol) first runs its
+probes and one seeded draw, `Sampled(1).assignments(law, slots)`, through
+the loop, under any strategy; every carrier with a symbol can draw.  If
+they pass, it is evaluated once on the symbols, and if the law's own
+equality answers True on the two symbolic sides (see symbolic), the report
+is a pass with the caller's strategy, the one the full walk gives; nothing
+is enumerated, so under Exhaustive a decided equation passes over an
+infinite carrier too.  Otherwise the caller's strategy walks the law, so a
+failing law has the witness it has without symbols.
+
+An implication under Sampled whose slots all have symbols walks its draws
+and then the first draw's constructed copy, a prefix of the full walk.  If
+they pass, and the premise and the equality both answer True on the copy
+of the symbols, every copy passes and the pass is reported; otherwise the
+other copies are walked after them.  Every predicate, and every
+implication under another strategy, is walked in full.
 """
 
 from __future__ import annotations
@@ -166,14 +172,28 @@ def _check(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
     return CheckReport(law, strategy, "pass")
 
 
-def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable) -> bool:
-    """Whether eq answers True on lhs and rhs evaluated once on a symbol for
-    each slot, so that it holds at every assignment (see symbolic)."""
+def _symbols(slots: tuple) -> tuple | None:
+    """A symbol for each slot (Carrier.symbol), or None when one has none."""
     fresh = symbolic.variables()
     assignment = tuple(c.symbol(fresh) for c in slots)
-    if any(s is None for s in assignment):
+    return None if any(s is None for s in assignment) else assignment
+
+
+def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
+             premise: Callable | None = None,
+             construct: Callable | None = None) -> bool:
+    """Whether eq answers True on lhs and rhs evaluated once on a symbol for
+    each slot, so that it holds at every assignment (see symbolic).  With
+    `construct`, they are evaluated on the constructed copy of the symbols,
+    where `premise` must answer True too: then every copy passes."""
+    assignment = _symbols(slots)
+    if assignment is None:
         return False
     try:
+        if construct is not None:
+            assignment = construct(assignment)
+            if premise(*assignment) is not True:
+                return False
         return eq(lhs(*assignment), rhs(*assignment)) is True
     except Exception:  # Undecided, or any error a symbol meets: the walk decides
         return False
@@ -184,14 +204,14 @@ def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
                    probes: tuple = ()) -> CheckReport:
     """Check lhs(...) == rhs(...) over assignments; probes run first.
 
-    An equation that eq decides on symbols holds at every assignment: only
-    the probes and one seeded draw run, and a pass is reported with the
-    caller's strategy.  If they fail, the strategy's own walk gives the
-    report."""
-    if slots and _decided(slots, eq, lhs, rhs):
+    When every slot has a symbol, the probes and one seeded draw run first;
+    if they pass and eq decides the equation on symbols, it holds at every
+    assignment, and the pass is reported with the caller's strategy.
+    Otherwise the strategy's own walk gives the report."""
+    if slots and _symbols(slots) is not None:
         report = _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes,
                         walk=Sampled(1).assignments(law, slots))
-        if report.passed:
+        if report.passed and _decided(slots, eq, lhs, rhs):
             return report
     return _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes)
 
@@ -211,9 +231,23 @@ def check_implication(law: str, names: tuple, slots: tuple, premise: Callable,
     Sampled runs rarely hit the premise by chance, so `construct` (mapping an
     assignment to one that satisfies the premise) lets Sampled walk a second
     pass, the constructed copies of its draws, to keep the check non-vacuous.
+
+    When every slot has a symbol, Sampled walks its draws and the first
+    copy, a prefix of its walk, before the copies are decided on symbols:
+    if premise and eq answer True on the copy of the symbols, every copy
+    passes and the rest are skipped.  Otherwise they are walked after it.
     """
+    if not (isinstance(strategy, Sampled) and construct is not None and slots
+            and _symbols(slots) is not None):
+        return _check(law, names, slots, eq, lhs, rhs, strategy, premise=premise,
+                      construct=construct)
+    drawn = strategy.assignments(law, slots)
+    report = _check(law, names, slots, eq, lhs, rhs, strategy, premise=premise,
+                    walk=drawn + [construct(drawn[0])])
+    if not report.passed or _decided(slots, eq, lhs, rhs, premise, construct):
+        return report
     return _check(law, names, slots, eq, lhs, rhs, strategy, premise=premise,
-                  construct=construct)
+                  walk=[construct(a) for a in drawn[1:]])
 
 
 class Laws:

@@ -57,6 +57,15 @@ from .report import Exhaustive, all_passed
 MAX_SIZE = 11
 
 
+class TableLabels(ModularInt):
+    """The labels 0..n-1 of a model's table.  They are not residues with
+    ring arithmetic: a law through the table indexes it, so they have no
+    symbol, and its laws are walked without a symbolic pass."""
+
+    def symbol(self, fresh):
+        return None
+
+
 @dataclass(frozen=True)
 class FiniteModel:
     size: int
@@ -70,7 +79,7 @@ class FiniteModel:
 
     def to_algebra(self) -> MobiAlgebra:
         n, t = self.size, self.table
-        return MobiAlgebra(ModularInt(n),
+        return MobiAlgebra(TableLabels(n),
                            lambda a, b, c: t[a % n][b % n][c % n],
                            self.zero, self.half, self.one)
 

@@ -775,3 +775,34 @@ def test_sampled_check_of_a_large_finite_carrier_fits_in_512_mb():
         timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "all passed" in proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+@pytest.mark.parametrize("argv, unbuffered, first", [
+    # the trace is far longer than a pipe holds, so writing it meets the
+    # closed pipe after the first line
+    (("trace", "canonical-space", "--from", "0", "--to", "1", "--steps", "20000",
+      "--out", "/dev/stdout"), False, "t,c1"),
+    # closed before the first line: each print meets it, or the flush at exit
+    (("search", "--size", "7"), True, None),
+    (("search", "--size", "7"), False, None),
+], ids=["trace-after-the-first-line", "search-unbuffered", "search-at-exit"])
+def test_a_closed_stdout_ends_quietly(argv, unbuffered, first):
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "mobikit", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if first is not None:
+        assert proc.stdout.readline() == first + "\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, "")
+
+
+def test_an_oserror_other_than_a_closed_pipe_still_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, "trace", "canonical-space", "--from", "0", "--to", "1",
+                         "--steps", "4", "--out", str(tmp_path / "missing" / "t.csv"))
+    assert code == 2 and out == "" and err.startswith("error: [Errno 2]")

@@ -1,5 +1,5 @@
-"""Laws decided once over Q: symbols, Undecided, and reports that do not
-change when a law's draws are skipped."""
+"""Laws decided once over Q, Z/m and Q[i]: symbols, Undecided, and reports
+that do not change when a law's draws are skipped."""
 
 import math
 from fractions import Fraction as F
@@ -19,6 +19,7 @@ from mobikit.catalog import zmod_algebra, zmod_module
 from mobikit.cli import run_cli
 from mobikit.report import EvalError, law_seed, report_to_text
 from mobikit.ringmod import check_module
+from mobikit.search import search_finite
 from mobikit.symbolic import MAX_TERMS, Poly, Undecided, equal, variables
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
@@ -142,18 +143,78 @@ def test_a_zmod_definition_file_prints_the_same_with_and_without_symbols(
     assert outputs(capsys, commands) == decided
 
 
+CPLX = """\
+space cplx over rational_line_algebra {
+  carrier: QI x Q
+  q((z, s), a, (w, t)) = (z + (w - z)*(((2 - a)*s + a*t + i)/(s + t + i)*a), s + a*(t - s))
+}
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_a_gaussian_rational_definition_file_prints_the_same_with_and_without_symbols(
+        tmp_path, capsys, monkeypatch, seed):
+    # the definition-file workload's Q[i] transcription of
+    # nonaffine-complex-space, and a copy whose (3 - a) breaks X2
+    faithful, perturbed = tmp_path / "cplx.mobi", tmp_path / "perturbed.mobi"
+    faithful.write_text(CPLX)
+    perturbed.write_text(CPLX.replace("(2 - a)", "(3 - a)"))
+    s = ("--properties", "--samples", "100", "--seed", str(seed))
+    commands = [("check", str(faithful)) + s, ("check", str(perturbed)) + s]
+    decided = outputs(capsys, commands)
+    assert [code for _, code, _, _ in decided] == [0, 1]
+    without_symbols(monkeypatch)
+    assert outputs(capsys, commands) == decided
+
+
+def implication_commands(seed: int) -> list:
+    """Commands that check every implication of the catalog (A6, eq(8) and
+    eq(10) of each algebra, X4, Y9 and Y10 of each space and of each
+    module's space), in text reports."""
+    s = ("--properties", "--samples", "100", "--seed", str(seed))
+    return [("convert", "module-to-space", entry.name) + s if entry.kind == "module"
+            else ("catalog", "check", entry.name) + s for entry in list_catalog()]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_catalog_implications_print_the_same_with_and_without_symbols(
+        capsys, monkeypatch, seed):
+    copies = []
+
+    def spy(*args):
+        answer = decided(*args)
+        if len(args) > 4:  # an implication's copies
+            copies.append(answer)
+        return answer
+
+    decided = report._decided
+    monkeypatch.setattr(report, "_decided", spy)
+    commands = implication_commands(seed)
+    with_symbols = outputs(capsys, commands)
+    text = "".join(out for _, _, out, _ in with_symbols)
+    for law in ("A6", "eq(8)", "eq(10)", "X4", "Y9", "Y10"):
+        assert f" {law} [" in text, law
+    assert sum(copies) > 20  # implications whose copies were decided
+    without_symbols(monkeypatch)
+    assert outputs(capsys, commands) == with_symbols
+
+
 # -- symbols of carriers
 
 def test_only_carriers_of_exact_rationals_have_symbols():
-    # ... and Z/m, whose symbol is a variable whose values are ints
+    # ... and Z/m, whose symbol is a variable whose values are ints, and
+    # Q[i], whose symbol is a QI of two rational variables
     fresh = variables()
     never = Restricted(Rational(), lambda x: x > 100)
-    for carrier in (Float64(), GaussianRational(), never,
-                    Product((Rational(), Float64()))):
+    for carrier in (Float64(), never, Product((Rational(), Float64()))):
         assert carrier.symbol(fresh) is None, carrier
     q, n = Rational().symbol(fresh), ModularInt(5).symbol(fresh)
     assert type(q) is Poly and q.rational
     assert type(n) is Poly and not n.rational and n.modulus == 0
+    z = GaussianRational().symbol(fresh)
+    assert type(z) is QI and all(type(p) is Poly and p.rational for p in (z.re, z.im))
+    with pytest.raises(Undecided):  # each part a fresh variable
+        equal(z.re, z.im)
     pair = Vector(Rational(), 2).symbol(fresh)
     assert type(pair) is tuple and len(pair) == 2
     with pytest.raises(Undecided):  # each slot a fresh variable
@@ -178,6 +239,8 @@ def test_a_rejection_sampled_carrier_still_exhausts_its_draws():
 
 fresh = variables()
 x, y, n = fresh(), fresh(), fresh(integer=True)
+z, w = GaussianRational().symbol(fresh), GaussianRational().symbol(fresh)
+ratio = (1 / QI(x, 1)).re  # x / (x*x + 1), a quotient
 
 
 def past_the_term_cap():
@@ -219,7 +282,17 @@ REFUSED = {
     "x ** 10**6": lambda: x ** 10 ** 6,
     "x + 0.5": lambda: x + 0.5,
     "0.5 * x": lambda: 0.5 * x,
-    "x * QI(1, 1)": lambda: x * QI(1, 1),
+    "z / w for two Q[i] symbols": lambda: z / w,
+    "a divisor QI(x, 0)": lambda: QI(1, 1) / QI(x, 0),
+    "a divisor QI(x, y - y)": lambda: z / QI(x, y - y),
+    "a divisor whose part is a quotient": lambda: z / QI(ratio, 1),
+    "1 / a quotient": lambda: 1 / ratio,
+    "a quotient / x": lambda: ratio / x,
+    "a quotient % 2": lambda: ratio % 2,
+    "a quotient == 0": lambda: ratio == 0,
+    "bool(a quotient)": lambda: bool(ratio),
+    "a divisor with a part known modulo 3": lambda: z / QI(n % 3, 1),
+    "GaussianRational.eq of sides that differ": lambda: GaussianRational().eq(z, w),
     "x + None": lambda: x + None,
     "x + True": lambda: x + True,
     "True * x": lambda: True * x,
@@ -315,6 +388,20 @@ def test_an_int_polynomial_is_its_value_modulo_what_it_is_known_to(e, shift, n, 
             ModularInt(n).eq(p, q)
 
 
+def test_a_gaussian_rational_divides_by_a_norm_that_is_nowhere_zero():
+    # (x + i) / (y + i) has the norm y*y + 1, at least 1 at every assignment
+    u = QI(x, 1) / QI(y, 1)
+    assert GaussianRational().eq(u * QI(y, 1), QI(x, 1))
+    assert GaussianRational().eq(x * QI(1, 1), QI(x, x))  # a Poly hands QI the product
+    assert GaussianRational().eq(u + u - u / 2, QI(x, 1) * F(3, 2) / QI(y, 1))
+    # sums take the least common multiple of the factors, each stored once
+    v = QI(x, 1) / QI(y, 1) + QI(1, 0) / QI(y, 1) / QI(y, 1)
+    assert [e for _, e in v.re.den.values()] == [2]
+    assert equal((u.re * u.re) ** 0, 1)
+    with pytest.raises(Undecided):
+        GaussianRational().eq(u, QI(x, 1))
+
+
 def test_ring_operations_stay_polynomials():
     a = (x + y) ** 2 - 2 * x * y
     assert equal(a, x * x + y ** 2)
@@ -352,14 +439,49 @@ def test_a_proved_law_evaluates_its_probes_and_one_draw():
 
 def test_a_predicate_and_an_implication_evaluate_every_draw():
     Q = Rational()
-    values, premises = [], []
+    values, premises, undecided = [], [], []
     check_predicate("closed", ("a",), (Q,), counting(lambda a: a * a, values),
                     Q.contains, Sampled(50))
+    # every copy (a, a) passes on symbols: the 50 draws and the first copy run
     check_implication("cancel", ("a", "b"), (Q, Q),
                       counting(lambda a, b: True, premises), Q.eq,
                       lambda a, b: a + b, lambda a, b: b + a, Sampled(50),
                       construct=lambda t: (t[0], t[0]))
-    assert len(values) == 50 and len(premises) == 100
+    # a premise that compares leaves the copies undecided: all 100 run
+    check_implication("cancel", ("a", "b"), (Q, Q),
+                      counting(lambda a, b: a == b, undecided), Q.eq,
+                      lambda a, b: a + b, lambda a, b: b + a, Sampled(50),
+                      construct=lambda t: (t[0], t[0]))
+    assert len(values) == 50 and len(premises) == 51 and len(undecided) == 100
+
+
+def test_a_law_that_fails_on_its_first_draw_makes_no_symbolic_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(report, "_decided", lambda *args: calls.append(args))
+    Q = Rational()
+    equation = check_equation("off", ("a",), (Q,), Q.eq, lambda a: a + 1,
+                              lambda a: a, Sampled(50))
+    implication = check_implication("off", ("a", "b"), (Q, Q), lambda a, b: True,
+                                    Q.eq, lambda a, b: a, lambda a, b: b, Sampled(50),
+                                    construct=lambda t: (t[0], t[0]))
+    assert equation.verdict == implication.verdict == "fail" and calls == []
+    assert implication.witness.inputs == dict(zip("ab", sample(
+        Product((Q, Q)), law_seed(0, "off"), 1)[0]))
+
+
+def test_a_search_model_makes_no_symbolic_pass_or_seeded_draw(monkeypatch):
+    walks = []
+
+    def spy(law, *args, walk=None, **kwargs):
+        walks.append(walk)
+        return check(law, *args, walk=walk, **kwargs)
+
+    check = report._check
+    monkeypatch.setattr(report, "_check", spy)
+    algebra = search_finite(3)[0].to_algebra()
+    assert algebra.carrier.symbol(variables()) is None
+    assert all(r.passed for r in check_algebra(algebra, Exhaustive()))
+    assert walks and walks == [None] * len(walks)  # each law walked once
 
 
 def test_a_proved_law_whose_equality_rejects_its_sides_still_fails(monkeypatch):
