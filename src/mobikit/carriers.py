@@ -43,8 +43,8 @@ rational variable for Rational, a fresh int variable for Z/m, a QI of two
 fresh rational variables for Q[i], the tuple of its parts' symbols for a
 product, its base's symbol for a restricted carrier with a direct sampler,
 and None for every other carrier (R64, rejection-sampled restrictions).  A
-QI keeps symbolic parts, and divides by a symbolic QI only through
-symbolic.inverse_norm, which refuses a norm that may be zero.
+QI keeps symbolic parts, and divides by a symbolic QI through its norm, a
+divisor only when symbolic.positive certifies it nowhere zero.
 `Rational.eq`, `GaussianRational.eq` (part by part) and `ModularInt.eq`
 given a symbolic side answer True only for sides equal, or congruent
 modulo m, at every assignment, and raise symbolic.Undecided otherwise.
@@ -60,8 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .symbolic import (Poly, Quotient, Undecided, congruent, equal, inverse_norm,
-                       reflected)
+from .symbolic import Poly, Quotient, Undecided, congruent, equal, reflected
 
 MAX_REJECTS = 10_000
 _SYMBOLS = (Poly, Quotient)  # the types of a symbolic rational or int
@@ -431,12 +430,13 @@ def _qi(re, im) -> QI:
 
 
 def _qi_quotient(z: QI, w: QI) -> QI:
-    """z / w, or ZeroDivisionError when w is zero; a symbolic w is a
-    divisor only when its norm is nowhere zero (symbolic.inverse_norm)."""
+    """z / w, or ZeroDivisionError when w is zero.  A symbolic norm is a
+    divisor only when it is certified nowhere zero (symbolic.positive),
+    once for both parts."""
     a, b, c, d = z.re, z.im, w.re, w.im
     norm = c * c + d * d
     if type(norm) in _SYMBOLS:
-        inverse = inverse_norm(c, d)
+        inverse = 1 / norm
         return _qi((a * c + b * d) * inverse, (b * c - a * d) * inverse)
     if norm == 0:
         raise ZeroDivisionError("division by zero Gaussian rational")

@@ -22,30 +22,33 @@ Ring operations combine the kinds: a rational with anything exact is a
 rational, and an int known modulo g1 with one known modulo g2 is known
 modulo gcd(g1, g2).  `P % k`, for an int P and a nonzero int k, reduces
 P's coefficients modulo k and is known modulo gcd(g, k), since P % k is
-congruent to P modulo k.  `/` is a Fraction only when an operand is a
-rational and the divisor a nonzero constant, as in Python, where int / int
-is a float.
+congruent to P modulo k.  `/` needs an operand that is a rational, as in
+Python, where int / int is a float, and a divisor that is a nonzero
+constant or a polynomial that `positive` certifies (below).
 
 A Quotient is a rational num / den whose denominator is a product of
-factors, each stored once with its exponent, so that a sum takes the least
-common multiple of the factors rather than their product.  Its only source
-is a division of Gaussian rationals: `carriers.QI` divides by c + di
-through 1 / (c*c + d*d), `inverse_norm`, which is a divisor only when c and
-d are polynomials and one of them is a nonzero constant k, so that the norm
-is at least k*k at every assignment.  Two quotients are equal when the
-numerator of their difference is the zero polynomial.  A Poly or Quotient
-operation with a QI operand returns NotImplemented, so that Python calls
-QI's reflected method (`reflected`).
+factors, each stored once (keyed by its terms) with its exponent, so that
+a sum takes the least common multiple of the factors rather than their
+product.  Its source is a division by a non-constant polynomial that
+`positive` certifies positive at every real point, such as
+nonaffine-poly-space's s*s + s*t + t*t + 1, or the norm c*c + d*d by which
+`carriers.QI` divides for c + di, certified whenever c or d is a nonzero
+constant.  Two quotients are equal when the numerator of their difference
+is the zero polynomial.  A Poly or Quotient operation with a QI operand
+returns NotImplemented, so that Python calls QI's reflected method
+(`reflected`).
 
 Anything that is not such an operation raises `Undecided`: `/` of two
-ints, by a non-constant or by zero, a division by a Gaussian rational with
-no constant part (z / w for two Q[i] symbols, QI(x, 0)) or by a quotient,
-any comparison, bool(), float(), hash(), int() and __index__ (so a table
-lookup), `%` of a rational or by anything but a nonzero int, k % P, //,
-abs(), a power that is not a nonnegative int, an operand that is a float,
-None or a bool, a rational mixed with an int known only modulo g, and a
-result (or a partial product) with more than MAX_TERMS terms.  An undecided
-law is walked as if it had no symbols.
+ints, by zero, by a polynomial that `positive` does not certify (x / y,
+1 / x, a Gaussian rational with no constant part such as z / w for two
+Q[i] symbols or QI(x, 0), and halfplane-space's s + a*(t - s), which is
+positive only on its carrier) or by a quotient, any comparison, bool(),
+float(), hash(), int() and __index__ (so a table lookup), `%` of a
+rational or by anything but a nonzero int, k % P, //, abs(), a power that
+is not a nonnegative int, an operand that is a float, None or a bool, a
+rational mixed with an int known only modulo g, and a result (or a partial
+product) with more than MAX_TERMS terms.  An undecided law is walked as if
+it had no symbols.
 
 Trust base.  A pass without a walk is sound when:
 
@@ -56,13 +59,16 @@ Trust base.  A pass without a walk is sound when:
   for a symbolic operand fall through to Fraction's own methods, which
   return NotImplemented, so that Python calls the symbol's reflected
   method, the same ring operation; `carriers.QI`, which keeps symbolic
-  parts as it keeps Fractions, and whose quotient multiplies by the
-  inverse norm where numbers divide by the norm, the same value; and
+  parts as it keeps Fractions, and whose quotient multiplies by 1 / norm
+  where numbers divide by the norm, the same value; and
   `dsl._div`, whose int / int is a Fraction, where a Poly takes no int /
   int at all;
 - every divisor is nonzero at every assignment: a nonzero constant, or a
-  norm c*c + d*d with a nonzero constant part, which is positive for real
-  c and d.  So no draw that a decision skips would have raised
+  polynomial that `positive` certifies positive at every real point, by an
+  exact LDL^T of a Gram matrix (a sum of squares plus a positive
+  constant), by a square root taken from its leading term, or by a square
+  completed in one variable, within POSITIVE_WORK units of work.  Every
+  draw is a real point, so no draw that a decision skips would have raised
   ZeroDivisionError, and the numbers divide where the symbols do;
 - a Z/m variable stands for every int, and the elements and draws of Z/m
   are ints; a restricted carrier with a direct sampler draws, and
@@ -96,8 +102,11 @@ from typing import Callable
 
 # past this many terms a polynomial is undecided rather than slow; the
 # largest of a decided law in a pass of the catalog or of the
-# definition-file checks has 579 (X5 over Q[i])
+# definition-file checks has 579 (X5 over Q[i]), and the largest through a
+# certified divisor 540 (X5 of nonaffine-poly-space); Y8 passes it there
 MAX_TERMS = 1_000
+# past this much work (see positive) a divisor is not certified
+POSITIVE_WORK = 20_000
 
 
 class Undecided(Exception):
@@ -200,7 +209,7 @@ class Poly:
 class Quotient:
     """A rational function num / den that no assignment leaves undefined:
     `den` maps a key of each factor to (factor, exponent), where a factor is
-    a polynomial that is nonzero at every assignment (see inverse_norm), and
+    a polynomial that is positive at every assignment (see positive), and
     each factor is stored once.  Its value is a rational."""
 
     __slots__ = ("num", "den")
@@ -237,7 +246,7 @@ class Quotient:
     def __truediv__(self, other):
         if type(other) in _REFLECTED:
             return NotImplemented
-        return _over(_quotient(self.num, other), self.den)
+        return self * _quotient(Fraction(1), other)
 
     def __pow__(self, n):
         if type(n) is not int or n < 0:
@@ -309,15 +318,20 @@ def _poly(x) -> Poly:
     return Poly(*operand)
 
 
-def _quotient(a, b) -> Poly:
-    """a / b for an exact nonzero constant b when a or b is a rational;
+def _quotient(a, b):
+    """a / b when a or b is a rational: a Poly when b is a nonzero constant,
+    a Quotient over the one factor b when `positive` certifies b;
     Undecided otherwise."""
     a, b = _poly(a), _poly(b)
     if not (a.rational or b.rational):
         raise Undecided("an int / int, which is a float")
-    if b.modulus or b.terms.keys() != {()}:
-        raise Undecided("a division by zero, by a non-constant or by an inexact int")
-    return a * (Fraction(1) / b.terms[()])
+    if b.modulus:
+        raise Undecided("a division by an inexact int")
+    if b.terms.keys() == {()}:
+        return a * (Fraction(1) / b.terms[()])
+    if not positive(b):
+        raise Undecided("a division by zero or by a polynomial that may be zero")
+    return _over(Poly(a.terms, *_kind(a, True, 0)), {frozenset(b.terms.items()): (b, 1)})
 
 
 def _fraction(x) -> tuple | None:
@@ -361,17 +375,147 @@ def _sum(q: Quotient, other, negate: bool):
     return _over(left - right if negate else left + right, out)
 
 
-def inverse_norm(c, d):
-    """1 / (c*c + d*d) for the parts c and d of a Gaussian rational, when
-    both are polynomials and one is a nonzero constant k, so that the norm
-    is at least k*k at every assignment; Undecided otherwise."""
-    c, d = _poly(c), _poly(d)
-    if c.modulus or d.modulus or not (c.terms.keys() == {()} or d.terms.keys() == {()}):
-        raise Undecided("a division by a Gaussian rational that may be zero")
-    norm, one = c * c + d * d, Poly({(): 1})
-    if norm.terms.keys() == {()}:
-        return _quotient(one, norm)
-    return Quotient(one, {frozenset(norm.terms.items()): (norm, 1)})
+def positive(p) -> bool:
+    """True when p is an exact polynomial that is positive at every real
+    point, and so nonzero at every assignment, by one of three rules; False
+    when none certifies it.  Each rule is exact over Fractions.
+
+    - Gram rule: the basis is the monomials m whose square m*m has a
+      positive coefficient in p, with the constant 1 last; each coefficient
+      of p is split evenly over the ordered pairs of basis monomials whose
+      product it is, and a monomial that no pair gives refuses p.  When the
+      LDL^T of this Gram matrix G (p = z^T G z for the basis vector z) has
+      every pivot >= 0, a zero column below each zero pivot and a last
+      pivot > 0, p is a sum of squares plus the last pivot, so at least it
+      (Choi, Lam and Reznick, "Sums of squares of real polynomials", 1995).
+    - Square-root rule: when p's leading term, in the graded order of
+      monomials, is a*m*m with a > 0, the square root q of p/a is taken
+      term by term from the top (q = m + ..., each next term the leading
+      term of p - a*q*q over 2*a*m) while it divides; then p = a*q*q + r,
+      and p > 0 when r is positive.  A norm c*c + k*k, with k a nonzero
+      constant and c any polynomial, leaves r = k*k.
+    - Square completion: p = A*v*v + B*v + C in the first variable v of
+      degree 2 whose A is positive; when 4*A*C - B*B is positive too,
+      p = A*(v + B/2A)**2 + (4*A*C - B*B)/4A > 0.  No other v is tried, so
+      the cost does not grow with the orders of the variables.
+
+    The work is bounded on every input: each call spends 100 units plus,
+    for each term of its polynomial, one per 64 bits of the coefficient's
+    numerator and denominator (at least one); a Gram matrix of n rows
+    n**3/6 + n*n more; a square root one per term of q and of r at each
+    term it takes; a completion one per term of p for each v, and one per
+    product of two terms that 4*A*C - B*B takes.  Past POSITIVE_WORK units
+    in all, or a polynomial past MAX_TERMS, the answer is False."""
+    try:
+        p = _poly(p)
+        return not p.modulus and _positive(p, [POSITIVE_WORK])
+    except Undecided:
+        return False
+
+
+def _spend(budget: list, units: int) -> bool:
+    """Take units from budget[0]; False once it is overspent."""
+    budget[0] -= units
+    return budget[0] >= 0
+
+
+def _positive(p: Poly, budget: list) -> bool:
+    """positive(p) for an exact p, spending from budget."""
+    # square completion doubles the coefficients' bits; their size counts
+    size = sum(1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+               for c in p.terms.values())
+    if not _spend(budget, size + 100):
+        return False
+    return _gram(p, budget) or _rooted(p, budget) or _completed(p, budget)
+
+
+def _gram(p: Poly, budget: list) -> bool:
+    """The Gram rule of positive."""
+    terms = p.terms
+    if terms.get((), 0) <= 0:
+        return False
+    # a sorted monomial is a square when its even and odd places agree
+    basis = sorted(m[::2] for m, c in terms.items() if m and c > 0 and m[::2] == m[1::2])
+    basis.append(())
+    n = len(basis)
+    if not _spend(budget, n * n * n // 6 + n * n):
+        return False
+    pairs = {}  # a monomial: the pairs (i, j), i >= j, whose basis product it is
+    for i, left in enumerate(basis):
+        for j in range(i + 1):
+            pairs.setdefault(tuple(sorted(left + basis[j])), []).append((i, j))
+    if not terms.keys() <= pairs.keys():
+        return False
+    gram = [[0] * (i + 1) for i in range(n)]  # the lower triangle
+    for m, c in terms.items():
+        at = pairs[m]
+        share = Fraction(c) / sum(1 if i == j else 2 for i, j in at)
+        for i, j in at:
+            gram[i][j] = share
+    for k in range(n):
+        pivot = gram[k][k]
+        if pivot < 0 or (pivot == 0 and any(gram[i][k] for i in range(k + 1, n))):
+            return False
+        if not pivot:
+            continue
+        for i in range(k + 1, n):
+            row = gram[i]
+            if row[k]:
+                ratio = row[k] / pivot
+                for j in range(k + 1, i + 1):
+                    if gram[j][k]:
+                        row[j] -= ratio * gram[j][k]
+    return gram[-1][-1] > 0
+
+
+def _leading(terms: dict) -> tuple:
+    """The (monomial, coefficient) of terms highest in the graded order:
+    degree first, then the sorted indices.  The order is compatible with
+    products, so the leading term of a product is the product of theirs."""
+    return max(terms.items(), key=lambda term: (len(term[0]), term[0]))
+
+
+def _rooted(p: Poly, budget: list) -> bool:
+    """The square-root rule of positive."""
+    if not p.terms:
+        return False
+    top, a = _leading(p.terms)
+    root = top[::2]
+    if not (root and a > 0 and root == top[1::2]):
+        return False
+    q, rest = Poly({root: Fraction(1)}), p - Poly({top: a})
+    while rest.terms:
+        if not _spend(budget, len(q.terms) + len(rest.terms)):
+            return False
+        lead, c = _leading(rest.terms)
+        divided = list(lead)  # lead / root, a monomial while root divides it
+        for v in root:
+            if v not in divided:  # the root stops: p = a*q*q + rest
+                return _positive(rest, budget)
+            divided.remove(v)
+        t = Poly({tuple(divided): Fraction(c) / (2 * a)})
+        rest = rest - a * (2 * q * t + t * t)
+        q = q + t
+    return False  # p = a*q*q, which may be zero
+
+
+def _completed(p: Poly, budget: list) -> bool:
+    """The square-completion rule of positive."""
+    for v in sorted({v for m in p.terms for v in m}):
+        if not _spend(budget, len(p.terms)):
+            return False
+        parts = ({}, {}, {})  # the terms of C, B and A: v**0, v**1, v**2
+        for m, coefficient in p.terms.items():
+            k = m.count(v)
+            if k > 2:
+                break
+            parts[k][tuple(i for i in m if i != v)] = coefficient
+        else:
+            c, b, a = (Poly(t) for t in parts)
+            if a.terms and _positive(a, budget):
+                return (_spend(budget, len(a.terms) * len(c.terms) + len(b.terms) ** 2)
+                        and _positive(4 * a * c - b * b, budget))
+    return False
 
 
 def variables() -> Callable[..., Poly]:

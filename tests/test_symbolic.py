@@ -2,6 +2,7 @@
 that do not change when a law's draws are skipped."""
 
 import math
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,15 +13,17 @@ from mobikit import (CheckReport, Exhaustive, Float64, GaussianRational,
                      MobiAlgebra, ModularInt, QI, Rational, Restricted,
                      SamplingExhausted, Sampled, Vector, carriers, check_algebra,
                      check_equation, check_implication, check_predicate,
-                     list_catalog, report, reports_to_json)
+                     list_catalog, report, reports_to_json, symbolic)
 from mobikit.algebra import check_properties
 from mobikit.carriers import CarrierError, Product, ShapeError, sample
-from mobikit.catalog import zmod_algebra, zmod_module
+from mobikit.catalog import nonaffine_poly_space, zmod_algebra, zmod_module
 from mobikit.cli import run_cli
 from mobikit.report import EvalError, law_seed, report_to_text
 from mobikit.ringmod import check_module
 from mobikit.search import search_finite
-from mobikit.symbolic import MAX_TERMS, Poly, Undecided, equal, variables
+from mobikit.space import MobiSpace, check_affine, check_space, check_y_properties
+from mobikit.symbolic import (MAX_TERMS, POSITIVE_WORK, Poly, Quotient, Undecided, equal,
+                              positive, variables)
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
 
@@ -167,6 +170,67 @@ def test_a_gaussian_rational_definition_file_prints_the_same_with_and_without_sy
     assert outputs(capsys, commands) == decided
 
 
+def poly_space_checks(space: MobiSpace, seed: int) -> list:
+    strategy = Sampled(100, seed)
+    return (check_space(space, strategy) + check_y_properties(space, strategy)
+            + [check_affine(space, strategy)])
+
+
+def rational_space(num, den) -> MobiSpace:
+    """nonaffine-poly-space at n=1 with its weight num(s, t, a) / den(s, t)."""
+    base = nonaffine_poly_space()
+
+    def q(x, a, y):
+        s, t = x[1], y[1]
+        return (x[0] + a * (y[0] - x[0]) * num(s, t, a) / den(s, t), s + a * (t - s))
+
+    return MobiSpace(base.algebra, base.points, q)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_a_space_through_a_certified_divisor_reports_the_same_without_symbols(
+        monkeypatch, seed):
+    # nonaffine-poly-space with 2*s*s in its numerator, where it has 3*s*s,
+    # which breaks X2; and a copy that divides by s*s - 2*s*t + t*t, which is
+    # zero at draws with s == t, refused as a divisor and walked
+    perturbed = rational_space(
+        lambda s, t, a: 2 * s * s + 3 * s * (t - s) * a + (t - s) ** 2 * a * a + 1,
+        lambda s, t: s * s + s * t + t * t + 1)
+    vanishing = rational_space(lambda s, t, a: 1 - a, lambda s, t: s * s - 2 * s * t + t * t)
+    decided = [poly_space_checks(space, seed) for space in (perturbed, vanishing)]
+    assert "X2" in [r.law for r in decided[0] if not r.passed]
+    assert any(str(value).startswith("<error: ") for r in decided[1] if r.witness
+               for value in (r.witness.lhs, r.witness.rhs, r.witness.difference))
+    without_symbols(monkeypatch)
+    walked = [poly_space_checks(space, seed) for space in (perturbed, vanishing)]
+    assert [reports_to_json(r) for r in walked] == [reports_to_json(r) for r in decided]
+
+
+def test_every_passing_equation_of_nonaffine_poly_space_but_y8_is_decided(monkeypatch,
+                                                                           capsys):
+    walked, answers = [], []
+
+    def spy(law, *args, walk=None, **kwargs):
+        if walk is None:
+            walked.append(law)
+        return check(law, *args, walk=walk, **kwargs)
+
+    def decide(*args):
+        answers.append((len(args) > 4, decided(*args)))
+        return answers[-1][1]
+
+    check, decided = report._check, report._decided
+    monkeypatch.setattr(report, "_check", spy)
+    monkeypatch.setattr(report, "_decided", decide)
+    assert run_cli(["catalog", "check", "nonaffine-poly-space", "--properties",
+                    "--affine"]) == 1
+    assert "FAIL affine(half)" in capsys.readouterr().out
+    # the predicate, the failing affine condition and Y8, past MAX_TERMS;
+    # X1, X2, X3, X5 and Y1 to Y7 are decided, and the copies of X4, Y9, Y10
+    assert walked == ["X0", "affine(half)", "Y8"]
+    assert answers.count((False, True)) == 11 and answers.count((True, True)) == 3
+
+
 def implication_commands(seed: int) -> list:
     """Commands that check every implication of the catalog (A6, eq(8) and
     eq(10) of each algebra, X4, Y9 and Y10 of each space and of each
@@ -254,6 +318,10 @@ REFUSED = {
     "x / 0": lambda: x / 0,
     "x / Fraction(0)": lambda: x / F(0),
     "x / (x - x)": lambda: x / (x - x),
+    "1 / (x*x + y*y)": lambda: 1 / (x * x + y * y),
+    "1 / (x*x - 1)": lambda: 1 / (x * x - 1),
+    "1 / (x*x*y*y)": lambda: 1 / (x * x * y * y),
+    "1 / (n*n + 1) for an n known modulo 3": lambda: F(1) / ((n % 3) * (n % 3) + 1),
     "x < 1": lambda: x < 1,
     "x <= 1": lambda: x <= 1,
     "x > 1": lambda: x > 1,
@@ -400,6 +468,111 @@ def test_a_gaussian_rational_divides_by_a_norm_that_is_nowhere_zero():
     assert equal((u.re * u.re) ** 0, 1)
     with pytest.raises(Undecided):
         GaussianRational().eq(u, QI(x, 1))
+
+
+# -- divisors certified positive
+
+def weight_divisor(s, t):
+    """The divisor of nonaffine-poly-space's weight."""
+    return s * s + s * t + t * t + 1
+
+
+def certified() -> dict:
+    fresh = variables()
+    s, t, a, c = (fresh() for _ in range(4))
+    return {
+        "s*s + s*t + t*t + 1": weight_divisor(s, t),
+        "(s + t)**2/4 + 1": (s + t) ** 2 / 4 + 1,
+        # q(q(x, a, y), b, q(x, c, y)) divides by the weight divisor at the
+        # points' last coordinates s + a*(t - s) and s + c*(t - s)
+        "X5's divisor": weight_divisor(s + a * (t - s), s + c * (t - s)),
+        "Y4's divisor": weight_divisor(s + a * (t - s), t),
+        "the norm of QI(x, x + 1)": s * s + (s + 1) * (s + 1),
+        # a norm c*c + 1 of nonaffine-complex-space, whose c has no variable
+        # of degree 2 with a coefficient that is nowhere zero
+        "c*c + 1": (s * (1 - a) + t * (1 + a)) ** 2 + 1,
+    }
+
+
+CERTIFIED = certified()
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_a_divisor_certified_positive_is_a_factor(name):
+    p = CERTIFIED[name]
+    assert positive(p)
+    u = (x + 1) / p
+    assert type(u) is Quotient and Rational().eq(u * p, x + 1)
+    assert Rational().eq(u / p * p, u)  # a quotient / p multiplies the factor in
+    assert [e for _, e in (u / p).den.values()] == [2]
+
+
+@pytest.mark.parametrize("name, gram, rules", [
+    ("s*s + s*t + t*t + 1", True, {"_rooted", "_completed"}),
+    ("Y4's divisor", False, {"_rooted", "_completed"}),
+    ("c*c + 1", False, {"_rooted"}),
+])
+def test_which_rules_of_positive_certify_a_divisor(monkeypatch, name, gram, rules):
+    # the square-root and completion rules each with the Gram rule, which
+    # certifies the constants they reduce a polynomial to
+    p = CERTIFIED[name]
+
+    def certifies(rule):
+        monkeypatch.setattr(symbolic, "_positive", lambda p, budget: (
+            symbolic._spend(budget, 100)
+            and (symbolic._gram(p, budget) or getattr(symbolic, rule)(p, budget))))
+        return symbolic._positive(p, [POSITIVE_WORK])
+
+    assert symbolic._gram(p, [POSITIVE_WORK]) is gram
+    assert {rule for rule in ("_rooted", "_completed") if certifies(rule)} == rules
+
+
+# a polynomial over three variables: (coefficient, variable indices) terms
+POLYNOMIALS = st.lists(st.tuples(st.fractions(-5, 5, max_denominator=4),
+                                 st.lists(st.integers(0, 2), max_size=2)), max_size=4)
+
+
+def polynomial(terms, xs) -> Poly:
+    return sum((c * math.prod((xs[i] for i in m), start=Poly({(): 1})) for c, m in terms),
+               start=Poly({}))
+
+
+@given(st.lists(POLYNOMIALS, min_size=1, max_size=3), POLYNOMIALS,
+       st.fractions(-2, 3, max_denominator=4),
+       st.lists(st.integers(-60, 60), min_size=24, max_size=24), st.integers(1, 12))
+def test_a_certified_polynomial_is_positive_at_rational_points(squares, tail, k, coordinates,
+                                                               denominator):
+    fresh = variables()
+    xs = [fresh() for _ in range(3)]
+    p = sum((polynomial(sq, xs) ** 2 for sq in squares), start=polynomial(tail, xs)) + k
+    if positive(p):
+        # eight points (n1/d, n2/d, n3/d)
+        for i in range(0, 24, 3):
+            point = [F(n, denominator) for n in coordinates[i:i + 3]]
+            assert sum(c * math.prod(point[j] for j in m) for m, c in p.terms.items()) > 0
+
+
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), min_size=1, max_size=4),
+       st.integers(1, 5), st.fractions(min_value=0, max_value=5, max_denominator=7).filter(bool))
+def test_a_sum_of_squares_of_linear_forms_plus_a_positive_constant_is_certified(
+        forms, denominator, k):
+    # each form c1*x1 + ... + c4*x4 + c5 over the denominator
+    fresh = variables()
+    xs = [fresh() for _ in range(4)] + [Poly({(): 1})]
+    squares = sum(sum(F(c, denominator) * x for c, x in zip(form, xs)) ** 2 for form in forms)
+    assert positive(squares + k)
+
+
+def test_an_adversarial_divisor_is_answered_within_a_second():
+    # the weighted squares of all differences of 14 variables: zero where
+    # they are equal, so refused, after every rule has been tried
+    fresh = variables()
+    xs = [fresh() for _ in range(14)]
+    p = sum(F(i + 1, j + 2) * (xs[i] - xs[j]) ** 2
+            for i in range(14) for j in range(i + 1, 14))
+    start = time.perf_counter()
+    assert not positive(p) and positive(p + 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_ring_operations_stay_polynomials():
