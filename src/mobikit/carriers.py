@@ -48,6 +48,11 @@ divisor only when symbolic.positive certifies it nowhere zero.
 `Rational.eq`, `GaussianRational.eq` (part by part) and `ModularInt.eq`
 given a symbolic side answer True only for sides equal, or congruent
 modulo m, at every assignment, and raise symbolic.Undecided otherwise.
+`differences(x, y)` gives, for two symbolic elements of Q or Q[i] or a
+product or restriction of them, the exact polynomials that all vanish at
+an assignment exactly when `eq(x, y)` holds there: one for Q, the real and
+imaginary parts for Q[i], the parts' in turn for a product, the base's for
+a restriction; every other carrier gives None.
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .symbolic import Poly, Quotient, Undecided, congruent, equal, reflected
+from .symbolic import (Poly, Quotient, Undecided, congruent, difference, equal,
+                       reflected)
 
 MAX_REJECTS = 10_000
 _SYMBOLS = (Poly, Quotient)  # the types of a symbolic rational or int
@@ -473,6 +479,14 @@ class Carrier:
         never found by enumerating."""
         return None
 
+    def differences(self, x, y) -> list | None:
+        """Exact polynomials, one per component, for two symbolic elements,
+        such that eq(x, y) holds at an assignment exactly when every one of
+        them vanishes there (see symbolic.certified); None for a carrier
+        whose equality is not exact equality of rationals.  A subclass that
+        overrides eq has none unless it overrides this too."""
+        return None
+
     def symbol(self, fresh: Callable[..., object]):
         """A symbolic element that stands for every element, made of fresh()
         variables (see symbolic), or None when the carrier has none: its
@@ -544,6 +558,9 @@ class Rational(_BuiltDraw):
             return equal(x, y)
         return _rational(x) == _rational(y)
 
+    def differences(self, x, y):
+        return [difference(x, y)]
+
     def _build_draw(self):
         return _draw_rational
 
@@ -571,6 +588,10 @@ class GaussianRational(_BuiltDraw):
             return x.re == y.re and x.im == y.im
         except Undecided:  # a symbolic part, which refuses ==
             return equal(x.re, y.re) and equal(x.im, y.im)
+
+    def differences(self, x, y):
+        x, y = QI.coerce(x), QI.coerce(y)
+        return [difference(x.re, y.re), difference(x.im, y.im)]
 
     def _build_draw(self):
         return _draw_gaussian
@@ -740,6 +761,18 @@ class Product(_BuiltDraw):
                 return False
         return True
 
+    def differences(self, x, y):
+        for v in (x, y):
+            if type(v) is not tuple or len(v) != len(self.parts):
+                self._check_shape(v)
+        out = []
+        for p, a, b in zip(self.parts, x, y):
+            d = p.differences(a, b)
+            if d is None:
+                return None
+            out += d
+        return out
+
     def shape(self):
         return tuple(p.shape() for p in self.parts)
 
@@ -803,6 +836,9 @@ class Restricted(Carrier):
 
     def eq(self, x, y):
         return self.base.eq(x, y)
+
+    def differences(self, x, y):
+        return self.base.differences(x, y)
 
     def shape(self):
         return self.base.shape()

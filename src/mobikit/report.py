@@ -21,12 +21,17 @@ is enumerated, so under Exhaustive a decided equation passes over an
 infinite carrier too.  Otherwise the caller's strategy walks the law, so a
 failing law has the witness it has without symbols.
 
-An implication under Sampled whose slots all have symbols walks its draws
-and then the first draw's constructed copy, a prefix of the full walk.  If
-they pass, and the premise and the equality both answer True on the copy
-of the symbols, every copy passes and the pass is reported; otherwise the
-other copies are walked after them.  Every predicate, and every
-implication under another strategy, is walked in full.
+An implication whose slots all have symbols, and whose premise is a pair
+of sides compared with a carrier's own equality, or which Sampled walks
+with constructed copies, first runs one seeded draw and its copy through
+the loop: under Sampled the strategy's own first draw, otherwise that of
+`Sampled(1)`.  If they pass, it is evaluated once on the symbols.  When a
+certificate shows that the premise implies the conclusion (see
+symbolic.certified), the report is a pass with the caller's strategy, and
+nothing is enumerated, as for an equation.  Otherwise Sampled walks its
+other draws, and its other copies unless every copy passes on the
+symbols; any other strategy walks the law in full.  Every predicate is
+walked in full.
 """
 
 from __future__ import annotations
@@ -34,13 +39,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable
 
 from . import symbolic
-from .carriers import (CarrierError, MembershipError, Product, ShapeError,
-                       enumerate_elements, render_rational, sample, try_subtract)
+from .carriers import (QI, Carrier, CarrierError, MembershipError, Product,
+                       ShapeError, enumerate_elements, render_rational, sample,
+                       try_subtract)
 
 
 class EvalError(Exception):
@@ -179,24 +186,103 @@ def _symbols(slots: tuple) -> tuple | None:
     return None if any(s is None for s in assignment) else assignment
 
 
+class Decided(IntEnum):
+    """What one evaluation of an implication on symbols decides."""
+
+    NOTHING = 0
+    COPIES = 1  # every constructed copy passes
+    EVERY = 2  # every assignment passes: the premise implies the conclusion
+
+
+def _differences(eq: Callable) -> Callable | None:
+    """The `differences` of the carrier whose own equality eq is (see
+    Carrier.differences), or None: for any other equality, for a carrier
+    whose eq and differences come from different classes, and for one
+    that gives none for its own symbol, such as a product with a Z/m part."""
+    carrier = getattr(eq, "__self__", None)
+    if not isinstance(carrier, Carrier) or eq != carrier.eq:
+        return None
+    owner = next(c for c in type(carrier).__mro__ if "eq" in vars(c))
+    if "differences" not in vars(owner):
+        return None
+    symbol = carrier.symbol(symbolic.variables())
+    if symbol is None or carrier.differences(symbol, symbol) is None:
+        return None
+    return carrier.differences
+
+
+def _images(symbol, value, images: dict) -> dict:
+    """images, with the value in a constructed copy of each variable of a
+    symbol (see Carrier.symbol): a tuple's parts and a QI's two parts in
+    turn; Undecided when the copy is not built the same way."""
+    if type(symbol) in (tuple, QI):
+        if type(value) is not type(symbol) or (type(symbol) is tuple
+                                                and len(value) != len(symbol)):
+            raise symbolic.Undecided("a copy of another shape")
+        parts = zip(symbol, value) if type(symbol) is tuple else (
+            (symbol.re, value.re), (symbol.im, value.im))
+        for part, image in parts:
+            _images(part, image, images)
+    else:
+        images[next(iter(symbol.terms))[0]] = value
+    return images
+
+
+def _compared(eq: Callable, sides: tuple) -> Callable:
+    """The premise that the pair of sides `sides` is equal under eq."""
+    left, right = sides
+    return lambda *assignment: eq(left(*assignment), right(*assignment))
+
+
 def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
-             premise: Callable | None = None,
-             construct: Callable | None = None) -> bool:
-    """Whether eq answers True on lhs and rhs evaluated once on a symbol for
-    each slot, so that it holds at every assignment (see symbolic).  With
-    `construct`, they are evaluated on the constructed copy of the symbols,
-    where `premise` must answer True too: then every copy passes."""
+             premise=None, construct: Callable | None = None):
+    """For an equation (no premise): whether eq answers True on lhs and rhs
+    evaluated once on a symbol for each slot, so that it holds at every
+    assignment (see symbolic).
+
+    For an implication, a Decided.  EVERY when the premise is a pair of
+    sides compared with a carrier's own eq, and symbolic.certified shows
+    that the premise's differences (Carrier.differences) imply the
+    conclusion's, all evaluated on the symbols.  Otherwise COPIES when
+    every copy passes: when every one of those differences vanishes on
+    the copy of the symbols, substituted into them where the copy maps
+    each variable to one term; else when premise and eq both answer True
+    on the copy of the symbols, evaluated afresh.  NOTHING otherwise."""
     assignment = _symbols(slots)
+    if premise is None:
+        try:
+            return assignment is not None and eq(lhs(*assignment), rhs(*assignment)) is True
+        except Exception:  # Undecided, or any error a symbol meets: the walk decides
+            return False
     if assignment is None:
-        return False
+        return Decided.NOTHING
+    differences = _differences(eq) if type(premise) is tuple else None
     try:
-        if construct is not None:
-            assignment = construct(assignment)
-            if premise(*assignment) is not True:
-                return False
-        return eq(lhs(*assignment), rhs(*assignment)) is True
-    except Exception:  # Undecided, or any error a symbol meets: the walk decides
-        return False
+        if differences is not None:
+            left, right = premise
+            pi = differences(left(*assignment), right(*assignment))
+            gamma = differences(lhs(*assignment), rhs(*assignment))
+            if None not in (pi, gamma):
+                if symbolic.certified(pi, gamma):
+                    return Decided.EVERY
+                if construct is None:
+                    return Decided.NOTHING
+                images = _images(assignment, construct(assignment), {})
+                vanish = not any(symbolic.substituted(d, images).terms for d in pi + gamma)
+                return Decided.COPIES if vanish else Decided.NOTHING
+    except Exception:  # as for an equation; a copy evaluated afresh may decide
+        pass
+    if construct is None:
+        return Decided.NOTHING
+    if type(premise) is tuple:
+        premise = _compared(eq, premise)
+    try:
+        copy = construct(assignment)
+        if premise(*copy) is True and eq(lhs(*copy), rhs(*copy)) is True:
+            return Decided.COPIES
+    except Exception:  # as for an equation
+        pass
+    return Decided.NOTHING
 
 
 def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
@@ -223,31 +309,49 @@ def check_predicate(law: str, names: tuple, slots: tuple, value: Callable,
                   lambda *_: None, strategy)
 
 
-def check_implication(law: str, names: tuple, slots: tuple, premise: Callable,
+def check_implication(law: str, names: tuple, slots: tuple, premise,
                       eq: Callable, lhs: Callable, rhs: Callable, strategy,
                       construct: Callable | None = None) -> CheckReport:
     """Check premise(...) => lhs(...) == rhs(...).
 
-    Sampled runs rarely hit the premise by chance, so `construct` (mapping an
-    assignment to one that satisfies the premise) lets Sampled walk a second
-    pass, the constructed copies of its draws, to keep the check non-vacuous.
+    `premise` is a predicate of the assignment, or the pair (left, right)
+    of its sides, compared with eq.  Sampled runs rarely hit the premise by
+    chance, so `construct` (mapping an assignment to one that satisfies
+    the premise) lets Sampled walk a second pass, the constructed copies of
+    its draws, to keep the check non-vacuous.
 
-    When every slot has a symbol, Sampled walks its draws and the first
-    copy, a prefix of its walk, before the copies are decided on symbols:
-    if premise and eq answer True on the copy of the symbols, every copy
-    passes and the rest are skipped.  Otherwise they are walked after it.
+    When every slot has a symbol, and either the premise is a pair of
+    sides compared with a carrier's own eq or Sampled walks copies, the
+    first seeded draw and its copy run through the loop (under Sampled the
+    strategy's own first draw, a prefix of its walk).  If they pass, the
+    law is evaluated once on symbols (see _decided).  When a certificate
+    shows that the premise implies the conclusion, the pass is reported
+    with the caller's strategy and nothing else runs.  Otherwise Sampled
+    walks its other draws, and its other copies unless every copy passes
+    on symbols; any other strategy walks the law in full.  A failure in
+    the first draw or its copy is reported from the strategy's own walk,
+    so a failing law has the witness it has without symbols.
     """
-    if not (isinstance(strategy, Sampled) and construct is not None and slots
+    sides = type(premise) is tuple
+    holds = _compared(eq, premise) if sides else premise
+    sampled = isinstance(strategy, Sampled)
+    certifiable = sides and _differences(eq) is not None
+    if not (slots and (certifiable or (sampled and construct is not None))
             and _symbols(slots) is not None):
-        return _check(law, names, slots, eq, lhs, rhs, strategy, premise=premise,
+        return _check(law, names, slots, eq, lhs, rhs, strategy, premise=holds,
                       construct=construct)
-    drawn = strategy.assignments(law, slots)
-    report = _check(law, names, slots, eq, lhs, rhs, strategy, premise=premise,
-                    walk=drawn + [construct(drawn[0])])
-    if not report.passed or _decided(slots, eq, lhs, rhs, premise, construct):
+    first = Sampled(1, strategy.seed if sampled else 0).assignments(law, slots, construct)
+    report = _check(law, names, slots, eq, lhs, rhs, strategy, premise=holds, walk=first)
+    decided = report.passed and _decided(slots, eq, lhs, rhs, premise, construct)
+    if decided == Decided.EVERY:
         return report
-    return _check(law, names, slots, eq, lhs, rhs, strategy, premise=premise,
-                  walk=[construct(a) for a in drawn[1:]])
+    if not (report.passed and sampled):
+        return _check(law, names, slots, eq, lhs, rhs, strategy, premise=holds,
+                      construct=construct)
+    rest = strategy.assignments(law, slots)[1:]
+    if construct is not None and decided != Decided.COPIES:
+        rest += [construct(a) for a in rest]
+    return _check(law, names, slots, eq, lhs, rhs, strategy, premise=holds, walk=rest)
 
 
 class Laws:
@@ -278,11 +382,12 @@ class Laws:
         names, slots = self._variables(value)
         return check_predicate(law, names, slots, value, holds, self.strategy)
 
-    def implication(self, law: str, premise: Callable, lhs: Callable,
-                    rhs: Callable, construct: Callable) -> CheckReport:
-        names, slots = self._variables(premise)
-        return check_implication(law, names, slots, premise, self.eq, lhs, rhs,
-                                 self.strategy, construct)
+    def implication(self, law: str, left: Callable, right: Callable,
+                    lhs: Callable, rhs: Callable, construct: Callable) -> CheckReport:
+        """left(...) == right(...) => lhs(...) == rhs(...)."""
+        names, slots = self._variables(left)
+        return check_implication(law, names, slots, (left, right), self.eq, lhs,
+                                 rhs, self.strategy, construct)
 
 
 def all_passed(reports: Iterable[CheckReport]) -> bool:

@@ -49,7 +49,7 @@ def _laws(space: MobiSpace, strategy) -> Laws:
 
 def check_space(space: MobiSpace, strategy=Sampled()) -> list[CheckReport]:
     """Closure plus X1..X5."""
-    A, pe = space.algebra, space.points.eq
+    A = space.algebra
     law = _laws(space, strategy)
     q, p = space.q, A.p
     return [
@@ -57,7 +57,8 @@ def check_space(space: MobiSpace, strategy=Sampled()) -> list[CheckReport]:
         law("X1", lambda x, y: q(x, A.zero, y), lambda x, y: x),
         law("X2", lambda x, y: q(y, A.one, x), lambda x, y: x),
         law("X3", lambda x, a: q(x, a, x), lambda x, a: x),
-        law.implication("X4", lambda x, y, y2: pe(q(x, A.half, y), q(x, A.half, y2)),
+        law.implication("X4", lambda x, y, y2: q(x, A.half, y),
+                        lambda x, y, y2: q(x, A.half, y2),
                         lambda x, y, y2: y, lambda x, y, y2: y2,
                         lambda t: (t[0], t[1], t[1])),
         law("X5", lambda x, y, a, b, c: q(q(x, a, y), b, q(x, c, y)),
@@ -77,7 +78,7 @@ def check_affine(space: MobiSpace, strategy=Sampled()) -> CheckReport:
 
 def check_y_properties(space: MobiSpace, strategy=Sampled()) -> list[CheckReport]:
     """Derived point laws Y1..Y10 (Y9, Y10 are implications)."""
-    A, pe = space.algebra, space.points.eq
+    A = space.algebra
     law = _laws(space, strategy)
     q, p, half = space.q, A.p, A.half
     return [
@@ -97,10 +98,11 @@ def check_y_properties(space: MobiSpace, strategy=Sampled()) -> list[CheckReport
         law("Y8", lambda x, y, a, b, c:
                 q(q(q(x, a, y), b, x), half, q(x, b, q(x, c, y))),
             lambda x, y, a, b, c: q(x, half, q(x, p(a, b, c), y))),
-        law.implication("Y9", lambda x, y, a: pe(q(x, a, y), q(y, a, x)),
+        law.implication("Y9", lambda x, y, a: q(x, a, y), lambda x, y, a: q(y, a, x),
                         lambda x, y, a: q(x, a, y), lambda x, y, a: q(x, half, y),
                         lambda t: (t[0], t[0], t[2])),
-        law.implication("Y10", lambda x, y, a, b, t: pe(q(x, a, y), q(x, b, y)),
+        law.implication("Y10", lambda x, y, a, b, t: q(x, a, y),
+                        lambda x, y, a, b, t: q(x, b, y),
                         lambda x, y, a, b, t: q(x, p(a, t, b), y),
                         lambda x, y, a, b, t: q(x, a, y),
                         lambda t: (t[0], t[1], t[2], t[2], t[4])),

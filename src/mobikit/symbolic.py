@@ -50,6 +50,16 @@ rational mixed with an int known only modulo g, and a result (or a partial
 product) with more than MAX_TERMS terms.  An undecided law is walked as if
 it had no symbols.
 
+An implication whose premise compares two sides with a carrier's own
+equality is decided from its sides' differences on symbols
+(Carrier.differences), each the numerator of x - y (`difference`): the
+premise's, pi_j, and the conclusion's, gamma_i.  `certified` looks for
+polynomials h_ij of degree at most 1 with gamma_i = sum_j h_ij * pi_j, so
+that every assignment whose premise holds meets the conclusion; without
+one, the copies that a sampled walk constructs are decided by
+`substituted`, each difference with the copy of each variable put in its
+place.
+
 Trust base.  A pass without a walk is sound when:
 
 - every code path that a symbol reaches computes, on numbers, the same
@@ -86,11 +96,27 @@ Trust base.  A pass without a walk is sound when:
   one seeded draw run through the loop before the symbols under every
   strategy, so a side that raises on numbers fails the law, and the
   caller's own walk then gives the witness;
-- for an implication, a constructed copy of the symbols on which the
-  premise and the equality both answer True stands for every copy, so
-  every copy a sampled walk would take passes.  Its draws and the first
-  copy, a prefix of the sampled walk, still run through the loop, so a
-  failure among them is the walk's first, with its witness.
+- for an implication, a certificate stands for every assignment.  The
+  differences are exact: Rational's is x - y, GaussianRational's the real
+  and the imaginary part of x - y, a product's its parts', a restricted
+  carrier's its base's, and each is the numerator of a difference whose
+  denominator's factors `positive` certified, so nowhere zero; so the
+  equality holds at an assignment exactly when every one vanishes there.
+  Every other carrier gives none (Z/m, whose equality is a congruence,
+  R64, a search table), nor does any other equality, so its implications
+  are walked.  `certified` confirms each certificate it finds by a Poly
+  identity, gamma_i - sum_j h_ij * pi_j == 0, so at every real point
+  where every pi_j vanishes every gamma_i does, and within
+  CERTIFICATE_WORK units of work;
+- for an implication, a constructed copy of the symbols on which every
+  difference vanishes, or the premise and the equality both answer True,
+  stands for every copy, so every copy a sampled walk would take passes.
+  Substituting the copy's value of each variable into the differences
+  gives the polynomials that evaluating on the copy would, since a
+  polynomial identity holds under any substitution, and a factor positive
+  at every real point stays so.  The first draw and its copy run through
+  the loop before the symbols, the rest of the walk after them, so a
+  failure is the walk's first, with its witness.
 """
 
 from __future__ import annotations
@@ -107,6 +133,13 @@ from typing import Callable
 MAX_TERMS = 1_000
 # past this much work (see positive) a divisor is not certified
 POSITIVE_WORK = 20_000
+# positive's answers, keyed by a polynomial's terms, and how many it keeps
+_POSITIVE: dict = {}
+POSITIVE_MEMO = 256
+# past this much work (see certified) an implication is not certified; the
+# most that one needs in a pass of the catalog or of the definition-file
+# checks is 831 (Y10 of tri-space)
+CERTIFICATE_WORK = 2_000
 
 
 class Undecided(Exception):
@@ -405,10 +438,22 @@ def positive(p) -> bool:
     n**3/6 + n*n more; a square root one per term of q and of r at each
     term it takes; a completion one per term of p for each v, and one per
     product of two terms that 4*A*C - B*B takes.  Past POSITIVE_WORK units
-    in all, or a polynomial past MAX_TERMS, the answer is False."""
+    in all, or a polynomial past MAX_TERMS, the answer is False.
+
+    An answer is kept, keyed by p's terms, so that a divisor that recurs
+    across laws, such as the norm of one Gaussian rational, is certified
+    once; the memo is emptied when it holds POSITIVE_MEMO answers."""
     try:
         p = _poly(p)
-        return not p.modulus and _positive(p, [POSITIVE_WORK])
+        if p.modulus:
+            return False
+        key = frozenset(p.terms.items())
+        answer = _POSITIVE.get(key)
+        if answer is None:
+            if len(_POSITIVE) >= POSITIVE_MEMO:
+                _POSITIVE.clear()
+            answer = _POSITIVE[key] = _positive(p, [POSITIVE_WORK])
+        return answer
     except Undecided:
         return False
 
@@ -419,12 +464,17 @@ def _spend(budget: list, units: int) -> bool:
     return budget[0] >= 0
 
 
+def _size(p: Poly) -> int:
+    """The work of reading p: one unit per term and per 64 bits of its
+    coefficient's numerator and denominator."""
+    return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+               for c in p.terms.values())
+
+
 def _positive(p: Poly, budget: list) -> bool:
     """positive(p) for an exact p, spending from budget."""
     # square completion doubles the coefficients' bits; their size counts
-    size = sum(1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
-               for c in p.terms.values())
-    if not _spend(budget, size + 100):
+    if not _spend(budget, _size(p) + 100):
         return False
     return _gram(p, budget) or _rooted(p, budget) or _completed(p, budget)
 
@@ -526,14 +576,23 @@ def variables() -> Callable[..., Poly]:
     return lambda integer=False: Poly({(next(indices),): 1}, not integer)
 
 
-def equal(x, y) -> bool:
-    """True when x and y are the same rational or int at every assignment:
-    their difference is 0, over factors that are nowhere zero, and neither
-    is known only modulo some g; Undecided otherwise."""
+def difference(x, y) -> Poly:
+    """The numerator of x - y for two exact rationals or ints: its
+    denominator's factors are nowhere zero, so x equals y at an assignment
+    exactly when it vanishes there; Undecided for anything else, or for an
+    int known only modulo some g."""
     d = (x if type(x) is Quotient else _poly(x)) - (y if type(y) is Quotient else _poly(y))
     if type(d) is Quotient:
         d = d.num
-    if d.terms or d.modulus:
+    if d.modulus:
+        raise Undecided(f"an int known only modulo {d.modulus}")
+    return d
+
+
+def equal(x, y) -> bool:
+    """True when x and y are the same rational or int at every assignment:
+    their difference is 0; Undecided otherwise."""
+    if difference(x, y).terms:
         raise Undecided("sides that are not the same polynomial")
     return True
 
@@ -546,3 +605,140 @@ def congruent(x, y, n: int) -> bool:
     if d.rational or d.modulus % n or any(c % n for c in d.terms.values()):
         raise Undecided(f"sides that are not the same polynomial modulo {n}")
     return True
+
+
+def certified(premise: list, conclusion: list) -> bool:
+    """True when every polynomial of `conclusion` is sum_j h_j * premise[j]
+    for polynomials h_j of degree at most 1, so that it vanishes wherever
+    every premise polynomial does: a degree-bounded Nullstellensatz
+    certificate (De Loera, Lee, Malkin and Margulies, ISSAC 2008).  False
+    when none is found, for an int known only modulo some g, or for
+    anything but exact polynomials.
+
+    The h_j are found by exact elimination over Q on coefficient vectors.
+    The columns are m * premise[j] for the monomials m of degree 0, then
+    also of degree 1 in the variables that occur.  The conclusions are
+    reduced against the columns of a degree only when each of their
+    monomials is a monomial of one of those columns; otherwise no
+    combination of them can give it.  A certificate found is confirmed by
+    a Poly identity, conclusion - sum_j h_j * premise[j] == 0.
+
+    The work is bounded: each term of the given polynomials spends one
+    unit per 64 bits of its coefficient's numerator and denominator (at
+    least one), a column of degree 1 one per term, each reduction one per
+    column kept, and each subtraction one per term of the column and of
+    its combination; past CERTIFICATE_WORK units, or a polynomial past
+    MAX_TERMS, the answer is False."""
+    try:
+        premise = [_poly(p) for p in premise]
+        conclusion = [_poly(g) for g in conclusion]
+        if any(p.modulus for p in premise + conclusion):
+            return False
+        premise = [p for p in premise if p.terms]
+        targets = [[g, g.terms, {}] for g in conclusion if g.terms]
+        names = sorted({v for p in premise + conclusion for m in p.terms for v in m})
+        budget = [CERTIFICATE_WORK]
+        if not _spend(budget, sum(_size(p) for p in premise + conclusion)):
+            return False
+        basis = []  # (pivot, column with 1 at pivot, its combination)
+        pending = [((j, ()), p.terms) for j, p in enumerate(premise)]
+        support = {m for p in premise for m in p.terms}
+        for degree in (0, 1):
+            if degree:
+                for v in names:
+                    for j, p in enumerate(premise):
+                        if not _spend(budget, len(p.terms)):
+                            return False
+                        terms = {tuple(sorted(m + (v,))): c for m, c in p.terms.items()}
+                        pending.append(((j, (v,)), terms))
+                        support.update(terms)
+            if not all(m in support for target in targets for m in target[1]):
+                continue
+            for key, terms in pending:
+                _insert(basis, *_reduce(basis, terms, {key: 1}, budget), budget)
+            pending = []
+            for target in targets:
+                target[1:] = _reduce(basis, target[1], target[2], budget)
+            if not any(target[1] for target in targets):
+                return all(_confirmed(g, combination, premise)
+                           for g, _, combination in targets)
+        return False
+    except Undecided:
+        return False
+
+
+def _reduce(basis: list, terms: dict, combination: dict, budget: list) -> tuple:
+    """(terms, combination) less their multiples of the columns of basis,
+    in order, so that no pivot is left among the terms; each combination
+    maps a column's key (j, m) to its coefficient."""
+    if not _spend(budget, len(basis)):
+        raise Undecided("a certificate past the work bound")
+    for pivot, column, of in basis:
+        c = terms.get(pivot)
+        if c is None:
+            continue
+        if not _spend(budget, len(column) + len(of)):
+            raise Undecided("a certificate past the work bound")
+        terms, combination = _minus(terms, c, column), _minus(combination, c, of)
+    return terms, combination
+
+
+def _minus(terms: dict, c, other: dict) -> dict:
+    """terms - c * other, without zero coefficients."""
+    out = dict(terms)
+    for m, d in other.items():
+        s = out.pop(m, 0) - c * d
+        if s:
+            out[m] = s
+    return out
+
+
+def _insert(basis: list, terms: dict, combination: dict, budget: list):
+    """Keep a reduced column that is not zero, scaled to 1 at a pivot."""
+    if terms:
+        pivot = next(iter(terms))
+        scale = Fraction(1) / terms[pivot]
+        if not _spend(budget, len(terms) + len(combination)):
+            raise Undecided("a certificate past the work bound")
+        basis.append((pivot, {m: c * scale for m, c in terms.items()},
+                      {k: c * scale for k, c in combination.items()}))
+
+
+def _confirmed(g: Poly, combination: dict, premise: list) -> bool:
+    """Whether g == sum_j h_j * premise[j] as polynomials, for the h_j that
+    combination gives: g's reduction to zero leaves g + sum c * m *
+    premise[j] == 0 over its keys ((j, m), c), so h_j = -sum c * m."""
+    multipliers = [{} for _ in premise]
+    for (j, m), c in combination.items():
+        multipliers[j][m] = -c
+    rest = g
+    for h, p in zip(multipliers, premise):
+        if h:
+            rest = rest - Poly(h) * p
+    return not rest.terms
+
+
+def substituted(p, images: dict) -> Poly:
+    """p with each variable i replaced by images[i], a Poly, int or
+    Fraction of at most one term; Undecided for any other image."""
+    terms = {}  # a variable: its image's one (monomial, coefficient), or None for 0
+    for v, image in images.items():
+        image = _poly(image).terms
+        if len(image) > 1:
+            raise Undecided("a substitution by a polynomial of more than one term")
+        terms[v] = next(iter(image.items()), None)
+    out = {}
+    for m, c in _poly(p).terms.items():
+        monomial = []
+        for v in m:
+            if terms[v] is None:
+                break
+            factor, k = terms[v]
+            monomial += factor
+            c = c * k
+        else:
+            key = tuple(sorted(monomial))
+            s = out.pop(key, 0) + c
+            if s:
+                out[key] = s
+    return Poly(out)

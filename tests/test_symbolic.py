@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from mobikit import (CheckReport, Exhaustive, Float64, GaussianRational,
                      MobiAlgebra, ModularInt, QI, Rational, Restricted,
-                     SamplingExhausted, Sampled, Vector, carriers, check_algebra,
+                     SamplingExhausted, Sampled, Vector, build, carriers, check_algebra,
                      check_equation, check_implication, check_predicate,
                      list_catalog, report, reports_to_json, symbolic)
 from mobikit.algebra import check_properties
@@ -775,3 +775,177 @@ def test_a_planted_non_identity_fails_with_the_same_witness(monkeypatch):
     assert reports_to_json(decided) == reports_to_json(sampled)
     a7 = next(r for r in decided if r.law == "A7")
     assert a7.verdict == "fail" and a7.witness is not None
+
+
+# -- implications decided by a certificate
+
+def sides_of(strategy, calls, left, right, conclusion, construct, carrier=Rational(),
+             names=("a", "b", "c")):
+    """check_implication with the premise left == right, whose left side
+    records each call on numbers."""
+    slots = (carrier,) * len(names)
+    return check_implication("law", names, slots, (counting(left, calls), right),
+                             carrier.eq, *conclusion, strategy, construct)
+
+
+def test_a_certified_implication_evaluates_its_premise_on_one_draw_and_its_copy():
+    # a + 2*b == a + 2*c implies b == c: a constant multiplier, 1/2
+    calls, walked = [], []
+    strategy = Sampled(500, 3)
+    report = sides_of(strategy, calls, lambda a, b, c: a + 2 * b, lambda a, b, c: a + 2 * c,
+                      (lambda a, b, c: b, lambda a, b, c: c), lambda t: (t[0], t[1], t[1]))
+    assert report == CheckReport("law", strategy, "pass")
+    first = sample(Product((Rational(),) * 3), law_seed(3, "law"), 1)[0]
+    assert calls == [first, (first[0], first[1], first[1])]
+    # the same premise as a predicate has no sides to certify: its draws run
+    check_implication("law", ("a", "b", "c"), (Rational(),) * 3,
+                      counting(lambda a, b, c: Rational().eq(a + 2 * b, a + 2 * c), walked),
+                      Rational().eq, lambda a, b, c: b, lambda a, b, c: c, strategy,
+                      lambda t: (t[0], t[1], t[1]))
+    assert len(walked) == 501
+
+
+def test_a_certified_implication_passes_under_exhaustive_over_q():
+    report = sides_of(Exhaustive(), [], lambda a, b, c: a * b, lambda a, b, c: a * c,
+                      (lambda a, b, c: a * b * c, lambda a, b, c: a * c * c), None)
+    assert report == CheckReport("law", Exhaustive(), "pass")
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("left, right, lhs, rhs, construct, verdict", [
+    # a == b does not imply a + 1 == b: the copies (a, a) fail
+    (lambda a, b: a, lambda a, b: b, lambda a, b: a + 1, lambda a, b: b,
+     lambda t: (t[0], t[0]), "fail"),
+    # a*b == 0 does not imply a == 0: the copies (0, b) pass, but a draw
+    # with b == 0 and a != 0 fails
+    (lambda a, b: a * b, lambda a, b: 0, lambda a, b: a, lambda a, b: 0,
+     lambda t: (0, t[1]), "fail"),
+    # a*a == b*b implies a**4 == b**4, through a multiplier a*a + b*b of
+    # degree 2: not certified, so walked
+    (lambda a, b: a * a, lambda a, b: b * b, lambda a, b: a ** 4, lambda a, b: b ** 4,
+     lambda t: (t[0], -t[0]), "pass"),
+], ids=["a + 1 == b", "a == 0", "a**4 == b**4"])
+def test_an_uncertified_implication_reports_the_same_without_symbols(
+        monkeypatch, seed, left, right, lhs, rhs, construct, verdict):
+    def check():
+        return sides_of(Sampled(500, seed), [], left, right, (lhs, rhs), construct,
+                        names=("a", "b"))
+
+    assert report._decided((Rational(),) * 2, Rational().eq, lhs, rhs, (left, right),
+                           construct) != report.Decided.EVERY
+    decided = check()
+    assert decided.verdict == verdict
+    without_symbols(monkeypatch)
+    assert check() == decided
+
+
+@pytest.mark.parametrize("carrier, strategy, evaluated", [
+    (ModularInt(7), Sampled(50), 51),  # every draw, and the first copy
+    (ModularInt(7), Exhaustive(), 7 ** 3),
+    (Float64(), Sampled(50), 100),  # no symbols: every draw and copy
+], ids=["Z/7-sampled", "Z/7-exhaustive", "R64"])
+def test_an_implication_over_z_m_or_r64_evaluates_every_draw(carrier, strategy, evaluated):
+    calls = []
+    report = sides_of(strategy, calls, lambda a, b, c: a + 2 * b, lambda a, b, c: a + 2 * c,
+                      (lambda a, b, c: b, lambda a, b, c: c), lambda t: (t[0], t[1], t[1]),
+                      carrier=carrier)
+    assert report.passed and len(calls) == evaluated
+
+
+def test_an_adversarial_premise_is_answered_within_a_second():
+    # 6 dense quadrics in 12 variables, and a dense cubic whose monomials
+    # all occur in the multiples of degree 1, so that the support does not
+    # refuse it; every attempt stops at the work bound
+    fresh = variables()
+    xs = [fresh() for _ in range(12)] + [Poly({(): 1})]
+    quadrics = [sum(F(i + j, k + 1) * xs[i] * xs[j] for i in range(13) for j in range(i, 13))
+                for k in range(6)]
+    cubic = sum(F(i + j + k + 1, 3) * xs[i] * xs[j] * xs[k]
+                for i in range(13) for j in range(i, 13) for k in range(j, 13))
+    start = time.perf_counter()
+    assert not symbolic.certified(quadrics, [cubic])
+    assert not symbolic.certified(quadrics, [quadrics[0] * xs[0] + 1])
+    assert time.perf_counter() - start < 1
+
+
+# a multiplier of degree at most 1, c0 + c1*x1 + c2*x2 + c3*x3
+LINEAR = st.lists(st.fractions(-4, 4, max_denominator=3), min_size=4, max_size=4)
+
+
+@given(st.lists(POLYNOMIALS, min_size=1, max_size=3),
+       st.lists(st.lists(LINEAR, min_size=3, max_size=3), min_size=1, max_size=2))
+def test_a_combination_of_the_premise_is_certified_and_one_plus_it_is_not(premises,
+                                                                         multipliers):
+    # no premise polynomial has a constant term, so no combination of them
+    # has one
+    fresh = variables()
+    xs = [fresh() for _ in range(3)]
+    monomials = [Poly({(): 1}), *xs]
+    pi = [polynomial([(c, m) for c, m in p if m], xs) for p in premises]
+    gamma = [sum(sum(c * m for c, m in zip(h, monomials)) * p for h, p in zip(hs, pi))
+             for hs in multipliers]
+    assert symbolic.certified(pi, gamma)
+    assert not symbolic.certified(pi, [g + 1 for g in gamma])
+
+
+CERTIFIED_IMPLICATIONS = {
+    **{f"catalog check {name}": ["A6", "eq(8)", "eq(10)"] for name in (
+        "canonical-interval-algebra", "rational-line-algebra", "lozenge-algebra",
+        "plane-algebra", "tri-algebra")},
+    **{f"catalog check {name}": ["X4", "Y9", "Y10"] for name in (
+        "canonical-space", "lozenge-space", "plane-space", "tri-space")},
+    "catalog check projectile-space": ["X4"],
+    "catalog check transported-space": ["X4"],
+    **{f"convert module-to-space {name}": ["X4"] for name in (
+        "canonical-module", "projectile-module", "plane-module", "tri-module")},
+}
+
+
+def test_the_certified_implications_of_the_catalog(monkeypatch, capsys):
+    # 26 through constant multipliers, and 7 through multipliers of degree
+    # 1: Y10 of canonical-space, plane-space, tri-space and lozenge-space,
+    # and X4 of projectile-space, transported-space and projectile-module's
+    # space
+    command, law, certified = [None], [None], {}
+
+    def check_spy(name, *args, **kwargs):
+        law[0] = name
+        return check(name, *args, **kwargs)
+
+    def decide_spy(*args):
+        answer = decide(*args)
+        if answer == report.Decided.EVERY:
+            certified.setdefault(command[0], []).append(law[0])
+        return answer
+
+    check, decide = report._check, report._decided
+    monkeypatch.setattr(report, "_check", check_spy)
+    monkeypatch.setattr(report, "_decided", decide_spy)
+    for argv in catalog_commands(0):
+        command[0] = " ".join(argv[:3])
+        run_cli(list(argv))
+    capsys.readouterr()
+    assert certified == CERTIFIED_IMPLICATIONS
+    assert sum(map(len, certified.values())) == 33
+
+
+def test_a_norm_that_recurs_across_laws_is_certified_once(monkeypatch):
+    class Memo(dict):
+        def __setitem__(self, key, answer):
+            stored.append(key)
+            super().__setitem__(key, answer)
+
+    def positive_spy(p):
+        asked.append(frozenset(symbolic._poly(p).terms.items()))
+        return positive(p)
+
+    stored, asked = [], []
+    positive = symbolic.positive
+    monkeypatch.setattr(symbolic, "_POSITIVE", Memo())
+    monkeypatch.setattr(symbolic, "positive", positive_spy)
+    space = build("nonaffine-complex-space")
+    assert all(r.passed for r in check_space(space, Sampled(20))
+               + check_y_properties(space, Sampled(20)) if r.law != "Y8")
+    most = max(set(asked), key=asked.count)
+    assert asked.count(most) > 10 and stored.count(most) == 1
+    assert len(stored) == len(set(stored))
