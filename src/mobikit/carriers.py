@@ -63,13 +63,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
-from .symbolic import (Poly, Quotient, Undecided, congruent, difference, equal,
+from .symbolic import (Points, Poly, Quotient, Undecided, congruent, difference, equal,
                        reflected)
 
 MAX_REJECTS = 10_000
-_SYMBOLS = (Poly, Quotient)  # the types of a symbolic rational or int
+_SYMBOLS = (Poly, Quotient, Points)  # the types of a symbolic rational or int
 SCALAR = "scalar"  # the shape of a non-product element with an order
 COMPLEX = "complex"  # the shape of a Gaussian rational, which has none
 MODULAR = "modular"  # the shape of a residue mod m, which has no division
@@ -628,7 +628,7 @@ class ModularInt(_BuiltDraw):
     def eq(self, x, y):
         if type(x) is int and type(y) is int:
             return (x - y) % self.modulus == 0
-        if type(x) is Poly or type(y) is Poly:
+        if type(x) in _SYMBOLS or type(y) in _SYMBOLS:
             return congruent(x, y, self.modulus)
         if not (self.contains(x) and self.contains(y)):
             raise ShapeError(f"expected ints mod {self.modulus}, got {x!r}, {y!r}")
@@ -880,13 +880,19 @@ class Restricted(Carrier):
         return f"{{{self.base.describe()} : restricted}}"
 
 
-def sample(carrier: Carrier, seed: int, n: int) -> list:
-    """n elements drawn from an RNG seeded with `seed`, finite carriers too."""
+def draws(carrier: Carrier, seed: int, n: int) -> Iterator:
+    """n elements drawn from an RNG seeded with `seed`, finite carriers too,
+    each drawn when the iterator reaches it."""
     if n < 0:
         raise ValueError("sample size must be >= 0")
     rng = random.Random(seed)
     draw = carrier.drawer()
-    return [draw(rng) for _ in range(n)]
+    return (draw(rng) for _ in range(n))
+
+
+def sample(carrier: Carrier, seed: int, n: int) -> list:
+    """The list of draws(carrier, seed, n)."""
+    return list(draws(carrier, seed, n))
 
 
 def enumerate_elements(carrier: Carrier) -> list:

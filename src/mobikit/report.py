@@ -41,12 +41,12 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, islice, product
 from typing import Callable, Iterable
 
 from . import symbolic
 from .carriers import (QI, Carrier, CarrierError, MembershipError, Product,
-                       ShapeError, enumerate_elements, render_rational, sample,
+                       ShapeError, draws, enumerate_elements, render_rational,
                        try_subtract)
 
 
@@ -82,7 +82,8 @@ class Exhaustive:
 @dataclass(frozen=True)
 class Sampled:
     """Walk `samples` seeded assignments per law, and for an implication
-    their constructed copies after them."""
+    their constructed copies after them; each is made when the walk
+    reaches it, and only an implication's draws are kept."""
 
     samples: int = 500
     seed: int = 0
@@ -92,11 +93,12 @@ class Sampled:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 
-    def assignments(self, law: str, slots: tuple, construct=None) -> list:
-        drawn = sample(Product(tuple(slots)), law_seed(self.seed, law), self.samples)
-        if construct is not None:
-            drawn += [construct(a) for a in drawn]
-        return drawn
+    def assignments(self, law: str, slots: tuple, construct=None) -> Iterable[tuple]:
+        drawn = draws(Product(tuple(slots)), law_seed(self.seed, law), self.samples)
+        if construct is None:
+            return drawn
+        drawn = list(drawn)
+        return chain(drawn, map(construct, drawn))
 
     def label(self) -> str:
         return f"sampled(n={self.samples}, seed={self.seed})"
@@ -348,9 +350,10 @@ def check_implication(law: str, names: tuple, slots: tuple, premise,
     if not (report.passed and sampled):
         return _check(law, names, slots, eq, lhs, rhs, strategy, premise=holds,
                       construct=construct)
-    rest = strategy.assignments(law, slots)[1:]
+    rest = islice(strategy.assignments(law, slots), 1, None)
     if construct is not None and decided != Decided.COPIES:
-        rest += [construct(a) for a in rest]
+        rest = list(rest)
+        rest = chain(rest, map(construct, rest))
     return _check(law, names, slots, eq, lhs, rhs, strategy, premise=holds, walk=rest)
 
 

@@ -5,12 +5,13 @@ A carrier gives a symbol for its elements (`Carrier.symbol`): a fresh
 variable whose values are rationals for Q, one whose values are ints for
 Z/m, a QI of two fresh rational variables for Q[i], a tuple of its parts'
 symbols for a product.  A law's two sides, evaluated once on symbols, give
-polynomials (or quotients, below), and the law's own equality, asked about
-them, answers True only when they agree at every assignment (`Rational.eq`
-and `GaussianRational.eq`, part by part, through `equal`, `ModularInt.eq`
-through `congruent`); otherwise it raises Undecided.  A law whose equality
-answers True holds at every draw of a sampled check and at every tuple of
-an exhaustive one.
+polynomials (or quotients, or values at seeded points, below), and the
+law's own equality, asked about them, answers True only when they agree at
+every assignment, for values at points with error at most 2**-100
+(`Rational.eq` and `GaussianRational.eq`, part by part, through `equal`,
+`ModularInt.eq` through `congruent`); otherwise it raises Undecided.  A
+law whose equality answers True holds at every draw of a sampled check and
+at every tuple of an exhaustive one.
 
 A Poly records what kind of value it stands for:
 
@@ -34,21 +35,41 @@ product.  Its source is a division by a non-constant polynomial that
 nonaffine-poly-space's s*s + s*t + t*t + 1, or the norm c*c + d*d by which
 `carriers.QI` divides for c + di, certified whenever c or d is a nonzero
 constant.  Two quotients are equal when the numerator of their difference
-is the zero polynomial.  A Poly or Quotient operation with a QI operand
-returns NotImplemented, so that Python calls QI's reflected method
-(`reflected`).
+is the zero polynomial.
+
+A Points is a rational whose polynomial would pass MAX_TERMS: a sum or a
+product of rationals (a partial product too) that would is kept instead
+as its exact values at POINTS = 2 seeded integer points, with upper
+bounds on the degrees of a numerator and of a denominator of the rational
+function it stands for.  Each variable's coordinate at each point is
+drawn uniformly from [0, 2**POINT_BITS), 2**64, by an RNG seeded from a
+constant and the variable's index, so the points depend on neither the
+law nor --seed.  +, -, * and ** of a Points give a Points, an exact
+operand (a Poly, a Quotient, an int or a Fraction) evaluated at the
+points as it meets one; the degrees add under *, take the larger cross
+sum under + and multiply under **.  A Points may be divided only by a
+nonzero constant or by a polynomial that `positive` certifies, nonzero at
+every real point and so at the points.  Two sides are equal when their
+difference is 0 at every point (see the trust base).  An int whose
+polynomial would pass MAX_TERMS is undecided.
+
+A Poly, Quotient or Points operation with a QI operand returns
+NotImplemented, so that Python calls QI's reflected method (`reflected`).
 
 Anything that is not such an operation raises `Undecided`: `/` of two
 ints, by zero, by a polynomial that `positive` does not certify (x / y,
 1 / x, a Gaussian rational with no constant part such as z / w for two
 Q[i] symbols or QI(x, 0), and halfplane-space's s + a*(t - s), which is
-positive only on its carrier) or by a quotient, any comparison, bool(),
-float(), hash(), int() and __index__ (so a table lookup), `%` of a
-rational or by anything but a nonzero int, k % P, //, abs(), a power that
-is not a nonnegative int, an operand that is a float, None or a bool, a
-rational mixed with an int known only modulo g, and a result (or a partial
-product) with more than MAX_TERMS terms.  An undecided law is walked as if
-it had no symbols.
+positive only on its carrier), by a quotient or by a Points, any
+comparison, bool(), float(), hash(), int() and __index__ (so a table
+lookup), `%` of a rational or by anything but a nonzero int, k % P, //,
+abs(), a power that is not a nonnegative int, an operand that is a float,
+None or a bool, a rational (a Points too) mixed with an int known only
+modulo g, an int result (or partial product) with more than MAX_TERMS
+terms, and a Points of degree past POINT_DEGREE.  What needs a
+polynomial's terms refuses a Points: `positive` and `certified` answer
+False for it, `substituted`, `congruent` and `difference` raise.  An
+undecided law is walked as if it had no symbols.
 
 An implication whose premise compares two sides with a carrier's own
 equality is decided from its sides' differences on symbols
@@ -80,6 +101,16 @@ Trust base.  A pass without a walk is sound when:
   completed in one variable, within POSITIVE_WORK units of work.  Every
   draw is a real point, so no draw that a decision skips would have raised
   ZeroDivisionError, and the numbers divide where the symbols do;
+- a Points whose difference is 0 at both points stands for the zero
+  rational function, with error at most 2**-100.  The difference is N / D
+  with D a product of factors positive at every real point, so nonzero at
+  the points, and N of degree at most d <= POINT_DEGREE = 2**10.  A
+  nonzero N vanishes at a point drawn uniformly from [0, 2**64)**n with
+  probability at most d / 2**64 (Schwartz, JACM 1980; Zippel, EUROSAM
+  1979), at both independent points with at most (d / 2**64)**2 <=
+  2**-108.  The values are exact, so no assumption on N's coefficients is
+  needed.  The probability is over the seeded choice of the points: they
+  are fixed, so a law built to vanish at them would pass;
 - a Z/m variable stands for every int, and the elements and draws of Z/m
   are ints; a restricted carrier with a direct sampler draws, and
   enumerates, only members, on which an identity over its base holds too;
@@ -121,16 +152,25 @@ Trust base.  A pass without a walk is sound when:
 
 from __future__ import annotations
 
+import functools
+import random
 from fractions import Fraction
 from itertools import count
 from math import gcd
 from typing import Callable
 
-# past this many terms a polynomial is undecided rather than slow; the
-# largest of a decided law in a pass of the catalog or of the
-# definition-file checks has 579 (X5 over Q[i]), and the largest through a
-# certified divisor 540 (X5 of nonaffine-poly-space); Y8 passes it there
+# past this many terms a rational is kept as a point form (Points) and an
+# int is undecided; the largest polynomial of a law decided exactly in a
+# pass of the catalog or of the definition-file checks has 579 terms (X5
+# over Q[i]), and the largest through a certified divisor 540 (X5 of
+# nonaffine-poly-space); Y8 of the non-affine spaces passes it, and is
+# decided at the points
 MAX_TERMS = 1_000
+# a point form's seeded integer points, the bits of each coordinate, and
+# the degree bound past which it is undecided
+POINTS = 2
+POINT_BITS = 64
+POINT_DEGREE = 1 << 10
 # past this much work (see positive) a divisor is not certified
 POSITIVE_WORK = 20_000
 # positive's answers, keyed by a polynomial's terms, and how many it keeps
@@ -150,7 +190,9 @@ class Poly:
     """A polynomial: {monomial: nonzero int or Fraction coefficient}, where a
     monomial is the sorted tuple of its variables' indices, one per degree;
     `rational` tells whether its value is a rational or an int, and an int
-    is known modulo `modulus` (exactly when it is 0)."""
+    is known modulo `modulus` (exactly when it is 0).  A sum or product
+    that would pass MAX_TERMS terms is a Points for a rational and
+    undecided for an int."""
 
     __slots__ = ("terms", "rational", "modulus")
 
@@ -164,12 +206,18 @@ class Poly:
         if operand is None:
             return NotImplemented
         terms, rational, modulus = operand
+        kind = _kind(self, rational, modulus)
         out = dict(self.terms)
         for m, c in terms.items():
-            s = out.pop(m, 0) + c
-            if s:
-                out[m] = s
-        return Poly(out, *_kind(self, rational, modulus))
+            s = out.pop(m, None)  # a new monomial takes c without a sum
+            if s is not None:
+                c = s + c
+                if not c:
+                    continue
+            out[m] = c
+        if len(out) > MAX_TERMS:
+            return _points(self, kind) + other
+        return Poly(out, *kind)
 
     __radd__ = __add__
 
@@ -194,11 +242,15 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in right:
                 m = tuple(sorted(m1 + m2))
-                s = out.pop(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-            if len(out) > MAX_TERMS:  # a partial product past the cap is undecided
-                break
+                c = c1 * c2
+                s = out.pop(m, None)  # as in __add__
+                if s is not None:
+                    c = s + c
+                    if not c:
+                        continue
+                out[m] = c
+            if len(out) > MAX_TERMS:  # a partial product past the cap
+                return _points(self, kind) * other
         return Poly(out, *kind)
 
     __rmul__ = __mul__
@@ -277,8 +329,8 @@ class Quotient:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) in _REFLECTED:
-            return NotImplemented
+        if type(other) in _REFLECTED and type(other) not in (Quotient, Points):
+            return NotImplemented  # a QI divides
         return self * _quotient(Fraction(1), other)
 
     def __pow__(self, n):
@@ -286,6 +338,71 @@ class Quotient:
             raise Undecided(f"a power {n!r}")
         den = {key: (f, e * n) for key, (f, e) in self.den.items()} if n else {}
         return _over(self.num ** n, den)
+
+
+class Points:
+    """A rational past MAX_TERMS, kept as its exact values at the POINTS
+    seeded integer points (see _coordinates), with upper bounds `num` and
+    `den` on the degrees of a numerator and a denominator of the rational
+    function it stands for, the denominator a product of factors positive
+    at every real point.  Degrees add under * and take the larger cross sum
+    under + (num1 + den2 or num2 + den1); past POINT_DEGREE it is
+    undecided."""
+
+    __slots__ = ("values", "num", "den")
+
+    def __init__(self, values: tuple, num: int, den: int):
+        if max(num, den) > POINT_DEGREE:
+            raise Undecided(f"a point form of degree past {POINT_DEGREE}")
+        self.values, self.num, self.den = values, num, den
+
+    def __add__(self, other):
+        at = _at_points(other)
+        if at is None:
+            return NotImplemented
+        values, num, den = at
+        return Points(tuple(a + b for a, b in zip(self.values, values)),
+                      max(self.num + den, num + self.den), self.den + den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Points(tuple(-v for v in self.values), self.num, self.den)
+
+    def __sub__(self, other):
+        at = _at_points(other)
+        return NotImplemented if at is None else self + -Points(*at)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        at = _at_points(other)
+        if at is None:
+            return NotImplemented
+        values, num, den = at
+        return Points(tuple(a * b for a, b in zip(self.values, values)),
+                      self.num + num, self.den + den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) in _REFLECTED and type(other) not in (Quotient, Points):
+            return NotImplemented  # a QI divides
+        return self * _quotient(Fraction(1), other)
+
+    def __pow__(self, n):
+        if type(n) is not int or n < 0:
+            raise Undecided(f"a power {n!r}")
+        if n * max(self.num, self.den) > POINT_DEGREE:
+            raise Undecided(f"a power {n} past the degree cap")
+        return Points(tuple(v ** n for v in self.values), self.num * n, self.den * n)
+
+    @property
+    def terms(self):
+        # what needs a polynomial's terms, such as positive's and certified's
+        # own arithmetic, is undecided on a result past MAX_TERMS
+        raise Undecided(f"the terms of a rational past {MAX_TERMS} terms")
 
 
 def _refuse(name: str):
@@ -300,15 +417,17 @@ for _name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
               "__complex__", "__abs__", "__round__", "__trunc__", "__floor__",
               "__ceil__", "__rmod__", "__floordiv__", "__rfloordiv__",
               "__divmod__", "__rdivmod__", "__rpow__"):
-    setattr(Poly, _name, _refuse(_name))
-    setattr(Quotient, _name, _refuse(_name))
+    for _cls in (Poly, Quotient, Points):
+        setattr(_cls, _name, _refuse(_name))
 # a remainder of a rational, and a division by what may be zero
-Quotient.__mod__ = _refuse("__mod__")
-Quotient.__rtruediv__ = _refuse("__rtruediv__")
+for _cls in (Quotient, Points):
+    _cls.__mod__ = _refuse("__mod__")
+    _cls.__rtruediv__ = _refuse("__rtruediv__")
 
-# the operand types whose reflected methods take a Poly or a Quotient: a
-# Quotient, and the Gaussian rationals of carriers (see reflected)
-_REFLECTED = {Quotient}
+# the operand types whose reflected methods take a Poly, a Quotient or a
+# Points: a Quotient, a Points, and the Gaussian rationals of carriers (see
+# reflected)
+_REFLECTED = {Quotient, Points}
 
 
 def reflected(cls):
@@ -377,9 +496,85 @@ def _fraction(x) -> tuple | None:
     return _poly(x), {}
 
 
-def _over(num: Poly, den: dict):
-    """num / den, a Poly when there is no factor or num is zero."""
+def _over(num, den: dict):
+    """num / den, a Poly when there is no factor or num is zero, a Points
+    when num is one."""
+    if type(num) is Points:
+        return Points(*_divided(_at_points(num), den))
     return Quotient(num, den) if den and num.terms else num
+
+
+@functools.cache
+def _coordinates(v: int) -> tuple:
+    """Variable v's coordinate at each seeded point: uniform in
+    [0, 2**POINT_BITS), from an RNG seeded by a constant and v alone, so
+    the same for every law and every --seed."""
+    rng = random.Random(f"mobikit point {v}")
+    return tuple(rng.getrandbits(POINT_BITS) for _ in range(POINTS))
+
+
+def _values(p: Poly) -> tuple:
+    """p's exact values at the points.  At each point, a monomial's value
+    is built from its longest prefix already built, and the terms are
+    summed as ints over each denominator of their coefficients, then over
+    the denominators."""
+    values = []
+    for point in range(POINTS):
+        built = {(): 1}  # a monomial: its value at the point
+        sums = {}  # a denominator: the sum of its terms' numerators times their monomials
+        for m, c in p.terms.items():
+            at = built.get(m)
+            if at is None:
+                k = len(m) - 1
+                while m[:k] not in built:
+                    k -= 1
+                at = built[m[:k]]
+                for k in range(k, len(m)):
+                    at = built[m[:k + 1]] = at * _coordinates(m[k])[point]
+            d = c.denominator
+            sums[d] = sums.get(d, 0) + c.numerator * at
+        values.append(sum(r if d == 1 else Fraction(r, d) for d, r in sums.items()))
+    return tuple(values)
+
+
+def _at_points(x) -> tuple | None:
+    """(values, num, den) at the points (see Points) of a Points, a
+    Quotient, or a Poly, int or Fraction, whose den is 0; None for another
+    type in _REFLECTED; Undecided for anything else, or for an int known
+    only modulo some g."""
+    t = type(x)
+    if t is Points:
+        return x.values, x.num, x.den
+    if t is Quotient:
+        return _divided(_at_points(x.num), x.den)
+    if t in _REFLECTED:
+        return None
+    p = _poly(x)
+    if p.modulus:
+        raise Undecided(f"a rational with an int known modulo {p.modulus}")
+    degree = max(map(len, p.terms), default=0)
+    if degree > POINT_DEGREE:
+        raise Undecided(f"a point form of degree past {POINT_DEGREE}")
+    return _values(p), degree, 0
+
+
+def _divided(at: tuple, den: dict) -> tuple:
+    """(values, num, den) at the points of `at` over a Quotient's factors,
+    each positive at every real point, so at each point too."""
+    values, num, degree = at
+    for f, e in den.values():
+        divisor, d, _ = _at_points(f)
+        values = tuple(Fraction(v) / w ** e for v, w in zip(values, divisor))
+        degree += d * e
+    return values, num, degree
+
+
+def _points(p: Poly, kind: tuple) -> Points:
+    """p as a Points, for an operation on it of the given kind (rational,
+    modulus) whose result passes MAX_TERMS; Undecided for an int."""
+    if not kind[0]:
+        raise Undecided(f"an int polynomial of more than {MAX_TERMS} terms")
+    return Points(*_at_points(p))
 
 
 def _cofactor(den: dict, part: dict):
@@ -576,24 +771,37 @@ def variables() -> Callable[..., Poly]:
     return lambda integer=False: Poly({(next(indices),): 1}, not integer)
 
 
+def _difference(x, y):
+    """The numerator of x - y for two exact rationals or ints, or x - y as
+    a Points; Undecided for anything else, or for an int known only modulo
+    some g."""
+    d = ((x if type(x) in (Quotient, Points) else _poly(x))
+         - (y if type(y) in (Quotient, Points) else _poly(y)))
+    if type(d) is Quotient:
+        d = d.num
+    if type(d) is Poly and d.modulus:
+        raise Undecided(f"an int known only modulo {d.modulus}")
+    return d
+
+
 def difference(x, y) -> Poly:
     """The numerator of x - y for two exact rationals or ints: its
     denominator's factors are nowhere zero, so x equals y at an assignment
-    exactly when it vanishes there; Undecided for anything else, or for an
-    int known only modulo some g."""
-    d = (x if type(x) is Quotient else _poly(x)) - (y if type(y) is Quotient else _poly(y))
-    if type(d) is Quotient:
-        d = d.num
-    if d.modulus:
-        raise Undecided(f"an int known only modulo {d.modulus}")
+    exactly when it vanishes there; Undecided for anything else, for an int
+    known only modulo some g, or for a difference known only at the points."""
+    d = _difference(x, y)
+    if type(d) is Points:
+        raise Undecided("a difference known only at the points")
     return d
 
 
 def equal(x, y) -> bool:
     """True when x and y are the same rational or int at every assignment:
-    their difference is 0; Undecided otherwise."""
-    if difference(x, y).terms:
-        raise Undecided("sides that are not the same polynomial")
+    their difference is 0, or for a Points 0 at every seeded point;
+    Undecided otherwise."""
+    d = _difference(x, y)
+    if any(d.values) if type(d) is Points else d.terms:
+        raise Undecided("sides that are not the same rational function")
     return True
 
 
@@ -601,7 +809,7 @@ def congruent(x, y, n: int) -> bool:
     """True when x and y are ints congruent modulo n at every assignment:
     n divides the modulus they are known to and every coefficient of their
     difference; Undecided otherwise."""
-    d = _poly(x) - y
+    d = _poly(x) - _poly(y)
     if d.rational or d.modulus % n or any(c % n for c in d.terms.values()):
         raise Undecided(f"sides that are not the same polynomial modulo {n}")
     return True

@@ -12,7 +12,8 @@ from mobikit import (EvalError, Exhaustive, MembershipError, ModularInt,
                      Rational, Sampled, ShapeError, Witness, check_equation,
                      check_implication, check_predicate, report_to_text,
                      reports_to_json)
-from mobikit.report import assignments_for, render_value
+from mobikit.carriers import Product, _draw_rational, sample
+from mobikit.report import assignments_for, law_seed, render_value
 
 Z5 = ModularInt(5)
 
@@ -94,6 +95,28 @@ def test_a_failing_probe_comes_before_a_failing_sample():
     assert report.verdict == "fail"
     assert report.witness.inputs == {"x": F(1000)}
     assert report.witness.difference == -1
+
+
+def test_sampled_draws_each_assignment_when_the_walk_reaches_it(monkeypatch):
+    calls = []
+
+    def build(self):
+        def draw(rng):
+            calls.append(rng)
+            return _draw_rational(rng)
+        return draw
+
+    monkeypatch.setattr(Rational, "_build_draw", build)
+    slots = (Rational(), Rational())
+    walk = iter(Sampled(500, 3).assignments("law", slots))
+    first = [next(walk) for _ in range(3)]
+    assert len(calls) == 6  # two slots a draw
+    assert first + list(walk) == sample(Product(slots), law_seed(3, "law"), 500)
+    # an implication keeps its draws to build their copies after them,
+    # without drawing them again
+    calls.clear()
+    walked = list(Sampled(20, 3).assignments("law", slots, lambda t: (t[0], t[0])))
+    assert len(calls) == 40 and walked[20:] == [(a, a) for a, _ in walked[:20]]
 
 
 def test_a_premise_met_only_by_constructed_copies_still_fails():

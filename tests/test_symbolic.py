@@ -3,11 +3,12 @@ that do not change when a law's draws are skipped."""
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from mobikit import (CheckReport, Exhaustive, Float64, GaussianRational,
                      MobiAlgebra, ModularInt, QI, Rational, Restricted,
@@ -18,12 +19,13 @@ from mobikit.algebra import check_properties
 from mobikit.carriers import CarrierError, Product, ShapeError, sample
 from mobikit.catalog import nonaffine_poly_space, zmod_algebra, zmod_module
 from mobikit.cli import run_cli
+from mobikit.dsl import load
 from mobikit.report import EvalError, law_seed, report_to_text
 from mobikit.ringmod import check_module
 from mobikit.search import search_finite
 from mobikit.space import MobiSpace, check_affine, check_space, check_y_properties
-from mobikit.symbolic import (MAX_TERMS, POSITIVE_WORK, Poly, Quotient, Undecided, equal,
-                              positive, variables)
+from mobikit.symbolic import (MAX_TERMS, POINT_DEGREE, POSITIVE_WORK, Points, Poly, Quotient,
+                              Undecided, equal, positive, variables)
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
 
@@ -206,8 +208,7 @@ def test_a_space_through_a_certified_divisor_reports_the_same_without_symbols(
     assert [reports_to_json(r) for r in walked] == [reports_to_json(r) for r in decided]
 
 
-def test_every_passing_equation_of_nonaffine_poly_space_but_y8_is_decided(monkeypatch,
-                                                                           capsys):
+def test_every_passing_equation_of_nonaffine_poly_space_is_decided(monkeypatch, capsys):
     walked, answers = [], []
 
     def spy(law, *args, walk=None, **kwargs):
@@ -225,10 +226,33 @@ def test_every_passing_equation_of_nonaffine_poly_space_but_y8_is_decided(monkey
     assert run_cli(["catalog", "check", "nonaffine-poly-space", "--properties",
                     "--affine"]) == 1
     assert "FAIL affine(half)" in capsys.readouterr().out
-    # the predicate, the failing affine condition and Y8, past MAX_TERMS;
-    # X1, X2, X3, X5 and Y1 to Y7 are decided, and the copies of X4, Y9, Y10
-    assert walked == ["X0", "affine(half)", "Y8"]
-    assert answers.count((False, True)) == 11 and answers.count((True, True)) == 3
+    # the predicate and the failing affine condition; X1, X2, X3, X5 and Y1
+    # to Y7 are decided, Y8 past MAX_TERMS at the points, and the copies of
+    # X4, Y9, Y10
+    assert walked == ["X0", "affine(half)"]
+    assert answers.count((False, True)) == 12 and answers.count((True, True)) == 3
+
+
+@pytest.mark.parametrize("source", ["catalog", "definition file"])
+def test_y8_of_the_gaussian_rational_space_is_decided(monkeypatch, source):
+    # past MAX_TERMS, at the points: only the one seeded draw runs on
+    # numbers, five calls of q on the left side and two on the right
+    space = build("nonaffine-complex-space") if source == "catalog" else load(CPLX)["cplx"]
+    law, numeric = [None], []
+
+    def q(x, a, y):
+        if law[0] == "Y8" and isinstance(x[1], F):
+            numeric.append((x, a, y))
+        return space.q(x, a, y)
+
+    def spy(name, *args, **kwargs):
+        law[0] = name
+        return check(name, *args, **kwargs)
+
+    check = report._check
+    monkeypatch.setattr(report, "_check", spy)
+    assert all(r.passed for r in check_y_properties(replace(space, q=q), Sampled(500)))
+    assert len(numeric) == 7
 
 
 def implication_commands(seed: int) -> list:
@@ -307,9 +331,11 @@ z, w = GaussianRational().symbol(fresh), GaussianRational().symbol(fresh)
 ratio = (1 / QI(x, 1)).re  # x / (x*x + 1), a quotient
 
 
-def past_the_term_cap():
+def past_the_term_cap(integer=False):
+    """A product of 2**11 terms, past MAX_TERMS: of rationals a Points of
+    degree 11."""
     fresh = variables()
-    return math.prod(1 + fresh() for _ in range(11))  # 2**11 terms
+    return math.prod(1 + fresh(integer) for _ in range(11))
 
 
 REFUSED = {
@@ -356,6 +382,7 @@ REFUSED = {
     "a divisor whose part is a quotient": lambda: z / QI(ratio, 1),
     "1 / a quotient": lambda: 1 / ratio,
     "a quotient / x": lambda: ratio / x,
+    "a quotient / a quotient": lambda: ratio / ratio,
     "a quotient % 2": lambda: ratio % 2,
     "a quotient == 0": lambda: ratio == 0,
     "bool(a quotient)": lambda: bool(ratio),
@@ -366,7 +393,31 @@ REFUSED = {
     "True * x": lambda: True * x,
     "a leaf that is a float": lambda: equal(x, 1.0),
     "a leaf that is None": lambda: equal(None, None),
-    "past the term cap": past_the_term_cap,
+    "an int past the term cap": lambda: past_the_term_cap(integer=True),
+    "1 / a Points": lambda: 1 / past_the_term_cap(),
+    "x / a Points": lambda: x / past_the_term_cap(),
+    "a quotient / a Points": lambda: ratio / past_the_term_cap(),
+    "a Points / a Points": lambda: past_the_term_cap() / past_the_term_cap(),
+    "a Points / x": lambda: past_the_term_cap() / x,
+    "a Points / a quotient": lambda: past_the_term_cap() / ratio,
+    "a Points / 0": lambda: past_the_term_cap() / 0,
+    "a divisor whose part is a Points": lambda: z / QI(past_the_term_cap(), 1),
+    "a Points % 2": lambda: past_the_term_cap() % 2,
+    "a Points with an int known modulo 3": lambda: past_the_term_cap() + n % 3,
+    "a Points < 1": lambda: past_the_term_cap() < 1,
+    "a Points == a Points": lambda: past_the_term_cap() == past_the_term_cap(),
+    "bool(a Points)": lambda: bool(past_the_term_cap()),
+    "hash(a Points)": lambda: hash(past_the_term_cap()),
+    "float(a Points)": lambda: float(past_the_term_cap()),
+    "a Points ** 100, past the degree cap": lambda: past_the_term_cap() ** 100,
+    "a Points ** -1": lambda: past_the_term_cap() ** -1,
+    "a Points + 0.5": lambda: past_the_term_cap() + 0.5,
+    "substituted into a Points": lambda: symbolic.substituted(past_the_term_cap(), {}),
+    "congruent of a Points": lambda: symbolic.congruent(past_the_term_cap(), 0, 3),
+    "difference of a Points": lambda: symbolic.difference(past_the_term_cap(), 0),
+    "Rational.eq of a Points and it plus x":
+        lambda: Rational().eq(past_the_term_cap(), past_the_term_cap() + x),
+    "ModularInt(5).eq of a Points": lambda: ModularInt(5).eq(past_the_term_cap(), 0),
     "a Q symbol % 3": lambda: x % 3,
     "an int / 2": lambda: n / 2,
     "2 / an int": lambda: 2 / (n * 0 + 3),
@@ -395,6 +446,24 @@ def test_no_handler_for_a_numeric_or_carrier_error_catches_undecided():
     for base in (ArithmeticError, EvalError, CarrierError):
         assert not issubclass(Undecided, base)
     assert 2 ** 11 > MAX_TERMS  # the terms of past_the_term_cap
+
+
+def test_a_points_is_neither_certified_positive_nor_a_certificate(monkeypatch):
+    big = past_the_term_cap()
+    assert type(big) is Points and (big.num, big.den) == (11, 0)
+    assert not positive(big) and not positive(big * big + 1)
+    assert not symbolic.certified([big], [big]) and not symbolic.certified([x], [big * x])
+    # an intermediate result of their own arithmetic past the cap leaves
+    # them undecided: c*c + 1's square root, and (x + 1) * p's multiplier
+    norm = CERTIFIED["c*c + 1"]
+    p = x * x + x * y + y * y + x + y + 1
+    conclusion = (x + 1) * p
+    monkeypatch.setattr(symbolic, "MAX_TERMS", 4)
+    monkeypatch.setattr(symbolic, "_POSITIVE", {})
+    assert not positive(norm)
+    assert not symbolic.certified([p], [conclusion])
+    monkeypatch.undo()
+    assert positive(norm) and symbolic.certified([p], [conclusion])
 
 
 def test_ints_known_modulo_g():
@@ -769,12 +838,120 @@ def test_a_planted_non_identity_fails_with_the_same_witness(monkeypatch):
     with pytest.raises(Undecided):
         equal(p(a, p(b1, b2, b3), c), p(p(a, b1, c), b2, p(a, b3, c)))
     algebra = MobiAlgebra(Rational(), p, F(0), F(1, 2), F(1), two=F(2))
-    decided = check_algebra(algebra)
+    # past the term cap: prod(1 + v) has 2**11 terms, so both sides are
+    # Points; the planted term vanishes at the first seeded draw, so only
+    # the walk finds it
+    Q, names = Rational(), tuple(f"v{i}" for i in range(11))
+    slots = (Q,) * len(names)
+    first = sample(Product(slots), law_seed(0, "planted"), 1)[0]
+
+    def lhs(*v):
+        return math.prod(1 + u for u in v)
+
+    def rhs(*v):
+        return lhs(*v) + (v[0] - first[0]) * (v[1] - first[1])
+
+    assert type(lhs(*(fresh() for _ in names))) is Points
+    assert not report._decided(slots, Q.eq, lhs, rhs)
+
+    def check():
+        return check_algebra(algebra) + [
+            check_equation("planted", names, slots, Q.eq, lhs, rhs, Sampled(500))]
+
+    decided = check()
     without_symbols(monkeypatch)
-    sampled = check_algebra(algebra)
+    sampled = check()
     assert reports_to_json(decided) == reports_to_json(sampled)
     a7 = next(r for r in decided if r.law == "A7")
     assert a7.verdict == "fail" and a7.witness is not None
+    assert decided[-1].verdict == "fail"
+    assert decided[-1].witness.inputs != dict(zip(names, first))
+
+
+# rational expressions over three variables: ("v", i), ("k", c), (op, e1, e2)
+# for op in + - *, ("**", e, n), and ("/", e, j) for a division by the j-th
+# of DIVISORS
+RATIONAL_EXPRESSIONS = st.recursive(
+    st.tuples(st.just("v"), st.integers(0, 2))
+    | st.tuples(st.just("k"), st.fractions(-3, 3, max_denominator=3)),
+    lambda sub: (st.tuples(st.sampled_from("+-*"), sub, sub)
+                 | st.tuples(st.just("**"), sub, st.integers(0, 3))
+                 | st.tuples(st.just("/"), sub, st.integers(0, 2))),
+    max_leaves=6)
+
+
+def divisors(xs) -> tuple:
+    """Divisors that the Gram rule of positive certifies with no arithmetic
+    of its own, so under any MAX_TERMS."""
+    a, b, c = xs
+    return a * a + 1, a * a + b * b + 1, b * b + b * c + c * c + 2
+
+
+def rational_value(e, env, ds):
+    if e[0] == "v":
+        return env[e[1]]
+    if e[0] == "k":
+        return e[1]
+    if e[0] == "**":
+        return rational_value(e[1], env, ds) ** e[2]
+    if e[0] == "/":
+        return rational_value(e[1], env, ds) / ds[e[2]]
+    a, b = rational_value(e[1], env, ds), rational_value(e[2], env, ds)
+    return a + b if e[0] == "+" else a - b if e[0] == "-" else a * b
+
+
+def degree(e, variable=1, division=2) -> int:
+    """An upper bound on the degrees of a numerator and a denominator of e;
+    with variable 0 and division 1, on the exponent of a divisor in it."""
+    if e[0] in "vk":
+        return variable if e[0] == "v" else 0
+    if e[0] == "**":
+        return degree(e[1], variable, division) * e[2]
+    if e[0] == "/":
+        return degree(e[1], variable, division) + division
+    return degree(e[1], variable, division) + degree(e[2], variable, division)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(RATIONAL_EXPRESSIONS, min_size=4, max_size=4), st.booleans(),
+       st.fractions(1, 3, max_denominator=3),
+       st.lists(st.integers(0, 2), max_size=3))
+def test_points_answer_as_the_exact_polynomials_do(expressions, same, c, monomial):
+    # (e1 + e2) * e3 against e1 * e3 + e2 * e3, an identity, or against
+    # e1 * e3 + e2 * e4; with MAX_TERMS at 8 most sides are Points, and
+    # equal answers True exactly when the exact difference, at the default
+    # cap, is zero; one coefficient more on an identity's side stays
+    # undecided
+    e1, e2, e3, e4 = expressions
+    # within POINT_DEGREE, and a divisor's exponent within the low cap, which
+    # bounds an exact power's
+    assume(2 * sum(map(degree, expressions)) + 3 <= POINT_DEGREE)
+    assume(sum(degree(e, 0, 1) for e in expressions) <= 8)
+    fresh = variables()
+    xs = [fresh() for _ in range(3)]
+    ds = divisors(xs)
+
+    def sides():
+        v1, v2, v3 = (rational_value(e, xs, ds) for e in (e1, e2, e3))
+        other = v3 if same else rational_value(e4, xs, ds)
+        return (v1 + v2) * v3, v1 * v3 + v2 * other
+
+    try:
+        zero = not symbolic.difference(*sides()).terms
+    except Undecided:  # past the default cap too
+        assume(False)
+    planted = c * math.prod((xs[i] for i in monomial), start=Poly({(): 1}))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symbolic, "MAX_TERMS", 8)
+        left, right = sides()
+        event(f"{type(left).__name__} against {type(right).__name__}, zero: {zero}")
+        if zero:
+            assert equal(left, right) is True
+            with pytest.raises(Undecided):
+                equal(left + planted, right)
+        else:
+            with pytest.raises(Undecided):
+                equal(left, right)
 
 
 # -- implications decided by a certificate
