@@ -17,10 +17,11 @@ n/d with |n| <= 12 and 1 <= d <= 8, consuming the RNG exactly as
 `rng.randint` would.
 
 Each carrier has one draw function, rng -> element, built on the first
-draw and kept; `draw(rng)` calls it and `sample` fetches it once
-(`drawer()`) and loops over it.  The functions of Rational, Q[i], R64 and
-Z/m inline `random.Random`'s getrandbits rejection loop: the same calls in
-the same order as `rng.randint` (or `rng.randrange`), and the same values.
+draw and kept; `draw(rng)` calls it, and `draws` fetches it once
+(`drawer()`) and calls it as its iterator is read (`sample` lists them).
+The functions of Rational, Q[i], R64 and Z/m inline `random.Random`'s
+getrandbits rejection loop: the same calls in the same order as
+`rng.randint` (or `rng.randrange`), and the same values.
 A product's function is one tuple display over its parts' functions.  A
 restricted carrier's function is its `draw` method, which checks each
 sampled value for membership and bounds rejection by MAX_REJECTS.
@@ -885,9 +886,7 @@ def draws(carrier: Carrier, seed: int, n: int) -> Iterator:
     each drawn when the iterator reaches it."""
     if n < 0:
         raise ValueError("sample size must be >= 0")
-    rng = random.Random(seed)
-    draw = carrier.drawer()
-    return (draw(rng) for _ in range(n))
+    return map(carrier.drawer(), itertools.repeat(random.Random(seed), n))
 
 
 def sample(carrier: Carrier, seed: int, n: int) -> list:
