@@ -810,7 +810,8 @@ def congruent(x, y, n: int) -> bool:
     n divides the modulus they are known to and every coefficient of their
     difference; Undecided otherwise."""
     d = _poly(x) - _poly(y)
-    if d.rational or d.modulus % n or any(c % n for c in d.terms.values()):
+    if (type(d) is Points or d.rational or d.modulus % n
+            or any(c % n for c in d.terms.values())):
         raise Undecided(f"sides that are not the same polynomial modulo {n}")
     return True
 

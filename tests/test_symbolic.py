@@ -414,6 +414,8 @@ REFUSED = {
     "a Points + 0.5": lambda: past_the_term_cap() + 0.5,
     "substituted into a Points": lambda: symbolic.substituted(past_the_term_cap(), {}),
     "congruent of a Points": lambda: symbolic.congruent(past_the_term_cap(), 0, 3),
+    "congruent of two polynomials whose difference passes the cap":
+        lambda: symbolic.congruent(*(math.prod(1 + fresh() for _ in range(9)) for _ in "pq"), 3),
     "difference of a Points": lambda: symbolic.difference(past_the_term_cap(), 0),
     "Rational.eq of a Points and it plus x":
         lambda: Rational().eq(past_the_term_cap(), past_the_term_cap() + x),
