@@ -10,7 +10,7 @@ from .algebra import (AmbiguousTwoError, MobiAlgebra, NoHalfError, TwoResult,
 from .carriers import (Carrier, CarrierError, Float64, GaussianRational,
                        MembershipError, ModularInt, NotEnumerableError,
                        Product, QI, Rational, Restricted, SamplingExhausted,
-                       ShapeError, Vector, enumerate_elements, sample,
+                       ShapeError, Sign, Vector, enumerate_elements, sample,
                        try_subtract)
 from .catalog import (CatalogEntry, ParamSpec, build, coerce_params,
                       default_origin, get_entry, list_catalog)
@@ -47,7 +47,7 @@ __all__ = [
     "MobiAlgebra", "MobiSpace", "ModularInt", "NoHalfError",
     "NotEnumerableError", "ParamSpec", "PointedMobiSpace", "Product", "QI",
     "RModule", "Rational", "Restricted", "RingWithHalf", "Sampled",
-    "SamplingExhausted", "ShapeError", "TwoResult", "Vector",
+    "SamplingExhausted", "ShapeError", "Sign", "TwoResult", "Vector",
     "Witness", "algebra_from_ring", "all_passed", "build", "check_affine",
     "check_algebra", "check_algebra_morphism", "check_commutativity_condition",
     "check_equation", "check_implication", "check_module", "check_predicate",

@@ -43,9 +43,15 @@ law to be decided once instead of drawn or walked (see symbolic): a fresh
 rational variable for Rational, a fresh int variable for Z/m, a QI of two
 fresh rational variables for Q[i], the tuple of its parts' symbols for a
 product, its base's symbol for a restricted carrier with a direct sampler,
-and None for every other carrier (R64, rejection-sampled restrictions).  A
-QI keeps symbolic parts, and divides by a symbolic QI through its norm, a
-divisor only when symbolic.positive certifies it nowhere zero.
+each variable in the domain its sign conditions bound it to, and None for
+every other carrier (R64, rejection-sampled restrictions).  A QI keeps
+symbolic parts, and divides by a symbolic QI through its norm, a divisor
+only when it is certified nowhere zero.  `admits(x)` answers whether every
+value of a symbolic x is a member, for a closure predicate: Q, Q[i] and
+Z/m admit a value of their kind, a product one whose parts its parts
+admit, a restricted carrier one that its base admits and that meets each
+of its sign conditions by symbolic.nonnegative; every other carrier, and
+a restricted one with an opaque predicate, admits nothing.
 `Rational.eq`, `GaussianRational.eq` (part by part) and `ModularInt.eq`
 given a symbolic side answer True only for sides equal, or congruent
 modulo m, at every assignment, and raise symbolic.Undecided otherwise.
@@ -66,8 +72,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .symbolic import (Points, Poly, Quotient, Undecided, congruent, difference, equal,
-                       reflected)
+from .symbolic import (FREE, Points, Poly, Quotient, Undecided, congruent, difference,
+                       domain_of, domains, equal, nonnegative, reflected, variables)
 
 MAX_REJECTS = 10_000
 _SYMBOLS = (Poly, Quotient, Points)  # the types of a symbolic rational or int
@@ -316,6 +322,12 @@ def render_rational(v) -> str:
     return text if v.denominator == 1 else f"{text}/{_render_int(v.denominator)}"
 
 
+def _exact(x) -> bool:
+    """Whether x is a symbolic rational or an int known exactly: its every
+    value is a rational."""
+    return type(x) in _SYMBOLS and not (type(x) is Poly and x.modulus)
+
+
 def _part(x):
     """A component of a QI: x itself when it is a Fraction (_Fraction
     included; the type test skips the ABC check that isinstance makes) or
@@ -489,11 +501,20 @@ class Carrier:
         return None
 
     def symbol(self, fresh: Callable[..., object]):
-        """A symbolic element that stands for every element, made of fresh()
-        variables (see symbolic), or None when the carrier has none: its
-        values are neither rationals nor ints mod m, or its equality is
-        not exact."""
+        """A symbolic element that stands for every element, made of
+        fresh(integer=False, domain=FREE) variables (see symbolic), each
+        ranging over a domain that holds at every element, or None when the
+        carrier has none: its values are neither rationals nor ints mod m,
+        or its equality is not exact."""
         return None
+
+    def admits(self, x) -> bool:
+        """True when every value that the symbolic value x stands for is a
+        member, at every assignment of its variables in their domains (see
+        symbolic); False when that is not certified, and the closure law
+        that asks is walked.  A subclass that overrides contains admits
+        nothing unless it overrides this too."""
+        return False
 
     def draw(self, rng: random.Random):
         raise NotImplementedError
@@ -562,6 +583,9 @@ class Rational(_BuiltDraw):
     def differences(self, x, y):
         return [difference(x, y)]
 
+    def admits(self, x):
+        return _exact(x) or self.contains(x)
+
     def _build_draw(self):
         return _draw_rational
 
@@ -593,6 +617,11 @@ class GaussianRational(_BuiltDraw):
     def differences(self, x, y):
         x, y = QI.coerce(x), QI.coerce(y)
         return [difference(x.re, y.re), difference(x.im, y.im)]
+
+    def admits(self, x):
+        if type(x) is QI:
+            return all(_exact(v) or isinstance(v, Fraction) for v in (x.re, x.im))
+        return _exact(x) or self.contains(x)
 
     def _build_draw(self):
         return _draw_gaussian
@@ -634,6 +663,9 @@ class ModularInt(_BuiltDraw):
         if not (self.contains(x) and self.contains(y)):
             raise ShapeError(f"expected ints mod {self.modulus}, got {x!r}, {y!r}")
         return (x - y) % self.modulus == 0
+
+    def admits(self, x):
+        return (type(x) is Poly and not x.rational) or self.contains(x)
 
     def elements(self):
         return list(range(self.modulus))
@@ -774,6 +806,10 @@ class Product(_BuiltDraw):
             out += d
         return out
 
+    def admits(self, x):
+        return (type(x) is tuple and len(x) == len(self.parts)
+                and all(p.admits(v) for p, v in zip(self.parts, x)))
+
     def shape(self):
         return tuple(p.shape() for p in self.parts)
 
@@ -819,21 +855,61 @@ def Vector(base: Carrier, dim: int) -> Product:
 
 
 @dataclass(frozen=True)
+class Sign:
+    """The sign condition g(x) >= 0, or g(x) > 0 when strict, on an element
+    x of a restricted carrier's base: g is a polynomial in x's coordinates,
+    written as a function of x, so that it evaluates on numbers and on
+    symbols alike."""
+
+    g: Callable[[object], object]
+    strict: bool = False
+
+
+@dataclass(frozen=True)
 class Restricted(Carrier):
-    """A base carrier filtered by a membership predicate.
+    """A base carrier filtered by sign conditions, by an opaque membership
+    predicate, or by both: a member is an element of the base that meets
+    every condition and the predicate.
 
     Draws rejection-sample the base unless `sampler` (rng -> element) draws
     members directly; its values are still checked for membership.  Its draw
     function is draw itself, which calls base.draw for each candidate.
+
+    With a sampler, its symbol is its base's, each variable in the domain
+    (see symbolic.variables) that the conditions bound it to: UNIT for
+    0 <= v <= 1, POSITIVE for v > 0, FREE otherwise.  `admits` certifies
+    a symbolic value a member when the carrier has no predicate, its base
+    admits the value and every condition holds on it (symbolic.nonnegative);
+    a predicate is opaque, so a carrier with one admits nothing.
     """
 
     base: Carrier
-    member: Callable[[object], bool]
+    member: Callable[[object], bool] | None = None
     label: str = ""
     sampler: Callable[[random.Random], object] | None = None
+    conditions: tuple = ()  # of Sign
+
+    @functools.cached_property
+    def _member(self) -> Callable[[object], object]:
+        """The test of an element of the base: the predicate itself when
+        there are no conditions, else one expression of the conditions and
+        the predicate, generated once, as _tuple_builder generates its draw
+        functions, since each draw is tested."""
+        if not self.conditions:
+            return self.member or (lambda x: True)
+        tests = [f"g{k}(x) {'>' if c.strict else '>='} 0" for k, c in enumerate(self.conditions)]
+        namespace = {f"g{k}": c.g for k, c in enumerate(self.conditions)}
+        if self.member is not None:
+            tests.append("member(x)")
+            namespace["member"] = self.member
+        return eval(f"lambda x: {' and '.join(tests)}", namespace)
 
     def contains(self, x):
-        return self.base.contains(x) and bool(self.member(x))
+        return self.base.contains(x) and bool(self._member(x))
+
+    def admits(self, x):
+        return (self.member is None and self.base.admits(x)
+                and all(nonnegative(c.g(x), c.strict) for c in self.conditions))
 
     def eq(self, x, y):
         return self.base.eq(x, y)
@@ -851,16 +927,39 @@ class Restricted(Carrier):
         return self.base.coerce(value)
 
     def elements(self):
-        return [x for x in self.base.elements() if self.member(x)]
+        return [x for x in self.base.elements() if self._member(x)]
 
     def size(self):
         # the base's size bounds the members' count without testing them
         return self.base.size()
 
+    @functools.cached_property
+    def _domains(self) -> list | None:
+        """The domain of each variable of the base's symbol, in the order
+        the symbol makes them; None when the base has no symbol."""
+        made, fresh = [], variables()
+
+        def record(integer=False, domain=FREE):
+            made.append(fresh(integer, domain))
+            return made[-1]
+
+        probe = self.base.symbol(record)
+        if probe is None:
+            return None
+        try:
+            bounds = domains([(c.g(probe), c.strict) for c in self.conditions])
+        except Exception:  # Undecided, or any error a symbol meets: nothing is bounded
+            bounds = {}
+        indices = [next(iter(v.terms))[0] for v in made]
+        return [bounds.get(i, domain_of(i)) for i in indices]  # else the base's own
+
     def symbol(self, fresh):
         # an identity on the base holds on its members; without a sampler,
         # the draws that rejection would make (and could exhaust) must run
-        return None if self.sampler is None else self.base.symbol(fresh)
+        if self.sampler is None or self._domains is None:
+            return None
+        order = iter(self._domains)
+        return self.base.symbol(lambda integer=False, domain=FREE: fresh(integer, next(order)))
 
     def draw(self, rng):
         if self.sampler is not None:
@@ -870,7 +969,7 @@ class Restricted(Carrier):
             return x
         for _ in range(MAX_REJECTS):
             x = self.base.draw(rng)
-            if self.member(x):
+            if self._member(x):
                 return x
         raise SamplingExhausted(
             f"{MAX_REJECTS} consecutive candidates rejected for {self.describe()}")

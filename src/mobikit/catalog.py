@@ -18,7 +18,7 @@ from typing import Callable
 from .algebra import MobiAlgebra
 from .carriers import (_DENOMINATOR_BITS, _DRAWS, DENOMINATOR_BOUND,
                        RATIONAL_NUMERATOR_BOUND, Float64, GaussianRational,
-                       ModularInt, Product, QI, Rational, Restricted, Vector,
+                       ModularInt, Product, QI, Rational, Restricted, Sign, Vector,
                        _draw_rational, _Fraction, _tuple_builder)
 from .ringmod import RModule, RingWithHalf
 from .space import MobiSpace, transport_space
@@ -158,8 +158,8 @@ def _draw_positive(rng) -> Fraction:
 
 
 def _unit_interval():
-    return Restricted(Rational(), lambda x: 0 <= x <= 1, label="0 <= t <= 1",
-                      sampler=_draw_unit)
+    return Restricted(Rational(), conditions=(Sign(lambda x: x), Sign(lambda x: 1 - x)),
+                      label="0 <= t <= 1", sampler=_draw_unit)
 
 
 @_entry("unit-interval rationals with p(a,b,c) = a + b(c-a); no doubler")
@@ -333,7 +333,8 @@ def halfplane_space(n: int = 1) -> MobiSpace:
     pairs = Vector(Rational(), n + 1)  # rejects n < 0 before the draw is built
     # one tuple display: n Rational draws, then the positive last coordinate
     draw = _tuple_builder(n + 1)(*[_draw_rational] * n, _draw_positive)
-    points = Restricted(pairs, lambda p: p[n] > 0, label="s > 0", sampler=draw)
+    points = Restricted(pairs, conditions=(Sign(lambda p: p[n], strict=True),),
+                        label="s > 0", sampler=draw)
 
     def q(x, a, y):
         s, t = x[n], y[n]

@@ -27,11 +27,18 @@ with constructed copies, first runs one seeded draw and its copy through
 the loop: under Sampled the strategy's own first draw, otherwise that of
 `Sampled(1)`.  If they pass, it is evaluated once on the symbols.  When a
 certificate shows that the premise implies the conclusion (see
-symbolic.certified), the report is a pass with the caller's strategy, and
-nothing is enumerated, as for an equation.  Otherwise Sampled walks its
-other draws, and its other copies unless every copy passes on the
-symbols; any other strategy walks the law in full.  Every predicate is
-walked in full.
+symbolic.certified), and the copy of the symbols stays in their domains,
+the report is a pass with the caller's strategy, and nothing is
+enumerated, as for an equation.  Otherwise Sampled walks its other draws,
+and its other copies unless every copy passes on the symbols; any other
+strategy walks the law in full.
+
+A predicate whose test is the own `contains` of a carrier that admits its
+own symbol (Carrier.admits), and whose slots all have symbols, runs one
+seeded draw as an equation does; if it passes and the carrier admits the
+value evaluated once on the symbols, the report is a pass with the
+caller's strategy, under Exhaustive over an infinite carrier too.  Every
+other predicate is walked in full.
 """
 
 from __future__ import annotations
@@ -196,16 +203,25 @@ class Decided(IntEnum):
     EVERY = 2  # every assignment passes: the premise implies the conclusion
 
 
+def _carrier(method: Callable, companion: str) -> Carrier | None:
+    """The carrier whose own method (its eq or contains) `method` is, when
+    the class that defines that method defines `companion` too; None for
+    any other function."""
+    carrier = getattr(method, "__self__", None)
+    name = getattr(method, "__name__", None)
+    if not isinstance(carrier, Carrier) or method != getattr(carrier, name):
+        return None
+    owner = next(c for c in type(carrier).__mro__ if name in vars(c))
+    return carrier if companion in vars(owner) else None
+
+
 def _differences(eq: Callable) -> Callable | None:
     """The `differences` of the carrier whose own equality eq is (see
     Carrier.differences), or None: for any other equality, for a carrier
     whose eq and differences come from different classes, and for one
     that gives none for its own symbol, such as a product with a Z/m part."""
-    carrier = getattr(eq, "__self__", None)
-    if not isinstance(carrier, Carrier) or eq != carrier.eq:
-        return None
-    owner = next(c for c in type(carrier).__mro__ if "eq" in vars(c))
-    if "differences" not in vars(owner):
+    carrier = _carrier(eq, "differences")
+    if carrier is None:
         return None
     symbol = carrier.symbol(symbolic.variables())
     if symbol is None or carrier.differences(symbol, symbol) is None:
@@ -230,6 +246,20 @@ def _images(symbol, value, images: dict) -> dict:
     return images
 
 
+def _copy_stays(assignment: tuple, construct: Callable) -> bool:
+    """Whether the constructed copy of the symbols keeps every variable in
+    its domain (see symbolic.within), so that a factor positive on the
+    domains is positive at every copy a walk takes; always when every
+    variable is FREE, since then every factor is positive at every real
+    point."""
+    if all(symbolic.domain_of(v) == symbolic.FREE for v in _images(assignment, assignment, {})):
+        return True
+    try:
+        return symbolic.within(_images(assignment, construct(assignment), {}))
+    except Exception:  # as in _decided
+        return False
+
+
 def _compared(eq: Callable, sides: tuple) -> Callable:
     """The premise that the pair of sides `sides` is equal under eq."""
     left, right = sides
@@ -243,13 +273,15 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
     assignment (see symbolic).
 
     For an implication, a Decided.  EVERY when the premise is a pair of
-    sides compared with a carrier's own eq, and symbolic.certified shows
-    that the premise's differences (Carrier.differences) imply the
-    conclusion's, all evaluated on the symbols.  Otherwise COPIES when
-    every copy passes: when every one of those differences vanishes on
-    the copy of the symbols, substituted into them where the copy maps
-    each variable to one term; else when premise and eq both answer True
-    on the copy of the symbols, evaluated afresh.  NOTHING otherwise."""
+    sides compared with a carrier's own eq, symbolic.certified shows that
+    the premise's differences (Carrier.differences) imply the conclusion's,
+    all evaluated on the symbols, and the copy of the symbols, if any, keeps
+    each variable in its domain (see _copy_stays).  Otherwise COPIES when
+    every copy passes: when every one of those differences vanishes on the
+    copy of the symbols, substituted into them where the copy maps each
+    variable to one term in its domain; else when premise and eq both
+    answer True on the copy of the symbols, evaluated afresh.  NOTHING
+    otherwise."""
     assignment = _symbols(slots)
     if premise is None:
         try:
@@ -265,7 +297,8 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
             pi = differences(left(*assignment), right(*assignment))
             gamma = differences(lhs(*assignment), rhs(*assignment))
             if None not in (pi, gamma):
-                if symbolic.certified(pi, gamma):
+                if symbolic.certified(pi, gamma) and (
+                        construct is None or _copy_stays(assignment, construct)):
                     return Decided.EVERY
                 if construct is None:
                     return Decided.NOTHING
@@ -304,11 +337,53 @@ def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
     return _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes)
 
 
+def _admitting(holds: Callable) -> Carrier | None:
+    """The carrier whose own contains holds is (see _carrier), when it
+    admits its own symbol (see Carrier.admits); None otherwise, as for a
+    carrier with no symbol or with an opaque membership predicate."""
+    carrier = _carrier(holds, "admits")
+    if carrier is None:
+        return None
+    symbol = carrier.symbol(symbolic.variables())
+    try:
+        return carrier if symbol is not None and carrier.admits(symbol) is True else None
+    except Exception:  # as in _admitted
+        return None
+
+
+def _admitted(slots: tuple, carrier: Carrier, value: Callable) -> bool:
+    """Whether the carrier admits value evaluated once on a symbol for each
+    slot (see Carrier.admits), so that it is a member at every assignment."""
+    assignment = _symbols(slots)
+    try:
+        return assignment is not None and carrier.admits(value(*assignment)) is True
+    except Exception:  # Undecided, or any error a symbol meets: the walk decides
+        return False
+
+
 def check_predicate(law: str, names: tuple, slots: tuple, value: Callable,
                     holds: Callable, strategy) -> CheckReport:
-    """Check holds(value(...)) over assignments (closure-style laws)."""
-    return _check(law, names, slots, lambda v, _: holds(v), value,
-                  lambda *_: None, strategy)
+    """Check holds(value(...)) over assignments (closure-style laws).
+
+    When holds is the own contains of a carrier that admits its own symbol
+    and every slot has a symbol, one seeded draw runs first, as for an
+    equation; if it passes and the carrier admits the value on symbols (see
+    Carrier.admits), it is a member at every assignment, and the pass is
+    reported with the caller's strategy.  Otherwise the strategy's own walk
+    gives the report."""
+    def eq(v, _):
+        return holds(v)
+
+    def nothing(*_):
+        return None
+
+    carrier = _admitting(holds)
+    if slots and carrier is not None and _symbols(slots) is not None:
+        report = _check(law, names, slots, eq, value, nothing, strategy,
+                        walk=Sampled(1).assignments(law, slots))
+        if report.passed and _admitted(slots, carrier, value):
+            return report
+    return _check(law, names, slots, eq, value, nothing, strategy)
 
 
 def check_implication(law: str, names: tuple, slots: tuple, premise,

@@ -25,7 +25,15 @@ modulo gcd(g1, g2).  `P % k`, for an int P and a nonzero int k, reduces
 P's coefficients modulo k and is known modulo gcd(g, k), since P % k is
 congruent to P modulo k.  `/` needs an operand that is a rational, as in
 Python, where int / int is a float, and a divisor that is a nonzero
-constant or a polynomial that `positive` certifies (below).
+constant or a polynomial that `positive` or `nonnegative` certifies
+(below).
+
+Each variable ranges over a domain, kept in its index (`variables`): FREE,
+every rational (or int); POSITIVE, the rationals > 0; UNIT, those in
+[0, 1].  A carrier's symbol is made of FREE variables, except a
+restricted carrier's, whose sign conditions (`carriers.Sign`, g >= 0 or
+g > 0) bound a variable to UNIT by v >= 0 and 1 - v >= 0, or to POSITIVE by
+v > 0 (`domains`).
 
 A Quotient is a rational num / den whose denominator is a product of
 factors, each stored once (keyed by its terms) with its exponent, so that
@@ -34,8 +42,11 @@ product.  Its source is a division by a non-constant polynomial that
 `positive` certifies positive at every real point, such as
 nonaffine-poly-space's s*s + s*t + t*t + 1, or the norm c*c + d*d by which
 `carriers.QI` divides for c + di, certified whenever c or d is a nonzero
-constant.  Two quotients are equal when the numerator of their difference
-is the zero polynomial.
+constant; or, when `positive` does not, one that `nonnegative` certifies
+positive on its variables' domains (the carrier rule, a Bernstein test),
+such as halfplane-space's s + a*(t - s) for s, t > 0 and a in [0, 1].  Two
+quotients are equal when the numerator of their difference is the zero
+polynomial.
 
 A Points is a rational whose polynomial would pass MAX_TERMS: a sum or a
 product of rationals (a partial product too) that would is kept instead
@@ -48,8 +59,9 @@ law nor --seed.  +, -, * and ** of a Points give a Points, an exact
 operand (a Poly, a Quotient, an int or a Fraction) evaluated at the
 points as it meets one; the degrees add under *, take the larger cross
 sum under + and multiply under **.  A Points may be divided only by a
-nonzero constant or by a polynomial that `positive` certifies, nonzero at
-every real point and so at the points.  Two sides are equal when their
+nonzero constant or by a certified polynomial, and only where it is
+nonzero at every point: one positive only on the domains may be zero at
+one, since the points lie outside [0, 1].  Two sides are equal when their
 difference is 0 at every point (see the trust base).  An int whose
 polynomial would pass MAX_TERMS is undecided.
 
@@ -57,19 +69,25 @@ A Poly, Quotient or Points operation with a QI operand returns
 NotImplemented, so that Python calls QI's reflected method (`reflected`).
 
 Anything that is not such an operation raises `Undecided`: `/` of two
-ints, by zero, by a polynomial that `positive` does not certify (x / y,
-1 / x, a Gaussian rational with no constant part such as z / w for two
-Q[i] symbols or QI(x, 0), and halfplane-space's s + a*(t - s), which is
-positive only on its carrier), by a quotient or by a Points, any
-comparison, bool(), float(), hash(), int() and __index__ (so a table
-lookup), `%` of a rational or by anything but a nonzero int, k % P, //,
+ints, by zero, by a polynomial that neither `positive` nor `nonnegative`
+certifies (x / y, 1 / x, a Gaussian rational with no constant part such as
+z / w for two Q[i] symbols or QI(x, 0), and s + a*(t - s) when s, t or a
+is FREE), by a factor zero at a point for a Points, by a quotient or by a
+Points, any comparison, bool(), float(), hash(), int() and __index__ (so a
+table lookup), `%` of a rational or by anything but a nonzero int, k % P, //,
 abs(), a power that is not a nonnegative int, an operand that is a float,
 None or a bool, a rational (a Points too) mixed with an int known only
 modulo g, an int result (or partial product) with more than MAX_TERMS
 terms, and a Points of degree past POINT_DEGREE.  What needs a
 polynomial's terms refuses a Points: `positive` and `certified` answer
-False for it, `substituted`, `congruent` and `difference` raise.  An
-undecided law is walked as if it had no symbols.
+False for it, `substituted`, `congruent` and `difference` raise.  So
+does a substitution of an image that may leave its variable's domain
+(`within`).  An undecided law is walked as if it had no symbols.
+
+A closure predicate (A0, X0) asks its target carrier whether it admits the
+value evaluated on symbols (`Carrier.admits`): Q, Q[i], Z/m and products
+admit a value of their kind, and a restricted carrier one on which
+`nonnegative` certifies each of its conditions.
 
 An implication whose premise compares two sides with a carrier's own
 equality is decided from its sides' differences on symbols
@@ -98,13 +116,32 @@ Trust base.  A pass without a walk is sound when:
   polynomial that `positive` certifies positive at every real point, by an
   exact LDL^T of a Gram matrix (a sum of squares plus a positive
   constant), by a square root taken from its leading term, or by a square
-  completed in one variable, within POSITIVE_WORK units of work.  Every
-  draw is a real point, so no draw that a decision skips would have raised
-  ZeroDivisionError, and the numbers divide where the symbols do;
+  completed in one variable, within POSITIVE_WORK units of work, or one
+  that `nonnegative` certifies positive on the domains (below).  Every
+  draw is a real point in the domains, so no draw that a decision skips
+  would have raised ZeroDivisionError, and the numbers divide where the
+  symbols do;
+- the carrier rule: a variable's domain holds at every member.  A
+  restricted carrier draws only members (its sampler's values are
+  checked) and enumerates only members, and `domains` gives a variable a
+  domain only from a condition c*v + d >= 0 (> 0) that bounds it there.
+  `nonnegative` writes p in the Bernstein basis of its UNIT variables,
+  whose polynomials are >= 0 on [0, 1]**k and sum to 1, and certifies
+  p >= 0 when each coefficient is a polynomial with positive coefficients
+  in POSITIVE variables, > 0 there unless zero, and p > 0 when none is
+  zero (Garloff 1986; Zettler and Garloff, IEEE TAC 1998), within
+  POSITIVE_WORK units.  A Quotient's sign is its numerator's, its factors
+  being positive on the domains.  So a closure predicate that its carrier
+  admits holds at every assignment;
+- a factor positive only on the domains at the points: the points lie
+  outside [0, 1], where such a factor may be zero, so `_divided` checks
+  its value at each point and leaves the law undecided at a zero, rather
+  than dividing by it;
 - a Points whose difference is 0 at both points stands for the zero
   rational function, with error at most 2**-100.  The difference is N / D
-  with D a product of factors positive at every real point, so nonzero at
-  the points, and N of degree at most d <= POINT_DEGREE = 2**10.  A
+  with D a product of factors nonzero at the points (checked where a
+  factor is positive only on the domains), and N of degree at most d <=
+  POINT_DEGREE = 2**10.  A
   nonzero N vanishes at a point drawn uniformly from [0, 2**64)**n with
   probability at most d / 2**64 (Schwartz, JACM 1980; Zippel, EUROSAM
   1979), at both independent points with at most (d / 2**64)**2 <=
@@ -113,7 +150,8 @@ Trust base.  A pass without a walk is sound when:
   are fixed, so a law built to vanish at them would pass;
 - a Z/m variable stands for every int, and the elements and draws of Z/m
   are ints; a restricted carrier with a direct sampler draws, and
-  enumerates, only members, on which an identity over its base holds too;
+  enumerates, only members, on which an identity over its base holds too,
+  each variable in its domain;
 - Undecided subclasses none of ArithmeticError, report.EvalError or
   carriers.CarrierError, so no handler in mobikit can swallow it and put
   another value in place of the operation;
@@ -131,32 +169,41 @@ Trust base.  A pass without a walk is sound when:
   differences are exact: Rational's is x - y, GaussianRational's the real
   and the imaginary part of x - y, a product's its parts', a restricted
   carrier's its base's, and each is the numerator of a difference whose
-  denominator's factors `positive` certified, so nowhere zero; so the
+  denominator's factors were certified positive on the domains; so the
   equality holds at an assignment exactly when every one vanishes there.
   Every other carrier gives none (Z/m, whose equality is a congruence,
   R64, a search table), nor does any other equality, so its implications
   are walked.  `certified` confirms each certificate it finds by a Poly
   identity, gamma_i - sum_j h_ij * pi_j == 0, so at every real point
   where every pi_j vanishes every gamma_i does, and within
-  CERTIFICATE_WORK units of work;
+  CERTIFICATE_WORK units of work.  A certificate skips the copies too, so
+  it counts only when the copy of the symbols keeps each variable in its
+  domain (`within`; report._copy_stays);
 - for an implication, a constructed copy of the symbols on which every
   difference vanishes, or the premise and the equality both answer True,
   stands for every copy, so every copy a sampled walk would take passes.
   Substituting the copy's value of each variable into the differences
   gives the polynomials that evaluating on the copy would, since a
-  polynomial identity holds under any substitution, and a factor positive
-  at every real point stays so.  The first draw and its copy run through
-  the loop before the symbols, the rest of the walk after them, so a
-  failure is the walk's first, with its witness.
+  polynomial identity holds under any substitution.  The first draw and
+  its copy run through the loop before the symbols, the rest of the walk
+  after them, so a failure is the walk's first, with its witness;
+- copies: a factor positive on the domains stays positive at a copy only
+  if the copy stays in them, so `substituted` refuses an image that may
+  leave its variable's domain (`within`: a one-term image whose sign, and
+  for UNIT whose bound 1, follows from its variables' domains).  That
+  covers every factor the evaluation divided by, also one whose quotient
+  a zero numerator dropped.  A copy refused there is evaluated afresh,
+  where every division is certified again.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
-from itertools import count
-from math import gcd
+from itertools import count, product
+from math import comb, gcd
 from typing import Callable
 
 # past this many terms a rational is kept as a point form (Points) and an
@@ -173,9 +220,15 @@ POINT_BITS = 64
 POINT_DEGREE = 1 << 10
 # past this much work (see positive) a divisor is not certified
 POSITIVE_WORK = 20_000
-# positive's answers, keyed by a polynomial's terms, and how many it keeps
+# positive's answers, keyed by a polynomial's terms, nonnegative's by its
+# terms and strictness, and how many each keeps
 _POSITIVE: dict = {}
+_NONNEGATIVE: dict = {}
 POSITIVE_MEMO = 256
+# the domain of a variable (see variables): every rational, the rationals
+# > 0, and those in [0, 1]; it is kept in the index's bits above DOMAIN_SHIFT
+FREE, POSITIVE, UNIT = 0, 1, 2
+DOMAIN_SHIFT = 32
 # past this much work (see certified) an implication is not certified; the
 # most that one needs in a pass of the catalog or of the definition-file
 # checks is 831 (Y10 of tri-space)
@@ -294,8 +347,9 @@ class Poly:
 class Quotient:
     """A rational function num / den that no assignment leaves undefined:
     `den` maps a key of each factor to (factor, exponent), where a factor is
-    a polynomial that is positive at every assignment (see positive), and
-    each factor is stored once.  Its value is a rational."""
+    a polynomial that is positive at every assignment (see positive and
+    nonnegative), and each factor is stored once.  Its value is a
+    rational."""
 
     __slots__ = ("num", "den")
 
@@ -472,7 +526,8 @@ def _poly(x) -> Poly:
 
 def _quotient(a, b):
     """a / b when a or b is a rational: a Poly when b is a nonzero constant,
-    a Quotient over the one factor b when `positive` certifies b;
+    a Quotient over the one factor b when `positive` certifies b, or else
+    `nonnegative` certifies it positive on its variables' domains;
     Undecided otherwise."""
     a, b = _poly(a), _poly(b)
     if not (a.rational or b.rational):
@@ -481,7 +536,7 @@ def _quotient(a, b):
         raise Undecided("a division by an inexact int")
     if b.terms.keys() == {()}:
         return a * (Fraction(1) / b.terms[()])
-    if not positive(b):
+    if not (positive(b) or nonnegative(b, strict=True)):
         raise Undecided("a division by zero or by a polynomial that may be zero")
     return _over(Poly(a.terms, *_kind(a, True, 0)), {frozenset(b.terms.items()): (b, 1)})
 
@@ -559,11 +614,14 @@ def _at_points(x) -> tuple | None:
 
 
 def _divided(at: tuple, den: dict) -> tuple:
-    """(values, num, den) at the points of `at` over a Quotient's factors,
-    each positive at every real point, so at each point too."""
+    """(values, num, den) at the points of `at` over a Quotient's factors;
+    Undecided when a factor is zero at a point, as one positive only on its
+    variables' domains may be (the points lie outside [0, 1])."""
     values, num, degree = at
     for f, e in den.values():
         divisor, d, _ = _at_points(f)
+        if not all(divisor):
+            raise Undecided("a factor that is zero at a point")
         values = tuple(Fraction(v) / w ** e for v, w in zip(values, divisor))
         degree += d * e
     return values, num, degree
@@ -764,11 +822,122 @@ def _completed(p: Poly, budget: list) -> bool:
 
 
 def variables() -> Callable[..., Poly]:
-    """A function fresh(integer=False) that returns a new variable each time
-    it is called, one whose values are ints when integer is true and
-    rationals otherwise."""
+    """A function fresh(integer=False, domain=FREE) that returns a new
+    variable each time it is called, one whose values are ints when integer
+    is true and rationals otherwise, and which ranges over its domain.  The
+    k-th variable's index is k with the domain in the bits above
+    DOMAIN_SHIFT (see domain_of), so a FREE variable's index is k, and a
+    polynomial's terms say its variables' domains."""
     indices = count()
-    return lambda integer=False: Poly({(next(indices),): 1}, not integer)
+    return lambda integer=False, domain=FREE: Poly(
+        {(next(indices) | domain << DOMAIN_SHIFT,): 1}, not integer)
+
+
+def domain_of(v: int) -> int:
+    """The domain of the variable whose index is v: FREE, POSITIVE or UNIT."""
+    return v >> DOMAIN_SHIFT
+
+
+def domains(conditions) -> dict:
+    """{variable index: domain} for the variables that sign conditions bound
+    to UNIT or POSITIVE.  Each condition is a pair (g, strict), g >= 0, or
+    g > 0 when strict, with g evaluated on a symbol of free variables; only
+    a g of the form c*v + d with c != 0 bounds v, below when c > 0 and
+    above when c < 0.  A variable bounded to [0, 1] is UNIT, one bounded
+    below by 0 strictly, or by a positive number, is POSITIVE, and every
+    other one is left out (free)."""
+    below, above = {}, {}  # a variable: (its greatest lower bound, strict), its least upper bound
+    for g, strict in conditions:
+        if type(g) is not Poly or g.modulus:
+            continue
+        linear = [(m, c) for m, c in g.terms.items() if m]
+        if len(linear) != 1 or len(linear[0][0]) != 1:
+            continue
+        ((v,), c), = linear
+        bound = Fraction(-g.terms.get((), 0)) / c
+        if c > 0:
+            if v not in below or below[v] < (bound, strict):
+                below[v] = (bound, strict)
+        elif v not in above or bound < above[v]:
+            above[v] = bound
+    out = {}
+    for v, (low, strict) in below.items():
+        if low >= 0 and v in above and above[v] <= 1:
+            out[v] = UNIT
+        elif low > 0 or (low == 0 and strict):
+            out[v] = POSITIVE
+    return out
+
+
+def nonnegative(p, strict: bool = False) -> bool:
+    """True when p >= 0, or p > 0 when strict, at every point whose
+    variables lie in their domains (see variables), by the Bernstein rule;
+    False when the rule does not certify it.  p is an exact polynomial, or
+    a Quotient, whose sign is its numerator's: its factors are positive on
+    the domains.
+
+    Bernstein rule: with n_j the degree of p in its j-th UNIT variable u_j,
+    p = sum_I b_I * B_I(u) over the multi-indices I <= n, where the
+    B_I(u) = prod_j C(n_j, i_j) u_j**i_j (1 - u_j)**(n_j - i_j) are >= 0 on
+    the box [0, 1]**k and sum to 1, and b_I = sum_{J <= I} prod_j C(i_j,
+    j_j) / C(n_j, j_j) * a_J for p = sum_J a_J u**J (Garloff 1986; Zettler
+    and Garloff, IEEE TAC 1998).  Each b_I, a polynomial in p's other
+    variables, must have only positive coefficients and only POSITIVE
+    variables, so it is > 0 on the domains when it is not the zero
+    polynomial: then p >= min_I b_I >= 0, and p > 0 when no b_I is zero.  A
+    FREE variable refuses p.
+
+    The work is bounded as positive's is: 100 units plus p's size, then one
+    unit per term of a_J for each b_I it adds to; past POSITIVE_WORK, or a
+    polynomial past MAX_TERMS, the answer is False.  Answers are kept, as
+    positive's are, keyed by p's terms, which name the variables' domains,
+    and by strict."""
+    try:
+        if type(p) is Quotient:
+            p = p.num
+        p = _poly(p)
+        if p.modulus:
+            return False
+        key = (frozenset(p.terms.items()), strict)
+        answer = _NONNEGATIVE.get(key)
+        if answer is None:
+            if len(_NONNEGATIVE) >= POSITIVE_MEMO:
+                _NONNEGATIVE.clear()
+            answer = _NONNEGATIVE[key] = _bernstein(p, strict, [POSITIVE_WORK])
+        return answer
+    except Undecided:
+        return False
+
+
+def _bernstein(p: Poly, strict: bool, budget: list) -> bool:
+    """The Bernstein rule of nonnegative, spending from budget."""
+    if not _spend(budget, _size(p) + 100):
+        return False
+    units = sorted({v for m in p.terms for v in m if domain_of(v) == UNIT})
+    if any(domain_of(v) == FREE for m in p.terms for v in m):
+        return False
+    parts = {}  # J: a_J, the terms of p with u**J taken out
+    for m, c in p.terms.items():
+        J = tuple(m.count(u) for u in units)
+        parts.setdefault(J, {})[tuple(v for v in m if domain_of(v) != UNIT)] = c
+    n = [max(J[j] for J in parts) for j in range(len(units))]
+    coefficients = {}  # I: b_I
+    for J, a in parts.items():
+        indices = list(product(*(range(j, nj + 1) for j, nj in zip(J, n))))
+        if not _spend(budget, len(indices) * len(a)):
+            return False
+        scale = Fraction(1, math.prod(comb(nj, j) for nj, j in zip(n, J)))
+        for I in indices:
+            w = scale * math.prod(comb(i, j) for i, j in zip(I, J))
+            b = coefficients.setdefault(I, {})
+            for m, c in a.items():
+                s = b.pop(m, 0) + w * c
+                if s:
+                    b[m] = s
+    bs = [b for b in coefficients.values() if b]
+    if strict and len(bs) < math.prod(nj + 1 for nj in n):
+        return False  # a b_I that is the zero polynomial
+    return all(c > 0 for b in bs for c in b.values())
 
 
 def _difference(x, y):
@@ -929,7 +1098,11 @@ def _confirmed(g: Poly, combination: dict, premise: list) -> bool:
 
 def substituted(p, images: dict) -> Poly:
     """p with each variable i replaced by images[i], a Poly, int or
-    Fraction of at most one term; Undecided for any other image."""
+    Fraction of at most one term; Undecided for any other image, or when
+    the images may leave their variables' domains (see within), so that a
+    factor positive on the domains stays positive after the substitution."""
+    if not within(images):
+        raise Undecided("a substitution that may leave a variable's domain")
     terms = {}  # a variable: its image's one (monomial, coefficient), or None for 0
     for v, image in images.items():
         image = _poly(image).terms
@@ -951,3 +1124,31 @@ def substituted(p, images: dict) -> Poly:
             if s:
                 out[key] = s
     return Poly(out)
+
+
+def within(images: dict) -> bool:
+    """Whether each image lies in the domain of its variable (a key of
+    images) wherever the image's own variables lie in theirs: any image for
+    a FREE variable; for a POSITIVE one a positive coefficient times
+    POSITIVE variables; for a UNIT one 0, or a coefficient in (0, 1] times
+    UNIT variables.  So a factor positive on the domains is positive at
+    such images too."""
+    for v, image in images.items():
+        domain = domain_of(v)
+        if domain == FREE:
+            continue
+        try:
+            terms = _poly(image).terms
+        except Undecided:
+            return False
+        if not terms:
+            if domain == UNIT:
+                continue
+            return False
+        if len(terms) > 1:
+            return False
+        (m, c), = terms.items()
+        if not (c > 0 and all(domain_of(u) == domain for u in m)
+                and (domain == POSITIVE or c <= 1)):
+            return False
+    return True

@@ -240,7 +240,7 @@ def test_direct_samplers_draw_members_within_the_rational_bounds(seed, sqrt_k):
     for name, carrier in _restricted_carriers(sqrt_k).items():
         assert carrier.sampler is not None, name
         for x in sample(carrier, seed, 40):
-            assert carrier.member(x), (name, x)
+            assert carrier.contains(x), (name, x)
             for v in _rational_parts(x):
                 assert isinstance(v, F), (name, x)
                 assert abs(v.numerator) <= RATIONAL_NUMERATOR_BOUND, (name, x)

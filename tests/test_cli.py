@@ -69,8 +69,17 @@ def test_check_diagnostic_goes_to_stderr_with_position(tmp_path, capsys):
 
 
 def test_check_exhaustive_needs_finite_carriers(tmp_path, capsys):
-    code, _, err = run(capsys, "check", str(GOLDEN), "--exhaustive")
-    assert code == 2 and "error:" in err
+    # Y9 and Y10 have no certificate, so they walk Q x Q
+    code, _, err = run(capsys, "check", str(GOLDEN), "--exhaustive", "--properties")
+    assert code == 2 and "error: Q x Q is not enumerable" in err
+
+
+def test_check_exhaustive_passes_when_every_law_is_decided(capsys):
+    # the closure predicates A0 and X0 are admitted on symbols, as the
+    # equations are decided and X4 and A6 certified
+    code, out, err = run(capsys, "check", str(GOLDEN), "--exhaustive")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "checked 15 law(s): all passed"
 
 
 def test_check_exhaustive_enumerates_a_restricted_carrier(tmp_path, capsys):

@@ -2,6 +2,7 @@
 that do not change when a law's draws are skipped."""
 
 import math
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from mobikit import (CheckReport, Exhaustive, Float64, GaussianRational,
                      MobiAlgebra, ModularInt, QI, Rational, Restricted,
-                     SamplingExhausted, Sampled, Vector, build, carriers, check_algebra,
+                     SamplingExhausted, Sampled, Sign, Vector, build, carriers, check_algebra,
                      check_equation, check_implication, check_predicate,
                      list_catalog, report, reports_to_json, symbolic)
 from mobikit.algebra import check_properties
@@ -24,8 +25,9 @@ from mobikit.report import EvalError, law_seed, report_to_text
 from mobikit.ringmod import check_module
 from mobikit.search import search_finite
 from mobikit.space import MobiSpace, check_affine, check_space, check_y_properties
-from mobikit.symbolic import (MAX_TERMS, POINT_DEGREE, POSITIVE_WORK, Points, Poly, Quotient,
-                              Undecided, equal, positive, variables)
+from mobikit.symbolic import (FREE, MAX_TERMS, POINT_DEGREE, POSITIVE, POSITIVE_WORK, UNIT,
+                              Points, Poly, Quotient, Undecided, equal, nonnegative, positive,
+                              variables)
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
 
@@ -226,10 +228,10 @@ def test_every_passing_equation_of_nonaffine_poly_space_is_decided(monkeypatch, 
     assert run_cli(["catalog", "check", "nonaffine-poly-space", "--properties",
                     "--affine"]) == 1
     assert "FAIL affine(half)" in capsys.readouterr().out
-    # the predicate and the failing affine condition; X1, X2, X3, X5 and Y1
-    # to Y7 are decided, Y8 past MAX_TERMS at the points, and the copies of
-    # X4, Y9, Y10
-    assert walked == ["X0", "affine(half)"]
+    # the failing affine condition; X0 is admitted by Q x Q, X1, X2, X3, X5
+    # and Y1 to Y7 are decided, Y8 past MAX_TERMS at the points, and the
+    # copies of X4, Y9, Y10
+    assert walked == ["affine(half)"]
     assert answers.count((False, True)) == 12 and answers.count((True, True)) == 3
 
 
@@ -329,6 +331,14 @@ fresh = variables()
 x, y, n = fresh(), fresh(), fresh(integer=True)
 z, w = GaussianRational().symbol(fresh), GaussianRational().symbol(fresh)
 ratio = (1 / QI(x, 1)).re  # x / (x*x + 1), a quotient
+# a variable over the rationals > 0 and one over [0, 1] (see symbolic.variables)
+r, u = fresh(domain=symbolic.POSITIVE), fresh(domain=symbolic.UNIT)
+
+
+def index(v: Poly) -> int:
+    """The index of the variable v."""
+    return next(iter(v.terms))[0]
+
 
 
 def past_the_term_cap(integer=False):
@@ -435,6 +445,20 @@ REFUSED = {
     "ModularInt(5).eq of a rational": lambda: ModularInt(5).eq(x, x),
     "Rational.eq of an int known modulo 3": lambda: Rational().eq(n % 3, n % 3),
     "Rational.eq of sides that differ": lambda: Rational().eq(x, y),
+    # the carrier rule: a Bernstein coefficient that is zero, has a negative
+    # coefficient, or has a FREE variable
+    "1 / u for a u in [0, 1]": lambda: 1 / u,
+    "1 / (1 - u) for a u in [0, 1]": lambda: 1 / (1 - u),
+    "1 / (r - 1) for an r > 0": lambda: 1 / (r - 1),
+    "1 / (r*u - r*(1 - u))": lambda: 1 / (r * u - r * (1 - u)),
+    "1 / (r + x) for a free x": lambda: 1 / (r + x),
+    "substituted r -> -r, off its domain":
+        lambda: symbolic.substituted(r, {index(r): -r}),
+    "substituted u -> 2*u, off its domain":
+        lambda: symbolic.substituted(u, {index(u): 2 * u}),
+    "substituted r -> x, a free variable":
+        lambda: symbolic.substituted(r, {index(r): x}),
+    "substituted r -> 0": lambda: symbolic.substituted(r, {index(r): 0}),
 }
 
 
@@ -684,8 +708,10 @@ def test_a_proved_law_evaluates_its_probes_and_one_draw():
 def test_a_predicate_and_an_implication_evaluate_every_draw():
     Q = Rational()
     values, premises, undecided = [], [], []
+    # an opaque membership predicate admits no symbolic value
+    opaque = Restricted(Q, lambda x: x >= 0)
     check_predicate("closed", ("a",), (Q,), counting(lambda a: a * a, values),
-                    Q.contains, Sampled(50))
+                    opaque.contains, Sampled(50))
     # every copy (a, a) passes on symbols: the 50 draws and the first copy run
     check_implication("cancel", ("a", "b"), (Q, Q),
                       counting(lambda a, b: True, premises), Q.eq,
@@ -808,8 +834,9 @@ def test_only_a_walked_law_needs_an_enumerable_carrier():
     decided = check_equation("comm", ("a", "b"), (Q, Q), Q.eq, lambda a, b: a + b,
                              lambda a, b: b + a, Exhaustive())
     assert decided == CheckReport("comm", Exhaustive(), "pass")
+    opaque = Restricted(Q, lambda x: x * x >= 0)  # a predicate stays walked
     with pytest.raises(CarrierError, match="^Q is not enumerable$"):
-        check_predicate("closed", ("a",), (Q,), lambda a: a, Q.contains, Exhaustive())
+        check_predicate("closed", ("a",), (Q,), lambda a: a, opaque.contains, Exhaustive())
 
 
 def test_every_zmod_equation_with_variables_is_decided(monkeypatch):
@@ -827,8 +854,8 @@ def test_every_zmod_equation_with_variables_is_decided(monkeypatch):
                + check_properties(algebra, Exhaustive())
                + check_module(module, Exhaustive()))
     assert all(r.passed for r in reports)
-    # the predicate, the implications and the laws without variables
-    assert walked == ["A0", "A1", "A6", "eq(6)", "eq(8)", "eq(10)"]
+    # the implications and the laws without variables; A0 is admitted
+    assert walked == ["A1", "A6", "eq(6)", "eq(8)", "eq(10)"]
 
 
 def test_a_planted_non_identity_fails_with_the_same_witness(monkeypatch):
@@ -1075,6 +1102,7 @@ CERTIFIED_IMPLICATIONS = {
         "canonical-space", "lozenge-space", "plane-space", "tri-space")},
     "catalog check projectile-space": ["X4"],
     "catalog check transported-space": ["X4"],
+    "catalog check halfplane-space": ["Y9", "Y10"],
     **{f"convert module-to-space {name}": ["X4"] for name in (
         "canonical-module", "projectile-module", "plane-module", "tri-module")},
 }
@@ -1084,7 +1112,8 @@ def test_the_certified_implications_of_the_catalog(monkeypatch, capsys):
     # 26 through constant multipliers, and 7 through multipliers of degree
     # 1: Y10 of canonical-space, plane-space, tri-space and lozenge-space,
     # and X4 of projectile-space, transported-space and projectile-module's
-    # space
+    # space; and Y9 and Y10 of halfplane-space, whose differences are
+    # numerators over its divisor, positive on its carrier
     command, law, certified = [None], [None], {}
 
     def check_spy(name, *args, **kwargs):
@@ -1105,7 +1134,7 @@ def test_the_certified_implications_of_the_catalog(monkeypatch, capsys):
         run_cli(list(argv))
     capsys.readouterr()
     assert certified == CERTIFIED_IMPLICATIONS
-    assert sum(map(len, certified.values())) == 33
+    assert sum(map(len, certified.values())) == 35
 
 
 def test_a_norm_that_recurs_across_laws_is_certified_once(monkeypatch):
@@ -1128,3 +1157,286 @@ def test_a_norm_that_recurs_across_laws_is_certified_once(monkeypatch):
     most = max(set(asked), key=asked.count)
     assert asked.count(most) > 10 and stored.count(most) == 1
     assert len(stored) == len(set(stored))
+
+
+# -- carriers that state their membership as sign conditions
+
+def unit_interval():
+    return build("canonical-interval-algebra").carrier
+
+
+def domains_of(carrier) -> list:
+    """The domain of each variable of the carrier's symbol, in order."""
+    symbol = carrier.symbol(variables())
+    return [symbolic.domain_of(index(v)) for v in (symbol if type(symbol) is tuple else (symbol,))]
+
+
+def restricted(*conditions, base=Rational()):
+    return Restricted(base, conditions=conditions, sampler=lambda rng: None)
+
+
+@pytest.mark.parametrize("carrier, domains", [
+    (unit_interval(), [UNIT]),
+    (build("halfplane-space").points, [FREE, POSITIVE]),
+    (build("lozenge-algebra").carrier, [FREE, FREE]),  # an opaque predicate
+    (restricted(Sign(lambda v: v, strict=True)), [POSITIVE]),
+    (restricted(Sign(lambda v: v - 2)), [POSITIVE]),
+    (restricted(Sign(lambda v: 2 * v - 1), Sign(lambda v: 1 - v)), [UNIT]),
+    (restricted(Sign(lambda v: v)), [FREE]),  # v may be 0
+    (restricted(Sign(lambda v: v), Sign(lambda v: 2 - v)), [FREE]),
+    (restricted(Sign(lambda v: v + 1, strict=True)), [FREE]),
+    (restricted(Sign(lambda v: v * v - 1)), [FREE]),
+    (restricted(Sign(lambda p: p[0] - p[1], strict=True), base=Vector(Rational(), 2)),
+     [FREE, FREE]),
+    (restricted(Sign(lambda p: p[0]), base=Vector(unit_interval(), 2)), [UNIT, UNIT]),
+], ids=["unit interval", "half-plane", "lozenge", "v > 0", "v >= 2", "1/2 <= v <= 1",
+        "v >= 0", "0 <= v <= 2", "v > -1", "v*v >= 1", "v1 > v2", "a restriction's parts"])
+def test_a_restricted_carriers_symbol_ranges_over_what_its_conditions_bound(carrier, domains):
+    assert domains_of(carrier) == domains
+
+
+def test_a_restricted_carrier_tests_its_conditions_and_its_predicate_on_numbers():
+    positive_rationals = Restricted(Rational(), lambda v: v != 3,
+                                    conditions=(Sign(lambda v: v, strict=True),))
+    assert [positive_rationals.contains(v) for v in (F(-1), 0, F(1, 2), 3, QI(1))] == [
+        False, False, True, False, False]
+    two = Restricted(ModularInt(5), conditions=(Sign(lambda v: 2 - v),))
+    assert two.elements() == [0, 1, 2] and two.size() == 5
+    # the labels stay as they were
+    assert str(unit_interval()) == "{Q : 0 <= t <= 1}"
+    assert str(build("halfplane-space").points) == "{Q x Q : s > 0}"
+
+
+def test_a_carrier_admits_a_symbolic_value_of_its_kind():
+    # and a restricted carrier one that meets each of its conditions
+    Q, Z5 = Rational(), ModularInt(5)
+    assert Q.admits(x * y / (x * x + 1)) and Q.admits(n) and Q.admits(F(1, 2))
+    assert not Q.admits(z) and not Q.admits(n % 3)  # an int known only modulo 3
+    assert Z5.admits(n % 5) and Z5.admits(3) and not Z5.admits(x) and not Z5.admits(F(1, 2))
+    assert GaussianRational().admits(z * w) and GaussianRational().admits(x)
+    assert Vector(Rational(), 2).admits((x, y)) and not Vector(Rational(), 2).admits((x,))
+    assert not Product((Rational(), Z5)).admits((x, x))
+    assert not Float64().admits(x)
+    unit = unit_interval()
+    a, b, c = (unit.symbol(fresh) for _ in range(3))
+    assert unit.admits(a + b * (c - a)) and unit.admits(F(1))
+    assert not unit.admits(a + b) and not unit.admits(2 * a) and not unit.admits(x)
+    points = build("halfplane-space").points
+    p, q = points.symbol(fresh), points.symbol(fresh)
+    assert points.admits((x, p[1] * a + q[1] * (1 - a)))
+    assert not points.admits((x, p[1] * a))  # zero at a = 0
+    assert not Restricted(Rational(), lambda v: True, sampler=lambda rng: 0).admits(x)
+
+
+def carrier_certified() -> dict:
+    fresh = variables()
+    s, t = fresh(domain=POSITIVE), fresh(domain=POSITIVE)
+    a, b, c = (fresh(domain=UNIT) for _ in range(3))
+
+    def last(a):  # halfplane-space's last coordinate, and divisor
+        return s + a * (t - s)
+
+    return {
+        "s + a*(t - s)": last(a),
+        # q(q(x, a, y), b, q(x, c, y)) divides by its last coordinate
+        "X5's divisor": last(a) + b * (last(c) - last(a)),
+        "2 - a": 2 - a,
+        "a*b + (1 - a)*(1 - b) + s": a * b + (1 - a) * (1 - b) + s,
+        "s*(1 - a)**2 + a*(1 - a) + t*a**2": s * (1 - a) ** 2 + a * (1 - a) + t * a ** 2,
+    }
+
+
+CARRIER_CERTIFIED = carrier_certified()
+
+
+@pytest.mark.parametrize("name", CARRIER_CERTIFIED)
+def test_a_divisor_positive_on_its_carrier_is_a_factor(name):
+    p = CARRIER_CERTIFIED[name]
+    assert not positive(p) and nonnegative(p, strict=True) and nonnegative(p)
+    quotient = (x + 1) / p
+    assert type(quotient) is Quotient and Rational().eq(quotient * p, x + 1)
+    assert not nonnegative(-p) and not nonnegative(p - 3, strict=True)
+
+
+def test_the_carrier_rule_is_exact_at_the_corners_of_the_box():
+    # p >= 0 with a zero Bernstein coefficient, and p > 0 refused
+    fresh = variables()
+    a, b = fresh(domain=UNIT), fresh(domain=UNIT)
+    p = a + b * (1 - a)
+    assert nonnegative(p) and nonnegative(1 - p) and not nonnegative(p, strict=True)
+    assert nonnegative(p * (1 - p)) and not nonnegative(p - F(1, 100))
+
+
+def test_the_carrier_rule_is_answered_within_its_work_bound():
+    # 12 variables in [0, 1], each of degree 2: 3**12 Bernstein coefficients
+    fresh = variables()
+    p = math.prod(1 + fresh(domain=UNIT) ** 2 for _ in range(12))
+    start = time.perf_counter()
+    assert type(p) is Points or not nonnegative(p, strict=True)
+    assert time.perf_counter() - start < 1
+
+
+# the factors of a polynomial over two variables > 0 and two in [0, 1]:
+# s, t, a, 1 - a, b, 1 - b
+BOX_FACTORS = st.lists(st.tuples(st.fractions(0, 4, max_denominator=4),
+                                 st.lists(st.integers(0, 5), max_size=3)),
+                       min_size=1, max_size=4)
+
+
+@settings(deadline=None)
+@given(BOX_FACTORS, st.fractions(-3, 3, max_denominator=4),
+       st.lists(st.integers(0, 3), max_size=3), st.booleans(), st.integers(0, 2 ** 32))
+def test_a_polynomial_certified_on_the_carrier_is_positive_at_points_of_its_box(
+        products, k, monomial, strict, seed):
+    fresh = variables()
+    s, t = fresh(domain=POSITIVE), fresh(domain=POSITIVE)
+    a, b = fresh(domain=UNIT), fresh(domain=UNIT)
+    factors = (s, t, a, 1 - a, b, 1 - b)
+    p = sum((c * math.prod((factors[i] for i in m), start=Poly({(): 1})) for c, m in products),
+            start=k * math.prod(((s, t, a, b)[i] for i in monomial), start=Poly({(): 1})))
+    certified = nonnegative(p, strict)
+    event(f"certified: {certified}")
+    if certified:
+        rng = random.Random(seed)
+        for _ in range(200):
+            point = {index(s): F(rng.randint(1, 60), rng.randint(1, 12)),
+                     index(t): F(rng.randint(1, 60), rng.randint(1, 12)),
+                     index(a): F(rng.randint(0, 12), 12), index(b): F(rng.randint(0, 12), 12)}
+            value = sum(c * math.prod(point[v] for v in m) for m, c in p.terms.items())
+            assert value > 0 if strict else value >= 0
+
+
+def test_a_factor_zero_at_a_seeded_point_leaves_the_law_walked(monkeypatch):
+    # K - a is positive for a in [0, 1], K a 64-bit coordinate, but zero at
+    # the first seeded point, where a's coordinate is K; past a MAX_TERMS of
+    # 4 the sides are Points, which cannot divide by it there
+    unit = unit_interval()
+    a = unit.symbol(variables())  # the variable of a law's first slot
+    K = symbolic._coordinates(index(a))[0]
+    assert nonnegative(K - a, strict=True) and not positive(K - a)
+    monkeypatch.setattr(symbolic, "MAX_TERMS", 4)
+    walks = []
+
+    def spy(law, *args, walk=None, **kwargs):
+        walks.append(walk)
+        return check(law, *args, walk=walk, **kwargs)
+
+    def lhs(a, b, c):
+        return (1 + a) * (1 + b) * (1 + c) / (K - a)
+
+    def rhs(a, b, c):
+        return (1 + c) * (1 + b) * (1 + a) / (K - a)
+
+    fresh = variables()
+    with pytest.raises(Undecided, match="a factor that is zero at a point"):
+        lhs(*(unit.symbol(fresh) for _ in range(3)))
+    check = report._check
+    monkeypatch.setattr(report, "_check", spy)
+
+    def checked():
+        return check_equation("vanishing", tuple("abc"), (unit,) * 3, unit.eq, lhs, rhs,
+                              Sampled(50))
+
+    decided = checked()
+    assert decided.passed and walks[-1] is None  # walked, not failed
+    without_symbols(monkeypatch)
+    assert checked() == decided
+
+
+COPIES_LEAVE = {
+    # b == 5*a => 1/(2 + a - b) == 1/(2 + a - b): certified, since the
+    # conclusion's difference is 0, but the copy (a, 5*a) leaves [0, 1]
+    # and divides by 2 - 4*a, zero at a = 1/2
+    "certified": lambda a, b: 1 / (2 + a - b),
+    # ... == 1/(2 + a - b) + (b - 5*a)*a*a: no certificate of degree 1, but
+    # the differences vanish when b is replaced by 5*a
+    "substituted": lambda a, b: 1 / (2 + a - b) + (b - 5 * a) * a * a,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("name", COPIES_LEAVE)
+def test_an_implication_whose_copies_leave_the_carrier_is_walked(monkeypatch, name, seed):
+    unit = unit_interval()
+    premise = (lambda a, b: b, lambda a, b: 5 * a)
+
+    def lhs(a, b):
+        return 1 / (2 + a - b)
+
+    def construct(t):
+        return (t[0], 5 * t[0])
+
+    def checked():
+        return check_implication("leave", ("a", "b"), (unit, unit), premise, unit.eq, lhs,
+                                 COPIES_LEAVE[name], Sampled(200, seed), construct)
+
+    answer = report._decided((unit, unit), unit.eq, lhs, COPIES_LEAVE[name], premise, construct)
+    assert answer == report.Decided.NOTHING
+    decided = checked()
+    assert decided.verdict == "fail" and decided.witness.inputs["a"] == F(1, 2)
+    assert decided.witness.lhs.startswith("<error: ")
+    without_symbols(monkeypatch)
+    assert checked() == decided
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_an_operation_that_leaves_its_carrier_at_a_corner_fails_closure_as_walked(
+        monkeypatch, seed):
+    # halfplane-space with t - a*t as the last coordinate, 0 at a = 1, and
+    # the unit interval's p with a*b*c added, 2 at a = b = c = 1
+    def q(x, a, y):
+        s, t = x[1], y[1]
+        return (x[0] + (y[0] - x[0]) * a * t / (s + a * (t - s)), t - a * t)
+
+    space = replace(build("halfplane-space"), q=q)
+    algebra = replace(build("canonical-interval-algebra"),
+                      p=lambda a, b, c: a + b * (c - a) + a * b * c)
+
+    def checked():
+        strategy = Sampled(500, seed)
+        return [check_space(space, strategy)[0], check_algebra(algebra, strategy)[0]]
+
+    decided = checked()
+    assert [(r.law, r.verdict) for r in decided] == [("X0", "fail"), ("A0", "fail")]
+    assert decided[0].witness.inputs["a"] == 1
+    without_symbols(monkeypatch)
+    assert checked() == decided
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_halfplane_space_and_every_catalog_predicate_report_the_same_without_symbols(
+        capsys, monkeypatch, seed):
+    predicates, admitted = [], []
+
+    def spy(*args):
+        predicates.append(args)
+        return check(*args)
+
+    def admit(*args):
+        admitted.append(admits(*args))
+        return admitted[-1]
+
+    check, admits = report.check_predicate, report._admitted
+    monkeypatch.setattr(report, "check_predicate", spy)
+    for argv in catalog_commands(seed)[:-2]:  # not the two that stop with an error
+        run_cli(list(argv))
+    monkeypatch.setattr(report, "check_predicate", check)
+    monkeypatch.setattr(report, "_admitted", admit)
+    command = ["catalog", "check", "halfplane-space", "--properties", "--affine",
+               "--samples", "500", "--seed", str(seed), "--report", "json"]
+
+    def checked():
+        reports = [check(*args[:5], Sampled(500, seed)) for args in predicates]
+        capsys.readouterr()
+        code = run_cli(command)
+        return reports, code, capsys.readouterr()
+
+    decided = checked()
+    # A0 and X0 of every algebra, space and module's space; all but the 3
+    # over R64, lozenge-algebra's A0, whose predicate is opaque, and
+    # lozenge-space's X0, whose scalars are lozenge pairs, are admitted, as
+    # is halfplane-space's X0 in the command
+    assert len(predicates) == 23 and admitted.count(True) == 18 + 1
+    assert all(r.passed for r in decided[0]) and decided[1] == 0
+    without_symbols(monkeypatch)
+    assert checked() == decided
