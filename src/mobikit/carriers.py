@@ -73,7 +73,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .symbolic import (FREE, Points, Poly, Quotient, Undecided, congruent, difference,
-                       domain_of, domains, equal, nonnegative, reflected, variables)
+                       affine, domain_of, domains, equal, nonnegative, reflected,
+                       variables)
 
 MAX_REJECTS = 10_000
 _SYMBOLS = (Poly, Quotient, Points)  # the types of a symbolic rational or int
@@ -495,7 +496,7 @@ class Carrier:
     def differences(self, x, y) -> list | None:
         """Exact polynomials, one per component, for two symbolic elements,
         such that eq(x, y) holds at an assignment exactly when every one of
-        them vanishes there (see symbolic.certified); None for a carrier
+        them vanishes there (see solver.solved); None for a carrier
         whose equality is not exact equality of rationals.  A subclass that
         overrides eq has none unless it overrides this too."""
         return None
@@ -894,15 +895,46 @@ class Restricted(Carrier):
         """The test of an element of the base: the predicate itself when
         there are no conditions, else one expression of the conditions and
         the predicate, generated once, as _tuple_builder generates its draw
-        functions, since each draw is tested."""
+        functions, since each draw is tested.  A condition c*v + d >= 0 (or
+        > 0) in one coordinate v compares v with its bound -d/c instead of
+        calling g (see _bounds)."""
         if not self.conditions:
             return self.member or (lambda x: True)
-        tests = [f"g{k}(x) {'>' if c.strict else '>='} 0" for k, c in enumerate(self.conditions)]
-        namespace = {f"g{k}": c.g for k, c in enumerate(self.conditions)}
+        tests, namespace, bounds = [], {}, self._bounds
+        for k, c in enumerate(self.conditions):
+            if k in bounds:
+                coordinate, comparison, namespace[f"b{k}"] = bounds[k]
+                tests.append(f"{coordinate} {comparison} b{k}")
+            else:
+                tests.append(f"g{k}(x) {'>' if c.strict else '>='} 0")
+                namespace[f"g{k}"] = c.g
         if self.member is not None:
             tests.append("member(x)")
             namespace["member"] = self.member
         return eval(f"lambda x: {' and '.join(tests)}", namespace)
+
+    @functools.cached_property
+    def _bounds(self) -> dict:
+        """{k: (coordinate, comparison, bound)} for each condition k that is
+        c*v + d >= 0 (> 0) in one coordinate v of a rational or int element
+        (symbolic.affine, on the base's symbol): the coordinate's expression
+        in x, such as x or x[1], and v >= -d/c for c > 0, v <= -d/c for
+        c < 0, strictly for a strict condition."""
+        symbol = self.base.symbol(variables())
+        coordinates = _coordinates(symbol, "x", {}) if symbol is not None else {}
+        out = {}
+        for k, c in enumerate(self.conditions):
+            try:
+                form = affine(c.g(symbol)) if coordinates else None
+            except Exception:  # Undecided, or any error a symbol meets: g is called
+                form = None
+            if form is None or form[0] not in coordinates:
+                continue
+            v, slope, bound = form
+            comparison = (">" if slope > 0 else "<") + ("" if c.strict else "=")
+            out[k] = (coordinates[v], comparison,
+                      int(bound) if bound.denominator == 1 else bound)
+        return out
 
     def contains(self, x):
         return self.base.contains(x) and bool(self._member(x))
@@ -978,6 +1010,18 @@ class Restricted(Carrier):
         if self.label:
             return f"{{{self.base.describe()} : {self.label}}}"
         return f"{{{self.base.describe()} : restricted}}"
+
+
+def _coordinates(symbol, expression: str, out: dict) -> dict:
+    """out, with the expression in x of each variable of a symbol that is a
+    variable or a tuple of them, nested: x, x[0], x[1][0], ...; a QI's
+    parts are left out."""
+    if type(symbol) is tuple:
+        for i, part in enumerate(symbol):
+            _coordinates(part, f"{expression}[{i}]", out)
+    elif type(symbol) is Poly:
+        out[next(iter(symbol.terms))[0]] = expression
+    return out
 
 
 def draws(carrier: Carrier, seed: int, n: int) -> Iterator:

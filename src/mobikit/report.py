@@ -25,11 +25,11 @@ An implication whose slots all have symbols, and whose premise is a pair
 of sides compared with a carrier's own equality, or which Sampled walks
 with constructed copies, first runs one seeded draw and its copy through
 the loop: under Sampled the strategy's own first draw, otherwise that of
-`Sampled(1)`.  If they pass, it is evaluated once on the symbols.  When a
-certificate shows that the premise implies the conclusion (see
-symbolic.certified), and the copy of the symbols stays in their domains,
-the report is a pass with the caller's strategy, and nothing is
-enumerated, as for an equation.  Otherwise Sampled walks its other draws,
+`Sampled(1)`.  If they pass, it is evaluated once on the symbols.  When
+solving the premise shows that it implies the conclusion (see
+solver.solved), and the copy of the symbols stays in their domains, the
+report is a pass with the caller's strategy, and nothing is enumerated,
+as for an equation.  Otherwise Sampled walks its other draws,
 and its other copies unless every copy passes on the symbols; any other
 strategy walks the law in full.
 
@@ -246,6 +246,20 @@ def _images(symbol, value, images: dict) -> dict:
     return images
 
 
+def _denominators(value, factors: dict) -> dict:
+    """factors, with each factor of the denominator of each Quotient in a
+    value: a list's or a tuple's parts and a QI's two parts in turn, keyed
+    as Quotient.den keys them."""
+    if type(value) in (list, tuple):
+        for part in value:
+            _denominators(part, factors)
+    elif type(value) is QI:
+        _denominators([value.re, value.im], factors)
+    elif type(value) is symbolic.Quotient:
+        factors.update((key, f) for key, (f, _) in value.den.items())
+    return factors
+
+
 def _copy_stays(assignment: tuple, construct: Callable) -> bool:
     """Whether the constructed copy of the symbols keeps every variable in
     its domain (see symbolic.within), so that a factor positive on the
@@ -273,10 +287,11 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
     assignment (see symbolic).
 
     For an implication, a Decided.  EVERY when the premise is a pair of
-    sides compared with a carrier's own eq, symbolic.certified shows that
-    the premise's differences (Carrier.differences) imply the conclusion's,
-    all evaluated on the symbols, and the copy of the symbols, if any, keeps
-    each variable in its domain (see _copy_stays).  Otherwise COPIES when
+    sides compared with a carrier's own eq, solver.solved shows that the
+    premise's differences (Carrier.differences) imply the conclusion's, all
+    evaluated on the symbols, with the factors of the sides' denominators
+    nonzero, and the copy of the symbols, if any, keeps each variable in
+    its domain (see _copy_stays).  Otherwise COPIES when
     every copy passes: when every one of those differences vanishes on the
     copy of the symbols, substituted into them where the copy maps each
     variable to one term in its domain; else when premise and eq both
@@ -293,12 +308,12 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
     differences = _differences(eq) if type(premise) is tuple else None
     try:
         if differences is not None:
-            left, right = premise
-            pi = differences(left(*assignment), right(*assignment))
-            gamma = differences(lhs(*assignment), rhs(*assignment))
+            sides = [f(*assignment) for f in premise + (lhs, rhs)]
+            pi, gamma = differences(*sides[:2]), differences(*sides[2:])
             if None not in (pi, gamma):
-                if symbolic.certified(pi, gamma) and (
-                        construct is None or _copy_stays(assignment, construct)):
+                from . import solver  # on first use: a cold start that solves nothing skips it
+                if (construct is None or _copy_stays(assignment, construct)) and (
+                        solver.solved(pi, gamma, _denominators(sides, {}).values())):
                     return Decided.EVERY
                 if construct is None:
                     return Decided.NOTHING
@@ -401,8 +416,8 @@ def check_implication(law: str, names: tuple, slots: tuple, premise,
     sides compared with a carrier's own eq or Sampled walks copies, the
     first seeded draw and its copy run through the loop (under Sampled the
     strategy's own first draw, a prefix of its walk).  If they pass, the
-    law is evaluated once on symbols (see _decided).  When a certificate
-    shows that the premise implies the conclusion, the pass is reported
+    law is evaluated once on symbols (see _decided).  When solving the
+    premise shows that it implies the conclusion, the pass is reported
     with the caller's strategy and nothing else runs.  Otherwise Sampled
     walks its other draws, and its other copies unless every copy passes
     on symbols; any other strategy walks the law in full.  A failure in

@@ -92,12 +92,13 @@ admit a value of their kind, and a restricted carrier one on which
 An implication whose premise compares two sides with a carrier's own
 equality is decided from its sides' differences on symbols
 (Carrier.differences), each the numerator of x - y (`difference`): the
-premise's, pi_j, and the conclusion's, gamma_i.  `certified` looks for
-polynomials h_ij of degree at most 1 with gamma_i = sum_j h_ij * pi_j, so
-that every assignment whose premise holds meets the conclusion; without
-one, the copies that a sampled walk constructs are decided by
-`substituted`, each difference with the copy of each variable put in its
-place.
+premise's, pi_j, and the conclusion's, gamma_i.  `solver.solved` solves
+the premise for its variables, case by case, and asks `certified` at each
+case for polynomials h_ij of degree at most 1 with gamma_i = sum_j h_ij *
+pi_j, so that every assignment whose premise holds meets the conclusion;
+when the premise is not solved, the copies that a sampled walk constructs
+are decided by `substituted`, each difference with the copy of each
+variable put in its place.
 
 Trust base.  A pass without a walk is sound when:
 
@@ -176,9 +177,29 @@ Trust base.  A pass without a walk is sound when:
   are walked.  `certified` confirms each certificate it finds by a Poly
   identity, gamma_i - sum_j h_ij * pi_j == 0, so at every real point
   where every pi_j vanishes every gamma_i does, and within
-  CERTIFICATE_WORK units of work.  A certificate skips the copies too, so
-  it counts only when the copy of the symbols keeps each variable in its
-  domain (`within`; report._copy_stays);
+  CERTIFICATE_WORK units of work.  A solved premise skips the copies too,
+  so it counts only when the copy of the symbols keeps each variable in
+  its domain (`within`; report._copy_stays);
+- for an implication, a solved premise (solver.solved) stands for every
+  assignment.  Each case of the solve stands for the points, in the
+  domains, that extend to a point of its parent case where the premise it
+  solved vanishes, and its factors are nonzero there: the divisors of the
+  sides, certified positive on the domains, and what substitution makes
+  of them.  A substitution v = -r/c needs c nonzero on the case's points:
+  a nonzero constant; a polynomial whose quotient by a product of the
+  factors, found by exact division, is a nonzero constant or, up to sign,
+  certified by `positive` or `nonnegative(strict=True)` on the whole box
+  of the domains; or, after a case split, the c of the case v = -r/c,
+  whose other case is c = 0 and r = 0.  At most solver.BRANCHES splits nest.
+  A polynomial p of degree d in v becomes c**d * p(v = -r/c), zero
+  exactly where p is; Cramer's rule for two premises clears the
+  determinant the same way.  So a conclusion that vanishes at every point
+  of every leaf case where the leaf's premise vanishes (it is zero, a
+  premise is a nonzero constant, or `certified` holds there) vanishes at
+  every assignment that meets the premise.  The probes that refuse a
+  coefficient before the rules run (a zero or two signs at seeded points
+  of the domains) only refuse, and the whole solve spends at most
+  solver.SOLVE_WORK units;
 - for an implication, a constructed copy of the symbols on which every
   difference vanishes, or the premise and the equality both answer True,
   stands for every copy, so every copy a sampled walk would take passes.
@@ -696,19 +717,39 @@ def positive(p) -> bool:
     An answer is kept, keyed by p's terms, so that a divisor that recurs
     across laws, such as the norm of one Gaussian rational, is certified
     once; the memo is emptied when it holds POSITIVE_MEMO answers."""
+    return _positive_within(p, None)
+
+
+def _positive_within(p, budget: list | None) -> bool:
+    """positive(p), spending at most what is left of budget, when given,
+    and charging it what the rule spent (see _memoised)."""
     try:
         p = _poly(p)
         if p.modulus:
             return False
-        key = frozenset(p.terms.items())
-        answer = _POSITIVE.get(key)
-        if answer is None:
-            if len(_POSITIVE) >= POSITIVE_MEMO:
-                _POSITIVE.clear()
-            answer = _POSITIVE[key] = _positive(p, [POSITIVE_WORK])
-        return answer
+        return _memoised(_POSITIVE, frozenset(p.terms.items()),
+                         lambda work: _positive(p, work), budget)
     except Undecided:
         return False
+
+
+def _memoised(memo: dict, key, rule: Callable, budget: list | None) -> bool:
+    """rule(work) for a work list of POSITIVE_WORK units, or of what is
+    left of budget when that is less, which is then charged what the rule
+    spent; an answer is kept in memo, under key, unless it is False for
+    want of work that a full POSITIVE_WORK might have given."""
+    answer = memo.get(key)
+    if answer is None:
+        units = POSITIVE_WORK if budget is None else min(POSITIVE_WORK, max(budget[0], 0))
+        work = [units]
+        answer = rule(work)
+        if budget is not None:
+            budget[0] -= units - work[0]
+        if answer or work[0] >= 0 or units == POSITIVE_WORK:
+            if len(memo) >= POSITIVE_MEMO:
+                memo.clear()
+            memo[key] = answer
+    return answer
 
 
 def _spend(budget: list, units: int) -> bool:
@@ -848,13 +889,10 @@ def domains(conditions) -> dict:
     other one is left out (free)."""
     below, above = {}, {}  # a variable: (its greatest lower bound, strict), its least upper bound
     for g, strict in conditions:
-        if type(g) is not Poly or g.modulus:
+        form = affine(g)
+        if form is None:
             continue
-        linear = [(m, c) for m, c in g.terms.items() if m]
-        if len(linear) != 1 or len(linear[0][0]) != 1:
-            continue
-        ((v,), c), = linear
-        bound = Fraction(-g.terms.get((), 0)) / c
+        v, c, bound = form
         if c > 0:
             if v not in below or below[v] < (bound, strict):
                 below[v] = (bound, strict)
@@ -867,6 +905,19 @@ def domains(conditions) -> dict:
         elif low > 0 or (low == 0 and strict):
             out[v] = POSITIVE
     return out
+
+
+def affine(g) -> tuple | None:
+    """(v, c, bound) when g is the polynomial c*v + d in one variable v, with
+    c != 0 and bound = -d/c, so that g >= 0 exactly where v >= bound for
+    c > 0, and v <= bound for c < 0; None for anything else."""
+    if type(g) is not Poly or g.modulus:
+        return None
+    linear = [(m, c) for m, c in g.terms.items() if m]
+    if len(linear) != 1 or len(linear[0][0]) != 1:
+        return None
+    ((v,), c), = linear
+    return v, c, Fraction(-g.terms.get((), 0)) / c
 
 
 def nonnegative(p, strict: bool = False) -> bool:
@@ -892,19 +943,20 @@ def nonnegative(p, strict: bool = False) -> bool:
     polynomial past MAX_TERMS, the answer is False.  Answers are kept, as
     positive's are, keyed by p's terms, which name the variables' domains,
     and by strict."""
+    return _nonnegative_within(p, strict, None)
+
+
+def _nonnegative_within(p, strict: bool, budget: list | None) -> bool:
+    """nonnegative(p, strict), spending at most what is left of budget, when
+    given, and charging it what the rule spent (see _memoised)."""
     try:
         if type(p) is Quotient:
             p = p.num
         p = _poly(p)
         if p.modulus:
             return False
-        key = (frozenset(p.terms.items()), strict)
-        answer = _NONNEGATIVE.get(key)
-        if answer is None:
-            if len(_NONNEGATIVE) >= POSITIVE_MEMO:
-                _NONNEGATIVE.clear()
-            answer = _NONNEGATIVE[key] = _bernstein(p, strict, [POSITIVE_WORK])
-        return answer
+        return _memoised(_NONNEGATIVE, (frozenset(p.terms.items()), strict),
+                         lambda work: _bernstein(p, strict, work), budget)
     except Undecided:
         return False
 
@@ -1012,37 +1064,42 @@ def certified(premise: list, conclusion: list) -> bool:
         conclusion = [_poly(g) for g in conclusion]
         if any(p.modulus for p in premise + conclusion):
             return False
-        premise = [p for p in premise if p.terms]
-        targets = [[g, g.terms, {}] for g in conclusion if g.terms]
-        names = sorted({v for p in premise + conclusion for m in p.terms for v in m})
-        budget = [CERTIFICATE_WORK]
-        if not _spend(budget, sum(_size(p) for p in premise + conclusion)):
-            return False
-        basis = []  # (pivot, column with 1 at pivot, its combination)
-        pending = [((j, ()), p.terms) for j, p in enumerate(premise)]
-        support = {m for p in premise for m in p.terms}
-        for degree in (0, 1):
-            if degree:
-                for v in names:
-                    for j, p in enumerate(premise):
-                        if not _spend(budget, len(p.terms)):
-                            return False
-                        terms = {tuple(sorted(m + (v,))): c for m, c in p.terms.items()}
-                        pending.append(((j, (v,)), terms))
-                        support.update(terms)
-            if not all(m in support for target in targets for m in target[1]):
-                continue
-            for key, terms in pending:
-                _insert(basis, *_reduce(basis, terms, {key: 1}, budget), budget)
-            pending = []
-            for target in targets:
-                target[1:] = _reduce(basis, target[1], target[2], budget)
-            if not any(target[1] for target in targets):
-                return all(_confirmed(g, combination, premise)
-                           for g, _, combination in targets)
-        return False
+        return _certified(premise, conclusion, [CERTIFICATE_WORK])
     except Undecided:
         return False
+
+
+def _certified(premise: list, conclusion: list, budget: list) -> bool:
+    """certified for exact polynomials, spending from budget: False, or
+    Undecided, past it."""
+    premise = [p for p in premise if p.terms]
+    targets = [[g, g.terms, {}] for g in conclusion if g.terms]
+    names = sorted({v for p in premise + conclusion for m in p.terms for v in m})
+    if not _spend(budget, sum(_size(p) for p in premise + conclusion)):
+        return False
+    basis = []  # (pivot, column with 1 at pivot, its combination)
+    pending = [((j, ()), p.terms) for j, p in enumerate(premise)]
+    support = {m for p in premise for m in p.terms}
+    for degree in (0, 1):
+        if degree:
+            for v in names:
+                for j, p in enumerate(premise):
+                    if not _spend(budget, len(p.terms)):
+                        return False
+                    terms = {tuple(sorted(m + (v,))): c for m, c in p.terms.items()}
+                    pending.append(((j, (v,)), terms))
+                    support.update(terms)
+        if not all(m in support for target in targets for m in target[1]):
+            continue
+        for key, terms in pending:
+            _insert(basis, *_reduce(basis, terms, {key: 1}, budget), budget)
+        pending = []
+        for target in targets:
+            target[1:] = _reduce(basis, target[1], target[2], budget)
+        if not any(target[1] for target in targets):
+            return all(_confirmed(g, combination, premise)
+                       for g, _, combination in targets)
+    return False
 
 
 def _reduce(basis: list, terms: dict, combination: dict, budget: list) -> tuple:

@@ -69,17 +69,27 @@ def test_check_diagnostic_goes_to_stderr_with_position(tmp_path, capsys):
 
 
 def test_check_exhaustive_needs_finite_carriers(tmp_path, capsys):
-    # Y9 and Y10 have no certificate, so they walk Q x Q
-    code, _, err = run(capsys, "check", str(GOLDEN), "--exhaustive", "--properties")
-    assert code == 2 and "error: Q x Q is not enumerable" in err
+    # a where clause is an opaque predicate, so its carrier has no symbol
+    # and every law walks Q x Q
+    path = tmp_path / "halfplane.mobi"
+    path.write_text("space halfplane over canonical_interval_algebra {\n"
+                    "  carrier: Q^2 where v2 > 0\n"
+                    "  q((x, s), a, (y, t)) = (x + (y - x)*a*t/(s + a*(t - s)), s + a*(t - s))\n"
+                    "}\n")
+    code, _, err = run(capsys, "check", str(path), "--exhaustive", "--properties")
+    assert code == 2 and "error: {Q x Q : v2 > 0} is not enumerable" in err
 
 
 def test_check_exhaustive_passes_when_every_law_is_decided(capsys):
     # the closure predicates A0 and X0 are admitted on symbols, as the
-    # equations are decided and X4 and A6 certified
+    # equations are decided, X4 and A6 certified, and with --properties Y9
+    # and Y10 solved
     code, out, err = run(capsys, "check", str(GOLDEN), "--exhaustive")
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "checked 15 law(s): all passed"
+    code, out, err = run(capsys, "check", str(GOLDEN), "--exhaustive", "--properties")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "checked 34 law(s): all passed"
 
 
 def test_check_exhaustive_enumerates_a_restricted_carrier(tmp_path, capsys):

@@ -15,7 +15,7 @@ from mobikit import (CheckReport, Exhaustive, Float64, GaussianRational,
                      MobiAlgebra, ModularInt, QI, Rational, Restricted,
                      SamplingExhausted, Sampled, Sign, Vector, build, carriers, check_algebra,
                      check_equation, check_implication, check_predicate,
-                     list_catalog, report, reports_to_json, symbolic)
+                     list_catalog, report, reports_to_json, solver, symbolic)
 from mobikit.algebra import check_properties
 from mobikit.carriers import CarrierError, Product, ShapeError, sample
 from mobikit.catalog import nonaffine_poly_space, zmod_algebra, zmod_module
@@ -229,10 +229,11 @@ def test_every_passing_equation_of_nonaffine_poly_space_is_decided(monkeypatch, 
                     "--affine"]) == 1
     assert "FAIL affine(half)" in capsys.readouterr().out
     # the failing affine condition; X0 is admitted by Q x Q, X1, X2, X3, X5
-    # and Y1 to Y7 are decided, Y8 past MAX_TERMS at the points, and the
-    # copies of X4, Y9, Y10
+    # and Y1 to Y7 are decided, Y8 past MAX_TERMS at the points, and X4, Y9
+    # and Y10 by solving their premise, copies and all
     assert walked == ["affine(half)"]
-    assert answers.count((False, True)) == 12 and answers.count((True, True)) == 3
+    assert answers.count((False, True)) == 12 and answers.count((True, True)) == 0
+    assert answers.count((True, report.Decided.EVERY)) == 3
 
 
 @pytest.mark.parametrize("source", ["catalog", "definition file"])
@@ -1099,21 +1100,20 @@ CERTIFIED_IMPLICATIONS = {
         "canonical-interval-algebra", "rational-line-algebra", "lozenge-algebra",
         "plane-algebra", "tri-algebra")},
     **{f"catalog check {name}": ["X4", "Y9", "Y10"] for name in (
-        "canonical-space", "lozenge-space", "plane-space", "tri-space")},
-    "catalog check projectile-space": ["X4"],
-    "catalog check transported-space": ["X4"],
-    "catalog check halfplane-space": ["Y9", "Y10"],
+        "canonical-space", "projectile-space", "transported-space", "halfplane-space",
+        "lozenge-space", "plane-space", "tri-space", "nonaffine-complex-space",
+        "nonaffine-poly-space")},
     **{f"convert module-to-space {name}": ["X4"] for name in (
         "canonical-module", "projectile-module", "plane-module", "tri-module")},
 }
 
 
 def test_the_certified_implications_of_the_catalog(monkeypatch, capsys):
-    # 26 through constant multipliers, and 7 through multipliers of degree
-    # 1: Y10 of canonical-space, plane-space, tri-space and lozenge-space,
-    # and X4 of projectile-space, transported-space and projectile-module's
-    # space; and Y9 and Y10 of halfplane-space, whose differences are
-    # numerators over its divisor, positive on its carrier
+    # every implication whose premise compares two sides with the
+    # equality of Q, Q[i] or a product of them (the 7 over R64 are walked):
+    # through certificates, by a substitution, or by a case split, such as
+    # Y10 of projectile-space, a = b or s = t; X4 of halfplane-space and
+    # of nonaffine-complex-space solve through their divisors
     command, law, certified = [None], [None], {}
 
     def check_spy(name, *args, **kwargs):
@@ -1134,7 +1134,7 @@ def test_the_certified_implications_of_the_catalog(monkeypatch, capsys):
         run_cli(list(argv))
     capsys.readouterr()
     assert certified == CERTIFIED_IMPLICATIONS
-    assert sum(map(len, certified.values())) == 35
+    assert sum(map(len, certified.values())) == 46
 
 
 def test_a_norm_that_recurs_across_laws_is_certified_once(monkeypatch):
@@ -1205,6 +1205,21 @@ def test_a_restricted_carrier_tests_its_conditions_and_its_predicate_on_numbers(
     # the labels stay as they were
     assert str(unit_interval()) == "{Q : 0 <= t <= 1}"
     assert str(build("halfplane-space").points) == "{Q x Q : s > 0}"
+
+
+def test_an_affine_condition_compares_its_coordinate_with_a_bound():
+    # without calling g on each draw; any other condition calls it
+    unit = unit_interval()
+    assert unit._bounds == {0: ("x", ">=", 0), 1: ("x", "<=", 1)}
+    assert build("halfplane-space").points._bounds == {0: ("x[1]", ">", 0)}
+    mixed = Restricted(Vector(Rational(), 2), conditions=(
+        Sign(lambda p: 3 * p[0] - 1, strict=True), Sign(lambda p: p[1] * p[1] - 1)),
+        sampler=lambda rng: None)
+    assert mixed._bounds == {0: ("x[0]", ">", F(1, 3))}
+    for p in [(F(1, 3), 1), (F(1, 2), F(1, 2)), (F(1, 2), -1), (0, 2)]:
+        assert mixed.contains(p) == (3 * p[0] - 1 > 0 and p[1] * p[1] - 1 >= 0)
+    for v in (F(-1, 100), 0, F(1, 2), 1, F(101, 100)):
+        assert unit.contains(v) == (0 <= v <= 1)
 
 
 def test_a_carrier_admits_a_symbolic_value_of_its_kind():
@@ -1440,3 +1455,127 @@ def test_halfplane_space_and_every_catalog_predicate_report_the_same_without_sym
     assert all(r.passed for r in decided[0]) and decided[1] == 0
     without_symbols(monkeypatch)
     assert checked() == decided
+
+
+# -- implications decided by solving their premise
+
+POSITIVE_Q = Restricted(Rational(), conditions=(Sign(lambda v: v, strict=True),),
+                        label="v > 0", sampler=lambda rng: F(rng.randint(1, 99)))
+PAIRS = Product((Rational(), Rational()))
+
+
+def planted(slots, left, right, lhs, rhs, construct, eq=Rational().eq):
+    """What _decided answers for the implication left == right => lhs == rhs."""
+    return report._decided(slots, eq, lhs, rhs, (left, right), construct)
+
+
+@pytest.mark.parametrize("slots, left, right, lhs, rhs, construct, eq, decided", [
+    # a*(x - y) == 0 does not give x == y: a may be 0
+    ((Rational(),) * 3, lambda a, x, y: a * x, lambda a, x, y: a * y,
+     lambda a, x, y: x, lambda a, x, y: y, lambda t: (t[0], t[1], t[1]), Rational().eq, False),
+    # a 2x2 block whose determinant a*a - b*b may vanish
+    ((Rational(),) * 4, lambda a, b, u, w: (a * u + b * w, b * u + a * w),
+     lambda a, b, u, w: (0, 0), lambda a, b, u, w: (u, w), lambda a, b, u, w: (0, 0),
+     lambda t: (t[0], t[1], 0, 0), PAIRS.eq, False),
+    # and one whose determinant a*a + 1 does not: Cramer's rule
+    ((Rational(),) * 4, lambda a, b, u, w: (a * u - w, u + a * w),
+     lambda a, b, u, w: (0, 0), lambda a, b, u, w: (u, w), lambda a, b, u, w: (0, 0),
+     lambda t: (t[0], t[1], 0, 0), PAIRS.eq, True),
+    # t*(y - y2) == 0 gives y == y2 only when t is nowhere zero
+    ((Rational(),) * 3, lambda t, y, y2: t * y, lambda t, y, y2: t * y2,
+     lambda t, y, y2: y, lambda t, y, y2: y2, lambda t: (t[0], t[1], t[1]), Rational().eq,
+     False),
+    ((POSITIVE_Q, Rational(), Rational()), lambda t, y, y2: t * y, lambda t, y, y2: t * y2,
+     lambda t, y, y2: y, lambda t, y, y2: y2, lambda t: (t[0], t[1], t[1]), Rational().eq,
+     True),
+    # a*(x - y) == 0 gives a*x*x == a*y*y: a = 0, or x = y
+    ((Rational(),) * 3, lambda a, x, y: a * x, lambda a, x, y: a * y,
+     lambda a, x, y: a * x * x, lambda a, x, y: a * y * y, lambda t: (t[0], t[1], t[1]),
+     Rational().eq, True),
+], ids=["a(x - y)", "det a*a - b*b", "det a*a + 1", "t free", "t positive", "a split"])
+def test_a_premise_is_solved_only_where_its_coefficient_is_nowhere_zero(
+        slots, left, right, lhs, rhs, construct, eq, decided):
+    answer = planted(slots, left, right, lhs, rhs, construct, eq)
+    assert (answer == report.Decided.EVERY) is decided
+
+
+def test_a_premise_over_z_m_is_refused_at_once(monkeypatch):
+    # Z/m gives no differences, so the solver is never asked; asked about
+    # ints, it refuses before solving, even x - y => x - y
+    calls = []
+    solve = solver._solve
+    monkeypatch.setattr(solver, "_solve", lambda *args: calls.append(args) or solve(*args))
+    answer = planted((ModularInt(7),) * 3, lambda a, x, y: a * x, lambda a, x, y: a * y,
+                     lambda a, x, y: x, lambda a, x, y: y, lambda t: (t[0], t[1], t[1]),
+                     ModularInt(7).eq)
+    assert answer != report.Decided.EVERY
+    fresh = variables()
+    m, k = fresh(integer=True), fresh(integer=True)
+    assert not solver.solved([m - k], [m - k]) and not solver.solved([(m - k) % 7], [x])
+    assert calls == []
+
+
+def test_a_case_split_is_capped_and_a_refused_solve_is_bounded(monkeypatch):
+    fresh = variables()
+    a, b, x, y = fresh(), fresh(), fresh(), fresh()
+    # a*b*(x - y) == 0 => a*b*(x**3 - y**3) == 0, through a multiplier of
+    # degree 2, so by splits: x = y, or a*b = 0, which splits again, a = 0
+    # or b = 0
+    premise, conclusion = [a * b * (x - y)], [a * b * (x ** 3 - y ** 3)]
+    assert not symbolic.certified(premise, conclusion)
+    assert solver.solved(premise, conclusion)
+    monkeypatch.setattr(solver, "BRANCHES", 1)
+    assert not solver.solved(premise, conclusion)
+    monkeypatch.setattr(solver, "BRANCHES", 2)
+    # dense premises linear in every variable: refused within the budget
+    xs = [fresh() for _ in range(8)]
+    dense = [sum(F(i + j + 1, k + 2) * xs[i] * xs[j] for i in range(8) for j in range(i + 1, 8))
+             for k in range(3)]
+    start = time.perf_counter()
+    assert not solver.solved(dense, [xs[0] - xs[1]])
+    assert time.perf_counter() - start < 1
+
+
+# one premise c*(x0 - q) and a conclusion that it may or may not imply:
+# c a product of linear factors in x1, x2, x3, which some points make zero
+LINEAR_FACTORS = st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+                          min_size=1, max_size=2)
+
+
+@settings(deadline=None, max_examples=150)
+@given(LINEAR_FACTORS, POLYNOMIALS, POLYNOMIALS, POLYNOMIALS, st.integers(0, 2),
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_a_solved_implication_holds_at_points_that_satisfy_its_premise(
+        factors, q, h, e, power, planted_error, seed):
+    fresh = variables()
+    x0, *xs = [fresh() for _ in range(4)]
+    one = Poly({(): 1})
+    linear = [sum((k * v for k, v in zip(f[1:], xs)), start=one * f[0]) for f in factors]
+    c = math.prod(linear, start=one)
+    q, h, e = (polynomial(p, xs) for p in (q, h, e))
+    premise = c * (x0 - q)
+    conclusion = (x0 - q) * h * c ** power + (e if planted_error else 0)
+    answer = solver.solved([premise], [conclusion])
+    event(f"solved: {answer}")
+    if answer:
+        rng = random.Random(seed)
+        for _ in range(200):
+            point = {index(v): F(rng.randint(-9, 9), rng.randint(1, 4)) for v in xs}
+            form = linear[rng.randrange(len(linear))]
+            coefficients = [form.terms.get((index(v),), 0) for v in xs]
+            if rng.random() < 0.5 and any(coefficients):
+                # put the point on the zero set of one linear factor
+                j = next(i for i, k in enumerate(coefficients) if k)
+                point[index(xs[j])] = 0
+                rest = value_at(form, point)
+                point[index(xs[j])] = -F(rest) / coefficients[j]
+            if value_at(c, point) == 0:
+                point[index(x0)] = F(rng.randint(-9, 9), rng.randint(1, 4))
+            else:
+                point[index(x0)] = value_at(q, point)
+            assert value_at(premise, point) == 0
+            assert value_at(conclusion, point) == 0
+
+
+def value_at(p: Poly, point: dict):
+    return sum(k * math.prod(point[v] for v in m) for m, k in p.terms.items())
