@@ -1,7 +1,9 @@
 """Value carriers: the sets that algebras and spaces live on.
 
-A carrier bundles membership, equality (within FLOAT_ATOL and FLOAT_RTOL for
-floats), deterministic sampling, and enumeration when the set is finite.
+A carrier bundles membership, equality (for floats within FLOAT_ATOL and
+FLOAT_RTOL, a tolerance that serves only walked laws and the seeded draw of
+a decided one: on symbols Float64.eq is exact), deterministic sampling, and
+enumeration when the set is finite.
 Elements are plain Python values: Fraction, QI (Gaussian rational), int
 (mod-m residues), float, and tuples of those.
 
@@ -40,26 +42,33 @@ None for an infinite one.
 
 `symbol(fresh)` is a symbolic element standing for every element, for a
 law to be decided once instead of drawn or walked (see symbolic): a fresh
-rational variable for Rational, a fresh int variable for Z/m, a QI of two
-fresh rational variables for Q[i], the tuple of its parts' symbols for a
-product, its base's symbol for a restricted carrier with a direct sampler,
-each variable in the domain its sign conditions bound it to, and None for
-every other carrier (R64, rejection-sampled restrictions).  A QI keeps
+rational variable for Rational, a fresh REAL variable for R64, which a
+float operand meets as its exact rational, a fresh int variable for Z/m, a
+QI of two fresh rational variables for Q[i], the tuple of its parts'
+symbols for a product, its base's symbol for a restricted carrier with a
+direct sampler, each variable in the domain its sign conditions bound it
+to, and None for every other carrier (rejection-sampled restrictions).
+`exp` is math.exp on a number and an exp term (symbolic.exp) on a
+symbol, the one exp of the catalog and of definition files.  A QI keeps
 symbolic parts, and divides by a symbolic QI through its norm, a divisor
 only when it is certified nowhere zero.  `admits(x)` answers whether every
 value of a symbolic x is a member, for a closure predicate: Q, Q[i] and
 Z/m admit a value of their kind, a product one whose parts its parts
 admit, a restricted carrier one that its base admits and that meets each
 of its sign conditions by symbolic.nonnegative; every other carrier, and
-a restricted one with an opaque predicate, admits nothing.
-`Rational.eq`, `GaussianRational.eq` (part by part) and `ModularInt.eq`
-given a symbolic side answer True only for sides equal, or congruent
-modulo m, at every assignment, and raise symbolic.Undecided otherwise.
+a restricted one with an opaque predicate, admits nothing (R64 too, so
+that a float exp that overflows at a draw still fails closure); `opaque()`
+tells whether such a predicate bounds the members, a part's too.
+`Rational.eq`, `Float64.eq`, `GaussianRational.eq` (part by part) and
+`ModularInt.eq` given a symbolic side answer True only for sides equal, or
+congruent modulo m, at every assignment, and raise symbolic.Undecided
+otherwise.
 `differences(x, y)` gives, for two symbolic elements of Q or Q[i] or a
 product or restriction of them, the exact polynomials that all vanish at
 an assignment exactly when `eq(x, y)` holds there: one for Q, the real and
 imaginary parts for Q[i], the parts' in turn for a product, the base's for
-a restriction; every other carrier gives None.
+a restriction; every other carrier gives None (R64, whose differences may
+hold exp terms, which the premise solver does not take).
 """
 
 from __future__ import annotations
@@ -72,12 +81,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .symbolic import (FREE, Points, Poly, Quotient, Undecided, congruent, difference,
-                       affine, domain_of, domains, equal, nonnegative, reflected,
-                       variables)
+from . import symbolic
+from .symbolic import (FREE, REAL, Exp, Points, Poly, Quotient, Undecided, congruent,
+                       difference, affine, domain_of, domains, equal, nonnegative,
+                       reflected, variables)
 
 MAX_REJECTS = 10_000
-_SYMBOLS = (Poly, Quotient, Points)  # the types of a symbolic rational or int
+_SYMBOLS = (Poly, Quotient, Points, Exp)  # the types of a symbolic value
 SCALAR = "scalar"  # the shape of a non-product element with an order
 COMPLEX = "complex"  # the shape of a Gaussian rational, which has none
 MODULAR = "modular"  # the shape of a residue mod m, which has no division
@@ -326,7 +336,13 @@ def render_rational(v) -> str:
 def _exact(x) -> bool:
     """Whether x is a symbolic rational or an int known exactly: its every
     value is a rational."""
-    return type(x) in _SYMBOLS and not (type(x) is Poly and x.modulus)
+    return type(x) in (Poly, Quotient, Points) and not (type(x) is Poly and x.modulus)
+
+
+def exp(x):
+    """e**x: math.exp on a number, and on a symbol the exp term that stands
+    for it (symbolic.exp)."""
+    return symbolic.exp(x) if type(x) in _SYMBOLS else math.exp(x)
 
 
 def _part(x):
@@ -517,6 +533,12 @@ class Carrier:
         nothing unless it overrides this too."""
         return False
 
+    def opaque(self) -> bool:
+        """Whether a predicate that no symbol reads bounds the members, a
+        restricted carrier's own or a part's, so that the symbol's FREE
+        variables range over more than the members."""
+        return False
+
     def draw(self, rng: random.Random):
         raise NotImplementedError
 
@@ -703,7 +725,8 @@ class ModularInt(_BuiltDraw):
 
 @dataclass(frozen=True)
 class Float64(_BuiltDraw):
-    """Finite doubles, equal within FLOAT_ATOL + FLOAT_RTOL*max(|x|,|y|)."""
+    """Finite doubles, equal within FLOAT_ATOL + FLOAT_RTOL*max(|x|,|y|), and
+    exactly on symbols (see symbolic)."""
 
     span: int = 8  # sampling draws float(Fraction(n, d)) with |n| <= span
 
@@ -715,7 +738,10 @@ class Float64(_BuiltDraw):
     def eq(self, x, y):
         if isinstance(x, (tuple, list)) or isinstance(y, (tuple, list)):
             raise ShapeError(f"expected scalars, got {x!r}, {y!r}")
-        fx, fy = float(x), float(y)
+        try:
+            fx, fy = float(x), float(y)
+        except Undecided:  # a symbolic side, which refuses float(): exactly
+            return equal(*(Fraction(v) if type(v) is float else v for v in (x, y)))
         if fx == fy:
             return True
         return abs(fx - fy) <= FLOAT_ATOL + FLOAT_RTOL * max(abs(fx), abs(fy))
@@ -751,6 +777,11 @@ class Float64(_BuiltDraw):
 
     def coerce(self, value):
         return float(value) if isinstance(value, (int, Fraction)) else value
+
+    def symbol(self, fresh):
+        # every finite double is a rational; a float that meets it enters
+        # as its exact rational (symbolic.REAL)
+        return Poly(fresh().terms, REAL)
 
 
 @functools.lru_cache(maxsize=None)
@@ -810,6 +841,9 @@ class Product(_BuiltDraw):
     def admits(self, x):
         return (type(x) is tuple and len(x) == len(self.parts)
                 and all(p.admits(v) for p, v in zip(self.parts, x)))
+
+    def opaque(self):
+        return any(p.opaque() for p in self.parts)
 
     def shape(self):
         return tuple(p.shape() for p in self.parts)
@@ -942,6 +976,9 @@ class Restricted(Carrier):
     def admits(self, x):
         return (self.member is None and self.base.admits(x)
                 and all(nonnegative(c.g(x), c.strict) for c in self.conditions))
+
+    def opaque(self):
+        return self.member is not None or self.base.opaque()
 
     def eq(self, x, y):
         return self.base.eq(x, y)

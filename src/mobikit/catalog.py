@@ -10,7 +10,6 @@ work out of the box.
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -19,7 +18,7 @@ from .algebra import MobiAlgebra
 from .carriers import (_DENOMINATOR_BITS, _DRAWS, DENOMINATOR_BOUND,
                        RATIONAL_NUMERATOR_BOUND, Float64, GaussianRational,
                        ModularInt, Product, QI, Rational, Restricted, Sign, Vector,
-                       _draw_rational, _Fraction, _tuple_builder)
+                       _draw_rational, _Fraction, _tuple_builder, exp)
 from .ringmod import RModule, RingWithHalf
 from .space import MobiSpace, transport_space
 
@@ -286,8 +285,8 @@ def projectile_space(n: int = 1, k=(F(1),)) -> MobiSpace:
 def damped_space(n: int = 1, alpha: float = 1.0) -> MobiSpace:
     def q(x, a, y):
         s, t = x[n], y[n]
-        head = tuple((1 - a) * x[i] * math.exp(alpha * a * (t - s))
-                     + a * y[i] * math.exp(alpha * (1 - a) * (s - t))
+        head = tuple((1 - a) * x[i] * exp(alpha * a * (t - s))
+                     + a * y[i] * exp(alpha * (1 - a) * (s - t))
                      for i in range(n))
         return head + (s + a * (t - s),)
 
@@ -499,17 +498,17 @@ def projectile_module(n: int = 1, k=(F(1),)) -> RModule:
 def damped_module(n: int = 1, alpha: float = 1.0) -> RModule:
     def add(x, y):
         s, t = x[n], y[n]
-        return tuple(x[i] * math.exp(alpha * t) + y[i] * math.exp(alpha * s)
+        return tuple(x[i] * exp(alpha * t) + y[i] * exp(alpha * s)
                      for i in range(n)) + (s + t,)
 
     def phi(a, x):
         s = x[n]
-        return tuple(a * x[i] * math.exp(-alpha * (1 - a) * s)
+        return tuple(a * x[i] * exp(-alpha * (1 - a) * s)
                      for i in range(n)) + (a * s,)
 
     def neg(x):
         s = x[n]
-        return tuple(-x[i] * math.exp(-2 * alpha * s) for i in range(n)) + (-s,)
+        return tuple(-x[i] * exp(-2 * alpha * s) for i in range(n)) + (-s,)
 
     return RModule(_float_ring(), Vector(Float64(), n + 1), add,
                    (0.0,) * (n + 1), phi, neg)

@@ -42,7 +42,6 @@ fails, such as 1/0).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,7 +49,7 @@ from typing import NamedTuple
 
 from .algebra import MobiAlgebra
 from .carriers import (COMPLEX, MODULAR, SCALAR, Float64, GaussianRational,
-                       ModularInt, Product, QI, Rational, Restricted,
+                       ModularInt, Product, QI, Rational, Restricted, exp,
                        render_rational)
 from .report import EvalError
 from .space import MobiSpace
@@ -678,7 +677,7 @@ def _div(a, b):
 
 def _exp(value):
     try:
-        return math.exp(float(value))
+        return exp(value)
     except OverflowError:
         try:
             at = repr(value)

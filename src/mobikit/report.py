@@ -38,7 +38,9 @@ own symbol (Carrier.admits), and whose slots all have symbols, runs one
 seeded draw as an equation does; if it passes and the carrier admits the
 value evaluated once on the symbols, the report is a pass with the
 caller's strategy, under Exhaustive over an infinite carrier too.  Every
-other predicate is walked in full.
+other predicate is walked in full, at once when the carrier's sign
+conditions meet a slot whose members an opaque predicate bounds (see
+_admitting).
 """
 
 from __future__ import annotations
@@ -352,18 +354,25 @@ def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
     return _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes)
 
 
-def _admitting(holds: Callable) -> Carrier | None:
+def _admitting(holds: Callable, slots: tuple) -> Carrier | None:
     """The carrier whose own contains holds is (see _carrier), when it
     admits its own symbol (see Carrier.admits); None otherwise, as for a
-    carrier with no symbol or with an opaque membership predicate."""
+    carrier with no symbol or with an opaque membership predicate.  None
+    too when its sign conditions bound a variable of its symbol and a slot
+    is opaque (Carrier.opaque), as the lozenge is: symbolic.nonnegative
+    refuses the FREE variables of that slot's symbol, so a value made from
+    them would be evaluated only to be refused."""
     carrier = _carrier(holds, "admits")
     if carrier is None:
         return None
     symbol = carrier.symbol(symbolic.variables())
     try:
-        return carrier if symbol is not None and carrier.admits(symbol) is True else None
+        if symbol is None or carrier.admits(symbol) is not True:
+            return None
     except Exception:  # as in _admitted
         return None
+    bounded = any(symbolic.domain_of(v) != symbolic.FREE for v in _images(symbol, symbol, {}))
+    return None if bounded and any(c.opaque() for c in slots) else carrier
 
 
 def _admitted(slots: tuple, carrier: Carrier, value: Callable) -> bool:
@@ -392,7 +401,7 @@ def check_predicate(law: str, names: tuple, slots: tuple, value: Callable,
     def nothing(*_):
         return None
 
-    carrier = _admitting(holds)
+    carrier = _admitting(holds, slots)
     if slots and carrier is not None and _symbols(slots) is not None:
         report = _check(law, names, slots, eq, value, nothing, strategy,
                         walk=Sampled(1).assignments(law, slots))

@@ -1,29 +1,36 @@
-"""Commutative polynomials and rational functions over Q and Z, for
-deciding a law once instead of walking its assignments.
+"""Commutative polynomials and rational functions over Q and Z, and sums
+of polynomials times exp of polynomials, for deciding a law once instead of
+walking its assignments.
 
 A carrier gives a symbol for its elements (`Carrier.symbol`): a fresh
-variable whose values are rationals for Q, one whose values are ints for
-Z/m, a QI of two fresh rational variables for Q[i], a tuple of its parts'
-symbols for a product.  A law's two sides, evaluated once on symbols, give
-polynomials (or quotients, or values at seeded points, below), and the
-law's own equality, asked about them, answers True only when they agree at
-every assignment, for values at points with error at most 2**-100
-(`Rational.eq` and `GaussianRational.eq`, part by part, through `equal`,
-`ModularInt.eq` through `congruent`); otherwise it raises Undecided.  A
-law whose equality answers True holds at every draw of a sampled check and
-at every tuple of an exhaustive one.
+variable whose values are rationals for Q, one whose values are doubles
+(REAL) for R64, one whose values are ints for Z/m, a QI of two fresh
+rational variables for Q[i], a tuple of its parts' symbols for a product.
+A law's two sides, evaluated once on symbols, give polynomials (or
+quotients, or values at seeded points, or sums of exp terms, below), and
+the law's own equality, asked about them, answers True only when they
+agree at every assignment, for values at points with error at most
+2**-100 (`Rational.eq`, `Float64.eq` and `GaussianRational.eq`, part by
+part, through `equal`, `ModularInt.eq` through `congruent`); otherwise it
+raises Undecided.  A law whose equality answers True holds at every draw
+of a sampled check and at every tuple of an exhaustive one.
 
 A Poly records what kind of value it stands for:
 
+- a double (REAL): anything computed with an R64 variable;
 - a rational: anything computed with a Q variable or a Fraction;
 - an int: Z/m variables and int coefficients only (`modulus` 0);
 - an int known only modulo g (`modulus` g), after a `%`.
 
-Ring operations combine the kinds: a rational with anything exact is a
-rational, and an int known modulo g1 with one known modulo g2 is known
-modulo gcd(g1, g2).  `P % k`, for an int P and a nonzero int k, reduces
-P's coefficients modulo k and is known modulo gcd(g, k), since P % k is
-congruent to P modulo k.  `/` needs an operand that is a rational, as in
+Ring operations combine the kinds: a double with anything exact is a
+double, a rational with anything exact but a double a rational, and an int
+known modulo g1 with one known modulo g2 is known modulo gcd(g1, g2).  A
+finite float operand of a double enters as its exact rational, since
+every double is one: Fraction(0.1) is not 1/10, and the law is about the
+number the code uses; a float that meets any other kind is undecided.
+`P % k`, for an int P and a nonzero int k, reduces P's coefficients
+modulo k and is known modulo gcd(g, k), since P % k is congruent to P
+modulo k.  `/` needs an operand that is a rational, as in
 Python, where int / int is a float, and a divisor that is a nonzero
 constant or a polynomial that `positive` or `nonnegative` certifies
 (below).
@@ -65,8 +72,16 @@ one, since the points lie outside [0, 1].  Two sides are equal when their
 difference is 0 at every point (see the trust base).  An int whose
 polynomial would pass MAX_TERMS is undecided.
 
-A Poly, Quotient or Points operation with a QI operand returns
-NotImplemented, so that Python calls QI's reflected method (`reflected`).
+An Exp is a double sum_i p_i * exp(g_i), its terms grouped by their
+exponents g_i, exact polynomials each stored once (keyed by its terms,
+since a Poly refuses hash()), with coefficients p_i nonzero polynomials;
+`exp` of a polynomial (carriers.exp on a symbol) makes one term, and
+exp(g) * exp(h) = exp(g + h).  It divides exactly by c * exp(g), for a
+constant c != 0, since exp(g) is nowhere zero.  `equal` asks each
+coefficient of the difference to vanish (see the trust base).
+
+A Poly, Quotient or Points operation with a QI or an Exp operand returns
+NotImplemented, so that Python calls its reflected method (`reflected`).
 
 Anything that is not such an operation raises `Undecided`: `/` of two
 ints, by zero, by a polynomial that neither `positive` nor `nonnegative`
@@ -75,13 +90,16 @@ z / w for two Q[i] symbols or QI(x, 0), and s + a*(t - s) when s, t or a
 is FREE), by a factor zero at a point for a Points, by a quotient or by a
 Points, any comparison, bool(), float(), hash(), int() and __index__ (so a
 table lookup), `%` of a rational or by anything but a nonzero int, k % P, //,
-abs(), a power that is not a nonnegative int, an operand that is a float,
-None or a bool, a rational (a Points too) mixed with an int known only
+abs(), a power that is not a nonnegative int, an operand that is a float
+(but a finite one of a double), None or a bool, a rational (a Points too) mixed with an int known only
 modulo g, an int result (or partial product) with more than MAX_TERMS
-terms, and a Points of degree past POINT_DEGREE.  What needs a
-polynomial's terms refuses a Points: `positive` and `certified` answer
-False for it, `substituted`, `congruent` and `difference` raise.  So
-does a substitution of an image that may leave its variable's domain
+terms, and a Points of degree past POINT_DEGREE; for an Exp, a division by
+anything but c * exp(g), an exp of an Exp, of a quotient or of a Points,
+an Exp with a quotient or a Points, and a coefficient past MAX_TERMS (an
+exp term has no Points).  What needs a polynomial's terms refuses a
+Points: `positive` and `certified` answer False for it, `substituted`,
+`congruent` and `difference` raise, and `difference` raises for an Exp.
+So does a substitution of an image that may leave its variable's domain
 (`within`).  An undecided law is walked as if it had no symbols.
 
 A closure predicate (A0, X0) asks its target carrier whether it admits the
@@ -110,9 +128,13 @@ Trust base.  A pass without a walk is sound when:
   return NotImplemented, so that Python calls the symbol's reflected
   method, the same ring operation; `carriers.QI`, which keeps symbolic
   parts as it keeps Fractions, and whose quotient multiplies by 1 / norm
-  where numbers divide by the norm, the same value; and
+  where numbers divide by the norm, the same value;
   `dsl._div`, whose int / int is a Fraction, where a Poly takes no int /
-  int at all;
+  int at all; and `carriers.exp`, math.exp on a number and `exp` on a
+  symbol, the same function over R.  A float that meets a double stands
+  for its exact rational, which is the number the float code uses; a
+  double reaching an exact carrier's equality is a float there, which
+  that equality rejects at the seeded draw that runs first;
 - every divisor is nonzero at every assignment: a nonzero constant, or a
   polynomial that `positive` certifies positive at every real point, by an
   exact LDL^T of a Gram matrix (a sum of squares plus a positive
@@ -149,6 +171,27 @@ Trust base.  A pass without a walk is sound when:
   2**-108.  The values are exact, so no assumption on N's coefficients is
   needed.  The probability is over the seeded choice of the points: they
   are fixed, so a law built to vanish at them would pass;
+- exp terms: for pairwise distinct polynomials g_i with rational
+  coefficients, sum_i p_i * exp(g_i) is the zero function of real
+  variables only when every polynomial p_i is zero, so `equal`, which
+  answers True only when every coefficient of the difference's groups
+  vanishes, is sound and complete on them.  Gather the g_i that differ by
+  rational constants, g + c_j: their sum is exp(g) * sum_j p_j * e**c_j,
+  and each coefficient sum_j k_j * e**c_j of it, with rational k_j, is
+  zero only when every k_j is, since the e**c for distinct rational c
+  are linearly independent over the algebraic numbers
+  (Lindemann-Weierstrass).  The gathered exponents differ by
+  non-constant polynomials: on a generic line every difference stays
+  non-constant and every gathered coefficient nonzero, and as the line's
+  parameter grows one exponent outgrows every other, so its term outgrows
+  the rest and the sum is not zero.  Only exp of polynomials has a
+  symbol: with sin or |x| joined, identity over R is undecidable
+  (Richardson, JSL 1968).  exp of a number is the float math.exp, and a
+  float constant such as math.e is its exact rational, which is not e,
+  so exp(a + 1) == math.e * exp(a) is undecided and walked.  A law
+  decided over R64 holds over R for the function that the float code
+  approximates; its seeded draw runs in floats first, so an overflow, or
+  a tolerance failure, at that draw still fails the law;
 - a Z/m variable stands for every int, and the elements and draws of Z/m
   are ints; a restricted carrier with a direct sampler draws, and
   enumerates, only members, on which an identity over its base holds too,
@@ -158,9 +201,11 @@ Trust base.  A pass without a walk is sound when:
   another value in place of the operation;
 - the law's equality, given two symbolic sides, answers True only when it
   would answer True on every pair of values they stand for.  The carriers'
-  equalities do (Rational.eq, GaussianRational.eq, ModularInt.eq, and
-  Product.eq and Restricted.eq through them), and so does a law's equality
-  built from them without branching on a value's type.  A law's own
+  equalities do (Rational.eq, Float64.eq, which asks `equal` exactly, with
+  no tolerance, when float() refuses a side, GaussianRational.eq,
+  ModularInt.eq, and Product.eq and Restricted.eq through them), and so
+  does a law's equality built from them without branching on a value's
+  type.  A law's own
   equality that rejects a value, such as one that raises at u == 3, meets
   a comparison on a symbol and leaves the law undecided.  The probes and
   one seeded draw run through the loop before the symbols under every
@@ -250,6 +295,10 @@ POSITIVE_MEMO = 256
 # > 0, and those in [0, 1]; it is kept in the index's bits above DOMAIN_SHIFT
 FREE, POSITIVE, UNIT = 0, 1, 2
 DOMAIN_SHIFT = 32
+# the kind of a rational that stands for a double (Float64.symbol): a float
+# operand that meets it enters as its exact rational; True and False are the
+# kinds of a rational and of an int
+REAL = 2
 # past this much work (see certified) an implication is not certified; the
 # most that one needs in a pass of the catalog or of the definition-file
 # checks is 831 (Y10 of tri-space)
@@ -276,7 +325,7 @@ class Poly:
         self.terms, self.rational, self.modulus = terms, rational, modulus
 
     def __add__(self, other):
-        operand = _operand(other)
+        operand = _operand(other, self.rational)
         if operand is None:
             return NotImplemented
         terms, rational, modulus = operand
@@ -301,13 +350,13 @@ class Poly:
     def __sub__(self, other):
         if type(other) in _REFLECTED:
             return NotImplemented
-        return self + -_poly(other)
+        return self + -_poly(other, self.rational)
 
     def __rsub__(self, other):
-        return _poly(other) + -self
+        return _poly(other, self.rational) + -self
 
     def __mul__(self, other):
-        operand = _operand(other)
+        operand = _operand(other, self.rational)
         if operand is None:
             return NotImplemented
         terms, rational, modulus = operand
@@ -332,10 +381,10 @@ class Poly:
     def __truediv__(self, other):
         if type(other) in _REFLECTED:
             return NotImplemented
-        return _quotient(self, other)
+        return _quotient(self, _poly(other, self.rational))
 
     def __rtruediv__(self, other):
-        return _quotient(other, self)
+        return _quotient(_poly(other, self.rational), self)
 
     def __mod__(self, k):
         if type(k) is not int or not k:
@@ -406,7 +455,7 @@ class Quotient:
     def __truediv__(self, other):
         if type(other) in _REFLECTED and type(other) not in (Quotient, Points):
             return NotImplemented  # a QI divides
-        return self * _quotient(Fraction(1), other)
+        return self * _quotient(Poly({(): Fraction(1)}), _poly(other))
 
     def __pow__(self, n):
         if type(n) is not int or n < 0:
@@ -464,7 +513,7 @@ class Points:
     def __truediv__(self, other):
         if type(other) in _REFLECTED and type(other) not in (Quotient, Points):
             return NotImplemented  # a QI divides
-        return self * _quotient(Fraction(1), other)
+        return self * _quotient(Poly({(): Fraction(1)}), _poly(other))
 
     def __pow__(self, n):
         if type(n) is not int or n < 0:
@@ -480,6 +529,125 @@ class Points:
         raise Undecided(f"the terms of a rational past {MAX_TERMS} terms")
 
 
+class Exp:
+    """A sum of terms p * exp(g), kept as `groups`: {the key of g (_key):
+    (g, p)}, with g an exact polynomial and p a nonzero one, each g stored
+    once and none 0, or a sum would be a Poly (_exps).  Its value stands for
+    a double, so its coefficients are REAL.  A product multiplies the groups
+    pairwise, exp(g) * exp(h) = exp(g + h); a division is exact by c *
+    exp(g), for a constant c != 0, and undecided by anything else.  A
+    coefficient past MAX_TERMS is undecided: an exp term has no Points."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: dict):
+        self.groups = groups
+
+    def __add__(self, other):
+        out = dict(self.groups)
+        for g, p in _groups(other).values():
+            _put(out, g, p)
+        return _exps(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Exp({key: (g, -p) for key, (g, p) in self.groups.items()})
+
+    def __sub__(self, other):
+        return self + -_exps(_groups(other))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = {}
+        for g, p in self.groups.values():
+            for h, r in _groups(other).values():
+                _put(out, g + h, p * r)
+        return _exps(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * _inverse(other)
+
+    def __rtruediv__(self, other):
+        return _inverse(self) * other
+
+    def __pow__(self, n):
+        if type(n) is not int or not 0 <= n <= MAX_TERMS:
+            raise Undecided(f"a power {n!r}")
+        out = _ONE
+        for _ in range(n):
+            out = self * out
+        return out
+
+
+_ONE = Poly({(): 1}, REAL)
+
+
+def _key(g: Poly) -> tuple:
+    """g's terms in a canonical order: a key that a Poly, which refuses
+    hash(), cannot be."""
+    return tuple(sorted(g.terms.items()))
+
+
+def _groups(x) -> dict:
+    """The groups of an Exp, or of a Poly or number as the one group of
+    exp(0); Undecided for anything else (a Quotient, a Points, a QI) or an
+    int known only modulo some g."""
+    if type(x) is Exp:
+        return x.groups
+    p = _poly(x, REAL)
+    if p.modulus:
+        raise Undecided(f"an exp term with an int known modulo {p.modulus}")
+    return {(): (Poly({}), p)} if p.terms else {}
+
+
+def _put(out: dict, g: Poly, p):
+    """Add p * exp(g) to the groups out, dropping a zero coefficient."""
+    key = _key(g)
+    if key in out:
+        p = out[key][1] + p
+    if type(p) is not Poly:
+        raise Undecided(f"an exp term past {MAX_TERMS} terms")
+    if p.terms:
+        out[key] = (g, Poly(p.terms, REAL))
+    else:
+        out.pop(key, None)
+
+
+def _exps(groups: dict):
+    """The value of groups: a Poly when only exp(0) is left, else an Exp."""
+    if not groups.keys() - {()}:
+        return groups[()][1] if groups else Poly({}, REAL)
+    return Exp(groups)
+
+
+def _inverse(x):
+    """1 / x for x = c * exp(g) with c a nonzero constant: exp(-g) / c;
+    Undecided for anything else."""
+    groups = _groups(x)
+    if len(groups) != 1:
+        raise Undecided("a division by a sum of exp terms")
+    (g, p), = groups.values()
+    if p.terms.keys() != {()}:
+        raise Undecided("a division by a polynomial times an exp term")
+    return _exps({_key(-g): (-g, Poly({(): Fraction(1) / p.terms[()]}, REAL))})
+
+
+def exp(g):
+    """exp(g) for an exact polynomial g (a float as its exact rational): the
+    one term 1 * exp(g), or 1 for g = 0; Undecided for anything else."""
+    if type(g) is Exp:
+        raise Undecided("an exp of an exp term")
+    g = _poly(g, REAL)
+    if g.modulus:
+        raise Undecided(f"an exp of an int known modulo {g.modulus}")
+    return _exps({_key(g): (g, _ONE)})
+
+
 def _refuse(name: str):
     def refuse(self, *args):
         raise Undecided(f"{name} of a polynomial")
@@ -492,17 +660,18 @@ for _name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
               "__complex__", "__abs__", "__round__", "__trunc__", "__floor__",
               "__ceil__", "__rmod__", "__floordiv__", "__rfloordiv__",
               "__divmod__", "__rdivmod__", "__rpow__"):
-    for _cls in (Poly, Quotient, Points):
+    for _cls in (Poly, Quotient, Points, Exp):
         setattr(_cls, _name, _refuse(_name))
 # a remainder of a rational, and a division by what may be zero
-for _cls in (Quotient, Points):
+for _cls in (Quotient, Points, Exp):
     _cls.__mod__ = _refuse("__mod__")
+for _cls in (Quotient, Points):
     _cls.__rtruediv__ = _refuse("__rtruediv__")
 
 # the operand types whose reflected methods take a Poly, a Quotient or a
-# Points: a Quotient, a Points, and the Gaussian rationals of carriers (see
-# reflected)
-_REFLECTED = {Quotient, Points}
+# Points: a Quotient, a Points, an Exp, and the Gaussian rationals of
+# carriers (see reflected)
+_REFLECTED = {Quotient, Points, Exp}
 
 
 def reflected(cls):
@@ -512,9 +681,10 @@ def reflected(cls):
     return cls
 
 
-def _operand(x) -> tuple | None:
-    """(terms, rational, modulus) of a Poly, an int or a Fraction; None for
-    a type in _REFLECTED; Undecided for anything else."""
+def _operand(x, kind=True) -> tuple | None:
+    """(terms, rational, modulus) of a Poly, an int or a Fraction, or of a
+    finite float for an operation on a REAL one (of that kind), as its exact
+    rational; None for a type in _REFLECTED; Undecided for anything else."""
     if type(x) is Poly:
         return x.terms, x.rational, x.modulus
     if type(x) is int:
@@ -523,34 +693,37 @@ def _operand(x) -> tuple | None:
         return ({(): x} if x else {}), True, 0
     if type(x) in _REFLECTED:
         return None
+    if type(x) is float and kind is REAL and math.isfinite(x):
+        return ({(): Fraction(x)} if x else {}), REAL, 0
     raise Undecided(f"a {type(x).__name__} operand")
 
 
-def _kind(p: Poly, rational: bool, modulus: int) -> tuple:
+def _kind(p: Poly, rational, modulus: int) -> tuple:
     """(rational, modulus) of a ring operation on p and an operand of the
-    given kind; Undecided for a rational with an int known modulo g."""
-    rational, modulus = p.rational or rational, gcd(p.modulus, modulus)
+    given kind, the greater of theirs (REAL > True > False); Undecided for
+    a rational with an int known modulo g."""
+    rational, modulus = max(p.rational, rational), gcd(p.modulus, modulus)
     if rational and modulus:
         raise Undecided(f"a rational with an int known modulo {modulus}")
     return rational, modulus
 
 
-def _poly(x) -> Poly:
-    """x as a Poly; Undecided for a Quotient or a non-number."""
+def _poly(x, kind=True) -> Poly:
+    """x as a Poly, a float only for an operation of kind REAL; Undecided
+    for a Quotient or a non-number."""
     if type(x) is Poly:
         return x
-    operand = _operand(x)
+    operand = _operand(x, kind)
     if operand is None:
         raise Undecided(f"a {type(x).__name__} where a polynomial is needed")
     return Poly(*operand)
 
 
-def _quotient(a, b):
+def _quotient(a: Poly, b: Poly):
     """a / b when a or b is a rational: a Poly when b is a nonzero constant,
     a Quotient over the one factor b when `positive` certifies b, or else
     `nonnegative` certifies it positive on its variables' domains;
     Undecided otherwise."""
-    a, b = _poly(a), _poly(b)
     if not (a.rational or b.rational):
         raise Undecided("an int / int, which is a float")
     if b.modulus:
@@ -559,7 +732,8 @@ def _quotient(a, b):
         return a * (Fraction(1) / b.terms[()])
     if not (positive(b) or nonnegative(b, strict=True)):
         raise Undecided("a division by zero or by a polynomial that may be zero")
-    return _over(Poly(a.terms, *_kind(a, True, 0)), {frozenset(b.terms.items()): (b, 1)})
+    return _over(Poly(a.terms, *_kind(a, max(b.rational, True), 0)),
+                 {frozenset(b.terms.items()): (b, 1)})
 
 
 def _fraction(x) -> tuple | None:
@@ -996,8 +1170,10 @@ def _difference(x, y):
     """The numerator of x - y for two exact rationals or ints, or x - y as
     a Points; Undecided for anything else, or for an int known only modulo
     some g."""
-    d = ((x if type(x) in (Quotient, Points) else _poly(x))
-         - (y if type(y) in (Quotient, Points) else _poly(y)))
+    d = ((x if type(x) in (Quotient, Points, Exp) else _poly(x))
+         - (y if type(y) in (Quotient, Points, Exp) else _poly(y)))
+    if type(d) is Exp:
+        raise Undecided("sides that differ by exp terms")
     if type(d) is Quotient:
         d = d.num
     if type(d) is Poly and d.modulus:

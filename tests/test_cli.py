@@ -448,7 +448,10 @@ def test_fewer_than_one_sample_exits_two(capsys, command, samples):
 
 @pytest.mark.parametrize("argv, kind", [
     (("damped-space", "--param", "alpha=1000"), "OverflowError"),
-    (("transported-space", "--param", "lam=0,1"), "ZeroDivisionError")])
+    (("transported-space", "--param", "lam=0,1"), "ZeroDivisionError"),
+    # the R64 equations are decided, but X0 and the implications are walked
+    (("damped-space", "--param", "alpha=1000", "--properties", "--affine",
+      "--seed", "11"), "OverflowError")])
 def test_arithmetic_error_in_an_operation_exits_two(capsys, argv, kind):
     code, out, err = run(capsys, "catalog", "check", *argv)
     assert code == 2 and out == ""

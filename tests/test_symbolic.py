@@ -1,7 +1,9 @@
 """Laws decided once over Q, Z/m and Q[i]: symbols, Undecided, and reports
 that do not change when a law's draws are skipped."""
 
+import json
 import math
+import operator
 import random
 import time
 from dataclasses import replace
@@ -22,7 +24,7 @@ from mobikit.catalog import nonaffine_poly_space, zmod_algebra, zmod_module
 from mobikit.cli import run_cli
 from mobikit.dsl import load
 from mobikit.report import EvalError, law_seed, report_to_text
-from mobikit.ringmod import check_module
+from mobikit.ringmod import check_module, check_ring
 from mobikit.search import search_finite
 from mobikit.space import MobiSpace, check_affine, check_space, check_y_properties
 from mobikit.symbolic import (FREE, MAX_TERMS, POINT_DEGREE, POSITIVE, POSITIVE_WORK, UNIT,
@@ -294,13 +296,19 @@ def test_catalog_implications_print_the_same_with_and_without_symbols(
 
 def test_only_carriers_of_exact_rationals_have_symbols():
     # ... and Z/m, whose symbol is a variable whose values are ints, and
-    # Q[i], whose symbol is a QI of two rational variables
+    # Q[i], whose symbol is a QI of two rational variables; a rejection-
+    # sampled carrier, such as a `where` clause over R64, has none
     fresh = variables()
     never = Restricted(Rational(), lambda x: x > 100)
-    for carrier in (Float64(), never, Product((Rational(), Float64()))):
+    positive = Restricted(Float64(), lambda v: v > 0)
+    for carrier in (never, positive, Product((Rational(), positive))):
         assert carrier.symbol(fresh) is None, carrier
     q, n = Rational().symbol(fresh), ModularInt(5).symbol(fresh)
-    assert type(q) is Poly and q.rational
+    assert type(q) is Poly and q.rational is True
+    # a double is a rational too: one that a float meets as its exact value
+    r = Float64().symbol(fresh)
+    assert type(r) is Poly and r.rational is symbolic.REAL
+    assert type(Product((Rational(), Float64())).symbol(fresh)) is tuple
     assert type(n) is Poly and not n.rational and n.modulus == 0
     z = GaussianRational().symbol(fresh)
     assert type(z) is QI and all(type(p) is Poly and p.rational for p in (z.re, z.im))
@@ -334,6 +342,9 @@ z, w = GaussianRational().symbol(fresh), GaussianRational().symbol(fresh)
 ratio = (1 / QI(x, 1)).re  # x / (x*x + 1), a quotient
 # a variable over the rationals > 0 and one over [0, 1] (see symbolic.variables)
 r, u = fresh(domain=symbolic.POSITIVE), fresh(domain=symbolic.UNIT)
+# a variable over the doubles (see Float64.symbol), and e**v
+v = Float64().symbol(fresh)
+ev = carriers.exp(v)
 
 
 def index(v: Poly) -> int:
@@ -460,6 +471,31 @@ REFUSED = {
     "substituted r -> x, a free variable":
         lambda: symbolic.substituted(r, {index(r): x}),
     "substituted r -> 0": lambda: symbolic.substituted(r, {index(r): 0}),
+    # exp terms: a division by anything but c * exp(g), an exp of anything
+    # but a polynomial, a coefficient past the term cap, and no order
+    "exp(v) / (1 + exp(v)), a division by a sum": lambda: ev / (1 + ev),
+    "exp(v) / v": lambda: ev / v,
+    "1 / (v * exp(v))": lambda: 1 / (v * ev),
+    "exp(exp(v))": lambda: carriers.exp(ev),
+    "exp of a quotient": lambda: carriers.exp(ratio),
+    "exp of an int known modulo 3": lambda: carriers.exp(n % 3),
+    "exp(v) + a quotient": lambda: ev + ratio,
+    "exp(v) * a Points": lambda: ev * past_the_term_cap(),
+    "an exp term past the term cap":
+        lambda: math.prod(1 + Float64().symbol(fresh) for _ in range(11)) * ev,
+    "exp(v) + a Q[i] symbol": lambda: ev + z,
+    "exp(v) == exp(v)": lambda: ev == ev,
+    "exp(v) < 1": lambda: ev < 1,
+    "bool(exp(v))": lambda: bool(ev),
+    "hash(exp(v))": lambda: hash(ev),
+    "float(exp(v))": lambda: float(ev),
+    "exp(v) % 2": lambda: ev % 2,
+    "exp(v) ** -1": lambda: ev ** -1,
+    "v + inf": lambda: v + math.inf,
+    "v * nan": lambda: v * math.nan,
+    "a Z/m symbol + a float": lambda: n + 0.5,
+    "difference of an exp term": lambda: symbolic.difference(ev, 0),
+    "Float64.eq of exp(v) and 1 + v": lambda: Float64().eq(ev, 1 + v),
 }
 
 
@@ -1049,8 +1085,9 @@ def test_an_uncertified_implication_reports_the_same_without_symbols(
 @pytest.mark.parametrize("carrier, strategy, evaluated", [
     (ModularInt(7), Sampled(50), 51),  # every draw, and the first copy
     (ModularInt(7), Exhaustive(), 7 ** 3),
-    (Float64(), Sampled(50), 100),  # no symbols: every draw and copy
-], ids=["Z/7-sampled", "Z/7-exhaustive", "R64"])
+    (Float64(), Sampled(50), 51),  # R64 has no differences: as Z/7
+    (Restricted(Float64(), lambda v: True), Sampled(50), 100),  # no symbols: all
+], ids=["Z/7-sampled", "Z/7-exhaustive", "R64", "no-symbol"])
 def test_an_implication_over_z_m_or_r64_evaluates_every_draw(carrier, strategy, evaluated):
     calls = []
     report = sides_of(strategy, calls, lambda a, b, c: a + 2 * b, lambda a, b, c: a + 2 * c,
@@ -1231,7 +1268,10 @@ def test_a_carrier_admits_a_symbolic_value_of_its_kind():
     assert GaussianRational().admits(z * w) and GaussianRational().admits(x)
     assert Vector(Rational(), 2).admits((x, y)) and not Vector(Rational(), 2).admits((x,))
     assert not Product((Rational(), Z5)).admits((x, x))
-    assert not Float64().admits(x)
+    # R64 has a symbol but admits nothing, so X0 over it keeps its walk: a
+    # float exp may overflow at a draw; a `where` carrier has no symbol
+    assert not Float64().admits(x) and not Float64().admits(Float64().symbol(fresh))
+    assert not Restricted(Float64(), lambda v: v > 0).admits(x)
     unit = unit_interval()
     a, b, c = (unit.symbol(fresh) for _ in range(3))
     assert unit.admits(a + b * (c - a)) and unit.admits(F(1))
@@ -1579,3 +1619,229 @@ def test_a_solved_implication_holds_at_points_that_satisfy_its_premise(
 
 def value_at(p: Poly, point: dict):
     return sum(k * math.prod(point[v] for v in m) for m, k in p.terms.items())
+
+
+# -- R64 laws decided as identities of polynomials and exp of polynomials
+
+def reals(k: int) -> list:
+    """k symbols of R64: rational variables that a float meets exactly."""
+    fresh = variables()
+    return [Float64().symbol(fresh) for _ in range(k)]
+
+
+def test_exp_identities_are_decided_and_near_identities_are_not():
+    a, b, c = reals(3)
+    R, exp = Float64(), carriers.exp
+    assert R.eq(exp(a + b), exp(a) * exp(b)) is True
+    assert R.eq(exp(2 * a), exp(a) ** 2) is True
+    assert R.eq(exp(a) / exp(b), exp(a - b)) is True
+    assert R.eq(2.5 * exp(a) / (0.5 * exp(-b)), 5 * exp(a + b)) is True
+    # 0*exp(1000 + b) is exactly 0 on symbols, where a float would overflow
+    body = "a + b*(c - a) + 0*exp(1000 + b)"
+    p = load(f"algebra g {{\n  carrier: R64\n  zero: 0\n  half: 1/2\n  one: 1\n"
+             f"  p(a, b, c) = {body}\n}}\n")["g"].p
+    assert R.eq(p(a, b, c), a + b * (c - a)) is True
+    # exp is no polynomial, and the float math.e is not e: Fraction(math.e)
+    # * exp(a) is exp(a + 1) by Lindemann-Weierstrass only if it were e, so
+    # the law is walked, and passes within the tolerance
+    for left, right in ((exp(a), 1 + a), (exp(a + 1), math.e * exp(a)),
+                        (exp(2 * a) - exp(a), 0)):
+        with pytest.raises(Undecided):
+            R.eq(left, right)
+    lhs, rhs = lambda a: exp(a + 1), lambda a: math.e * exp(a)
+    assert not report._decided((R,), R.eq, lhs, rhs)
+    assert check_equation("e", ("a",), (R,), R.eq, lhs, rhs, Sampled(100)).passed
+
+
+def scaled_damped_space(scale: float) -> MobiSpace:
+    """damped-space, n = 1 and alpha = 1, with its second exponent scaled."""
+    def q(x, a, y):
+        s, t = x[1], y[1]
+        return ((1 - a) * x[0] * carriers.exp(a * (t - s))
+                + a * y[0] * carriers.exp(scale * (1 - a) * (s - t)), s + a * (t - s))
+
+    return MobiSpace(build("float-line-algebra"), Vector(Float64(), 2), q)
+
+
+def test_a_scaled_exponent_leaves_x5_undecided_and_walked(monkeypatch):
+    def x5(space):
+        q, p = space.q, space.algebra.p
+        return (space.points.eq, lambda x, y, a, b, c: q(q(x, a, y), b, q(x, c, y)),
+                lambda x, y, a, b, c: q(x, p(a, b, c), y))
+
+    slots = (Vector(Float64(), 2),) * 2 + (Float64(span=2),) * 3
+    assert report._decided(slots, *x5(scaled_damped_space(1.0)))
+    assert not report._decided(slots, *x5(scaled_damped_space(1.01)))
+    decided = check_space(scaled_damped_space(1.01))
+    assert next(r for r in decided if r.law == "X5").verdict == "fail"
+    without_symbols(monkeypatch)
+    assert check_space(scaled_damped_space(1.01)) == decided
+
+
+def test_r64_checks_that_failed_on_rounding_pass(capsys):
+    # Y4 at alpha = 4, and Y5 at seed 40, are identities over R: decided,
+    # so the float rounding of their one draw's exp factors stays within
+    # tolerance; X4's premise holds only within tolerance at a draw, so it
+    # is walked and still fails there
+    code, out = run_cli(["catalog", "check", "damped-space", "--param", "n=2", "--param",
+                         "alpha=4", "--properties", "--affine"]), capsys.readouterr().out
+    assert code == 1 and [line.split()[1] for line in out.splitlines()
+                          if line.startswith("FAIL")] == ["X4"]
+    assert run_cli(["catalog", "check", "damped-space", "--param", "n=2", "--param",
+                    "alpha=4", "--properties", "--samples", "17", "--seed", "40"]) == 0
+    assert capsys.readouterr().out.endswith("checked 16 law(s): all passed\n")
+
+
+DAMPED = """\
+space damped over float_line_algebra {{
+  carrier: R64^2
+  param alpha: R64 = 1
+  q((x, s), a, (y, t)) = ({A}(1 - a)*x*exp(alpha*a*(t - s)) + a*y*exp(alpha*(1 - a)*(s - t)), s + {B}a*(t - s))
+}}
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11])
+def test_damped_definition_files_print_the_same_with_and_without_symbols(
+        tmp_path, capsys, monkeypatch, seed):
+    # the transcription of damped-space, and each coefficient perturbed:
+    # (1 - a)*x times 2 breaks X1, a*(t - s) times 3/2 breaks X2
+    commands = []
+    for name, fields in (("damped", {"A": "", "B": ""}), ("a", {"A": "2*", "B": ""}),
+                         ("b", {"A": "", "B": "(3/2)*"})):
+        path = tmp_path / f"{name}.mobi"
+        path.write_text(DAMPED.format(**fields))
+        commands.append(("check", str(path), "--properties", "--samples", "100",
+                         "--seed", str(seed), "--report", "json"))
+    decided = outputs(capsys, commands)
+    assert [code for _, code, _, _ in decided] == [0, 1, 1]
+    failed = [[r["law"] for r in json.loads(out) if r["verdict"] == "fail"]
+              for _, _, out, _ in decided[1:]]
+    assert failed[0][0] == "damped.X1" and failed[1][0] == "damped.X2"
+    without_symbols(monkeypatch)
+    assert outputs(capsys, commands) == decided
+
+
+def test_every_r64_equation_of_damped_module_is_decided(monkeypatch):
+    walked = []
+
+    def spy(law, *args, walk=None, **kwargs):
+        if walk is None:
+            walked.append(law)
+        return check(law, *args, walk=walk, **kwargs)
+
+    check = report._check
+    monkeypatch.setattr(report, "_check", spy)
+    module, strategy = build("damped-module"), Sampled(10 ** 6)
+    reports = check_ring(module.ring, strategy) + check_module(module, strategy)
+    assert len(reports) == 19 and all(r.passed for r in reports)
+    assert walked == ["half-plus-half"]  # the one law without variables
+
+
+def test_the_lozenge_scalars_decline_closure_before_any_symbol(monkeypatch):
+    # the unit interval's conditions meet the lozenge's FREE variables, so X0
+    # is walked at once: 500 evaluations, no seeded draw, no symbolic one
+    admitted, values = [], []
+    monkeypatch.setattr(report, "_admitted", lambda *args: admitted.append(args))
+    space = build("lozenge-space")
+    slots = (space.points, space.algebra.carrier, space.points)
+    decided = check_predicate("X0", ("x", "a", "y"), slots, counting(space.q, values),
+                              space.points.contains, Sampled(500))
+    assert decided.passed and len(values) == 500 and not admitted
+    assert report._admitting(space.points.contains, slots[:1] * 3) is space.points
+
+
+EXPRESSION_LEAVES = (st.tuples(st.just("v"), st.integers(0, 1))
+                     | st.tuples(st.just("k"), st.sampled_from([-1.5, -1.0, 0.0, 0.5, 1.0, 2.0])))
+# polynomials in two variables, and sums and products of them and of exp of them
+EXPONENTS = st.recursive(EXPRESSION_LEAVES,
+                         lambda sub: st.tuples(st.sampled_from("+-*"), sub, sub), max_leaves=3)
+EXP_POLYNOMIALS = st.recursive(EXPRESSION_LEAVES | st.tuples(st.just("exp"), EXPONENTS),
+                               lambda sub: st.tuples(st.sampled_from("+-*"), sub, sub),
+                               max_leaves=5)
+
+
+SYMBOLS = reals(2)
+
+
+def exp_value(e, env):
+    """e at env, floats or symbols alike: exp is carriers.exp."""
+    if e[0] == "v":
+        return env[e[1]]
+    if e[0] == "k":
+        return e[1]
+    if e[0] == "exp":
+        return carriers.exp(exp_value(e[1], env))
+    if e[0] == "**":
+        return exp_value(e[1], env) ** e[2]
+    a, b = exp_value(e[1], env), exp_value(e[2], env)
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv}[e[0]](a, b)
+
+
+def variable(e) -> bool:
+    """Whether a variable occurs in e, so that exp of it is a symbolic exp
+    term rather than the float math.exp of a number."""
+    return e[0] == "v" or (e[0] != "k" and any(variable(u) for u in e[1:3]
+                                                if type(u) is tuple))
+
+
+def rewritten(e, rng: random.Random):
+    """An expression equal to e over R, as the float code computes it:
+    exp(u + v) as exp(u) * exp(v) and exp(u - v) as exp(u) / exp(v) where
+    both u and v have a variable, exp(k*u) for k in 0..2 as exp(u)**k,
+    products distributed over sums, and sums and products swapped."""
+    if e[0] in "vk":
+        return e
+    if e[0] == "exp":
+        u = e[1]
+        if u[0] in "+-" and variable(u[1]) and variable(u[2]) and rng.random() < 0.7:
+            op = "*" if u[0] == "+" else "/"
+            return (op, rewritten(("exp", u[1]), rng), rewritten(("exp", u[2]), rng))
+        if u[0] == "*" and u[1][0] == "k" and u[1][1] in (0.0, 1.0, 2.0):
+            return ("**", rewritten(("exp", u[2]), rng), int(u[1][1]))
+        return ("exp", rewritten(u, rng))
+    op, u, v = e
+    if op == "*" and u[0] in "+-" and rng.random() < 0.5:
+        w = rewritten(v, rng)
+        return (u[0], ("*", rewritten(u[1], rng), w), ("*", rewritten(u[2], rng), w))
+    u, v = rewritten(u, rng), rewritten(v, rng)
+    return (op, v, u) if op in "+*" and rng.random() < 0.5 else (op, u, v)
+
+
+def doubled(e):
+    """e with the exponent u of its first exp(u) doubled, or None when e
+    has no exp."""
+    if e[0] in "vk":
+        return None
+    if e[0] == "exp":
+        return ("exp", ("*", ("k", 2.0), e[1]))
+    for k in (1, 2):
+        d = doubled(e[k])
+        if d is not None:
+            return e[:k] + (d,) + e[k + 1:]
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXP_POLYNOMIALS, st.integers(0, 2 ** 16), st.booleans(), EXP_POLYNOMIALS)
+def test_a_decided_exp_polynomial_identity_holds_at_float_points(e, seed, same, other):
+    # e against a rewriting of it, an identity over R that must be decided,
+    # or against a rewriting of e with one exponent doubled (or, with no
+    # exp in e, e plus another expression), which may or may not be equal;
+    # wherever equal decides, floats agree at 100 seeded points in [-1, 1]
+    rng = random.Random(seed)
+    right = rewritten(e if same else doubled(e) or ("+", e, other), rng)
+    try:
+        decided = Float64().eq(*(exp_value(f, SYMBOLS) for f in (e, right)))
+    except Undecided:
+        decided = False
+    event(f"same: {same}, decided: {decided}")
+    assert decided or not same
+    if decided:
+        for _ in range(100):
+            point = [rng.uniform(-1, 1), rng.uniform(-1, 1)]
+            left_value, right_value = exp_value(e, point), exp_value(right, point)
+            assert abs(left_value - right_value) <= carriers.FLOAT_ATOL + carriers.FLOAT_RTOL * max(
+                abs(left_value), abs(right_value)), (e, right, point)
+
