@@ -63,12 +63,12 @@ tells whether such a predicate bounds the members, a part's too.
 `ModularInt.eq` given a symbolic side answer True only for sides equal, or
 congruent modulo m, at every assignment, and raise symbolic.Undecided
 otherwise.
-`differences(x, y)` gives, for two symbolic elements of Q or Q[i] or a
-product or restriction of them, the exact polynomials that all vanish at
-an assignment exactly when `eq(x, y)` holds there: one for Q, the real and
-imaginary parts for Q[i], the parts' in turn for a product, the base's for
-a restriction; every other carrier gives None (R64, whose differences may
-hold exp terms, which the premise solver does not take).
+`differences(x, y)` gives, for two symbolic elements of Q, R64 or Q[i] or
+a product or restriction of them, the exact polynomials that all vanish at
+an assignment exactly when `eq(x, y)` holds there: one for Q, one for R64
+with each exp(g) a positive variable of its own (symbolic.exp_difference),
+the real and imaginary parts for Q[i], the parts' in turn for a product,
+the base's for a restriction; every other carrier gives None.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ from typing import Callable, Iterator
 
 from . import symbolic
 from .symbolic import (FREE, REAL, Exp, Points, Poly, Quotient, Undecided, congruent,
-                       difference, affine, domain_of, domains, equal, nonnegative,
-                       reflected, variables)
+                       difference, affine, domain_of, domains, equal, exp_difference,
+                       nonnegative, reflected, variables)
 
 MAX_REJECTS = 10_000
 _SYMBOLS = (Poly, Quotient, Points, Exp)  # the types of a symbolic value
@@ -777,6 +777,9 @@ class Float64(_BuiltDraw):
 
     def coerce(self, value):
         return float(value) if isinstance(value, (int, Fraction)) else value
+
+    def differences(self, x, y):
+        return [exp_difference(x, y)]
 
     def symbol(self, fresh):
         # every finite double is a rational; a float that meets it enters

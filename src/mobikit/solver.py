@@ -8,7 +8,10 @@ divides, or whose premise factors into cases, such as Y10 of
 projectile-space: a = b, or s = t.  Solving the premise for one variable
 at a time under a nonzero leading coefficient, case by case where that
 coefficient may vanish, decides them (symbolic's trust base states why a
-solved premise holds at every assignment).  It is a module of its own:
+solved premise holds at every assignment).  Over R64 each exp(g) of a
+difference is a positive variable of its own (symbolic.exponent), which a
+substitution into g renames (_renamed), so that X4, Y9 and Y10 of
+damped-space solve as over Q.  It is a module of its own:
 compiled from source inside symbolic, it raised the peak memory of a
 fresh import by about 0.5 MB.
 """
@@ -22,9 +25,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .symbolic import (CERTIFICATE_WORK, FREE, MAX_TERMS, POSITIVE, UNIT, Poly, Undecided,
-                       _certified, _leading, _nonnegative_within, _poly, _positive_within,
-                       _spend, domain_of)
+from .symbolic import (CERTIFICATE_WORK, EXPONENTS, FREE, MAX_TERMS, POSITIVE, UNIT, Poly,
+                       Undecided, _certified, _leading, _nonnegative_within, _poly,
+                       _positive_within, _spend, domain_of, exponent)
 
 # past this much work (see solved) an implication is not decided by solving
 # its premise, and past this many nested case splits a node is not split
@@ -66,7 +69,10 @@ def solved(premise: list, conclusion: list, factors=()) -> bool:
       a21*v1 + a22*v2 + r2, with no v1*v2 term, whose determinant
       a11*a22 - a12*a21 is nowhere zero, give v1 and v2 over it by
       Cramer's rule in the same way: the (re, im) pair of a Q[i] premise.
-      The factors are substituted too, and stay nonzero.  When a split is
+      The factors are substituted too, and stay nonzero, and a variable
+      that stands for exp(g) (symbolic.exponent), g having a substituted
+      variable, becomes that of exp(g) substituted, undecided when the
+      images are quotients.  When a split is
       left, blocks are not sought if a premise is a product c*(v - q);
     - a case split, when fewer than BRANCHES splits enclose the node: that
       product, or else the premise c*v + r with the smallest coefficient,
@@ -430,5 +436,38 @@ def _substituted(images: dict, den, budget: list, *groups) -> list:
         return out
 
     out = [[substitute(p) for p in group] for group in groups]
+    renamed = _renamed(images, den, substitute, out)
+    if renamed:
+        out = [[_rename(p, renamed) for p in group] for group in out]
     out[-1] = _factors(out[-1])
+    return out
+
+
+def _renamed(images: dict, den, substitute, groups: list) -> dict:
+    """{v: exponent(g(images))} for each variable v in groups that stands
+    for exp(g) (symbolic.exponent) where g has a variable of images, since
+    exp(g) is exp(g(images)) wherever the images hold; Undecided when they
+    are quotients (den), which would leave the polynomials."""
+    out = {}
+    for v in {v for group in groups for p in group for m in p.terms for v in m}:
+        g = EXPONENTS.get(v)
+        if g is None or images.keys().isdisjoint(u for m in g.terms for u in m):
+            continue
+        if den is not None:
+            raise Undecided("an exponent substituted by a quotient")
+        out[v] = exponent(substitute(g))
+    return out
+
+
+def _rename(p: Poly, renamed: dict) -> Poly:
+    """p with each variable v of renamed replaced by renamed[v]."""
+    if renamed.keys().isdisjoint(v for m in p.terms for v in m):
+        return p
+    out = Poly({}, p.rational)
+    for m, k in p.terms.items():
+        term = Poly({tuple(v for v in m if v not in renamed): k}, p.rational)
+        for v in m:
+            if v in renamed:
+                term = term * renamed[v]
+        out = out + term
     return out

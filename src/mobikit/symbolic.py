@@ -109,14 +109,15 @@ admit a value of their kind, and a restricted carrier one on which
 
 An implication whose premise compares two sides with a carrier's own
 equality is decided from its sides' differences on symbols
-(Carrier.differences), each the numerator of x - y (`difference`): the
-premise's, pi_j, and the conclusion's, gamma_i.  `solver.solved` solves
-the premise for its variables, case by case, and asks `certified` at each
-case for polynomials h_ij of degree at most 1 with gamma_i = sum_j h_ij *
-pi_j, so that every assignment whose premise holds meets the conclusion;
-when the premise is not solved, the copies that a sampled walk constructs
-are decided by `substituted`, each difference with the copy of each
-variable put in its place.
+(Carrier.differences), each the numerator of x - y (`difference`), or for
+doubles x - y with each exp(g) in it a POSITIVE variable of its own
+(`exp_difference`, `exponent`): the premise's, pi_j, and the conclusion's,
+gamma_i.  `solver.solved` solves the premise for its variables, case by
+case, and asks `certified` at each case for polynomials h_ij of degree at
+most 1 with gamma_i = sum_j h_ij * pi_j, so that every assignment whose
+premise holds meets the conclusion; when the premise is not solved, the
+copies that a sampled walk constructs are decided by `substituted`, each
+difference with the copy of each variable put in its place.
 
 Trust base.  A pass without a walk is sound when:
 
@@ -215,11 +216,22 @@ Trust base.  A pass without a walk is sound when:
   differences are exact: Rational's is x - y, GaussianRational's the real
   and the imaginary part of x - y, a product's its parts', a restricted
   carrier's its base's, and each is the numerator of a difference whose
-  denominator's factors were certified positive on the domains; so the
-  equality holds at an assignment exactly when every one vanishes there.
-  Every other carrier gives none (Z/m, whose equality is a congruence,
-  R64, a search table), nor does any other equality, so its implications
-  are walked.  `certified` confirms each certificate it finds by a Poly
+  denominator's factors were certified positive on the domains, or
+  Float64's x - y, whose exp(g) terms are variables that take the value
+  exp(g) at each assignment; so the equality holds at an assignment
+  exactly when every one vanishes there.  Every other carrier gives none
+  (Z/m, whose equality is a congruence, a search table), nor does any
+  other equality, so its implications are walked;
+- exp variables in an implication: exp(g) is a POSITIVE variable of its
+  own (`exponent`), since exp(g) > 0 at every real point, so a Poly
+  identity, a certificate, or a sign rule that holds with it free holds
+  with it at exp(g) too; and at the points where a substitution v =
+  image holds, exp(g) is exp(g(v = image)), so solver._renamed puts the
+  variable of the substituted exponent in its place (1 for 0), and
+  refuses a substitution by a quotient, which would take the exponent
+  out of the polynomials.  The variables are numbered afresh at each
+  variables(), so a law's numbering, and so its solve, depends on the law
+  alone.  `certified` confirms each certificate it finds by a Poly
   identity, gamma_i - sum_j h_ij * pi_j == 0, so at every real point
   where every pi_j vanishes every gamma_i does, and within
   CERTIFICATE_WORK units of work.  A solved premise skips the copies too,
@@ -299,6 +311,11 @@ DOMAIN_SHIFT = 32
 # operand that meets it enters as its exact rational; True and False are the
 # kinds of a rational and of an int
 REAL = 2
+# the variables that stand for exp(g) in a premise solve (see exponent):
+# the first index, each exponent's key: its variable, and each variable: g
+EXP_BASE = 1 << 31
+_EXP_VARIABLES: dict = {}
+EXPONENTS: dict = {}
 # past this much work (see certified) an implication is not certified; the
 # most that one needs in a pass of the catalog or of the definition-file
 # checks is 831 (Y10 of tri-space)
@@ -635,6 +652,21 @@ def _inverse(x):
     if p.terms.keys() != {()}:
         raise Undecided("a division by a polynomial times an exp term")
     return _exps({_key(-g): (-g, Poly({(): Fraction(1) / p.terms[()]}, REAL))})
+
+
+def exponent(g: Poly) -> Poly:
+    """exp(g) as a polynomial of a premise solve: 1 for g = 0, else the
+    variable that stands for it, the same for the same exponent since the
+    last variables(), POSITIVE since exp(g) > 0 at every real point; its
+    index, from EXP_BASE up, maps back to g in EXPONENTS."""
+    if not g.terms:
+        return _ONE
+    key = _key(g)
+    v = _EXP_VARIABLES.get(key)
+    if v is None:
+        v = _EXP_VARIABLES[key] = (EXP_BASE + len(EXPONENTS)) | POSITIVE << DOMAIN_SHIFT
+        EXPONENTS[v] = g
+    return Poly({(v,): 1}, REAL)
 
 
 def exp(g):
@@ -1042,7 +1074,11 @@ def variables() -> Callable[..., Poly]:
     is true and rationals otherwise, and which ranges over its domain.  The
     k-th variable's index is k with the domain in the bits above
     DOMAIN_SHIFT (see domain_of), so a FREE variable's index is k, and a
-    polynomial's terms say its variables' domains."""
+    polynomial's terms say its variables' domains.  A call starts a law's
+    symbols: the variables of exp terms (see exponent) start afresh too, so
+    that a law's are numbered by its own evaluation alone."""
+    _EXP_VARIABLES.clear()
+    EXPONENTS.clear()
     indices = count()
     return lambda integer=False, domain=FREE: Poly(
         {(next(indices) | domain << DOMAIN_SHIFT,): 1}, not integer)
@@ -1190,6 +1226,20 @@ def difference(x, y) -> Poly:
     if type(d) is Points:
         raise Undecided("a difference known only at the points")
     return d
+
+
+def exp_difference(x, y) -> Poly:
+    """x - y for two doubles, a float as its exact rational, with each
+    exp(g) in it the variable exponent(g): at every assignment, with each
+    such variable at its exp(g), it is x - y, so it vanishes exactly where x
+    equals y; Undecided for a quotient, a Points, an int known only modulo
+    some g, or past MAX_TERMS."""
+    out = Poly({}, REAL)
+    for g, p in _groups(_exps(_groups(x)) - _exps(_groups(y))).values():
+        out = out + p * exponent(g)
+    if type(out) is not Poly:
+        raise Undecided(f"a difference past {MAX_TERMS} terms")
+    return out
 
 
 def equal(x, y) -> bool:

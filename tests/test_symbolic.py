@@ -1085,9 +1085,10 @@ def test_an_uncertified_implication_reports_the_same_without_symbols(
 @pytest.mark.parametrize("carrier, strategy, evaluated", [
     (ModularInt(7), Sampled(50), 51),  # every draw, and the first copy
     (ModularInt(7), Exhaustive(), 7 ** 3),
-    (Float64(), Sampled(50), 51),  # R64 has no differences: as Z/7
-    (Restricted(Float64(), lambda v: True), Sampled(50), 100),  # no symbols: all
-], ids=["Z/7-sampled", "Z/7-exhaustive", "R64", "no-symbol"])
+    # an R64 `where` carrier has no symbol: every draw and copy (R64 itself
+    # is solved, see test_an_r64_implication_is_solved_through_its_exp_terms)
+    (Restricted(Float64(), lambda v: True), Sampled(50), 100),
+], ids=["Z/7-sampled", "Z/7-exhaustive", "R64"])
 def test_an_implication_over_z_m_or_r64_evaluates_every_draw(carrier, strategy, evaluated):
     calls = []
     report = sides_of(strategy, calls, lambda a, b, c: a + 2 * b, lambda a, b, c: a + 2 * c,
@@ -1134,23 +1135,25 @@ def test_a_combination_of_the_premise_is_certified_and_one_plus_it_is_not(premis
 
 CERTIFIED_IMPLICATIONS = {
     **{f"catalog check {name}": ["A6", "eq(8)", "eq(10)"] for name in (
-        "canonical-interval-algebra", "rational-line-algebra", "lozenge-algebra",
-        "plane-algebra", "tri-algebra")},
+        "canonical-interval-algebra", "rational-line-algebra", "float-line-algebra",
+        "lozenge-algebra", "plane-algebra", "tri-algebra")},
     **{f"catalog check {name}": ["X4", "Y9", "Y10"] for name in (
-        "canonical-space", "projectile-space", "transported-space", "halfplane-space",
-        "lozenge-space", "plane-space", "tri-space", "nonaffine-complex-space",
-        "nonaffine-poly-space")},
+        "canonical-space", "projectile-space", "damped-space", "transported-space",
+        "halfplane-space", "lozenge-space", "plane-space", "tri-space",
+        "nonaffine-complex-space", "nonaffine-poly-space")},
     **{f"convert module-to-space {name}": ["X4"] for name in (
-        "canonical-module", "projectile-module", "plane-module", "tri-module")},
+        "canonical-module", "projectile-module", "damped-module", "plane-module",
+        "tri-module")},
 }
 
 
 def test_the_certified_implications_of_the_catalog(monkeypatch, capsys):
     # every implication whose premise compares two sides with the
-    # equality of Q, Q[i] or a product of them (the 7 over R64 are walked):
-    # through certificates, by a substitution, or by a case split, such as
-    # Y10 of projectile-space, a = b or s = t; X4 of halfplane-space and
-    # of nonaffine-complex-space solve through their divisors
+    # equality of Q, Q[i], R64 or a product of them: through certificates,
+    # by a substitution, or by a case split, such as Y10 of
+    # projectile-space, a = b or s = t; X4 of halfplane-space and of
+    # nonaffine-complex-space solve through their divisors, and those of
+    # damped-space through its exp terms
     command, law, certified = [None], [None], {}
 
     def check_spy(name, *args, **kwargs):
@@ -1171,7 +1174,7 @@ def test_the_certified_implications_of_the_catalog(monkeypatch, capsys):
         run_cli(list(argv))
     capsys.readouterr()
     assert certified == CERTIFIED_IMPLICATIONS
-    assert sum(map(len, certified.values())) == 46
+    assert sum(map(len, certified.values())) == 53
 
 
 def test_a_norm_that_recurs_across_laws_is_certified_once(monkeypatch):
@@ -1681,12 +1684,11 @@ def test_a_scaled_exponent_leaves_x5_undecided_and_walked(monkeypatch):
 def test_r64_checks_that_failed_on_rounding_pass(capsys):
     # Y4 at alpha = 4, and Y5 at seed 40, are identities over R: decided,
     # so the float rounding of their one draw's exp factors stays within
-    # tolerance; X4's premise holds only within tolerance at a draw, so it
-    # is walked and still fails there
-    code, out = run_cli(["catalog", "check", "damped-space", "--param", "n=2", "--param",
-                         "alpha=4", "--properties", "--affine"]), capsys.readouterr().out
-    assert code == 1 and [line.split()[1] for line in out.splitlines()
-                          if line.startswith("FAIL")] == ["X4"]
+    # tolerance; X4, whose premise holds only within tolerance at a draw, is
+    # solved, so that draw is not walked
+    assert run_cli(["catalog", "check", "damped-space", "--param", "n=2", "--param",
+                    "alpha=4", "--properties", "--affine"]) == 0
+    assert capsys.readouterr().out.endswith("checked 17 law(s): all passed\n")
     assert run_cli(["catalog", "check", "damped-space", "--param", "n=2", "--param",
                     "alpha=4", "--properties", "--samples", "17", "--seed", "40"]) == 0
     assert capsys.readouterr().out.endswith("checked 16 law(s): all passed\n")
@@ -1720,6 +1722,39 @@ def test_damped_definition_files_print_the_same_with_and_without_symbols(
     assert failed[0][0] == "damped.X1" and failed[1][0] == "damped.X2"
     without_symbols(monkeypatch)
     assert outputs(capsys, commands) == decided
+
+
+def test_an_r64_implication_is_solved_through_its_exp_terms():
+    # as over Q: the first draw and its copy, then the premise is solved
+    calls, R = [], Float64()
+    assert sides_of(Sampled(50), calls, lambda a, b, c: a + 2 * b, lambda a, b, c: a + 2 * c,
+                    (lambda a, b, c: b, lambda a, b, c: c), lambda t: (t[0], t[1], t[1]),
+                    carrier=R).passed and len(calls) == 2
+    exp, slots = carriers.exp, (R,) * 3
+
+    def solved(left, right, lhs, rhs):
+        return planted(slots, left, right, lhs, rhs, None, R.eq) == report.Decided.EVERY
+
+    # exp(a) is nowhere zero: exp(a)*b = exp(a)*c gives b = c
+    assert solved(lambda a, b, c: exp(a) * b, lambda a, b, c: exp(a) * c,
+                  lambda a, b, c: b, lambda a, b, c: c)
+    # c = a makes exp(c - b) exp(a - b), X4's shape: a substitution into
+    # an exponent
+    pair = Vector(R, 2).eq
+    assert planted(slots, lambda a, b, c: (c - a, b * exp(c - b)), lambda a, b, c: (0, 0),
+                   lambda a, b, c: (b * exp(a - b), 0), lambda a, b, c: (0, 0), None,
+                   pair) == report.Decided.EVERY
+    # b = 0 meets exp(a)*b = exp(c)*b with a != c; and exp(a) = exp(c) gives
+    # a = c over R, which the solver, taking exp(a) for a positive variable
+    # of its own, does not show
+    for left, right in ((lambda a, b, c: exp(a) * b, lambda a, b, c: exp(c) * b),
+                        (lambda a, b, c: exp(a), lambda a, b, c: exp(c))):
+        assert not solved(left, right, lambda a, b, c: a, lambda a, b, c: c)
+    # b = (c*c + 1) / (a*a + 1) is a quotient, which an exponent cannot
+    # take: its numerator alone would make exp(b*(a*a + 1)) the right side
+    assert not solved(lambda a, b, c: (a * a + 1) * b, lambda a, b, c: c * c + 1,
+                      lambda a, b, c: exp(b * (a * a + 1)),
+                      lambda a, b, c: exp((c * c + 1) * (a * a + 1)))
 
 
 def test_every_r64_equation_of_damped_module_is_decided(monkeypatch):
