@@ -70,7 +70,14 @@ nonzero constant or by a certified polynomial, and only where it is
 nonzero at every point: one positive only on the domains may be zero at
 one, since the points lie outside [0, 1].  Two sides are equal when their
 difference is 0 at every point (see the trust base).  An int whose
-polynomial would pass MAX_TERMS is undecided.
+polynomial would pass MAX_TERMS is undecided.  Past MAX_TERMS = 150 terms
+exact expansion, with Fraction coefficients, costs more than the values at
+the points: in a pass of the catalog, X5, Y4, Y5 and Y8 of the two
+non-affine spaces, Y6 of the Gaussian rational one and Y8 of
+halfplane-space are decided at the points, and in the definition-file
+checks the same five laws of that one's transcription; every other decided
+law is decided exactly.  The exponent of a power is bounded by
+POINT_DEGREE, not by MAX_TERMS, so x**200 is one term.
 
 An Exp is a double sum_i p_i * exp(g_i), its terms grouped by their
 exponents g_i, exact polynomials each stored once (keyed by its terms,
@@ -90,7 +97,8 @@ z / w for two Q[i] symbols or QI(x, 0), and s + a*(t - s) when s, t or a
 is FREE), by a factor zero at a point for a Points, by a quotient or by a
 Points, any comparison, bool(), float(), hash(), int() and __index__ (so a
 table lookup), `%` of a rational or by anything but a nonzero int, k % P, //,
-abs(), a power that is not a nonnegative int, an operand that is a float
+abs(), a power that is not a nonnegative int (or, of a nonconstant
+polynomial or an Exp, past POINT_DEGREE), an operand that is a float
 (but a finite one of a double), None or a bool, a rational (a Points too) mixed with an int known only
 modulo g, an int result (or partial product) with more than MAX_TERMS
 terms, and a Points of degree past POINT_DEGREE; for an Exp, a division by
@@ -285,12 +293,18 @@ from math import comb, gcd
 from typing import Callable
 
 # past this many terms a rational is kept as a point form (Points) and an
-# int is undecided; the largest polynomial of a law decided exactly in a
-# pass of the catalog or of the definition-file checks has 579 terms (X5
-# over Q[i]), and the largest through a certified divisor 540 (X5 of
-# nonaffine-poly-space); Y8 of the non-affine spaces passes it, and is
-# decided at the points
-MAX_TERMS = 1_000
+# int is undecided.  A seed-0 catalog benchmark pass took 0.30 s at 100,
+# 0.32 s at 150, 0.34 s at 250, 0.35 s at 400 and 0.41 s at 1,000
+# (reference seconds on a 2-core x86-64 machine, medians of 6 alternating
+# runs), with the same laws decided.  At 150 the largest polynomial of a
+# law decided exactly in a pass of the catalog or of the definition-file
+# checks has 150 terms
+# (affine(half) of halfplane-space, through its certified divisor), the
+# next 129 (Y6 of nonaffine-poly-space), and the largest side of an
+# implication, which a premise solve needs exact, 100 (Y10 of
+# nonaffine-poly-space); at 100 three more laws, those first two and Y3 of
+# nonaffine-complex-space, are decided at the points
+MAX_TERMS = 150
 # a point form's seeded integer points, the bits of each coordinate, and
 # the degree bound past which it is undecided
 POINTS = 2
@@ -418,7 +432,7 @@ class Poly:
     def __pow__(self, n):
         if type(n) is not int or n < 0:
             raise Undecided(f"a power {n!r}")
-        if n > MAX_TERMS and self.terms.keys() - {()}:
+        if n > POINT_DEGREE and self.terms.keys() - {()}:
             raise Undecided(f"a power {n} past the degree cap")
         # x ** 0 is exactly 1, an int or a Fraction as x is
         out, base = Poly({(): 1}, self.rational), self
@@ -593,7 +607,7 @@ class Exp:
         return _inverse(self) * other
 
     def __pow__(self, n):
-        if type(n) is not int or not 0 <= n <= MAX_TERMS:
+        if type(n) is not int or not 0 <= n <= POINT_DEGREE:
             raise Undecided(f"a power {n!r}")
         out = _ONE
         for _ in range(n):

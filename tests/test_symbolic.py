@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import random
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
@@ -231,33 +232,47 @@ def test_every_passing_equation_of_nonaffine_poly_space_is_decided(monkeypatch, 
                     "--affine"]) == 1
     assert "FAIL affine(half)" in capsys.readouterr().out
     # the failing affine condition; X0 is admitted by Q x Q, X1, X2, X3, X5
-    # and Y1 to Y7 are decided, Y8 past MAX_TERMS at the points, and X4, Y9
-    # and Y10 by solving their premise, copies and all
+    # and Y1 to Y8 are decided, X5, Y4, Y5 and Y8 past MAX_TERMS at the
+    # points, and X4, Y9 and Y10 by solving their premise, copies and all
     assert walked == ["affine(half)"]
     assert answers.count((False, True)) == 12 and answers.count((True, True)) == 0
     assert answers.count((True, report.Decided.EVERY)) == 3
 
 
+# the laws of the Gaussian rational space past MAX_TERMS, and how many
+# calls of q one evaluation of each makes, both sides
+PAST_THE_CAP = {"X5": 4, "Y4": 3, "Y5": 4, "Y6": 4, "Y8": 7}
+
+
 @pytest.mark.parametrize("source", ["catalog", "definition file"])
 def test_y8_of_the_gaussian_rational_space_is_decided(monkeypatch, source):
-    # past MAX_TERMS, at the points: only the one seeded draw runs on
-    # numbers, five calls of q on the left side and two on the right
+    # and X5, Y4, Y5 and Y6: past MAX_TERMS, at the points; only the one
+    # seeded draw of each runs on numbers, so none falls back to a walk
     space = build("nonaffine-complex-space") if source == "catalog" else load(CPLX)["cplx"]
-    law, numeric = [None], []
+    law, numeric = [None], {}
 
     def q(x, a, y):
-        if law[0] == "Y8" and isinstance(x[1], F):
-            numeric.append((x, a, y))
+        if isinstance(x[1], F):
+            numeric[law[0]] = numeric.get(law[0], 0) + 1
         return space.q(x, a, y)
 
     def spy(name, *args, **kwargs):
         law[0] = name
         return check(name, *args, **kwargs)
 
-    check = report._check
+    def points(p, kind):
+        past.add(law[0])
+        return to_points(p, kind)
+
+    check, to_points, past = report._check, symbolic._points, set()
     monkeypatch.setattr(report, "_check", spy)
-    assert all(r.passed for r in check_y_properties(replace(space, q=q), Sampled(500)))
-    assert len(numeric) == 7
+    monkeypatch.setattr(symbolic, "_points", points)
+    spaced = replace(space, q=q)
+    strategy = Sampled(500)
+    assert all(r.passed for r in check_space(spaced, strategy)
+               + check_y_properties(spaced, strategy))
+    assert past == set(PAST_THE_CAP)
+    assert {name: numeric.get(name) for name in PAST_THE_CAP} == PAST_THE_CAP
 
 
 def implication_commands(seed: int) -> list:
@@ -527,6 +542,21 @@ def test_a_points_is_neither_certified_positive_nor_a_certificate(monkeypatch):
     assert not symbolic.certified([p], [conclusion])
     monkeypatch.undo()
     assert positive(norm) and symbolic.certified([p], [conclusion])
+
+
+def test_a_power_is_bounded_by_its_degree_not_by_the_term_cap():
+    # x ** 200 is one term, past MAX_TERMS as an exponent; so is exp(x) **
+    # 200; past POINT_DEGREE no power of a variable or of an exp term is
+    # decided, and a sum's power past MAX_TERMS terms is a Points
+    assert MAX_TERMS < 200 < POINT_DEGREE
+    power = x ** 200
+    assert type(power) is Poly and power.terms == {(index(x),) * 200: 1}
+    assert equal(power, x ** 100 * x ** 100) is True
+    assert equal(symbolic.exp(x) ** 200, symbolic.exp(200 * x)) is True
+    assert type((1 + x) ** 200) is Points
+    for base in (x, symbolic.exp(x)):
+        with pytest.raises(Undecided):
+            base ** (POINT_DEGREE + 1)
 
 
 def test_ints_known_modulo_g():
@@ -966,16 +996,15 @@ def rational_value(e, env, ds):
     return a + b if e[0] == "+" else a - b if e[0] == "-" else a * b
 
 
-def degree(e, variable=1, division=2) -> int:
-    """An upper bound on the degrees of a numerator and a denominator of e;
-    with variable 0 and division 1, on the exponent of a divisor in it."""
+def degree(e) -> int:
+    """An upper bound on the degrees of a numerator and a denominator of e."""
     if e[0] in "vk":
-        return variable if e[0] == "v" else 0
+        return 1 if e[0] == "v" else 0
     if e[0] == "**":
-        return degree(e[1], variable, division) * e[2]
+        return degree(e[1]) * e[2]
     if e[0] == "/":
-        return degree(e[1], variable, division) + division
-    return degree(e[1], variable, division) + degree(e[2], variable, division)
+        return degree(e[1]) + 2
+    return degree(e[1]) + degree(e[2])
 
 
 @settings(max_examples=150, deadline=None)
@@ -989,10 +1018,8 @@ def test_points_answer_as_the_exact_polynomials_do(expressions, same, c, monomia
     # cap, is zero; one coefficient more on an identity's side stays
     # undecided
     e1, e2, e3, e4 = expressions
-    # within POINT_DEGREE, and a divisor's exponent within the low cap, which
-    # bounds an exact power's
+    # within POINT_DEGREE, which also bounds an exact power's exponent
     assume(2 * sum(map(degree, expressions)) + 3 <= POINT_DEGREE)
-    assume(sum(degree(e, 0, 1) for e in expressions) <= 8)
     fresh = variables()
     xs = [fresh() for _ in range(3)]
     ds = divisors(xs)
@@ -1175,6 +1202,79 @@ def test_the_certified_implications_of_the_catalog(monkeypatch, capsys):
     capsys.readouterr()
     assert certified == CERTIFIED_IMPLICATIONS
     assert sum(map(len, certified.values())) == 53
+
+
+def benchmark_workloads():
+    """bench/workloads.py, which builds the ops of a benchmark pass."""
+    bench = str(Path(__file__).parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads
+
+
+# What a seed-0 pass of each benchmark workload decides: the laws (op,
+# law) whose sides pass MAX_TERMS and so are decided at the points, the
+# equations decided of those asked, and the implications decided at
+# every draw and at their copies only
+DECIDED_IN_A_PASS = {
+    "catalog": (
+        [("catalog check halfplane-space", "Y8")]
+        + [("catalog check nonaffine-complex-space", law)
+           for law in ("X5", "Y4", "Y5", "Y6", "Y8")]
+        + [("catalog check nonaffine-poly-space", law) for law in ("X5", "Y4", "Y5", "Y8")],
+        (496, 496), 53, 4),
+    "finite": ([], (139, 139), 0, 2),
+    "dsl": ([("check cplx", law) for law in ("X5", "Y4", "Y5", "Y6", "Y8")],
+            (132, 134), 38, 14),
+}
+
+
+@pytest.mark.parametrize("workload", DECIDED_IN_A_PASS)
+def test_the_laws_decided_at_the_points(monkeypatch, capsys, tmp_path, workload):
+    # a law that moves from an exact decision to the points, or one that
+    # is no longer decided, shows here; the search ops decide nothing (a
+    # model's laws are walked) and the one child op is left out
+    workloads = benchmark_workloads()
+    if workload == "dsl":
+        ops = workloads.dsl_ops(0, tmp_path, GOLDEN.read_text())[0]
+    else:
+        ops = getattr(workloads, f"{workload}_ops")(0)
+    at, points, equations, answers = [None, None], set(), [0, 0], []
+
+    def check_spy(name, *args, **kwargs):
+        at[1] = name
+        return check(name, *args, **kwargs)
+
+    def decide_spy(*args):
+        answer = decide(*args)
+        if len(args) > 4:
+            answers.append(answer)
+        else:
+            equations[0] += answer is True
+            equations[1] += 1
+        return answer
+
+    def points_spy(p, kind):
+        points.add(tuple(at))
+        return to_points(p, kind)
+
+    check, decide, to_points = report._check, report._decided, symbolic._points
+    monkeypatch.setattr(report, "_check", check_spy)
+    monkeypatch.setattr(report, "_decided", decide_spy)
+    monkeypatch.setattr(symbolic, "_points", points_spy)
+    for op in ops:
+        if not (op.child or op.key.startswith("search")):
+            at[0] = op.key
+            run_cli(list(op.argv))
+    capsys.readouterr()
+    past, decided, every, copies = DECIDED_IN_A_PASS[workload]
+    assert points == set(past)
+    assert tuple(equations) == decided
+    assert (answers.count(report.Decided.EVERY), answers.count(report.Decided.COPIES)) \
+        == (every, copies)
 
 
 def test_a_norm_that_recurs_across_laws_is_certified_once(monkeypatch):
