@@ -913,9 +913,16 @@ class Restricted(Carrier):
     members directly; its values are still checked for membership.  Its draw
     function is draw itself, which calls base.draw for each candidate.
 
-    With a sampler, its symbol is its base's, each variable in the domain
-    (see symbolic.variables) that the conditions bound it to: UNIT for
-    0 <= v <= 1, POSITIVE for v > 0, FREE otherwise.  `admits` certifies
+    Its symbol is its base's, each variable in the domain (see
+    symbolic.variables) that the conditions bound it to: UNIT for
+    0 <= v <= 1, POSITIVE for v > 0, FREE otherwise.  A carrier with a
+    predicate and no sampler has none: the draws that rejection by an
+    opaque test would make, and could exhaust, must run.  One with no
+    predicate has a symbol without a sampler too, as a .mobi `where`
+    clause of polynomial comparisons over Q does (see dsl).  The one cost:
+    a rejection sampler that would exhaust only after its first draw no
+    longer shows under a decided law, which makes one seeded draw; it
+    still shows under every walked law.  `admits` certifies
     a symbolic value a member when the carrier has no predicate, its base
     admits the value and every condition holds on it (symbolic.nonnegative);
     a predicate is opaque, so a carrier with one admits nothing.
@@ -1026,9 +1033,10 @@ class Restricted(Carrier):
         return [bounds.get(i, domain_of(i)) for i in indices]  # else the base's own
 
     def symbol(self, fresh):
-        # an identity on the base holds on its members; without a sampler,
-        # the draws that rejection would make (and could exhaust) must run
-        if self.sampler is None or self._domains is None:
+        # an identity on the base holds on its members; with a predicate
+        # and no sampler, the draws that rejection would make (and could
+        # exhaust) must run
+        if (self.sampler is None and self.member is not None) or self._domains is None:
             return None
         order = iter(self._domains)
         return self.base.symbol(lambda integer=False, domain=FREE: fresh(integer, next(order)))

@@ -18,17 +18,24 @@ Files hold any number of definitions:
 
 Carriers are products of Q, QI, R64, and Zmod(m) atoms, each optionally
 raised to a power, joined with `x`, with an optional `where` constraint over
-the components (named v for a single scalar, v1..vk otherwise).  The names
+the components (named v for a single scalar, v1..vk otherwise).  A where
+clause over Q atoms alone whose comparisons are chains of <, <=, > and >=
+between polynomials (literals, components, +, -, unary -, *, and ^) is a
+conjunction of sign conditions (carriers.Sign): a link a < b is b - a > 0,
+a <= b is b - a >= 0, and > and >= mirror them, so its carrier has a
+symbol and its laws can be decided.  Any other clause, with =, /, i or exp,
+or over a QI, R64 or Zmod atom, is an opaque membership predicate.  The names
 `i` and `exp` are reserved: `i` needs a QI atom in the carrier, `exp(...)`
 an R64 atom and a real argument.  A QI value has no order, so it may only be
 compared with `=`.  A space's `over` names an algebra defined anywhere in
 the file, before or after the space, or a catalog algebra.
 
 Elaboration checks each expression and compiles it in the same walk, once,
-into Python source; p, q, each constant and each where clause is one
-generated function of its arguments, built by exec, so evaluating it runs
-no code of this module but the `/` and exp helpers.  parse_value checks and
-compiles a literal the same way, with every atom's names allowed.
+into Python source; p, q, each constant, each opaque where clause and each
+sign condition is one generated function of its arguments, built by exec,
+so evaluating it runs no code of this module but the `/` and exp helpers.
+parse_value checks and compiles a literal the same way, with every atom's
+names allowed.
 
 `/` is refused on a carrier of Zmod atoms alone and on a value computed
 from Zmod residues.  Parentheses and syntax trees nest at most _MAX_DEPTH
@@ -49,8 +56,8 @@ from typing import NamedTuple
 
 from .algebra import MobiAlgebra
 from .carriers import (COMPLEX, MODULAR, SCALAR, Float64, GaussianRational,
-                       ModularInt, Product, QI, Rational, Restricted, exp,
-                       render_rational)
+                       ModularInt, Product, QI, Rational, Restricted, Sign,
+                       exp, render_rational)
 from .report import EvalError
 from .space import MobiSpace
 
@@ -812,9 +819,44 @@ def _elab_carrier(ct: CarrierType):
     else:
         env = {f"v{k + 1}": (sub, f"_x0[{k}]") for k, sub in enumerate(shape)}
     ns = _namespace()
+    # the clause is checked whole, so its errors do not depend on its form
     _, source = _compile(ct.where, env, carrier.atom_names(), ns)
-    return Restricted(carrier, _define("member", "_x0", source, ns),
-                      label=_fmt(ct.where))
+    label = _fmt(ct.where)
+    links = _links(ct.where) if carrier.atom_names() == {"Q"} else None
+    if links is None:
+        return Restricted(carrier, _define("member", "_x0", source, ns), label=label)
+    conditions = tuple(
+        Sign(_define("g", "_x0", _compile(Bin("-", high, low), env, {"Q"}, ns)[1], ns),
+             strict)
+        for low, high, strict in links)
+    return Restricted(carrier, label=label, conditions=conditions)
+
+
+def _links(where) -> list | None:
+    """(low, high, strict) for each link of a where clause that is a
+    conjunction of order comparisons of polynomials, so that the link holds
+    exactly where high - low > 0 (strict) or >= 0; None for any other
+    clause."""
+    out = []
+    for part in where.parts if isinstance(where, And) else (where,):
+        if not all(map(_polynomial, part.items)):
+            return None
+        for op, left, right in zip(part.ops, part.items, part.items[1:]):
+            if op == "=":
+                return None
+            low, high = (right, left) if op[0] == ">" else (left, right)
+            out.append((low, high, not op.endswith("=")))
+    return out
+
+
+def _polynomial(e) -> bool:
+    """Whether e is built from literals, names, +, -, * and ^ alone (the
+    parser gives ^ a nonnegative integer literal exponent)."""
+    if isinstance(e, (Num, Name)):
+        return True
+    if isinstance(e, Unary):
+        return _polynomial(e.operand)
+    return isinstance(e, Bin) and e.op != "/" and _polynomial(e.left) and _polynomial(e.right)
 
 
 def _param_value(par: ParamDef):

@@ -75,9 +75,10 @@ exact expansion, with Fraction coefficients, costs more than the values at
 the points: in a pass of the catalog, X5, Y4, Y5 and Y8 of the two
 non-affine spaces, Y6 of the Gaussian rational one and Y8 of
 halfplane-space are decided at the points, and in the definition-file
-checks the same five laws of that one's transcription; every other decided
-law is decided exactly.  The exponent of a power is bounded by
-POINT_DEGREE, not by MAX_TERMS, so x**200 is one term.
+checks the same five laws of that one's transcription and Y8 of
+halfplane-space's; every other decided law is decided exactly.  The
+exponent of a power is bounded by POINT_DEGREE, not by MAX_TERMS, so
+x**200 is one term.
 
 An Exp is a double sum_i p_i * exp(g_i), its terms grouped by their
 exponents g_i, exact polynomials each stored once (keyed by its terms,

@@ -7,15 +7,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import mobikit
-from mobikit import catalog, cli
+from mobikit import DslError, Restricted, catalog, cli, load, sample
 from mobikit.catalog import list_catalog
 from mobikit.cli import run_cli
 from mobikit.search import MAX_SIZE
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
+HALFPLANE = Path(__file__).parent / "data" / "halfplane.mobi"
 
 BROKEN = """\
 algebra skew {
@@ -69,15 +70,28 @@ def test_check_diagnostic_goes_to_stderr_with_position(tmp_path, capsys):
 
 
 def test_check_exhaustive_needs_finite_carriers(tmp_path, capsys):
-    # a where clause is an opaque predicate, so its carrier has no symbol
-    # and every law walks Q x Q
+    # a where clause with a division is an opaque predicate, so its carrier
+    # has no symbol and every law walks Q x Q
     path = tmp_path / "halfplane.mobi"
-    path.write_text("space halfplane over canonical_interval_algebra {\n"
-                    "  carrier: Q^2 where v2 > 0\n"
-                    "  q((x, s), a, (y, t)) = (x + (y - x)*a*t/(s + a*(t - s)), s + a*(t - s))\n"
-                    "}\n")
+    path.write_text(HALFPLANE.read_text().replace("v2 > 0", "v2 > 0 and 1/v2 > 0"))
     code, _, err = run(capsys, "check", str(path), "--exhaustive", "--properties")
-    assert code == 2 and "error: {Q x Q : v2 > 0} is not enumerable" in err
+    assert code == 2 and "error: {Q x Q : v2 > 0 and 1/v2 > 0} is not enumerable" in err
+
+
+def test_check_exhaustive_passes_over_a_polynomial_where_clause(capsys):
+    # `Q^2 where v2 > 0` is the sign condition v2 > 0, as in halfplane-space:
+    # each of the 16 laws is decided, so none enumerates Q x Q
+    code, out, err = run(capsys, "check", str(HALFPLANE), "--exhaustive", "--properties")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "checked 16 law(s): all passed"
+
+
+def test_an_empty_polynomial_where_clause_fails_at_its_first_draw(tmp_path, capsys):
+    # a decided law still makes its one seeded draw by rejection
+    path = tmp_path / "empty.mobi"
+    path.write_text(HALFPLANE.read_text().replace("v2 > 0", "v2 > 0 and v2 < 0"))
+    assert one_error_line(*run(capsys, "check", str(path), "--properties")) == (
+        "error: 10000 consecutive candidates rejected for {Q x Q : v2 > 0 and v2 < 0}")
 
 
 def test_check_exhaustive_passes_when_every_law_is_decided(capsys):
@@ -589,22 +603,40 @@ def _mobi_files(draw):
     return _algebra("Zmod(5)" if zmod else "Q", half, body)
 
 
-def _space(over: str, carrier: str, body: str) -> str:
+def _space(over: str, carrier: str, body: str, where: str = "") -> str:
     args = "(x, s), a, (y, t)" if carrier == "Q^2" else "x, a, y"
+    if where:
+        carrier += f" where {where}"
     return f"space s over {over} {{\n  carrier: {carrier}\n  q({args}) = {body}\n}}\n"
 
 
-def _terms(draw, names, max_size):
+def _terms(draw, names, max_size, ops="+-*/"):
     terms = draw(st.lists(st.sampled_from(names), min_size=1, max_size=max_size))
-    ops = draw(st.lists(st.sampled_from("+-*/"), min_size=len(terms) - 1,
+    ops = draw(st.lists(st.sampled_from(ops), min_size=len(terms) - 1,
                         max_size=len(terms) - 1))
     return terms[0] + "".join(f" {op} ({t})" for op, t in zip(ops, terms[1:]))
 
 
 @st.composite
-def _mobi_space_files(draw):
+def _where_clauses(draw, carrier: str):
+    """A conjunction of one or two chains of order comparisons, each of two
+    or three polynomials in the components of a Q or Q^2 carrier."""
+    names = ("v1", "v2", "v2^2") if carrier == "Q^2" else ("v", "v^2")
+    chains = []
+    for _ in range(draw(st.integers(1, 2))):
+        items = [_terms(draw, names + ("0", "1", "2", "-1"), 3, "+-*")
+                 for _ in range(draw(st.integers(2, 3)))]
+        ops = draw(st.lists(st.sampled_from(("<", "<=", ">", ">=")),
+                            min_size=len(items) - 1, max_size=len(items) - 1))
+        chains.append(items[0] + "".join(f" {op} {t}" for op, t in zip(ops, items[1:])))
+    return " and ".join(chains)
+
+
+@st.composite
+def _mobi_space_files(draw, where: bool = False):
     """A space with a short q body on a point carrier of one or two parts,
-    over a small generated algebra or over a catalog algebra."""
+    over a small generated algebra or over a catalog algebra; with where,
+    on Q or Q^2 restricted by a generated polynomial where clause."""
     over = draw(st.sampled_from(("g", "rational_line_algebra",
                                  "float_line_algebra", "zmod_algebra")))
     text = ""
@@ -612,14 +644,16 @@ def _mobi_space_files(draw):
         zmod = draw(st.booleans())
         body = _terms(draw, ("a + b*(c - a)", "a", "b", "c", "0", "1"), 3)
         text = _algebra("Zmod(5)" if zmod else "Q", "3" if zmod else "1/2", body)
-    carrier = draw(st.sampled_from(("Q", "QI", "R64", "Zmod(5)", "Q^2")))
+    carrier = draw(st.sampled_from(("Q", "Q^2") if where
+                                   else ("Q", "QI", "R64", "Zmod(5)", "Q^2")))
     names = ("x + a*(y - x)", "x", "y", "a", "0", "1", "1/2")
     if carrier == "Q^2":
         names += ("s", "t")
         body = f"({_terms(draw, names, 3)}, {_terms(draw, names, 3)})"
     else:
         body = _terms(draw, names, 4)
-    return text + _space(over, carrier, body)
+    clause = draw(_where_clauses(carrier)) if where else ""
+    return text + _space(over, carrier, body, clause)
 
 
 def _check_keeps_the_exit_code_contract(path, text, seed):
@@ -656,6 +690,69 @@ def test_check_of_a_generated_space_keeps_the_exit_code_contract(
     path = tmp_path_factory.mktemp("gen") / "s.mobi"
     path.write_text(text)
     _check_keeps_the_exit_code_contract(path, text, seed)
+
+
+def _checked(argv: list, walked: bool = False) -> tuple:
+    """(exit code, stdout, stderr) of a command; walked gives no restricted
+    carrier a symbol, so that each law over one walks its draws."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        if walked:
+            patch.setattr(Restricted, "symbol", lambda self, fresh: None)
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("over, code", [("canonical_interval_algebra", 0),
+                                        ("rational_line_algebra", 1)])
+def test_a_space_over_a_nonlinear_where_clause_reports_what_its_walk_reports(
+        tmp_path, over, code):
+    # the disc's variables are free: its equations are decided over all of
+    # Q x Q, and X0, which the disc bounds, is walked; over the whole line
+    # a leaves the disc
+    path = tmp_path / "disc.mobi"
+    path.write_text(_space(over, "Q^2", "(x + a*(y - x), s + a*(t - s))",
+                           "v1*v1 + v2*v2 < 1"))
+    argv = ["check", str(path), "--properties", "--samples", "50"]
+    decided = _checked(argv)
+    assert decided[0] == code and decided == _checked(argv, walked=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(carrier=st.sampled_from(("Q", "Q^2")), data=st.data())
+def test_the_sign_conditions_of_a_where_clause_are_its_predicate(carrier, data):
+    # `and 0 = 0` keeps the same clause an opaque predicate
+    clause = data.draw(_where_clauses(carrier))
+    body = "(x, s)" if carrier == "Q^2" else "x"
+    signs, opaque = (load(_space("rational_line_algebra", carrier, body, where))["s"].points
+                     for where in (clause, clause + " and 0 = 0"))
+    assert (signs.member, len(signs.conditions)) == (None, clause.count("<") + clause.count(">"))
+    assert opaque.member is not None and opaque.conditions == ()
+    for x in sample(signs.base, 0, 300):
+        assert signs.contains(x) == opaque.contains(x), (clause, x)
+
+
+@settings(max_examples=15, deadline=None)
+@given(text=_mobi_space_files(where=True))
+@example(text=_space("canonical_interval_algebra", "Q^2",  # the halfplane transcription
+                     "(x + (y - x)*a*t/(s + a*(t - s)), s + a*(t - s))", "v2 > 0"))
+def test_a_space_over_a_where_clause_reports_what_its_walk_reports(tmp_path_factory, text):
+    # symbols decide a law only when the walk would pass it, so the reports
+    # are the same; a carrier that rejection samples more thinly than one
+    # draw in 40 is left out, as its walks are slow and may exhaust where
+    # the one draw of a decided law does not
+    try:
+        points = load(text)["s"].points
+    except DslError:
+        points = None
+    if points is not None:
+        assume(sum(map(points.contains, sample(points.base, 0, 400))) >= 10)
+    path = tmp_path_factory.mktemp("gen") / "s.mobi"
+    path.write_text(text)
+    for seed in range(3):
+        argv = ["check", str(path), "--properties", "--samples", "10", "--seed", str(seed)]
+        assert _checked(argv) == _checked(argv, walked=True), text
 
 
 @pytest.mark.parametrize("over, carrier, error", [

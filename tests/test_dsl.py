@@ -14,6 +14,7 @@ from mobikit import (QI, DslError, MobiAlgebra, MobiSpace, Sampled,
 from mobikit.carriers import SCALAR, _Fraction
 from mobikit.dsl import (_LITERAL, And, Bin, Compare, Name, Num, Tup, Unary,
                          _compile, _define, _namespace)
+from mobikit.symbolic import FREE, POSITIVE, domain_of, variables
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
 
@@ -510,10 +511,47 @@ def test_a_chain_evaluates_each_item_once_and_stops_at_a_false_link():
     assert carrier.contains(F(3, 2)) and not carrier.contains(F(3))
     # v - 1 is 0 at v = 1: the chain stops before 1/(v - 1)
     assert carrier.member(F(1)) is False
-    member = load(_algebra(carrier="Q where 0 < v - 1 < 2"))["a"].carrier.member
+    # 4/2 keeps the clause an opaque predicate, a chain of Python comparisons
+    member = load(_algebra(carrier="Q where 0 < v - 1 < 4/2"))["a"].carrier.member
     _Counted.subtractions = 0
     assert member(_Counted(2)) is True
     assert _Counted.subtractions == 1  # the middle item, once
+
+
+def test_a_polynomial_chain_is_a_sign_condition_per_link():
+    carrier = load(_algebra(carrier="Q where 0 < v - 1 <= 2 and v^2 >= -v"))["a"].carrier
+    assert carrier.member is None
+    assert [c.strict for c in carrier.conditions] == [True, False, False]
+    assert [c.g(F(3, 2)) for c in carrier.conditions] == [F(1, 2), F(3, 2), F(15, 4)]
+    assert carrier.contains(F(3)) and not carrier.contains(F(4)) and not carrier.contains(F(1))
+    # v - 1 > 0 bounds v below by 1, so its variable is POSITIVE
+    assert domain_of(next(iter(carrier.symbol(variables()).terms))[0]) == POSITIVE
+
+
+@pytest.mark.parametrize("carrier", [
+    "Q where v >= 0 and v = v",
+    "Q where 1/v > 0",
+    "Q x R64 where v1 > exp(v2)",
+    "QI x Q where v2 > 0 and v1 = i",
+    "R64 where v > 0",
+    "QI x Q where v2 > 0",
+    "Zmod(5) where v > 0",
+    "Q x R64 where v1 > 0",
+], ids=["equality", "division", "exp", "i", "R64", "QI", "Zmod", "R64-part"])
+def test_a_where_clause_that_is_not_polynomial_over_q_stays_opaque(carrier):
+    points = load("space s over canonical_interval_algebra {\n"
+                  f"  carrier: {carrier}\n  q(x, a, y) = x\n}}\n")["s"].points
+    assert points.member is not None and points.conditions == ()
+    assert points.symbol(variables()) is None
+
+
+def test_a_nonlinear_where_clause_leaves_its_variables_free():
+    points = load("space disc over canonical_interval_algebra {\n"
+                  "  carrier: Q^2 where v1*v1 + v2*v2 < 1\n  q(x, a, y) = x\n}\n")["disc"].points
+    assert points.member is None and points.contains((F(1, 2), F(-1, 2)))
+    assert not points.contains((F(1), F(0)))
+    symbol = points.symbol(variables())
+    assert [domain_of(next(iter(v.terms))[0]) for v in symbol] == [FREE, FREE]
 
 
 def test_and_stops_early_and_gives_a_bool():

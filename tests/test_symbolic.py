@@ -1227,8 +1227,9 @@ DECIDED_IN_A_PASS = {
         + [("catalog check nonaffine-poly-space", law) for law in ("X5", "Y4", "Y5", "Y8")],
         (496, 496), 53, 4),
     "finite": ([], (139, 139), 0, 2),
-    "dsl": ([("check cplx", law) for law in ("X5", "Y4", "Y5", "Y6", "Y8")],
-            (132, 134), 38, 14),
+    "dsl": ([("check cplx", law) for law in ("X5", "Y4", "Y5", "Y6", "Y8")]
+            + [("check halfplane", "Y8")],
+            (149, 153), 45, 16),
 }
 
 
@@ -1275,6 +1276,22 @@ def test_the_laws_decided_at_the_points(monkeypatch, capsys, tmp_path, workload)
     assert tuple(equations) == decided
     assert (answers.count(report.Decided.EVERY), answers.count(report.Decided.COPIES)) \
         == (every, copies)
+
+
+def test_the_halfplane_transcriptions_report_what_their_walks_report(
+        monkeypatch, capsys, tmp_path):
+    # `Q^2 where v2 > 0` is a sign condition, so the benchmark's halfplane
+    # files decide their laws; walked, with no symbols, each gives the same
+    # report, the perturbed ones their failures too
+    ops = [op for op in benchmark_workloads().dsl_ops(0, tmp_path, GOLDEN.read_text())[0]
+           if op.key.startswith("check halfplane")]
+    assert [op.key for op in ops] == ["check halfplane", "check halfplane perturbed C",
+                                      "check halfplane perturbed B"]
+    commands = [op.argv for op in ops]
+    decided = outputs(capsys, commands)
+    assert [code for _, code, _, _ in decided] == [0, 1, 1]
+    without_symbols(monkeypatch)
+    assert outputs(capsys, commands) == decided
 
 
 def test_a_norm_that_recurs_across_laws_is_certified_once(monkeypatch):
