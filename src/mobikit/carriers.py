@@ -8,14 +8,11 @@ Elements are plain Python values: Fraction, QI (Gaussian rational), int
 (mod-m residues), float, and tuples of those.
 
 Rational draws and the catalog's constants are Fractions of the private
-subclass `_Fraction`, whose arithmetic, comparisons and equality take a fast
-path when the other operand is an int or a Fraction: the same gcd steps as
-`Fraction` (Knuth, TAOCP vol. 2, 4.5.1) without its generic dispatch, and a
-`_Fraction` result, all in one Python frame per operation.  Any other
-operand, and division by zero, goes to `Fraction`'s own method.  A
-`_Fraction` prints, hashes and compares as the `Fraction` of the same value,
-and type errors name it `Fraction`.  Draws pick from a table of the values
-n/d with |n| <= 12 and 1 <= d <= 8, consuming the RNG exactly as
+subclass `rational._Fraction`, the exact-rational kernel that polynomial
+coefficients share: its arithmetic with an int or a Fraction takes a fast
+path with a `_Fraction` result, and it prints, hashes and compares as the
+`Fraction` of the same value (see rational).  Draws pick from a table of the
+values n/d with |n| <= 12 and 1 <= d <= 8, consuming the RNG exactly as
 `rng.randint` would.
 
 Each carrier has one draw function, rng -> element, built on the first
@@ -82,6 +79,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import symbolic
+from .rational import _Fraction, _gcd, _make, _new
 from .symbolic import (FREE, REAL, Exp, Points, Poly, Quotient, Undecided, congruent,
                        difference, affine, domain_of, domains, equal, exp_difference,
                        nonnegative, reflected, variables)
@@ -123,162 +121,6 @@ def _rational(x):
     if type(x) is _Fraction or (not isinstance(x, bool) and isinstance(x, (int, Fraction))):
         return x
     raise ShapeError(f"expected a rational, got {x!r}")
-
-
-# The exact-rational kernel.  Each binary dunder of _Fraction below is
-# generated from one template per kernel, as collections.namedtuple generates
-# its methods.  It reads reduced operands na/da and nb/db (da, db > 0; an int
-# is n/1), runs the gcd steps of CPython's Fraction._add/_sub/_mul/_div and
-# fills in its _Fraction result itself: one Python frame per operation.  The
-# reflected form is the same code with na/da read from the other operand and
-# nb/db from self.  Any other operand (a bool too), and division by zero, goes
-# to Fraction's own method.
-
-_new = object.__new__
-_gcd = math.gcd
-
-
-def _make(n: int, d: int) -> "_Fraction":
-    x = _new(_Fraction)
-    x._numerator = n
-    x._denominator = d
-    return x
-
-
-_OPERANDS = """
-def {f}(a, b):
-    {a} = a._numerator, a._denominator
-    t = type(b)
-    if t is _Fraction or t is Fraction:
-        {b} = b._numerator, b._denominator
-    elif t is int:
-        {b} = b, 1
-    else:
-        return Fraction.{f}(a, b)
-"""
-
-_SUM = """
-    x = _new(_Fraction)
-    g = _gcd(da, db)
-    if g == 1:
-        x._numerator, x._denominator = na * db {op} da * nb, da * db
-        return x
-    s = da // g
-    t = na * (db // g) {op} nb * s
-    g2 = _gcd(t, g)
-    if g2 == 1:
-        x._numerator, x._denominator = t, s * db
-    else:
-        x._numerator, x._denominator = t // g2, s * (db // g2)
-    return x
-"""
-
-_PRODUCT = """
-    g1 = _gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = _gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    x = _new(_Fraction)
-    x._numerator, x._denominator = na * nb, db * da
-    return x
-"""
-
-_QUOTIENT = """
-    if nb == 0:
-        return Fraction.{f}(a, b)
-    g1 = _gcd(na, nb)
-    if g1 > 1:
-        na //= g1
-        nb //= g1
-    g2 = _gcd(db, da)
-    if g2 > 1:
-        da //= g2
-        db //= g2
-    x = _new(_Fraction)
-    if nb < 0:
-        x._numerator, x._denominator = -na * db, -nb * da
-    else:
-        x._numerator, x._denominator = na * db, nb * da
-    return x
-"""
-
-_COMPARISON = """
-def {f}(a, b):
-    t = type(b)
-    if t is _Fraction or t is Fraction:
-        return a._numerator * b._denominator {op} a._denominator * b._numerator
-    if t is int:
-        return a._numerator {op} a._denominator * b
-    return Fraction.{f}(a, b)
-"""
-
-
-def _define(f, template, **fields):
-    """The function `f` of a template, with the module's globals."""
-    namespace = {}
-    exec(template.format(f=f, **fields), globals(), namespace)
-    return namespace[f]
-
-
-def _dunders(name, kernel, op=""):
-    """__name__ and __rname__: a op b and b op a with the kernel na/da op nb/db."""
-    return (_define(f"__{name}__", _OPERANDS + kernel, a="na, da", b="nb, db", op=op),
-            _define(f"__r{name}__", _OPERANDS + kernel, a="nb, db", b="na, da", op=op))
-
-
-class _Fraction(Fraction):
-    """A Fraction whose operations with int and Fraction operands skip
-    Fraction's generic dispatch; results with such operands are _Fraction."""
-
-    __slots__ = ()
-
-    __add__, __radd__ = _dunders("add", _SUM, "+")
-    __sub__, __rsub__ = _dunders("sub", _SUM, "-")
-    __mul__, __rmul__ = _dunders("mul", _PRODUCT)
-    __truediv__, __rtruediv__ = _dunders("truediv", _QUOTIENT)
-    __lt__ = _define("__lt__", _COMPARISON, op="<")
-    __le__ = _define("__le__", _COMPARISON, op="<=")
-    __gt__ = _define("__gt__", _COMPARISON, op=">")
-    __ge__ = _define("__ge__", _COMPARISON, op=">=")
-
-    def __eq__(a, b):
-        t = type(b)
-        if t is _Fraction or t is Fraction:
-            return a._numerator == b._numerator and a._denominator == b._denominator
-        if t is int:
-            return a._numerator == b and a._denominator == 1
-        return Fraction.__eq__(a, b)
-
-    __hash__ = Fraction.__hash__  # defining __eq__ would otherwise unset it
-
-    def __neg__(a):
-        return _make(-a._numerator, a._denominator)
-
-    def __abs__(a):
-        return _make(abs(a._numerator), a._denominator)
-
-    def __pow__(a, b):
-        if type(b) is int:
-            na, da = a._numerator, a._denominator
-            if b >= 0:
-                return _make(na ** b, da ** b)
-            if na > 0:
-                return _make(da ** -b, na ** -b)
-            if na < 0:
-                return _make((-da) ** -b, (-na) ** -b)
-        return Fraction.__pow__(a, b)
-
-    def __repr__(self):
-        return f"Fraction({self._numerator}, {self._denominator})"
-
-
-# TypeErrors name the type as they name Fraction; pickles still find the
-# class by its __qualname__
-_Fraction.__name__ = "Fraction"
 
 
 # _DRAWS[d - 1][n + RATIONAL_NUMERATOR_BOUND] is n/d: every value a Rational

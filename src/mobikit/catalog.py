@@ -18,7 +18,8 @@ from .algebra import MobiAlgebra
 from .carriers import (_DENOMINATOR_BITS, _DRAWS, DENOMINATOR_BOUND,
                        RATIONAL_NUMERATOR_BOUND, Float64, GaussianRational,
                        ModularInt, Product, QI, Rational, Restricted, Sign, Vector,
-                       _draw_rational, _Fraction, _tuple_builder, exp)
+                       _draw_rational, _tuple_builder, exp)
+from .rational import _Fraction
 from .ringmod import RModule, RingWithHalf
 from .space import MobiSpace, transport_space
 

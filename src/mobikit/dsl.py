@@ -58,6 +58,7 @@ from .algebra import MobiAlgebra
 from .carriers import (COMPLEX, MODULAR, SCALAR, Float64, GaussianRational,
                        ModularInt, Product, QI, Rational, Restricted, Sign,
                        exp, render_rational)
+from .rational import _Fraction
 from .report import EvalError
 from .space import MobiSpace
 
@@ -470,7 +471,7 @@ class _Parser:
 
     def signed_rational(self) -> Fraction:
         negative = self.accept("-")
-        value = Fraction(self.integer("a rational literal").value)
+        value = _Fraction(self.integer("a rational literal").value)
         if self.accept("/"):
             den = self.integer("a denominator")
             if den.value == 0:
@@ -676,9 +677,10 @@ def _atom_carrier(atom: CarrierAtom):
 
 
 def _div(a, b):
-    """a / b; int / int is an exact Fraction."""
+    """a / b; int / int is an exact Fraction, of the kernel's fast type as
+    the catalog's constants are."""
     if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
+        return _Fraction(a, b)
     return a / b
 
 

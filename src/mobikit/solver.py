@@ -22,9 +22,9 @@ import functools
 import heapq
 import math
 import random
-from fractions import Fraction
 from itertools import combinations
 
+from .rational import _Fraction
 from .symbolic import (CERTIFICATE_WORK, EXPONENTS, FREE, MAX_TERMS, POSITIVE, UNIT, Poly,
                        Undecided, _certified, _leading, _nonnegative_within, _poly,
                        _positive_within, _spend, domain_of, exponent)
@@ -293,7 +293,7 @@ def _at_probes(p: Poly, budget: list) -> list:
     if not sums:
         return [0] * PROBES
     scale = math.lcm(*sums)
-    return [Fraction(sum(n[k] * (scale // d) for d, n in sums.items()), scale)
+    return [_Fraction(sum(n[k] * (scale // d) for d, n in sums.items()), scale)
             for k in range(PROBES)]
 
 
@@ -339,7 +339,7 @@ def _exactly(p: Poly, f: Poly, budget: list) -> Poly | None:
             if v not in divided:
                 return None
             divided.remove(v)
-        t, k = tuple(divided), Fraction(k) / a
+        t, k = tuple(divided), _Fraction(k) / a
         q[t] = k
         for n, b in f.terms.items():
             key = tuple(sorted(t + n))
@@ -389,7 +389,7 @@ def _images(numerators: dict, den: Poly, budget: list) -> tuple:
     quotients, and den None, when den is a constant or divides every
     numerator exactly; otherwise the numerators and den."""
     if den.terms.keys() == {()}:
-        scale = Fraction(1) / den.terms[()]
+        scale = _Fraction(1) / den.terms[()]
         return {v: n * scale for v, n in numerators.items()}, None
     quotients = {}
     for v, n in numerators.items():

@@ -133,18 +133,23 @@ Trust base.  A pass without a walk is sound when:
 - every code path that a symbol reaches computes, on numbers, the same
   polynomial or rational function.  A path that branches on a value raises
   Undecided at the branch.  A path that branches on type can differ.  In
-  the operations today only these do: `carriers._Fraction`'s dunders, which
-  for a symbolic operand fall through to Fraction's own methods, which
-  return NotImplemented, so that Python calls the symbol's reflected
+  the operations today only these do: `rational._Fraction`'s dunders,
+  which for a symbolic operand fall through to Fraction's own methods,
+  which return NotImplemented, so that Python calls the symbol's reflected
   method, the same ring operation; `carriers.QI`, which keeps symbolic
   parts as it keeps Fractions, and whose quotient multiplies by 1 / norm
   where numbers divide by the norm, the same value;
-  `dsl._div`, whose int / int is a Fraction, where a Poly takes no int /
-  int at all; and `carriers.exp`, math.exp on a number and `exp` on a
+  `dsl._div`, whose int / int is a `_Fraction`, where a Poly takes no int
+  / int at all; and `carriers.exp`, math.exp on a number and `exp` on a
   symbol, the same function over R.  A float that meets a double stands
   for its exact rational, which is the number the float code uses; a
   double reaching an exact carrier's equality is a float there, which
-  that equality rejects at the seeded draw that runs first;
+  that equality rejects at the seeded draw that runs first.  Within the
+  polynomials a coefficient is an int or a `_Fraction`: a rational
+  operand whose denominator is 1 enters as its int numerator, still of a
+  rational kind, and any other as a `_Fraction`.
+  Its type picks only the kernel's path to the same value; what a value
+  stands for is its Poly's kind, never its coefficients' type;
 - every divisor is nonzero at every assignment: a nonzero constant, or a
   polynomial that `positive` certifies positive at every real point, by an
   exact LDL^T of a Gram matrix (a sum of squares plus a positive
@@ -293,6 +298,8 @@ from itertools import count, product
 from math import comb, gcd
 from typing import Callable
 
+from .rational import _Fraction, _make
+
 # past this many terms a rational is kept as a point form (Points) and an
 # int is undecided.  A seed-0 catalog benchmark pass took 0.30 s at 100,
 # 0.32 s at 150, 0.34 s at 250, 0.35 s at 400 and 0.41 s at 1,000
@@ -342,7 +349,7 @@ class Undecided(Exception):
 
 
 class Poly:
-    """A polynomial: {monomial: nonzero int or Fraction coefficient}, where a
+    """A polynomial: {monomial: nonzero int or _Fraction coefficient}, where a
     monomial is the sorted tuple of its variables' indices, one per degree;
     `rational` tells whether its value is a rational or an int, and an int
     is known modulo `modulus` (exactly when it is 0).  A sum or product
@@ -380,9 +387,25 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()}, self.rational, self.modulus)
 
     def __sub__(self, other):
-        if type(other) in _REFLECTED:
+        # __add__ of the negated terms, in one pass
+        operand = _operand(other, self.rational)
+        if operand is None:
             return NotImplemented
-        return self + -_poly(other, self.rational)
+        terms, rational, modulus = operand
+        kind = _kind(self, rational, modulus)
+        out = dict(self.terms)
+        for m, c in terms.items():
+            s = out.pop(m, None)
+            if s is None:
+                c = -c
+            else:
+                c = s - c
+                if not c:
+                    continue
+            out[m] = c
+        if len(out) > MAX_TERMS:
+            return _points(self, kind) - Poly(terms, rational, modulus)
+        return Poly(out, *kind)
 
     def __rsub__(self, other):
         return _poly(other, self.rational) + -self
@@ -393,10 +416,22 @@ class Poly:
             return NotImplemented
         terms, rational, modulus = operand
         kind = _kind(self, rational, modulus)
+        left = self.terms
+        # a constant rescales the other side's terms, which keep their
+        # monomials and their order; the product of nonzero coefficients is
+        # nonzero, and no monomial repeats
+        if len(terms) == 1 and () in terms:
+            k = terms[()]
+            return Poly(left if k == 1 else {m: c * k for m, c in left.items()}, *kind)
+        if len(left) == 1 and () in left:
+            k = left[()]
+            return Poly(terms if k == 1 else {m: k * c for m, c in terms.items()}, *kind)
         out, right = {}, terms.items()
-        for m1, c1 in self.terms.items():
+        for m1, c1 in left.items():
             for m2, c2 in right:
-                m = tuple(sorted(m1 + m2))
+                m = m1 + m2
+                if m1 and m2 and m1[-1] > m2[0]:  # else already in order
+                    m = m2 + m1 if m2[-1] <= m1[0] else tuple(sorted(m))
                 c = c1 * c2
                 s = out.pop(m, None)  # as in __add__
                 if s is not None:
@@ -487,7 +522,7 @@ class Quotient:
     def __truediv__(self, other):
         if type(other) in _REFLECTED and type(other) not in (Quotient, Points):
             return NotImplemented  # a QI divides
-        return self * _quotient(Poly({(): Fraction(1)}), _poly(other))
+        return self * _quotient(Poly({(): 1}), _poly(other))
 
     def __pow__(self, n):
         if type(n) is not int or n < 0:
@@ -545,7 +580,7 @@ class Points:
     def __truediv__(self, other):
         if type(other) in _REFLECTED and type(other) not in (Quotient, Points):
             return NotImplemented  # a QI divides
-        return self * _quotient(Poly({(): Fraction(1)}), _poly(other))
+        return self * _quotient(Poly({(): 1}), _poly(other))
 
     def __pow__(self, n):
         if type(n) is not int or n < 0:
@@ -666,7 +701,7 @@ def _inverse(x):
     (g, p), = groups.values()
     if p.terms.keys() != {()}:
         raise Undecided("a division by a polynomial times an exp term")
-    return _exps({_key(-g): (-g, Poly({(): Fraction(1) / p.terms[()]}, REAL))})
+    return _exps({_key(-g): (-g, Poly({(): _Fraction(1) / p.terms[()]}, REAL))})
 
 
 def exponent(g: Poly) -> Poly:
@@ -737,12 +772,18 @@ def _operand(x, kind=True) -> tuple | None:
     if type(x) is int:
         return ({(): x} if x else {}), False, 0
     if isinstance(x, Fraction):
-        return ({(): x} if x else {}), True, 0
+        return ({(): _coefficient(x._numerator, x._denominator)} if x else {}), True, 0
     if type(x) in _REFLECTED:
         return None
     if type(x) is float and kind is REAL and math.isfinite(x):
-        return ({(): Fraction(x)} if x else {}), REAL, 0
+        return ({(): _coefficient(*x.as_integer_ratio())} if x else {}), REAL, 0
     raise Undecided(f"a {type(x).__name__} operand")
+
+
+def _coefficient(n: int, d: int):
+    """n/d, in lowest terms with d > 0, as a coefficient on the kernel's
+    fast paths: the int n when d is 1, else a _Fraction."""
+    return n if d == 1 else _make(n, d)
 
 
 def _kind(p: Poly, rational, modulus: int) -> tuple:
@@ -776,7 +817,7 @@ def _quotient(a: Poly, b: Poly):
     if b.modulus:
         raise Undecided("a division by an inexact int")
     if b.terms.keys() == {()}:
-        return a * (Fraction(1) / b.terms[()])
+        return a * (_Fraction(1) / b.terms[()])
     if not (positive(b) or nonnegative(b, strict=True)):
         raise Undecided("a division by zero or by a polynomial that may be zero")
     return _over(Poly(a.terms, *_kind(a, max(b.rational, True), 0)),
@@ -830,7 +871,7 @@ def _values(p: Poly) -> tuple:
                     at = built[m[:k + 1]] = at * _coordinates(m[k])[point]
             d = c.denominator
             sums[d] = sums.get(d, 0) + c.numerator * at
-        values.append(sum(r if d == 1 else Fraction(r, d) for d, r in sums.items()))
+        values.append(sum(r if d == 1 else _Fraction(r, d) for d, r in sums.items()))
     return tuple(values)
 
 
@@ -864,7 +905,7 @@ def _divided(at: tuple, den: dict) -> tuple:
         divisor, d, _ = _at_points(f)
         if not all(divisor):
             raise Undecided("a factor that is zero at a point")
-        values = tuple(Fraction(v) / w ** e for v, w in zip(values, divisor))
+        values = tuple(_Fraction(v) / w ** e for v, w in zip(values, divisor))
         degree += d * e
     return values, num, degree
 
@@ -1014,7 +1055,7 @@ def _gram(p: Poly, budget: list) -> bool:
     gram = [[0] * (i + 1) for i in range(n)]  # the lower triangle
     for m, c in terms.items():
         at = pairs[m]
-        share = Fraction(c) / sum(1 if i == j else 2 for i, j in at)
+        share = _Fraction(c) / sum(1 if i == j else 2 for i, j in at)
         for i, j in at:
             gram[i][j] = share
     for k in range(n):
@@ -1048,7 +1089,7 @@ def _rooted(p: Poly, budget: list) -> bool:
     root = top[::2]
     if not (root and a > 0 and root == top[1::2]):
         return False
-    q, rest = Poly({root: Fraction(1)}), p - Poly({top: a})
+    q, rest = Poly({root: 1}), p - Poly({top: a})
     while rest.terms:
         if not _spend(budget, len(q.terms) + len(rest.terms)):
             return False
@@ -1058,7 +1099,7 @@ def _rooted(p: Poly, budget: list) -> bool:
             if v not in divided:  # the root stops: p = a*q*q + rest
                 return _positive(rest, budget)
             divided.remove(v)
-        t = Poly({tuple(divided): Fraction(c) / (2 * a)})
+        t = Poly({tuple(divided): _Fraction(c) / (2 * a)})
         rest = rest - a * (2 * q * t + t * t)
         q = q + t
     return False  # p = a*q*q, which may be zero
@@ -1142,7 +1183,7 @@ def affine(g) -> tuple | None:
     if len(linear) != 1 or len(linear[0][0]) != 1:
         return None
     ((v,), c), = linear
-    return v, c, Fraction(-g.terms.get((), 0)) / c
+    return v, c, _Fraction(-g.terms.get((), 0)) / c
 
 
 def nonnegative(p, strict: bool = False) -> bool:
@@ -1203,7 +1244,7 @@ def _bernstein(p: Poly, strict: bool, budget: list) -> bool:
         indices = list(product(*(range(j, nj + 1) for j, nj in zip(J, n))))
         if not _spend(budget, len(indices) * len(a)):
             return False
-        scale = Fraction(1, math.prod(comb(nj, j) for nj, j in zip(n, J)))
+        scale = _Fraction(1, math.prod(comb(nj, j) for nj, j in zip(n, J)))
         for I in indices:
             w = scale * math.prod(comb(i, j) for i, j in zip(I, J))
             b = coefficients.setdefault(I, {})
@@ -1373,7 +1414,7 @@ def _insert(basis: list, terms: dict, combination: dict, budget: list):
     """Keep a reduced column that is not zero, scaled to 1 at a pivot."""
     if terms:
         pivot = next(iter(terms))
-        scale = Fraction(1) / terms[pivot]
+        scale = _Fraction(1) / terms[pivot]
         if not _spend(budget, len(terms) + len(combination)):
             raise Undecided("a certificate past the work bound")
         basis.append((pivot, {m: c * scale for m, c in terms.items()},

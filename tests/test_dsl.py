@@ -255,9 +255,19 @@ def test_integer_division_stays_exact():
         "  p(a, b, c) = a + (2/2)*b*(c - a)\n"
         "}\n")
     assert defs["thirds"].p(F(0), F(1, 3), F(1)) == F(1, 3)
-    # int / int is a Fraction, on int arguments too
-    assert defs["thirds"].p(0, 3, 1) == 3 and type(defs["thirds"].p(0, 3, 1)) is F
-    assert parse_value("4/2") == 2 and type(parse_value("4/2")) is F
+    # int / int is a Fraction of the kernel's fast type, on int arguments too
+    assert defs["thirds"].p(0, 3, 1) == 3 and type(defs["thirds"].p(0, 3, 1)) is _Fraction
+    assert parse_value("4/2") == 2 and type(parse_value("4/2")) is _Fraction
+    # and so is a rational literal
+    defs = load(
+        "space s over thirds {\n"
+        "  carrier: Q\n"
+        "  param k: Q = -3/6\n"
+        "  q(x, a, y) = k\n"
+        "}\n"
+        "algebra thirds {\n  carrier: Q\n  zero: 0\n  half: 1/2\n  one: 1\n"
+        "  p(a, b, c) = a\n}\n")
+    assert defs["s"].q(0, 0, 0) == F(-1, 2) and type(defs["s"].q(0, 0, 0)) is _Fraction
 
 
 def test_where_carriers_keep_rejection_sampling():
@@ -375,7 +385,7 @@ def _reference_value(e, env):
         return left ** e.right.value
     right = _reference_value(e.right, env)
     if e.op == "/" and isinstance(left, int) and isinstance(right, int):
-        return F(left, right)
+        return _Fraction(left, right)
     return _ARITH[e.op](left, right)
 
 

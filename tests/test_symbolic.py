@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from mobikit import (CheckReport, Exhaustive, Float64, GaussianRational,
                      MobiAlgebra, ModularInt, QI, Rational, Restricted,
@@ -28,9 +28,9 @@ from mobikit.report import EvalError, law_seed, report_to_text
 from mobikit.ringmod import check_module, check_ring
 from mobikit.search import search_finite
 from mobikit.space import MobiSpace, check_affine, check_space, check_y_properties
-from mobikit.symbolic import (FREE, MAX_TERMS, POINT_DEGREE, POSITIVE, POSITIVE_WORK, UNIT,
-                              Points, Poly, Quotient, Undecided, equal, nonnegative, positive,
-                              variables)
+from mobikit.symbolic import (FREE, MAX_TERMS, POINT_DEGREE, POSITIVE, POSITIVE_WORK, REAL,
+                              UNIT, Points, Poly, Quotient, Undecided, _Fraction, equal,
+                              nonnegative, positive, variables)
 
 GOLDEN = Path(__file__).parent / "data" / "projectile.mobi"
 
@@ -1941,8 +1941,10 @@ def variable(e) -> bool:
 def rewritten(e, rng: random.Random):
     """An expression equal to e over R, as the float code computes it:
     exp(u + v) as exp(u) * exp(v) and exp(u - v) as exp(u) / exp(v) where
-    both u and v have a variable, exp(k*u) for k in 0..2 as exp(u)**k,
-    products distributed over sums, and sums and products swapped."""
+    both u and v have a variable, exp(k*u) for k in 0..2 as exp(u)**k where
+    u has one, products distributed over sums, and sums and products
+    swapped.  Without a variable exp is the float math.exp, for which
+    exp(2k) and exp(k)**2 may differ in the last place."""
     if e[0] in "vk":
         return e
     if e[0] == "exp":
@@ -1950,7 +1952,7 @@ def rewritten(e, rng: random.Random):
         if u[0] in "+-" and variable(u[1]) and variable(u[2]) and rng.random() < 0.7:
             op = "*" if u[0] == "+" else "/"
             return (op, rewritten(("exp", u[1]), rng), rewritten(("exp", u[2]), rng))
-        if u[0] == "*" and u[1][0] == "k" and u[1][1] in (0.0, 1.0, 2.0):
+        if u[0] == "*" and u[1][0] == "k" and u[1][1] in (0.0, 1.0, 2.0) and variable(u[2]):
             return ("**", rewritten(("exp", u[2]), rng), int(u[1][1]))
         return ("exp", rewritten(u, rng))
     op, u, v = e
@@ -1997,3 +1999,167 @@ def test_a_decided_exp_polynomial_identity_holds_at_float_points(e, seed, same, 
             assert abs(left_value - right_value) <= carriers.FLOAT_ATOL + carriers.FLOAT_RTOL * max(
                 abs(left_value), abs(right_value)), (e, right, point)
 
+
+# -- the exact-rational kernel
+
+KERNEL_MONOMIALS = st.lists(st.integers(0, 9), max_size=3).map(lambda m: tuple(sorted(m)))
+KERNEL_INTS = st.integers(1, 9) | st.integers(-9, -1)
+KERNEL_FRACTIONS = st.builds(F, KERNEL_INTS, st.integers(1, 6))
+KERNEL_RATIONALS = st.one_of(KERNEL_INTS, KERNEL_FRACTIONS, KERNEL_FRACTIONS.map(_Fraction))
+# the kinds of a Poly: a rational, a double, an int, and ints known modulo 4 or 6
+KERNEL_KINDS = ((True, 0), (REAL, 0), (False, 0), (False, 4), (False, 6))
+
+
+@st.composite
+def kernel_polys(draw):
+    rational, modulus = draw(st.sampled_from(KERNEL_KINDS))
+    coefficients = KERNEL_RATIONALS if rational else KERNEL_INTS
+    return Poly(draw(st.dictionaries(KERNEL_MONOMIALS, coefficients, max_size=14)),
+                rational, modulus)
+
+
+KERNEL_CONSTANTS = st.one_of(
+    st.sampled_from([0, 1, -1, F(1), _Fraction(1), _Fraction(-1), F(4), _Fraction(-6, 3),
+                     0.0, 1.0, -2.0, 0.375]),
+    st.integers(-50, 50), KERNEL_RATIONALS)
+
+
+def generic_operand(x, kind) -> tuple:
+    """(terms, rational, modulus) of an operand of a Poly of the given kind,
+    with Fraction coefficients for rationals."""
+    if type(x) is Poly:
+        return dict(x.terms), x.rational, x.modulus
+    if type(x) is int:
+        return ({(): x} if x else {}), False, 0
+    if isinstance(x, F) or (type(x) is float and kind == REAL):
+        return ({(): F(x)} if x else {}), (REAL if type(x) is float else True), 0
+    raise Undecided("an operand off the polynomials")
+
+
+def generic_sum(a: dict, b: dict) -> dict:
+    """a + b as Poly.__add__ sums: a new monomial at the end, a summed one
+    moved there, a zero sum dropped."""
+    out = dict(a)
+    for m, c in b.items():
+        s = out.pop(m, None)
+        if s is not None:
+            c = s + c
+            if not c:
+                continue
+        out[m] = c
+    return out
+
+
+def generic_product(a: dict, b: dict) -> dict | None:
+    """a * b term pair by term pair, each monomial sorted; None when a
+    partial product passes MAX_TERMS."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m, c = tuple(sorted(m1 + m2)), c1 * c2
+            s = out.pop(m, None)
+            if s is not None:
+                c = s + c
+                if not c:
+                    continue
+            out[m] = c
+        if len(out) > MAX_TERMS:
+            return None
+    return out
+
+
+def at_point(x, point: int):
+    """The exact value of a Poly or a number at one of the seeded points."""
+    if type(x) is not Poly:
+        return F(x)
+    return sum((F(c) * math.prod(symbolic._coordinates(v)[point] for v in m)
+                for m, c in x.terms.items()), F(0))
+
+
+def generic(op: str, left, right):
+    """left op right as the generic loops compute it, in the form outcome gives."""
+    poly, other = (left, right) if type(left) is Poly else (right, left)
+    b, rational, modulus = generic_operand(other, poly.rational)
+    rational, modulus = max(poly.rational, rational), math.gcd(poly.modulus, modulus)
+    if rational and modulus:
+        raise Undecided("a rational with an int known modulo g")
+    a = dict(poly.terms)
+    if op == "*":
+        out = generic_product(a, b)
+    elif op == "+":
+        out = generic_sum(a, b)
+    elif poly is left:
+        out = generic_sum(a, {m: -c for m, c in b.items()})
+    else:
+        out = generic_sum(b, {m: -c for m, c in a.items()})
+    if out is not None and len(out) <= MAX_TERMS:
+        return "terms", list(out.items()), rational, modulus
+    if not rational:
+        raise Undecided("an int past the cap")
+    # past the cap: the exact values at the points and bounds on the degrees
+    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+    values = tuple(fn(at_point(left, k), at_point(right, k)) for k in range(symbolic.POINTS))
+    degrees = [max(map(len, x.terms), default=0) if type(x) is Poly else 0
+               for x in (left, right)]
+    return "points", values, sum(degrees) if op == "*" else max(degrees), 0
+
+
+def outcome(thunk):
+    """What thunk gives: "undecided", or a Poly's terms, in order, and kind, or
+    a Points' values and degree bounds (generic gives these forms itself)."""
+    try:
+        x = thunk()
+    except Undecided:
+        return "undecided"
+    if type(x) is tuple:
+        return x
+    if type(x) is Points:
+        return "points", x.values, x.num, x.den
+    return "terms", list(x.terms.items()), x.rational, x.modulus
+
+
+# each monomial of the 13-term operand is a variable, of the other a square,
+# so their 169 products are distinct: past MAX_TERMS, ordered and interleaved;
+# a difference passes it from MAX_TERMS terms
+KERNEL_PAST_THE_CAP = (Poly({(v,): v + 1 for v in range(13)}),
+                Poly({(v, v): _Fraction(1, v + 2) for v in range(13)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_polys(), st.sampled_from("+-*"), st.booleans(),
+       st.one_of(kernel_polys(), KERNEL_CONSTANTS))
+@example(KERNEL_PAST_THE_CAP[0], "*", False, KERNEL_PAST_THE_CAP[1])
+@example(KERNEL_PAST_THE_CAP[1], "*", True, KERNEL_PAST_THE_CAP[0])
+@example(Poly(KERNEL_PAST_THE_CAP[0].terms, False), "*", False,
+         Poly({(v, v): 2 for v in range(13)}, False))
+@example(Poly({(1, 2): 3, (): 1}), "-", False, Poly({(3,): 1, (1, 2): 3, (0,): F(1, 2)}))
+@example(Poly({(v,): 1 for v in range(MAX_TERMS)}), "-", False, Poly({(0,): 3, (MAX_TERMS,): 2}))
+@example(Poly({(v,): 1 for v in range(MAX_TERMS)}), "-", True, _Fraction(5, 2))
+def test_polynomial_arithmetic_matches_the_generic_loops(p, op, reflected, x):
+    # the fast paths of +, - and * (a constant operand, monomials already in
+    # order, a one-pass difference) give the terms, in the same order, the
+    # kind and, past MAX_TERMS, the values at the points and the degree
+    # bounds of the generic loops; a constant or a Poly on either side
+    left, right = (x, p) if reflected else (p, x)
+    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+    want = outcome(lambda: generic(op, left, right))
+    event(f"{op}: {want[0] if type(want) is tuple else want}")
+    assert outcome(lambda: fn(left, right)) == want
+
+
+@pytest.mark.parametrize("entry", ["nonaffine-complex-space", "damped-space"])
+def test_polynomial_coefficients_stay_on_the_kernels_fast_paths(monkeypatch, capsys, entry):
+    # every coefficient is an int or the kernel's _Fraction, so that each
+    # product of coefficients skips Fraction's generic dispatch; damped-space's
+    # float operands enter as exact rationals
+    seen = set()
+    init = Poly.__init__
+
+    def spy(self, terms, *kind):
+        seen.update(map(type, terms.values()))
+        init(self, terms, *kind)
+
+    monkeypatch.setattr(Poly, "__init__", spy)
+    assert run_cli(["catalog", "check", entry, "--properties", "--affine", "--seed", "0"]) in (0, 1)
+    capsys.readouterr()
+    assert seen and seen <= {int, _Fraction}, seen
