@@ -58,7 +58,7 @@ from .algebra import MobiAlgebra
 from .carriers import (COMPLEX, MODULAR, SCALAR, Float64, GaussianRational,
                        ModularInt, Product, QI, Rational, Restricted, Sign,
                        exp, render_rational)
-from .rational import _Fraction
+from .rational import _Fraction, _ratio
 from .report import EvalError
 from .space import MobiSpace
 
@@ -680,7 +680,7 @@ def _div(a, b):
     """a / b; int / int is an exact Fraction, of the kernel's fast type as
     the catalog's constants are."""
     if isinstance(a, int) and isinstance(b, int):
-        return _Fraction(a, b)
+        return _ratio(a, b)
     return a / b
 
 

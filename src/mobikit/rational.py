@@ -44,6 +44,18 @@ def _make(n: int, d: int) -> "_Fraction":
     return x
 
 
+def _ratio(n: int, d: int) -> "_Fraction":
+    """n / d for ints n and d, reduced, as Fraction(n, d) gives it but
+    without its parsing: one gcd and the sign moved to n.  A zero d goes to
+    Fraction, which raises ZeroDivisionError('Fraction(n, 0)')."""
+    if not d:
+        return _Fraction(n, d)
+    g = _gcd(n, d)
+    if d < 0:
+        g = -g
+    return _make(n // g, d // g)
+
+
 _OPERANDS = """
 def {f}(a, b):
     {a} = a._numerator, a._denominator

@@ -18,7 +18,8 @@ every assignment is propagated:
   and differ is a conflict; one whose only unknown is the cell of one side
   forces that cell to the other side's value, and one whose two side cells
   are both unset is parked on both.  Instances that the unit laws make true
-  whatever the other cells hold are never parked.
+  whatever the other cells hold are never parked, and the others are built
+  a group at a time, when propagation first reaches the group's cell.
 * Every assignment and every move of an instance goes on a trail, which
   backtracking unwinds.
 
@@ -37,11 +38,12 @@ found in the same order as by trying every value.
 
 Propagation only cuts branches that no model passes through.  Results are
 deduplicated up to relabeling and reported in a canonical labeling, the one
-minimizing (zero, one, half, flattened table).  Each complete table's
-canonical key is computed first; each new canonical model is verified by
-`check_algebra` under `Exhaustive`, the law suite users run, and a key
-already seen is skipped, since isomorphic tables pass or fail the laws
-together.
+minimizing (zero, one, half, flattened table), which a walk over the
+table's entries finds without trying the (n - 3)! relabelings (see
+_canonical_key).  Each complete table's canonical key is computed first;
+each new canonical model is verified by `check_algebra` under
+`Exhaustive`, the law suite users run, and a key already seen is skipped,
+since isomorphic tables pass or fail the laws together.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .algebra import MobiAlgebra, check_algebra
 from .carriers import ModularInt
 from .report import Exhaustive, all_passed
 
-MAX_SIZE = 11
+MAX_SIZE = 13
 
 
 class TableLabels(ModularInt):
@@ -85,7 +87,8 @@ class FiniteModel:
 
 
 class _Instances:
-    """The A7 and A8 instances of size n that the unit laws leave open.
+    """The A7 and A8 instances of size n that the unit laws leave open,
+    built a group at a time when a search first visits the group.
 
     Instance i < n**5 is A7 at the i-th quintuple (a, b1, b2, b3, c) of
     product(range(n), repeat=5), and instance n**5 + i is A8 at the i-th
@@ -100,36 +103,69 @@ class _Instances:
     out.  The rest are grouped by the first cell they read, (b1, b2, b3) or
     (a1, b, c1): id 2 * n**5 + k is the A7 group of cell k, and
     2 * n**5 + n**3 + k the A8 group, so that a group whose cell is unset
-    is parked whole.
+    is parked whole.  group(g) builds the ids and the static cells of group
+    g on its first call and keeps them for the later placements of the
+    search, so a group that propagation never reaches costs nothing.  In a
+    small search that is most of them: a full search of size 4 builds 33 of
+    its 112 nonempty groups.
     """
 
     def __init__(self, n):
-        quint = list(product(range(n), repeat=5))
-        n3, n5, nn = n ** 3, n ** 5, n * n
+        self.n = n
+        self.n5 = n ** 5
+        n3 = n ** 3
+        self.static = [None] * (2 * self.n5)  # by id; None until built
+        self.groups = {}  # a group g < 2 * n**3: its instance ids
+        # one int object per cell index, shared by the static tuples
+        self.cell = list(range(n3))
         rng = range(n)
-        self.n5 = n5
-        self.static = (
-            [((q * n + r) * n + s, p * nn + q * n + t, p * nn + s * n + t,
-              p * nn + t, r * n) for p, q, r, s, t in quint]
-            + [((p * n + q) * n + r, (s * n + q) * n + t, p * nn + s,
-                r * nn + t, q * n) for p, q, r, s, t in quint])
-        # quint index of (p, q, r, s, t) is (((p*n + q)*n + r)*n + s)*n + t
-        outer = [p * n ** 4 + t for p in rng for t in rng if p != t]
-        self.groups = (
-            [[((q * n + r) * n + s) * n + pt for pt in outer] if q != s
-             else [] for q in rng for r in rng for s in rng]
-            + [[n5 + (((p * n + q) * n + r) * n + s) * n + t
-                for s in rng for t in rng if p != r or s != t]
-               for p in rng for q in rng for r in rng])
-        # group ids by the middle index of their cell
-        first = 2 * n5
-        self.by_b = [[first + g for g in range(2 * n3)
-                      if self.groups[g] and g // n % n == b] for b in rng]
+        # an A7 group's members by (a, c), a != c: their id less the
+        # group's part, and a*n*n + c; an A8 group's by (a2, c2), a2 != c2
+        # unless a1 != c1: their id less the group's part, a2 and c2
+        self.a7 = [(p * n ** 4 + t, p * n * n + t) for p in rng for t in rng
+                   if p != t]
+        self.a8_all = [(s * n + t, s, t) for s in rng for t in rng]
+        self.a8 = [x for x in self.a8_all if x[1] != x[2]]
+        # the group ids of the nonempty groups, by the middle index of
+        # their cell: an A7 group needs b1 != b3, an A8 group two labels
+        first = 2 * self.n5
+        self.by_b = [
+            [first + (q * n + b) * n + s for q in rng for s in rng if q != s]
+            + [first + n3 + (p * n + b) * n + r for p in rng for r in rng
+               if n > 1]
+            for b in rng]
 
     def open(self, z, o) -> list:
         """The groups a placement with this zero and one must check."""
         return [g for b, ids in enumerate(self.by_b) if b != z and b != o
                 for g in ids]
+
+    def group(self, g) -> list:
+        """The instance ids of group g, built on the first call."""
+        ids = self.groups.get(g)
+        if ids is not None:
+            return ids
+        n, static, cell = self.n, self.static, self.cell
+        nn = n * n
+        n3 = nn * n
+        if g < n3:  # A7 at (a, b1, b2, b3, c) = (p, q, r, s, t), p != t
+            q, r, s = g // nn, g // n % n, g % n
+            base, qn, sn, inner, b2n = g * n, q * n, s * n, cell[g], cell[r * n]
+            ids = [base + i for i, _ in self.a7]
+            for i, (_, pt) in zip(ids, self.a7):
+                static[i] = (inner, cell[pt + qn], cell[pt + sn], cell[pt], b2n)
+        else:  # A8 at (a1, b, c1, a2, c2) = (p, q, r, s, t)
+            k = g - n3
+            p, q, r = k // nn, k // n % n, k % n
+            pairs = self.a8 if p == r else self.a8_all
+            base, qn, pnn, rnn = self.n5 + k * nn, q * n, p * nn, r * nn
+            u, bn = cell[k], cell[qn]
+            ids = [base + i for i, _, _ in pairs]
+            for i, (_, s, t) in zip(ids, pairs):
+                static[i] = (u, cell[s * nn + qn + t], cell[pnn + s],
+                             cell[rnn + t], bn)
+        self.groups[g] = ids
+        return ids
 
 
 class _Placement:
@@ -202,8 +238,8 @@ class _Placement:
     def _visit(self, instances) -> bool:
         """Evaluate instances; park, force or report a conflict for each."""
         cells, watch, trail, assign = self.cells, self.watch, self.trail, self.assign
-        static, groups, n5 = (self.instances.static, self.instances.groups,
-                              self.instances.n5)
+        static, group, n5 = (self.instances.static, self.instances.group,
+                             self.instances.n5)
         n = self.n
         nn = n * n
         hn = self.h * n
@@ -216,7 +252,7 @@ class _Placement:
                 if cells[j] is None:
                     watch[j].append(i)
                     trail.append(j)
-                elif not self._visit(groups[g]):
+                elif not self._visit(group(g)):
                     return False
                 continue
             if i < n5:
@@ -344,36 +380,142 @@ def _canonical_key(n, z, h, o, table):
     """The least (zero, one, half, flattened table) over all relabelings.
 
     The least key sends zero, one and half to the smallest labels in that
-    order, so only the labelings of the other elements are tried, and each
-    is compared with the least so far only until the first entry that
-    differs.
+    order.  The other labels are given by a walk over the key's entries in
+    order, which keeps the labelings that reach the least prefix so far as
+    a partial labeling: the labels fixed on elements, and the open labels,
+    whose elements may be any of the unlabelled ones, since the prefix is
+    the same for each choice.  At each entry:
+
+    * A label first needed as an index is open.
+    * An entry whose indices are fixed labels reads an element.  An
+      unlabelled element takes the least label that is open or not yet
+      used, the only choice that keeps the entry least.
+    * An entry with an open index is read for each choice of elements for
+      its open indices.  If every choice gives the same label, with no
+      element left to label, the labels stay open.  Otherwise the least
+      entry is kept: one open index is fixed in turn to each element that
+      some least choice gives it, the one with fewest such elements, and
+      the entry is read again.
+
+    Each branch goes on only while its prefix is at most the least key
+    found so far, so the walk tries few labelings where enumerating them
+    all would try (n - 3)!.
     """
     fixed = _constant_labels(z, h, o)
-    rest = [x for x in range(n) if x not in fixed]
     flat = [v for plane in table for row in plane for v in row]
-    perm = [0] * n
-    inv = [0] * n
-    for x, label in fixed.items():
-        perm[x] = label
-        inv[label] = x
+    nn = n * n
+    size = nn * n
+    label = [-1] * n    # an element: its label, or -1
+    element = [-1] * n  # a label: its element, or -1 while it is open
+    for x, i in fixed.items():
+        label[x] = i
+        element[i] = x
+    key = [0] * size
     best = None
-    for labels in permutations(range(len(fixed), n)):
-        for x, label in zip(rest, labels):
-            perm[x] = label
-            inv[label] = x
-        planes = [x * n * n for x in inv]
-        rows = [x * n for x in inv]
-        entries = (perm[flat[a + b + c]]
-                   for a in planes for b in rows for c in inv)
-        if best is None:
-            best = tuple(entries)
-            continue
-        for i, (v, w) in enumerate(zip(entries, best)):
-            if v != w:
-                if v < w:
-                    best = best[:i] + (v,) + tuple(entries)
+    found = 0  # the number of times best was replaced
+
+    def walk(p, used, label, element, opened, tied):
+        """Fill key[p:] with each least completion of this partial labeling;
+        used labels are fixed or open (opened, in increasing order), and
+        tied says whether key[:p] equals best[:p]."""
+        nonlocal best, found
+        while p < size:
+            if used == n and not opened:
+                return finish(p, label, element, tied)
+            a, b, c = p // nn, p // n % n, p % n
+            if max(a, b, c) == used:  # label `used` is first needed here
+                opened.append(used)
+                used += 1
+            choices = None
+            free = opened and [i for i in dict.fromkeys((a, b, c))
+                               if element[i] < 0]
+            if free:
+                e, choices = _least_entry(n, flat, a, b, c, free, label,
+                                          element, opened, used)
+            else:
+                v = flat[(element[a] * n + element[b]) * n + element[c]]
+                e = label[v]
+                if e < 0:
+                    if opened:
+                        e = opened.pop(0)
+                    else:
+                        e = used
+                        used += 1
+                    label[v] = e
+                    element[e] = v
+            if tied:
+                w = best[p]
+                if e > w:
+                    return
+                tied = e == w
+            if choices:
                 break
-    return fixed[z], fixed[o], fixed[h], best
+            key[p] = e
+            p += 1
+        else:
+            if not tied:
+                best = key[:]
+                found += 1
+            return
+        # fix one open index to each element a least choice gives it
+        s, ys = choices
+        for y in ys:
+            before = found
+            lab, el = label[:], element[:]
+            lab[y] = s
+            el[s] = y
+            walk(p, used, lab, el, [i for i in opened if i != s], tied)
+            tied = tied or found != before  # a new best shares key[:p + 1]
+
+    def finish(p, label, element, tied):
+        """walk once every label is fixed: key[p:] a plane at a time."""
+        nonlocal best, found
+        rows = [x * n for x in element]
+        for a in range(p // nn, n):
+            start = max(p, a * nn)
+            base = element[a] * nn
+            plane = [label[flat[base + row + x]] for row in rows
+                     for x in element][start - a * nn:]
+            end = (a + 1) * nn
+            if tied:
+                w = best[start:end]
+                if plane > w:
+                    return
+                tied = plane == w
+            key[start:end] = plane
+        if not tied:
+            best = key[:]
+            found += 1
+
+    walk(0, len(fixed), label, element, [], False)
+    return fixed[z], fixed[o], fixed[h], tuple(best)
+
+
+def _least_entry(n, flat, a, b, c, free, label, element, opened, used):
+    """The least label entry (a, b, c) can take over the choices of elements
+    for its open indices free, and None if every choice gives it with no
+    element left to label; otherwise the index of free to fix next and the
+    elements that some least choice gives it."""
+    pool = [x for x in range(n) if label[x] < 0]
+    rest = [i for i in opened if i not in free]
+    fresh = rest[0] if rest else used
+    at = element[:]
+    entries = []
+    for ys in permutations(pool, len(free)):
+        for i, y in zip(free, ys):
+            at[i] = y
+        v = flat[(at[a] * n + at[b]) * n + at[c]]
+        e = label[v]
+        if e < 0:
+            e = free[ys.index(v)] if v in ys else ~fresh  # ~: v needs a label
+        entries.append((e, ys))
+    least = min(e if e >= 0 else ~e for e, _ in entries)
+    if all(e == least for e, _ in entries):
+        return least, None
+    kept = [ys for e, ys in entries if e == least or e == ~least]
+    options = [sorted(set(ys[k] for ys in kept)) for k in range(len(free))]
+    k = min(range(len(free)), key=lambda k: len(options[k]))
+    return least, (free[k], options[k])
 
 
 def _model_from_key(n, key) -> FiniteModel:

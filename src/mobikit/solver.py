@@ -24,7 +24,7 @@ import math
 import random
 from itertools import combinations
 
-from .rational import _Fraction
+from .rational import _Fraction, _ratio
 from .symbolic import (CERTIFICATE_WORK, EXPONENTS, FREE, MAX_TERMS, POSITIVE, UNIT, Poly,
                        Undecided, _certified, _leading, _nonnegative_within, _poly,
                        _positive_within, _spend, domain_of, exponent)
@@ -293,7 +293,7 @@ def _at_probes(p: Poly, budget: list) -> list:
     if not sums:
         return [0] * PROBES
     scale = math.lcm(*sums)
-    return [_Fraction(sum(n[k] * (scale // d) for d, n in sums.items()), scale)
+    return [_ratio(sum(n[k] * (scale // d) for d, n in sums.items()), scale)
             for k in range(PROBES)]
 
 

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mobikit import (Exhaustive, Float64, GaussianRational, MobiAlgebra,
                      ModularInt, NotEnumerableError, Product, QI, Rational,
@@ -16,6 +16,8 @@ from mobikit import (Exhaustive, Float64, GaussianRational, MobiAlgebra,
                      check_algebra, enumerate_elements, sample, try_subtract)
 from mobikit.carriers import DENOMINATOR_BOUND, MODULAR, SCALAR, ShapeError, _Fraction
 from mobikit.catalog import _draw_unit
+from mobikit.dsl import _div
+from mobikit.rational import _ratio
 from mobikit.report import assignments_for
 
 rationals = st.fractions(max_denominator=50)
@@ -305,6 +307,33 @@ def test_kernel_reflected_division_by_zero_raises_what_fraction_raises():
     for other in (3, -1, 0, 2 ** 70, Fraction(3, 4), Fraction(0), True, 0.5, 1j):
         _assert_same(_outcome(operator.truediv, other, _Fraction(0)),
                      _outcome(operator.truediv, other, Fraction(0)))
+
+
+ratio_ints = st.one_of(st.integers(-12, 12), st.integers(-2 ** 80, 2 ** 80))
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=ratio_ints, d=ratio_ints)
+@example(n=0, d=5)
+@example(n=0, d=-5)
+@example(n=6, d=-4)
+@example(n=-6, d=-4)
+@example(n=7, d=0)
+@example(n=-7, d=0)
+@example(n=0, d=0)
+def test_ratio_of_two_ints_is_their_fraction(n, d):
+    # _ratio and the dsl's int / int build Fraction(n, d) without its
+    # parsing: the same reduced value on the kernel, or the same error
+    want = _outcome(Fraction, n, d)
+    for build in (_ratio, _div):
+        got = _outcome(build, n, d)
+        _assert_same(got, want)
+        assert got[1] is not None or type(got[0]) is _Fraction
+
+
+def test_ratio_of_bools_is_their_fraction():
+    for n, d in ((True, 2), (-3, True), (False, 5), (True, False)):
+        _assert_same(_outcome(_div, n, d), _outcome(Fraction, n, d))
 
 
 class _Reflected:

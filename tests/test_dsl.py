@@ -628,3 +628,39 @@ def test_division_of_a_residue_in_a_mixed_carrier_is_refused(tmp_path, capsys):
     space = load(_MIXED.replace("(t - s)/1", "(t - s)")
                  .replace("a*(y - x)", "a*(y - x)/2 + (y - x)/a/2"))["s"]
     assert space.q((F(0), 1), 1, (F(4), 2)) == (F(4), 2)
+
+
+# nonaffine-complex-space transcribed with its second component s + B*a*(t - s)
+# for a B other than 1, as the seed-0 `check cplx perturbed B` of the dsl
+# benchmark writes it with B = 1/2
+CPLX_PERTURBED_B = (
+    "space cplx over rational_line_algebra {{\n"
+    "  carrier: QI x Q\n"
+    "  q((z, s), a, (w, t)) = (z + (w - z)*(((2 - a)*s + a*t + i)/(s + t + i)*a),"
+    " s + {B}*a*(t - s))\n"
+    "}}\n")
+
+
+@pytest.mark.parametrize("b", [F(1, 2), F(3, 2), 2, 3, -1])
+def test_y9_of_cplx_with_a_perturbed_second_component_is_false(b):
+    # at x = (0, 0), y = (0, 1) and a = 1/(2B) both premise sides are
+    # (0, 1/2), while q(x, half, y) is (0, B/2)
+    space = load(CPLX_PERTURBED_B.format(B=f"({b})"))["cplx"]
+    q, half, eq = space.q, space.algebra.half, space.points.eq
+    x, y, a = (QI(0, 0), F(0)), (QI(0, 0), F(1)), 1 / (2 * F(b))
+    assert eq(q(x, a, y), (QI(0, 0), F(1, 2)))
+    assert eq(q(x, a, y), q(y, a, x))
+    assert eq(q(x, half, y), (QI(0, 0), F(b) / 2))
+    assert not eq(q(x, a, y), q(x, half, y))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the Y9 solve is refused, no seeded draw meets the premise and the "
+    "copies y := x meet it trivially, so the false law passes"))
+def test_the_report_of_cplx_with_a_perturbed_second_component_fails_y9(tmp_path, capsys):
+    path = tmp_path / "cplx-perturbed-B.mobi"
+    path.write_text(CPLX_PERTURBED_B.format(B="(1/2)"))
+    assert run_cli(["check", str(path), "--properties", "--samples", "100",
+                    "--seed", "0"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL cplx.Y9 ") for line in out), out

@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -195,15 +197,28 @@ DISTINCT_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-@pytest.mark.parametrize("extra, want", [
-    ((), SEARCH_STDOUT), (("--limit", "1"), SEARCH_STDOUT),
-    (("--distinct-constants",), DISTINCT_STDOUT),
-    (("--distinct-constants", "--limit", "1"), DISTINCT_STDOUT)],
+# `mobi search` output at sizes 6 to 9, captured from the search that
+# enumerated every relabeling for the canonical key and built every A7 and
+# A8 instance before the first placement.
+PINNED_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "search_stdout.json").read_text())
+
+
+def _pinned(n, variant):
+    if n > 5:
+        return PINNED_STDOUT[f"{n} {variant}"]
+    return (DISTINCT_STDOUT if "distinct" in variant else SEARCH_STDOUT)[n]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("extra, variant", [
+    ((), "all"), (("--limit", "1"), "limit1"),
+    (("--distinct-constants",), "distinct"),
+    (("--distinct-constants", "--limit", "1"), "distinct-limit1")],
     ids=["all", "limit1", "distinct", "distinct-limit1"])
-def test_search_stdout_is_pinned(capsys, n, extra, want):
+def test_search_stdout_is_pinned(capsys, n, extra, variant):
     assert run_cli(["search", "--size", str(n), *extra]) == 0
-    assert capsys.readouterr().out == want[n]
+    assert capsys.readouterr().out == _pinned(n, variant)
 
 
 def _brute_force_key(n, z, h, o, table):
@@ -220,20 +235,114 @@ def _brute_force_key(n, z, h, o, table):
     return best
 
 
-@pytest.mark.parametrize("n", [3, 5])
+def _relabeled(rng, n, z, h, o, table):
+    """The arguments of _canonical_key for the table relabeled at random."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    inv = [0] * n
+    for src, dst in enumerate(perm):
+        inv[dst] = src
+    table = [[[perm[table[inv[a]][inv[b]][inv[c]]] for c in range(n)]
+              for b in range(n)] for a in range(n)]
+    return n, perm[z], perm[h], perm[o], table
+
+
+def _tables(rng, n):
+    """Tables over n labels, each with random constants: uniform entries,
+    a constant table, entries projected from their own indices, and
+    entries from two labels, which leave many relabelings tied."""
+    def table(entry):
+        return [[[entry(a, b, c) for c in range(n)] for b in range(n)]
+                for a in range(n)]
+
+    k = rng.randrange(n)
+    two = [rng.randrange(n), rng.randrange(n)]
+    for t in (table(lambda a, b, c: rng.randrange(n)),
+              table(lambda a, b, c: k),
+              table(lambda a, b, c: (a, b, c)[rng.randrange(3)]),
+              table(lambda a, b, c: rng.choice(two))):
+        yield (n, rng.randrange(n), rng.randrange(n), rng.randrange(n), t)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_canonical_key_matches_the_minimum_over_all_relabelings(n):
     model = search_finite(n)[0]
     rng = random.Random(n)
-    for _ in range(5):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        inv = [0] * n
-        for src, dst in enumerate(perm):
-            inv[dst] = src
-        table = [[[perm[model.p(inv[a], inv[b], inv[c])] for c in range(n)]
-                  for b in range(n)] for a in range(n)]
-        args = (n, perm[model.zero], perm[model.half], perm[model.one], table)
+    for _ in range(5 if n < 7 else 2):
+        args = _relabeled(rng, n, model.zero, model.half, model.one,
+                          model.table)
         assert _canonical_key(*args) == _brute_force_key(*args)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_canonical_key_of_tables_that_are_no_model(n):
+    rng = random.Random(100 + n)
+    cases = list(_tables(rng, n))
+    # the brute force tries all n! labelings, about 2 s a table at n = 8
+    if n < 7:
+        cases += [_relabeled(rng, *args) for args in cases]
+    elif n == 8:
+        cases = [cases[0], cases[3]]  # uniform and two-valued
+    for args in cases:
+        assert _canonical_key(*args) == _brute_force_key(*args), args
+
+
+def _eager_instances(n):
+    """The A7 and A8 instance table as it was built in full before the
+    first placement: (static, groups), indexed as in _Instances."""
+    quint = list(product(range(n), repeat=5))
+    n5, nn = n ** 5, n * n
+    rng = range(n)
+    static = (
+        [((q * n + r) * n + s, p * nn + q * n + t, p * nn + s * n + t,
+          p * nn + t, r * n) for p, q, r, s, t in quint]
+        + [((p * n + q) * n + r, (s * n + q) * n + t, p * nn + s,
+            r * nn + t, q * n) for p, q, r, s, t in quint])
+    outer = [p * n ** 4 + t for p in rng for t in rng if p != t]
+    groups = (
+        [[((q * n + r) * n + s) * n + pt for pt in outer] if q != s
+         else [] for q in rng for r in rng for s in rng]
+        + [[n5 + (((p * n + q) * n + r) * n + s) * n + t
+            for s in rng for t in rng if p != r or s != t]
+           for p in rng for q in rng for r in rng])
+    by_b = [[2 * n5 + g for g in range(2 * n ** 3)
+             if groups[g] and g // n % n == b] for b in rng]
+    return static, groups, by_b
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_each_group_built_on_first_visit_matches_the_eager_table(n):
+    static, groups, by_b = _eager_instances(n)
+    instances = _Instances(n)
+    assert instances.by_b == by_b
+    for z, h, o in search._placements(n):
+        state = _Placement(n, z, h, o, instances)
+        if state.ok:
+            cells = state.cells
+            free = [k for k in range(n ** 3) if cells[k] is None]
+            state.fill(free, 0, lambda table: False, 1 << z | 1 << h | 1 << o)
+        built = set()
+        for g, ids in instances.groups.items():
+            assert ids == groups[g], (z, h, o, g)
+            assert [instances.static[i] for i in ids] == [static[i] for i in ids]
+            built.update(ids)
+        assert all(instances.static[i] is None
+                   for i in range(2 * n ** 5) if i not in built)
+
+
+def test_a_small_search_builds_few_instances(monkeypatch):
+    made = []
+
+    class Recorded(_Instances):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_Instances", Recorded)
+    assert search_finite(4) == []
+    (instances,) = made
+    built = sum(len(ids) for ids in instances.groups.values())
+    assert 0 < built < 2 * 4 ** 5
 
 
 class Conflict(Exception):
