@@ -420,8 +420,6 @@ def _canonical_key(n, z, h, o, table):
         tied says whether key[:p] equals best[:p]."""
         nonlocal best, found
         while p < size:
-            if used == n and not opened:
-                return finish(p, label, element, tied)
             a, b, c = p // nn, p // n % n, p % n
             if max(a, b, c) == used:  # label `used` is first needed here
                 opened.append(used)
@@ -466,26 +464,6 @@ def _canonical_key(n, z, h, o, table):
             el[s] = y
             walk(p, used, lab, el, [i for i in opened if i != s], tied)
             tied = tied or found != before  # a new best shares key[:p + 1]
-
-    def finish(p, label, element, tied):
-        """walk once every label is fixed: key[p:] a plane at a time."""
-        nonlocal best, found
-        rows = [x * n for x in element]
-        for a in range(p // nn, n):
-            start = max(p, a * nn)
-            base = element[a] * nn
-            plane = [label[flat[base + row + x]] for row in rows
-                     for x in element][start - a * nn:]
-            end = (a + 1) * nn
-            if tied:
-                w = best[start:end]
-                if plane > w:
-                    return
-                tied = plane == w
-            key[start:end] = plane
-        if not tied:
-            best = key[:]
-            found += 1
 
     walk(0, len(fixed), label, element, [], False)
     return fixed[z], fixed[o], fixed[h], tuple(best)

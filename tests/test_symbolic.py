@@ -1942,7 +1942,7 @@ def rewritten(e, rng: random.Random):
     """An expression equal to e over R, as the float code computes it:
     exp(u + v) as exp(u) * exp(v) and exp(u - v) as exp(u) / exp(v) where
     both u and v have a variable, exp(k*u) for k in 0..2 as exp(u)**k where
-    u has one, products distributed over sums where both factors have one,
+    u has one, products distributed over sums where each product keeps one,
     and sums and products swapped.  Without a variable exp is the float
     math.exp, for which exp(2k) and exp(k)**2 may differ in the last place,
     and a sum or product of numbers is a rounded float: (v + k)*exp(k') is
@@ -1958,7 +1958,8 @@ def rewritten(e, rng: random.Random):
             return ("**", rewritten(("exp", u[2]), rng), int(u[1][1]))
         return ("exp", rewritten(u, rng))
     op, u, v = e
-    if (op == "*" and u[0] in "+-" and variable(u) and variable(v)
+    if (op == "*" and u[0] in "+-" and variable(u)
+            and (variable(v) or variable(u[1]) and variable(u[2]))
             and rng.random() < 0.5):
         w = rewritten(v, rng)
         return (u[0], ("*", rewritten(u[1], rng), w), ("*", rewritten(u[2], rng), w))
