@@ -20,18 +20,19 @@ error: the rest of the output is dropped and the exit code is unchanged.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
-from . import catalog as _catalog
+# algebra before catalog: imported through catalog, symbolic.py, the largest
+# compile of a cold start, would be compiled while catalog's half-run module
+# body is still alive, and bench/run.py's peak RSS read about 0.2 MB higher.
+# The definition language loads on first use, in _cmd_check and _point.
 from .algebra import MobiAlgebra, check_algebra, check_properties
+from . import catalog as _catalog
 from .carriers import CarrierError, QI
-from .dsl import DslError, elaborate, parse, parse_value
 from .functors import roundtrip_module, roundtrip_space, space_to_module, \
     module_to_space
 from .report import EvalError, Exhaustive, Sampled, all_passed, \
@@ -123,6 +124,7 @@ def _build(args, *types):
 def _point(space, option: str, text: str):
     """The point of `space` that the expression given to `option` names; a
     DslError in the expression is a ValueError placed at the option."""
+    from .dsl import DslError, parse_value
     try:
         return space.points.coerce(parse_value(text))
     except DslError as exc:
@@ -145,10 +147,12 @@ def _params(args) -> dict:
 def _cmd_check(args) -> int:
     path = args.file
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return 2
+    from .dsl import DslError, elaborate, parse
     try:
         structures = elaborate(parse(text))
     except DslError as exc:
@@ -272,6 +276,7 @@ def _cmd_trace(args) -> int:
     if not rows:
         raise ValueError("the scalar grid is empty; nothing to trace")
     width = len(_flatten_point(rows[0][1]))
+    import csv
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t"] + [f"c{i + 1}" for i in range(width)])

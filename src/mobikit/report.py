@@ -46,7 +46,6 @@ _admitting).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -535,6 +534,7 @@ def report_to_dict(report: CheckReport) -> dict:
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> str:
+    import json  # on first use: a text report never needs it
     return json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True)
 
 

@@ -153,12 +153,11 @@ Trust base.  A pass without a walk is sound when:
 - every divisor is nonzero at every assignment: a nonzero constant, or a
   polynomial that `positive` certifies positive at every real point, by an
   exact LDL^T of a Gram matrix (a sum of squares plus a positive
-  constant), by a square root taken from its leading term, or by a square
-  completed in one variable, within POSITIVE_WORK units of work, or one
-  that `nonnegative` certifies positive on the domains (below).  Every
-  draw is a real point in the domains, so no draw that a decision skips
-  would have raised ZeroDivisionError, and the numbers divide where the
-  symbols do;
+  constant) or by a square root taken from its leading term, within
+  POSITIVE_WORK units of work, or one that `nonnegative` certifies
+  positive on the domains (below).  Every draw is a real point in the
+  domains, so no draw that a decision skips would have raised
+  ZeroDivisionError, and the numbers divide where the symbols do;
 - the carrier rule: a variable's domain holds at every member.  A
   restricted carrier draws only members (its sampler's values are
   checked) and enumerates only members, and `domains` gives a variable a
@@ -946,7 +945,7 @@ def _sum(q: Quotient, other, negate: bool):
 
 def positive(p) -> bool:
     """True when p is an exact polynomial that is positive at every real
-    point, and so nonzero at every assignment, by one of three rules; False
+    point, and so nonzero at every assignment, by one of two rules; False
     when none certifies it.  Each rule is exact over Fractions.
 
     - Gram rule: the basis is the monomials m whose square m*m has a
@@ -963,18 +962,13 @@ def positive(p) -> bool:
       term of p - a*q*q over 2*a*m) while it divides; then p = a*q*q + r,
       and p > 0 when r is positive.  A norm c*c + k*k, with k a nonzero
       constant and c any polynomial, leaves r = k*k.
-    - Square completion: p = A*v*v + B*v + C in the first variable v of
-      degree 2 whose A is positive; when 4*A*C - B*B is positive too,
-      p = A*(v + B/2A)**2 + (4*A*C - B*B)/4A > 0.  No other v is tried, so
-      the cost does not grow with the orders of the variables.
 
     The work is bounded on every input: each call spends 100 units plus,
     for each term of its polynomial, one per 64 bits of the coefficient's
     numerator and denominator (at least one); a Gram matrix of n rows
     n**3/6 + n*n more; a square root one per term of q and of r at each
-    term it takes; a completion one per term of p for each v, and one per
-    product of two terms that 4*A*C - B*B takes.  Past POSITIVE_WORK units
-    in all, or a polynomial past MAX_TERMS, the answer is False.
+    term it takes.  Past POSITIVE_WORK units in all, or a polynomial past
+    MAX_TERMS, the answer is False.
 
     An answer is kept, keyed by p's terms, so that a divisor that recurs
     across laws, such as the norm of one Gaussian rational, is certified
@@ -1029,10 +1023,10 @@ def _size(p: Poly) -> int:
 
 def _positive(p: Poly, budget: list) -> bool:
     """positive(p) for an exact p, spending from budget."""
-    # square completion doubles the coefficients' bits; their size counts
+    # each rule's arithmetic grows with the coefficients' bits; their size counts
     if not _spend(budget, _size(p) + 100):
         return False
-    return _gram(p, budget) or _rooted(p, budget) or _completed(p, budget)
+    return _gram(p, budget) or _rooted(p, budget)
 
 
 def _gram(p: Poly, budget: list) -> bool:
@@ -1103,25 +1097,6 @@ def _rooted(p: Poly, budget: list) -> bool:
         rest = rest - a * (2 * q * t + t * t)
         q = q + t
     return False  # p = a*q*q, which may be zero
-
-
-def _completed(p: Poly, budget: list) -> bool:
-    """The square-completion rule of positive."""
-    for v in sorted({v for m in p.terms for v in m}):
-        if not _spend(budget, len(p.terms)):
-            return False
-        parts = ({}, {}, {})  # the terms of C, B and A: v**0, v**1, v**2
-        for m, coefficient in p.terms.items():
-            k = m.count(v)
-            if k > 2:
-                break
-            parts[k][tuple(i for i in m if i != v)] = coefficient
-        else:
-            c, b, a = (Poly(t) for t in parts)
-            if a.terms and _positive(a, budget):
-                return (_spend(budget, len(a.terms) * len(c.terms) + len(b.terms) ** 2)
-                        and _positive(4 * a * c - b * b, budget))
-    return False
 
 
 def variables() -> Callable[..., Poly]:

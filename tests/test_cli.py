@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -877,6 +878,56 @@ def test_the_package_loads_the_cli_on_first_use():
          "mobikit.main.__module__)"],
         env=_env_with_src(), capture_output=True, text=True, timeout=60)
     assert proc.stdout == "False mobikit.cli mobikit.cli\n", proc.stderr
+
+
+def _loaded_after(code: str) -> set:
+    """The mobikit modules in sys.modules after a fresh interpreter runs code."""
+    probe = (code + "\nimport sys; "
+             "print(' '.join(m for m in sys.modules if m.startswith('mobikit')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    assert _loaded_after("import mobikit") == {"mobikit"}
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["catalog", "list"],
+    ["catalog", "check", "zmod-algebra"],
+], ids=["import", "catalog-list", "catalog-check"])
+def test_a_catalog_command_loads_neither_the_language_nor_the_solver(argv):
+    code = "import mobikit.cli"
+    if argv is not None:
+        code += f"; mobikit.cli.run_cli({argv!r})"
+    loaded = _loaded_after(code)
+    assert "mobikit.cli" in loaded
+    assert not loaded & {"mobikit.dsl", "mobikit.solver"}
+
+
+def test_checking_a_definition_file_loads_the_language():
+    loaded = _loaded_after(f"import mobikit.cli; mobikit.cli.run_cli(['check', {str(GOLDEN)!r}])")
+    assert "mobikit.dsl" in loaded
+
+
+def test_dir_lists_every_public_name():
+    assert set(dir(mobikit)) >= set(mobikit.__all__)
+
+
+def test_each_public_name_is_its_home_modules_object():
+    assert sorted(mobikit._HOME) == sorted(mobikit.__all__)
+    for name, module in mobikit._HOME.items():
+        home = importlib.import_module(f"mobikit.{module}")
+        assert getattr(mobikit, name) is getattr(home, name), name
+
+
+def test_an_unknown_attribute_raises_attributeerror():
+    with pytest.raises(AttributeError) as info:
+        mobikit.no_such_name  # noqa: B018
+    assert str(info.value) == "module 'mobikit' has no attribute 'no_such_name'"
 
 
 def test_sampled_check_of_a_large_finite_carrier_fits_in_512_mb():

@@ -670,13 +670,13 @@ def test_a_divisor_certified_positive_is_a_factor(name):
 
 
 @pytest.mark.parametrize("name, gram, rules", [
-    ("s*s + s*t + t*t + 1", True, {"_rooted", "_completed"}),
-    ("Y4's divisor", False, {"_rooted", "_completed"}),
+    ("s*s + s*t + t*t + 1", True, {"_rooted"}),
+    ("Y4's divisor", False, {"_rooted"}),
     ("c*c + 1", False, {"_rooted"}),
 ])
 def test_which_rules_of_positive_certify_a_divisor(monkeypatch, name, gram, rules):
-    # the square-root and completion rules each with the Gram rule, which
-    # certifies the constants they reduce a polynomial to
+    # the square-root rule with the Gram rule, which certifies the
+    # constants it reduces a polynomial to
     p = CERTIFIED[name]
 
     def certifies(rule):
@@ -686,7 +686,7 @@ def test_which_rules_of_positive_certify_a_divisor(monkeypatch, name, gram, rule
         return symbolic._positive(p, [POSITIVE_WORK])
 
     assert symbolic._gram(p, [POSITIVE_WORK]) is gram
-    assert {rule for rule in ("_rooted", "_completed") if certifies(rule)} == rules
+    assert {rule for rule in ("_rooted",) if certifies(rule)} == rules
 
 
 # a polynomial over three variables: (coefficient, variable indices) terms
