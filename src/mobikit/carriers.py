@@ -54,8 +54,7 @@ Z/m admit a value of their kind, a product one whose parts its parts
 admit, a restricted carrier one that its base admits and that meets each
 of its sign conditions by symbolic.nonnegative; every other carrier, and
 a restricted one with an opaque predicate, admits nothing (R64 too, so
-that a float exp that overflows at a draw still fails closure); `opaque()`
-tells whether such a predicate bounds the members, a part's too.
+that a float exp that overflows at a draw still fails closure).
 `Rational.eq`, `Float64.eq`, `GaussianRational.eq` (part by part) and
 `ModularInt.eq` given a symbolic side answer True only for sides equal, or
 congruent modulo m, at every assignment, and raise symbolic.Undecided
@@ -375,12 +374,6 @@ class Carrier:
         nothing unless it overrides this too."""
         return False
 
-    def opaque(self) -> bool:
-        """Whether a predicate that no symbol reads bounds the members, a
-        restricted carrier's own or a part's, so that the symbol's FREE
-        variables range over more than the members."""
-        return False
-
     def draw(self, rng: random.Random):
         raise NotImplementedError
 
@@ -687,9 +680,6 @@ class Product(_BuiltDraw):
         return (type(x) is tuple and len(x) == len(self.parts)
                 and all(p.admits(v) for p, v in zip(self.parts, x)))
 
-    def opaque(self):
-        return any(p.opaque() for p in self.parts)
-
     def shape(self):
         return tuple(p.shape() for p in self.parts)
 
@@ -800,20 +790,38 @@ class Restricted(Carrier):
         return eval(f"lambda x: {' and '.join(tests)}", namespace)
 
     @functools.cached_property
+    def _signs(self) -> tuple:
+        """(symbol, indices, values): the base's symbol, of variables
+        numbered from 0 (None when it has none), the index of each variable
+        in the order the symbol makes them, and each condition's g evaluated
+        once on the symbol, None where that raises; _bounds and _domains
+        both read them."""
+        indices, fresh = [], variables()
+
+        def record(integer=False, domain=FREE):
+            made = fresh(integer, domain)
+            indices.append(next(iter(made.terms))[0])
+            return made
+
+        symbol, values = self.base.symbol(record), []
+        for c in self.conditions if symbol is not None else ():
+            try:
+                values.append(c.g(symbol))
+            except Exception:  # Undecided, or any error a symbol meets
+                values.append(None)
+        return symbol, indices, values
+
+    @functools.cached_property
     def _bounds(self) -> dict:
         """{k: (coordinate, comparison, bound)} for each condition k that is
         c*v + d >= 0 (> 0) in one coordinate v of a rational or int element
         (symbolic.affine, on the base's symbol): the coordinate's expression
         in x, such as x or x[1], and v >= -d/c for c > 0, v <= -d/c for
-        c < 0, strictly for a strict condition."""
-        symbol = self.base.symbol(variables())
-        coordinates = _coordinates(symbol, "x", {}) if symbol is not None else {}
-        out = {}
-        for k, c in enumerate(self.conditions):
-            try:
-                form = affine(c.g(symbol)) if coordinates else None
-            except Exception:  # Undecided, or any error a symbol meets: g is called
-                form = None
+        c < 0, strictly for a strict condition; g is called otherwise."""
+        symbol, _, values = self._signs
+        coordinates, out = _coordinates(symbol, "x", {}), {}
+        for k, (c, value) in enumerate(zip(self.conditions, values)):
+            form = affine(value)
             if form is None or form[0] not in coordinates:
                 continue
             v, slope, bound = form
@@ -828,9 +836,6 @@ class Restricted(Carrier):
     def admits(self, x):
         return (self.member is None and self.base.admits(x)
                 and all(nonnegative(c.g(x), c.strict) for c in self.conditions))
-
-    def opaque(self):
-        return self.member is not None or self.base.opaque()
 
     def eq(self, x, y):
         return self.base.eq(x, y)
@@ -857,21 +862,13 @@ class Restricted(Carrier):
     @functools.cached_property
     def _domains(self) -> list | None:
         """The domain of each variable of the base's symbol, in the order
-        the symbol makes them; None when the base has no symbol."""
-        made, fresh = [], variables()
-
-        def record(integer=False, domain=FREE):
-            made.append(fresh(integer, domain))
-            return made[-1]
-
-        probe = self.base.symbol(record)
-        if probe is None:
+        the symbol makes them; None when the base has no symbol.  A condition
+        whose g raises on the symbol leaves every variable unbounded."""
+        symbol, indices, values = self._signs
+        if symbol is None:
             return None
-        try:
-            bounds = domains([(c.g(probe), c.strict) for c in self.conditions])
-        except Exception:  # Undecided, or any error a symbol meets: nothing is bounded
-            bounds = {}
-        indices = [next(iter(v.terms))[0] for v in made]
+        bounds = {} if any(v is None for v in values) else domains(
+            zip(values, (c.strict for c in self.conditions)))
         return [bounds.get(i, domain_of(i)) for i in indices]  # else the base's own
 
     def symbol(self, fresh):

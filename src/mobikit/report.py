@@ -38,9 +38,7 @@ own symbol (Carrier.admits), and whose slots all have symbols, runs one
 seeded draw as an equation does; if it passes and the carrier admits the
 value evaluated once on the symbols, the report is a pass with the
 caller's strategy, under Exhaustive over an infinite carrier too.  Every
-other predicate is walked in full, at once when the carrier's sign
-conditions meet a slot whose members an opaque predicate bounds (see
-_admitting).
+other predicate is walked in full.
 """
 
 from __future__ import annotations
@@ -293,11 +291,8 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
     evaluated on the symbols, with the factors of the sides' denominators
     nonzero, and the copy of the symbols, if any, keeps each variable in
     its domain (see _copy_stays).  Otherwise COPIES when
-    every copy passes: when every one of those differences vanishes on the
-    copy of the symbols, substituted into them where the copy maps each
-    variable to one term in its domain; else when premise and eq both
-    answer True on the copy of the symbols, evaluated afresh.  NOTHING
-    otherwise."""
+    every copy passes: when premise and eq both answer True on the copy of
+    the symbols, evaluated afresh.  NOTHING otherwise."""
     assignment = _symbols(slots)
     if premise is None:
         try:
@@ -316,11 +311,6 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
                 if (construct is None or _copy_stays(assignment, construct)) and (
                         solver.solved(pi, gamma, _denominators(sides, {}).values())):
                     return Decided.EVERY
-                if construct is None:
-                    return Decided.NOTHING
-                images = _images(assignment, construct(assignment), {})
-                vanish = not any(symbolic.substituted(d, images).terms for d in pi + gamma)
-                return Decided.COPIES if vanish else Decided.NOTHING
     except Exception:  # as for an equation; a copy evaluated afresh may decide
         pass
     if construct is None:
@@ -353,25 +343,18 @@ def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
     return _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes)
 
 
-def _admitting(holds: Callable, slots: tuple) -> Carrier | None:
+def _admitting(holds: Callable) -> Carrier | None:
     """The carrier whose own contains holds is (see _carrier), when it
     admits its own symbol (see Carrier.admits); None otherwise, as for a
-    carrier with no symbol or with an opaque membership predicate.  None
-    too when its sign conditions bound a variable of its symbol and a slot
-    is opaque (Carrier.opaque), as the lozenge is: symbolic.nonnegative
-    refuses the FREE variables of that slot's symbol, so a value made from
-    them would be evaluated only to be refused."""
+    carrier with no symbol or with an opaque membership predicate."""
     carrier = _carrier(holds, "admits")
     if carrier is None:
         return None
     symbol = carrier.symbol(symbolic.variables())
     try:
-        if symbol is None or carrier.admits(symbol) is not True:
-            return None
+        return carrier if symbol is not None and carrier.admits(symbol) is True else None
     except Exception:  # as in _admitted
         return None
-    bounded = any(symbolic.domain_of(v) != symbolic.FREE for v in _images(symbol, symbol, {}))
-    return None if bounded and any(c.opaque() for c in slots) else carrier
 
 
 def _admitted(slots: tuple, carrier: Carrier, value: Callable) -> bool:
@@ -400,7 +383,7 @@ def check_predicate(law: str, names: tuple, slots: tuple, value: Callable,
     def nothing(*_):
         return None
 
-    carrier = _admitting(holds, slots)
+    carrier = _admitting(holds)
     if slots and carrier is not None and _symbols(slots) is not None:
         report = _check(law, names, slots, eq, value, nothing, strategy,
                         walk=Sampled(1).assignments(law, slots))

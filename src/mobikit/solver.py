@@ -2,7 +2,7 @@
 
 An implication's premise is an equality that random draws almost never
 meet, so only the constructed copies of a walk test its conclusion.  A
-certificate of degree 1 (`symbolic.certified`) covers the cancellation and
+certificate of degree 1 (`symbolic._certified`) covers the cancellation and
 path laws X4, Y9 and Y10 of an affine space, but not of one whose path
 divides, or whose premise factors into cases, such as Y10 of
 projectile-space: a = b, or s = t.  Solving the premise for one variable
@@ -60,7 +60,7 @@ def solved(premise: list, conclusion: list, factors=()) -> bool:
 
     - a premise c*v + r, with c and r free of the variable v and c a
       nonzero constant, gives v = -r/c, put into every other polynomial;
-    - `certified` is asked for a certificate of the node;
+    - `_certified` is asked for a certificate of the node;
     - a premise c*v + r whose coefficient c is nowhere zero (below), the
       smallest such c first, gives v = -r/c: every other polynomial p, of
       degree d in v, becomes c**d * p(v = -r/c), which vanishes exactly
@@ -85,7 +85,7 @@ def solved(premise: list, conclusion: list, factors=()) -> bool:
     `nonnegative(strict=True)` certifies.  A zero or two signs at PROBES
     seeded points of the domains refuse it before the rules are asked.
 
-    The work is bounded by one budget of SOLVE_WORK units: each `certified`
+    The work is bounded by one budget of SOLVE_WORK units: each `_certified`
     spends at most CERTIFICATE_WORK of it, each `positive` and
     `nonnegative` at most POSITIVE_WORK, each product one unit per pair of
     terms, each step of an exact division one per term of the divisor,
@@ -158,7 +158,7 @@ def _solve(premise: list, conclusion: list, factors: list, branches: int,
 
 
 def _certifies(premise: list, conclusion: list, budget: list) -> bool:
-    """certified, spending at most CERTIFICATE_WORK of budget."""
+    """symbolic._certified, spending at most CERTIFICATE_WORK of budget."""
     units = min(CERTIFICATE_WORK, budget[0])
     work = [units]
     try:

@@ -106,10 +106,9 @@ terms, and a Points of degree past POINT_DEGREE; for an Exp, a division by
 anything but c * exp(g), an exp of an Exp, of a quotient or of a Points,
 an Exp with a quotient or a Points, and a coefficient past MAX_TERMS (an
 exp term has no Points).  What needs a polynomial's terms refuses a
-Points: `positive` and `certified` answer False for it, `substituted`,
-`congruent` and `difference` raise, and `difference` raises for an Exp.
-So does a substitution of an image that may leave its variable's domain
-(`within`).  An undecided law is walked as if it had no symbols.
+Points: `positive` and `solver.solved` answer False for it, `congruent`
+and `difference` raise, and `difference` raises for an Exp.  An undecided
+law is walked as if it had no symbols.
 
 A closure predicate (A0, X0) asks its target carrier whether it admits the
 value evaluated on symbols (`Carrier.admits`): Q, Q[i], Z/m and products
@@ -122,11 +121,11 @@ equality is decided from its sides' differences on symbols
 doubles x - y with each exp(g) in it a POSITIVE variable of its own
 (`exp_difference`, `exponent`): the premise's, pi_j, and the conclusion's,
 gamma_i.  `solver.solved` solves the premise for its variables, case by
-case, and asks `certified` at each case for polynomials h_ij of degree at
-most 1 with gamma_i = sum_j h_ij * pi_j, so that every assignment whose
+case, and asks `_certified` at each case for polynomials h_ij of degree
+at most 1 with gamma_i = sum_j h_ij * pi_j, so that every assignment whose
 premise holds meets the conclusion; when the premise is not solved, the
-copies that a sampled walk constructs are decided by `substituted`, each
-difference with the copy of each variable put in its place.
+premise and the equality are evaluated afresh on the copy of the symbols
+that a sampled walk constructs.
 
 Trust base.  A pass without a walk is sound when:
 
@@ -244,7 +243,7 @@ Trust base.  A pass without a walk is sound when:
   refuses a substitution by a quotient, which would take the exponent
   out of the polynomials.  The variables are numbered afresh at each
   variables(), so a law's numbering, and so its solve, depends on the law
-  alone.  `certified` confirms each certificate it finds by a Poly
+  alone.  `_certified` confirms each certificate it finds by a Poly
   identity, gamma_i - sum_j h_ij * pi_j == 0, so at every real point
   where every pi_j vanishes every gamma_i does, and within
   CERTIFICATE_WORK units of work.  A solved premise skips the copies too,
@@ -265,26 +264,17 @@ Trust base.  A pass without a walk is sound when:
   exactly where p is; Cramer's rule for two premises clears the
   determinant the same way.  So a conclusion that vanishes at every point
   of every leaf case where the leaf's premise vanishes (it is zero, a
-  premise is a nonzero constant, or `certified` holds there) vanishes at
+  premise is a nonzero constant, or `_certified` holds there) vanishes at
   every assignment that meets the premise.  The probes that refuse a
   coefficient before the rules run (a zero or two signs at seeded points
   of the domains) only refuse, and the whole solve spends at most
   solver.SOLVE_WORK units;
-- for an implication, a constructed copy of the symbols on which every
-  difference vanishes, or the premise and the equality both answer True,
-  stands for every copy, so every copy a sampled walk would take passes.
-  Substituting the copy's value of each variable into the differences
-  gives the polynomials that evaluating on the copy would, since a
-  polynomial identity holds under any substitution.  The first draw and
-  its copy run through the loop before the symbols, the rest of the walk
-  after them, so a failure is the walk's first, with its witness;
-- copies: a factor positive on the domains stays positive at a copy only
-  if the copy stays in them, so `substituted` refuses an image that may
-  leave its variable's domain (`within`: a one-term image whose sign, and
-  for UNIT whose bound 1, follows from its variables' domains).  That
-  covers every factor the evaluation divided by, also one whose quotient
-  a zero numerator dropped.  A copy refused there is evaluated afresh,
-  where every division is certified again.
+- for an implication, a constructed copy of the symbols on which the
+  premise and the equality both answer True, evaluated afresh on it, with
+  every division certified again, stands for every copy, so every copy a
+  sampled walk would take passes.  The first draw and its copy run
+  through the loop before the symbols, the rest of the walk after them,
+  so a failure is the walk's first, with its witness.
 """
 
 from __future__ import annotations
@@ -337,7 +327,7 @@ REAL = 2
 EXP_BASE = 1 << 31
 _EXP_VARIABLES: dict = {}
 EXPONENTS: dict = {}
-# past this much work (see certified) an implication is not certified; the
+# past this much work (see _certified) an implication is not certified; the
 # most that one needs in a pass of the catalog or of the definition-file
 # checks is 831 (Y10 of tri-space)
 CERTIFICATE_WORK = 2_000
@@ -590,7 +580,7 @@ class Points:
 
     @property
     def terms(self):
-        # what needs a polynomial's terms, such as positive's and certified's
+        # what needs a polynomial's terms, such as positive's and _certified's
         # own arithmetic, is undecided on a result past MAX_TERMS
         raise Undecided(f"the terms of a rational past {MAX_TERMS} terms")
 
@@ -1294,13 +1284,13 @@ def congruent(x, y, n: int) -> bool:
     return True
 
 
-def certified(premise: list, conclusion: list) -> bool:
+def _certified(premise: list, conclusion: list, budget: list) -> bool:
     """True when every polynomial of `conclusion` is sum_j h_j * premise[j]
     for polynomials h_j of degree at most 1, so that it vanishes wherever
     every premise polynomial does: a degree-bounded Nullstellensatz
     certificate (De Loera, Lee, Malkin and Margulies, ISSAC 2008).  False
-    when none is found, for an int known only modulo some g, or for
-    anything but exact polynomials.
+    when none is found.  The polynomials are exact, none an int known only
+    modulo some g (solver.solved refuses those before it asks).
 
     The h_j are found by exact elimination over Q on coefficient vectors.
     The columns are m * premise[j] for the monomials m of degree 0, then
@@ -1314,21 +1304,9 @@ def certified(premise: list, conclusion: list) -> bool:
     unit per 64 bits of its coefficient's numerator and denominator (at
     least one), a column of degree 1 one per term, each reduction one per
     column kept, and each subtraction one per term of the column and of
-    its combination; past CERTIFICATE_WORK units, or a polynomial past
-    MAX_TERMS, the answer is False."""
-    try:
-        premise = [_poly(p) for p in premise]
-        conclusion = [_poly(g) for g in conclusion]
-        if any(p.modulus for p in premise + conclusion):
-            return False
-        return _certified(premise, conclusion, [CERTIFICATE_WORK])
-    except Undecided:
-        return False
-
-
-def _certified(premise: list, conclusion: list, budget: list) -> bool:
-    """certified for exact polynomials, spending from budget: False, or
-    Undecided, past it."""
+    its combination, spent from budget (CERTIFICATE_WORK units through
+    solver._certifies); past it the answer is False, or Undecided, as it
+    is for a polynomial past MAX_TERMS."""
     premise = [p for p in premise if p.terms]
     targets = [[g, g.terms, {}] for g in conclusion if g.terms]
     names = sorted({v for p in premise + conclusion for m in p.terms for v in m})
@@ -1408,36 +1386,6 @@ def _confirmed(g: Poly, combination: dict, premise: list) -> bool:
         if h:
             rest = rest - Poly(h) * p
     return not rest.terms
-
-
-def substituted(p, images: dict) -> Poly:
-    """p with each variable i replaced by images[i], a Poly, int or
-    Fraction of at most one term; Undecided for any other image, or when
-    the images may leave their variables' domains (see within), so that a
-    factor positive on the domains stays positive after the substitution."""
-    if not within(images):
-        raise Undecided("a substitution that may leave a variable's domain")
-    terms = {}  # a variable: its image's one (monomial, coefficient), or None for 0
-    for v, image in images.items():
-        image = _poly(image).terms
-        if len(image) > 1:
-            raise Undecided("a substitution by a polynomial of more than one term")
-        terms[v] = next(iter(image.items()), None)
-    out = {}
-    for m, c in _poly(p).terms.items():
-        monomial = []
-        for v in m:
-            if terms[v] is None:
-                break
-            factor, k = terms[v]
-            monomial += factor
-            c = c * k
-        else:
-            key = tuple(sorted(monomial))
-            s = out.pop(key, 0) + c
-            if s:
-                out[key] = s
-    return Poly(out)
 
 
 def within(images: dict) -> bool:
