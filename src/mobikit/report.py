@@ -27,9 +27,10 @@ with constructed copies, first runs one seeded draw and its copy through
 the loop: under Sampled the strategy's own first draw, otherwise that of
 `Sampled(1)`.  If they pass, it is evaluated once on the symbols.  When
 solving the premise shows that it implies the conclusion (see
-solver.solved), and the copy of the symbols stays in their domains, the
-report is a pass with the caller's strategy, and nothing is enumerated,
-as for an equation.  Otherwise Sampled walks its other draws,
+solver.solved), or over Z/p for a prime p a certificate modulo p does
+(see symbolic._certified), and the copy of the symbols stays in their
+domains, the report is a pass with the caller's strategy, and nothing is
+enumerated, as for an equation.  Otherwise Sampled walks its other draws,
 and its other copies unless every copy passes on the symbols; any other
 strategy walks the law in full.
 
@@ -217,13 +218,16 @@ def _carrier(method: Callable, companion: str) -> Carrier | None:
 def _differences(eq: Callable) -> Callable | None:
     """The `differences` of the carrier whose own equality eq is (see
     Carrier.differences), or None: for any other equality, for a carrier
-    whose eq and differences come from different classes, and for one
-    that gives none for its own symbol, such as a product with a Z/m part."""
+    whose eq and differences come from different classes, for one that
+    gives none for its own symbol, such as one with a Z/m part for a
+    composite m, and for one whose differences are known modulo more than
+    one modulus, such as a product of Q and Z/p."""
     carrier = _carrier(eq, "differences")
     if carrier is None:
         return None
     symbol = carrier.symbol(symbolic.variables())
-    if symbol is None or carrier.differences(symbol, symbol) is None:
+    zeros = None if symbol is None else carrier.differences(symbol, symbol)
+    if zeros is None or len({d.modulus for d in zeros}) > 1:
         return None
     return carrier.differences
 
@@ -286,13 +290,14 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
     assignment (see symbolic).
 
     For an implication, a Decided.  EVERY when the premise is a pair of
-    sides compared with a carrier's own eq, solver.solved shows that the
-    premise's differences (Carrier.differences) imply the conclusion's, all
-    evaluated on the symbols, with the factors of the sides' denominators
-    nonzero, and the copy of the symbols, if any, keeps each variable in
-    its domain (see _copy_stays).  Otherwise COPIES when
-    every copy passes: when premise and eq both answer True on the copy of
-    the symbols, evaluated afresh.  NOTHING otherwise."""
+    sides compared with a carrier's own eq, the copy of the symbols, if
+    any, keeps each variable in its domain (see _copy_stays), and the
+    premise's differences (Carrier.differences) imply the conclusion's,
+    all evaluated on the symbols: by solver.solved, with the factors of
+    the sides' denominators nonzero, or, for differences known modulo a
+    prime p, by a certificate modulo p (symbolic._certified).  Otherwise
+    COPIES when every copy passes: when premise and eq both answer True
+    on the copy of the symbols, evaluated afresh.  NOTHING otherwise."""
     assignment = _symbols(slots)
     if premise is None:
         try:
@@ -303,14 +308,19 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
         return Decided.NOTHING
     differences = _differences(eq) if type(premise) is tuple else None
     try:
-        if differences is not None:
+        if differences is not None and (construct is None
+                                        or _copy_stays(assignment, construct)):
             sides = [f(*assignment) for f in premise + (lhs, rhs)]
             pi, gamma = differences(*sides[:2]), differences(*sides[2:])
-            if None not in (pi, gamma):
+            modulus = max((d.modulus for d in pi), default=0)
+            if modulus:
+                certified = symbolic._certified(pi, gamma, [symbolic.CERTIFICATE_WORK],
+                                                modulus)
+            else:
                 from . import solver  # on first use: a cold start that solves nothing skips it
-                if (construct is None or _copy_stays(assignment, construct)) and (
-                        solver.solved(pi, gamma, _denominators(sides, {}).values())):
-                    return Decided.EVERY
+                certified = solver.solved(pi, gamma, _denominators(sides, {}).values())
+            if certified:
+                return Decided.EVERY
     except Exception:  # as for an equation; a copy evaluated afresh may decide
         pass
     if construct is None:
@@ -408,10 +418,11 @@ def check_implication(law: str, names: tuple, slots: tuple, premise,
     first seeded draw and its copy run through the loop (under Sampled the
     strategy's own first draw, a prefix of its walk).  If they pass, the
     law is evaluated once on symbols (see _decided).  When solving the
-    premise shows that it implies the conclusion, the pass is reported
-    with the caller's strategy and nothing else runs.  Otherwise Sampled
-    walks its other draws, and its other copies unless every copy passes
-    on symbols; any other strategy walks the law in full.  A failure in
+    premise, or over Z/p a certificate modulo p, shows that it implies the
+    conclusion, the pass is reported with the caller's strategy and
+    nothing else runs.  Otherwise Sampled walks its other draws, and its
+    other copies unless every copy passes on symbols; any other strategy
+    walks the law in full.  A failure in
     the first draw or its copy is reported from the strategy's own walk,
     so a failing law has the witness it has without symbols.
     """

@@ -106,9 +106,9 @@ terms, and a Points of degree past POINT_DEGREE; for an Exp, a division by
 anything but c * exp(g), an exp of an Exp, of a quotient or of a Points,
 an Exp with a quotient or a Points, and a coefficient past MAX_TERMS (an
 exp term has no Points).  What needs a polynomial's terms refuses a
-Points: `positive` and `solver.solved` answer False for it, `congruent`
-and `difference` raise, and `difference` raises for an Exp.  An undecided
-law is walked as if it had no symbols.
+Points: `positive` and `solver.solved` answer False for it, `congruent`,
+`residue` and `difference` raise, and `difference` raises for an Exp.  An
+undecided law is walked as if it had no symbols.
 
 A closure predicate (A0, X0) asks its target carrier whether it admits the
 value evaluated on symbols (`Carrier.admits`): Q, Q[i], Z/m and products
@@ -123,9 +123,12 @@ doubles x - y with each exp(g) in it a POSITIVE variable of its own
 gamma_i.  `solver.solved` solves the premise for its variables, case by
 case, and asks `_certified` at each case for polynomials h_ij of degree
 at most 1 with gamma_i = sum_j h_ij * pi_j, so that every assignment whose
-premise holds meets the conclusion; when the premise is not solved, the
-premise and the equality are evaluated afresh on the copy of the symbols
-that a sampled walk constructs.
+premise holds meets the conclusion.  Over Z/p for a prime p each
+difference is x - y reduced modulo p (`residue`), and `_certified` alone
+is asked, over the integers modulo p; Z/m for a composite m gives no
+differences.  When neither decides, the premise and the equality are
+evaluated afresh on the copy of the symbols that a sampled walk
+constructs.
 
 Trust base.  A pass without a walk is sound when:
 
@@ -231,9 +234,20 @@ Trust base.  A pass without a walk is sound when:
   denominator's factors were certified positive on the domains, or
   Float64's x - y, whose exp(g) terms are variables that take the value
   exp(g) at each assignment; so the equality holds at an assignment
-  exactly when every one vanishes there.  Every other carrier gives none
-  (Z/m, whose equality is a congruence, a search table), nor does any
-  other equality, so its implications are walked;
+  exactly when every one vanishes there.  ModularInt's, for a prime
+  modulus p, is x - y reduced modulo p, which vanishes modulo p exactly
+  where the congruence holds (below).  Every other carrier gives none
+  (Z/m for a composite m, a search table), nor does any other equality,
+  so its implications are walked;
+- a certificate modulo p: `_certified` with a modulus finds the h_ij by
+  elimination over the integers modulo p, and confirms each by a Poly
+  identity with int multipliers, gamma_i - sum_j h_ij * pi_j == 0 modulo
+  p.  At an int assignment where every pi_j is divisible by p, so is
+  sum_j h_ij * pi_j, and so is gamma_i; the confirmation uses no inverse,
+  so it is sound for any modulus, and primality only lets the search
+  scale each pivot by its inverse.  Each side is an int known modulo a
+  multiple of p (`residue` refuses any other), so its value modulo p is
+  its polynomial's;
 - exp variables in an implication: exp(g) is a POSITIVE variable of its
   own (`exponent`), since exp(g) > 0 at every real point, so a Poly
   identity, a certificate, or a sign rule that holds with it free holds
@@ -1273,40 +1287,54 @@ def equal(x, y) -> bool:
     return True
 
 
+def residue(x, y, n: int) -> Poly:
+    """x - y with its coefficients reduced modulo n, an int known modulo n,
+    for two ints known modulo multiples of n (or exactly): at every
+    assignment x is congruent to y modulo n exactly when it vanishes there
+    modulo n; Undecided for anything else."""
+    d = _poly(x) - _poly(y)
+    if type(d) is Points or d.rational or d.modulus % n:
+        raise Undecided(f"sides that are not ints known modulo {n}")
+    return d % n
+
+
 def congruent(x, y, n: int) -> bool:
     """True when x and y are ints congruent modulo n at every assignment:
     n divides the modulus they are known to and every coefficient of their
     difference; Undecided otherwise."""
-    d = _poly(x) - _poly(y)
-    if (type(d) is Points or d.rational or d.modulus % n
-            or any(c % n for c in d.terms.values())):
+    if residue(x, y, n).terms:
         raise Undecided(f"sides that are not the same polynomial modulo {n}")
     return True
 
 
-def _certified(premise: list, conclusion: list, budget: list) -> bool:
+def _certified(premise: list, conclusion: list, budget: list, modulus: int = 0) -> bool:
     """True when every polynomial of `conclusion` is sum_j h_j * premise[j]
     for polynomials h_j of degree at most 1, so that it vanishes wherever
     every premise polynomial does: a degree-bounded Nullstellensatz
     certificate (De Loera, Lee, Malkin and Margulies, ISSAC 2008).  False
-    when none is found.  The polynomials are exact, none an int known only
-    modulo some g (solver.solved refuses those before it asks).
+    when none is found.  With modulus 0 the polynomials are exact, none an
+    int known only modulo some g (solver.solved refuses those before it
+    asks); with a prime modulus p they are ints known modulo p with
+    coefficients in [0, p) (ModularInt.differences), and the identity is
+    one modulo p.
 
-    The h_j are found by exact elimination over Q on coefficient vectors.
-    The columns are m * premise[j] for the monomials m of degree 0, then
-    also of degree 1 in the variables that occur.  The conclusions are
-    reduced against the columns of a degree only when each of their
-    monomials is a monomial of one of those columns; otherwise no
-    combination of them can give it.  A certificate found is confirmed by
-    a Poly identity, conclusion - sum_j h_j * premise[j] == 0.
+    The h_j are found by exact elimination on coefficient vectors, over Q,
+    or over the integers modulo p, where each pivot is scaled by its
+    inverse modulo p and each subtraction is reduced modulo p.  The
+    columns are m * premise[j] for the monomials m of degree 0, then also
+    of degree 1 in the variables that occur.  The conclusions are reduced
+    against the columns of a degree only when each of their monomials is
+    a monomial of one of those columns; otherwise no combination of them
+    can give it.  A certificate found is confirmed by a Poly identity,
+    conclusion - sum_j h_j * premise[j] == 0, modulo p for a modulus p.
 
     The work is bounded: each term of the given polynomials spends one
     unit per 64 bits of its coefficient's numerator and denominator (at
     least one), a column of degree 1 one per term, each reduction one per
     column kept, and each subtraction one per term of the column and of
-    its combination, spent from budget (CERTIFICATE_WORK units through
-    solver._certifies); past it the answer is False, or Undecided, as it
-    is for a polynomial past MAX_TERMS."""
+    its combination, spent from budget (CERTIFICATE_WORK units); past it
+    the answer is False, or Undecided, as it is for a polynomial past
+    MAX_TERMS."""
     premise = [p for p in premise if p.terms]
     targets = [[g, g.terms, {}] for g in conclusion if g.terms]
     names = sorted({v for p in premise + conclusion for m in p.terms for v in m})
@@ -1327,17 +1355,18 @@ def _certified(premise: list, conclusion: list, budget: list) -> bool:
         if not all(m in support for target in targets for m in target[1]):
             continue
         for key, terms in pending:
-            _insert(basis, *_reduce(basis, terms, {key: 1}, budget), budget)
+            _insert(basis, *_reduce(basis, terms, {key: 1}, budget, modulus), budget, modulus)
         pending = []
         for target in targets:
-            target[1:] = _reduce(basis, target[1], target[2], budget)
+            target[1:] = _reduce(basis, target[1], target[2], budget, modulus)
         if not any(target[1] for target in targets):
-            return all(_confirmed(g, combination, premise)
+            return all(_confirmed(g, combination, premise, modulus)
                        for g, _, combination in targets)
     return False
 
 
-def _reduce(basis: list, terms: dict, combination: dict, budget: list) -> tuple:
+def _reduce(basis: list, terms: dict, combination: dict, budget: list,
+            modulus: int) -> tuple:
     """(terms, combination) less their multiples of the columns of basis,
     in order, so that no pivot is left among the terms; each combination
     maps a column's key (j, m) to its coefficient."""
@@ -1349,43 +1378,50 @@ def _reduce(basis: list, terms: dict, combination: dict, budget: list) -> tuple:
             continue
         if not _spend(budget, len(column) + len(of)):
             raise Undecided("a certificate past the work bound")
-        terms, combination = _minus(terms, c, column), _minus(combination, c, of)
+        terms = _minus(terms, c, column, modulus)
+        combination = _minus(combination, c, of, modulus)
     return terms, combination
 
 
-def _minus(terms: dict, c, other: dict) -> dict:
-    """terms - c * other, without zero coefficients."""
+def _minus(terms: dict, c, other: dict, modulus: int) -> dict:
+    """terms - c * other, reduced modulo a nonzero modulus, without zero
+    coefficients."""
     out = dict(terms)
     for m, d in other.items():
         s = out.pop(m, 0) - c * d
+        if modulus:
+            s %= modulus
         if s:
             out[m] = s
     return out
 
 
-def _insert(basis: list, terms: dict, combination: dict, budget: list):
-    """Keep a reduced column that is not zero, scaled to 1 at a pivot."""
+def _insert(basis: list, terms: dict, combination: dict, budget: list, modulus: int):
+    """Keep a reduced column that is not zero, scaled to 1 at a pivot, or
+    to 1 modulo a nonzero modulus, whose subtractions (_minus) reduce what
+    they leave."""
     if terms:
         pivot = next(iter(terms))
-        scale = _Fraction(1) / terms[pivot]
+        scale = pow(terms[pivot], -1, modulus) if modulus else _Fraction(1) / terms[pivot]
         if not _spend(budget, len(terms) + len(combination)):
             raise Undecided("a certificate past the work bound")
         basis.append((pivot, {m: c * scale for m, c in terms.items()},
                       {k: c * scale for k, c in combination.items()}))
 
 
-def _confirmed(g: Poly, combination: dict, premise: list) -> bool:
-    """Whether g == sum_j h_j * premise[j] as polynomials, for the h_j that
-    combination gives: g's reduction to zero leaves g + sum c * m *
-    premise[j] == 0 over its keys ((j, m), c), so h_j = -sum c * m."""
+def _confirmed(g: Poly, combination: dict, premise: list, modulus: int) -> bool:
+    """Whether g == sum_j h_j * premise[j] as polynomials, or modulo a
+    nonzero modulus, for the h_j that combination gives: g's reduction to
+    zero leaves g + sum c * m * premise[j] == 0 over its keys ((j, m), c),
+    so h_j = -sum c * m, with int coefficients modulo a modulus."""
     multipliers = [{} for _ in premise]
     for (j, m), c in combination.items():
         multipliers[j][m] = -c
     rest = g
     for h, p in zip(multipliers, premise):
         if h:
-            rest = rest - Poly(h) * p
-    return not rest.terms
+            rest = rest - Poly(h, not modulus) * p
+    return not (rest % modulus if modulus else rest).terms
 
 
 def within(images: dict) -> bool:

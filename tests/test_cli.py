@@ -898,7 +898,11 @@ def test_importing_the_package_loads_none_of_its_modules():
     None,
     ["catalog", "list"],
     ["catalog", "check", "zmod-algebra"],
-], ids=["import", "catalog-list", "catalog-check"])
+    # implications decided by certificates modulo a prime, without the solver
+    ["catalog", "check", "zmod-algebra", "--properties"],
+    ["convert", "module-to-space", "zmod-module", "--exhaustive", "--affine", "--properties"],
+], ids=["import", "catalog-list", "catalog-check", "catalog-check-properties",
+        "convert-exhaustive"])
 def test_a_catalog_command_loads_neither_the_language_nor_the_solver(argv):
     code = "import mobikit.cli"
     if argv is not None:

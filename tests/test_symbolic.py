@@ -923,8 +923,9 @@ def test_every_zmod_equation_with_variables_is_decided(monkeypatch):
                + check_properties(algebra, Exhaustive())
                + check_module(module, Exhaustive()))
     assert all(r.passed for r in reports)
-    # the implications and the laws without variables; A0 is admitted
-    assert walked == ["A1", "A6", "eq(6)", "eq(8)", "eq(10)"]
+    # the laws without variables; A0 is admitted, and the implications
+    # have certificates modulo 7 and 5
+    assert walked == ["A1", "eq(6)"]
 
 
 def test_a_planted_non_identity_fails_with_the_same_witness(monkeypatch):
@@ -1112,18 +1113,30 @@ def test_an_uncertified_implication_reports_the_same_without_symbols(
 
 
 @pytest.mark.parametrize("carrier, strategy, evaluated", [
-    (ModularInt(7), Sampled(50), 51),  # every draw, and the first copy
-    (ModularInt(7), Exhaustive(), 7 ** 3),
+    (ModularInt(7), Sampled(50), 2),  # the first draw and its copy
+    (ModularInt(7), Exhaustive(), 2),
+    # 2 is invertible modulo 9 too, but a composite modulus is walked: every
+    # draw, and the first copy
+    (ModularInt(9), Sampled(50), 51),
+    (ModularInt(9), Exhaustive(), 9 ** 3),
     # an R64 `where` carrier has no symbol: every draw and copy (R64 itself
     # is solved, see test_an_r64_implication_is_solved_through_its_exp_terms)
     (Restricted(Float64(), lambda v: True), Sampled(50), 100),
-], ids=["Z/7-sampled", "Z/7-exhaustive", "R64"])
-def test_an_implication_over_z_m_or_r64_evaluates_every_draw(carrier, strategy, evaluated):
+], ids=["Z/7-sampled", "Z/7-exhaustive", "Z/9-sampled", "Z/9-exhaustive", "R64"])
+def test_an_implication_over_z_p_evaluates_one_draw_and_over_z_9_or_r64_every_draw(
+        carrier, strategy, evaluated):
     calls = []
-    report = sides_of(strategy, calls, lambda a, b, c: a + 2 * b, lambda a, b, c: a + 2 * c,
-                      (lambda a, b, c: b, lambda a, b, c: c), lambda t: (t[0], t[1], t[1]),
-                      carrier=carrier)
-    assert report.passed and len(calls) == evaluated
+    left, right = lambda a, b, c: a + 2 * b, lambda a, b, c: a + 2 * c
+    conclusion = (lambda a, b, c: b, lambda a, b, c: c)
+
+    def construct(t):
+        return t[0], t[1], t[1]
+
+    result = sides_of(strategy, calls, left, right, conclusion, construct, carrier=carrier)
+    assert result.passed and len(calls) == evaluated
+    decided = report._decided((carrier,) * 3, carrier.eq, *conclusion, (left, right),
+                              construct)
+    assert (decided == report.Decided.EVERY) == (evaluated == 2)
 
 
 def test_an_adversarial_premise_is_answered_within_a_second():
@@ -1162,6 +1175,129 @@ def test_a_combination_of_the_premise_is_certified_and_one_plus_it_is_not(premis
     assert not has_certificate(pi, [g + 1 for g in gamma])
 
 
+# -- implications certified modulo a prime
+
+# an int polynomial in three variables, as (coefficient, monomial) terms,
+# and an int multiplier of degree at most 1, c0 + c1*x1 + c2*x2 + c3*x3
+INT_POLYNOMIALS = st.lists(st.tuples(st.integers(-6, 6),
+                                     st.lists(st.integers(0, 2), max_size=2)), max_size=4)
+INT_LINEAR = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
+
+
+def int_value(terms, xs):
+    """The polynomial of these terms at xs, ints or int symbols."""
+    return sum((c * math.prod((xs[i] for i in m), start=1) for c, m in terms), start=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 2),
+       st.lists(st.tuples(INT_POLYNOMIALS, INT_POLYNOMIALS), min_size=2, max_size=2),
+       st.lists(st.lists(INT_LINEAR, min_size=2, max_size=2), min_size=2, max_size=2),
+       st.booleans(), st.integers(1, 6), st.lists(st.integers(0, 2), max_size=2))
+def test_an_implication_over_z_p_reports_what_its_exhaustive_walk_reports(
+        p, n, premises, multipliers, planted, k, monomial):
+    # n premises left_j == right_j over Z/p, and n conclusions
+    # sum_j h_ij * (left_j - right_j) == 0, the first one plus k * monomial
+    # half the time; without symbols the exhaustive walk of (Z/p)^3 is a
+    # complete oracle
+    premises = premises[:n]
+    slots, eq = (ModularInt(p),) * 3, Vector(ModularInt(p), n).eq
+
+    def side(i):
+        return lambda a, b, c: tuple(int_value(pair[i], (a, b, c)) for pair in premises)
+
+    def lhs(a, b, c):
+        xs = (a, b, c)
+        pi = [int_value(left, xs) - int_value(right, xs) for left, right in premises]
+        out = [sum(sum(h * m for h, m in zip(hs[j], (1, *xs))) * pi[j] for j in range(n))
+               for hs in multipliers[:n]]
+        if planted:
+            out[0] += k * math.prod(xs[i] for i in monomial)
+        return tuple(out)
+
+    def rhs(a, b, c):
+        return (0,) * n
+
+    def check():
+        return check_implication("law", ("a", "b", "c"), slots, (side(0), side(1)), eq,
+                                 lhs, rhs, Exhaustive())
+
+    decided = check()
+    answer = report._decided(slots, eq, lhs, rhs, (side(0), side(1)))
+    event(f"planted: {planted}, {answer.name}, {decided.verdict}")
+    assert planted or answer == report.Decided.EVERY
+    with pytest.MonkeyPatch.context() as patch:
+        without_symbols(patch)
+        assert check() == decided
+
+
+@pytest.mark.parametrize("strategy", [Exhaustive(), Sampled(500, 0), Sampled(500, 7)],
+                         ids=["exhaustive", "sampled-0", "sampled-7"])
+def test_a_cancellation_by_a_scalar_that_may_be_zero_is_walked_over_z_5(monkeypatch,
+                                                                        strategy):
+    # a*(x - y) == 0 does not imply x == y at a == 0: no certificate, the
+    # copies (a, x, x) pass, and the walk finds the witness
+    Z5 = ModularInt(5)
+    slots = (Z5,) * 3
+    premise = (lambda a, x, y: a * (x - y), lambda a, x, y: 0)
+    conclusion = (lambda a, x, y: x, lambda a, x, y: y)
+
+    def construct(t):
+        return t[0], t[1], t[1]
+
+    def check():
+        return check_implication("law", ("a", "x", "y"), slots, premise, Z5.eq, *conclusion,
+                                 strategy, construct)
+
+    assert report._decided(slots, Z5.eq, *conclusion, premise, construct) \
+        == report.Decided.COPIES
+    decided = check()
+    assert decided.verdict == "fail" and decided.witness.inputs["a"] % 5 == 0
+    without_symbols(monkeypatch)
+    assert check() == decided
+
+
+def test_a_changed_multiplier_coefficient_fails_the_modular_confirmation():
+    # g = (2 + 3a) * (a*b - c) modulo 5: the combination that gives it is
+    # confirmed, one with a coefficient changed by 1 is not, and one
+    # changed by 5 is the same multiplier modulo 5
+    fresh = variables()
+    a, b, c = (fresh(integer=True) for _ in range(3))
+    pi = symbolic.residue(a * b - c, 0, 5)
+    g = symbolic.residue((2 + 3 * a) * (a * b - c), 0, 5)
+    (va,) = a.terms
+    combination = {(0, ()): -2 % 5, (0, va): -3 % 5}
+    assert symbolic._confirmed(g, combination, [pi], 5)
+    for change in (1, 4, 5):
+        changed = {**combination, (0, va): combination[(0, va)] + change}
+        assert symbolic._confirmed(g, changed, [pi], 5) is (change == 5)
+    assert symbolic._certified([pi], [g], [symbolic.CERTIFICATE_WORK], 5)
+    assert not symbolic._certified([pi], [symbolic.residue(g, -1, 5)],
+                                   [symbolic.CERTIFICATE_WORK], 5)
+
+
+@pytest.mark.parametrize("m", [9, 15, 21])
+def test_a_composite_modulus_decides_no_implication(monkeypatch, capsys, m):
+    answers = []
+
+    def decide_spy(*args):
+        answer = decide(*args)
+        if len(args) > 4:
+            answers.append(answer)
+        return answer
+
+    decide = report._decided
+    monkeypatch.setattr(report, "_decided", decide_spy)
+    fresh = variables()
+    assert ModularInt(m).differences(fresh(integer=True), fresh(integer=True)) is None
+    for argv in (["catalog", "check", "zmod-algebra", "--param", f"m={m}", "--properties"],
+                 ["convert", "module-to-space", "zmod-module", "--param", f"m={m}",
+                  "--properties", "--affine"]):
+        assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert answers and report.Decided.EVERY not in answers
+
+
 CERTIFIED_IMPLICATIONS = {
     **{f"catalog check {name}": ["A6", "eq(8)", "eq(10)"] for name in (
         "canonical-interval-algebra", "rational-line-algebra", "float-line-algebra",
@@ -1172,7 +1308,8 @@ CERTIFIED_IMPLICATIONS = {
         "nonaffine-complex-space", "nonaffine-poly-space")},
     **{f"convert module-to-space {name}": ["X4"] for name in (
         "canonical-module", "projectile-module", "damped-module", "plane-module",
-        "tri-module")},
+        "tri-module", "zmod-module")},
+    "catalog check zmod-algebra": ["A6", "eq(8)", "eq(10)"],
 }
 
 
@@ -1203,7 +1340,7 @@ def test_the_certified_implications_of_the_catalog(monkeypatch, capsys):
         run_cli(list(argv))
     capsys.readouterr()
     assert certified == CERTIFIED_IMPLICATIONS
-    assert sum(map(len, certified.values())) == 53
+    assert sum(map(len, certified.values())) == 57
 
 
 def benchmark_workloads():
@@ -1227,11 +1364,11 @@ DECIDED_IN_A_PASS = {
         + [("catalog check nonaffine-complex-space", law)
            for law in ("X5", "Y4", "Y5", "Y6", "Y8")]
         + [("catalog check nonaffine-poly-space", law) for law in ("X5", "Y4", "Y5", "Y8")],
-        (496, 496), 53, 4),
-    "finite": ([], (139, 139), 0, 2),
+        (496, 496), 57, 0),
+    "finite": ([], (139, 139), 15, 2),
     "dsl": ([("check cplx", law) for law in ("X5", "Y4", "Y5", "Y6", "Y8")]
             + [("check halfplane", "Y8")],
-            (149, 153), 45, 16),
+            (149, 153), 55, 6),
 }
 
 
