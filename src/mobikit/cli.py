@@ -29,16 +29,16 @@ from fractions import Fraction
 # algebra before catalog: imported through catalog, symbolic.py, the largest
 # compile of a cold start, would be compiled while catalog's half-run module
 # body is still alive, and bench/run.py's peak RSS read about 0.2 MB higher.
-# The definition language loads on first use, in _cmd_check and _point.
+# The definition language loads on first use, in _cmd_check and _point, as
+# search does in _cmd_search and functors in _cmd_convert and _cmd_roundtrip:
+# no catalog command runs them, and compiling them at every cold start cost
+# about 5 ms.
 from .algebra import MobiAlgebra, check_algebra, check_properties
 from . import catalog as _catalog
 from .carriers import CarrierError, QI
-from .functors import roundtrip_module, roundtrip_space, space_to_module, \
-    module_to_space
 from .report import EvalError, Exhaustive, Sampled, all_passed, \
     report_to_text, reports_to_json
 from .ringmod import RModule, check_module, check_ring
-from .search import search_finite
 from .space import (MobiSpace, PointedMobiSpace, check_affine, check_space,
                     check_y_properties, trace_geodesic)
 
@@ -182,6 +182,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .functors import module_to_space, space_to_module
     if args.direction == "space-to-module":
         space = _build(args, MobiSpace)
         if args.origin is not None:
@@ -195,6 +196,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from .functors import roundtrip_module, roundtrip_space
     built = _build(args, MobiSpace, RModule)
     strategy = _strategy(args)
     if isinstance(built, RModule):
@@ -207,6 +209,7 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .search import search_finite
     models = search_finite(args.size,
                            require_distinct_constants=args.distinct_constants,
                            limit=args.limit)
@@ -225,8 +228,9 @@ def _render_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     frac = Fraction(value)
-    sign = "-" if frac < 0 else ""
     scaled = round(abs(frac) * 10 ** 12)
+    # a value that rounds to zero at 12 digits is written 0, never -0
+    sign = "-" if frac < 0 and scaled else ""
     digits = f"{scaled:013d}"
     head, tail = digits[:-12], digits[-12:].rstrip("0")
     return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"

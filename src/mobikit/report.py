@@ -44,12 +44,16 @@ other predicate is walked in full.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from itertools import chain, islice, product
 from typing import Callable, Iterable
+
+# hashlib.blake2s is this very function (hashlib never takes blake2 from
+# OpenSSL); importing it through hashlib would also load OpenSSL (_hashlib),
+# about 3 ms of every cold start
+from _blake2 import blake2s
 
 from . import symbolic
 from .carriers import (QI, Carrier, CarrierError, MembershipError, Product,
@@ -136,7 +140,7 @@ class CheckReport:
 
 def law_seed(seed: int, law: str) -> int:
     """Stable per-law sub-seed derived from the run seed and the law id."""
-    digest = hashlib.blake2s(f"{seed}:{law}".encode(), digest_size=8).digest()
+    digest = blake2s(f"{seed}:{law}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

@@ -149,7 +149,7 @@ def test_running_out_of_memory_exits_two(monkeypatch, capsys):
     def exhaust(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "search_finite", exhaust)
+    monkeypatch.setattr("mobikit.search.search_finite", exhaust)
     assert one_error_line(*run(capsys, "search", "--size", "2")) == "error: out of memory"
 
 
@@ -302,6 +302,14 @@ def test_trace_writes_the_projectile_arc(tmp_path, capsys):
         "0.5,0.25,0.5\n"
         "0.75,0.1875,0.75\n"
         "1,0,1\n")
+
+
+def test_trace_writes_a_negative_value_that_rounds_to_zero_as_zero(tmp_path, capsys):
+    out_path = tmp_path / "t.csv"
+    code, _, _ = run(capsys, "trace", "canonical-space", "--from=-1/10000000000000",
+                     "--to", "1", "--steps", "2", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == "t,c1\n0,0\n0.5,0.5\n1,1\n"
 
 
 def test_trace_writes_float_coordinates_as_python_prints_them(tmp_path, capsys):
@@ -894,22 +902,30 @@ def test_importing_the_package_loads_none_of_its_modules():
     assert _loaded_after("import mobikit") == {"mobikit"}
 
 
-@pytest.mark.parametrize("argv", [
-    None,
-    ["catalog", "list"],
-    ["catalog", "check", "zmod-algebra"],
+# the modules that `mobikit.cli` loads on first use, only for the commands
+# that run them
+_ON_FIRST_USE = {"mobikit.dsl", "mobikit.solver", "mobikit.search", "mobikit.functors"}
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (None, set()),
+    (["catalog", "list"], set()),
+    (["catalog", "check", "zmod-algebra"], set()),
     # implications decided by certificates modulo a prime, without the solver
-    ["catalog", "check", "zmod-algebra", "--properties"],
-    ["convert", "module-to-space", "zmod-module", "--exhaustive", "--affine", "--properties"],
+    (["catalog", "check", "zmod-algebra", "--properties"], set()),
+    (["convert", "module-to-space", "zmod-module", "--exhaustive", "--affine", "--properties"],
+     {"mobikit.functors"}),
+    (["roundtrip", "zmod-module", "--exhaustive"], {"mobikit.functors"}),
+    (["search", "--size", "1"], {"mobikit.search"}),
 ], ids=["import", "catalog-list", "catalog-check", "catalog-check-properties",
-        "convert-exhaustive"])
-def test_a_catalog_command_loads_neither_the_language_nor_the_solver(argv):
+        "convert-exhaustive", "roundtrip", "search"])
+def test_a_catalog_command_loads_neither_the_language_nor_the_solver(argv, runs):
     code = "import mobikit.cli"
     if argv is not None:
         code += f"; mobikit.cli.run_cli({argv!r})"
     loaded = _loaded_after(code)
     assert "mobikit.cli" in loaded
-    assert not loaded & {"mobikit.dsl", "mobikit.solver"}
+    assert loaded & _ON_FIRST_USE == runs
 
 
 def test_checking_a_definition_file_loads_the_language():

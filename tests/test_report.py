@@ -1,6 +1,7 @@
 """Edge cases of the law loop behind check_equation, check_predicate and
 check_implication."""
 
+import hashlib
 import json
 import operator
 import sys
@@ -95,6 +96,17 @@ def test_a_failing_probe_comes_before_a_failing_sample():
     assert report.verdict == "fail"
     assert report.witness.inputs == {"x": F(1000)}
     assert report.witness.difference == -1
+
+
+@pytest.mark.parametrize("seed, law, value", [
+    (0, "A1", 8224032920607012264),
+    (7, "X5", 11528760480048820941),
+    (11, "roundtrip", 4391594920032344636),
+])
+def test_a_law_seed_is_the_blake2s_digest_of_seed_and_law(seed, law, value):
+    # every draw and report hash follows from these sub-seeds
+    digest = hashlib.blake2s(f"{seed}:{law}".encode(), digest_size=8).digest()
+    assert law_seed(seed, law) == int.from_bytes(digest, "big") == value
 
 
 def test_sampled_draws_each_assignment_when_the_walk_reaches_it(monkeypatch):
