@@ -58,25 +58,4 @@ def __dir__():
     return sorted(globals().keys() | _HOME.keys())
 
 
-__all__ = [
-    "AmbiguousTwoError", "Carrier", "CarrierError", "CatalogEntry",
-    "CheckReport", "DslError", "EvalError", "Exhaustive", "FiniteModel",
-    "Float64", "GaussianRational", "InverseError", "MembershipError",
-    "MobiAlgebra", "MobiSpace", "ModularInt", "NoHalfError",
-    "NotEnumerableError", "ParamSpec", "PointedMobiSpace", "Product", "QI",
-    "RModule", "Rational", "Restricted", "RingWithHalf", "Sampled",
-    "SamplingExhausted", "ShapeError", "Sign", "TwoResult", "Vector",
-    "Witness", "algebra_from_ring", "all_passed", "build", "check_affine",
-    "check_algebra", "check_algebra_morphism", "check_commutativity_condition",
-    "check_equation", "check_implication", "check_module", "check_predicate",
-    "check_properties", "check_ring", "check_ring_commutativity",
-    "check_space", "check_space_morphism", "check_y_properties", "circ",
-    "coerce_params", "complement", "default_origin", "elaborate",
-    "enumerate_elements", "get_entry", "law_seed", "list_catalog", "load",
-    "main", "module_to_space", "oplus", "origin_scan", "parse", "parse_value",
-    "print_definitions", "product", "report_to_dict", "report_to_text",
-    "reports_to_json", "ring_from_algebra", "roundtrip_module",
-    "roundtrip_space", "run_cli", "sample", "search_finite", "solve_two",
-    "space_to_module", "trace_geodesic", "transport_morphism",
-    "transport_space", "try_subtract",
-]
+__all__ = sorted(_HOME)

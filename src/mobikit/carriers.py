@@ -60,13 +60,13 @@ that a float exp that overflows at a draw still fails closure).
 congruent modulo m, at every assignment, and raise symbolic.Undecided
 otherwise.
 `differences(x, y)` gives, for two symbolic elements of Q, R64, Q[i] or
-Z/p for a prime p, or a product or restriction of them, the polynomials
-that all vanish at an assignment exactly when `eq(x, y)` holds there:
-one for Q, one for R64 with each exp(g) a positive variable of its own
+Z/m, or a product or restriction of them, the polynomials that all
+vanish at an assignment exactly when `eq(x, y)` holds there: one for Q,
+one for R64 with each exp(g) a positive variable of its own
 (symbolic.exp_difference), the real and imaginary parts for Q[i], one
-for Z/p, which vanishes modulo p (symbolic.residue), the parts' in turn
-for a product, the base's for a restriction; every other carrier, Z/m
-for a composite m too, gives None.
+for Z/m, which vanishes modulo m (symbolic.residue), the parts' in turn
+for a product, the base's for a restriction; every other carrier gives
+None.
 """
 
 from __future__ import annotations
@@ -355,10 +355,10 @@ class Carrier:
     def differences(self, x, y) -> list | None:
         """Polynomials, one per component, for two symbolic elements, such
         that eq(x, y) holds at an assignment exactly when every one of them
-        vanishes there: exact ones (see solver.solved), or for Z/p ints
-        known modulo p that vanish modulo p (see symbolic._certified); None
+        vanishes there: exact ones (see solver.solved), or for Z/m ints
+        known modulo m that vanish modulo m (see symbolic._certified); None
         for a carrier whose equality is neither exact equality of
-        rationals nor congruence modulo a prime.  A subclass that overrides
+        rationals nor congruence modulo m.  A subclass that overrides
         eq has none unless it overrides this too."""
         return None
 
@@ -504,34 +504,10 @@ class GaussianRational(_BuiltDraw):
         return QI(value) if isinstance(value, (int, Fraction)) else value
 
 
-def _prime(n: int) -> bool:
-    """Whether n is prime, by Miller-Rabin with the primes up to 37 as
-    bases, which no composite below 3.1 * 10**23 passes (Sorenson and
-    Webster, Math. Comp. 2017); a larger one that passes only has its
-    implications certified modulo n, which is sound for any n."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ModularInt(_BuiltDraw):
-    """Residues mod m; any int is a member, equality is mod-m, and for a
-    prime m an implication's differences are reduced mod m (differences)."""
+    """Residues mod m; any int is a member, equality is mod-m, and an
+    implication's differences are reduced mod m (differences)."""
 
     modulus: int
 
@@ -552,11 +528,9 @@ class ModularInt(_BuiltDraw):
         return (x - y) % self.modulus == 0
 
     def differences(self, x, y):
-        """[x - y reduced modulo m] (symbolic.residue) for a prime modulus
-        m, over whose integers every nonzero coefficient is invertible (see
-        symbolic._certified); None for any other modulus."""
-        if not _prime(self.modulus):
-            return None
+        """[x - y reduced modulo m] (symbolic.residue), which vanishes
+        modulo m exactly where x and y are congruent (see
+        symbolic._certified)."""
         return [residue(x, y, self.modulus)]
 
     def admits(self, x):

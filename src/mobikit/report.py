@@ -27,8 +27,8 @@ with constructed copies, first runs one seeded draw and its copy through
 the loop: under Sampled the strategy's own first draw, otherwise that of
 `Sampled(1)`.  If they pass, it is evaluated once on the symbols.  When
 solving the premise shows that it implies the conclusion (see
-solver.solved), or over Z/p for a prime p a certificate modulo p does
-(see symbolic._certified), and the copy of the symbols stays in their
+solver.solved), or over Z/m a certificate modulo m does (see
+symbolic._certified), and the copy of the symbols stays in their
 domains, the report is a pass with the caller's strategy, and nothing is
 enumerated, as for an equation.  Otherwise Sampled walks its other draws,
 and its other copies unless every copy passes on the symbols; any other
@@ -223,9 +223,8 @@ def _differences(eq: Callable) -> Callable | None:
     """The `differences` of the carrier whose own equality eq is (see
     Carrier.differences), or None: for any other equality, for a carrier
     whose eq and differences come from different classes, for one that
-    gives none for its own symbol, such as one with a Z/m part for a
-    composite m, and for one whose differences are known modulo more than
-    one modulus, such as a product of Q and Z/p."""
+    gives none for its own symbol, and for one whose differences are known
+    modulo more than one modulus, such as a product of Q and Z/p."""
     carrier = _carrier(eq, "differences")
     if carrier is None:
         return None
@@ -298,8 +297,8 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
     any, keeps each variable in its domain (see _copy_stays), and the
     premise's differences (Carrier.differences) imply the conclusion's,
     all evaluated on the symbols: by solver.solved, with the factors of
-    the sides' denominators nonzero, or, for differences known modulo a
-    prime p, by a certificate modulo p (symbolic._certified).  Otherwise
+    the sides' denominators nonzero, or, for differences known modulo m,
+    by a certificate modulo m (symbolic._certified).  Otherwise
     COPIES when every copy passes: when premise and eq both answer True
     on the copy of the symbols, evaluated afresh.  NOTHING otherwise."""
     assignment = _symbols(slots)
@@ -422,7 +421,7 @@ def check_implication(law: str, names: tuple, slots: tuple, premise,
     first seeded draw and its copy run through the loop (under Sampled the
     strategy's own first draw, a prefix of its walk).  If they pass, the
     law is evaluated once on symbols (see _decided).  When solving the
-    premise, or over Z/p a certificate modulo p, shows that it implies the
+    premise, or over Z/m a certificate modulo m, shows that it implies the
     conclusion, the pass is reported with the caller's strategy and
     nothing else runs.  Otherwise Sampled walks its other draws, and its
     other copies unless every copy passes on symbols; any other strategy

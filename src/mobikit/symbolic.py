@@ -123,10 +123,9 @@ doubles x - y with each exp(g) in it a POSITIVE variable of its own
 gamma_i.  `solver.solved` solves the premise for its variables, case by
 case, and asks `_certified` at each case for polynomials h_ij of degree
 at most 1 with gamma_i = sum_j h_ij * pi_j, so that every assignment whose
-premise holds meets the conclusion.  Over Z/p for a prime p each
-difference is x - y reduced modulo p (`residue`), and `_certified` alone
-is asked, over the integers modulo p; Z/m for a composite m gives no
-differences.  When neither decides, the premise and the equality are
+premise holds meets the conclusion.  Over Z/m each difference is x - y
+reduced modulo m (`residue`), and `_certified` alone is asked, over the
+integers modulo m.  When neither decides, the premise and the equality are
 evaluated afresh on the copy of the symbols that a sampled walk
 constructs.
 
@@ -234,20 +233,17 @@ Trust base.  A pass without a walk is sound when:
   denominator's factors were certified positive on the domains, or
   Float64's x - y, whose exp(g) terms are variables that take the value
   exp(g) at each assignment; so the equality holds at an assignment
-  exactly when every one vanishes there.  ModularInt's, for a prime
-  modulus p, is x - y reduced modulo p, which vanishes modulo p exactly
-  where the congruence holds (below).  Every other carrier gives none
-  (Z/m for a composite m, a search table), nor does any other equality,
-  so its implications are walked;
-- a certificate modulo p: `_certified` with a modulus finds the h_ij by
-  elimination over the integers modulo p, and confirms each by a Poly
-  identity with int multipliers, gamma_i - sum_j h_ij * pi_j == 0 modulo
-  p.  At an int assignment where every pi_j is divisible by p, so is
-  sum_j h_ij * pi_j, and so is gamma_i; the confirmation uses no inverse,
-  so it is sound for any modulus, and primality only lets the search
-  scale each pivot by its inverse.  Each side is an int known modulo a
-  multiple of p (`residue` refuses any other), so its value modulo p is
-  its polynomial's;
+  exactly when every one vanishes there.  ModularInt's is x - y reduced
+  modulo m, which vanishes modulo m exactly where the congruence holds
+  (below).  Every other carrier gives none (a search table), nor does any
+  other equality, so its implications are walked;
+- a certificate modulo any modulus m; pivots are units modulo m.
+  `_certified` finds the h_ij by elimination over the integers modulo m,
+  and confirms each by a Poly identity with int multipliers, gamma_i -
+  sum_j h_ij * pi_j == 0 modulo m.  At an int assignment where every pi_j
+  is divisible by m, so is sum_j h_ij * pi_j, and so is gamma_i.  Each
+  side is an int known modulo a multiple of m (`residue` refuses any
+  other), so its value modulo m is its polynomial's;
 - exp variables in an implication: exp(g) is a POSITIVE variable of its
   own (`exponent`), since exp(g) > 0 at every real point, so a Poly
   identity, a certificate, or a sign rule that holds with it free holds
@@ -1314,19 +1310,20 @@ def _certified(premise: list, conclusion: list, budget: list, modulus: int = 0) 
     certificate (De Loera, Lee, Malkin and Margulies, ISSAC 2008).  False
     when none is found.  With modulus 0 the polynomials are exact, none an
     int known only modulo some g (solver.solved refuses those before it
-    asks); with a prime modulus p they are ints known modulo p with
-    coefficients in [0, p) (ModularInt.differences), and the identity is
-    one modulo p.
+    asks); with a modulus n they are ints known modulo n with
+    coefficients in [0, n) (ModularInt.differences), and the identity is
+    one modulo n.
 
     The h_j are found by exact elimination on coefficient vectors, over Q,
-    or over the integers modulo p, where each pivot is scaled by its
-    inverse modulo p and each subtraction is reduced modulo p.  The
-    columns are m * premise[j] for the monomials m of degree 0, then also
-    of degree 1 in the variables that occur.  The conclusions are reduced
-    against the columns of a degree only when each of their monomials is
-    a monomial of one of those columns; otherwise no combination of them
-    can give it.  A certificate found is confirmed by a Poly identity,
-    conclusion - sum_j h_j * premise[j] == 0, modulo p for a modulus p.
+    or over the integers modulo n, where each pivot is a unit modulo n
+    scaled by its inverse, each subtraction is reduced modulo n, and a
+    column with no unit leaves the search Undecided.  The columns are
+    m * premise[j] for the monomials m of degree 0, then also of degree 1
+    in the variables that occur.  The conclusions are reduced against the
+    columns of a degree only when each of their monomials is a monomial of
+    one of those columns; otherwise no combination of them can give it.  A
+    certificate found is confirmed by a Poly identity, conclusion - sum_j
+    h_j * premise[j] == 0, modulo n for a modulus n.
 
     The work is bounded: each term of the given polynomials spends one
     unit per 64 bits of its coefficient's numerator and denominator (at
@@ -1398,11 +1395,18 @@ def _minus(terms: dict, c, other: dict, modulus: int) -> dict:
 
 def _insert(basis: list, terms: dict, combination: dict, budget: list, modulus: int):
     """Keep a reduced column that is not zero, scaled to 1 at a pivot, or
-    to 1 modulo a nonzero modulus, whose subtractions (_minus) reduce what
-    they leave."""
+    to 1 modulo a nonzero modulus at the first term whose coefficient is a
+    unit modulo it, whose subtractions (_minus) reduce what they leave;
+    Undecided for a column with no unit."""
     if terms:
-        pivot = next(iter(terms))
-        scale = pow(terms[pivot], -1, modulus) if modulus else _Fraction(1) / terms[pivot]
+        if modulus:
+            pivot = next((m for m, c in terms.items() if gcd(c, modulus) == 1), None)
+            if pivot is None:
+                raise Undecided(f"a column with no unit modulo {modulus}")
+            scale = pow(terms[pivot], -1, modulus)
+        else:
+            pivot = next(iter(terms))
+            scale = _Fraction(1) / terms[pivot]
         if not _spend(budget, len(terms) + len(combination)):
             raise Undecided("a certificate past the work bound")
         basis.append((pivot, {m: c * scale for m, c in terms.items()},
