@@ -145,12 +145,13 @@ def solve_two(algebra: MobiAlgebra, strategy=Sampled()) -> TwoResult:
 
     if A.two is not None:
         if not is_two(A.two):
-            raise CarrierError(f"declared two={A.two!r} does not satisfy p(0,1/2,x)=1")
+            raise CarrierError(
+                f"declared two={render_inline(A.two)} does not satisfy p(0,1/2,x)=1")
         return TwoResult(A.two, "declared")
     if c.size() is not None:
         hits = [x for x in c.elements() if is_two(x)]
         if len(hits) > 1:
-            raise AmbiguousTwoError(f"multiple doublers found: {hits!r}")
+            raise AmbiguousTwoError(f"multiple doublers found: {render_inline(tuple(hits))}")
         if hits:
             return TwoResult(hits[0], "found")
         return TwoResult(None, "proven-absent")

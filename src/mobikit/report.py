@@ -11,35 +11,24 @@ the assignments it walks, `label()` is its text in a report line and
 `to_dict()` its JSON form.  Exhaustive refuses a slot that is infinite or
 empty, naming its carrier.
 
-An equation whose slots all have symbols (Carrier.symbol) first runs its
-probes and one seeded draw, `Sampled(1).assignments(law, slots)`, through
-the loop, under any strategy; every carrier with a symbol can draw.  If
-they pass, it is evaluated once on the symbols, and if the law's own
-equality answers True on the two symbolic sides (see symbolic), the report
-is a pass with the caller's strategy, the one the full walk gives; nothing
-is enumerated, so under Exhaustive a decided equation passes over an
-infinite carrier too.  Otherwise the caller's strategy walks the law, so a
-failing law has the witness it has without symbols.
-
-An implication whose slots all have symbols, and whose premise is a pair
-of sides compared with a carrier's own equality, or which Sampled walks
-with constructed copies, first runs one seeded draw and its copy through
-the loop: under Sampled the strategy's own first draw, otherwise that of
-`Sampled(1)`.  If they pass, it is evaluated once on the symbols.  When
-solving the premise shows that it implies the conclusion (see
-solver.solved), or over Z/m a certificate modulo m does (see
-symbolic._certified), and the copy of the symbols stays in their
-domains, the report is a pass with the caller's strategy, and nothing is
-enumerated, as for an equation.  Otherwise Sampled walks its other draws,
-and its other copies unless every copy passes on the symbols; any other
-strategy walks the law in full.
-
-A predicate whose test is the own `contains` of a carrier that admits its
-own symbol (Carrier.admits), and whose slots all have symbols, runs one
-seeded draw as an equation does; if it passes and the carrier admits the
-value evaluated once on the symbols, the report is a pass with the
-caller's strategy, under Exhaustive over an infinite carrier too.  Every
-other predicate is walked in full.
+Every law whose slots all have symbols (Carrier.symbol), and which can be
+decided on them, takes one path, `_law`: an equation; a predicate whose
+test is the own `contains` of a carrier that admits its own symbol
+(Carrier.admits); an implication whose premise is a pair of sides compared
+with a carrier's own equality, or which Sampled walks with constructed
+copies.  Its probes and one seeded draw, with its copy, run through the
+loop: under Sampled the strategy's own first draw, otherwise that of
+`Sampled(1)`.  If they pass, the law is evaluated once on the symbols
+(`_decided`).  When that shows it holds at every assignment (an equality
+that answers True, a carrier that admits the value, or a premise that
+implies the conclusion by solving it, see solver.solved, or over Z/m by
+a certificate modulo m, see symbolic._certified), the report is a pass
+with the caller's strategy, and nothing is enumerated, so under Exhaustive
+a decided law passes over an infinite carrier too.  Otherwise Sampled
+walks its other draws, never the first one again, and its other copies
+unless every copy passes on the symbols; any other strategy, and a law
+that fails in its first draw, is walked in full, so a failing law has the
+witness it has without symbols.  Every other law is walked in full.
 """
 
 from __future__ import annotations
@@ -200,11 +189,11 @@ def _symbols(slots: tuple) -> tuple | None:
 
 
 class Decided(IntEnum):
-    """What one evaluation of an implication on symbols decides."""
+    """What one evaluation of a law on symbols decides."""
 
     NOTHING = 0
     COPIES = 1  # every constructed copy passes
-    EVERY = 2  # every assignment passes: the premise implies the conclusion
+    EVERY = 2  # every assignment passes
 
 
 def _carrier(method: Callable, companion: str) -> Carrier | None:
@@ -287,30 +276,27 @@ def _compared(eq: Callable, sides: tuple) -> Callable:
 
 
 def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
-             premise=None, construct: Callable | None = None):
-    """For an equation (no premise): whether eq answers True on lhs and rhs
-    evaluated once on a symbol for each slot, so that it holds at every
-    assignment (see symbolic).
+             premise=None, construct: Callable | None = None) -> Decided:
+    """What one evaluation of a law on a symbol for each slot decides (see
+    symbolic).  For an equation or a predicate (no premise), EVERY when eq
+    answers True on lhs and rhs evaluated on the symbols.
 
-    For an implication, a Decided.  EVERY when the premise is a pair of
-    sides compared with a carrier's own eq, the copy of the symbols, if
-    any, keeps each variable in its domain (see _copy_stays), and the
-    premise's differences (Carrier.differences) imply the conclusion's,
-    all evaluated on the symbols: by solver.solved, with the factors of
-    the sides' denominators nonzero, or, for differences known modulo m,
-    by a certificate modulo m (symbolic._certified).  Otherwise
-    COPIES when every copy passes: when premise and eq both answer True
-    on the copy of the symbols, evaluated afresh.  NOTHING otherwise."""
+    For an implication, EVERY when the premise is a pair of sides compared
+    with a carrier's own eq, the copy of the symbols, if any, keeps each
+    variable in its domain (see _copy_stays), and the premise's differences
+    (Carrier.differences) imply the conclusion's, all evaluated on the
+    symbols: by solver.solved, with the factors of the sides' denominators
+    nonzero, or, for differences known modulo m, by a certificate modulo m
+    (symbolic._certified).  Otherwise COPIES when every copy passes: when
+    premise and eq both answer True on the copy of the symbols, evaluated
+    afresh.  NOTHING otherwise."""
     assignment = _symbols(slots)
-    if premise is None:
-        try:
-            return assignment is not None and eq(lhs(*assignment), rhs(*assignment)) is True
-        except Exception:  # Undecided, or any error a symbol meets: the walk decides
-            return False
     if assignment is None:
         return Decided.NOTHING
     differences = _differences(eq) if type(premise) is tuple else None
     try:
+        if premise is None and eq(lhs(*assignment), rhs(*assignment)) is True:
+            return Decided.EVERY
         if differences is not None and (construct is None
                                         or _copy_stays(assignment, construct)):
             sides = [f(*assignment) for f in premise + (lhs, rhs)]
@@ -324,7 +310,7 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
                 certified = solver.solved(pi, gamma, _denominators(sides, {}).values())
             if certified:
                 return Decided.EVERY
-    except Exception:  # as for an equation; a copy evaluated afresh may decide
+    except Exception:  # Undecided, or any error a symbol meets: a copy or the walk decides
         pass
     if construct is None:
         return Decided.NOTHING
@@ -334,26 +320,42 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
         copy = construct(assignment)
         if premise(*copy) is True and eq(lhs(*copy), rhs(*copy)) is True:
             return Decided.COPIES
-    except Exception:  # as for an equation
+    except Exception:  # as above
         pass
     return Decided.NOTHING
+
+
+def _law(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
+         rhs: Callable, strategy, decides: Callable | None, premise=None,
+         construct: Callable | None = None, probes: tuple = ()) -> CheckReport:
+    """The one path of every law check, as the module docstring tells:
+    `decides` is the equality the law is decided with on symbols (see
+    _decided), None for a law that is only walked."""
+    holds = _compared(eq, premise) if type(premise) is tuple else premise
+    sampled = isinstance(strategy, Sampled)
+    if not (slots and decides is not None and _symbols(slots) is not None):
+        return _check(law, names, slots, eq, lhs, rhs, strategy, holds, construct, probes)
+    first = Sampled(1, strategy.seed if sampled else 0).assignments(law, slots, construct)
+    report = _check(law, names, slots, eq, lhs, rhs, strategy, holds, probes=probes,
+                    walk=first)
+    decided = report.passed and _decided(slots, decides, lhs, rhs, premise, construct)
+    if decided == Decided.EVERY:
+        return report
+    if not (report.passed and sampled):
+        return _check(law, names, slots, eq, lhs, rhs, strategy, holds, construct, probes)
+    rest = islice(strategy.assignments(law, slots), 1, None)
+    if construct is not None and decided != Decided.COPIES:
+        rest = list(rest)
+        rest = chain(rest, map(construct, rest))
+    return _check(law, names, slots, eq, lhs, rhs, strategy, holds, walk=rest)
 
 
 def check_equation(law: str, names: tuple, slots: tuple, eq: Callable,
                    lhs: Callable, rhs: Callable, strategy,
                    probes: tuple = ()) -> CheckReport:
-    """Check lhs(...) == rhs(...) over assignments; probes run first.
-
-    When every slot has a symbol, the probes and one seeded draw run first;
-    if they pass and eq decides the equation on symbols, it holds at every
-    assignment, and the pass is reported with the caller's strategy.
-    Otherwise the strategy's own walk gives the report."""
-    if slots and _symbols(slots) is not None:
-        report = _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes,
-                        walk=Sampled(1).assignments(law, slots))
-        if report.passed and _decided(slots, eq, lhs, rhs):
-            return report
-    return _check(law, names, slots, eq, lhs, rhs, strategy, probes=probes)
+    """Check lhs(...) == rhs(...) over assignments; probes run first.  It is
+    decided on symbols with eq (see _law)."""
+    return _law(law, names, slots, eq, lhs, rhs, strategy, eq, probes=probes)
 
 
 def _admitting(holds: Callable) -> Carrier | None:
@@ -366,43 +368,24 @@ def _admitting(holds: Callable) -> Carrier | None:
     symbol = carrier.symbol(symbolic.variables())
     try:
         return carrier if symbol is not None and carrier.admits(symbol) is True else None
-    except Exception:  # as in _admitted
+    except Exception:  # as in _decided
         return None
 
 
-def _admitted(slots: tuple, carrier: Carrier, value: Callable) -> bool:
-    """Whether the carrier admits value evaluated once on a symbol for each
-    slot (see Carrier.admits), so that it is a member at every assignment."""
-    assignment = _symbols(slots)
-    try:
-        return assignment is not None and carrier.admits(value(*assignment)) is True
-    except Exception:  # Undecided, or any error a symbol meets: the walk decides
-        return False
+def _nothing(*_):
+    return None
 
 
 def check_predicate(law: str, names: tuple, slots: tuple, value: Callable,
                     holds: Callable, strategy) -> CheckReport:
     """Check holds(value(...)) over assignments (closure-style laws).
 
-    When holds is the own contains of a carrier that admits its own symbol
-    and every slot has a symbol, one seeded draw runs first, as for an
-    equation; if it passes and the carrier admits the value on symbols (see
-    Carrier.admits), it is a member at every assignment, and the pass is
-    reported with the caller's strategy.  Otherwise the strategy's own walk
-    gives the report."""
-    def eq(v, _):
-        return holds(v)
-
-    def nothing(*_):
-        return None
-
+    When holds is the own contains of a carrier that admits its own symbol,
+    the value is a member at every assignment if the carrier admits it on
+    symbols (Carrier.admits; see _law); any other predicate is walked."""
     carrier = _admitting(holds)
-    if slots and carrier is not None and _symbols(slots) is not None:
-        report = _check(law, names, slots, eq, value, nothing, strategy,
-                        walk=Sampled(1).assignments(law, slots))
-        if report.passed and _admitted(slots, carrier, value):
-            return report
-    return _check(law, names, slots, eq, value, nothing, strategy)
+    return _law(law, names, slots, lambda v, _: holds(v), value, _nothing, strategy,
+                None if carrier is None else lambda v, _: carrier.admits(v))
 
 
 def check_implication(law: str, names: tuple, slots: tuple, premise,
@@ -416,40 +399,14 @@ def check_implication(law: str, names: tuple, slots: tuple, premise,
     the premise) lets Sampled walk a second pass, the constructed copies of
     its draws, to keep the check non-vacuous.
 
-    When every slot has a symbol, and either the premise is a pair of
-    sides compared with a carrier's own eq or Sampled walks copies, the
-    first seeded draw and its copy run through the loop (under Sampled the
-    strategy's own first draw, a prefix of its walk).  If they pass, the
-    law is evaluated once on symbols (see _decided).  When solving the
-    premise, or over Z/m a certificate modulo m, shows that it implies the
-    conclusion, the pass is reported with the caller's strategy and
-    nothing else runs.  Otherwise Sampled walks its other draws, and its
-    other copies unless every copy passes on symbols; any other strategy
-    walks the law in full.  A failure in
-    the first draw or its copy is reported from the strategy's own walk,
-    so a failing law has the witness it has without symbols.
+    It is decided on symbols with eq (see _law) when the premise is a pair
+    of sides compared with a carrier's own eq, or when Sampled walks
+    copies; otherwise it is walked.
     """
-    sides = type(premise) is tuple
-    holds = _compared(eq, premise) if sides else premise
-    sampled = isinstance(strategy, Sampled)
-    certifiable = sides and _differences(eq) is not None
-    if not (slots and (certifiable or (sampled and construct is not None))
-            and _symbols(slots) is not None):
-        return _check(law, names, slots, eq, lhs, rhs, strategy, premise=holds,
-                      construct=construct)
-    first = Sampled(1, strategy.seed if sampled else 0).assignments(law, slots, construct)
-    report = _check(law, names, slots, eq, lhs, rhs, strategy, premise=holds, walk=first)
-    decided = report.passed and _decided(slots, eq, lhs, rhs, premise, construct)
-    if decided == Decided.EVERY:
-        return report
-    if not (report.passed and sampled):
-        return _check(law, names, slots, eq, lhs, rhs, strategy, premise=holds,
-                      construct=construct)
-    rest = islice(strategy.assignments(law, slots), 1, None)
-    if construct is not None and decided != Decided.COPIES:
-        rest = list(rest)
-        rest = chain(rest, map(construct, rest))
-    return _check(law, names, slots, eq, lhs, rhs, strategy, premise=holds, walk=rest)
+    certifiable = type(premise) is tuple and _differences(eq) is not None
+    copies = isinstance(strategy, Sampled) and construct is not None
+    return _law(law, names, slots, eq, lhs, rhs, strategy,
+                eq if certifiable or copies else None, premise, construct)
 
 
 class Laws:

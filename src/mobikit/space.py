@@ -20,7 +20,7 @@ from typing import Callable
 
 from .algebra import MobiAlgebra, circ, complement, oplus, product
 from .carriers import Carrier, CarrierError, MembershipError, sample
-from .report import CheckReport, Laws, Sampled, law_seed
+from .report import CheckReport, Laws, Sampled, law_seed, render_inline
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class PointedMobiSpace:
     def __post_init__(self):
         if not self.space.points.contains(self.origin):
             raise MembershipError(
-                f"origin {self.origin!r} is not in {self.space.points.describe()}")
+                f"origin {render_inline(self.origin)} is not in {self.space.points.describe()}")
 
 
 def _laws(space: MobiSpace, strategy) -> Laws:
@@ -132,15 +132,17 @@ def transport_space(space: MobiSpace, forward: Callable, backward: Callable) -> 
     for x in sample(points, law_seed(0, "transport-fwd"), 50):
         u = forward(x)
         if not points.contains(u):
-            raise InverseError(f"forward({x!r}) = {u!r} leaves {points.describe()}")
+            raise InverseError(f"forward({render_inline(x)}) = {render_inline(u)} "
+                               f"leaves {points.describe()}")
         if not eq(backward(u), x):
-            raise InverseError(f"backward(forward(x)) != x at x={x!r}")
+            raise InverseError(f"backward(forward(x)) != x at x={render_inline(x)}")
     for u in sample(points, law_seed(0, "transport-bwd"), 50):
         x = backward(u)
         if not points.contains(x):
-            raise InverseError(f"backward({u!r}) = {x!r} leaves {points.describe()}")
+            raise InverseError(f"backward({render_inline(u)}) = {render_inline(x)} "
+                               f"leaves {points.describe()}")
         if not eq(forward(x), u):
-            raise InverseError(f"forward(backward(u)) != u at u={u!r}")
+            raise InverseError(f"forward(backward(u)) != u at u={render_inline(u)}")
     return MobiSpace(
         algebra=space.algebra,
         points=points,
@@ -151,13 +153,13 @@ def transport_space(space: MobiSpace, forward: Callable, backward: Callable) -> 
 def trace_geodesic(space: MobiSpace, x, y, grid) -> list:
     """Rows (t, q(x, t, y)) for each scalar t in grid order."""
     if not space.points.contains(x):
-        raise MembershipError(f"start {x!r} is not in {space.points.describe()}")
+        raise MembershipError(f"start {render_inline(x)} is not in {space.points.describe()}")
     if not space.points.contains(y):
-        raise MembershipError(f"end {y!r} is not in {space.points.describe()}")
+        raise MembershipError(f"end {render_inline(y)} is not in {space.points.describe()}")
     rows = []
     for t in grid:
         if not space.algebra.carrier.contains(t):
             raise MembershipError(
-                f"grid value {t!r} is not in {space.algebra.carrier.describe()}")
+                f"grid value {render_inline(t)} is not in {space.algebra.carrier.describe()}")
         rows.append((t, space.q(x, t, y)))
     return rows

@@ -155,7 +155,7 @@ def test_solve_two_ambiguous():
     # p(0, half, x) is constant one, so every x doubles
     alg = MobiAlgebra(ModularInt(3), lambda a, b, c: 1 if b == 2 else a,
                       0, 2, 1)
-    with pytest.raises(AmbiguousTwoError):
+    with pytest.raises(AmbiguousTwoError, match=r"^multiple doublers found: \(0, 1, 2\)$"):
         solve_two(alg)
 
 

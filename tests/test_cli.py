@@ -350,6 +350,16 @@ def test_trace_walks_scalars_that_are_pairs_or_triples(tmp_path, capsys, name, s
     (("convert", "space-to-module", "halfplane-space", "--samples", "5"),
      "error: the algebra on {Q : 0 <= t <= 1} has no doubler (absent-after-search); "
      "declare one with dataclasses.replace(algebra, two=...)"),
+    # a value outside its carrier is named as a report renders it: a
+    # Fraction as 1/2, an int past the digit limit by its digit count
+    (("convert", "space-to-module", "halfplane-space", "--origin", "(1/2, -1/3)"),
+     "error: origin (1/2, -1/3) is not in {Q x Q : s > 0}"),
+    (("convert", "space-to-module", "halfplane-space", "--origin", "(10^5000, -1)"),
+     "error: origin (10000000000000000000...(5001 digits), -1) is not in {Q x Q : s > 0}"),
+    (("trace", "halfplane-space", "--from", "(0, 1)", "--to", "(1/2, -1/3)", "--steps", "2"),
+     "error: end (1/2, -1/3) is not in {Q x Q : s > 0}"),
+    (("trace", "lozenge-space", "--from", "0", "--to", "10^5000", "--steps", "2"),
+     "error: end 10000000000000000000...(5001 digits) is not in {Q : 0 <= t <= 1}"),
 ])
 def test_a_command_that_cannot_run_exits_two(tmp_path, capsys, argv, message):
     if argv[0] == "trace":

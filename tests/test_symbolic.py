@@ -42,6 +42,15 @@ def without_symbols(monkeypatch):
             monkeypatch.setattr(cls, "symbol", lambda self, fresh: None)
 
 
+def law_kind(args) -> str:
+    """The kind of law that a call of report._decided decides: an
+    implication has a premise, and a predicate's right side is
+    report._nothing."""
+    if args[4] is not None:
+        return "implication"
+    return "predicate" if args[3] is report._nothing else "equation"
+
+
 def has_certificate(premise: list, conclusion: list) -> bool:
     """The solver's certificate search (solver._certifies) on a budget of
     its own: False when it refuses, for a Points or an overspent budget
@@ -224,15 +233,18 @@ def test_a_space_through_a_certified_divisor_reports_the_same_without_symbols(
 
 
 def test_every_passing_equation_of_nonaffine_poly_space_is_decided(monkeypatch, capsys):
-    walked, answers = [], []
+    walked, answers, at = [], [], [None]
 
     def spy(law, *args, walk=None, **kwargs):
-        if walk is None:
+        at[0] = law
+        if walk is None:  # walked in full
             walked.append(law)
         return check(law, *args, walk=walk, **kwargs)
 
     def decide(*args):
-        answers.append((len(args) > 4, decided(*args)))
+        answers.append((law_kind(args), decided(*args)))
+        if answers[-1][1] != report.Decided.EVERY:  # walked past its first draw
+            walked.append(at[0])
         return answers[-1][1]
 
     check, decided = report._check, report._decided
@@ -245,8 +257,10 @@ def test_every_passing_equation_of_nonaffine_poly_space_is_decided(monkeypatch, 
     # and Y1 to Y8 are decided, X5, Y4, Y5 and Y8 past MAX_TERMS at the
     # points, and X4, Y9 and Y10 by solving their premise, copies and all
     assert walked == ["affine(half)"]
-    assert answers.count((False, True)) == 12 and answers.count((True, True)) == 0
-    assert answers.count((True, report.Decided.EVERY)) == 3
+    assert answers.count(("equation", report.Decided.EVERY)) == 12
+    assert answers.count(("predicate", report.Decided.EVERY)) == 1
+    assert answers.count(("implication", report.Decided.EVERY)) == 3
+    assert answers.count(("implication", report.Decided.COPIES)) == 0
 
 
 # the laws of the Gaussian rational space past MAX_TERMS, and how many
@@ -301,7 +315,7 @@ def test_catalog_implications_print_the_same_with_and_without_symbols(
 
     def spy(*args):
         answer = decided(*args)
-        if len(args) > 4:  # an implication's copies
+        if law_kind(args) == "implication":  # an implication's copies
             copies.append(answer)
         return answer
 
@@ -770,8 +784,22 @@ def test_a_proved_law_evaluates_its_probes_and_one_draw():
                             counting(lambda a, b: b * a + a, rhs_calls),
                             strategy, probes)
     assert report == CheckReport("comm", strategy, "pass")
-    first = sample(Product((Q, Q)), law_seed(0, "comm"), 1)
+    first = sample(Product((Q, Q)), law_seed(7, "comm"), 1)  # the strategy's own
     assert lhs_calls == rhs_calls == list(probes) + first
+
+
+def test_a_walked_equation_evaluates_its_probes_and_first_draw_once():
+    # abs of a symbol is undecided, so the law is walked past the probes
+    # and the strategy's first draw: 2 probes and 50 draws, 52 in all
+    Q = Rational()
+    calls = []
+    probes = ((F(-1), F(2)), (F(3), F(-4)))
+    strategy = Sampled(50, 3)
+    report = check_equation("square", ("a", "b"), (Q, Q), Q.eq,
+                            counting(lambda a, b: abs(a) * abs(a) + b, calls),
+                            lambda a, b: a * a + b, strategy, probes)
+    assert report == CheckReport("square", strategy, "pass")
+    assert calls == list(probes) + sample(Product((Q, Q)), law_seed(3, "square"), 50)
 
 
 def test_a_predicate_and_an_implication_evaluate_every_draw():
@@ -1303,7 +1331,7 @@ def test_a_composite_modulus_decides_its_implications(monkeypatch, capsys, m):
 
     def decide_spy(*args):
         answer = decide(*args)
-        if len(args) > 4:
+        if law_kind(args) == "implication":
             answers.append(answer)
         return answer
 
@@ -1378,7 +1406,7 @@ def test_the_certified_implications_of_the_catalog(monkeypatch, capsys):
 
     def decide_spy(*args):
         answer = decide(*args)
-        if answer == report.Decided.EVERY:
+        if answer == report.Decided.EVERY and law_kind(args) == "implication":
             certified.setdefault(command[0], []).append(law[0])
         return answer
 
@@ -1406,19 +1434,19 @@ def benchmark_workloads():
 
 # What a seed-0 pass of each benchmark workload decides: the laws (op,
 # law) whose sides pass MAX_TERMS and so are decided at the points, the
-# equations decided of those asked, and the implications decided at
-# every draw and at their copies only
+# equations and the closure predicates decided of those asked, and the
+# implications decided at every draw and at their copies only
 DECIDED_IN_A_PASS = {
     "catalog": (
         [("catalog check halfplane-space", "Y8")]
         + [("catalog check nonaffine-complex-space", law)
            for law in ("X5", "Y4", "Y5", "Y6", "Y8")]
         + [("catalog check nonaffine-poly-space", law) for law in ("X5", "Y4", "Y5", "Y8")],
-        (496, 496), 57, 0),
-    "finite": ([], (139, 139), 20, 0),
+        (496, 496), (18, 19), 57, 0),
+    "finite": ([], (139, 139), (8, 8), 20, 0),
     "dsl": ([("check cplx", law) for law in ("X5", "Y4", "Y5", "Y6", "Y8")]
             + [("check halfplane", "Y8")],
-            (149, 153), 55, 6),
+            (149, 153), (18, 19), 55, 6),
 }
 
 
@@ -1432,7 +1460,8 @@ def test_the_laws_decided_at_the_points(monkeypatch, capsys, tmp_path, workload)
         ops = workloads.dsl_ops(0, tmp_path, GOLDEN.read_text())[0]
     else:
         ops = getattr(workloads, f"{workload}_ops")(0)
-    at, points, equations, answers = [None, None], set(), [0, 0], []
+    at, points, answers = [None, None], set(), []
+    asked = {"equation": [0, 0], "predicate": [0, 0]}
 
     def check_spy(name, *args, **kwargs):
         at[1] = name
@@ -1440,11 +1469,12 @@ def test_the_laws_decided_at_the_points(monkeypatch, capsys, tmp_path, workload)
 
     def decide_spy(*args):
         answer = decide(*args)
-        if len(args) > 4:
+        kind = law_kind(args)
+        if kind == "implication":
             answers.append(answer)
         else:
-            equations[0] += answer is True
-            equations[1] += 1
+            asked[kind][0] += answer == report.Decided.EVERY
+            asked[kind][1] += 1
         return answer
 
     def points_spy(p, kind):
@@ -1460,9 +1490,10 @@ def test_the_laws_decided_at_the_points(monkeypatch, capsys, tmp_path, workload)
             at[0] = op.key
             run_cli(list(op.argv))
     capsys.readouterr()
-    past, decided, every, copies = DECIDED_IN_A_PASS[workload]
+    past, equations, predicates, every, copies = DECIDED_IN_A_PASS[workload]
     assert points == set(past)
-    assert tuple(equations) == decided
+    assert tuple(asked["equation"]) == equations
+    assert tuple(asked["predicate"]) == predicates
     assert (answers.count(report.Decided.EVERY), answers.count(report.Decided.COPIES)) \
         == (every, copies)
 
@@ -1698,11 +1729,11 @@ def test_a_factor_zero_at_a_seeded_point_leaves_the_law_walked(monkeypatch):
     K = symbolic._coordinates(index(a))[0]
     assert nonnegative(K - a, strict=True) and not positive(K - a)
     monkeypatch.setattr(symbolic, "MAX_TERMS", 4)
-    walks = []
+    answers = []
 
-    def spy(law, *args, walk=None, **kwargs):
-        walks.append(walk)
-        return check(law, *args, walk=walk, **kwargs)
+    def spy(*args):
+        answers.append(decide(*args))
+        return answers[-1]
 
     def lhs(a, b, c):
         return (1 + a) * (1 + b) * (1 + c) / (K - a)
@@ -1713,15 +1744,16 @@ def test_a_factor_zero_at_a_seeded_point_leaves_the_law_walked(monkeypatch):
     fresh = variables()
     with pytest.raises(Undecided, match="a factor that is zero at a point"):
         lhs(*(unit.symbol(fresh) for _ in range(3)))
-    check = report._check
-    monkeypatch.setattr(report, "_check", spy)
+    decide = report._decided
+    monkeypatch.setattr(report, "_decided", spy)
 
     def checked():
         return check_equation("vanishing", tuple("abc"), (unit,) * 3, unit.eq, lhs, rhs,
                               Sampled(50))
 
     decided = checked()
-    assert decided.passed and walks[-1] is None  # walked, not failed
+    # walked, not failed
+    assert decided.passed and answers == [report.Decided.NOTHING]
     without_symbols(monkeypatch)
     assert checked() == decided
 
@@ -1796,15 +1828,17 @@ def test_halfplane_space_and_every_catalog_predicate_report_the_same_without_sym
         return check(*args)
 
     def admit(*args):
-        admitted.append(admits(*args))
-        return admitted[-1]
+        answer = decide(*args)
+        if law_kind(args) == "predicate":
+            admitted.append(answer == report.Decided.EVERY)
+        return answer
 
-    check, admits = report.check_predicate, report._admitted
+    check, decide = report.check_predicate, report._decided
     monkeypatch.setattr(report, "check_predicate", spy)
     for argv in catalog_commands(seed)[:-2]:  # not the two that stop with an error
         run_cli(list(argv))
     monkeypatch.setattr(report, "check_predicate", check)
-    monkeypatch.setattr(report, "_admitted", admit)
+    monkeypatch.setattr(report, "_decided", admit)
     command = ["catalog", "check", "halfplane-space", "--properties", "--affine",
                "--samples", "500", "--seed", str(seed), "--report", "json"]
 
@@ -2101,16 +2135,17 @@ def test_every_r64_equation_of_damped_module_is_decided(monkeypatch):
 def test_the_lozenge_scalars_are_refused_closure_and_walked(monkeypatch):
     # the unit interval admits its own symbol, but its conditions meet the
     # lozenge's FREE variables, which nonnegative refuses; so X0 is walked
-    # after its seeded draw: 1 + 500 evaluations on numbers
+    # past its first draw: 500 evaluations on numbers, that draw's once
     admitted, values = [], []
-    admit = report._admitted
-    monkeypatch.setattr(report, "_admitted",
-                        lambda *args: admitted.append(admit(*args)) or admitted[-1])
+    decide = report._decided
+    monkeypatch.setattr(report, "_decided",
+                        lambda *args: admitted.append(decide(*args)) or admitted[-1])
     space = build("lozenge-space")
     slots = (space.points, space.algebra.carrier, space.points)
     decided = check_predicate("X0", ("x", "a", "y"), slots, counting(space.q, values),
                               space.points.contains, Sampled(500))
-    assert decided.passed and len(values) == 501 and admitted == [False]
+    assert decided.passed and len(values) == 500
+    assert admitted == [report.Decided.NOTHING]
     assert report._admitting(space.points.contains) is space.points
 
 
