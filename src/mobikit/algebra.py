@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .carriers import Carrier, CarrierError, MembershipError
-from .report import (CheckReport, Laws, Sampled, Witness, assignments_for,
-                     render_inline)
+from . import symbolic
+from .carriers import Carrier, CarrierError, MembershipError, linear_solution
+from .report import (CheckReport, Laws, Sampled, Witness, _differences, _variables,
+                     assignments_for, render_inline)
 from .ringmod import RingWithHalf
 
 
@@ -123,7 +124,9 @@ def check_properties(algebra: MobiAlgebra, strategy=Sampled()) -> list[CheckRepo
 
 @dataclass(frozen=True)
 class TwoResult:
-    """Outcome of solving p(0, 1/2, x) = 1."""
+    """Outcome of solving p(0, 1/2, x) = 1: the declared doubler; one found
+    on symbols, by a scan of a finite carrier or by a search; none, proven
+    on symbols or by a scan; or none among the strategy's draws."""
 
     value: object | None
     status: str  # "declared" | "found" | "proven-absent" | "absent-after-search"
@@ -132,10 +135,12 @@ class TwoResult:
 def solve_two(algebra: MobiAlgebra, strategy=Sampled()) -> TwoResult:
     """Find the doubler: the solution of p(0, 1/2, x) = 1, if any.
 
-    Finite carriers are scanned exhaustively, so absence is proven and
-    multiple solutions raise AmbiguousTwoError.  Infinite carriers honor a
-    declared value, else search the strategy's assignments of one slot and
-    report absent-after-search; Exhaustive raises NotEnumerableError there.
+    A declared value is checked and kept.  Otherwise, under every strategy,
+    the equation is first solved on the carrier's symbol (_solved_two).
+    When that does not answer, finite carriers are scanned exhaustively, so
+    absence is proven and multiple solutions raise AmbiguousTwoError, and
+    infinite ones search the strategy's assignments of one slot and report
+    absent-after-search; Exhaustive raises NotEnumerableError there.
     """
     A = algebra
     c = A.carrier
@@ -148,6 +153,9 @@ def solve_two(algebra: MobiAlgebra, strategy=Sampled()) -> TwoResult:
             raise CarrierError(
                 f"declared two={render_inline(A.two)} does not satisfy p(0,1/2,x)=1")
         return TwoResult(A.two, "declared")
+    solved = _solved_two(A, is_two)
+    if solved is not None:
+        return solved
     if c.size() is not None:
         hits = [x for x in c.elements() if is_two(x)]
         if len(hits) > 1:
@@ -159,6 +167,39 @@ def solve_two(algebra: MobiAlgebra, strategy=Sampled()) -> TwoResult:
         if is_two(x):
             return TwoResult(x, "found")
     return TwoResult(None, "absent-after-search")
+
+
+def _solved_two(algebra: MobiAlgebra, is_two: Callable) -> TwoResult | None:
+    """The doubler solved for on the carrier's symbol: found when the one
+    candidate the symbol gives is a member and is_two holds there on
+    numbers, proven-absent when it is not a member; None otherwise.
+
+    The carrier's differences (Carrier.differences) of p(0, 1/2, x) and one,
+    on its symbol, must be exact rationals of degree at most 1 in the
+    symbol's variables, with constant coefficients, and have exactly one
+    solution (carriers.linear_solution); the candidate is the element the
+    symbol stands for there (Carrier.element).  Every member is the symbol
+    at some assignment in the domains, where the differences vanish exactly
+    when p(0, 1/2, x) = 1 (see symbolic), so no member but the candidate
+    can be the doubler."""
+    c = algebra.carrier
+    differences = _differences(c.eq)
+    symbol = None if differences is None else c.symbol(symbolic.variables())
+    if symbol is None:
+        return None
+    try:
+        zeros = differences(algebra.p(algebra.zero, algebra.half, symbol), algebra.one)
+        if any(d.rational is not True or d.modulus for d in zeros):
+            return None
+        solution = linear_solution([(d, 0) for d in zeros], _variables(symbol))
+        if solution is None:
+            return None
+        x = c.element(symbol, solution)
+    except Exception:  # Undecided, or any error a symbol meets: the scan or search decides
+        return None
+    if x is None:
+        return TwoResult(None, "proven-absent")
+    return TwoResult(x, "found") if is_two(x) else None
 
 
 def _resolve_two(algebra: MobiAlgebra):

@@ -44,7 +44,13 @@ float operand meets as its exact rational, a fresh int variable for Z/m, a
 QI of two fresh rational variables for Q[i], the tuple of its parts'
 symbols for a product, its base's symbol for a restricted carrier with a
 direct sampler, each variable in the domain its sign conditions bound it
-to, and None for every other carrier (rejection-sampled restrictions).
+to, or, when they bound a parallelotope, its coordinates as affine
+expressions in UNIT variables (Restricted._box), and None for every other
+carrier (rejection-sampled restrictions).  `element(symbol, values)` is
+its inverse: the element that a symbol stands for at numbers given for
+its variables, None when that is not a member.  `linear_solution` solves
+the linear equations that a box, a constructed copy (report._images) and
+a doubler (algebra.solve_two) give.
 `exp` is math.exp on a number and an exp term (symbolic.exp) on a
 symbol, the one exp of the catalog and of definition files.  A QI keeps
 symbolic parts, and divides by a symbolic QI through its norm, a divisor
@@ -81,7 +87,7 @@ from typing import Callable, Iterator
 
 from . import symbolic
 from .rational import _Fraction, _gcd, _make, _new
-from .symbolic import (FREE, REAL, Exp, Points, Poly, Quotient, Undecided, congruent,
+from .symbolic import (FREE, REAL, UNIT, Exp, Points, Poly, Quotient, Undecided, congruent,
                        difference, affine, domain_of, domains, equal, exp_difference,
                        nonnegative, reflected, residue, variables)
 
@@ -121,7 +127,7 @@ def _rational(x):
     # the type test first: isinstance(x, Fraction) is an ABC check for a subclass
     if type(x) is _Fraction or (not isinstance(x, bool) and isinstance(x, (int, Fraction))):
         return x
-    raise ShapeError(f"expected a rational, got {x!r}")
+    raise ShapeError(f"expected a rational, got {_shown(x)}")
 
 
 # _DRAWS[d - 1][n + RATIONAL_NUMERATOR_BOUND] is n/d: every value a Rational
@@ -176,6 +182,22 @@ def render_rational(v) -> str:
     return text if v.denominator == 1 else f"{text}/{_render_int(v.denominator)}"
 
 
+def _shown(x) -> str:
+    """repr(x), as an error message names a value, with _render_int's form
+    for an int past the digit limit, where repr() would raise: in an int, a
+    Fraction, a QI or a tuple of them."""
+    try:
+        return repr(x)
+    except ValueError:
+        if type(x) is tuple:
+            return f"({', '.join(map(_shown, x))}{',' if len(x) == 1 else ''})"
+        if isinstance(x, QI):
+            return f"QI({render_rational(x.re)}, {render_rational(x.im)})"
+        if isinstance(x, Fraction):
+            return f"Fraction({_render_int(x.numerator)}, {_render_int(x.denominator)})"
+        return _render_int(x)
+
+
 def _exact(x) -> bool:
     """Whether x is a symbolic rational or an int known exactly: its every
     value is a rational."""
@@ -222,10 +244,10 @@ class QI:
         if isinstance(x, QI):
             return x
         if isinstance(x, bool):
-            raise ShapeError(f"expected a Gaussian rational, got {x!r}")
+            raise ShapeError(f"expected a Gaussian rational, got {_shown(x)}")
         if isinstance(x, (int, Fraction)):
             return QI(x, 0)
-        raise ShapeError(f"expected a Gaussian rational, got {x!r}")
+        raise ShapeError(f"expected a Gaussian rational, got {_shown(x)}")
 
     # A QI operand skips coerce; _qi builds the results (see the module notes)
 
@@ -370,6 +392,13 @@ class Carrier:
         or its equality is not exact."""
         return None
 
+    def element(self, symbol, values: dict):
+        """The inverse of symbol(): the element that a symbol this carrier
+        made stands for where each of its variables v takes the rational
+        values[v], or None when that is not a member.  Q, Q[i], and products
+        and restrictions of them define it."""
+        raise NotImplementedError
+
     def admits(self, x) -> bool:
         """True when every value that the symbolic value x stands for is a
         member, at every assignment of its variables in their domains (see
@@ -454,6 +483,10 @@ class Rational(_BuiltDraw):
     def symbol(self, fresh):
         return fresh()
 
+    def element(self, symbol, values):
+        v = _evaluated(symbol, values)
+        return _make(v.numerator, v.denominator)
+
     def describe(self):
         return "Q"
 
@@ -491,6 +524,9 @@ class GaussianRational(_BuiltDraw):
     def symbol(self, fresh):
         return _qi(fresh(), fresh())
 
+    def element(self, symbol, values):
+        return QI(_evaluated(symbol.re, values), _evaluated(symbol.im, values))
+
     def describe(self):
         return "Q[i]"
 
@@ -524,7 +560,7 @@ class ModularInt(_BuiltDraw):
         if type(x) in _SYMBOLS or type(y) in _SYMBOLS:
             return congruent(x, y, self.modulus)
         if not (self.contains(x) and self.contains(y)):
-            raise ShapeError(f"expected ints mod {self.modulus}, got {x!r}, {y!r}")
+            raise ShapeError(f"expected ints mod {self.modulus}, got {_shown(x)}, {_shown(y)}")
         return (x - y) % self.modulus == 0
 
     def differences(self, x, y):
@@ -583,7 +619,7 @@ class Float64(_BuiltDraw):
 
     def eq(self, x, y):
         if isinstance(x, (tuple, list)) or isinstance(y, (tuple, list)):
-            raise ShapeError(f"expected scalars, got {x!r}, {y!r}")
+            raise ShapeError(f"expected scalars, got {_shown(x)}, {_shown(y)}")
         try:
             fx, fy = float(x), float(y)
         except Undecided:  # a symbolic side, which refuses float(): exactly
@@ -662,7 +698,7 @@ class Product(_BuiltDraw):
 
     def _check_shape(self, x):
         if not isinstance(x, tuple) or len(x) != len(self.parts):
-            raise ShapeError(f"expected a {len(self.parts)}-tuple for {self.describe()}, got {x!r}")
+            raise ShapeError(f"expected a {len(self.parts)}-tuple for {self.describe()}, got {_shown(x)}")
 
     def eq(self, x, y):
         n = len(self.parts)
@@ -721,6 +757,10 @@ class Product(_BuiltDraw):
         parts = tuple(p.symbol(fresh) for p in self.parts)
         return None if any(s is None for s in parts) else parts
 
+    def element(self, symbol, values):
+        parts = tuple(p.element(s, values) for p, s in zip(self.parts, symbol))
+        return None if any(v is None for v in parts) else parts
+
     def _build_draw(self):
         return _tuple_builder(len(self.parts))(*(p.drawer() for p in self.parts))
 
@@ -758,7 +798,13 @@ class Restricted(Carrier):
 
     Its symbol is its base's, each variable in the domain (see
     symbolic.variables) that the conditions bound it to: UNIT for
-    0 <= v <= 1, POSITIVE for v > 0, FREE otherwise.  A carrier with a
+    0 <= v <= 1, POSITIVE for v > 0, FREE otherwise.  When some condition
+    is affine in two coordinates and the conditions bound a parallelotope
+    (_box), as the lozenge's four do, its symbol writes the base's
+    coordinates instead as affine expressions in n UNIT variables, one per
+    slab 0 <= l_i <= c_i; every member is the symbol at some point of
+    [0, 1]^n.  `element` is the base's element, when it is a member.  A
+    carrier with a
     predicate and no sampler has none: the draws that rejection by an
     opaque test would make, and could exhaust, must run.  One with no
     predicate has a symbol without a sampler too, as a .mobi `where`
@@ -882,20 +928,66 @@ class Restricted(Carrier):
             zip(values, (c.strict for c in self.conditions)))
         return [bounds.get(i, domain_of(i)) for i in indices]  # else the base's own
 
+    @functools.cached_property
+    def _box(self) -> list | None:
+        """For a parallelotope that the conditions bound, each coordinate of
+        the base's symbol, in the order the symbol makes them, as an affine
+        polynomial in n variables t_i (the i-th of index i) that stand for
+        UNIT variables w_i; None for any other carrier (see symbol).
+
+        The base's symbol must be n rational variables, a tuple of them,
+        nested; some condition must be affine in two of them, and the
+        conditions must hold exactly n slabs with linearly independent l_i:
+        a pair l_i >= 0 and c_i - l_i >= 0 (each perhaps strict), up to a
+        positive factor, with l_i affine in the coordinates and c_i > 0.
+        Then w_i = l_i / c_i, and x = A^-1 (c * w - d) for l = A x + d: an
+        affine bijection of [0, 1]^n onto the slabs' intersection, which
+        holds every member."""
+        symbol, indices, values = self._signs
+        if not _rational_coordinates(symbol) or any(v is None for v in values):
+            return None
+        forms = [(g, _linear(g)) for g in values]
+        forms = [(g, form) for g, form in forms if form is not None]
+        if not any(len(l) > 1 for _, (l, _) in forms):
+            return None  # every condition bounds one coordinate (see _domains)
+        slabs = []  # (f, c) for f = l + d
+        for (f, (l, d)), (_, (h, e)) in itertools.combinations(forms, 2):
+            u = next(iter(l))
+            ratio = _ONE * h.get(u, 0) / l[u]
+            # g = ratio * (f - d) + e >= 0 is f <= d - e / ratio for ratio < 0
+            if ratio < 0 and h.keys() == l.keys() and all(h[v] == ratio * l[v] for v in l):
+                if d - e / ratio > 0:
+                    slabs.append((f, d - e / ratio))
+        if len(slabs) != len(indices):
+            return None
+        # f_i = c_i * t_i
+        coordinates = linear_solution(
+            [(f, Poly({(i,): 1}) * c) for i, (f, c) in enumerate(slabs)], set(indices))
+        return None if coordinates is None else [coordinates[v] for v in indices]
+
     def symbol(self, fresh):
         # an identity on the base holds on its members; with a predicate
         # and no sampler, the draws that rejection would make (and could
         # exhaust) must run
         if (self.sampler is None and self.member is not None) or self._domains is None:
             return None
-        order = iter(self._domains)
-        return self.base.symbol(lambda integer=False, domain=FREE: fresh(integer, next(order)))
+        box = self._box
+        if box is None:
+            order = iter(self._domains)
+            return self.base.symbol(lambda integer=False, domain=FREE: fresh(integer, next(order)))
+        units = [fresh(False, UNIT) for _ in box]
+        coordinates = iter([_evaluated(x, units) for x in box])
+        return self.base.symbol(lambda integer=False, domain=FREE: next(coordinates))
+
+    def element(self, symbol, values):
+        x = self.base.element(symbol, values)
+        return x if x is not None and self.contains(x) else None
 
     def draw(self, rng):
         if self.sampler is not None:
             x = self.sampler(rng)
             if not self.contains(x):
-                raise ValueError(f"sampler for {self.describe()} drew non-member {x!r}")
+                raise ValueError(f"sampler for {self.describe()} drew non-member {_shown(x)}")
             return x
         for _ in range(MAX_REJECTS):
             x = self.base.draw(rng)
@@ -908,6 +1000,98 @@ class Restricted(Carrier):
         if self.label:
             return f"{{{self.base.describe()} : {self.label}}}"
         return f"{{{self.base.describe()} : restricted}}"
+
+
+def _rational_coordinates(symbol) -> bool:
+    """Whether a symbol is a rational variable or a tuple of them, nested."""
+    if type(symbol) is tuple:
+        return all(map(_rational_coordinates, symbol))
+    return type(symbol) is Poly and symbol.rational is True
+
+
+def _linear(g) -> tuple | None:
+    """({v: c}, d) when g is the rational polynomial sum(c * v) + d of degree
+    1; None for anything else."""
+    if type(g) is not Poly or g.rational is not True or g.modulus:
+        return None
+    linear = {}
+    for m, c in g.terms.items():
+        if len(m) > 1:
+            return None
+        if m:
+            linear[m[0]] = c
+    return (linear, g.terms.get((), 0)) if linear else None
+
+
+def _evaluated(p: Poly, values):
+    """The value of the polynomial p where each variable v takes values[v],
+    a number or a polynomial."""
+    total = 0
+    for m, c in p.terms.items():
+        for v in m:
+            c = c * values[v]
+        total = total + c
+    return total
+
+
+_ONE = _make(1, 1)
+
+
+def _vanishes(x) -> bool:
+    """Whether x, a number or a polynomial, is zero."""
+    return not x.terms if type(x) is Poly else type(x) not in _SYMBOLS and x == 0
+
+
+def linear_solution(equations, unknowns: set) -> dict | None:
+    """{u: value}, the one solution of linear equations in the variables
+    whose indices are `unknowns`: pairs (left, right) for left == right,
+    each left a polynomial of degree at most 1 in them with constant
+    coefficients, each right a number or a polynomial in other variables;
+    found by Gauss-Jordan elimination.  None when a left is not such a
+    polynomial, or the equations leave an unknown free or have no solution
+    (a right side that is not zero once its row's coefficients are
+    eliminated)."""
+    rows = []  # [pivot, {u: c} of the other unknowns, right side]: pivot's c is 1
+    for polynomial, right in equations:
+        left = {}
+        for m, c in polynomial.terms.items():
+            if not m:
+                right = right - c
+            elif len(m) == 1 and m[0] in unknowns:
+                left[m[0]] = _make(c.numerator, c.denominator)
+            else:
+                return None
+        for pivot, row, value in rows:
+            c = left.pop(pivot, 0)
+            if c:
+                _eliminate(left, row, c)
+                right = right - value * c
+        if not left:
+            if not _vanishes(right):
+                return None
+            continue
+        pivot, c = next(iter(left.items()))
+        del left[pivot]
+        if c != 1:
+            left = {u: k / c for u, k in left.items()}
+            right = right * (_ONE / c)
+        for other in rows:
+            k = other[1].pop(pivot, 0)
+            if k:
+                _eliminate(other[1], left, k)
+                other[2] = other[2] - right * k
+        rows.append([pivot, left, right])
+    if {pivot for pivot, _, _ in rows} != unknowns or any(row for _, row, _ in rows):
+        return None
+    return {pivot: value for pivot, _, value in rows}
+
+
+def _eliminate(left: dict, row: dict, c) -> None:
+    """left -= c * row, dropping the coefficients that become zero."""
+    for u, k in row.items():
+        s = left.pop(u, 0) - c * k
+        if s:
+            left[u] = s
 
 
 def _coordinates(symbol, expression: str, out: dict) -> dict:

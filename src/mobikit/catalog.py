@@ -206,16 +206,16 @@ def lozenge_algebra(sqrt_k: Fraction = F(1)) -> MobiAlgebra:
     k = sqrt_k * sqrt_k
     kn, kd = sqrt_k.as_integer_ratio()
 
-    def member(a):
-        return sqrt_k * abs(a[1]) <= a[0] <= 1 - sqrt_k * abs(a[1])
-
     def draw(rng):
         a1 = _draw_unit(rng)
         n, d = a1._numerator, a1._denominator
         # |a2| <= min(a1, 1 - a1) / sqrt_k = min(n, d - n) * kd / (d * kn)
         return (a1, _draw_symmetric(rng, min(n, d - n) * kd, d * kn))
 
-    carrier = Restricted(Vector(Rational(), 2), member,
+    # sqrt_k|a2| <= a1 <= 1 - sqrt_k|a2|: the unit square in a1 -/+ sqrt_k a2
+    conditions = (Sign(lambda a: a[0] - sqrt_k * a[1]), Sign(lambda a: a[0] + sqrt_k * a[1]),
+                  Sign(lambda a: 1 - a[0] - sqrt_k * a[1]), Sign(lambda a: 1 - a[0] + sqrt_k * a[1]))
+    carrier = Restricted(Vector(Rational(), 2), conditions=conditions,
                          label=f"{sqrt_k}|a2| <= a1 <= 1 - {sqrt_k}|a2|",
                          sampler=draw)
     return MobiAlgebra(carrier, _pair_p(k), (F(0), F(0)), (F(1, 2), F(0)),

@@ -46,8 +46,8 @@ from _blake2 import blake2s
 
 from . import symbolic
 from .carriers import (QI, Carrier, CarrierError, MembershipError, Product,
-                       ShapeError, draws, enumerate_elements, render_rational,
-                       try_subtract)
+                       ShapeError, draws, enumerate_elements, linear_solution,
+                       render_rational, try_subtract)
 
 
 class EvalError(Exception):
@@ -224,10 +224,10 @@ def _differences(eq: Callable) -> Callable | None:
     return carrier.differences
 
 
-def _images(symbol, value, images: dict) -> dict:
-    """images, with the value in a constructed copy of each variable of a
-    symbol (see Carrier.symbol): a tuple's parts and a QI's two parts in
-    turn; Undecided when the copy is not built the same way."""
+def _leaves(symbol, value, out: list) -> list:
+    """out, with the pairs (part of a symbol, part of a value built the same
+    way) of a tuple's parts and a QI's two parts in turn, nested; Undecided
+    when the value is not built the same way."""
     if type(symbol) in (tuple, QI):
         if type(value) is not type(symbol) or (type(symbol) is tuple
                                                 and len(value) != len(symbol)):
@@ -235,9 +235,27 @@ def _images(symbol, value, images: dict) -> dict:
         parts = zip(symbol, value) if type(symbol) is tuple else (
             (symbol.re, value.re), (symbol.im, value.im))
         for part, image in parts:
-            _images(part, image, images)
+            _leaves(part, image, out)
     else:
-        images[next(iter(symbol.terms))[0]] = value
+        out.append((symbol, value))
+    return out
+
+
+def _variables(symbol) -> set:
+    """The indices of the variables of a symbol."""
+    return {v for part, _ in _leaves(symbol, symbol, []) for m in part.terms for v in m}
+
+
+def _images(symbol, value) -> dict:
+    """The value of each variable of a symbol (see Carrier.symbol) in a
+    constructed copy of it: each part of the symbol, a variable or an affine
+    expression in its variables with constant coefficients (a restricted
+    carrier's box coordinates), equals the copy's part, and the variables
+    are solved for (carriers.linear_solution); Undecided when the copy is
+    not built the same way or does not determine them."""
+    images = linear_solution(_leaves(symbol, value, []), _variables(symbol))
+    if images is None:
+        raise symbolic.Undecided("a copy that does not determine the symbol's variables")
     return images
 
 
@@ -261,10 +279,10 @@ def _copy_stays(assignment: tuple, construct: Callable) -> bool:
     domains is positive at every copy a walk takes; always when every
     variable is FREE, since then every factor is positive at every real
     point."""
-    if all(symbolic.domain_of(v) == symbolic.FREE for v in _images(assignment, assignment, {})):
+    if all(symbolic.domain_of(v) == symbolic.FREE for v in _variables(assignment)):
         return True
     try:
-        return symbolic.within(_images(assignment, construct(assignment), {}))
+        return symbolic.within(_images(assignment, construct(assignment)))
     except Exception:  # as in _decided
         return False
 

@@ -40,7 +40,11 @@ every rational (or int); POSITIVE, the rationals > 0; UNIT, those in
 [0, 1].  A carrier's symbol is made of FREE variables, except a
 restricted carrier's, whose sign conditions (`carriers.Sign`, g >= 0 or
 g > 0) bound a variable to UNIT by v >= 0 and 1 - v >= 0, or to POSITIVE by
-v > 0 (`domains`).
+v > 0 (`domains`); or, when they bound a parallelotope, n slabs
+0 <= l_i <= c_i with l_i affine in the base's n rational coordinates and
+some condition in two of them, such as the lozenge's sqrt_k|a2| <= a1 <=
+1 - sqrt_k|a2|, whose symbol writes the coordinates as affine expressions
+in n UNIT variables w_i = l_i / c_i (`carriers.Restricted._box`).
 
 A Quotient is a rational num / den whose denominator is a product of
 factors, each stored once (keyed by its terms) with its exponent, so that
@@ -171,6 +175,20 @@ Trust base.  A pass without a walk is sound when:
   POSITIVE_WORK units.  A Quotient's sign is its numerator's, its factors
   being positive on the domains.  So a closure predicate that its carrier
   admits holds at every assignment;
+- a restricted carrier's box: its symbol x = A^-1 (c * w - d), for the
+  slabs 0 <= l_i(x) = (A x + d)_i <= c_i, A invertible and c_i > 0, is an
+  affine bijection of [0, 1]**n onto the slabs' intersection, which holds
+  every member (it is the member set when the slabs are the only
+  conditions, as for the lozenge).  So every member is the symbol at one
+  point of the box of its UNIT variables: an identity, a Bernstein
+  certificate, a certificate or a solve in the w_i holds on the carrier;
+  a constructed copy of a box coordinate is read back by solving the
+  coordinates for the w_i (report._images), and counts only when the
+  w_i's images stay in [0, 1] (`within`).  `carriers.Carrier.element` is
+  the symbol evaluated at numbers, so the doubler that
+  `algebra.solve_two` reads off the one solution of the affine
+  differences of p(0, 1/2, x) and 1 on the symbol is the only candidate
+  among the members: when `contains` refuses it, no member is one;
 - a factor positive only on the domains at the points: the points lie
   outside [0, 1], where such a factor may be zero, so `_divided` checks
   its value at each point and leaves the law undecided at a zero, rather

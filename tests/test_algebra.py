@@ -97,9 +97,40 @@ def test_solve_two_declared_and_found():
 
 
 def test_solve_two_absent_on_the_interval():
+    # p(0, 1/2, x) = x/2 = 1 has the one solution 2, outside [0, 1]
     result = solve_two(build("canonical-interval-algebra"))
     assert result.value is None
-    assert result.status == "absent-after-search"
+    assert result.status == "proven-absent"
+
+
+def test_solve_two_absent_in_the_lozenge():
+    # p(0, 1/2, x) = (x1/2, x2/2) = (1, 0) has the one solution (2, 0), which
+    # lies outside the lozenge at every sqrt_k
+    for sqrt_k in ("1/2", "1", "3"):
+        result = solve_two(build("lozenge-algebra", sqrt_k=sqrt_k), Sampled(1, 0))
+        assert (result.value, result.status) == (None, "proven-absent")
+
+
+RUNS = [(1, 0), (1, 5), (5, 3), (40, 7), (500, 0), (500, 11)]
+
+
+@pytest.mark.parametrize("samples, seed", RUNS)
+def test_solve_two_finds_the_lines_doubler_on_symbols(samples, seed, monkeypatch):
+    # x/2 = 1 is solved once on the line's symbol, under every strategy,
+    # without a draw: so even Sampled(1, 0), whose one draw misses 2, finds it
+    monkeypatch.setattr(algebra_module, "assignments_for", None)
+    undeclared = replace(line(), two=None)
+    for strategy in (Sampled(samples, seed), Exhaustive()):
+        result = solve_two(undeclared, strategy)
+        assert (result.value, result.status) == (2, "found")
+        assert type(result.value) is type(undeclared.half)  # as a draw's
+
+
+def without_symbol(alg):
+    """alg over a carrier with no symbol: a restriction of its own carrier
+    by a predicate that every element meets, with no sampler, which draws
+    the same stream as the carrier itself."""
+    return replace(alg, carrier=Restricted(alg.carrier, lambda x: True), two=None)
 
 
 def _sampled_two(alg, samples, seed):
@@ -114,7 +145,10 @@ def _sampled_two(alg, samples, seed):
 @pytest.mark.parametrize("name", ["rational-line-algebra",
                                   "canonical-interval-algebra"])
 def test_solve_two_draws_the_sampled_stream_through_assignments_for(name, monkeypatch):
-    alg = replace(build(name), two=None)
+    # a carrier with a symbol is solved on it (above); this one has none
+    alg = without_symbol(build(name))
+    assert alg.carrier.symbol(lambda *args: None) is None
+    assert sample(alg.carrier, 3, 40) == sample(build(name).carrier, 3, 40)
     calls = []
 
     def recording(law, slots, strategy, construct=None):
@@ -122,13 +156,12 @@ def test_solve_two_draws_the_sampled_stream_through_assignments_for(name, monkey
         return assignments_for(law, slots, strategy, construct)
 
     monkeypatch.setattr(algebra_module, "assignments_for", recording)
-    runs = [(1, 0), (1, 5), (5, 3), (40, 7), (500, 0), (500, 11)]
     statuses = set()
-    for samples, seed in runs:
+    for samples, seed in RUNS:
         result = solve_two(alg, Sampled(samples, seed))
         assert (result.value, result.status) == _sampled_two(alg, samples, seed)
         statuses.add(result.status)
-    assert calls == [("solve-two", (alg.carrier,), Sampled(n, s)) for n, s in runs]
+    assert calls == [("solve-two", (alg.carrier,), Sampled(n, s)) for n, s in RUNS]
     # the line's doubler is 2: the small runs miss it and the large ones find it
     want = ({"found", "absent-after-search"} if name == "rational-line-algebra"
             else {"absent-after-search"})
@@ -136,7 +169,7 @@ def test_solve_two_draws_the_sampled_stream_through_assignments_for(name, monkey
 
 
 def test_solve_two_exhaustive_on_an_infinite_carrier_is_not_enumerable():
-    undeclared = replace(line(), two=None)
+    undeclared = without_symbol(line())
     with pytest.raises(NotEnumerableError):
         solve_two(undeclared, Exhaustive())
     # a declared doubler needs no search

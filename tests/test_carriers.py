@@ -5,6 +5,7 @@ import math
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,13 @@ from mobikit import (Exhaustive, Float64, GaussianRational, MobiAlgebra,
                      ModularInt, NotEnumerableError, Product, QI, Rational,
                      Restricted, Sampled, SamplingExhausted, Vector, build,
                      check_algebra, enumerate_elements, sample, try_subtract)
-from mobikit.carriers import DENOMINATOR_BOUND, MODULAR, SCALAR, ShapeError, _Fraction
+from mobikit.carriers import (DENOMINATOR_BOUND, MODULAR, SCALAR, ShapeError, _Fraction,
+                              linear_solution)
 from mobikit.catalog import _draw_unit
 from mobikit.dsl import _div
 from mobikit.rational import _ratio
 from mobikit.report import assignments_for
+from mobikit.symbolic import Poly
 
 rationals = st.fractions(max_denominator=50)
 
@@ -660,3 +663,38 @@ def test_dsl_questions_are_carrier_methods():
     assert Restricted(Rational(), lambda v: True).shape() == SCALAR
     assert mixed.atom_names() == {"R64", "QI"}
     assert Restricted(nested, lambda v: True).atom_names() == {"Q", "Zmod"}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize("carrier, x, y, message", [
+    (Rational(), QI(10 ** 5000, 1), 0, "expected a rational, got QI({huge}, 1)"),
+    (ModularInt(5), Fraction(10 ** 5000, 3), 2,
+     "expected ints mod 5, got Fraction({huge}, 3), 2"),
+    (GaussianRational(), (10 ** 5000, True), 0,
+     "expected a Gaussian rational, got ({huge}, True)"),
+    (Float64(), (10 ** 5000,), 1, "expected scalars, got ({huge},), 1"),
+    (Vector(Rational(), 2), -10 ** 5000, (1, 2), "expected a 2-tuple for Q x Q, got -{huge}"),
+], ids=["Q", "Z/5", "Q[i]", "R64", "Q^2"])
+def test_a_shape_error_names_a_value_past_the_digit_limit_by_its_digit_count(
+        carrier, x, y, message):
+    # as render_rational does, where repr() would raise ValueError
+    with pytest.raises(ShapeError) as raised:
+        carrier.eq(x, y)
+    assert str(raised.value) == message.format(huge="10000000000000000000...(5001 digits)")
+
+
+def test_linear_solution_answers_only_a_unique_solution():
+    x, y, z = (Poly({(i,): 1}) for i in range(3))
+    half = Fraction(1, 2)
+    # (x + y)/2 = 3, (x - y)/2 = z: x = 3 + z, y = 3 - z, the right sides kept as polynomials
+    solved = linear_solution([((x + y) * half, 3), ((x - y) * half, z)], {0, 1})
+    assert {v: p.terms for v, p in solved.items()} == {0: {(): 3, (2,): 1}, 1: {(): 3, (2,): -1}}
+    assert linear_solution([(x + y + 1, 0), (x - y, 4)], {0, 1}) == {0: Fraction(3, 2),
+                                                                   1: Fraction(-5, 2)}
+    for equations, why in [
+            ([(x + y, 1), (2 * x + 2 * y, 2)], "singular: y is free"),
+            ([(x + y, 1), (2 * x + 2 * y, 3)], "no solution"),
+            ([(x, 1)], "y is free"),
+            ([(x + z, 1), (y, 2)], "z is not an unknown"),
+            ([(x * y, 1), (y, 2)], "not linear")]:
+        assert linear_solution(equations, {0, 1}) is None, why

@@ -153,6 +153,16 @@ def test_lozenge_membership_window():
     assert not alg.carrier.contains((F(1, 4), F(3, 4)))
     with pytest.raises(ValueError):
         build("lozenge-algebra", sqrt_k="-1")
+    # its four sign conditions hold exactly where sqrt_k|a2| <= a1 <= 1 -
+    # sqrt_k|a2| does, on a grid that steps across every edge and corner
+    grid = [F(n, 12) for n in range(-15, 28)]
+    for sqrt_k in (F(1, 2), F(1), F(3)):
+        carrier = build("lozenge-algebra", sqrt_k=sqrt_k).carrier
+        assert carrier.member is None and len(carrier.conditions) == 4
+        for a1 in grid:
+            for a2 in grid:
+                window = sqrt_k * abs(a2) <= a1 <= 1 - sqrt_k * abs(a2)
+                assert carrier.contains((a1, a2)) == window, (sqrt_k, a1, a2)
 
 
 def test_lozenge_space_sign_branches():

@@ -348,7 +348,7 @@ def test_trace_walks_scalars_that_are_pairs_or_triples(tmp_path, capsys, name, s
     (("trace", "lozenge-space", "--from", "0", "--to", "2", "--steps", "2"),
      "error: end 2 is not in {Q : 0 <= t <= 1}"),
     (("convert", "space-to-module", "halfplane-space", "--samples", "5"),
-     "error: the algebra on {Q : 0 <= t <= 1} has no doubler (absent-after-search); "
+     "error: the algebra on {Q : 0 <= t <= 1} has no doubler (proven-absent); "
      "declare one with dataclasses.replace(algebra, two=...)"),
     # a value outside its carrier is named as a report renders it: a
     # Fraction as 1/2, an int past the digit limit by its digit count
@@ -788,6 +788,21 @@ def test_a_point_outside_the_carrier_fails_the_law(tmp_path, capsys, over, carri
     assert [line.split()[:2] for line in lines[:6]] == [
         ["FAIL", f"s.X{i}"] for i in range(6)]
     assert f"difference=<error: {error}>" in lines[1]
+    assert lines[-1] == "checked 6 law(s): 6 failed"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_a_value_past_the_digit_limit_outside_the_carrier_fails_the_law(tmp_path, capsys):
+    # Z/5's equality names the Fraction q returns by its digit count, where
+    # repr() would raise, so every verdict is printed
+    path = tmp_path / "s.mobi"
+    path.write_text(_space("rational_line_algebra", "Zmod(5)", "x + a*(y - x) + 10^5000"))
+    code, out, err = run(capsys, "check", str(path), "--samples", "5")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (1, "", 7)
+    assert [line.split()[:2] for line in lines[:6]] == [["FAIL", f"s.X{i}"] for i in range(6)]
+    assert ("difference=<error: expected ints mod 5, got "
+            "Fraction(10000000000000000000...(5001 digits), 1), 3>") in lines[1]
     assert lines[-1] == "checked 6 law(s): 6 failed"
 
 

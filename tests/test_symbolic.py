@@ -21,7 +21,7 @@ from mobikit import (CheckReport, Exhaustive, Float64, GaussianRational,
                      list_catalog, report, reports_to_json, solver, symbolic)
 from mobikit.algebra import check_properties
 from mobikit.carriers import CarrierError, Product, ShapeError, sample
-from mobikit.catalog import nonaffine_poly_space, zmod_algebra, zmod_module
+from mobikit.catalog import _draw_unit, nonaffine_poly_space, zmod_algebra, zmod_module
 from mobikit.cli import run_cli
 from mobikit.dsl import load
 from mobikit.report import EvalError, law_seed, report_to_text
@@ -97,10 +97,20 @@ def test_the_catalog_prints_the_same_with_and_without_symbols(capsys, monkeypatc
     assert len(commands) == 57 and len(list_catalog()) == 23
     decided = outputs(capsys, commands)
     without_symbols(monkeypatch)
-    assert outputs(capsys, commands) == decided
-    # the non-affine spaces fail a law; the last two commands stop with an error
+    walked = outputs(capsys, commands)
+    # the non-affine spaces fail a law; the last two commands stop with an
+    # error
     codes = [code for _, code, _, _ in decided]
     assert 1 in codes and codes[-2:] == [2, 2]
+    # the conversions and round trips of halfplane-space and lozenge-space
+    # stop too: their doubler's absence is proven on symbols, and only
+    # searched for in the walk, which is all the outputs differ by
+    absent = [argv[:-6] for argv, code, _, err in decided if "(proven-absent)" in err]
+    assert absent == [("convert", "space-to-module", "halfplane-space"),
+                      ("roundtrip", "halfplane-space"),
+                      ("convert", "space-to-module", "lozenge-space"), ("roundtrip", "lozenge-space")]
+    assert [(argv, code, out, err.replace("(absent-after-search)", "(proven-absent)"))
+            for argv, code, out, err in walked] == decided
 
 
 @pytest.mark.parametrize("seed", [0, 1, 11])
@@ -1442,7 +1452,7 @@ DECIDED_IN_A_PASS = {
         + [("catalog check nonaffine-complex-space", law)
            for law in ("X5", "Y4", "Y5", "Y6", "Y8")]
         + [("catalog check nonaffine-poly-space", law) for law in ("X5", "Y4", "Y5", "Y8")],
-        (496, 496), (18, 19), 57, 0),
+        (496, 496), (20, 20), 57, 0),
     "finite": ([], (139, 139), (8, 8), 20, 0),
     "dsl": ([("check cplx", law) for law in ("X5", "Y4", "Y5", "Y6", "Y8")]
             + [("check halfplane", "Y8")],
@@ -1555,7 +1565,7 @@ def restricted(*conditions, base=Rational()):
 @pytest.mark.parametrize("carrier, domains", [
     (unit_interval(), [UNIT]),
     (build("halfplane-space").points, [FREE, POSITIVE]),
-    (build("lozenge-algebra").carrier, [FREE, FREE]),  # an opaque predicate
+    (build("lozenge-algebra").carrier, [UNIT, UNIT]),  # its box's (see below)
     (restricted(Sign(lambda v: v, strict=True)), [POSITIVE]),
     (restricted(Sign(lambda v: v - 2)), [POSITIVE]),
     (restricted(Sign(lambda v: 2 * v - 1), Sign(lambda v: 1 - v)), [UNIT]),
@@ -1850,10 +1860,8 @@ def test_halfplane_space_and_every_catalog_predicate_report_the_same_without_sym
 
     decided = checked()
     # A0 and X0 of every algebra, space and module's space; all but the 3
-    # over R64, lozenge-algebra's A0, whose predicate is opaque, and
-    # lozenge-space's X0, whose scalars are lozenge pairs, are admitted, as
-    # is halfplane-space's X0 in the command
-    assert len(predicates) == 23 and admitted.count(True) == 18 + 1
+    # over R64 are admitted, as is halfplane-space's X0 in the command
+    assert len(predicates) == 23 and admitted.count(True) == 20 + 1
     assert all(r.passed for r in decided[0]) and decided[1] == 0
     without_symbols(monkeypatch)
     assert checked() == decided
@@ -2132,21 +2140,183 @@ def test_every_r64_equation_of_damped_module_is_decided(monkeypatch):
     assert walked == ["half-plus-half"]  # the one law without variables
 
 
-def test_the_lozenge_scalars_are_refused_closure_and_walked(monkeypatch):
-    # the unit interval admits its own symbol, but its conditions meet the
-    # lozenge's FREE variables, which nonnegative refuses; so X0 is walked
-    # past its first draw: 500 evaluations on numbers, that draw's once
-    admitted, values = [], []
+def test_the_lozenge_closures_are_decided_on_its_box(monkeypatch):
+    # the lozenge's symbol writes (a1, a2) in two UNIT variables, so the
+    # Bernstein test admits A0 of lozenge-algebra and X0 of lozenge-space:
+    # each evaluates its one seeded draw on numbers, and nothing else
+    admitted = []
     decide = report._decided
     monkeypatch.setattr(report, "_decided",
                         lambda *args: admitted.append(decide(*args)) or admitted[-1])
     space = build("lozenge-space")
-    slots = (space.points, space.algebra.carrier, space.points)
-    decided = check_predicate("X0", ("x", "a", "y"), slots, counting(space.q, values),
-                              space.points.contains, Sampled(500))
-    assert decided.passed and len(values) == 500
-    assert admitted == [report.Decided.NOTHING]
-    assert report._admitting(space.points.contains) is space.points
+    lozenge = space.algebra.carrier
+    for law, slots, value, carrier in [
+            ("A0", (lozenge,) * 3, space.algebra.p, lozenge),
+            ("X0", (space.points, lozenge, space.points), space.q, space.points)]:
+        values = []
+        decided = check_predicate(law, ("x", "a", "y"), slots,
+                                  lambda *args: values.append(args) or value(*args),
+                                  carrier.contains, Sampled(500))
+        on_numbers = [args for args in values
+                      if not any(type(v) is Poly for a in args for v in flat(a))]
+        assert decided.passed and len(values) == 2 and len(on_numbers) == 1
+        assert report._admitting(carrier.contains) is carrier
+    assert admitted == [report.Decided.EVERY] * 2
+
+
+def flat(value) -> tuple:
+    """The parts of a tuple, nested, or the value itself."""
+    return sum(map(flat, value), ()) if type(value) is tuple else (value,)
+
+
+def box_coordinates(carrier) -> list:
+    """The terms of each coordinate of a restricted carrier's symbol, its
+    variables named w1, w2, ... in the order the symbol makes them."""
+    symbol = carrier.symbol(variables())
+    units = sorted({v for part in symbol for m in part.terms for v in m})
+    names = {v: f"w{i}" for i, v in enumerate(units, 1)}
+    return [{tuple(names[v] for v in m): c for m, c in part.terms.items()} for part in symbol]
+
+
+@pytest.mark.parametrize("sqrt_k", [F(1, 2), F(1), F(3)])
+def test_the_lozenge_is_the_unit_square_in_its_box_variables(sqrt_k):
+    # w1 = a1 - sqrt_k a2 and w2 = a1 + sqrt_k a2, each in [0, 1], so
+    # a1 = (w1 + w2)/2 and a2 = (w2 - w1)/(2 sqrt_k); its members map back
+    # to (w1, w2) and the box's corners to the lozenge's
+    carrier = build("lozenge-algebra", sqrt_k=sqrt_k).carrier
+    assert carrier.member is None and len(carrier.conditions) == 4
+    half = F(1, 2)
+    assert box_coordinates(carrier) == [{("w1",): half, ("w2",): half},
+                                        {("w1",): -half / sqrt_k, ("w2",): half / sqrt_k}]
+    symbol = carrier.symbol(variables())
+    units = sorted({v for part in symbol for m in part.terms for v in m})
+    assert [symbolic.domain_of(v) for v in units] == [UNIT, UNIT]
+    corners = [carrier.element(symbol, dict(zip(units, w)))
+               for w in [(0, 0), (1, 0), (0, 1), (1, 1)]]
+    assert corners == [(0, 0), (half, -half / sqrt_k), (half, half / sqrt_k), (1, 0)]
+    assert carrier.element(symbol, dict(zip(units, (2, 2)))) is None  # (2, 0)
+    assert carrier.admits(symbol)
+
+
+@pytest.mark.parametrize("carrier", [
+    unit_interval(), build("halfplane-space").points,
+    restricted(Sign(lambda v: v), Sign(lambda v: 2 - v)),
+    restricted(Sign(lambda p: p[0]), Sign(lambda p: 2 - p[0]), Sign(lambda p: p[1] - 1),
+               Sign(lambda p: 3 - p[1]), base=Vector(Rational(), 2)),
+    restricted(Sign(lambda p: p[0] - p[1]), Sign(lambda p: 1 - p[0] + p[1]),
+               Sign(lambda p: p[0] + p[1]), base=Vector(Rational(), 2)),
+    restricted(Sign(lambda p: p[0] - p[1]), Sign(lambda p: 1 - p[0] + p[1]),
+               Sign(lambda p: p[0] + p[1]), Sign(lambda p: p[1] - p[0] + 2),
+               base=Vector(Rational(), 2)),
+], ids=["unit interval", "half-plane", "0 <= v <= 2", "a box in each coordinate",
+        "one slab", "two slabs, one direction"])
+def test_a_carrier_whose_conditions_bound_no_parallelotope_keeps_its_domains(carrier):
+    # one coordinate per condition, or fewer independent slabs than
+    # coordinates: the symbol is the base's, each variable in its domain
+    assert carrier._box is None
+    assert all(len(part.terms) == 1 for part in flat(carrier.symbol(variables())))
+
+
+def parallelotope(A, d, c, strict=False):
+    """The carrier {x in Q^2 : 0 <= (A x + d)_i <= c_i}, strictly at the
+    first lower and the second upper bound when strict, whose sampler maps
+    two unit draws w to x = A^-1 (c * w - d), each w off a strict bound."""
+    (p, q), (r, s) = A
+    det = F(p * s - q * r)
+
+    def l(i):
+        return lambda x: A[i][0] * x[0] + A[i][1] * x[1] + d[i]
+
+    def draw(rng):
+        w = [_draw_unit(rng), _draw_unit(rng)]
+        if strict:
+            w = [F(1, 2) if w[0] == 0 else w[0], F(1, 2) if w[1] == 1 else w[1]]
+        u, v = (c[i] * w[i] - d[i] for i in range(2))
+        return ((s * u - q * v) / det, (p * v - r * u) / det)
+
+    return Restricted(Vector(Rational(), 2), conditions=(
+        Sign(l(0), strict), Sign(lambda x: c[0] - l(0)(x)),
+        Sign(l(1)), Sign(lambda x: c[1] - l(1)(x), strict)), sampler=draw)
+
+
+SMALL = st.sampled_from([F(-3), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(2)])
+SCALES = st.sampled_from([F(1, 2), F(1), F(2), F(3)])
+
+
+@st.composite
+def parallelotopes(draw):
+    # A rational and nonsingular, with a row in both coordinates: else
+    # every condition bounds one coordinate, and the symbol is the base's
+    A = draw(st.tuples(st.tuples(SMALL, SMALL), st.tuples(SMALL, SMALL)).filter(
+        lambda A: A[0][0] * A[1][1] != A[0][1] * A[1][0] and any(all(row) for row in A)))
+    d = draw(st.tuples(SMALL, SMALL))
+    c = draw(st.tuples(SCALES, SCALES))
+    return parallelotope(A, d, c, draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(parallelotopes(), st.sampled_from(["affine", "quadratic"]),
+       st.sampled_from([F(0), F(1, 3), F(1), F(3, 2), F(-1, 2)]), st.integers(0, 3))
+def test_a_parallelotope_reports_what_its_walk_reports(carrier, kind, t, seed):
+    # x + t (y - x), and x + t w1(z) (y - x) for the box variable w1 of z,
+    # stay in the parallelotope for t in [0, 1] and may leave it otherwise;
+    # a closure, an equation and an implication (false where t w1(x) = 0)
+    # report the same decided as walked, the implication's copies kept in
+    # the box
+    assert carrier._box is not None
+    w1 = carrier.conditions[0].g
+    width = carrier.conditions[1].g((0, 0)) + w1((0, 0))  # c_1
+
+    def op(x, y, z):
+        s = t if kind == "affine" else t * w1(z) / width
+        return tuple(a + s * (b - a) for a, b in zip(x, y))
+
+    eq, slots = carrier.eq, (carrier,) * 3
+    strategy = Sampled(30, seed)
+
+    def reports():
+        return [
+            check_predicate("closed", ("x", "y", "z"), slots, op, carrier.contains, strategy),
+            check_equation("idempotent", ("x", "z"), slots[:2], eq,
+                           lambda x, z: op(x, x, z), lambda x, z: x, strategy),
+            check_implication("cancel", ("x", "y", "z"), slots,
+                              (lambda x, y, z: op(x, y, x), lambda x, y, z: op(x, z, x)),
+                              eq, lambda x, y, z: y, lambda x, y, z: z, strategy,
+                              lambda a: (a[0], a[1], a[1])),
+        ]
+
+    decided = reports()
+    with pytest.MonkeyPatch.context() as patch:
+        without_symbols(patch)
+        assert reports() == decided
+    # on the closed box, a strict bound is met only by a walk
+    closed = 0 <= t <= 1
+    admitted = report._decided(slots, lambda v, _: carrier.admits(v), op, report._nothing)
+    assert admitted == (report.Decided.EVERY if closed and not carrier.conditions[0].strict
+                        else report.Decided.NOTHING)
+    assert decided[0].passed or not closed
+
+
+def test_a_lozenge_operation_that_leaves_the_box_at_a_corner_fails_with_the_walks_witness(
+        monkeypatch):
+    # w1 := w1 + (w1 w2)^2 / 4 leaves the unit square only near w = (1, 1),
+    # a = (1, 0): in (a1, a2), with w1 w2 = a1^2 - a2^2, it moves a1 by
+    # e = (a1^2 - a2^2)^2 / 8 and a2 by -e
+    lozenge = build("lozenge-algebra").carrier
+
+    def corner(a):
+        e = (a[0] * a[0] - a[1] * a[1]) ** 2 / 8
+        return (a[0] + e, a[1] - e)
+
+    def check():
+        return check_predicate("A0", ("a",), (lozenge,), corner, lozenge.contains, Sampled(500))
+
+    decided = check()
+    assert not decided.passed and not lozenge.contains(decided.witness.lhs)
+    assert report._decided((lozenge,), lambda v, _: lozenge.admits(v), corner,
+                           report._nothing) == report.Decided.NOTHING
+    without_symbols(monkeypatch)
+    assert check() == decided
 
 
 EXPRESSION_LEAVES = (st.tuples(st.just("v"), st.integers(0, 1))
