@@ -15,15 +15,16 @@ path with a `_Fraction` result, and it prints, hashes and compares as the
 values n/d with |n| <= 12 and 1 <= d <= 8, consuming the RNG exactly as
 `rng.randint` would.
 
-Each carrier has one draw function, rng -> element, built on the first
-draw and kept; `draw(rng)` calls it, and `draws` fetches it once
-(`drawer()`) and calls it as its iterator is read (`sample` lists them).
-The functions of Rational, Q[i], R64 and Z/m inline `random.Random`'s
-getrandbits rejection loop: the same calls in the same order as
-`rng.randint` (or `rng.randrange`), and the same values.
-A product's function is one tuple display over its parts' functions.  A
-restricted carrier's function is its `draw` method, which checks each
-sampled value for membership and bounds rejection by MAX_REJECTS.
+Each carrier draws with one plain method, `draw(rng)`; `draws` calls it
+as its iterator is read (`sample` lists them).  Z/m draws with
+`rng.randrange(m)`.  Rational values and R64's floats are nearly all of
+a sampled pass's draws, so `_draw_rational` (which Q[i] calls for each
+part) and `Float64.draw` alone inline `random.Random`'s getrandbits
+rejection loop: the same calls in the same order as `rng.randint`, and the
+same values, at about a third of its cost.
+A product's draw is the tuple of its parts' draws, left to right.  A
+restricted carrier's draw checks each sampled value for membership and
+bounds rejection by MAX_REJECTS.
 
 QI arithmetic and equality skip `QI.coerce` when the other operand is a
 QI, and results are built without `QI.__init__`'s type tests, since sums,
@@ -88,7 +89,7 @@ from typing import Callable, Iterator
 from . import symbolic
 from .rational import _Fraction, _gcd, _make, _new
 from .symbolic import (FREE, REAL, UNIT, Exp, Points, Poly, Quotient, Undecided, congruent,
-                       difference, affine, domain_of, domains, equal, exp_difference,
+                       difference, domain_of, domains, equal, exp_difference,
                        nonnegative, reflected, residue, variables)
 
 MAX_REJECTS = 10_000
@@ -144,10 +145,10 @@ _DENOMINATOR_BITS = DENOMINATOR_BOUND.bit_length()
 
 
 def _draw_rational(rng: random.Random) -> _Fraction:
-    """Rational's draw function: Fraction(rng.randint(-B, B), rng.randint(1,
-    D)) for B = RATIONAL_NUMERATOR_BOUND and D = DENOMINATOR_BOUND, with both
-    randint loops inlined (the same getrandbits calls in the same order) and
-    the value read from _DRAWS, whose rows and columns are the loops' results."""
+    """Rational's draw: Fraction(rng.randint(-B, B), rng.randint(1, D)) for
+    B = RATIONAL_NUMERATOR_BOUND and D = DENOMINATOR_BOUND, with both randint
+    loops inlined (the same getrandbits calls in the same order) and the
+    value read from _DRAWS, whose rows and columns are the loops' results."""
     getrandbits = rng.getrandbits
     n = getrandbits(_NUMERATOR_BITS)
     while n >= _NUMERATOR_WIDTH:
@@ -410,11 +411,6 @@ class Carrier:
     def draw(self, rng: random.Random):
         raise NotImplementedError
 
-    def drawer(self) -> Callable[[random.Random], object]:
-        """The function rng -> element behind draw(rng), for callers that
-        draw many times: fetch it once, then call it."""
-        return self.draw
-
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -422,42 +418,8 @@ class Carrier:
         return self.describe()
 
 
-class _BuiltDraw(Carrier):
-    """A carrier whose draw function is built by _build_draw on first use and
-    kept; draw(rng) and drawer() both use that one function.  Carriers that
-    are never drawn from, such as those of an exhaustive check, never build
-    it."""
-
-    @functools.cached_property
-    def _draw(self) -> Callable[[random.Random], object]:
-        return self._build_draw()
-
-    def _build_draw(self) -> Callable[[random.Random], object]:
-        raise NotImplementedError
-
-    def draw(self, rng):
-        return self._draw(rng)
-
-    def drawer(self):
-        return self._draw
-
-    def __getstate__(self):
-        # copies and pickles build their own draw function on first use
-        return {k: v for k, v in self.__dict__.items() if k != "_draw"}
-
-
-def _draw_gaussian(rng: random.Random) -> QI:
-    """GaussianRational's draw function: QI(re, im), each part drawn as a
-    Rational's Fraction(rng.randint(-B, B), rng.randint(1, D)) (see
-    _draw_rational), the real part first."""
-    z = _new(QI)
-    _set_re(z, _draw_rational(rng))
-    _set_im(z, _draw_rational(rng))
-    return z
-
-
 @dataclass(frozen=True)
-class Rational(_BuiltDraw):
+class Rational(Carrier):
     """All of Q; values are Fraction (ints accepted and compared exactly)."""
 
     def contains(self, x):
@@ -477,8 +439,8 @@ class Rational(_BuiltDraw):
     def admits(self, x):
         return _exact(x) or self.contains(x)
 
-    def _build_draw(self):
-        return _draw_rational
+    def draw(self, rng):
+        return _draw_rational(rng)
 
     def symbol(self, fresh):
         return fresh()
@@ -495,7 +457,7 @@ class Rational(_BuiltDraw):
 
 
 @dataclass(frozen=True)
-class GaussianRational(_BuiltDraw):
+class GaussianRational(Carrier):
     """Q[i]; values are QI (plain rationals accepted as real values)."""
 
     def contains(self, x):
@@ -518,8 +480,9 @@ class GaussianRational(_BuiltDraw):
             return all(_exact(v) or isinstance(v, Fraction) for v in (x.re, x.im))
         return _exact(x) or self.contains(x)
 
-    def _build_draw(self):
-        return _draw_gaussian
+    def draw(self, rng):
+        # each part drawn as a Rational is, the real part first
+        return _qi(_draw_rational(rng), _draw_rational(rng))
 
     def symbol(self, fresh):
         return _qi(fresh(), fresh())
@@ -541,7 +504,7 @@ class GaussianRational(_BuiltDraw):
 
 
 @dataclass(frozen=True)
-class ModularInt(_BuiltDraw):
+class ModularInt(Carrier):
     """Residues mod m; any int is a member, equality is mod-m, and an
     implication's differences are reduced mod m (differences)."""
 
@@ -581,19 +544,8 @@ class ModularInt(_BuiltDraw):
     def symbol(self, fresh):
         return fresh(integer=True)
 
-    def _build_draw(self):
-        m = self.modulus
-        k = m.bit_length()
-
-        def draw(rng):
-            # rng.randrange(m): random.Random's getrandbits loop, inlined
-            getrandbits = rng.getrandbits
-            r = getrandbits(k)
-            while r >= m:
-                r = getrandbits(k)
-            return r
-
-        return draw
+    def draw(self, rng):
+        return rng.randrange(self.modulus)
 
     def describe(self):
         return f"Z/{self.modulus}"
@@ -606,11 +558,15 @@ class ModularInt(_BuiltDraw):
 
 
 @dataclass(frozen=True)
-class Float64(_BuiltDraw):
+class Float64(Carrier):
     """Finite doubles, equal within FLOAT_ATOL + FLOAT_RTOL*max(|x|,|y|), and
     exactly on symbols (see symbolic)."""
 
     span: int = 8  # sampling draws float(Fraction(n, d)) with |n| <= span
+
+    def __post_init__(self):
+        if self.span < 0:
+            raise ValueError("span must be >= 0")
 
     def contains(self, x):
         if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
@@ -628,28 +584,22 @@ class Float64(_BuiltDraw):
             return True
         return abs(fx - fy) <= FLOAT_ATOL + FLOAT_RTOL * max(abs(fx), abs(fy))
 
-    def _build_draw(self):
+    def draw(self, rng):
+        # float(Fraction(rng.randint(-span, span),
+        #                rng.randint(1, DENOMINATOR_BOUND))), both randint
+        # loops inlined (see the module notes): n / d is correctly rounded,
+        # as Fraction.__float__ is, so reducing n/d first changes nothing
         span = self.span
         width = 2 * span + 1
-        if width < 1:
-            raise ValueError("span must be >= 0")
         k = width.bit_length()
-
-        def draw(rng):
-            # float(Fraction(rng.randint(-span, span),
-            #                rng.randint(1, DENOMINATOR_BOUND))):
-            # n / d is correctly rounded, as Fraction.__float__ is, so
-            # reducing n/d first changes nothing
-            getrandbits = rng.getrandbits
+        getrandbits = rng.getrandbits
+        n = getrandbits(k)
+        while n >= width:
             n = getrandbits(k)
-            while n >= width:
-                n = getrandbits(k)
+        d = getrandbits(_DENOMINATOR_BITS)
+        while d >= DENOMINATOR_BOUND:
             d = getrandbits(_DENOMINATOR_BITS)
-            while d >= DENOMINATOR_BOUND:
-                d = getrandbits(_DENOMINATOR_BITS)
-            return (n - span) / (d + 1)
-
-        return draw
+        return (n - span) / (d + 1)
 
     def describe(self):
         return "R64"
@@ -669,21 +619,8 @@ class Float64(_BuiltDraw):
         return Poly(fresh().terms, REAL)
 
 
-@functools.lru_cache(maxsize=None)
-def _tuple_builder(k: int):
-    """(f0, ..., f(k-1)) -> (rng -> (f0(rng), ..., f(k-1)(rng))).
-
-    The inner function is one tuple display, which calls the parts left to
-    right with no loop or generator.  It is generated once per arity, as
-    collections.namedtuple generates its methods.
-    """
-    names = [f"f{i}" for i in range(k)]
-    calls = "".join(f"{f}(rng), " for f in names)
-    return eval(f"lambda {', '.join(names)}: lambda rng: ({calls})")
-
-
 @dataclass(frozen=True)
-class Product(_BuiltDraw):
+class Product(Carrier):
     """Tuples whose i-th slot lives in parts[i]."""
 
     parts: tuple
@@ -761,8 +698,8 @@ class Product(_BuiltDraw):
         parts = tuple(p.element(s, values) for p, s in zip(self.parts, symbol))
         return None if any(v is None for v in parts) else parts
 
-    def _build_draw(self):
-        return _tuple_builder(len(self.parts))(*(p.drawer() for p in self.parts))
+    def draw(self, rng):
+        return tuple([p.draw(rng) for p in self.parts])
 
     def describe(self):
         return " x ".join(p.describe() for p in self.parts)
@@ -793,8 +730,11 @@ class Restricted(Carrier):
     every condition and the predicate.
 
     Draws rejection-sample the base unless `sampler` (rng -> element) draws
-    members directly; its values are still checked for membership.  Its draw
-    function is draw itself, which calls base.draw for each candidate.
+    members directly; its values are still checked for membership by
+    _meets, which compares each condition's g with 0 and then calls the
+    predicate.  A sampled pass draws from restricted carriers rarely, next
+    to the Q and R64 draws that _draw_rational and Float64.draw inline, so
+    both stay plain calls.
 
     Its symbol is its base's, each variable in the domain (see
     symbolic.variables) that the conditions bound it to: UNIT for
@@ -823,36 +763,22 @@ class Restricted(Carrier):
     sampler: Callable[[random.Random], object] | None = None
     conditions: tuple = ()  # of Sign
 
-    @functools.cached_property
-    def _member(self) -> Callable[[object], object]:
-        """The test of an element of the base: the predicate itself when
-        there are no conditions, else one expression of the conditions and
-        the predicate, generated once, as _tuple_builder generates its draw
-        functions, since each draw is tested.  A condition c*v + d >= 0 (or
-        > 0) in one coordinate v compares v with its bound -d/c instead of
-        calling g (see _bounds)."""
-        if not self.conditions:
-            return self.member or (lambda x: True)
-        tests, namespace, bounds = [], {}, self._bounds
-        for k, c in enumerate(self.conditions):
-            if k in bounds:
-                coordinate, comparison, namespace[f"b{k}"] = bounds[k]
-                tests.append(f"{coordinate} {comparison} b{k}")
-            else:
-                tests.append(f"g{k}(x) {'>' if c.strict else '>='} 0")
-                namespace[f"g{k}"] = c.g
-        if self.member is not None:
-            tests.append("member(x)")
-            namespace["member"] = self.member
-        return eval(f"lambda x: {' and '.join(tests)}", namespace)
+    def _meets(self, x) -> bool:
+        """Whether an element of the base meets every condition (g > 0 for a
+        strict one, g >= 0 otherwise) and then the predicate."""
+        for c in self.conditions:
+            g = c.g(x)
+            if not (g > 0 if c.strict else g >= 0):
+                return False
+        return self.member is None or bool(self.member(x))
 
     @functools.cached_property
     def _signs(self) -> tuple:
         """(symbol, indices, values): the base's symbol, of variables
         numbered from 0 (None when it has none), the index of each variable
         in the order the symbol makes them, and each condition's g evaluated
-        once on the symbol, None where that raises; _bounds and _domains
-        both read them."""
+        once on the symbol, None where that raises; _domains and _box both
+        read them."""
         indices, fresh = [], variables()
 
         def record(integer=False, domain=FREE):
@@ -868,27 +794,8 @@ class Restricted(Carrier):
                 values.append(None)
         return symbol, indices, values
 
-    @functools.cached_property
-    def _bounds(self) -> dict:
-        """{k: (coordinate, comparison, bound)} for each condition k that is
-        c*v + d >= 0 (> 0) in one coordinate v of a rational or int element
-        (symbolic.affine, on the base's symbol): the coordinate's expression
-        in x, such as x or x[1], and v >= -d/c for c > 0, v <= -d/c for
-        c < 0, strictly for a strict condition; g is called otherwise."""
-        symbol, _, values = self._signs
-        coordinates, out = _coordinates(symbol, "x", {}), {}
-        for k, (c, value) in enumerate(zip(self.conditions, values)):
-            form = affine(value)
-            if form is None or form[0] not in coordinates:
-                continue
-            v, slope, bound = form
-            comparison = (">" if slope > 0 else "<") + ("" if c.strict else "=")
-            out[k] = (coordinates[v], comparison,
-                      int(bound) if bound.denominator == 1 else bound)
-        return out
-
     def contains(self, x):
-        return self.base.contains(x) and bool(self._member(x))
+        return self.base.contains(x) and self._meets(x)
 
     def admits(self, x):
         return (self.member is None and self.base.admits(x)
@@ -910,7 +817,7 @@ class Restricted(Carrier):
         return self.base.coerce(value)
 
     def elements(self):
-        return [x for x in self.base.elements() if self._member(x)]
+        return [x for x in self.base.elements() if self._meets(x)]
 
     def size(self):
         # the base's size bounds the members' count without testing them
@@ -991,7 +898,7 @@ class Restricted(Carrier):
             return x
         for _ in range(MAX_REJECTS):
             x = self.base.draw(rng)
-            if self._member(x):
+            if self._meets(x):
                 return x
         raise SamplingExhausted(
             f"{MAX_REJECTS} consecutive candidates rejected for {self.describe()}")
@@ -1094,24 +1001,12 @@ def _eliminate(left: dict, row: dict, c) -> None:
             left[u] = s
 
 
-def _coordinates(symbol, expression: str, out: dict) -> dict:
-    """out, with the expression in x of each variable of a symbol that is a
-    variable or a tuple of them, nested: x, x[0], x[1][0], ...; a QI's
-    parts are left out."""
-    if type(symbol) is tuple:
-        for i, part in enumerate(symbol):
-            _coordinates(part, f"{expression}[{i}]", out)
-    elif type(symbol) is Poly:
-        out[next(iter(symbol.terms))[0]] = expression
-    return out
-
-
 def draws(carrier: Carrier, seed: int, n: int) -> Iterator:
     """n elements drawn from an RNG seeded with `seed`, finite carriers too,
     each drawn when the iterator reaches it."""
     if n < 0:
         raise ValueError("sample size must be >= 0")
-    return map(carrier.drawer(), itertools.repeat(random.Random(seed), n))
+    return map(carrier.draw, itertools.repeat(random.Random(seed), n))
 
 
 def sample(carrier: Carrier, seed: int, n: int) -> list:

@@ -15,10 +15,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import MobiAlgebra
-from .carriers import (_DENOMINATOR_BITS, _DRAWS, DENOMINATOR_BOUND,
-                       RATIONAL_NUMERATOR_BOUND, Float64, GaussianRational,
-                       ModularInt, Product, QI, Rational, Restricted, Sign, Vector,
-                       _draw_rational, _tuple_builder, exp)
+from .carriers import (_DRAWS, DENOMINATOR_BOUND, RATIONAL_NUMERATOR_BOUND, Float64,
+                       GaussianRational, ModularInt, Product, QI, Rational, Restricted,
+                       Sign, Vector, _draw_rational, exp)
 from .rational import _Fraction
 from .ringmod import RModule, RingWithHalf
 from .space import MobiSpace, transport_space
@@ -99,62 +98,29 @@ def _canonical_p(a, b, c):
 # Direct samplers for the restricted carriers below.  Each draws n/d with
 # |n| <= RATIONAL_NUMERATOR_BOUND and 1 <= d <= DENOMINATOR_BOUND, the support
 # of a Rational draw, so it reaches exactly the values rejection sampling
-# would accept.  Like carriers._draw_rational, each inlines random.Random's
-# getrandbits loop for every rng.randint it stands for (the same calls in the
-# same order) and reads n/d from _DRAWS[d - 1][n + RATIONAL_NUMERATOR_BOUND].
-
-def _numerators(lo: int, hi: int) -> tuple:
-    """(column of lo in a _DRAWS row, width, bits) of rng.randint(lo, hi)."""
-    width = hi - lo + 1
-    return (lo + RATIONAL_NUMERATOR_BOUND, width, width.bit_length())
-
-
-# _UNIT[d - 1]: the numerators n with 0 <= n/d <= 1
-_UNIT = tuple(_numerators(0, min(d, RATIONAL_NUMERATOR_BOUND))
-              for d in range(1, DENOMINATOR_BOUND + 1))
-_POSITIVE = _numerators(1, RATIONAL_NUMERATOR_BOUND)
-
+# would accept, and reads n/d from _DRAWS[d - 1][n + RATIONAL_NUMERATOR_BOUND].
+# They call rng.randint: only the unrestricted draws that make up nearly all
+# of a sampled pass (carriers._draw_rational, Float64.draw) inline its loop.
 
 def _draw_unit(rng) -> Fraction:
     """n/d in [0, 1]: d = rng.randint(1, 8), then n = rng.randint(0, d)."""
-    getrandbits = rng.getrandbits
-    d = getrandbits(_DENOMINATOR_BITS)
-    while d >= DENOMINATOR_BOUND:
-        d = getrandbits(_DENOMINATOR_BITS)
-    column, width, bits = _UNIT[d]
-    n = getrandbits(bits)
-    while n >= width:
-        n = getrandbits(bits)
-    return _DRAWS[d][column + n]
+    d = rng.randint(1, DENOMINATOR_BOUND)
+    n = rng.randint(0, min(d, RATIONAL_NUMERATOR_BOUND))
+    return _DRAWS[d - 1][n + RATIONAL_NUMERATOR_BOUND]
 
 
 def _draw_symmetric(rng, num: int, den: int) -> Fraction:
     """n/d with |n/d| <= num/den (num >= 0, den > 0): d = rng.randint(1, 8),
     then n = rng.randint(-h, h) with h = min(floor(num * d / den), 12)."""
-    getrandbits = rng.getrandbits
-    d = getrandbits(_DENOMINATOR_BITS)
-    while d >= DENOMINATOR_BOUND:
-        d = getrandbits(_DENOMINATOR_BITS)
-    h = min(num * (d + 1) // den, RATIONAL_NUMERATOR_BOUND)
-    width = 2 * h + 1
-    bits = width.bit_length()
-    n = getrandbits(bits)
-    while n >= width:
-        n = getrandbits(bits)
-    return _DRAWS[d][RATIONAL_NUMERATOR_BOUND - h + n]
+    d = rng.randint(1, DENOMINATOR_BOUND)
+    h = min(num * d // den, RATIONAL_NUMERATOR_BOUND)
+    return _DRAWS[d - 1][rng.randint(-h, h) + RATIONAL_NUMERATOR_BOUND]
 
 
 def _draw_positive(rng) -> Fraction:
     """n/d > 0: n = rng.randint(1, 12), then d = rng.randint(1, 8)."""
-    getrandbits = rng.getrandbits
-    column, width, bits = _POSITIVE
-    n = getrandbits(bits)
-    while n >= width:
-        n = getrandbits(bits)
-    d = getrandbits(_DENOMINATOR_BITS)
-    while d >= DENOMINATOR_BOUND:
-        d = getrandbits(_DENOMINATOR_BITS)
-    return _DRAWS[d][column + n]
+    n = rng.randint(1, RATIONAL_NUMERATOR_BOUND)
+    return _DRAWS[rng.randint(1, DENOMINATOR_BOUND) - 1][n + RATIONAL_NUMERATOR_BOUND]
 
 
 def _unit_interval():
@@ -330,9 +296,12 @@ def transported_space(lam=(F(1),), K=(F(0), F(0), F(1))) -> MobiSpace:
         "weighted by at/(s + a(t-s))",
         origin=lambda ps: (F(0),) * ps["n"] + (F(1),))
 def halfplane_space(n: int = 1) -> MobiSpace:
-    pairs = Vector(Rational(), n + 1)  # rejects n < 0 before the draw is built
-    # one tuple display: n Rational draws, then the positive last coordinate
-    draw = _tuple_builder(n + 1)(*[_draw_rational] * n, _draw_positive)
+    pairs = Vector(Rational(), n + 1)  # rejects n < 0
+
+    def draw(rng):
+        # n Rational draws, then the positive last coordinate
+        return (*[_draw_rational(rng) for _ in range(n)], _draw_positive(rng))
+
     points = Restricted(pairs, conditions=(Sign(lambda p: p[n], strict=True),),
                         label="s > 0", sampler=draw)
 

@@ -137,7 +137,10 @@ def _params(args) -> dict:
         if "=" not in item:
             raise ValueError(f"--param wants NAME=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"--param {key} is given more than once")
+        out[key] = value.strip()
     return out
 
 

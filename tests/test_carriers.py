@@ -466,7 +466,7 @@ def test_catalog_samplers_reproduce_the_randint_stream(name):
     """Each sampler, through its carrier, gives the values of its rng.randint
     formula and leaves the RNG in the same state."""
     carrier, reference = CATALOG_SAMPLERS[name]
-    draw = carrier().drawer()
+    draw = carrier().draw
     for seed in range(100):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         for _ in range(10):
@@ -525,19 +525,18 @@ def test_mixed_draws_reproduce_the_randint_stream(name):
         assert rng.random() == ref_rng.random(), (name, seed)
 
 
+def test_a_negative_float_span_is_refused_when_the_carrier_is_built():
+    with pytest.raises(ValueError, match="span must be >= 0"):
+        Float64(span=-1)
+    assert Float64(span=0).draw(random.Random(0)) == 0.0
+
+
 def test_sample_draws_the_same_stream_as_draw():
     for seed in range(50):
         ref_rng = random.Random(seed)
         assert sample(MIXED, seed, 8) == [_mixed(ref_rng) for _ in range(8)]
         rng = random.Random(seed)
         assert sample(MIXED, seed, 8) == [MIXED.draw(rng) for _ in range(8)]
-
-
-def test_each_carrier_has_one_draw_function():
-    for c in (Rational(), GaussianRational(), Float64(), ModularInt(5), MIXED, NESTED):
-        assert c.drawer() is c.drawer()
-    restricted = MIXED.parts[3]
-    assert restricted.drawer() == restricted.draw  # its draw method, which checks members
 
 
 def test_copies_and_pickles_of_carriers_draw_the_same_stream():

@@ -360,6 +360,8 @@ def test_trace_walks_scalars_that_are_pairs_or_triples(tmp_path, capsys, name, s
      "error: end (1/2, -1/3) is not in {Q x Q : s > 0}"),
     (("trace", "lozenge-space", "--from", "0", "--to", "10^5000", "--steps", "2"),
      "error: end 10000000000000000000...(5001 digits) is not in {Q : 0 <= t <= 1}"),
+    (("catalog", "check", "zmod-algebra", "--param", "m=3", "--param", "m=5"),
+     "error: --param m is given more than once"),
 ])
 def test_a_command_that_cannot_run_exits_two(tmp_path, capsys, argv, message):
     if argv[0] == "trace":

@@ -112,13 +112,11 @@ def test_a_law_seed_is_the_blake2s_digest_of_seed_and_law(seed, law, value):
 def test_sampled_draws_each_assignment_when_the_walk_reaches_it(monkeypatch):
     calls = []
 
-    def build(self):
-        def draw(rng):
-            calls.append(rng)
-            return _draw_rational(rng)
-        return draw
+    def draw(self, rng):
+        calls.append(rng)
+        return _draw_rational(rng)
 
-    monkeypatch.setattr(Rational, "_build_draw", build)
+    monkeypatch.setattr(Rational, "draw", draw)
     slots = (Rational(), Rational())
     walk = iter(Sampled(500, 3).assignments("law", slots))
     first = [next(walk) for _ in range(3)]

@@ -1595,14 +1595,10 @@ def test_a_restricted_carrier_tests_its_conditions_and_its_predicate_on_numbers(
 
 
 def test_an_affine_condition_compares_its_coordinate_with_a_bound():
-    # without calling g on each draw; any other condition calls it
     unit = unit_interval()
-    assert unit._bounds == {0: ("x", ">=", 0), 1: ("x", "<=", 1)}
-    assert build("halfplane-space").points._bounds == {0: ("x[1]", ">", 0)}
     mixed = Restricted(Vector(Rational(), 2), conditions=(
         Sign(lambda p: 3 * p[0] - 1, strict=True), Sign(lambda p: p[1] * p[1] - 1)),
         sampler=lambda rng: None)
-    assert mixed._bounds == {0: ("x[0]", ">", F(1, 3))}
     for p in [(F(1, 3), 1), (F(1, 2), F(1, 2)), (F(1, 2), -1), (0, 2)]:
         assert mixed.contains(p) == (3 * p[0] - 1 > 0 and p[1] * p[1] - 1 >= 0)
     for v in (F(-1, 100), 0, F(1, 2), 1, F(101, 100)):
@@ -1610,8 +1606,8 @@ def test_an_affine_condition_compares_its_coordinate_with_a_bound():
 
 
 def test_each_condition_is_evaluated_on_symbols_once():
-    # _bounds, which _member reads, and _domains, which symbol() reads,
-    # share one evaluation of each g on the base's symbol
+    # _domains and _box, which symbol() reads, share one evaluation of each
+    # g on the base's symbol
     calls = {}
 
     def counted(k, g):
