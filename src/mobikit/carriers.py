@@ -28,7 +28,16 @@ bounds rejection by MAX_REJECTS.
 
 QI arithmetic and equality skip `QI.coerce` when the other operand is a
 QI, and results are built without `QI.__init__`'s type tests, since sums,
-products and quotients of Fractions are Fractions.  `Rational.eq` and
+products and quotients of Fractions are Fractions.  A real operand r (a
+`_Fraction` or a symbol) of +, - and * meets only the nonzero half of
+QI(r, 0): (a + bi) * r is a*r + (b*r)i, not (a*r - b*0) + (a*0 + b*r)i.
+The general path's extra terms are products by zero, empty polynomials
+whose sums keep the other side's terms in their order, so the fast path
+gives the same values and, on symbols, the same terms in the same order,
+which is what keeps a decided law's reports byte-identical.  (A number
+half beside a symbolic one stays a number, where the general path adds
+the empty polynomial to it and makes it a constant one: the same value
+and terms.)  `Rational.eq` and
 `GaussianRational.eq` compare `_Fraction` and `QI` components directly, and
 `Product.eq` tests an exact tuple's length before falling back to the
 general shape check, with the same `ShapeError` as before.  `ModularInt.eq`
@@ -250,24 +259,37 @@ class QI:
             return QI(x, 0)
         raise ShapeError(f"expected a Gaussian rational, got {_shown(x)}")
 
-    # A QI operand skips coerce; _qi builds the results (see the module notes)
+    # A QI operand skips coerce, a real one (a _Fraction or a symbol) meets
+    # the nonzero half only; _qi builds the results (see the module notes)
 
     def __add__(self, other):
-        o = other if type(other) is QI else QI.coerce(other)
+        t = type(other)
+        if t is _Fraction or t in _SYMBOLS:
+            return _qi(self.re + other, self.im)
+        o = other if t is QI else QI.coerce(other)
         return _qi(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if type(other) is QI else QI.coerce(other)
+        t = type(other)
+        if t is _Fraction or t in _SYMBOLS:
+            return _qi(self.re - other, self.im)
+        o = other if t is QI else QI.coerce(other)
         return _qi(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
+        t = type(other)
+        if t is _Fraction or t in _SYMBOLS:
+            return _qi(other - self.re, -self.im)
         o = QI.coerce(other)
         return _qi(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        o = other if type(other) is QI else QI.coerce(other)
+        t = type(other)
+        if t is _Fraction or t in _SYMBOLS:
+            return _qi(self.re * other, self.im * other)
+        o = other if t is QI else QI.coerce(other)
         a, b, c, d = self.re, self.im, o.re, o.im
         return _qi(a * c - b * d, a * d + b * c)
 

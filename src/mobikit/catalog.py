@@ -9,6 +9,7 @@ work out of the box.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +47,7 @@ class CatalogEntry:
         """The last word of the name: algebra, space or module."""
         return self.name.rpartition("-")[2]
 
-    @property
+    @functools.cached_property  # inspect.signature is slow; once per entry
     def params(self) -> tuple:
         """The builder's keyword parameters and their defaults."""
         return tuple(ParamSpec(p.name, p.default)

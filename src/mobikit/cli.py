@@ -23,7 +23,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 # algebra before catalog: imported through catalog, symbolic.py, the largest
@@ -36,7 +35,7 @@ from fractions import Fraction
 from .algebra import MobiAlgebra, check_algebra, check_properties
 from . import catalog as _catalog
 from .carriers import CarrierError, QI
-from .report import EvalError, Exhaustive, Sampled, all_passed, \
+from .report import CheckReport, EvalError, Exhaustive, Sampled, all_passed, \
     report_to_text, reports_to_json
 from .ringmod import RModule, check_module, check_ring
 from .space import (MobiSpace, PointedMobiSpace, check_affine, check_space,
@@ -84,7 +83,9 @@ def _emit(reports, fmt: str) -> int:
 
 
 def _prefixed(name: str, reports) -> list:
-    return [replace(r, law=f"{name}.{r.law}") for r in reports]
+    # built directly: dataclasses.replace reads every field by name first
+    return [CheckReport(f"{name}.{r.law}", r.strategy, r.verdict, r.witness)
+            for r in reports]
 
 
 def _suite(structure, args) -> list:

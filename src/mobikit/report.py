@@ -294,10 +294,13 @@ def _compared(eq: Callable, sides: tuple) -> Callable:
 
 
 def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
-             premise=None, construct: Callable | None = None) -> Decided:
+             premise=None, construct: Callable | None = None,
+             assignment: tuple | None = None) -> Decided:
     """What one evaluation of a law on a symbol for each slot decides (see
-    symbolic).  For an equation or a predicate (no premise), EVERY when eq
-    answers True on lhs and rhs evaluated on the symbols.
+    symbolic); `assignment` is those symbols (_symbols(slots)) when the
+    caller has built them already.  For an equation or a predicate (no
+    premise), EVERY when eq answers True on lhs and rhs evaluated on the
+    symbols.
 
     For an implication, EVERY when the premise is a pair of sides compared
     with a carrier's own eq, the copy of the symbols, if any, keeps each
@@ -308,7 +311,8 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
     (symbolic._certified).  Otherwise COPIES when every copy passes: when
     premise and eq both answer True on the copy of the symbols, evaluated
     afresh.  NOTHING otherwise."""
-    assignment = _symbols(slots)
+    if assignment is None:
+        assignment = _symbols(slots)
     if assignment is None:
         return Decided.NOTHING
     differences = _differences(eq) if type(premise) is tuple else None
@@ -351,12 +355,14 @@ def _law(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
     _decided), None for a law that is only walked."""
     holds = _compared(eq, premise) if type(premise) is tuple else premise
     sampled = isinstance(strategy, Sampled)
-    if not (slots and decides is not None and _symbols(slots) is not None):
+    symbols = _symbols(slots) if slots and decides is not None else None
+    if symbols is None:
         return _check(law, names, slots, eq, lhs, rhs, strategy, holds, construct, probes)
     first = Sampled(1, strategy.seed if sampled else 0).assignments(law, slots, construct)
     report = _check(law, names, slots, eq, lhs, rhs, strategy, holds, probes=probes,
                     walk=first)
-    decided = report.passed and _decided(slots, decides, lhs, rhs, premise, construct)
+    decided = report.passed and _decided(slots, decides, lhs, rhs, premise, construct,
+                                         symbols)
     if decided == Decided.EVERY:
         return report
     if not (report.passed and sampled):
@@ -506,8 +512,53 @@ def report_to_dict(report: CheckReport) -> dict:
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> str:
-    import json  # on first use: a text report never needs it
-    return json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True)
+    """The reports' dicts (report_to_dict) as a JSON array, byte for byte
+    the text of json.dumps(dicts, indent=2, sort_keys=True).  _json writes
+    it, with strings quoted by json's own encode_basestring_ascii, because
+    json.dumps with an indent runs json's pure-Python encoder, which takes
+    about twice as long on a typical report list; a value of a type that
+    _json does not write, such as a float in a strategy's own to_dict, goes
+    to json.dumps itself."""
+    # on first use: a text report never needs json
+    from json.encoder import encode_basestring_ascii
+    dicts = [report_to_dict(r) for r in reports]
+    try:
+        return "".join(_json(dicts, "\n", encode_basestring_ascii, []))
+    except TypeError:
+        import json
+        return json.dumps(dicts, indent=2, sort_keys=True)
+
+
+def _json(value, indent: str, quote: Callable, out: list) -> list:
+    """out, with the JSON text of a value made of dicts with str keys,
+    lists, strs, ints, bools and None, as json.dumps(value, indent=2,
+    sort_keys=True) writes it; `indent` is a newline and the indentation
+    of the value's own line.  TypeError for a value of any other type."""
+    t = type(value)
+    if t is str:
+        out.append(quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif t is int:
+        out.append(int.__repr__(value))
+    elif t is dict or t is list:
+        if not value:
+            out.append("{}" if t is dict else "[]")
+            return out
+        inner, separator = indent + "  ", "{" if t is dict else "["
+        for item in (sorted(value) if t is dict else value):
+            out.append(separator + inner)
+            if t is dict:
+                out += (quote(item), ": ")
+                item = value[item]
+            _json(item, inner, quote, out)
+            separator = ","
+        out.append(indent + ("}" if t is dict else "]"))
+    else:
+        raise TypeError(f"a {t.__name__}, which _json does not write")
+    return out
 
 
 def report_to_text(report: CheckReport) -> str:

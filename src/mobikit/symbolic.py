@@ -142,8 +142,10 @@ Trust base.  A pass without a walk is sound when:
   which for a symbolic operand fall through to Fraction's own methods,
   which return NotImplemented, so that Python calls the symbol's reflected
   method, the same ring operation; `carriers.QI`, which keeps symbolic
-  parts as it keeps Fractions, and whose quotient multiplies by 1 / norm
-  where numbers divide by the norm, the same value;
+  parts as it keeps Fractions, whose +, - and * with a _Fraction or a
+  symbol leave out the products by its zero imaginary part, which an int
+  or a Fraction operand computes, and whose quotient multiplies by 1 /
+  norm where numbers divide by the norm, the same values;
   `dsl._div`, whose int / int is a `_Fraction`, where a Poly takes no int
   / int at all; and `carriers.exp`, math.exp on a number and `exp` on a
   symbol, the same function over R.  A float that meets a double stands
@@ -381,11 +383,17 @@ class Poly:
         self.terms, self.rational, self.modulus = terms, rational, modulus
 
     def __add__(self, other):
-        operand = _operand(other, self.rational)
-        if operand is None:
-            return NotImplemented
-        terms, rational, modulus = operand
-        kind = _kind(self, rational, modulus)
+        # a Poly of the same exact kind (equal `rational`, both moduli 0) is
+        # most operands: its terms and that kind, without _operand and _kind
+        if type(other) is Poly and other.rational == self.rational \
+                and not (self.modulus or other.modulus):
+            terms, kind = other.terms, (self.rational, 0)
+        else:
+            operand = _operand(other, self.rational)
+            if operand is None:
+                return NotImplemented
+            terms, rational, modulus = operand
+            kind = _kind(self, rational, modulus)
         out = dict(self.terms)
         for m, c in terms.items():
             s = out.pop(m, None)  # a new monomial takes c without a sum
@@ -405,11 +413,15 @@ class Poly:
 
     def __sub__(self, other):
         # __add__ of the negated terms, in one pass
-        operand = _operand(other, self.rational)
-        if operand is None:
-            return NotImplemented
-        terms, rational, modulus = operand
-        kind = _kind(self, rational, modulus)
+        if type(other) is Poly and other.rational == self.rational \
+                and not (self.modulus or other.modulus):
+            terms, kind = other.terms, (self.rational, 0)
+        else:
+            operand = _operand(other, self.rational)
+            if operand is None:
+                return NotImplemented
+            terms, rational, modulus = operand
+            kind = _kind(self, rational, modulus)
         out = dict(self.terms)
         for m, c in terms.items():
             s = out.pop(m, None)
@@ -421,18 +433,22 @@ class Poly:
                     continue
             out[m] = c
         if len(out) > MAX_TERMS:
-            return _points(self, kind) - Poly(terms, rational, modulus)
+            return _points(self, kind) - Poly(terms, *kind)
         return Poly(out, *kind)
 
     def __rsub__(self, other):
         return _poly(other, self.rational) + -self
 
     def __mul__(self, other):
-        operand = _operand(other, self.rational)
-        if operand is None:
-            return NotImplemented
-        terms, rational, modulus = operand
-        kind = _kind(self, rational, modulus)
+        if type(other) is Poly and other.rational == self.rational \
+                and not (self.modulus or other.modulus):  # as in __add__
+            terms, kind = other.terms, (self.rational, 0)
+        else:
+            operand = _operand(other, self.rational)
+            if operand is None:
+                return NotImplemented
+            terms, rational, modulus = operand
+            kind = _kind(self, rational, modulus)
         left = self.terms
         # a constant rescales the other side's terms, which keep their
         # monomials and their order; the product of nonzero coefficients is

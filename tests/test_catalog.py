@@ -264,3 +264,20 @@ def test_direct_samplers_reach_the_region_boundary(seed):
     assert {F(0), F(1)} <= set(sample(carriers["unit interval"], seed, 200))
     corners = {(F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2))}
     assert corners <= set(sample(carriers["lozenge"], seed, 3000))
+
+
+def test_an_entrys_params_read_the_signature_once(monkeypatch):
+    # params is computed on its first access and kept, so each build,
+    # default_origin and catalog list reads no signature again
+    calls = []
+    signature = inspect.signature
+    monkeypatch.setattr(inspect, "signature", lambda fn: calls.append(fn) or signature(fn))
+
+    def line_space(k=F(1), n=2):
+        return None
+
+    entry = CatalogEntry(line_space, "a line")
+    assert entry.params == (ParamSpec("k", F(1)), ParamSpec("n", 2))
+    assert coerce_params(entry, {"n": "3"}) == {"k": F(1), "n": 3}
+    assert entry.params is entry.params and calls == [line_space]
+    assert entry == CatalogEntry(line_space, "a line")  # the kept params are no field

@@ -6,15 +6,17 @@ import json
 import operator
 import sys
 from fractions import Fraction as F
+from json.encoder import encode_basestring_ascii
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mobikit import (EvalError, Exhaustive, MembershipError, ModularInt,
-                     Rational, Sampled, ShapeError, Witness, check_equation,
-                     check_implication, check_predicate, report_to_text,
-                     reports_to_json)
+from mobikit import (QI, CheckReport, EvalError, Exhaustive, MembershipError,
+                     ModularInt, Rational, Sampled, ShapeError, Witness,
+                     check_equation, check_implication, check_predicate,
+                     report_to_text, reports_to_json)
 from mobikit.carriers import Product, _draw_rational, sample
-from mobikit.report import assignments_for, law_seed, render_value
+from mobikit.report import _json, assignments_for, law_seed, render_value, report_to_dict
 
 Z5 = ModularInt(5)
 
@@ -207,3 +209,62 @@ def test_a_number_past_the_digit_limit_renders_its_head_and_digit_count():
     assert render_value(F(2 * big, 3)) == "20000000000000000000...(5001 digits)/3"
     assert render_value(F(3, 10 ** 4999)) == "3/10000000000000000000...(5000 digits)"
     assert render_value(F(-5, 7)) == "-5/7" and render_value(12) == "12"
+
+
+def dumped(reports) -> str:
+    """The reports as json.dumps writes them, which reports_to_json must match."""
+    return json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True)
+
+
+class Weighted:
+    """A strategy whose own dict holds a float and a tuple, which json.dumps
+    writes as it writes any value."""
+
+    def to_dict(self):
+        return {"kind": "weighted", "weights": (0.25, 1e300), "seed": 5}
+
+
+# a pass with no witness; a failure whose witness nests tuples and QIs, with
+# no difference and with one; an Exhaustive strategy, whose samples and seed
+# are null; law names that need escapes or are not ASCII; a strategy's dict
+# with values of other types
+JSON_REPORTS = {
+    "a pass with no witness": [CheckReport("A0", Sampled(500, 0), "pass")],
+    "no reports": [],
+    "a witness with no difference": [CheckReport(
+        "Y3", Sampled(20, 7), "fail",
+        Witness({"x": (F(1, 2), (QI(1, 2), 3)), "a": QI(F(-1, 3), 0)},
+                (QI(0, 1), (F(5), ())), "<error: division by zero>"))],
+    "a witness with a difference": [CheckReport(
+        "X4", Sampled(1, 11), "fail",
+        Witness({"z": QI(F(7, 2), -1)}, (1, (2, QI(0, -1))), (F(1, 3),),
+                (F(2, 3), (QI(1, 1), None))))],
+    "an exhaustive strategy": [CheckReport("ring.add-comm", Exhaustive(), "pass"),
+                               CheckReport("module.phi-add", Exhaustive(), "fail",
+                                           Witness({"a": 3, "b": 4}, 2, 1, 1))],
+    "names to escape": [CheckReport('quote " and back\\slash', Exhaustive(), "pass"),
+                        CheckReport("\u00e9t\u00e9 \u03bb\t\u2028 \U0001f600", Sampled(3, 1),
+                                    "fail", Witness({"\u00fc": F(1)}, "\u00e9", None))],
+    "a float and a tuple": [CheckReport("A1", Weighted(), "pass")],
+}
+
+
+@pytest.mark.parametrize("reports", JSON_REPORTS.values(), ids=list(JSON_REPORTS))
+def test_reports_to_json_writes_what_json_dumps_writes(reports):
+    assert reports_to_json(reports) == dumped(reports)
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
+
+
+# the values a report dict holds, and bools, nested in lists and str-keyed dicts
+JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | st.text(),
+                           json_containers, max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_the_json_writer_matches_json_dumps_on_any_value(value):
+    assert "".join(_json(value, "\n", encode_basestring_ascii, [])) == json.dumps(
+        value, indent=2, sort_keys=True)

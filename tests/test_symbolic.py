@@ -2579,3 +2579,113 @@ def test_polynomial_coefficients_stay_on_the_kernels_fast_paths(monkeypatch, cap
     assert run_cli(["catalog", "check", entry, "--properties", "--affine", "--seed", "0"]) in (0, 1)
     capsys.readouterr()
     assert seen and seen <= {int, _Fraction}, seen
+
+
+# the kinds that take Poly's same-kind path: equal `rational`, both moduli 0
+SAME_KINDS = ((True, 0), (REAL, 0), (False, 0))
+
+
+@st.composite
+def same_kind_pairs(draw):
+    rational, modulus = draw(st.sampled_from(SAME_KINDS))
+    coefficients = KERNEL_RATIONALS if rational else KERNEL_INTS
+    return tuple(Poly(draw(st.dictionaries(KERNEL_MONOMIALS, coefficients, max_size=14)),
+                      rational, modulus) for _ in range(2))
+
+
+def counting_operands(monkeypatch) -> list:
+    """A list that each call of symbolic._operand appends its operand to."""
+    calls, operand = [], symbolic._operand
+    monkeypatch.setattr(symbolic, "_operand",
+                        lambda x, *kind: calls.append(x) or operand(x, *kind))
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_kind_pairs(), st.sampled_from("+-*"))
+@example(KERNEL_PAST_THE_CAP, "*")
+@example((Poly({(v,): 1 for v in range(MAX_TERMS)}),
+          Poly({(v,): 2 for v in range(MAX_TERMS // 2, MAX_TERMS + MAX_TERMS // 2)})), "+")
+@example((Poly({(v,): 1 for v in range(MAX_TERMS)}), Poly({(MAX_TERMS,): 1})), "-")
+def test_a_same_kind_poly_operand_gives_what_the_general_path_gives(pair, op):
+    # p op q with q of p's kind skips _operand and _kind, and gives the terms
+    # in the same order, the kind, or past MAX_TERMS the same Points, as the
+    # generic loops and as the general path: the operand of a lower exact
+    # kind, which takes p's kind there
+    p, q = pair
+    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counting_operands(patch)
+        fast = outcome(lambda: fn(p, q))
+    assert not calls
+    assert fast == outcome(lambda: generic(op, p, q))
+    if p.rational:
+        lower = Poly(q.terms, True if p.rational is REAL else False)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = counting_operands(patch)
+            assert outcome(lambda: fn(p, lower)) == fast
+        assert calls
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_a_rational_with_an_int_known_modulo_m_stays_undecided(op):
+    fresh = variables()
+    x, n = fresh(), fresh(integer=True) % 7
+    for left, right in ((x, n), (n, x), (x + 1, n * n), (_Fraction(1, 2), n)):
+        with pytest.raises(Undecided, match="modulo 7"):
+            op(left, right)
+    # two ints known modulo 7 stay so, off the same-kind path
+    assert op(n, n + 1).modulus == 7 and not op(n, n + 1).rational
+
+
+def qi_parts(z) -> tuple:
+    """A QI's two parts as the QI fast-path test compares them: a symbol's
+    terms in order (a Quotient's numerator's and each factor's, with its
+    key and exponent), and a number's value as the terms of a constant, since
+    the general path makes a number half a constant Poly when it adds the
+    product by zero of a symbolic other half."""
+    def part(x):
+        if type(x) is Quotient:
+            return list(x.num.terms.items()), [
+                (key, list(f.terms.items()), e) for key, (f, e) in x.den.items()]
+        return list(x.terms.items()) if type(x) is Poly else [((), F(x))] if x else []
+    assert type(z) is QI
+    return part(z.re), part(z.im)
+
+
+# each form of a QI's parts: numbers, rational variables, a variable and a
+# number, and quotients (1 / (x + i) = x / (x*x + 1) - i / (x*x + 1))
+def qi_operands():
+    fresh = variables()
+    x, y, s = fresh(), fresh(), fresh()
+    zs = {"numbers": QI(_Fraction(1, 2), _Fraction(-3)), "symbols": QI(x, y),
+          "a symbol and a number": QI(x * y - 1, _Fraction(2, 5)),
+          "quotients": 1 / QI(x, 1)}
+    rs = {"an int": 3, "a _Fraction": _Fraction(-5, 7), "a Poly": s * s + 2 * x,
+          "a Quotient": (1 / QI(s, 1)).re}
+    return zs, rs
+
+
+QI_ZS, QI_RS = qi_operands()
+
+# each operation with a real operand r, and the general path that it keeps:
+# QI(r, 0) in r's place; Python hands r + z and r * z to QI's __radd__ and
+# __rmul__, which are __add__ and __mul__
+QI_CASES = {
+    "z * r": (lambda z, r: z * r, lambda z, r: z * QI(r, 0)),
+    "r * z": (lambda z, r: r * z, lambda z, r: z * QI(r, 0)),
+    "z + r": (lambda z, r: z + r, lambda z, r: z + QI(r, 0)),
+    "r + z": (lambda z, r: r + z, lambda z, r: z + QI(r, 0)),
+    "z - r": (lambda z, r: z - r, lambda z, r: z - QI(r, 0)),
+    "r - z": (lambda z, r: r - z, lambda z, r: QI(r, 0) - z),
+}
+
+
+@pytest.mark.parametrize("r", QI_RS.values(), ids=list(QI_RS))
+@pytest.mark.parametrize("z", QI_ZS.values(), ids=list(QI_ZS))
+@pytest.mark.parametrize("case", QI_CASES.values(), ids=list(QI_CASES))
+def test_a_qi_with_a_real_operand_gives_what_qi_of_it_gives(case, z, r):
+    # a _Fraction or a symbol meets only the nonzero half; the values, and on
+    # symbols the terms in order, are those of the general path
+    fast, general = case
+    assert qi_parts(fast(z, r)) == qi_parts(general(z, r))
