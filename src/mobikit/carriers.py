@@ -229,7 +229,7 @@ def _part(x):
     return Fraction(x)
 
 
-@reflected  # a Poly operand hands a QI to QI's reflected method
+@reflected  # a Poly or _Fraction operand hands a QI to QI's reflected method
 class QI:
     """Gaussian rational re + im*i with exact Fraction components, or
     symbolic ones (see symbolic)."""

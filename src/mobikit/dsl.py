@@ -724,7 +724,8 @@ def _compile(e, env: dict, bases, ns: dict, depth: int = 1):
         if e.text == "i":
             if "QI" not in bases:
                 raise _error("exp-i-misuse", e, "'i' requires a QI carrier")
-            return COMPLEX, _bind(ns, QI(0, 1))
+            # _Fraction parts keep each product with i on the kernel's fast paths
+            return COMPLEX, _bind(ns, QI(_Fraction(0), _Fraction(1)))
         if e.text not in env:
             raise _error("unbound-identifier", e, f"unbound identifier {e.text!r}")
         return env[e.text]

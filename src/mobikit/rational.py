@@ -3,10 +3,11 @@
 Its arithmetic, comparisons and equality take a fast path when the other
 operand is an int or a Fraction: the same gcd steps as `Fraction` (Knuth,
 TAOCP vol. 2, 4.5.1) without its generic dispatch, and a `_Fraction`
-result, all in one Python frame per operation.  Any other operand, and
-division by zero, goes to `Fraction`'s own method.  A `_Fraction` prints,
-hashes and compares as the `Fraction` of the same value, and type errors
-name it `Fraction`.
+result, all in one Python frame per operation.  Its arithmetic with a
+symbolic operand (a type in `_SYMBOLIC`) returns NotImplemented at once.
+Any other operand, and division by zero, goes to `Fraction`'s own method.
+A `_Fraction` prints, hashes and compares as the `Fraction` of the same
+value, and type errors name it `Fraction`.
 
 It is the type of Rational draws and of the catalog's constants (carriers,
 catalog.F), of the rational literals of definition files and their int /
@@ -30,11 +31,19 @@ from fractions import Fraction
 # operands na/da and nb/db (da, db > 0; an int is n/1), runs the gcd steps of
 # CPython's Fraction._add/_sub/_mul/_div and fills in its _Fraction result
 # itself: one Python frame per operation.  The reflected form is the same
-# code with na/da read from the other operand and nb/db from self.  Any other
-# operand (a bool too), and division by zero, goes to Fraction's own method.
+# code with na/da read from the other operand and nb/db from self.  An operand
+# of a type in _SYMBOLIC gets NotImplemented at once, as Fraction's method
+# would give it after its isinstance checks, so that Python calls that type's
+# reflected method.  Any other operand (a bool, a float, a complex too), and
+# division by zero, goes to Fraction's own method.
 
 _new = object.__new__
 _gcd = math.gcd
+
+# the types of symbolic values, none of them a number to Fraction: symbolic
+# adds Poly, Quotient, Points and Exp, and each type that its `reflected`
+# marks, such as carriers.QI, so that this module stays below both
+_SYMBOLIC = set()
 
 
 def _make(n: int, d: int) -> "_Fraction":
@@ -64,6 +73,8 @@ def {f}(a, b):
         {b} = b._numerator, b._denominator
     elif t is int:
         {b} = b, 1
+    elif t in _SYMBOLIC:
+        return NotImplemented
     else:
         return Fraction.{f}(a, b)
 """

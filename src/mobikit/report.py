@@ -26,9 +26,13 @@ a certificate modulo m, see symbolic._certified), the report is a pass
 with the caller's strategy, and nothing is enumerated, so under Exhaustive
 a decided law passes over an infinite carrier too.  Otherwise Sampled
 walks its other draws, never the first one again, and its other copies
-unless every copy passes on the symbols; any other strategy, and a law
-that fails in its first draw, is walked in full, so a failing law has the
-witness it has without symbols.  Every other law is walked in full.
+unless every copy passes on the symbols; any other strategy is walked in
+full.  A law that fails at a probe or at its first draw under Sampled
+itself has that report, which its full walk gives too, since that walk
+meets the same assignment first; one that fails at the first draw's copy,
+which the full walk reaches after every other draw, or under any other
+strategy, is walked in full.  So a failing law has the witness it has
+without symbols.  Every other law is walked in full.
 """
 
 from __future__ import annotations
@@ -287,6 +291,10 @@ def _copy_stays(assignment: tuple, construct: Callable) -> bool:
         return False
 
 
+# the default of _decided's `differences`: not looked up by the caller
+_UNASKED = object()
+
+
 def _compared(eq: Callable, sides: tuple) -> Callable:
     """The premise that the pair of sides `sides` is equal under eq."""
     left, right = sides
@@ -295,12 +303,13 @@ def _compared(eq: Callable, sides: tuple) -> Callable:
 
 def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
              premise=None, construct: Callable | None = None,
-             assignment: tuple | None = None) -> Decided:
+             assignment: tuple | None = None, differences=_UNASKED) -> Decided:
     """What one evaluation of a law on a symbol for each slot decides (see
-    symbolic); `assignment` is those symbols (_symbols(slots)) when the
-    caller has built them already.  For an equation or a predicate (no
-    premise), EVERY when eq answers True on lhs and rhs evaluated on the
-    symbols.
+    symbolic); `assignment` is those symbols (_symbols(slots)) and
+    `differences` is _differences(eq), or None for a premise that is not a
+    pair of sides, when the caller has looked them up already.  For an
+    equation or a predicate (no premise), EVERY when eq answers True on lhs
+    and rhs evaluated on the symbols.
 
     For an implication, EVERY when the premise is a pair of sides compared
     with a carrier's own eq, the copy of the symbols, if any, keeps each
@@ -315,7 +324,8 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
         assignment = _symbols(slots)
     if assignment is None:
         return Decided.NOTHING
-    differences = _differences(eq) if type(premise) is tuple else None
+    if differences is _UNASKED:
+        differences = _differences(eq) if type(premise) is tuple else None
     try:
         if premise is None and eq(lhs(*assignment), rhs(*assignment)) is True:
             return Decided.EVERY
@@ -349,23 +359,41 @@ def _decided(slots: tuple, eq: Callable, lhs: Callable, rhs: Callable,
 
 def _law(law: str, names: tuple, slots: tuple, eq: Callable, lhs: Callable,
          rhs: Callable, strategy, decides: Callable | None, premise=None,
-         construct: Callable | None = None, probes: tuple = ()) -> CheckReport:
+         construct: Callable | None = None, probes: tuple = (),
+         differences: Callable | None = None) -> CheckReport:
     """The one path of every law check, as the module docstring tells:
     `decides` is the equality the law is decided with on symbols (see
-    _decided), None for a law that is only walked."""
+    _decided), None for a law that is only walked, and `differences` that
+    of its carrier, for a premise that is a pair of sides.
+
+    A failure at a probe or at the first draw is the report under Sampled
+    itself, whose full walk meets that assignment first too; a failure at
+    the first draw's copy, and any failure under another strategy, such as
+    Exhaustive or a subclass of Sampled with assignments of its own, is
+    walked in full, since that walk can meet another failing assignment
+    first."""
     holds = _compared(eq, premise) if type(premise) is tuple else premise
     sampled = isinstance(strategy, Sampled)
     symbols = _symbols(slots) if slots and decides is not None else None
     if symbols is None:
         return _check(law, names, slots, eq, lhs, rhs, strategy, holds, construct, probes)
-    first = Sampled(1, strategy.seed if sampled else 0).assignments(law, slots, construct)
+    first = Sampled(1, strategy.seed if sampled else 0).assignments(law, slots)
+    if construct is not None:
+        first = list(first)  # its copy follows it
     report = _check(law, names, slots, eq, lhs, rhs, strategy, holds, probes=probes,
                     walk=first)
-    decided = report.passed and _decided(slots, decides, lhs, rhs, premise, construct,
-                                         symbols)
+    copied = report.passed and construct is not None
+    if copied:
+        report = _check(law, names, slots, eq, lhs, rhs, strategy, holds,
+                        walk=map(construct, first))
+    if not report.passed:
+        if type(strategy) is Sampled and not copied:
+            return report
+        return _check(law, names, slots, eq, lhs, rhs, strategy, holds, construct, probes)
+    decided = _decided(slots, decides, lhs, rhs, premise, construct, symbols, differences)
     if decided == Decided.EVERY:
         return report
-    if not (report.passed and sampled):
+    if not sampled:
         return _check(law, names, slots, eq, lhs, rhs, strategy, holds, construct, probes)
     rest = islice(strategy.assignments(law, slots), 1, None)
     if construct is not None and decided != Decided.COPIES:
@@ -427,10 +455,11 @@ def check_implication(law: str, names: tuple, slots: tuple, premise,
     of sides compared with a carrier's own eq, or when Sampled walks
     copies; otherwise it is walked.
     """
-    certifiable = type(premise) is tuple and _differences(eq) is not None
+    differences = _differences(eq) if type(premise) is tuple else None
     copies = isinstance(strategy, Sampled) and construct is not None
     return _law(law, names, slots, eq, lhs, rhs, strategy,
-                eq if certifiable or copies else None, premise, construct)
+                eq if differences is not None or copies else None, premise, construct,
+                differences=differences)
 
 
 class Laws:

@@ -60,7 +60,10 @@ def solved(premise: list, conclusion: list, factors=()) -> bool:
 
     - a premise c*v + r, with c and r free of the variable v and c a
       nonzero constant, gives v = -r/c, put into every other polynomial;
-    - `_certified` is asked for a certificate of the node;
+    - `_certified` is asked for a certificate of the node, on its first
+      pass only: at the root and at each child of a split, when it has no
+      premise with a constant coefficient, and not again after a
+      substitution in place;
     - a premise c*v + r whose coefficient c is nowhere zero (below), the
       smallest such c first, gives v = -r/c: every other polynomial p, of
       degree d in v, becomes c**d * p(v = -r/c), which vanishes exactly
@@ -90,7 +93,10 @@ def solved(premise: list, conclusion: list, factors=()) -> bool:
     `nonnegative` at most POSITIVE_WORK, each product one unit per pair of
     terms, each step of an exact division one per term of the divisor,
     each linear form read and each value at the probes one per term.  Past
-    it, or past MAX_TERMS, the answer is False."""
+    it, or past MAX_TERMS, the answer is False.  A polynomial's values at
+    the probes are computed once per call (keyed by its terms), and each
+    time they are asked for they are charged as if computed afresh, so
+    that every check of the budget sees what it would see without that."""
     try:
         polys = [_poly(p) for p in (*premise, *conclusion, *factors)]
         if any(p.modulus or (not p.rational and p.terms.keys() - {()}) for p in polys):
@@ -99,6 +105,8 @@ def solved(premise: list, conclusion: list, factors=()) -> bool:
         return _solve(polys[:k], polys[k:n], _factors(polys[n:]), BRANCHES, [SOLVE_WORK])
     except Undecided:
         return False
+    finally:
+        _PROBED.clear()
 
 
 def _factors(polys) -> list:
@@ -116,7 +124,9 @@ def _charge(budget: list, units: int):
 def _solve(premise: list, conclusion: list, factors: list, branches: int,
            budget: list) -> bool:
     """Whether a node of solved holds.  A substitution replaces the node by
-    its child in place, so that only splits nest."""
+    its child in place, so that only splits nest; `_certified` is asked on
+    the node's first pass only."""
+    first = True
     while True:
         premise = [p for p in premise if p.terms]
         conclusion = [g for g in conclusion if g.terms]
@@ -129,7 +139,7 @@ def _solve(premise: list, conclusion: list, factors: list, branches: int,
                      if c.terms.keys() == {()}), None)
         factored = None
         if step is None:
-            if _certifies(premise, conclusion, budget):
+            if first and _certifies(premise, conclusion, budget):
                 return True
             # a premise c*(v - q), a product, is split before blocks are
             # sought; c divides c*v + r exactly when it divides r
@@ -141,6 +151,7 @@ def _solve(premise: list, conclusion: list, factors: list, branches: int,
         if step is None:
             break
         done, numerators, den = step
+        first = False
         images, den = _images(numerators, den, budget)
         rest = [p for j, p in enumerate(premise) if j not in done]
         premise, conclusion, factors = _substituted(images, den, budget, rest, conclusion,
@@ -276,11 +287,26 @@ def _varies(values: list) -> bool:
     return not (all(v > 0 for v in values) or all(v < 0 for v in values))
 
 
+# the values at the probes of each polynomial met in one call of solved,
+# keyed by its terms; solved empties it when it returns
+_PROBED = {}
+
+
 def _at_probes(p: Poly, budget: list) -> list:
-    """p's exact values at the PROBES probe points (see _probe).  The terms
-    are summed as ints over each denominator, as in _values, at every point
-    at once."""
+    """p's exact values at the PROBES probe points (see _probe), charged in
+    full each time, and computed once per call of solved.  The terms are
+    summed as ints over each denominator, as in _values, at every point at
+    once."""
     _charge(budget, PROBES * len(p.terms))
+    key = tuple(p.terms.items())
+    values = _PROBED.get(key)
+    if values is None:
+        values = _PROBED[key] = _values_at_probes(p)
+    return values
+
+
+def _values_at_probes(p: Poly) -> list:
+    """p's exact values at the PROBES probe points."""
     sums = {}  # a denominator: the sums of its terms' numerators at the points
     for m, c in p.terms.items():
         values, d = [c.numerator] * PROBES, c.denominator

@@ -317,7 +317,7 @@ from itertools import count, product
 from math import comb, gcd
 from typing import Callable
 
-from .rational import _Fraction, _make
+from .rational import _SYMBOLIC, _Fraction, _make
 
 # past this many terms a rational is kept as a point form (Points) and an
 # int is undecided.  A seed-0 catalog benchmark pass took 0.30 s at 100,
@@ -787,12 +787,17 @@ for _cls in (Quotient, Points):
 # Points: a Quotient, a Points, an Exp, and the Gaussian rationals of
 # carriers (see reflected)
 _REFLECTED = {Quotient, Points, Exp}
+# a _Fraction's arithmetic gives these, and each type that reflected marks,
+# NotImplemented at once (see rational)
+_SYMBOLIC.update((Poly, Quotient, Points, Exp))
 
 
 def reflected(cls):
-    """Class decorator: a Poly or Quotient operation with a cls operand
-    returns NotImplemented, so that Python calls cls's reflected method."""
+    """Class decorator: a Poly, Quotient or _Fraction operation with a cls
+    operand returns NotImplemented, so that Python calls cls's reflected
+    method."""
     _REFLECTED.add(cls)
+    _SYMBOLIC.add(cls)
     return cls
 
 

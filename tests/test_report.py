@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mobikit import (QI, CheckReport, EvalError, Exhaustive, MembershipError,
                      ModularInt, Rational, Sampled, ShapeError, Witness,
-                     check_equation, check_implication, check_predicate,
+                     check_equation, check_implication, check_predicate, report,
                      report_to_text, reports_to_json)
 from mobikit.carriers import Product, _draw_rational, sample
 from mobikit.report import _json, assignments_for, law_seed, render_value, report_to_dict
@@ -199,6 +199,122 @@ def test_a_law_with_no_variables_reports_exhaustive_under_any_strategy():
         assert report_to_text(report) == "PASS constant [exhaustive]"
         assert json.loads(reports_to_json([report]))[0]["strategy"] == {
             "kind": "exhaustive", "samples": None, "seed": None}
+
+
+Q = Rational()
+
+
+def counted(fn, calls: list):
+    """fn, recording the assignment of each call in calls."""
+    def spy(*assignment):
+        calls.append(assignment)
+        return fn(*assignment)
+    return spy
+
+
+def full_walk(law, names, slots, eq, lhs, rhs, strategy, premise=None, construct=None,
+              probes=()):
+    """The report of the law loop walking every assignment of the strategy,
+    with no first draw and no symbols."""
+    holds = report._compared(eq, premise) if type(premise) is tuple else premise
+    return report._check(law, names, slots, eq, lhs, rhs, strategy, holds, construct, probes)
+
+
+def test_a_sampled_law_failing_at_a_probe_or_its_first_draw_is_not_walked_again():
+    # x = x + 1 fails everywhere; the premise 0*x = 0*y holds everywhere,
+    # so an implication fails at the first assignment it meets too
+    names, slots, strategy = ("x", "y"), (Q, Q), Sampled(50, 3)
+    first = next(iter(strategy.assignments("off", slots)))
+    probe = (F(1000), F(0))
+    always = (lambda x, y: x * 0, lambda x, y: y * 0)
+
+    def rhs(x, y):
+        return x + 1
+
+    for probes, at in (((probe,), probe), ((), first)):
+        calls = []
+        equation = report._law("off", names, slots, Q.eq, counted(lambda x, y: x, calls),
+                               rhs, strategy, Q.eq, probes=probes)
+        assert equation == full_walk("off", names, slots, Q.eq, lambda x, y: x, rhs,
+                                     strategy, probes=probes)
+        assert equation.witness.inputs == dict(zip(names, at)) and calls == [at]
+        calls = []
+        implication = report._law("off", names, slots, Q.eq, counted(lambda x, y: x, calls),
+                                  rhs, strategy, Q.eq, always, lambda t: t, probes)
+        assert implication == full_walk("off", names, slots, Q.eq, lambda x, y: x, rhs,
+                                        strategy, always, lambda t: t, probes)
+        assert implication.witness.inputs == dict(zip(names, at)) and calls == [at]
+    # through the public checks, which give an implication no probes
+    calls = []
+    assert check_equation("off", names, slots, Q.eq, counted(lambda x, y: x, calls), rhs,
+                          strategy, (probe,)).witness.inputs == dict(zip(names, probe))
+    assert check_implication("off", names, slots, always, Q.eq,
+                             counted(lambda x, y: x, calls), rhs, strategy,
+                             lambda t: t).witness.inputs == dict(zip(names, first))
+    assert calls == [probe, first]
+
+
+def test_a_sampled_law_failing_at_its_first_copy_is_walked_in_full():
+    # the conclusion fails where x > 0 and at every copy; at a seed whose
+    # first draw has x <= 0, a later draw with x > 0 comes before that copy
+    # in the full walk, and is its witness
+    names, slots = ("x", "y"), (Q, Q)
+    always = (lambda x, y: x * 0, lambda x, y: y * 0)
+
+    def construct(t):
+        return abs(t[0]) + 1, t[1]
+
+    def rhs(x, y):
+        return x if x <= 0 else x + 1
+
+    seed = next(s for s in range(100)
+                if (d := list(Sampled(50, s).assignments("positive", slots)))[0][0] <= 0
+                and any(x > 0 for x, _ in d[1:]))
+    strategy = Sampled(50, seed)
+    first = next(iter(strategy.assignments("positive", slots)))
+    calls = []
+    implication = check_implication("positive", names, slots, always, Q.eq,
+                                    counted(lambda x, y: x, calls), rhs, strategy, construct)
+    assert implication == full_walk("positive", names, slots, Q.eq, lambda x, y: x, rhs,
+                                    strategy, always, construct)
+    witness = tuple(implication.witness.inputs.values())
+    assert witness[0] > 0 and witness != construct(first)
+    assert calls[:3] == [first, construct(first), first]
+    # a copy that fails with no draw before it, where the premise
+    # x = y + 1000 holds only on copies (draws stay within |x| <= 12), is
+    # evaluated once more, by the full walk
+    calls, shifted = [], (lambda x, y: x, lambda x, y: y + 1000)
+    copy = check_implication("copy", names, slots, shifted, Q.eq,
+                             counted(lambda x, y: x, calls), lambda x, y: y, strategy,
+                             lambda t: (t[1] + 1000, t[1]))
+    assert copy == full_walk("copy", names, slots, Q.eq, lambda x, y: x, lambda x, y: y,
+                             strategy, shifted, lambda t: (t[1] + 1000, t[1]))
+    y = next(iter(strategy.assignments("copy", slots)))[1]
+    at = (y + 1000, y)
+    assert copy.witness.inputs == dict(zip(names, at)) and calls == [at, at]
+
+
+class Reversed(Sampled):
+    """Sampled's draws, last first."""
+
+    def assignments(self, law, slots, construct=None):
+        return list(super().assignments(law, slots, construct))[::-1]
+
+
+@pytest.mark.parametrize("strategy", [Exhaustive(), Reversed(20, 3)])
+def test_a_law_failing_at_its_first_draw_under_another_strategy_is_walked_in_full(strategy):
+    # x = x + 1 fails everywhere: its witness is the first assignment of the
+    # strategy's own walk, not the seeded draw that Sampled(1) takes first
+    names, slots = ("x",), (Z5,) if strategy == Exhaustive() else (Q,)
+    eq = slots[0].eq
+    first = next(iter(Sampled(1, getattr(strategy, "seed", 0)).assignments("off", slots)))
+    walked = next(iter(strategy.assignments("off", slots)))
+    calls = []
+    equation = check_equation("off", names, slots, eq, counted(lambda x: x, calls),
+                              lambda x: x + 1, strategy)
+    assert equation == full_walk("off", names, slots, eq, lambda x: x, lambda x: x + 1,
+                                 strategy)
+    assert equation.witness.inputs == dict(zip(names, walked)) and calls == [first, walked]
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")

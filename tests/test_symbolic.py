@@ -18,7 +18,7 @@ from mobikit import (CheckReport, Exhaustive, Float64, GaussianRational,
                      MobiAlgebra, ModularInt, QI, Rational, Restricted,
                      SamplingExhausted, Sampled, Sign, Vector, build, carriers, check_algebra,
                      check_equation, check_implication, check_predicate,
-                     list_catalog, report, reports_to_json, solver, symbolic)
+                     list_catalog, rational, report, reports_to_json, solver, symbolic)
 from mobikit.algebra import check_properties
 from mobikit.carriers import CarrierError, Product, ShapeError, sample
 from mobikit.catalog import _draw_unit, nonaffine_poly_space, zmod_algebra, zmod_module
@@ -263,10 +263,11 @@ def test_every_passing_equation_of_nonaffine_poly_space_is_decided(monkeypatch, 
     assert run_cli(["catalog", "check", "nonaffine-poly-space", "--properties",
                     "--affine"]) == 1
     assert "FAIL affine(half)" in capsys.readouterr().out
-    # the failing affine condition; X0 is admitted by Q x Q, X1, X2, X3, X5
-    # and Y1 to Y8 are decided, X5, Y4, Y5 and Y8 past MAX_TERMS at the
-    # points, and X4, Y9 and Y10 by solving their premise, copies and all
-    assert walked == ["affine(half)"]
+    # the affine condition fails at its first draw, which is its report; X0
+    # is admitted by Q x Q, X1, X2, X3, X5 and Y1 to Y8 are decided, X5, Y4,
+    # Y5 and Y8 past MAX_TERMS at the points, and X4, Y9 and Y10 by solving
+    # their premise, copies and all
+    assert walked == []
     assert answers.count(("equation", report.Decided.EVERY)) == 12
     assert answers.count(("predicate", report.Decided.EVERY)) == 1
     assert answers.count(("implication", report.Decided.EVERY)) == 3
@@ -1508,6 +1509,81 @@ def test_the_laws_decided_at_the_points(monkeypatch, capsys, tmp_path, workload)
         == (every, copies)
 
 
+def solves(op: str, laws: tuple, refused: tuple = ()) -> list:
+    """(op, law, answer) for each law of op that asks solver.solved, the
+    answer False for those in refused."""
+    return [(op, law, law not in refused) for law in laws]
+
+
+ALGEBRA_IMPLICATIONS, SPACE_IMPLICATIONS = ("A6", "eq(8)", "eq(10)"), ("X4", "Y9", "Y10")
+
+# Every call of solver.solved in a seed-0 pass of the catalog and dsl
+# workloads, in order: the op, the law and the answer.  A change to the
+# solve that keeps every verdict can still move an answer, which a walk
+# would hide; Y9 of the perturbed spaces and eq(10) of a perturbed line
+# fail, and their solves are refused.
+SOLVED_IN_A_PASS = {
+    "catalog": (
+        [answer for name in ("canonical-interval-algebra", "rational-line-algebra",
+                             "float-line-algebra", "lozenge-algebra", "plane-algebra",
+                             "tri-algebra")
+         for answer in solves(f"catalog check {name}", ALGEBRA_IMPLICATIONS)]
+        + [answer for name in ("canonical-space", "projectile-space", "damped-space",
+                               "transported-space", "halfplane-space", "lozenge-space",
+                               "plane-space", "tri-space", "nonaffine-complex-space",
+                               "nonaffine-poly-space")
+           for answer in solves(f"catalog check {name}", SPACE_IMPLICATIONS)]
+        + [answer for name in ("canonical-module", "projectile-module", "damped-module",
+                               "plane-module", "tri-module")
+           for answer in solves(f"convert module-to-space {name}", ("X4",))]),
+    "dsl": (
+        solves("check projectile", ALGEBRA_IMPLICATIONS + SPACE_IMPLICATIONS)
+        + solves("check line", ALGEBRA_IMPLICATIONS)
+        + [answer for name in ("cplx", "damped", "halfplane")
+           for answer in solves(f"check {name}", SPACE_IMPLICATIONS)]
+        + solves("check projectile perturbed B", ALGEBRA_IMPLICATIONS + SPACE_IMPLICATIONS,
+                 ("Y9",))
+        + solves("check projectile perturbed P", ALGEBRA_IMPLICATIONS + ("X4", "Y9"))
+        + solves("check line perturbed A", ALGEBRA_IMPLICATIONS, ("eq(10)",))
+        + solves("check line perturbed B", ALGEBRA_IMPLICATIONS)
+        + solves("check cplx perturbed K", SPACE_IMPLICATIONS, ("Y9",))
+        + solves("check cplx perturbed B", SPACE_IMPLICATIONS, ("Y9",))
+        + solves("check damped perturbed A", ("X4", "Y10"))
+        + solves("check damped perturbed B", SPACE_IMPLICATIONS, ("Y9",))
+        + solves("check halfplane perturbed C", SPACE_IMPLICATIONS, ("Y9",))
+        + solves("check halfplane perturbed B", SPACE_IMPLICATIONS, ("Y9",))),
+}
+
+
+@pytest.mark.parametrize("workload", SOLVED_IN_A_PASS)
+def test_the_premise_solves_of_a_pass(monkeypatch, capsys, tmp_path, workload):
+    workloads = benchmark_workloads()
+    if workload == "dsl":
+        ops = workloads.dsl_ops(0, tmp_path, GOLDEN.read_text())[0]
+    else:
+        ops = workloads.catalog_ops(0)
+    at, answers = [None, None], []
+
+    def check_spy(name, *args, **kwargs):
+        at[1] = name
+        return check(name, *args, **kwargs)
+
+    def solved_spy(*args):
+        answers.append((*at, solved(*args)))
+        return answers[-1][2]
+
+    check, solved = report._check, solver.solved
+    monkeypatch.setattr(report, "_check", check_spy)
+    monkeypatch.setattr(solver, "solved", solved_spy)
+    for op in ops:
+        if not (op.child or op.key.startswith("search")):
+            at[0] = op.key
+            run_cli(list(op.argv))
+    capsys.readouterr()
+    assert answers == SOLVED_IN_A_PASS[workload]
+    assert solver._PROBED == {}
+
+
 def test_the_halfplane_transcriptions_report_what_their_walks_report(
         monkeypatch, capsys, tmp_path):
     # `Q^2 where v2 > 0` is a sign condition, so the benchmark's halfplane
@@ -2689,3 +2765,130 @@ def test_a_qi_with_a_real_operand_gives_what_qi_of_it_gives(case, z, r):
     # symbols the terms in order, are those of the general path
     fast, general = case
     assert qi_parts(fast(z, r)) == qi_parts(general(z, r))
+
+
+
+def symbolic_shape(x):
+    """A value as the symbolic-operand test compares it: a symbol's terms in
+    order, and a Quotient's, a Points', an Exp's and a QI's parts in turn;
+    an exception as its type and text."""
+    t = type(x)
+    if isinstance(x, Exception):
+        return t.__name__, str(x)
+    if t is Poly:
+        return "poly", list(x.terms.items()), x.rational, x.modulus
+    if t is Quotient:
+        return "quotient", symbolic_shape(x.num), [
+            (key, symbolic_shape(f), e) for key, (f, e) in x.den.items()]
+    if t is Points:
+        return "points", x.values, x.num, x.den
+    if t is symbolic.Exp:
+        return "exp", [(key, symbolic_shape(g), symbolic_shape(p))
+                       for key, (g, p) in x.groups.items()]
+    if t is QI:
+        return "qi", symbolic_shape(x.re), symbolic_shape(x.im)
+    return t.__name__, x
+
+
+def symbolic_operands() -> dict:
+    """A value of each symbolic type, and a QI of numbers."""
+    fresh = variables()
+    x, s, r = fresh(), fresh(), Float64().symbol(fresh)
+    return {"Poly": s * s + 2 * x, "Quotient": (1 / QI(s, 1)).re,
+            "Points": KERNEL_PAST_THE_CAP[0] * KERNEL_PAST_THE_CAP[1],
+            "Exp": symbolic.exp(r) * 3 + r, "QI": QI(x, _Fraction(1, 2)),
+            "QI of numbers": QI(_Fraction(1, 2), _Fraction(-3))}
+
+
+KERNEL_DUNDERS = ("add", "sub", "mul", "truediv")
+
+
+def fraction_methods(monkeypatch) -> list:
+    """A list that each call of Fraction's own arithmetic appends its name to."""
+    calls = []
+    for name in KERNEL_DUNDERS:
+        for dunder in (f"__{name}__", f"__r{name}__"):
+            method = getattr(F, dunder)
+            monkeypatch.setattr(F, dunder, lambda a, b, method=method, dunder=dunder:
+                                calls.append(dunder) or method(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("name", list(symbolic_operands()))
+def test_a_fraction_with_a_symbolic_operand_skips_fractions_dispatch(monkeypatch, name):
+    # _Fraction's +, -, * and / give a symbolic operand NotImplemented at
+    # once, as Fraction's own methods do after their isinstance checks, so
+    # both operand orders give what they gave through those methods, terms
+    # in order; a float, a complex and any other operand still go there
+    x, k = symbolic_operands()[name], _Fraction(-2, 3)
+    cases = [(f, left, right) for f in (operator.add, operator.sub, operator.mul,
+                                        operator.truediv)
+             for left, right in ((k, x), (x, k))]
+
+    def results():
+        out = []
+        for f, left, right in cases:
+            try:
+                out.append(symbolic_shape(f(left, right)))
+            except Exception as exc:  # a division the symbol refuses
+                out.append(symbolic_shape(exc))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rational, "_SYMBOLIC", set())
+        calls = fraction_methods(patch)
+        through_fraction = results()
+    assert calls
+    others = (F(-2, 3) + 0.5, F(-2, 3) * 1j, F(-5, 3))
+    calls = fraction_methods(monkeypatch)
+    assert results() == through_fraction
+    assert all(getattr(k, f"__{r}{name}__")(x) is NotImplemented
+               for name in KERNEL_DUNDERS for r in ("", "r"))
+    assert calls == []
+    assert (k + 0.5, k * 1j, k - True) == others
+    with pytest.raises(TypeError):
+        k * "x"
+    assert calls == ["__add__", "__mul__", "__sub__", "__mul__"]
+
+
+# -- the premise solver's values at the probes
+
+# variables of each domain, and polynomials in them
+PROBE_VARIABLES = [k | domain << symbolic.DOMAIN_SHIFT for domain in (FREE, POSITIVE, UNIT)
+                   for k in range(1, 4)]
+# a budget that no call of _at_probes here overspends
+SOLVE_UNITS = 10 ** 6
+PROBE_POLYS = st.dictionaries(
+    st.lists(st.sampled_from(PROBE_VARIABLES), max_size=3).map(lambda m: tuple(sorted(m))),
+    KERNEL_RATIONALS, max_size=10).map(Poly)
+
+
+def probe_value(p: Poly, k: int) -> F:
+    """p at the k-th probe point, summed term by term as Fractions."""
+    total = F(0)
+    for m, c in p.terms.items():
+        term = F(c)
+        for v in m:
+            x = solver._probe(v)[k]
+            term *= F(x, solver.PROBE_SCALE) if symbolic.domain_of(v) == UNIT else x
+        total += term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(PROBE_POLYS, PROBE_POLYS)
+def test_the_values_at_the_probes_are_kept_for_a_solve_and_charged_each_time(p, q):
+    # a hit returns what a miss computes and charges the same, so that the
+    # budget runs out where it would without the table; solved empties it
+    want = [probe_value(p, k) for k in range(solver.PROBES)]
+    charge = solver.PROBES * len(p.terms)
+    for copy in (p, p, Poly(dict(p.terms))):
+        budget = [SOLVE_UNITS]
+        assert solver._at_probes(copy, budget) == want
+        assert budget == [SOLVE_UNITS - charge]
+        if charge:
+            with pytest.raises(Undecided):
+                solver._at_probes(copy, [charge - 1])
+    assert solver._PROBED
+    solver.solved([p - q], [p * q])
+    assert solver._PROBED == {}
